@@ -1,5 +1,5 @@
 // Command benchcmp is the CI bench-regression gate: it compares a fresh
-// benchjson report against the committed baseline (BENCH_6.json) and fails
+// benchjson report against the committed baseline (BENCH_7.json) and fails
 // when a gated hot-path benchmark slowed down beyond the tolerance.
 //
 // Benchmarks matching -gate (by default the newton-iteration kernel, the
@@ -12,7 +12,7 @@
 // Usage:
 //
 //	go run ./cmd/benchjson -out /tmp/head.json -benchtime 0.3s -count 2
-//	go run ./cmd/benchcmp -baseline BENCH_6.json -head /tmp/head.json
+//	go run ./cmd/benchcmp -baseline BENCH_7.json -head /tmp/head.json
 package main
 
 import (
@@ -96,7 +96,7 @@ func load(path string) (report, error) {
 
 func main() {
 	var (
-		basePath = flag.String("baseline", "BENCH_6.json", "committed baseline report")
+		basePath = flag.String("baseline", "BENCH_7.json", "committed baseline report")
 		headPath = flag.String("head", "", "freshly measured report to gate")
 		maxRatio = flag.Float64("max-ratio", 2.0, "fail gated benchmarks slower than baseline by this factor")
 		// Only the sparse hot paths plus the serving-path load rows are

@@ -4,7 +4,7 @@
 // ns/step and asks/sec, plus derived sparse-vs-dense and
 // exact-vs-feature-space speedups), so the repository's performance
 // trajectory is tracked in data rather than prose. `make bench-json`
-// invokes it to produce BENCH_6.json.
+// invokes it to produce BENCH_7.json.
 //
 // The serving-path load runs twice: once against the in-memory store and
 // once with -fsync always (rows suffixed "Durable"), so the group-commit
@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	benchjson -out BENCH_6.json -benchtime 20x -loadtime 10s
+//	benchjson -out BENCH_7.json -benchtime 20x -loadtime 10s
 package main
 
 import (
@@ -35,7 +35,8 @@ var suite = []struct {
 }{
 	{"easybo/internal/circuit", "BenchmarkNewtonIteration(Sparse|Dense)"},
 	{"easybo/internal/testbench", "Benchmark(ClassEEval|TranStep|OpAmpEval|ACSweep)"},
-	{"easybo/internal/surrogate", "BenchmarkSurrogate(Fit|Extend|Predict|Suggest)"},
+	{"easybo/internal/linalg", "BenchmarkSolveLowerMulti"},
+	{"easybo/internal/surrogate", "Benchmark(Surrogate(Fit|Extend|Predict|Suggest)|PredictBatch(Exact|Features))"},
 	{"easybo/internal/serve/wal", "BenchmarkLogAppend"},
 	{"easybo", "BenchmarkEndToEnd40EvalEasyBOA"},
 }
@@ -67,7 +68,7 @@ var lineRe = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 func main() {
 	var (
-		out       = flag.String("out", "BENCH_6.json", "output JSON path")
+		out       = flag.String("out", "BENCH_7.json", "output JSON path")
 		benchtime = flag.String("benchtime", "2s", "go test -benchtime value")
 		count     = flag.Int("count", 3, "go test -count value; the per-benchmark minimum is reported")
 		goBin     = flag.String("go", "go", "go tool to invoke")
@@ -171,6 +172,20 @@ func main() {
 		ratio("surrogate_predict_n"+n, "BenchmarkSurrogatePredictExact/n="+n, "BenchmarkSurrogatePredictFeatures/n="+n)
 	}
 	ratio("surrogate_suggest_n2000", "BenchmarkSurrogateSuggestExactN2000", "BenchmarkSurrogateSuggestFeaturesN2000")
+	// Batched prediction, per point: width w against width 1
+	// (key = w · ns at width 1 / ns at width w).
+	for _, b := range []struct{ key, name string }{
+		{"solve_lower_multi", "BenchmarkSolveLowerMulti/w"},
+		{"predict_batch_exact", "BenchmarkPredictBatchExact/w="},
+		{"predict_batch_features", "BenchmarkPredictBatchFeatures/w="},
+	} {
+		for _, w := range []int{2, 3, 4} {
+			one, wide := byName[b.name+"1"], byName[b.name+strconv.Itoa(w)]
+			if one.NsPerOp > 0 && wide.NsPerOp > 0 {
+				rep.Speedups[fmt.Sprintf("%s_w%d", b.key, w)] = round2(float64(w) * one.NsPerOp / wide.NsPerOp)
+			}
+		}
+	}
 
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

@@ -17,13 +17,10 @@ type batchSelector interface {
 }
 
 // maximizeAcq maximizes an acquisition over the box on the model's
-// standardized view, fanning the multistart out across goroutines — each
-// worker owns an allocation-free predictor over the shared posterior.
+// standardized view, through the same batched objective EasyBO's proposer
+// uses, so every baseline pays the same price per acquisition evaluation.
 func maximizeAcq(a acq.Func, m surrogate.Surrogate, lo, hi []float64, rng *rand.Rand, opts optimize.MaximizeOptions) []float64 {
-	x, _ := optimize.MaximizeParallel(func() optimize.Objective {
-		s := m.StandardizedPredictor()
-		return func(q []float64) float64 { return a.Value(s, q) }
-	}, lo, hi, rng, opts)
+	x, _ := optimize.MaximizeParallel(core.AcqObjective(a, m), lo, hi, rng, opts)
 	return x
 }
 
@@ -106,13 +103,16 @@ func (s *phcboSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float
 	ws := acq.PBOWeights(b)
 	out := make([][]float64, 0, b)
 	for i, w := range ws {
-		base := acq.Weighted{W: w}
 		pen := acq.HCPenalty{NHC: s.nhc, D: s.radius, Recent: s.recent[i]}
-		x, _ := optimize.MaximizeParallel(func() optimize.Objective {
-			std := m.StandardizedPredictor()
+		weighted := core.AcqObjective(acq.Weighted{W: w}, m)
+		x, _ := optimize.MaximizeParallel(func() optimize.BatchObjective {
+			base := weighted()
 			nbuf := make([]float64, len(lo))
-			return func(q []float64) float64 {
-				return base.Value(std, q) - pen.Value(normalizeInto(nbuf, q, lo, hi))
+			return func(qs [][]float64, vals []float64) {
+				base(qs, vals)
+				for k, q := range qs {
+					vals[k] -= pen.Value(normalizeInto(nbuf, q, lo, hi))
+				}
 			}
 		}, lo, hi, rng, s.opts)
 		out = append(out, x)
@@ -161,7 +161,7 @@ func (s tsSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64, 
 		}
 		// The RFF draw is a pure function of fixed weights, so all workers
 		// may share it.
-		x, _ := optimize.MaximizeParallel(func() optimize.Objective { return sample },
+		x, _ := optimize.MaximizeParallel(func() optimize.BatchObjective { return optimize.Each(sample) },
 			lo, hi, rng, s.opts)
 		out = append(out, x)
 	}

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"easybo/internal/acq"
 	"easybo/internal/gp"
+	"easybo/internal/optimize"
 	"easybo/internal/sched"
 	"easybo/internal/surrogate"
 )
@@ -46,6 +48,40 @@ func TestProposeStaysInBox(t *testing.T) {
 		for j := range x {
 			if x[j] < lo[j] || x[j] > hi[j] {
 				t.Fatalf("proposal out of box: %v", x)
+			}
+		}
+	}
+}
+
+// TestAcqObjectiveMatchesPointwiseAcquisition pins the maximizer's batched
+// objective to the plain definition it replaced: the acquisition evaluated on
+// the standardized predictor, one point at a time. Same bits for every
+// acquisition in the stack and for every batch size the maximizer may pass.
+func TestAcqObjectiveMatchesPointwiseAcquisition(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m, _, _ := trainedModel(t, rng, 25)
+	view, err := m.WithPseudo([][]float64{{0.4, 0.4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := view.StandardizeY(1.2)
+	for _, a := range []acq.Func{
+		acq.Weighted{W: 0.7}, acq.UCB{Kappa: 2}, acq.LCB{Kappa: 1.5},
+		acq.EI{Best: best, Xi: 0.01}, acq.PI{Best: best, Xi: 0.01},
+	} {
+		f := AcqObjective(a, view)()
+		std := view.StandardizedPredictor()
+		for n := 1; n <= optimize.MaxBatch; n++ {
+			xs := make([][]float64, n)
+			for i := range xs {
+				xs[i] = []float64{rng.Float64(), rng.Float64()}
+			}
+			out := make([]float64, n)
+			f(xs, out)
+			for i, x := range xs {
+				if want := a.Value(std, x); math.Float64bits(out[i]) != math.Float64bits(want) {
+					t.Fatalf("%s, batch of %d, point %d: objective %v, acquisition %v", a.Name(), n, i, out[i], want)
+				}
 			}
 		}
 	}

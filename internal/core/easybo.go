@@ -61,13 +61,35 @@ func (p *Proposer) Propose(m surrogate.Surrogate, busy [][]float64, lo, hi []flo
 // hallucinated surrogate view.
 func (p *Proposer) proposeOn(view surrogate.Surrogate, lo, hi []float64, rng *rand.Rand) (x []float64, w float64, err error) {
 	w = acq.SampleWeight(rng, p.Lambda)
-	a := acq.Weighted{W: w}
-	x, _ = optimize.MaximizeParallel(func() optimize.Objective {
-		s := view.StandardizedPredictor()
-		return func(q []float64) float64 { return a.Value(s, q) }
-	}, lo, hi, rng, p.MaxOpts)
+	x, _ = optimize.MaximizeParallel(AcqObjective(acq.Weighted{W: w}, view), lo, hi, rng, p.MaxOpts)
 	return x, w, nil
 }
+
+// AcqObjective is the objective every acquisition maximization in the stack
+// hands optimize.MaximizeParallel: acquisition a on the standardized view of
+// m. Each worker gets one predictor; a batch of points is predicted together
+// (surrogate.Predictor.PredictBatch — bit-identical to one Predict per
+// point) and a is then evaluated, unchanged, on each point's fixed (µ, σ).
+func AcqObjective(a acq.Func, m surrogate.Surrogate) optimize.ObjectiveFactory {
+	return func() optimize.BatchObjective {
+		p := m.StandardizedPredictor()
+		var mu, sigma [optimize.MaxBatch]float64
+		var at posteriorAt
+		return func(xs [][]float64, out []float64) {
+			p.PredictBatch(xs, mu[:], sigma[:])
+			for i, x := range xs {
+				at.mu, at.sigma = mu[i], sigma[i]
+				out[i] = a.Value(&at, x)
+			}
+		}
+	}
+}
+
+// posteriorAt is an already-computed prediction presented as the
+// acq.Surrogate an acquisition reads its (µ, σ) from.
+type posteriorAt struct{ mu, sigma float64 }
+
+func (p *posteriorAt) Predict([]float64) (mu, sigma float64) { return p.mu, p.sigma }
 
 // ProposeBatch selects b points synchronously (EasyBO-S when Penalize is
 // false, EasyBO-SP when true). With penalization each selected point is

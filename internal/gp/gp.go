@@ -127,23 +127,32 @@ func (g *GP) N() int { return len(g.X) }
 // Dim returns the input dimension.
 func (g *GP) Dim() int { return len(g.X[0]) }
 
-// PredictBuf holds reusable scratch for allocation-free predictions. A buf
-// belongs to one goroutine at a time; create one per worker.
+// PredictBuf holds reusable scratch for allocation-free predictions: the
+// kernel vectors of up to linalg.SolveWidth query points. A buf belongs to
+// one goroutine at a time; create one per worker. The zero value is ready
+// and sizes itself to the GP and the batch widths it meets.
 type PredictBuf struct {
-	ks []float64
+	flat []float64
+	ks   [linalg.SolveWidth][]float64
+	one  [1][]float64 // the single-point call's batch of one
+	out  [2]float64   // and its (mu, sigma)
 }
 
-// NewPredictBuf returns scratch sized for the GP's current training set; it
-// grows automatically if the GP is extended.
+// NewPredictBuf returns scratch sized for full-width batches over the GP's
+// current training set; it grows automatically if the GP is extended.
 func (g *GP) NewPredictBuf() *PredictBuf {
-	return &PredictBuf{ks: make([]float64, 0, g.N()+16)}
+	return &PredictBuf{flat: make([]float64, linalg.SolveWidth*g.N())}
 }
 
-func (b *PredictBuf) sized(n int) []float64 {
-	if cap(b.ks) < n {
-		b.ks = make([]float64, n, n+n/2+8)
+// sized returns w kernel vectors of length n.
+func (b *PredictBuf) sized(w, n int) [][]float64 {
+	if len(b.flat) < w*n {
+		b.flat = make([]float64, w*n)
 	}
-	return b.ks[:n]
+	for j := 0; j < w; j++ {
+		b.ks[j] = b.flat[j*n : (j+1)*n : (j+1)*n]
+	}
+	return b.ks[:w]
 }
 
 // Predict returns the posterior mean and standard deviation at x
@@ -155,21 +164,43 @@ func (g *GP) Predict(x []float64) (mu, sigma float64) {
 }
 
 // PredictWith is Predict reusing caller-provided scratch: zero allocations
-// once the buf has grown to the training-set size.
+// once the buf has grown to the training-set size. It is the batch of one of
+// PredictBatchWith.
 func (g *GP) PredictWith(buf *PredictBuf, x []float64) (mu, sigma float64) {
+	buf.one[0] = x
+	g.PredictBatchWith(buf, buf.one[:], buf.out[:1], buf.out[1:])
+	return buf.out[0], buf.out[1]
+}
+
+// PredictBatchWith predicts at every xs[i] into mu[i] and sigma[i]. The
+// deviation needs v = L⁻¹·k(x), a forward substitution that is one long
+// floating-point dependency chain; linalg.SolveWidth points go through the
+// factor together so their chains overlap. Each point's arithmetic is exactly
+// the single-point sequence — kernel vector, mean, solve, variance — so the
+// values are bit-identical to predicting the points one at a time, in any
+// grouping.
+func (g *GP) PredictBatchWith(buf *PredictBuf, xs [][]float64, mu, sigma []float64) {
 	n := g.N()
-	ks := buf.sized(n)
-	for i := 0; i < n; i++ {
-		ks[i] = g.kernEval(x, g.X[i])
+	for len(xs) > 0 {
+		w := min(len(xs), linalg.SolveWidth)
+		ks := buf.sized(w, n)
+		for j, k := range ks {
+			for i := 0; i < n; i++ {
+				k[i] = g.kernEval(xs[j], g.X[i])
+			}
+			mu[j] = linalg.Dot(k, g.alpha)
+		}
+		g.chol.SolveLowerMulti(ks) // v = L⁻¹·ks, in place
+		for j, v := range ks {
+			kss := g.kernEval(xs[j], xs[j])
+			s2 := kss - linalg.Dot(v, v)
+			if s2 < 0 {
+				s2 = 0
+			}
+			sigma[j] = math.Sqrt(s2)
+		}
+		xs, mu, sigma = xs[w:], mu[w:], sigma[w:]
 	}
-	mu = linalg.Dot(ks, g.alpha)
-	g.chol.SolveLowerInto(ks, ks) // v = L⁻¹·ks, in place
-	kss := g.kernEval(x, x)
-	s2 := kss - linalg.Dot(ks, ks)
-	if s2 < 0 {
-		s2 = 0
-	}
-	return mu, math.Sqrt(s2)
 }
 
 // PredictMean returns only the posterior mean (cheaper: skips the

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"easybo/internal/linalg"
 )
 
 // checkPosteriorEqual asserts that two GPs over the same data agree on mean,
@@ -261,6 +263,73 @@ func TestPredictWithMatchesPredict(t *testing.T) {
 		mu4, s4 := ps.Predict(xq)
 		if mu3 != mu4 || s3 != s4 {
 			t.Fatalf("StandardizedPredictor differs: (%v,%v) vs (%v,%v)", mu3, s3, mu4, s4)
+		}
+	}
+}
+
+// TestPredictBatchBitIdentical pins batched prediction to the arithmetic
+// Predict had before it was batched — kernel vector, mean, one forward
+// substitution, variance — written out here on the plain
+// single-right-hand-side solve, for every batch width 1–9 (every solve
+// kernel width, full groups and every remainder), on a well-conditioned fit
+// and on a near-singular one whose factor carries jitter.
+func TestPredictBatchBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(600))
+	d := 3
+	x, y := trainData(rng, 30, d, func(v []float64) float64 { return v[0] + v[1]*v[2] })
+	plain, err := Fit(Matern52{}, x, y, Matern52{}.DefaultTheta(d), math.Log(1e-2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs, ys := trainData(rng, 10, d, func(v []float64) float64 { return v[0] + v[1] })
+	xs[4], ys[4] = append([]float64(nil), xs[1]...), ys[1]
+	xs[7], ys[7] = append([]float64(nil), xs[2]...), ys[2]
+	theta := SEARD{}.DefaultTheta(d)
+	theta[d] = math.Log(1e4)
+	singular, err := Fit(SEARD{}, xs, ys, theta, math.Log(1e-9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if singular.chol.Jitter <= 0 {
+		t.Fatal("test setup: expected the near-singular fit to require jitter")
+	}
+
+	for name, g := range map[string]*GP{"plain": plain, "jittered": singular} {
+		n := g.N()
+		ks := make([]float64, n)
+		reference := func(xq []float64) (mu, sigma float64) {
+			for i := 0; i < n; i++ {
+				ks[i] = g.kernEval(xq, g.X[i])
+			}
+			mu = linalg.Dot(ks, g.alpha)
+			g.chol.SolveLowerInto(ks, ks)
+			s2 := g.kernEval(xq, xq) - linalg.Dot(ks, ks)
+			if s2 < 0 {
+				s2 = 0
+			}
+			return mu, math.Sqrt(s2)
+		}
+		var buf PredictBuf
+		for width := 1; width <= 9; width++ {
+			qs := make([][]float64, width)
+			for i := range qs {
+				qs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+			}
+			qs[width/2] = g.X[1] // a training point: the variance cancels to ~0
+			mu, sigma := make([]float64, width), make([]float64, width)
+			g.PredictBatchWith(&buf, qs, mu, sigma)
+			for i, xq := range qs {
+				wantMu, wantSigma := reference(xq)
+				if math.Float64bits(mu[i]) != math.Float64bits(wantMu) ||
+					math.Float64bits(sigma[i]) != math.Float64bits(wantSigma) {
+					t.Fatalf("%s width=%d point %d: batch (%v, %v), serial reference (%v, %v)",
+						name, width, i, mu[i], sigma[i], wantMu, wantSigma)
+				}
+				if oneMu, oneSigma := g.PredictWith(&buf, xq); math.Float64bits(oneMu) != math.Float64bits(wantMu) ||
+					math.Float64bits(oneSigma) != math.Float64bits(wantSigma) {
+					t.Fatalf("%s: PredictWith (%v, %v), serial reference (%v, %v)", name, oneMu, oneSigma, wantMu, wantSigma)
+				}
+			}
 		}
 	}
 }

@@ -188,46 +188,72 @@ type Predictor struct {
 	m            *Model
 	standardized bool
 	buf          PredictBuf
-	xs           []float64
+	scaled       [][]float64 // unit-cube images of a batch's points
+	one          [1][]float64
+	out          [2]float64
 }
 
 // Predictor returns a raw-unit prediction context.
-func (m *Model) Predictor() *Predictor {
-	return &Predictor{m: m, xs: make([]float64, len(m.Lo))}
-}
+func (m *Model) Predictor() *Predictor { return &Predictor{m: m} }
 
 // StandardizedPredictor returns a prediction context in standardized output
 // units (the view acquisition functions must consume).
 func (m *Model) StandardizedPredictor() *Predictor {
-	return &Predictor{m: m, standardized: true, xs: make([]float64, len(m.Lo))}
+	return &Predictor{m: m, standardized: true}
 }
 
-// scaleInto maps a raw point into the unit cube using the predictor's buffer.
-func (p *Predictor) scaleInto(x []float64) []float64 {
+// scale maps the raw points into the unit cube using the predictor's
+// buffers, which grow to the widest batch seen.
+func (p *Predictor) scale(xs [][]float64) [][]float64 {
 	m := p.m
-	for i := range x {
-		span := m.Hi[i] - m.Lo[i]
-		if span <= 0 {
-			span = 1
+	if len(p.scaled) < len(xs) {
+		d := len(m.Lo)
+		flat := make([]float64, len(xs)*d)
+		p.scaled = make([][]float64, len(xs))
+		for i := range p.scaled {
+			p.scaled[i] = flat[i*d : (i+1)*d : (i+1)*d]
 		}
-		p.xs[i] = (x[i] - m.Lo[i]) / span
 	}
-	return p.xs
+	for k, x := range xs {
+		dst := p.scaled[k]
+		for i := range x {
+			span := m.Hi[i] - m.Lo[i]
+			if span <= 0 {
+				span = 1
+			}
+			dst[i] = (x[i] - m.Lo[i]) / span
+		}
+	}
+	return p.scaled[:len(xs)]
 }
 
 // Predict returns the posterior mean and deviation at the raw point x,
-// in raw or standardized output units per the predictor's view.
+// in raw or standardized output units per the predictor's view. It is
+// PredictBatch on a batch of one.
 func (p *Predictor) Predict(x []float64) (mu, sigma float64) {
-	mu, sigma = p.m.gp.PredictWith(&p.buf, p.scaleInto(x))
+	p.one[0] = x
+	p.PredictBatch(p.one[:], p.out[:1], p.out[1:])
+	return p.out[0], p.out[1]
+}
+
+// PredictBatch writes the posterior mean and deviation at every raw point
+// xs[i] into mu[i] and sigma[i], bit-identical to Predict(xs[i]) (see
+// GP.PredictBatchWith).
+func (p *Predictor) PredictBatch(xs [][]float64, mu, sigma []float64) {
+	p.m.gp.PredictBatchWith(&p.buf, p.scale(xs), mu, sigma)
 	if p.standardized {
-		return mu, sigma
+		return
 	}
-	return mu*p.m.ystd + p.m.ymean, sigma * p.m.ystd
+	for i := range xs {
+		mu[i] = mu[i]*p.m.ystd + p.m.ymean
+		sigma[i] *= p.m.ystd
+	}
 }
 
 // PredictMean returns only the posterior mean at the raw point x.
 func (p *Predictor) PredictMean(x []float64) float64 {
-	mu := p.m.gp.PredictMean(p.scaleInto(x))
+	p.one[0] = x
+	mu := p.m.gp.PredictMean(p.scale(p.one[:])[0])
 	if p.standardized {
 		return mu
 	}

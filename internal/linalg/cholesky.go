@@ -191,7 +191,9 @@ func (c *Cholesky) SolveLower(b []float64) []float64 {
 }
 
 // SolveLowerInto solves L·y = b into dst without allocating (forward
-// substitution over the contiguous rows of L). dst may alias b.
+// substitution over the contiguous rows of L). dst may alias b. It is the
+// one-right-hand-side case of SolveLowerMulti and the reference for its
+// operation order.
 func (c *Cholesky) SolveLowerInto(dst, b []float64) {
 	if len(b) != c.N || len(dst) != c.N {
 		panic("linalg: Cholesky.SolveLowerInto dimension mismatch")
@@ -203,6 +205,90 @@ func (c *Cholesky) SolveLowerInto(dst, b []float64) {
 			s -= row[k] * dst[k]
 		}
 		dst[i] = s / row[i]
+	}
+}
+
+// SolveWidth is how many right-hand sides SolveLowerMulti carries through
+// one pass over the factor; callers that batch solves size their scratch for
+// groups of this many.
+const SolveWidth = 4
+
+// SolveLowerMulti solves L·y = b for several right-hand sides in place:
+// each vs[j] holds b on entry and y on return. The sides are taken SolveWidth
+// at a time through one pass over L with one scalar accumulator per side.
+//
+// Forward substitution is a single dependency chain — every s −= L[i][k]·y[k]
+// waits for the subtraction before it — so one solve runs at floating-point
+// add latency while the multiplier and the other add ports idle. Chains of
+// different right-hand sides are independent and interleave in the pipeline,
+// and each side still sees exactly SolveLowerInto's operations in
+// SolveLowerInto's order, so every result is bit-identical to a solve on its
+// own. (Splitting one side's sum into several accumulators would also break
+// the chain, but reassociates the sum and changes its rounding.)
+func (c *Cholesky) SolveLowerMulti(vs [][]float64) {
+	for _, v := range vs {
+		if len(v) != c.N {
+			panic("linalg: Cholesky.SolveLowerMulti dimension mismatch")
+		}
+	}
+	for ; len(vs) >= SolveWidth; vs = vs[SolveWidth:] {
+		c.solveLower4(vs[0], vs[1], vs[2], vs[3])
+	}
+	switch len(vs) {
+	case 3:
+		c.solveLower3(vs[0], vs[1], vs[2])
+	case 2:
+		c.solveLower2(vs[0], vs[1])
+	case 1:
+		c.SolveLowerInto(vs[0], vs[0])
+	}
+}
+
+func (c *Cholesky) solveLower2(y0, y1 []float64) {
+	n := c.N
+	y0, y1 = y0[:n], y1[:n]
+	for i := 0; i < n; i++ {
+		row := c.L.Row(i)[:n]
+		s0, s1 := y0[i], y1[i]
+		p0, p1 := y0[:i], y1[:i]
+		for k, l := range row[:i] {
+			s0 -= l * p0[k]
+			s1 -= l * p1[k]
+		}
+		y0[i], y1[i] = s0/row[i], s1/row[i]
+	}
+}
+
+func (c *Cholesky) solveLower3(y0, y1, y2 []float64) {
+	n := c.N
+	y0, y1, y2 = y0[:n], y1[:n], y2[:n]
+	for i := 0; i < n; i++ {
+		row := c.L.Row(i)[:n]
+		s0, s1, s2 := y0[i], y1[i], y2[i]
+		p0, p1, p2 := y0[:i], y1[:i], y2[:i]
+		for k, l := range row[:i] {
+			s0 -= l * p0[k]
+			s1 -= l * p1[k]
+			s2 -= l * p2[k]
+		}
+		y0[i], y1[i], y2[i] = s0/row[i], s1/row[i], s2/row[i]
+	}
+}
+
+func (c *Cholesky) solveLower4(y0, y1, y2, y3 []float64) {
+	n := c.N
+	y0, y1, y2, y3 = y0[:n], y1[:n], y2[:n], y3[:n]
+	for i := 0; i < n; i++ {
+		row := c.L.Row(i)[:n]
+		s0, s1, s2, s3 := y0[i], y1[i], y2[i], y3[i]
+		p0, p1, p2, p3 := y0[:i], y1[:i], y2[:i], y3[:i]
+		for k, l := range row[:i] {
+			s0 -= l * p0[k]
+			s1 -= l * p1[k]
+			s2 -= l * p2[k]
+			s3 -= l * p3[k]
+		}
+		y0[i], y1[i], y2[i], y3[i] = s0/row[i], s1/row[i], s2/row[i], s3/row[i]
 	}
 }
 

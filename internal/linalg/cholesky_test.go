@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -397,5 +398,94 @@ func TestCholeskyCloneIsIndependent(t *testing.T) {
 				t.Fatalf("clone update leaked into the original at (%d,%d)", i, j)
 			}
 		}
+	}
+}
+
+// TestSolveLowerMultiBitIdentical is the contract the batched predictors
+// stand on: whatever number of right-hand sides are solved together — every
+// kernel width, full groups of four and every remainder — each side comes
+// out with exactly the bits SolveLowerInto gives it alone. Right-hand sides
+// include one shared between two slots' worth of values, a zero vector and
+// entries large enough to lose low bits, so a reassociated or fused sum
+// would show.
+func TestSolveLowerMultiBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{1, 2, 3, 5, 64, 257} {
+		ch, err := NewCholesky(randomSPD(rng, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for width := 1; width <= 9; width++ {
+			vs := make([][]float64, width)
+			want := make([][]float64, width)
+			for j := range vs {
+				vs[j] = make([]float64, n)
+				for i := range vs[j] {
+					switch j % 4 {
+					case 0:
+						vs[j][i] = rng.NormFloat64()
+					case 1:
+						vs[j][i] = 1e8 * rng.NormFloat64()
+					case 2:
+						vs[j][i] = vs[0][i] // same values as side 0, other slot
+					}
+				}
+				want[j] = ch.SolveLower(vs[j])
+			}
+			ch.SolveLowerMulti(vs)
+			for j := range vs {
+				for i := range vs[j] {
+					if math.Float64bits(vs[j][i]) != math.Float64bits(want[j][i]) {
+						t.Fatalf("n=%d width=%d: side %d entry %d = %x, alone %x",
+							n, width, j, i, math.Float64bits(vs[j][i]), math.Float64bits(want[j][i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSolveLowerMultiDimensionMismatch(t *testing.T) {
+	ch, err := NewCholesky(randomSPD(rand.New(rand.NewSource(42)), 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("short right-hand side accepted")
+		}
+	}()
+	ch.SolveLowerMulti([][]float64{make([]float64, 4), make([]float64, 3)})
+}
+
+// BenchmarkSolveLowerMulti is the forward substitution at the feature
+// backend's default basis size, one to four right-hand sides per pass;
+// ns/side is what one more prediction costs at that width.
+func BenchmarkSolveLowerMulti(b *testing.B) {
+	const n = 256
+	rng := rand.New(rand.NewSource(43))
+	ch, err := NewCholesky(randomSPD(rng, n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for width := 1; width <= 4; width++ {
+		rhs := make([][]float64, width)
+		vs := make([][]float64, width)
+		for j := range vs {
+			rhs[j] = make([]float64, n)
+			for i := range rhs[j] {
+				rhs[j][i] = rng.NormFloat64()
+			}
+			vs[j] = make([]float64, n)
+		}
+		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j := range vs {
+					copy(vs[j], rhs[j])
+				}
+				ch.SolveLowerMulti(vs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(width), "ns/side")
+		})
 	}
 }

@@ -3,6 +3,7 @@ package optimize
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -165,8 +166,11 @@ func TestDERespectsBounds(t *testing.T) {
 
 // TestMaximizeParallelDeterministicAcrossWorkers pins the parallel
 // multistart's core guarantee: the result is bit-identical for every worker
-// count, because all randomness is drawn before the fan-out and the
-// reduction is order-independent.
+// count, because all randomness is drawn before the fan-out, the reduction
+// is order-independent, and a point's value does not depend on the batch it
+// is scored in. The worker count decides how candidates are chunked and
+// which simplexes advance in lockstep (5 refinements: all together, 3+2,
+// 2+2+1, one each), and the objective records that it really was batched.
 func TestMaximizeParallelDeterministicAcrossWorkers(t *testing.T) {
 	f := func(x []float64) float64 {
 		s := 0.0
@@ -180,19 +184,35 @@ func TestMaximizeParallelDeterministicAcrossWorkers(t *testing.T) {
 	hi := []float64{2, 2, 2}
 	var refX []float64
 	refV := 0.0
-	for _, workers := range []int{1, 2, 3, 7, 16} {
+	for _, workers := range []int{1, 2, 3, 8, 16} {
+		var filled atomic.Bool // some call carried a full MaxBatch
+		newF := func() BatchObjective {
+			each := Each(f)
+			return func(xs [][]float64, out []float64) {
+				if len(xs) == 0 || len(xs) > MaxBatch || len(xs) != len(out) {
+					t.Errorf("workers=%d: batch of %d points into %d values", workers, len(xs), len(out))
+				}
+				if len(xs) == MaxBatch {
+					filled.Store(true)
+				}
+				each(xs, out)
+			}
+		}
 		rng := rand.New(rand.NewSource(42))
-		x, v := MaximizeParallel(func() Objective { return f }, lo, hi, rng,
-			MaximizeOptions{Candidates: 120, Refine: 4, Workers: workers})
+		x, v := MaximizeParallel(newF, lo, hi, rng,
+			MaximizeOptions{Candidates: 120, Refine: 5, Workers: workers})
+		if workers == 1 && !filled.Load() {
+			t.Fatal("serial sweep never filled a batch")
+		}
 		if refX == nil {
 			refX, refV = x, v
 			continue
 		}
-		if v != refV {
+		if math.Float64bits(v) != math.Float64bits(refV) {
 			t.Fatalf("workers=%d: value %v != reference %v", workers, v, refV)
 		}
 		for i := range x {
-			if x[i] != refX[i] {
+			if math.Float64bits(x[i]) != math.Float64bits(refX[i]) {
 				t.Fatalf("workers=%d: x[%d] = %v != reference %v", workers, i, x[i], refX[i])
 			}
 		}
@@ -211,7 +231,7 @@ func TestMaximizeMatchesParallelSerial(t *testing.T) {
 	r1 := rand.New(rand.NewSource(7))
 	r2 := rand.New(rand.NewSource(7))
 	x1, v1 := Maximize(f, lo, hi, r1, MaximizeOptions{Candidates: 80, Workers: 1})
-	x2, v2 := MaximizeParallel(func() Objective { return f }, lo, hi, r2,
+	x2, v2 := MaximizeParallel(func() BatchObjective { return Each(f) }, lo, hi, r2,
 		MaximizeOptions{Candidates: 80, Workers: 4})
 	if v1 != v2 || x1[0] != x2[0] || x1[1] != x2[1] {
 		t.Fatalf("serial (%v,%v) vs parallel (%v,%v)", x1, v1, x2, v2)

@@ -9,22 +9,28 @@ import (
 	"easybo/internal/stats"
 )
 
-// ObjectiveFactory builds an Objective for exclusive use by one worker
-// goroutine. Factories let objectives carry per-worker scratch (e.g. a
-// gp.Predictor) so the hot loop allocates nothing while staying safe under
-// concurrency.
-type ObjectiveFactory func() Objective
+// ObjectiveFactory builds a BatchObjective for exclusive use by one worker
+// goroutine for one maximization: it is called once per worker, and that
+// worker's candidate sweep and simplex refinements all go through the one
+// objective. Factories let objectives carry per-worker scratch (e.g. a
+// surrogate.Predictor and its batch buffers) so the hot loop allocates
+// nothing while staying safe under concurrency.
+type ObjectiveFactory func() BatchObjective
 
 // MaximizeParallel is the multi-start global maximizer with the candidate
 // sweep and the simplex refinements fanned out across Workers goroutines:
-// a Latin-hypercube candidate sweep, then Nelder-Mead refinement of the best
-// candidates, reduced to the single best point found.
+// a Latin-hypercube candidate sweep, scored MaxBatch points per objective
+// call, then Nelder-Mead refinement of the best candidates — each worker
+// advancing its share of the simplexes in lockstep, one batched evaluation
+// per simplex step — reduced to the single best point found.
 //
 // Determinism: every random draw happens up front on the caller's rng
 // (candidate locations), candidate values are written by index, the top
 // candidates are ranked with an explicit index tie-break, and the final
-// reduction prefers the lower-ranked start on equal values — so the result
-// is bit-identical for any worker count, including 1.
+// reduction prefers the lower-ranked start on equal values. A
+// BatchObjective scores each point independently of its batch, so neither
+// the worker count nor the grouping it induces can change a value — the
+// result is bit-identical for any worker count, including 1.
 func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, opts MaximizeOptions) ([]float64, float64) {
 	d := len(lo)
 	opts.defaults(d)
@@ -46,26 +52,14 @@ func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, o
 		pts[i] = x
 	}
 
+	// Worker w builds fs[w] in the sweep and keeps it for its refinements.
+	fs := make([]BatchObjective, workers)
 	vals := make([]float64, len(pts))
-	if workers == 1 {
-		f := newF()
-		for i, x := range pts {
-			vals[i] = f(x)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				f := newF()
-				for i := w; i < len(pts); i += workers {
-					vals[i] = f(pts[i])
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	fanOut(workers, func(w int) {
+		fs[w] = newF()
+		from, to := w*len(pts)/workers, (w+1)*len(pts)/workers
+		evalChunked(fs[w], pts[from:to], vals[from:to])
+	})
 
 	order := make([]int, len(pts))
 	for i := range order {
@@ -84,45 +78,82 @@ func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, o
 	if nref > len(order) {
 		nref = len(order)
 	}
-	type refined struct {
-		x []float64
-		v float64
+	starts := make([]*Simplex, nref)
+	for r := range starts {
+		starts[r] = NewSimplex(pts[order[r]], lo, hi, NelderMeadOptions{MaxEvals: opts.RefineEval})
 	}
-	res := make([]refined, nref)
-	refine := func(r int, f Objective) {
-		x, v := NelderMead(f, pts[order[r]], lo, hi, NelderMeadOptions{MaxEvals: opts.RefineEval})
-		res[r] = refined{x, v}
+	rw := workers
+	if rw > nref {
+		rw = nref
 	}
-	if workers == 1 || nref <= 1 {
-		f := newF()
-		for r := 0; r < nref; r++ {
-			refine(r, f)
+	fanOut(rw, func(w int) {
+		var mine []*Simplex
+		for r := w; r < nref; r += rw {
+			mine = append(mine, starts[r])
 		}
-	} else {
-		var wg sync.WaitGroup
-		rw := workers
-		if rw > nref {
-			rw = nref
-		}
-		for w := 0; w < rw; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				f := newF()
-				for r := w; r < nref; r += rw {
-					refine(r, f)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+		lockstep(fs[w], mine)
+	})
 
 	bestX := pts[order[0]]
 	bestV := vals[order[0]]
-	for r := 0; r < nref; r++ {
-		if res[r].v > bestV {
-			bestX, bestV = res[r].x, res[r].v
+	for _, s := range starts {
+		if s.v[0] > bestV {
+			bestX, bestV = s.x[0], s.v[0]
 		}
 	}
 	return append([]float64(nil), bestX...), bestV
+}
+
+// fanOut runs body(0..n-1), inline for n == 1 and on n goroutines otherwise,
+// and returns when every call has.
+func fanOut(n int, body func(w int)) {
+	if n == 1 {
+		body(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			body(w)
+		}(w)
+	}
+	wg.Wait()
+}
+
+// evalChunked scores xs into out, at most MaxBatch points per call of f.
+func evalChunked(f BatchObjective, xs [][]float64, out []float64) {
+	for len(xs) > MaxBatch {
+		f(xs[:MaxBatch], out[:MaxBatch])
+		xs, out = xs[MaxBatch:], out[MaxBatch:]
+	}
+	if len(xs) > 0 {
+		f(xs, out)
+	}
+}
+
+// lockstep runs the simplexes to completion together: each round scores
+// every running simplex's pending point in one batch and tells the values
+// back. A simplex sees exactly the evaluations it would see alone.
+func lockstep(f BatchObjective, running []*Simplex) {
+	xs := make([][]float64, len(running))
+	vals := make([]float64, len(running))
+	for {
+		n := 0
+		for _, s := range running {
+			if x := s.Next(); x != nil {
+				running[n], xs[n] = s, x
+				n++
+			}
+		}
+		if n == 0 {
+			return
+		}
+		running = running[:n]
+		evalChunked(f, xs[:n], vals[:n])
+		for i, s := range running {
+			s.Tell(vals[i])
+		}
+	}
 }

@@ -175,6 +175,50 @@ func BenchmarkSurrogatePredictFeatures(b *testing.B) {
 	}
 }
 
+// benchPredictBatch measures PredictBatch at the widths the acquisition
+// maximizer produces: 1 (what every prediction cost before batching), 2 and 3
+// (simplexes in lockstep), 4 (one full solve group) and 16 (a candidate-sweep
+// chunk). ns/point is the figure to compare across widths.
+func benchPredictBatch(b *testing.B, p surrogate.Predictor) {
+	b.Helper()
+	qs := benchQueries(64)
+	for _, w := range []int{1, 2, 3, 4, 16} {
+		mu, sigma := make([]float64, w), make([]float64, w)
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				at := i * w % (len(qs) - w + 1)
+				p.PredictBatch(qs[at:at+w], mu, sigma)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(w), "ns/point")
+		})
+	}
+}
+
+// BenchmarkPredictBatchExact runs at n=150, the exact GP's size at the end
+// of a 150-evaluation op-amp run.
+func BenchmarkPredictBatchExact(b *testing.B) {
+	x, y, lo, hi := benchData(150)
+	m, err := gp.Train(x, y, lo, hi, nil,
+		&gp.TrainOptions{FixedTheta: benchTheta(), FixedNoise: benchLogNoise})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPredictBatch(b, m.StandardizedPredictor())
+}
+
+// BenchmarkPredictBatchFeatures runs at the default basis size; the cost does
+// not depend on n.
+func BenchmarkPredictBatchFeatures(b *testing.B) {
+	x, y, lo, hi := benchData(500)
+	fm, err := surrogate.FitFeatures(x, y, lo, hi, benchTheta(), benchLogNoise,
+		rand.New(rand.NewSource(1)), surrogate.DefaultFeatures)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPredictBatch(b, fm.StandardizedPredictor())
+}
+
 // benchSuggest measures the full per-ask hot path at n=2000: refresh the
 // surrogate on the grown dataset, hallucinate 3 busy points, and maximize
 // the EasyBO acquisition.

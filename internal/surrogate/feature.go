@@ -227,42 +227,72 @@ func (fm *FeatureModel) SampleRFF(rng *rand.Rand, _ int) (func(x []float64) floa
 type featurePredictor struct {
 	fm           *FeatureModel
 	standardized bool
-	xs           []float64 // scaled-input scratch (d)
-	phi          []float64 // feature scratch (m)
-	sol          []float64 // triangular-solve scratch (m)
+	xs           []float64                    // scaled-input scratch (d)
+	flat         []float64                    // feature vectors, grown to the widest group seen
+	phi          [linalg.SolveWidth][]float64 // views into flat, m each
+	one          [1][]float64                 // Predict's batch of one
+	out          [2]float64                   // and its (mu, sigma)
 }
 
 func (fm *FeatureModel) newPredictor(standardized bool) *featurePredictor {
-	m := fm.basis.Features()
-	return &featurePredictor{
-		fm: fm, standardized: standardized,
-		xs: make([]float64, len(fm.lo)), phi: make([]float64, m), sol: make([]float64, m),
-	}
+	return &featurePredictor{fm: fm, standardized: standardized, xs: make([]float64, len(fm.lo))}
 }
 
-// Predict implements Predictor.
+// features returns w feature-vector buffers.
+func (p *featurePredictor) features(w int) [][]float64 {
+	m := p.fm.basis.Features()
+	if len(p.flat) < w*m {
+		p.flat = make([]float64, w*m)
+	}
+	for j := 0; j < w; j++ {
+		p.phi[j] = p.flat[j*m : (j+1)*m : (j+1)*m]
+	}
+	return p.phi[:w]
+}
+
+// Predict implements Predictor as PredictBatch on a batch of one.
 func (p *featurePredictor) Predict(x []float64) (mu, sigma float64) {
+	p.one[0] = x
+	p.PredictBatch(p.one[:], p.out[:1], p.out[1:])
+	return p.out[0], p.out[1]
+}
+
+// PredictBatch implements Predictor. σ² = φᵀA⁻¹φ = ‖L⁻¹φ‖² costs a forward
+// substitution over the m×m factor — m²/2 dependent multiply-subtracts,
+// whatever n is — so linalg.SolveWidth points go through the factor
+// together. Each point's arithmetic is the single-point sequence (features,
+// mean, solve, norm), so the values do not depend on the grouping.
+func (p *featurePredictor) PredictBatch(xs [][]float64, mu, sigma []float64) {
 	fm := p.fm
-	fm.basis.PhiInto(p.phi, fm.scaleInto(p.xs, x))
-	mu = linalg.Dot(p.phi, fm.wmean)
-	// σ² = φᵀA⁻¹φ = ‖L⁻¹φ‖².
-	fm.chol.SolveLowerInto(p.sol, p.phi)
-	s2 := linalg.Dot(p.sol, p.sol)
-	if s2 < 0 {
-		s2 = 0
+	for len(xs) > 0 {
+		w := min(len(xs), linalg.SolveWidth)
+		phi := p.features(w)
+		for j, f := range phi {
+			fm.basis.PhiInto(f, fm.scaleInto(p.xs, xs[j]))
+			mu[j] = linalg.Dot(f, fm.wmean)
+		}
+		fm.chol.SolveLowerMulti(phi) // L⁻¹φ, in place
+		for j, v := range phi {
+			s2 := linalg.Dot(v, v)
+			if s2 < 0 {
+				s2 = 0
+			}
+			sigma[j] = math.Sqrt(s2)
+			if !p.standardized {
+				mu[j] = mu[j]*fm.ystd + fm.ymean
+				sigma[j] *= fm.ystd
+			}
+		}
+		xs, mu, sigma = xs[w:], mu[w:], sigma[w:]
 	}
-	sigma = math.Sqrt(s2)
-	if p.standardized {
-		return mu, sigma
-	}
-	return mu*fm.ystd + fm.ymean, sigma * fm.ystd
 }
 
 // PredictMean implements Predictor (skips the triangular solve).
 func (p *featurePredictor) PredictMean(x []float64) float64 {
 	fm := p.fm
-	fm.basis.PhiInto(p.phi, fm.scaleInto(p.xs, x))
-	mu := linalg.Dot(p.phi, fm.wmean)
+	phi := p.features(1)[0]
+	fm.basis.PhiInto(phi, fm.scaleInto(p.xs, x))
+	mu := linalg.Dot(phi, fm.wmean)
 	if p.standardized {
 		return mu
 	}

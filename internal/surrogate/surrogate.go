@@ -30,9 +30,24 @@ import (
 // owns whatever scratch repeated predictions need, so the acquisition
 // maximizer's inner loop allocates nothing. A Predictor is for use by a
 // single goroutine; create one per worker.
+//
+// Both backends pay for a deviation with a triangular solve, which is one
+// floating-point dependency chain: it runs at add latency however wide the
+// machine is. PredictBatch puts several points through the factor at once so
+// their chains overlap, and the acquisition maximizer asks for all its
+// predictions that way. The contract that makes this safe inside the
+// replay-determinism boundary: a point's (mu, sigma) are the same bits
+// whether it is predicted alone, first in a batch or last, and whatever else
+// is in the batch. Implementations get this by construction — Predict is
+// PredictBatch on a batch of one, and the batch kernel gives every point its
+// own accumulators and the single-point operation order.
 type Predictor interface {
 	// Predict returns the posterior mean and standard deviation at x.
 	Predict(x []float64) (mu, sigma float64)
+	// PredictBatch writes the posterior mean and deviation at xs[i] into
+	// mu[i] and sigma[i], for any number of points; mu and sigma are at
+	// least as long as xs. It does not retain xs.
+	PredictBatch(xs [][]float64, mu, sigma []float64)
 	// PredictMean returns only the posterior mean (often cheaper).
 	PredictMean(x []float64) float64
 }
