@@ -14,7 +14,7 @@ LOADP99 ?= 2s
 LOAD_OUT ?= /tmp/easyboload.json
 LOAD_OUT_DURABLE ?= /tmp/easyboload-durable.json
 
-.PHONY: check vet fmt lint staticcheck build test race cover fuzz-smoke load-smoke bench-smoke bench-check bench bench-json bench-gate smoke crash-smoke cluster-smoke
+.PHONY: check vet fmt lint loc staticcheck build test race cover fuzz-smoke load-smoke bench-smoke bench-check bench bench-json bench-gate smoke crash-smoke cluster-smoke
 
 check: vet fmt lint staticcheck build test race bench-smoke bench-check fuzz-smoke load-smoke
 
@@ -34,6 +34,11 @@ fmt:
 # so it always runs, everywhere.
 lint:
 	$(GO) run ./cmd/easybolint ./...
+
+# Go line counts per top-level package, non-test and test apart: run it at
+# two commits and diff to read a change's size.
+loc:
+	@./scripts/loc.sh
 
 # Static analysis beyond vet. The tool is not vendored; when it is absent
 # (e.g. a hermetic build container) the target skips with a notice instead
@@ -109,14 +114,19 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'SolveLowerMulti' -benchtime 1x ./internal/linalg/
 
 # The repo benchmark (BENCHMARK.json) lives in its own module under
-# benchmark/, outside `go test ./...`: run its tests, then five seconds of the
-# workload that exercises the surrogate and the acquisition maximizer end to
-# end. The run checks that every block walks the same history digest and
-# prints "correct":true only then. benchmark/run.sh is what a performance
-# claim is measured with (30 s per workload; see benchmark/README.md).
+# benchmark/, outside `go test ./...`: run its tests, then five seconds each
+# of the workload that exercises the surrogate and the acquisition maximizer
+# end to end — untraced (easybo.NewLoop) and traced (the benchmark's own hand
+# copy of NewLoop's construction, so the two are compared on every run) — and
+# of the whole serving stack with a restart replay. A run checks that every
+# block walks the same history digest and prints "correct":true only then.
+# benchmark/run.sh is what a performance claim is measured with (30 s per
+# workload; see benchmark/README.md).
 bench-check:
 	cd benchmark && $(GO) test ./...
 	bash benchmark/run.sh --workload bo-opamp --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
+	bash benchmark/run.sh --workload bo-opamp --seed 1 --seconds 5 --trace 1 | grep -q '"correct":true'
+	bash benchmark/run.sh --workload serve-model --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
 
 bench:
 	$(GO) test -run XXX -bench 'GPExtend|GPRefit|Hallucinate|SuggestHotPath' -benchtime 20x .

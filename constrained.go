@@ -44,8 +44,7 @@ type ConstrainedResult struct {
 // This implements the constrained extension the paper announces as future
 // work (§II-A).
 func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*ConstrainedResult, error) {
-	ip, err := p.toInternal()
-	if err != nil {
+	if _, err := p.toInternal(); err != nil {
 		return nil, err
 	}
 	if len(constraints) == 0 {
@@ -73,7 +72,6 @@ func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*Co
 		opts.FitIters = 30
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	d := len(p.Lo)
 
 	// The virtual executor evaluates objective and constraints in one run.
 	type payload struct {
@@ -99,14 +97,7 @@ func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*Co
 
 	proposer := &core.ConstrainedProposer{Lambda: opts.Lambda, Penalize: opts.Algorithm != EasyBOA}
 
-	var init [][]float64
-	for _, u := range stats.LatinHypercube(rng, opts.InitPoints, d) {
-		x := make([]float64, d)
-		for j := range x {
-			x[j] = p.Lo[j] + u[j]*(p.Hi[j]-p.Lo[j])
-		}
-		init = append(init, x)
-	}
+	init := stats.LatinHypercubeIn(rng, opts.InitPoints, p.Lo, p.Hi)
 
 	res := &ConstrainedResult{BestY: math.Inf(-1)}
 	var obsX [][]float64
@@ -205,6 +196,5 @@ func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*Co
 		}
 		launched++
 	}
-	_ = ip
 	return res, nil
 }

@@ -91,7 +91,7 @@ type Config struct {
 	Ctx context.Context
 }
 
-func (c *Config) defaults(dim int) {
+func (c *Config) defaults() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 1
 	}
@@ -131,7 +131,6 @@ func (c *Config) defaults(dim int) {
 	if c.HCRadius <= 0 {
 		c.HCRadius = 0.1
 	}
-	_ = dim
 }
 
 // History is the full trace of one optimization run.

@@ -498,3 +498,29 @@ func TestDriversRunOnEveryBackend(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryWorkerIsUsedWhenDesignIsSmallerThanPool is the paper's premise —
+// issue the next query whenever there is an idle worker — for a design
+// smaller than the pool: the one-launch-per-completion loop this package
+// used to have left workers 3–5 idle for the whole run.
+func TestEveryWorkerIsUsedWhenDesignIsSmallerThanPool(t *testing.T) {
+	for _, algo := range []Algorithm{AlgoEasyBO, AlgoEasyBOA, AlgoRandom} {
+		cfg := fastCfg(algo, 6, 30, 3)
+		cfg.InitPoints = 3
+		h, err := Run(objective.Branin(), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if len(h.Records) != 30 {
+			t.Fatalf("%s: %d records, want 30", algo, len(h.Records))
+		}
+		for w, u := range h.WorkerUtilization() {
+			if u <= 0 {
+				t.Fatalf("%s: worker %d never ran an evaluation: %v", algo, w, h.WorkerUtilization())
+			}
+		}
+		if h.Makespan > 6 {
+			t.Fatalf("%s: makespan %g virtual s, want 6 (3 design, then 6 per second)", algo, h.Makespan)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package bo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -10,12 +11,21 @@ import (
 	"easybo/internal/objective"
 	"easybo/internal/optimize"
 	"easybo/internal/sched"
-	"easybo/internal/stats"
+	"easybo/internal/surrogate"
 )
 
 // Run executes one optimization run of the configured algorithm on the
 // problem, entirely in virtual time, and returns its history. Runs are
 // deterministic given Config.Seed.
+//
+// Every algorithm but DE is core.AskTell driven by AskTell.Run on the
+// virtual executor; the families differ in the proposer they plug in and in
+// when a batch is dispatched. The asynchronous pair proposes with
+// core.Proposer and launches whenever a worker is idle. The sequential and
+// synchronous algorithms hand a batchSelector's picks out through
+// batchProposer and launch behind a barrier. Random search is a machine with
+// no design and a fit threshold it never reaches, so every suggestion is the
+// machine's own uniform draw.
 func Run(p *objective.Problem, cfg Config) (*History, error) {
 	if p == nil {
 		return nil, errors.New("bo: nil problem")
@@ -23,53 +33,111 @@ func Run(p *objective.Problem, cfg Config) (*History, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cfg.defaults(p.Dim())
+	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	switch cfg.Algo {
 	case AlgoDE:
 		return runDE(p, cfg, rng)
 	case AlgoRandom:
-		return runRandom(p, cfg, rng)
+		cfg.InitPoints = 0
+		return run(p, cfg, rng, core.AskTellConfig{
+			Proposer: &core.Proposer{}, MinFitObs: math.MaxInt, RandomFallback: true,
+		})
+	case AlgoEasyBOA, AlgoEasyBO:
+		return run(p, cfg, rng, core.AskTellConfig{Proposer: &core.Proposer{
+			Lambda:   cfg.Lambda,
+			Penalize: cfg.Algo == AlgoEasyBO,
+			MaxOpts:  cfg.acqOpts(),
+		}})
 	case AlgoEI, AlgoLCB, AlgoEasyBOSeq, AlgoPortfolio:
 		cfg.BatchSize = 1
-		return runSync(p, cfg, rng)
-	case AlgoPBO, AlgoPHCBO, AlgoEasyBOS, AlgoEasyBOSP, AlgoTS:
-		return runSync(p, cfg, rng)
-	case AlgoEasyBOA, AlgoEasyBO:
-		return runAsync(p, cfg, rng)
-	default:
-		return nil, fmt.Errorf("bo: unknown algorithm %q", cfg.Algo)
 	}
+	sel, err := cfg.selectorFor()
+	if err != nil {
+		return nil, err
+	}
+	return run(p, cfg, rng, core.AskTellConfig{Proposer: &batchProposer{sel: sel, b: cfg.BatchSize, maxEvals: cfg.MaxEvals}})
 }
 
-// initialDesign draws the paper's random initial design (LHS over the box).
-func initialDesign(p *objective.Problem, n int, rng *rand.Rand) [][]float64 {
-	d := p.Dim()
-	unit := stats.LatinHypercube(rng, n, d)
-	pts := make([][]float64, n)
-	for i, u := range unit {
-		x := make([]float64, d)
-		for j := range x {
-			x[j] = p.Lo[j] + u[j]*(p.Hi[j]-p.Lo[j])
+// run builds the machine ac describes on the run's rng and drives it on B
+// virtual workers to the end of the budget. Failed evaluations (NaN
+// objective values) are handled per cfg.Failure and recorded in
+// History.Failed; only successful completions reach the surrogate and
+// History.Records.
+func run(p *objective.Problem, cfg Config, rng *rand.Rand, ac core.AskTellConfig) (*History, error) {
+	var recs, failed []sched.Result
+	ac.MaxEvals = cfg.MaxEvals
+	ac.Lo, ac.Hi = p.Lo, p.Hi
+	ac.Failure, ac.MaxFailures = cfg.Failure, cfg.MaxFailures
+	ac.OnResult = func(r sched.Result) { recs = append(recs, r) }
+	ac.OnFailure = func(r sched.Result) { failed = append(failed, r) }
+	at, _, err := core.NewMachine(rng, cfg.InitPoints, core.ModelManagerOptions{
+		RefitEvery:  cfg.RefitEvery,
+		FitIters:    cfg.FitIters,
+		FitRestarts: cfg.FitRestarts,
+		Kernel:      cfg.Kernel,
+		Backend:     cfg.Surrogate,
+		EscalateAt:  cfg.EscalateAt,
+		Features:    cfg.Features,
+	}, ac)
+	if err != nil {
+		return nil, err
+	}
+	// Synchronous is exactly "selects whole batches": those algorithms
+	// dispatch behind a barrier, and their adapter reads the machine.
+	bp, barrier := ac.Proposer.(*batchProposer)
+	if barrier {
+		bp.at = at
+	}
+	ctx := cfg.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := at.Run(ctx, sched.NewVirtual(cfg.BatchSize, p.EvalWithCost), barrier); err != nil {
+		return nil, err
+	}
+	return newHistory(cfg.Algo, cfg.BatchSize, recs, failed), nil
+}
+
+// batchProposer adapts a batchSelector to the machine's one-point-at-a-time
+// proposer seam. Behind Run's barrier every Suggest of one batch sees the
+// same observations, so the first selects the whole batch — clipped to the
+// remaining budget, incumbent from the machine — and the rest hand its
+// picks out in order.
+type batchProposer struct {
+	sel         batchSelector
+	b, maxEvals int
+	at          *core.AskTell
+	picks       [][]float64
+}
+
+func (bp *batchProposer) Propose(m surrogate.Surrogate, _ [][]float64, lo, hi []float64, rng *rand.Rand) ([]float64, float64, error) {
+	if len(bp.picks) == 0 {
+		_, best := bp.at.Best()
+		b := min(bp.b, bp.maxEvals-bp.at.Launched())
+		picks, err := bp.sel.SelectBatch(m, b, lo, hi, best, rng)
+		if err != nil {
+			return nil, 0, err
 		}
-		pts[i] = x
+		bp.picks = picks
 	}
-	return pts
+	x := bp.picks[0]
+	bp.picks = bp.picks[1:]
+	return x, 0, nil
 }
 
-func (c Config) acqOpts(dim int) optimize.MaximizeOptions {
+func (c Config) acqOpts() optimize.MaximizeOptions {
 	o := optimize.MaximizeOptions{Candidates: c.AcqCandidates, Refine: c.AcqRefine}
 	if o.Refine == 0 {
 		o.Refine = 2
 	}
-	_ = dim
 	return o
 }
 
 // selectorFor builds the batch selector for the sync/sequential algorithms.
-func (c Config) selectorFor(dim int) (batchSelector, error) {
-	opts := c.acqOpts(dim)
+func (c Config) selectorFor() (batchSelector, error) {
+	opts := c.acqOpts()
 	switch c.Algo {
 	case AlgoEI:
 		return eiSelector{xi: c.XiEI, opts: opts}, nil
@@ -88,145 +156,8 @@ func (c Config) selectorFor(dim int) (batchSelector, error) {
 	case AlgoPortfolio:
 		return newPortfolioSelector(c.XiEI, c.KappaLCB, opts), nil
 	default:
-		return nil, fmt.Errorf("bo: %q is not a synchronous algorithm", c.Algo)
+		return nil, fmt.Errorf("bo: unknown algorithm %q", c.Algo)
 	}
-}
-
-// runSync implements the synchronous (and sequential, B=1) drivers: fit,
-// select a batch, evaluate it in parallel, wait for the whole batch. Failed
-// evaluations (NaN objectives) are handled per cfg.Failure like the async
-// drivers: a skipped failure consumes budget without reaching the
-// surrogate, a resubmitted one re-runs inside its batch barrier.
-func runSync(p *objective.Problem, cfg Config, rng *rand.Rand) (*History, error) {
-	sel, err := cfg.selectorFor(p.Dim())
-	if err != nil {
-		return nil, err
-	}
-	ex := sched.NewVirtual(cfg.BatchSize, p.EvalWithCost)
-	mm, err := newModelManager(p.Lo, p.Hi, rng, cfg)
-	if err != nil {
-		return nil, err
-	}
-	fh := core.NewFailureHandler(cfg.Failure, cfg.MaxFailures, cfg.MaxEvals)
-
-	var recs, failed []sched.Result
-	var obsX [][]float64
-	var obsY []float64
-	completed := 0
-	best := 0.0
-	haveBest := false
-
-	evaluateBatch := func(batch [][]float64) error {
-		for _, x := range batch {
-			if err := ex.Launch(x); err != nil {
-				return err
-			}
-		}
-		for pending := len(batch); pending > 0; {
-			if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-				return fmt.Errorf("bo: cancelled after %d of %d evaluations: %w", completed, cfg.MaxEvals, cfg.Ctx.Err())
-			}
-			r, ok := ex.Wait()
-			if !ok {
-				return errors.New("bo: executor drained unexpectedly")
-			}
-			if r.Err != nil {
-				failed = append(failed, r)
-				action, ferr := fh.Handle(r)
-				switch action {
-				case core.ActionSkip:
-					completed++ // the failure consumed one budget slot
-					pending--
-				case core.ActionResubmit:
-					if err := ex.Launch(r.X); err != nil {
-						return fmt.Errorf("bo: resubmit of failed evaluation %d: %w", r.ID, err)
-					}
-				default: // core.ActionAbort
-					return fmt.Errorf("bo: %w", ferr)
-				}
-				continue
-			}
-			completed++
-			pending--
-			recs = append(recs, r)
-			obsX = append(obsX, r.X)
-			obsY = append(obsY, r.Y)
-			if !haveBest || r.Y > best {
-				best, haveBest = r.Y, true
-			}
-		}
-		return nil
-	}
-
-	// Initial design in batches of B.
-	init := initialDesign(p, cfg.InitPoints, rng)
-	for i := 0; i < len(init); i += cfg.BatchSize {
-		end := i + cfg.BatchSize
-		if end > len(init) {
-			end = len(init)
-		}
-		if err := evaluateBatch(init[i:end]); err != nil {
-			return nil, err
-		}
-	}
-
-	for completed < cfg.MaxEvals {
-		b := cfg.BatchSize
-		if rem := cfg.MaxEvals - completed; b > rem {
-			b = rem
-		}
-		if len(obsY) == 0 {
-			return nil, errors.New("bo: no successful observation to fit a surrogate on")
-		}
-		m, err := mm.Fit(obsX, obsY)
-		if err != nil {
-			return nil, err
-		}
-		batch, err := sel.SelectBatch(m, b, p.Lo, p.Hi, best, rng)
-		if err != nil {
-			return nil, err
-		}
-		if err := evaluateBatch(batch); err != nil {
-			return nil, err
-		}
-	}
-	return newHistory(cfg.Algo, cfg.BatchSize, recs, failed), nil
-}
-
-// runAsync implements EasyBO-A and full EasyBO through core.AsyncLoop
-// (Algorithm 1). Failed evaluations (NaN objective values) are handled per
-// cfg.Failure and recorded in History.Failed; only successful completions
-// reach the surrogate and History.Records.
-func runAsync(p *objective.Problem, cfg Config, rng *rand.Rand) (*History, error) {
-	ex := sched.NewVirtual(cfg.BatchSize, p.EvalWithCost)
-	mm, err := newModelManager(p.Lo, p.Hi, rng, cfg)
-	if err != nil {
-		return nil, err
-	}
-	proposer := &core.Proposer{
-		Lambda:   cfg.Lambda,
-		Penalize: cfg.Algo == AlgoEasyBO,
-		MaxOpts:  cfg.acqOpts(p.Dim()),
-	}
-	var recs, failed []sched.Result
-	err = core.AsyncLoop(ex, core.AsyncConfig{
-		MaxEvals: cfg.MaxEvals,
-		Init:     initialDesign(p, cfg.InitPoints, rng),
-		Lo:       p.Lo, Hi: p.Hi,
-		Fit:      mm.Fit,
-		Proposer: proposer,
-		Rng:      rng,
-		OnResult: func(r sched.Result) { recs = append(recs, r) },
-
-		Ctx:         cfg.Ctx,
-		Failure:     cfg.Failure,
-		MaxFailures: cfg.MaxFailures,
-		OnFailure:   func(r sched.Result) { failed = append(failed, r) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newHistory(cfg.Algo, cfg.BatchSize, recs, failed), nil
 }
 
 // runDE runs the paper's differential-evolution baseline. DE evaluates
@@ -276,62 +207,4 @@ func runDE(p *objective.Problem, cfg Config, rng *rand.Rand) (*History, error) {
 		return nil, abortErr
 	}
 	return newHistory(AlgoDE, 1, recs, failed), nil
-}
-
-// runRandom is uniform random search on B parallel workers (asynchronous),
-// a sanity baseline for the harness and tests. It shares the failure policy
-// of the other drivers.
-func runRandom(p *objective.Problem, cfg Config, rng *rand.Rand) (*History, error) {
-	ex := sched.NewVirtual(cfg.BatchSize, p.EvalWithCost)
-	fh := core.NewFailureHandler(cfg.Failure, cfg.MaxFailures, cfg.MaxEvals)
-	d := p.Dim()
-	draw := func() []float64 {
-		x := make([]float64, d)
-		for j := range x {
-			x[j] = p.Lo[j] + rng.Float64()*(p.Hi[j]-p.Lo[j])
-		}
-		return x
-	}
-	var recs, failed []sched.Result
-	launched, completed := 0, 0
-	for launched < cfg.MaxEvals && ex.Idle() > 0 {
-		if err := ex.Launch(draw()); err != nil {
-			return nil, err
-		}
-		launched++
-	}
-	for completed < cfg.MaxEvals {
-		if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
-			return nil, fmt.Errorf("bo: cancelled after %d of %d evaluations: %w", completed, cfg.MaxEvals, cfg.Ctx.Err())
-		}
-		r, ok := ex.Wait()
-		if !ok {
-			return nil, errors.New("bo: executor drained unexpectedly")
-		}
-		if r.Err != nil {
-			failed = append(failed, r)
-			action, ferr := fh.Handle(r)
-			switch action {
-			case core.ActionSkip:
-				completed++
-			case core.ActionResubmit:
-				if err := ex.Launch(r.X); err != nil {
-					return nil, fmt.Errorf("bo: resubmit of failed evaluation %d: %w", r.ID, err)
-				}
-				continue
-			default: // core.ActionAbort
-				return nil, fmt.Errorf("bo: %w", ferr)
-			}
-		} else {
-			completed++
-			recs = append(recs, r)
-		}
-		if launched < cfg.MaxEvals {
-			if err := ex.Launch(draw()); err != nil {
-				return nil, err
-			}
-			launched++
-		}
-	}
-	return newHistory(AlgoRandom, cfg.BatchSize, recs, failed), nil
 }

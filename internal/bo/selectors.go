@@ -140,22 +140,20 @@ func (s easySelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64
 // independent random-Fourier-feature draw from the posterior, which keeps
 // batches diverse without any explicit penalty.
 type tsSelector struct {
-	features int
-	opts     optimize.MaximizeOptions
+	opts optimize.MaximizeOptions
 }
 
+// tsFeatures is the random-Fourier basis size of one posterior draw.
+const tsFeatures = 400
+
 func (s tsSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64, _ float64, rng *rand.Rand) ([][]float64, error) {
-	nf := s.features
-	if nf <= 0 {
-		nf = 400
-	}
 	sampler, ok := m.(surrogate.Sampler)
 	if !ok {
 		return nil, fmt.Errorf("bo: surrogate backend %T does not support Thompson sampling", m)
 	}
 	out := make([][]float64, 0, b)
 	for i := 0; i < b; i++ {
-		sample, err := sampler.SampleRFF(rng, nf)
+		sample, err := sampler.SampleRFF(rng, tsFeatures)
 		if err != nil {
 			return nil, err
 		}

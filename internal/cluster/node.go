@@ -238,7 +238,7 @@ func (n *Node) tryAdopt(id string, dead map[string]bool) bool {
 // ServeHTTP implements http.Handler: cluster admin routes, cluster-aware
 // probes, and owner-routed session traffic.
 func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	parts := splitPath(r.URL.Path)
+	parts := serve.SplitPath(r.URL.Path)
 	switch {
 	case len(parts) == 2 && parts[0] == "cluster":
 		n.serveCluster(w, r, parts[1])
@@ -259,7 +259,7 @@ func (n *Node) serveCluster(w http.ResponseWriter, r *http.Request, verb string)
 			writeJSONError(w, http.StatusMethodNotAllowed, fmt.Errorf("cluster: use GET"))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"id":      n.cfg.Self,
 			"ready":   n.sv.Ready(),
 			"version": n.ring.Table().Version,
@@ -269,7 +269,7 @@ func (n *Node) serveCluster(w http.ResponseWriter, r *http.Request, verb string)
 			writeJSONError(w, http.StatusMethodNotAllowed, fmt.Errorf("cluster: use GET"))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"table": n.ring.Table(),
 			"peers": n.health.view(n.ring.Table().Members, n.cfg.Self),
 		})
@@ -284,7 +284,7 @@ func (n *Node) serveCluster(w http.ResponseWriter, r *http.Request, verb string)
 			held[id] = holder
 		}
 		n.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{
+		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"live":           n.sv.SessionIDs(),
 			"held_elsewhere": held,
 		})
@@ -312,7 +312,7 @@ func (n *Node) serveReadyz(w http.ResponseWriter) {
 	if !n.sv.Ready() {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	serve.WriteJSON(w, code, map[string]any{
 		"ready":    n.sv.Ready(),
 		"node":     n.cfg.Self,
 		"version":  n.ring.Table().Version,
@@ -458,7 +458,7 @@ func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	n.adoptMu.Lock()
 	defer n.adoptMu.Unlock()
 	if n.sv.Has(req.ID) {
-		writeJSON(w, http.StatusOK, adoptResponse{ID: req.ID, Adopted: "already"})
+		serve.WriteJSON(w, http.StatusOK, adoptResponse{ID: req.ID, Adopted: "already"})
 		return
 	}
 	if n.cfg.SharedStore {
@@ -468,7 +468,7 @@ func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		_, err := n.sv.Adopt(req.ID, n.cfg.Self, func(owner string) bool { return !n.health.alive(owner) })
 		if err == nil {
 			n.forgetHeld(req.ID)
-			writeJSON(w, http.StatusOK, adoptResponse{ID: req.ID, Adopted: "store"})
+			serve.WriteJSON(w, http.StatusOK, adoptResponse{ID: req.ID, Adopted: "store"})
 			return
 		}
 		if !errors.Is(err, serve.ErrUnknownSession) {
@@ -486,7 +486,7 @@ func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.forgetHeld(req.ID)
-	writeJSON(w, http.StatusOK, adoptResponse{ID: req.ID, Adopted: "snapshot"})
+	serve.WriteJSON(w, http.StatusOK, adoptResponse{ID: req.ID, Adopted: "snapshot"})
 }
 
 // handleRelease hands a session this node holds back to its ring owner —
@@ -505,14 +505,14 @@ func (n *Node) handleRelease(w http.ResponseWriter, r *http.Request) {
 	}
 	owner := n.ring.Owner(req.ID)
 	if owner.ID == n.cfg.Self {
-		writeJSON(w, http.StatusOK, map[string]any{"id": req.ID, "released": false, "reason": "already at ring owner"})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"id": req.ID, "released": false, "reason": "already at ring owner"})
 		return
 	}
 	if err := n.handoff(r.Context(), req.ID, owner); err != nil {
 		writeJSONError(w, http.StatusBadGateway, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": req.ID, "released": true, "to": owner.ID})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"id": req.ID, "released": true, "to": owner.ID})
 }
 
 // handoff moves one session to a target node: fence + snapshot here, adopt
@@ -572,26 +572,6 @@ func (n *Node) healHeldSessions(ctx context.Context) {
 	}
 }
 
-func splitPath(p string) []string {
-	var parts []string
-	for _, s := range strings.Split(p, "/") {
-		if s != "" {
-			parts = append(parts, s)
-		}
-	}
-	return parts
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	// The status line is already committed; an encode failure is the
-	// client's disconnect.
-	_ = enc.Encode(v)
-}
-
 func writeJSONError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	serve.WriteJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -7,7 +7,21 @@ import (
 	"math/rand"
 
 	"easybo/internal/sched"
+	"easybo/internal/surrogate"
 )
+
+// Fitter refreshes the surrogate from all observations so far. Implementors
+// decide how often to re-optimize hyperparameters versus performing a cheap
+// incremental refit, and which surrogate backend serves the posterior
+// (ModelManager.Fit is the canonical implementation).
+type Fitter func(x [][]float64, y []float64) (surrogate.Surrogate, error)
+
+// PointProposer picks the machine's next model-based query point on the
+// refreshed surrogate, given the busy set and the design box. *Proposer is
+// EasyBO's; the bo package adapts its batch selectors to it.
+type PointProposer interface {
+	Propose(m surrogate.Surrogate, busy [][]float64, lo, hi []float64, rng *rand.Rand) (x []float64, w float64, err error)
+}
 
 // Proposal is one suggestion issued by the ask/tell state machine: a point
 // the caller must evaluate and eventually feed back through Observe.
@@ -30,11 +44,11 @@ type AskTellConfig struct {
 	// against the budget (initial design included). 0 means unbounded — the
 	// machine keeps suggesting for as long as the caller keeps asking.
 	MaxEvals int
-	Init     [][]float64 // initial design points (required, raw coordinates)
-	Lo, Hi   []float64   // design box
-	Fit      Fitter      // surrogate refresher (required)
-	Proposer *Proposer   // acquisition engine (required)
-	Rng      *rand.Rand  // drives κ sampling and the inner maximizer
+	Init     [][]float64   // initial design points (raw coordinates; may be empty)
+	Lo, Hi   []float64     // design box
+	Fit      Fitter        // surrogate refresher (required)
+	Proposer PointProposer // acquisition engine (required)
+	Rng      *rand.Rand    // drives κ sampling and the inner maximizer
 
 	OnResult func(sched.Result) // observes every successful completion in order (optional)
 	// Failure selects the policy for failed evaluations (default FailAbort).
@@ -46,7 +60,8 @@ type AskTellConfig struct {
 	// surrogate is fit (default 1). Only consulted when RandomFallback is
 	// set: below the threshold (and past the initial design) Suggest returns
 	// uniform random points instead of erroring, so a caller that asks
-	// faster than it tells is never starved.
+	// faster than it tells is never starved. A threshold the run can never
+	// reach makes the machine plain random search.
 	MinFitObs      int
 	RandomFallback bool
 }
@@ -73,9 +88,10 @@ type resubmitPoint struct {
 //     the machine, consume budget silently, or queue the point for
 //     re-suggestion.
 //
-// AsyncLoop and the public easybo.Loop are thin adapters over AskTell. An
-// AskTell is not safe for concurrent use; serialize calls (the serve package
-// does so with a per-session actor goroutine).
+// Run drives the machine on an executor; the public easybo.Loop and the
+// serve sessions hand Suggest and Observe to their callers. An AskTell is
+// not safe for concurrent use; serialize calls (the serve package does so
+// with a per-session actor goroutine).
 type AskTell struct {
 	cfg AskTellConfig
 	fh  *FailureHandler
@@ -105,8 +121,6 @@ func NewAskTell(cfg AskTellConfig) (*AskTell, error) {
 		return nil, errors.New("core: AskTell requires a Proposer")
 	case cfg.Rng == nil:
 		return nil, errors.New("core: AskTell requires an rng")
-	case len(cfg.Init) == 0:
-		return nil, errors.New("core: AskTell requires an initial design")
 	case cfg.MaxEvals > 0 && cfg.MaxEvals < len(cfg.Init):
 		return nil, fmt.Errorf("core: MaxEvals %d smaller than initial design %d", cfg.MaxEvals, len(cfg.Init))
 	case len(cfg.Lo) == 0 || len(cfg.Lo) != len(cfg.Hi):
@@ -241,7 +255,7 @@ func (s *AskTell) Forget(x []float64) bool { return s.forget(x) }
 
 func (s *AskTell) forget(x []float64) bool {
 	for i, p := range s.pending {
-		if equalPoints(p.x, x) {
+		if EqualPoints(p.x, x) {
 			s.pending = append(s.pending[:i], s.pending[i+1:]...)
 			return true
 		}
@@ -296,10 +310,12 @@ func (s *AskTell) Best() ([]float64, float64) { return s.bestX, s.bestY }
 // internal state; callers must not mutate them.
 func (s *AskTell) Data() ([][]float64, []float64) { return s.obsX, s.obsY }
 
-// equalPoints compares coordinate vectors bit-for-bit: matching a tell to
-// a pending proposal means "the same emitted value", so identical bits is
-// the right relation (and NaN, which breaks ==, still matches itself).
-func equalPoints(a, b []float64) bool {
+// EqualPoints compares coordinate vectors bit-for-bit: matching a tell to
+// a pending proposal, or a replayed ask to the recorded one, means "the same
+// emitted value", so identical bits is the right relation (encoding/json
+// round-trips float64 exactly, and NaN, which breaks ==, still matches
+// itself).
+func EqualPoints(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -57,7 +57,7 @@ func TestAskTellInitialDesignOrder(t *testing.T) {
 		if !p.Init {
 			t.Fatalf("proposal %d not marked Init", i)
 		}
-		if !equalPoints(p.X, init[i]) {
+		if !EqualPoints(p.X, init[i]) {
 			t.Fatalf("init proposal %d = %v, want %v", i, p.X, init[i])
 		}
 	}
@@ -89,7 +89,7 @@ func TestAskTellSurrogateNeedsObservation(t *testing.T) {
 	if p.Init || p.Resubmit {
 		t.Fatalf("expected surrogate proposal, got %+v", p)
 	}
-	if x, y := at.Best(); y != -1.0 || !equalPoints(x, []float64{0.1, 0.2}) {
+	if x, y := at.Best(); y != -1.0 || !EqualPoints(x, []float64{0.1, 0.2}) {
 		t.Fatalf("Best = %v %v", x, y)
 	}
 }
@@ -130,7 +130,7 @@ func TestAskTellResubmitPrecedesEverything(t *testing.T) {
 	if !p.Resubmit || p.FailedID != 41 {
 		t.Fatalf("want resubmit of failed id 41, got %+v", p)
 	}
-	if !equalPoints(p.X, p0.X) {
+	if !EqualPoints(p.X, p0.X) {
 		t.Fatalf("resubmitted %v, want %v", p.X, p0.X)
 	}
 	if at.Launched() != 1 {

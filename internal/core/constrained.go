@@ -93,7 +93,6 @@ func (p *ConstrainedProposer) ProposeConstrained(
 	std := objView.StandardizedPredictor()
 
 	// Candidate sweep.
-	unit := stats.LatinHypercube(rng, nCand, d)
 	type cand struct {
 		x     []float64
 		alpha float64
@@ -101,11 +100,7 @@ func (p *ConstrainedProposer) ProposeConstrained(
 	}
 	cands := make([]cand, nCand)
 	alphaMin := 0.0
-	for i, u := range unit {
-		x := make([]float64, d)
-		for j := range x {
-			x[j] = lo[j] + u[j]*(hi[j]-lo[j])
-		}
+	for i, x := range stats.LatinHypercubeIn(rng, nCand, lo, hi) {
 		a := base.Value(std, x)
 		if i == 0 || a < alphaMin {
 			alphaMin = a

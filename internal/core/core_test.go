@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -175,7 +176,7 @@ func TestAsyncLoopRunsAlgorithm1(t *testing.T) {
 		return surrogate.NewExact(m), nil
 	}
 	var seen []sched.Result
-	err := AsyncLoop(ex, AsyncConfig{
+	err := runAsync(context.Background(), ex, AskTellConfig{
 		MaxEvals: 25,
 		Init:     init,
 		Lo:       lo, Hi: hi,
@@ -214,7 +215,7 @@ func TestAsyncLoopRunsAlgorithm1(t *testing.T) {
 func TestAsyncLoopValidation(t *testing.T) {
 	ex := sched.NewVirtual(1, func(x []float64) (float64, float64) { return 0, 1 })
 	rng := rand.New(rand.NewSource(5))
-	base := AsyncConfig{
+	base := AskTellConfig{
 		MaxEvals: 5,
 		Init:     [][]float64{{0.5}},
 		Lo:       []float64{0}, Hi: []float64{1},
@@ -224,27 +225,27 @@ func TestAsyncLoopValidation(t *testing.T) {
 	}
 	bad := base
 	bad.Fit = nil
-	if err := AsyncLoop(ex, bad); err == nil {
+	if err := runAsync(context.Background(), ex, bad); err == nil {
 		t.Fatal("nil Fit must fail")
 	}
 	bad = base
 	bad.Proposer = nil
-	if err := AsyncLoop(ex, bad); err == nil {
+	if err := runAsync(context.Background(), ex, bad); err == nil {
 		t.Fatal("nil Proposer must fail")
 	}
 	bad = base
 	bad.Rng = nil
-	if err := AsyncLoop(ex, bad); err == nil {
+	if err := runAsync(context.Background(), ex, bad); err == nil {
 		t.Fatal("nil Rng must fail")
 	}
 	bad = base
 	bad.Init = nil
-	if err := AsyncLoop(ex, bad); err == nil {
-		t.Fatal("empty init must fail")
+	if err := runAsync(context.Background(), ex, bad); err == nil {
+		t.Fatal("empty init without the random fallback must fail: nothing to fit on")
 	}
 	bad = base
 	bad.MaxEvals = 0
-	if err := AsyncLoop(ex, bad); err == nil {
-		t.Fatal("MaxEvals < len(init) must fail")
+	if err := runAsync(context.Background(), ex, bad); err == nil {
+		t.Fatal("Run without a budget must fail")
 	}
 }

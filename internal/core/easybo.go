@@ -6,12 +6,16 @@
 //     α(x,w) = (1−w)·µ(x) + w·σ̂(x) over the design box, where σ̂ optionally
 //     comes from a hallucinated surrogate that absorbs the busy points as
 //     pseudo-observations (Eq. 9, §III-C).
-//   - AsyncLoop is Algorithm 1: whenever a worker becomes idle, absorb the
-//     newly finished observation, refresh the surrogate, hallucinate the
-//     still-busy queries, and dispatch the maximizer of the acquisition.
+//   - AskTell is Algorithm 1 with control inverted — Suggest refreshes the
+//     surrogate, hallucinates the still-busy queries and dispatches the
+//     maximizer of the acquisition; Observe absorbs a finished evaluation —
+//     and AskTell.Run is Algorithm 1 itself: the one loop in the tree that
+//     launches a suggestion whenever a worker is idle. NewMachine is the one
+//     place a run is put together.
 //
-// The synchronous EasyBO variants (EasyBO-S / EasyBO-SP evaluated in §IV)
-// reuse Proposer through ProposeBatch.
+// The synchronous variants evaluated in §IV (EasyBO-S / EasyBO-SP, which
+// reuse Proposer through ProposeBatch, and the pBO family) are Run with a
+// barrier: the acquisition is shared, only the dispatch time differs.
 package core
 
 import (

@@ -6,6 +6,35 @@ import (
 	"easybo/internal/sched"
 )
 
+// FailurePolicy decides what the machine does with a failed evaluation
+// (sched.Result.Err != nil): a panicked, NaN, timed-out, or cancelled run.
+type FailurePolicy int
+
+const (
+	// FailAbort kills the machine on the first failed evaluation (default).
+	FailAbort FailurePolicy = iota
+	// FailSkip drops the failed observation. The failure still consumes one
+	// evaluation of the MaxEvals budget — it occupied a worker — but never
+	// reaches the surrogate.
+	FailSkip
+	// FailResubmit queues the same point for the next Suggest. The retry
+	// does not consume extra MaxEvals budget; runaway failure is bounded by
+	// MaxFailures.
+	FailResubmit
+)
+
+func (p FailurePolicy) String() string {
+	switch p {
+	case FailAbort:
+		return "abort"
+	case FailSkip:
+		return "skip"
+	case FailResubmit:
+		return "resubmit"
+	}
+	return fmt.Sprintf("FailurePolicy(%d)", int(p))
+}
+
 // FailureAction is what a driver must do with one failed evaluation.
 type FailureAction int
 
@@ -18,10 +47,9 @@ const (
 	ActionResubmit
 )
 
-// FailureHandler centralizes the failure-policy bookkeeping shared by every
-// evaluation driver (AsyncLoop, the synchronous bo drivers, the public
-// OptimizeParallel), so budget accounting and abort bounds cannot drift
-// between them.
+// FailureHandler is the failure-policy bookkeeping: budget accounting and
+// abort bounds. AskTell owns one for every run it drives; the DE baseline,
+// whose loop belongs to optimize.DE, holds the only other.
 type FailureHandler struct {
 	policy   FailurePolicy
 	max      int

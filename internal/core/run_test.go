@@ -47,12 +47,21 @@ func asyncFixture(rng *rand.Rand) ([][]float64, []float64, []float64, Fitter) {
 	return init, lo, hi, fit
 }
 
+// runAsync builds the machine cfg describes and drives it without a barrier.
+func runAsync(ctx context.Context, ex sched.Executor, cfg AskTellConfig) error {
+	at, err := NewAskTell(cfg)
+	if err != nil {
+		return err
+	}
+	return at.Run(ctx, ex, false)
+}
+
 func TestAsyncLoopAbortsOnFailureByDefault(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	init, lo, hi, fit := asyncFixture(rng)
 	// Fail the third initial-design point.
 	ex := faultyVirtual(3, func(x []float64) bool { return x[0] == init[2][0] })
-	err := AsyncLoop(ex, AsyncConfig{
+	err := runAsync(context.Background(), ex, AskTellConfig{
 		MaxEvals: 20, Init: init, Lo: lo, Hi: hi,
 		Fit: fit, Proposer: &Proposer{Lambda: 6}, Rng: rng,
 	})
@@ -67,7 +76,7 @@ func TestAsyncLoopSkipsFailures(t *testing.T) {
 	failSet := map[float64]bool{init[1][0]: true, init[4][0]: true}
 	ex := faultyVirtual(3, func(x []float64) bool { return failSet[x[0]] })
 	var ok, failed []sched.Result
-	err := AsyncLoop(ex, AsyncConfig{
+	err := runAsync(context.Background(), ex, AskTellConfig{
 		MaxEvals: 20, Init: init, Lo: lo, Hi: hi,
 		Fit: fit, Proposer: &Proposer{Lambda: 6, Penalize: true}, Rng: rng,
 		Failure:   FailSkip,
@@ -106,7 +115,7 @@ func TestAsyncLoopResubmitsFailures(t *testing.T) {
 		return attempts[x[0]] == 1 && (x[0] == init[0][0] || x[0] == init[5][0])
 	})
 	var ok, failed []sched.Result
-	err := AsyncLoop(ex, AsyncConfig{
+	err := runAsync(context.Background(), ex, AskTellConfig{
 		MaxEvals: 20, Init: init, Lo: lo, Hi: hi,
 		Fit: fit, Proposer: &Proposer{Lambda: 6, Penalize: true}, Rng: rng,
 		Failure:   FailResubmit,
@@ -143,7 +152,7 @@ func TestAsyncLoopMaxFailuresBound(t *testing.T) {
 	init, lo, hi, fit := asyncFixture(rng)
 	// One poisoned point fails every attempt: resubmission can never succeed.
 	ex := faultyVirtual(3, func(x []float64) bool { return x[0] == init[3][0] })
-	err := AsyncLoop(ex, AsyncConfig{
+	err := runAsync(context.Background(), ex, AskTellConfig{
 		MaxEvals: 20, Init: init, Lo: lo, Hi: hi,
 		Fit: fit, Proposer: &Proposer{Lambda: 6}, Rng: rng,
 		Failure: FailResubmit, MaxFailures: 5,
@@ -159,10 +168,9 @@ func TestAsyncLoopCancellation(t *testing.T) {
 	ex := faultyVirtual(3, func(x []float64) bool { return false })
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	err := AsyncLoop(ex, AsyncConfig{
+	err := runAsync(ctx, ex, AskTellConfig{
 		MaxEvals: 20, Init: init, Lo: lo, Hi: hi,
 		Fit: fit, Proposer: &Proposer{Lambda: 6}, Rng: rng,
-		Ctx: ctx,
 		OnResult: func(r sched.Result) {
 			n++
 			if n == 5 {

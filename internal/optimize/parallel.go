@@ -42,15 +42,7 @@ func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, o
 		workers = opts.Candidates
 	}
 
-	unit := stats.LatinHypercube(rng, opts.Candidates, d)
-	pts := make([][]float64, len(unit))
-	for i, u := range unit {
-		x := make([]float64, d)
-		for j := range x {
-			x[j] = lo[j] + u[j]*(hi[j]-lo[j])
-		}
-		pts[i] = x
-	}
+	pts := stats.LatinHypercubeIn(rng, opts.Candidates, lo, hi)
 
 	// Worker w builds fs[w] in the sweep and keeps it for its refinements.
 	fs := make([]BatchObjective, workers)

@@ -23,7 +23,7 @@
 // the worker slot is released, and the executor keeps running. A panicking
 // objective therefore costs one failed Result, not a leaked worker or a
 // deadlocked Wait. Callers decide policy (skip, resubmit, abort); see
-// core.AsyncLoop.
+// core.AskTell.Run.
 package sched
 
 import (

@@ -11,9 +11,8 @@ import (
 // lifecycle event through it — create (Begin), ask/tell/abort (SessionLog
 // appends), delete (Remove) — and enumerates it at boot (List +
 // LoadSession) to recover sessions that outlived the process. Two
-// implementations ship: MemStore, the original sharded in-memory map
-// (sessions die with the process), and wal.Store, a per-session
-// write-ahead log on disk.
+// implementations ship: MemStore, an in-memory map (sessions die with the
+// process), and wal.Store, a per-session write-ahead log on disk.
 //
 // All methods must be safe for concurrent use. Append/BeginCompact on a
 // single SessionLog are only ever called from that session's actor
@@ -83,10 +82,6 @@ type SessionLog interface {
 	// most one compaction may be in flight per log.
 	BeginCompact() (commit func(Snapshot) error, err error)
 
-	// Compact is BeginCompact plus its commit in one synchronous step,
-	// for install paths (restore, handoff) where blocking is fine.
-	Compact(snap Snapshot) error
-
 	// Fence durably records an ownership-epoch fence naming the node the
 	// session now belongs to. Epochs are minted by the cluster layer:
 	// every ownership transfer (snapshot handoff or failover adoption)
@@ -144,22 +139,17 @@ func ValidateSessionID(id string) error {
 
 // ---------------------------------------------------------------- MemStore
 
-// MemStore is the in-memory Store: the sharded map the service originally
-// kept sessions in, now behind the Store interface. Nothing survives the
-// process — Load after a restart is empty — but recovery, compaction, and
-// shutdown-ordering logic can all be exercised against it in-process.
+// MemStore is the in-memory Store: one mutex-guarded map. Nothing survives
+// the process — Load after a restart is empty — but recovery, compaction,
+// and shutdown-ordering logic can all be exercised against it in-process.
 type MemStore struct {
-	shards [shardCount]memShard
-	// CompactEvery, when > 0, makes logs request a snapshot compaction
-	// every that many events (mirrors wal.Options.CompactEvery; used to
-	// test the compaction path without disk).
-	compactEvery int
-}
-
-type memShard struct {
 	mu sync.Mutex
 	m  map[string]*memSess
 	q  map[string]string // quarantined id -> reason
+	// compactEvery, when > 0, makes logs request a snapshot compaction
+	// every that many events (mirrors wal.Options.CompactEvery; used to
+	// test the compaction path without disk).
+	compactEvery int
 }
 
 // NewMemStore builds an empty in-memory store.
@@ -168,47 +158,34 @@ func NewMemStore() *MemStore { return NewMemStoreCompacting(0) }
 // NewMemStoreCompacting is NewMemStore with a compaction cadence: logs
 // report CompactionDue every compactEvery events (0 disables).
 func NewMemStoreCompacting(compactEvery int) *MemStore {
-	st := &MemStore{compactEvery: compactEvery}
-	for i := range st.shards {
-		st.shards[i].m = make(map[string]*memSess)
-		st.shards[i].q = make(map[string]string)
-	}
-	return st
-}
-
-func (st *MemStore) shardFor(id string) *memShard {
-	return &st.shards[shardIndex(id)]
+	return &MemStore{m: make(map[string]*memSess), q: make(map[string]string), compactEvery: compactEvery}
 }
 
 func (st *MemStore) Begin(id string, cfg SessionConfig) (SessionLog, error) {
 	if err := ValidateSessionID(id); err != nil {
 		return nil, err
 	}
-	sh := st.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.m[id]; ok {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, ok := st.m[id]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateSession, id)
 	}
-	if _, ok := sh.q[id]; ok {
+	if _, ok := st.q[id]; ok {
 		return nil, fmt.Errorf("%w: %q (quarantined)", ErrDuplicateSession, id)
 	}
 	s := &memSess{cfg: cfg}
-	sh.m[id] = s
+	st.m[id] = s
 	return &memLog{st: st, id: id, s: s}, nil
 }
 
 // List implements Store.
 func (st *MemStore) List() ([]string, error) {
-	var ids []string
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for id := range sh.m {
-			ids = append(ids, id)
-		}
-		sh.mu.Unlock()
+	st.mu.Lock()
+	ids := make([]string, 0, len(st.m))
+	for id := range st.m {
+		ids = append(ids, id)
 	}
+	st.mu.Unlock()
 	sort.Strings(ids)
 	return ids, nil
 }
@@ -217,10 +194,9 @@ func (st *MemStore) List() ([]string, error) {
 // the shared session state — mirroring a new file descriptor onto the same
 // WAL — so closing one loader's handle never severs a concurrent holder's.
 func (st *MemStore) LoadSession(id string) (PersistedSession, error) {
-	sh := st.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.m[id]
-	sh.mu.Unlock()
+	st.mu.Lock()
+	s, ok := st.m[id]
+	st.mu.Unlock()
 	if !ok {
 		return PersistedSession{}, fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
@@ -269,23 +245,21 @@ func (st *MemStore) Load() ([]PersistedSession, error) {
 }
 
 func (st *MemStore) Quarantine(id, reason string) error {
-	sh := st.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.m[id]; !ok {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, ok := st.m[id]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
-	delete(sh.m, id)
-	sh.q[id] = reason
+	delete(st.m, id)
+	st.q[id] = reason
 	return nil
 }
 
 func (st *MemStore) Remove(id string) error {
-	sh := st.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	delete(sh.m, id)
-	delete(sh.q, id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	delete(st.m, id)
+	delete(st.q, id)
 	return nil
 }
 
@@ -369,14 +343,6 @@ func (l *memLog) commit(cut int, snap Snapshot) error {
 	l.s.snap = &c
 	l.s.events = append([]Event(nil), l.s.events[cut:]...)
 	return nil
-}
-
-func (l *memLog) Compact(snap Snapshot) error {
-	commit, err := l.BeginCompact()
-	if err != nil {
-		return err
-	}
-	return commit(snap)
 }
 
 func (l *memLog) Fence(epoch uint64, owner string) error {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"easybo/internal/core"
 )
 
 func TestEvalKeyCanonicalization(t *testing.T) {
@@ -200,7 +202,7 @@ func TestCacheHitAcrossSessions(t *testing.T) {
 		t.Fatalf("records: warm %d reuse %d, want 4 each", len(warm.Records), len(reuse.Records))
 	}
 	for i := range warm.Records {
-		if !equalPoints(warm.Records[i].X, reuse.Records[i].X) ||
+		if !core.EqualPoints(warm.Records[i].X, reuse.Records[i].X) ||
 			math.Float64bits(warm.Records[i].Y) != math.Float64bits(reuse.Records[i].Y) {
 			t.Fatalf("record %d diverged between warm and reuse runs", i)
 		}
@@ -256,7 +258,7 @@ func TestSingleflightConcurrentIdenticalAsks(t *testing.T) {
 		default:
 			t.Fatalf("ask %s: unexpected hint %q", ids[i], a.Eval)
 		}
-		if !equalPoints(a.X, asks[0].X) {
+		if !core.EqualPoints(a.X, asks[0].X) {
 			t.Fatalf("ask %s proposed a different point than ask %s", ids[i], ids[0])
 		}
 	}
@@ -318,7 +320,7 @@ func TestCacheFailedEvalNotCached(t *testing.T) {
 	}
 	var b Ask
 	c.post("/sessions/fail-b/ask", map[string]any{}, &b)
-	if !equalPoints(a.X, b.X) {
+	if !core.EqualPoints(a.X, b.X) {
 		t.Fatal("seeded sessions must propose the same first point")
 	}
 	if b.Eval != "" {
@@ -380,7 +382,7 @@ func TestCacheHitReplayDeterminism(t *testing.T) {
 		t.Fatalf("restored %d records, want %d", len(restored.Records), len(orig.Records))
 	}
 	for i := range orig.Records {
-		if !equalPoints(orig.Records[i].X, restored.Records[i].X) ||
+		if !core.EqualPoints(orig.Records[i].X, restored.Records[i].X) ||
 			math.Float64bits(orig.Records[i].Y) != math.Float64bits(restored.Records[i].Y) {
 			t.Fatalf("record %d diverged after cacheless replay", i)
 		}

@@ -191,10 +191,11 @@ func (sv *Server) Adopt(id, self string, mayTakeFrom func(owner string) bool) (S
 	return st, nil
 }
 
-// InstallSnapshot is the separate-store arm of a handoff: the target
-// verifies the shipped snapshot by full replay and persists it as its
-// durable base. The snapshot already carries the epoch and owner the
-// source fenced at, so the installed copy is provably the newer one.
+// InstallSnapshot is the restore route and the separate-store arm of a
+// handoff: the target verifies the shipped snapshot by full replay and
+// persists it as its durable base. A handed-off snapshot already carries
+// the epoch and owner the source fenced at, so the installed copy is
+// provably the newer one.
 func (sv *Server) InstallSnapshot(snap Snapshot) (Status, error) {
 	if err := ValidateSessionID(snap.ID); err != nil {
 		return Status{}, badRequest(err)
@@ -206,7 +207,7 @@ func (sv *Server) InstallSnapshot(snap Snapshot) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	if err := sv.install(s, func(l SessionLog) error { return l.Compact(s.snapshot()) }); err != nil {
+	if err := sv.install(s, true); err != nil {
 		return Status{}, err
 	}
 	var st Status

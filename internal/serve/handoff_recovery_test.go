@@ -185,10 +185,9 @@ func TestRecoverQuarantinesTamperedLog(t *testing.T) {
 	_ = pss[0].Log.Close()
 
 	// Flip one coordinate of a recorded proposal in place.
-	sh := st.shardFor(id)
-	sh.mu.Lock()
-	ms := sh.m[id]
-	sh.mu.Unlock()
+	st.mu.Lock()
+	ms := st.m[id]
+	st.mu.Unlock()
 	ms.mu.Lock()
 	tampered := false
 	for i := range ms.events {

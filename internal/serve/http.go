@@ -257,7 +257,8 @@ var respPool = sync.Pool{
 	},
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the JSON response body with the given status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	e := respPool.Get().(*respEncoder)
 	e.buf.Reset()
 	if err := e.enc.Encode(v); err != nil {
@@ -301,7 +302,7 @@ func writeError(w http.ResponseWriter, err error) {
 			code = http.StatusRequestEntityTooLarge
 		}
 	}
-	writeJSON(w, code, errorResponse{Error: err.Error()})
+	WriteJSON(w, code, errorResponse{Error: err.Error()})
 }
 
 // isBadRequest classifies validation errors (config, body decode, bounds).
@@ -357,12 +358,12 @@ func (sv *Server) lookup(id string) (*session, error) {
 
 // ServeHTTP implements http.Handler.
 func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	parts := splitPath(r.URL.Path)
+	parts := SplitPath(r.URL.Path)
 	switch {
 	case len(parts) == 1 && parts[0] == "healthz":
 		// Liveness: answers while a recovery replay is still running, so
 		// the orchestrator does not kill a daemon that is busy recovering.
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"ok": true, "ready": sv.ready.Load(), "sessions": sv.reg.Len(),
 		})
 	case len(parts) == 1 && parts[0] == "readyz":
@@ -370,19 +371,19 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// replay runs the body reports its progress, so an operator (or
 		// the cluster harness) can tell a long recovery from a wedged one.
 		if !sv.ready.Load() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 				"ready": false, "recovery": sv.Progress(),
 			})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"ready": true, "sessions": sv.reg.Len(), "recovery": sv.Progress(),
 		})
 	case len(parts) == 1 && parts[0] == "statz":
 		// Throughput observability: eval-cache hit rates and the admission
 		// gate's live gauges. Served during recovery too — shed counters
 		// are interesting exactly when the daemon is struggling.
-		writeJSON(w, http.StatusOK, sv.Stats())
+		WriteJSON(w, http.StatusOK, sv.Stats())
 	case len(parts) >= 1 && parts[0] == "sessions":
 		if !sv.ready.Load() {
 			writeError(w, fmt.Errorf("%w: recovery replay in progress", ErrNotReady))
@@ -390,11 +391,12 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		sv.serveSessions(w, r, parts[1:])
 	default:
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "serve: no such route"})
+		WriteJSON(w, http.StatusNotFound, errorResponse{Error: "serve: no such route"})
 	}
 }
 
-func splitPath(p string) []string {
+// SplitPath splits a URL path into its non-empty segments.
+func SplitPath(p string) []string {
 	var parts []string
 	for _, s := range strings.Split(p, "/") {
 		if s != "" {
@@ -421,13 +423,13 @@ func (sv *Server) serveSessions(w http.ResponseWriter, r *http.Request, rest []s
 			if len(q) > 0 {
 				resp["quarantined"] = q
 			}
-			writeJSON(w, http.StatusOK, resp)
+			WriteJSON(w, http.StatusOK, resp)
 		default:
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use POST or GET"})
+			WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use POST or GET"})
 		}
 	case len(rest) == 1 && rest[0] == "restore":
 		if r.Method != http.MethodPost {
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use POST"})
+			WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use POST"})
 			return
 		}
 		sv.handleRestore(w, r)
@@ -438,25 +440,32 @@ func (sv *Server) serveSessions(w http.ResponseWriter, r *http.Request, rest []s
 		case http.MethodDelete:
 			sv.handleDelete(w, rest[0])
 		default:
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use GET or DELETE"})
+			WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use GET or DELETE"})
 		}
 	case len(rest) == 2:
 		sv.handleSessionVerb(w, r, rest[0], rest[1])
 	default:
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "serve: no such route"})
+		WriteJSON(w, http.StatusNotFound, errorResponse{Error: "serve: no such route"})
 	}
 }
 
 // install durably registers the session (the store's Begin arbitrates id
 // uniqueness), binds its log, starts the actor, and adds it to the live
-// registry. On any failure the partial state is rolled back.
-func (sv *Server) install(s *session, persist func(SessionLog) error) error {
+// registry. With asBase the session's current state — a verified snapshot
+// replay — is first persisted as the log's recovery base in one synchronous
+// step, so the session appends from there. On any failure the partial state
+// is rolled back.
+func (sv *Server) install(s *session, asBase bool) error {
 	l, err := sv.store.Begin(s.id, s.cfg)
 	if err != nil {
 		return err
 	}
-	if persist != nil {
-		if err := persist(l); err != nil {
+	if asBase {
+		commit, err := l.BeginCompact()
+		if err == nil {
+			err = commit(s.snapshot())
+		}
+		if err != nil {
 			_ = l.Close()
 			_ = sv.store.Remove(s.id)
 			return err
@@ -504,11 +513,11 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.owner = sv.opts.NodeID
-	if err := sv.install(s, nil); err != nil {
+	if err := sv.install(s, false); err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, createResponse{ID: id, Config: cfg})
+	WriteJSON(w, http.StatusCreated, createResponse{ID: id, Config: cfg})
 }
 
 func (sv *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
@@ -517,31 +526,12 @@ func (sv *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if err := ValidateSessionID(snap.ID); err != nil {
-		writeError(w, badRequest(err))
-		return
-	}
-	if reason, ok := sv.quarantineReason(snap.ID); ok {
-		writeError(w, fmt.Errorf("%w: %q (%s)", ErrSessionQuarantined, snap.ID, reason))
-		return
-	}
-	s, err := restoreSession(snap)
+	st, err := sv.InstallSnapshot(snap)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	// Persist the verified state in one step: the snapshot becomes the
-	// durable recovery base, and the session appends from there.
-	if err := sv.install(s, func(l SessionLog) error { return l.Compact(s.snapshot()) }); err != nil {
-		writeError(w, err)
-		return
-	}
-	var st Status
-	if err := s.do(func() { st = s.status() }); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, st)
+	WriteJSON(w, http.StatusCreated, st)
 }
 
 func (sv *Server) handleStatus(w http.ResponseWriter, id string) {
@@ -555,7 +545,7 @@ func (sv *Server) handleStatus(w http.ResponseWriter, id string) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (sv *Server) handleDelete(w http.ResponseWriter, id string) {
@@ -565,7 +555,7 @@ func (sv *Server) handleDelete(w http.ResponseWriter, id string) {
 	if _, ok := sv.quarantined[id]; ok {
 		delete(sv.quarantined, id)
 		sv.qmu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"deleted": id, "quarantined": true})
+		WriteJSON(w, http.StatusOK, map[string]any{"deleted": id, "quarantined": true})
 		return
 	}
 	sv.qmu.Unlock()
@@ -577,7 +567,7 @@ func (sv *Server) handleDelete(w http.ResponseWriter, id string) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
+	WriteJSON(w, http.StatusOK, map[string]any{"deleted": id})
 }
 
 // waitDurable gates one response on its commit ticket. A failed commit
@@ -608,7 +598,7 @@ func (sv *Server) handleSessionVerb(w http.ResponseWriter, r *http.Request, id, 
 	switch verb {
 	case "ask":
 		if r.Method != http.MethodPost {
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use POST"})
+			WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use POST"})
 			return
 		}
 		// Backpressure: asks create work, so they pass the admission gate;
@@ -638,10 +628,10 @@ func (sv *Server) handleSessionVerb(w http.ResponseWriter, r *http.Request, id, 
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, ask)
+		WriteJSON(w, http.StatusOK, ask)
 	case "tell":
 		if r.Method != http.MethodPost {
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use POST"})
+			WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use POST"})
 			return
 		}
 		var t Tell
@@ -671,16 +661,16 @@ func (sv *Server) handleSessionVerb(w http.ResponseWriter, r *http.Request, id, 
 			if st.Aborted != "" {
 				// The tell was absorbed and it killed the session: report
 				// the terminal state rather than a transport-level error.
-				writeJSON(w, http.StatusOK, st)
+				WriteJSON(w, http.StatusOK, st)
 				return
 			}
 			writeError(w, tellErr)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	case "snapshot":
 		if r.Method != http.MethodGet {
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use GET"})
+			WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use GET"})
 			return
 		}
 		var snap Snapshot
@@ -688,8 +678,8 @@ func (sv *Server) handleSessionVerb(w http.ResponseWriter, r *http.Request, id, 
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, snap)
+		WriteJSON(w, http.StatusOK, snap)
 	default:
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "serve: no such route"})
+		WriteJSON(w, http.StatusNotFound, errorResponse{Error: "serve: no such route"})
 	}
 }

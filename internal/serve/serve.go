@@ -5,8 +5,8 @@
 //
 // # Concurrency model
 //
-// Sessions live in a sharded store — a fixed array of mutex-guarded maps,
-// so session lookup never contends globally. Each session is an actor: one
+// Sessions live in a registry — one mutex-guarded map from id to session,
+// held for a single map operation per request. Each session is an actor: one
 // goroutine owns the session's entire mutable state (the AskTell machine,
 // the GP surrogate, the event log) and processes requests from a mailbox
 // channel serially. GP state therefore never needs locking, and two

@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"easybo/internal/core"
 )
 
 // client is a minimal JSON test client for the Server routes.
@@ -211,7 +213,7 @@ func TestConcurrentSessionsMatchSingleSessionRuns(t *testing.T) {
 		}
 		for j := range conc.Records {
 			cr, sr := conc.Records[j], single.Records[j]
-			if !equalPoints(cr.X, sr.X) || math.Float64bits(cr.Y) != math.Float64bits(sr.Y) {
+			if !core.EqualPoints(cr.X, sr.X) || math.Float64bits(cr.Y) != math.Float64bits(sr.Y) {
 				t.Fatalf("%s record %d diverged under concurrency:\n conc %+v\n single %+v", spec.id, j, cr, sr)
 			}
 		}

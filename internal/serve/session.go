@@ -9,7 +9,6 @@ import (
 
 	"easybo/internal/core"
 	"easybo/internal/sched"
-	"easybo/internal/stats"
 	"easybo/internal/surrogate"
 )
 
@@ -225,25 +224,6 @@ type session struct {
 // seeded rng, Latin-hypercube initial design, shared surrogate manager, and
 // the per-session failure policy.
 func newMachine(cfg SessionConfig) (*core.AskTell, *core.ModelManager, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	d := len(cfg.Lo)
-	init := make([][]float64, 0, cfg.InitPoints)
-	for _, u := range stats.LatinHypercube(rng, cfg.InitPoints, d) {
-		x := make([]float64, d)
-		for j := range x {
-			x[j] = cfg.Lo[j] + u[j]*(cfg.Hi[j]-cfg.Lo[j])
-		}
-		init = append(init, x)
-	}
-	mm, err := core.NewModelManager(cfg.Lo, cfg.Hi, rng, core.ModelManagerOptions{
-		RefitEvery: cfg.RefitEvery,
-		FitIters:   cfg.FitIters,
-		Backend:    surrogate.Backend(cfg.Surrogate),
-		EscalateAt: cfg.EscalateAt,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
 	var policy core.FailurePolicy
 	switch cfg.Failure {
 	case "skip":
@@ -253,16 +233,18 @@ func newMachine(cfg SessionConfig) (*core.AskTell, *core.ModelManager, error) {
 	default:
 		policy = core.FailAbort
 	}
-	at, err := core.NewAskTell(core.AskTellConfig{
+	return core.NewMachine(rand.New(rand.NewSource(cfg.Seed)), cfg.InitPoints, core.ModelManagerOptions{
+		RefitEvery: cfg.RefitEvery,
+		FitIters:   cfg.FitIters,
+		Backend:    surrogate.Backend(cfg.Surrogate),
+		EscalateAt: cfg.EscalateAt,
+	}, core.AskTellConfig{
 		MaxEvals: cfg.MaxEvals,
-		Init:     init,
 		Lo:       cfg.Lo, Hi: cfg.Hi,
-		Fit: mm.Fit,
 		Proposer: &core.Proposer{
 			Lambda:   cfg.Lambda,
 			Penalize: cfg.Algorithm != "easybo-a",
 		},
-		Rng:         rng,
 		Failure:     policy,
 		MaxFailures: cfg.MaxFailures,
 		// A service must never starve an asker that out-asks its tells:
@@ -270,10 +252,6 @@ func newMachine(cfg SessionConfig) (*core.AskTell, *core.ModelManager, error) {
 		MinFitObs:      2,
 		RandomFallback: true,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return at, mm, nil
 }
 
 // newSession builds a session without starting its actor; the caller binds
@@ -538,7 +516,7 @@ func (s *session) resolveTell(t Tell) (id int, x []float64, err error) {
 		return 0, nil, fmt.Errorf("serve: tell dimension %d, want %d", len(t.X), len(s.cfg.Lo))
 	}
 	for i, e := range s.ledger {
-		if equalPoints(e.x, t.X) {
+		if core.EqualPoints(e.x, t.X) {
 			s.ledger = append(s.ledger[:i], s.ledger[i+1:]...)
 			s.gaugeDone(1)
 			return e.id, e.x, nil
@@ -578,19 +556,16 @@ func (s *session) tell(t Tell) (Status, commitTicket, error) {
 	if err != nil {
 		return Status{}, commitTicket{}, err
 	}
-	var evalErr error
-	if t.Error != "" {
-		evalErr = errors.New(t.Error)
-	} else if math.IsNaN(t.Y) {
-		evalErr = sched.ErrNaN
-	}
 	ev := Event{Kind: "tell", ID: id, X: x, Y: t.Y, IK: t.IK}
-	rec := Record{ID: id, X: x, Y: t.Y}
-	if evalErr != nil {
+	if t.Error != "" {
+		ev.Err = t.Error
+	} else if math.IsNaN(t.Y) {
+		ev.Err = sched.ErrNaN.Error()
+	}
+	if ev.Err != "" {
 		// Zero Y on failures: NaN is not representable in JSON, and the
 		// error string already marks the record as unusable.
-		ev.Y, rec.Y = 0, 0
-		ev.Err, rec.Err = evalErr.Error(), evalErr.Error()
+		ev.Y = 0
 	}
 	// Write-ahead, then apply: an aborting tell still mutated the machine,
 	// so replay must include it to reproduce the dead state — and a tell
@@ -599,16 +574,7 @@ func (s *session) tell(t Tell) (Status, commitTicket, error) {
 		return Status{}, commitTicket{}, err
 	}
 	wasDead := s.at.Err() != nil
-	s.events = append(s.events, ev)
-	if t.IK != "" {
-		s.ikTells[t.IK] = true
-	}
-	obsErr := s.applyTell(x, t.Y, evalErr)
-	if evalErr != nil {
-		s.failed = append(s.failed, rec)
-	} else if obsErr == nil {
-		s.recs = append(s.recs, rec)
-	}
+	obsErr := s.absorbTell(ev)
 	// Cache bookkeeping, strictly after the event is durable and applied:
 	// a successful tell publishes its value (and releases any proposals
 	// that joined the in-flight evaluation — the daemon tells them itself,
@@ -616,7 +582,7 @@ func (s *session) tell(t Tell) (Status, commitTicket, error) {
 	// registration it led so the next identical ask triggers a real retry.
 	if s.cache != nil {
 		if k, cacheable := evalKeyFor(s.cfg.Testbench, s.cfg.Fidelity, x); cacheable {
-			if evalErr != nil {
+			if ev.Err != "" {
 				s.cache.abandon(k, s.id, id)
 			} else {
 				if ws := s.cache.resolve(k, ev.Y); len(ws) > 0 && s.deliver != nil {
@@ -638,10 +604,30 @@ func (s *session) tell(t Tell) (Status, commitTicket, error) {
 	return st, s.ticket(), obsErr
 }
 
-// applyTell routes one outcome into the machine. Kept apart from tell so
-// snapshot replay shares the exact same application path.
-func (s *session) applyTell(x []float64, y float64, evalErr error) error {
-	return s.at.Observe(x, y, evalErr)
+// absorbTell is the state change of one recorded tell — event history,
+// idempotency key, machine, records — and the only one: the live path calls
+// it on the event it has just written ahead, replay on every event it reads
+// back, so a recovered session cannot drift from the one that wrote the
+// log. The failure is rebuilt from the recorded message on both paths (an
+// abort event compares messages, not error identities). It returns the
+// machine's verdict: the abort error when this tell killed it.
+func (s *session) absorbTell(ev Event) error {
+	s.events = append(s.events, ev)
+	if ev.IK != "" {
+		s.ikTells[ev.IK] = true
+	}
+	var evalErr error
+	if ev.Err != "" {
+		evalErr = errors.New(ev.Err)
+	}
+	obsErr := s.at.Observe(ev.X, ev.Y, evalErr)
+	rec := Record{ID: ev.ID, X: ev.X, Y: ev.Y, Err: ev.Err}
+	if evalErr != nil {
+		s.failed = append(s.failed, rec)
+	} else if obsErr == nil {
+		s.recs = append(s.recs, rec)
+	}
+	return obsErr
 }
 
 // status renders the session state (actor side).
@@ -676,20 +662,4 @@ func (s *session) status() Status {
 		st.BestY = &by
 	}
 	return st
-}
-
-// equalPoints compares coordinate vectors bit-for-bit. Replay verification
-// and ledger matching both mean "the same recorded value", not numeric
-// closeness: encoding/json round-trips float64 exactly, so identical bits
-// is the invariant (and NaN, which breaks ==, still matches itself).
-func equalPoints(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }

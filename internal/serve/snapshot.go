@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"easybo/internal/core"
 )
 
 // SnapshotVersion is the wire version of the snapshot document.
@@ -86,7 +88,7 @@ func (s *session) replay(events []Event, base int) error {
 			if err != nil {
 				return fmt.Errorf("serve: replaying event %d: %w", n, err)
 			}
-			if !ok || p.ID != ev.ID || !equalPoints(p.X, ev.X) {
+			if !ok || p.ID != ev.ID || !core.EqualPoints(p.X, ev.X) {
 				return fmt.Errorf("%w (event %d: got id=%d x=%v, recorded id=%d x=%v)",
 					ErrSnapshotDiverged, n, p.ID, p.X, ev.ID, ev.X)
 			}
@@ -103,31 +105,17 @@ func (s *session) replay(events []Event, base int) error {
 				return fmt.Errorf("%w (event %d: tell dimension %d, want %d)",
 					ErrSnapshotDiverged, n, len(ev.X), len(s.cfg.Lo))
 			}
-			var evalErr error
-			if ev.Err != "" {
-				evalErr = errors.New(ev.Err)
-			}
 			// Consume the ledger entry like a live tell would.
 			for j, e := range s.ledger {
-				if e.id == ev.ID || (ev.ID == -1 && equalPoints(e.x, ev.X)) {
+				if e.id == ev.ID || (ev.ID == -1 && core.EqualPoints(e.x, ev.X)) {
 					s.ledger = append(s.ledger[:j], s.ledger[j+1:]...)
 					break
 				}
 			}
-			s.events = append(s.events, ev)
-			if ev.IK != "" {
-				s.ikTells[ev.IK] = true
-			}
-			rec := Record{ID: ev.ID, X: ev.X, Y: ev.Y, Err: ev.Err}
 			// An aborting tell legitimately returns the abort error; the
 			// machine is then dead and the log holds only a closing abort
 			// marker after it.
-			obsErr := s.applyTell(ev.X, ev.Y, evalErr)
-			if evalErr != nil {
-				s.failed = append(s.failed, rec)
-			} else if obsErr == nil {
-				s.recs = append(s.recs, rec)
-			}
+			_ = s.absorbTell(ev)
 		case "abort":
 			// Verification checkpoint, not a mutation: the preceding tell
 			// must already have killed the machine with this exact error.

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"testing"
 
+	"easybo/internal/core"
 	"easybo/internal/sched"
 )
 
@@ -162,7 +163,7 @@ func TestSnapshotRestoreContinuationMatchesUninterrupted(t *testing.T) {
 	}
 	for i := range fin.Records {
 		a, b := fin.Records[i], ref.Records[i]
-		if !equalPoints(a.X, b.X) || math.Float64bits(a.Y) != math.Float64bits(b.Y) {
+		if !core.EqualPoints(a.X, b.X) || math.Float64bits(a.Y) != math.Float64bits(b.Y) {
 			t.Fatalf("record %d diverged after restore:\n continued %+v\n reference %+v", i, a, b)
 		}
 	}
@@ -374,7 +375,7 @@ func TestSnapshotRoundTripsSurrogateBackend(t *testing.T) {
 	}
 	for i := range fin.Records {
 		a, b := fin.Records[i], ref.Records[i]
-		if !equalPoints(a.X, b.X) || math.Float64bits(a.Y) != math.Float64bits(b.Y) {
+		if !core.EqualPoints(a.X, b.X) || math.Float64bits(a.Y) != math.Float64bits(b.Y) {
 			t.Fatalf("record %d diverged after restore:\n continued %+v\n reference %+v", i, a, b)
 		}
 	}

@@ -4,52 +4,25 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// shardCount sizes the fixed shard arrays (live registry and MemStore).
-// Power of two, large enough that session create/lookup from many
-// concurrent workers never funnels through one mutex, small enough to stay
-// cache-friendly.
-const shardCount = 16
-
-// shardIndex maps a session id onto a shard.
-func shardIndex(id string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return h.Sum32() % shardCount
-}
-
-type regShard struct {
-	mu sync.RWMutex
-	m  map[string]*session
-}
-
-// registry holds the live session actors behind a fixed shard array. Only
-// the id → session mapping is guarded here; all session state is
-// actor-owned (see session.run), so shard critical sections are a map
-// operation long. Durability is the Store's job — the registry is purely
-// the in-process routing table.
+// registry holds the live session actors: the in-process routing table from
+// id to session. Only that mapping is guarded here; all session state is
+// actor-owned (see session.run), so a critical section is a map operation
+// long. Durability is the Store's job.
 type registry struct {
-	shards [shardCount]regShard
+	mu     sync.RWMutex
+	m      map[string]*session
+	closed bool
 	seq    atomic.Uint64 // monotonic component of generated ids
-	closed atomic.Bool
 }
 
 // newRegistry builds an empty session registry.
 func newRegistry() *registry {
-	rg := &registry{}
-	for i := range rg.shards {
-		rg.shards[i].m = make(map[string]*session)
-	}
-	return rg
-}
-
-func (rg *registry) shardFor(id string) *regShard {
-	return &rg.shards[shardIndex(id)]
+	return &registry{m: make(map[string]*session)}
 }
 
 // newID generates a unique session id: a monotonic sequence number plus
@@ -67,25 +40,23 @@ func (rg *registry) newID() string {
 
 // add registers a session under its id.
 func (rg *registry) add(s *session) error {
-	if rg.closed.Load() {
+	rg.mu.Lock()
+	defer rg.mu.Unlock()
+	if rg.closed {
 		return ErrSessionClosed
 	}
-	sh := rg.shardFor(s.id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.m[s.id]; ok {
+	if _, ok := rg.m[s.id]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicateSession, s.id)
 	}
-	sh.m[s.id] = s
+	rg.m[s.id] = s
 	return nil
 }
 
 // get returns the session for id.
 func (rg *registry) get(id string) (*session, error) {
-	sh := rg.shardFor(id)
-	sh.mu.RLock()
-	s, ok := sh.m[id]
-	sh.mu.RUnlock()
+	rg.mu.RLock()
+	s, ok := rg.m[id]
+	rg.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
@@ -95,11 +66,10 @@ func (rg *registry) get(id string) (*session, error) {
 // remove deletes and shuts down the session for id (draining its actor and
 // closing its durable log).
 func (rg *registry) remove(id string) error {
-	sh := rg.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.m[id]
-	delete(sh.m, id)
-	sh.mu.Unlock()
+	rg.mu.Lock()
+	s, ok := rg.m[id]
+	delete(rg.m, id)
+	rg.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
@@ -109,43 +79,34 @@ func (rg *registry) remove(id string) error {
 
 // IDs returns the live session ids, sorted for stable listings.
 func (rg *registry) IDs() []string {
-	var ids []string
-	for i := range rg.shards {
-		sh := &rg.shards[i]
-		sh.mu.RLock()
-		for id := range sh.m {
-			ids = append(ids, id)
-		}
-		sh.mu.RUnlock()
+	rg.mu.RLock()
+	ids := make([]string, 0, len(rg.m))
+	for id := range rg.m {
+		ids = append(ids, id)
 	}
+	rg.mu.RUnlock()
 	sort.Strings(ids)
 	return ids
 }
 
 // Len returns the number of live sessions.
 func (rg *registry) Len() int {
-	n := 0
-	for i := range rg.shards {
-		sh := &rg.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
+	rg.mu.RLock()
+	defer rg.mu.RUnlock()
+	return len(rg.m)
 }
 
 // Close shuts down every session — draining each actor and flushing and
-// closing its durable log — and rejects further additions.
+// closing its durable log — and rejects further additions. The sessions are
+// closed outside the lock: a draining actor may be mid-request.
 func (rg *registry) Close() {
-	rg.closed.Store(true)
-	for i := range rg.shards {
-		sh := &rg.shards[i]
-		sh.mu.Lock()
-		//easybolint:ok maporder shutdown order across independent session actors reaches no emitted byte
-		for id, s := range sh.m {
-			s.close()
-			delete(sh.m, id)
-		}
-		sh.mu.Unlock()
+	rg.mu.Lock()
+	rg.closed = true
+	m := rg.m
+	rg.m = make(map[string]*session)
+	rg.mu.Unlock()
+	//easybolint:ok maporder shutdown order across independent session actors reaches no emitted byte
+	for _, s := range m {
+		s.close()
 	}
 }

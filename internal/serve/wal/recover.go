@@ -233,8 +233,8 @@ func (st *Store) scanSession(id string) (*scanResult, error) {
 			}
 			rec, perr := parseRecord(line)
 			if perr == nil && rec.Seq < snapSeq {
-				// Covered by the snapshot: a crash between Compact's atomic
-				// snapshot rename and its segment pruning leaves old
+				// Covered by the snapshot: a crash between a compaction's
+				// atomic snapshot rename and its segment pruning leaves old
 				// segments behind. Their records — the create included —
 				// are subsumed by the snapshot, and gaps among them are
 				// fine too (the prune itself may have been interrupted

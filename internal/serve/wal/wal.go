@@ -474,6 +474,11 @@ type Log struct {
 	base     int    // events embedded in the last snapshot (0 = none)
 	dirty    bool   // unsynced data since the last fsync
 	closed   bool
+	// committing marks a compaction commit that has started writing into
+	// the directory; Close waits for it (on cond) before it releases the
+	// dir lock, so nothing of a closed log touches files the next opener
+	// may already be writing.
+	committing bool
 
 	cond      *sync.Cond // wakes WaitDurable on syncedSeq/syncErr/close changes
 	syncedSeq uint64     // records with seq below this are fsynced
@@ -750,27 +755,42 @@ func (l *Log) BeginCompact() (func(serve.Snapshot) error, error) {
 	}, nil
 }
 
-// commitSnapshot is the off-actor half of a compaction: encode and write
-// the snapshot document with no lock held, then atomically install it as
-// the new recovery base and prune the sealed segments it covers. A log
-// closed while the encode ran (shutdown, handoff, quarantine) aborts
-// quietly — until the rename the sealed segments stay authoritative, so
-// nothing is lost. The snapshot covers exactly the records below cutSeq;
-// the segment tail past the cut holds the delta, as always.
+// commitSnapshot is the off-actor half of a compaction: encode the snapshot
+// document and write it to the tmp file with no lock held, then atomically
+// install it as the new recovery base and prune the sealed segments it
+// covers. A log closed while the encode ran (shutdown, handoff, quarantine)
+// aborts before it touches the directory — the sealed segments stay
+// authoritative, so nothing is lost — and once the write has begun Close
+// waits for the commit to finish. The snapshot covers exactly the records
+// below cutSeq; the segment tail past the cut holds the delta, as always.
 func (l *Log) commitSnapshot(cutSeq, cutSeg uint64, cutSince int, snap serve.Snapshot) error {
 	doc, err := json.Marshal(snapshotDoc{NextSeq: cutSeq, Snapshot: snap})
 	if err != nil {
 		return fmt.Errorf("wal: encoding snapshot: %w", err)
 	}
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil
+	}
+	l.committing = true
+	l.mu.Unlock()
+
 	fsync := l.st.opts.Fsync != PolicyOff
 	tmp := filepath.Join(l.dir, snapshotFileName+".tmp")
-	if err := writeFileSync(tmp, doc, fsync); err != nil {
-		return err
-	}
+	err = writeFileSync(tmp, doc, fsync)
+
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.committing = false
+	l.cond.Broadcast()
+	if err != nil {
+		return err
+	}
 	if l.closed {
-		//easybolint:ok errdrop quiet abort: the tmp file is garbage and the sealed segments remain authoritative
+		// A failed rotation closed the log under the commit; this writer
+		// still holds the dir lock, so the tmp file is its own garbage.
+		//easybolint:ok errdrop quiet abort: the sealed segments remain authoritative
 		_ = os.Remove(tmp)
 		return nil
 	}
@@ -803,17 +823,6 @@ func (l *Log) commitSnapshot(cutSeq, cutSeg uint64, cutSince int, snap serve.Sna
 	return nil
 }
 
-// Compact implements serve.SessionLog: BeginCompact plus an immediate
-// commit, for callers that want the synchronous shape (snapshot install,
-// handoff, tests). The snapshot must cover every event appended so far.
-func (l *Log) Compact(snap serve.Snapshot) error {
-	commit, err := l.BeginCompact()
-	if err != nil {
-		return err
-	}
-	return commit(snap)
-}
-
 // Sync implements serve.SessionLog.
 func (l *Log) Sync() error {
 	l.mu.Lock()
@@ -824,10 +833,15 @@ func (l *Log) Sync() error {
 	return l.flushLocked(true)
 }
 
-// Close implements serve.SessionLog: flush, fsync, close. Idempotent.
+// Close implements serve.SessionLog: flush, fsync, close. Idempotent. It
+// first waits out a compaction commit that is writing its tmp file: after
+// Close returns, nothing of this log touches the directory.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.committing {
+		l.cond.Wait()
+	}
 	return l.closeLocked()
 }
 
@@ -887,9 +901,9 @@ func (l *Log) syncIfDirty() {
 	_ = l.flushLocked(true)
 }
 
-// rotateLocked seals the active segment and opens the next one. As in
-// Compact, a failure after the segment file is closed marks the log closed
-// so the dead writer is never appended to.
+// rotateLocked seals the active segment and opens the next one. A failure
+// after the segment file is closed marks the log closed so the dead writer
+// is never appended to.
 func (l *Log) rotateLocked() error {
 	if err := l.flushLocked(l.st.opts.Fsync != PolicyOff); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,6 +28,16 @@ func mustOpen(t *testing.T, dir string, opts Options) *Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// compactNow seals the log and commits snap as its recovery base in one
+// synchronous step.
+func compactNow(l serve.SessionLog, snap serve.Snapshot) error {
+	commit, err := l.BeginCompact()
+	if err != nil {
+		return err
+	}
+	return commit(snap)
 }
 
 func askEvent(id int, x ...float64) serve.Event {
@@ -181,7 +192,7 @@ func TestWALCompaction(t *testing.T) {
 		Version: serve.SnapshotVersion, ID: "cp", Config: cfg,
 		Events: pre, Observations: 2, Pending: 0,
 	}
-	if err := l.Compact(snap); err != nil {
+	if err := compactNow(l, snap); err != nil {
 		t.Fatal(err)
 	}
 	if l.CompactionDue() {
@@ -425,7 +436,7 @@ func TestWALCompactionCadenceScalesWithHistory(t *testing.T) {
 		Version: serve.SnapshotVersion, ID: "scale", Config: cfg,
 		Events: append([]serve.Event(nil), hist...),
 	}
-	if err := l.Compact(snap); err != nil {
+	if err := compactNow(l, snap); err != nil {
 		t.Fatal(err)
 	}
 	// The floor alone (2 events) no longer triggers: the threshold grew to
@@ -581,4 +592,94 @@ func TestWALBeginDuplicateAndRemove(t *testing.T) {
 	if _, err := st.Begin("dup", testConfig()); err != nil {
 		t.Fatalf("id not reusable after Remove: %v", err)
 	}
+}
+
+// TestClosedLogLeavesTheDirectoryAlone pins "after Close returns, nothing of
+// that log touches the directory". The next opener — an in-process restart,
+// or the adopting node after a handoff on a shared store — compacts through
+// the same snapshot.json.tmp, so a stale commit of the closed log that
+// rewrites or removes that file breaks the new writer's rename.
+func TestClosedLogLeavesTheDirectoryAlone(t *testing.T) {
+	cfg := testConfig()
+	hist := []serve.Event{askEvent(0, 0.1, 0.1), tellEvent(0, -1, 0.1, 0.1)}
+	begin := func(t *testing.T, id string, events []serve.Event) (serve.SessionLog, string, func(serve.Snapshot) error) {
+		st := mustOpen(t, t.TempDir(), Options{Fsync: PolicyOff, CompactEvery: -1})
+		t.Cleanup(func() { st.Close() })
+		l, err := st.Begin(id, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			if _, err := l.Append(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		commit, err := l.BeginCompact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l, st.sessionDir(id), commit
+	}
+
+	// A commit that starts after Close: the tmp file in the directory now
+	// belongs to whoever opened it next.
+	t.Run("commit after close", func(t *testing.T) {
+		l, dir, commit := begin(t, "late", hist)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tmp := filepath.Join(dir, snapshotFileName+".tmp")
+		next := []byte("the next opener's snapshot in flight")
+		if err := os.WriteFile(tmp, next, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := commit(serve.Snapshot{Version: serve.SnapshotVersion, ID: "late", Config: cfg, Events: hist}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(tmp); err != nil || !bytes.Equal(got, next) {
+			t.Fatalf("a closed log's commit touched the next opener's tmp file: %q, %v", got, err)
+		}
+	})
+
+	// A commit racing Close: whatever Close leaves in the directory, the
+	// commit must not change afterwards. The snapshot is large so Close
+	// usually lands while the tmp file is being written.
+	t.Run("commit racing close", func(t *testing.T) {
+		big := make([]serve.Event, 20000)
+		for i := range big {
+			big[i] = askEvent(i, 0.1, 0.2)
+		}
+		names := func(dir string) string {
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			for _, e := range ents {
+				b.WriteString(e.Name() + " ")
+			}
+			return b.String()
+		}
+		for i := 0; i < 20; i++ {
+			id := fmt.Sprintf("race%d", i)
+			l, dir, commit := begin(t, id, hist)
+			done := make(chan error, 1)
+			go func() {
+				done <- commit(serve.Snapshot{Version: serve.SnapshotVersion, ID: id, Config: cfg, Events: big})
+			}()
+			// Not a synchronization: the delay sweeps where in the commit
+			// Close lands.
+			time.Sleep(time.Duration(i) * 100 * time.Microsecond)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			atClose := names(dir)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if after := names(dir); after != atClose {
+				t.Fatalf("directory changed after Close returned:\n at close: %s\n    after: %s", atClose, after)
+			}
+		}
+	})
 }

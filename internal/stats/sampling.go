@@ -29,6 +29,20 @@ func LatinHypercube(rng *rand.Rand, n, d int) [][]float64 {
 	return pts
 }
 
+// LatinHypercubeIn returns an n-point Latin hypercube over the box [lo, hi]:
+// LatinHypercube scaled per dimension. Every initial design and candidate
+// sweep in the tree is this function, so a replayed run re-derives the same
+// bits wherever its design was drawn.
+func LatinHypercubeIn(rng *rand.Rand, n int, lo, hi []float64) [][]float64 {
+	pts := LatinHypercube(rng, n, len(lo))
+	for _, x := range pts {
+		for j := range x {
+			x[j] = lo[j] + x[j]*(hi[j]-lo[j])
+		}
+	}
+	return pts
+}
+
 // Uniform returns n points drawn uniformly from [0,1)^d.
 func Uniform(rng *rand.Rand, n, d int) [][]float64 {
 	pts := make([][]float64, n)

@@ -8,7 +8,6 @@ import (
 
 	"easybo/internal/core"
 	"easybo/internal/objective"
-	"easybo/internal/stats"
 	"easybo/internal/surrogate"
 )
 
@@ -19,9 +18,9 @@ import (
 // caller owns the workers.
 //
 // Loop is a thin adapter over the core ask/tell state machine (the same one
-// that drives Optimize, OptimizeParallel, and the easybod service sessions),
-// configured without an evaluation budget: it keeps suggesting for as long
-// as the caller keeps asking.
+// that Optimize and OptimizeParallel run and the easybod service sessions
+// host), configured without an evaluation budget: it keeps suggesting for as
+// long as the caller keeps asking.
 //
 // A Loop is not safe for concurrent use; serialize Suggest/Observe calls.
 type Loop struct {
@@ -35,8 +34,24 @@ func NewLoop(p Problem, opts Options) (*Loop, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Loop reports failures through Forget, never through Observe, so the
+	// machine's own failure policy is unreachable; skip is the benign
+	// default.
+	at, err := newMachine(ip, opts, core.AskTellConfig{Failure: core.FailSkip})
+	if err != nil {
+		return nil, err
+	}
+	return &Loop{ip: ip, at: at}, nil
+}
+
+// newMachine builds the EasyBO ask/tell machine behind Loop and
+// OptimizeParallel; cfg carries the budget, failure policy and observers.
+func newMachine(ip *objective.Problem, opts Options, cfg core.AskTellConfig) (*core.AskTell, error) {
 	if opts.InitPoints <= 0 {
 		opts.InitPoints = 20
+	}
+	if cfg.MaxEvals > 0 {
+		opts.InitPoints = min(opts.InitPoints, cfg.MaxEvals) // as Optimize does
 	}
 	if opts.Lambda <= 0 {
 		opts.Lambda = 6
@@ -56,47 +71,21 @@ func NewLoop(p Problem, opts Options) (*Loop, error) {
 	if err != nil {
 		return nil, fmt.Errorf("easybo: %w", err)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	d := ip.Dim()
-	var init [][]float64
-	for _, u := range stats.LatinHypercube(rng, opts.InitPoints, d) {
-		x := make([]float64, d)
-		for j := range x {
-			x[j] = ip.Lo[j] + u[j]*(ip.Hi[j]-ip.Lo[j])
-		}
-		init = append(init, x)
-	}
-	mm, err := core.NewModelManager(ip.Lo, ip.Hi, rng, core.ModelManagerOptions{
+	cfg.Lo, cfg.Hi = ip.Lo, ip.Hi
+	cfg.Proposer = &core.Proposer{Lambda: opts.Lambda, Penalize: opts.Algorithm != EasyBOA}
+	// Not enough observations for a surrogate yet (caller suggested more
+	// than it observed): fall back to random points.
+	cfg.MinFitObs, cfg.RandomFallback = 2, true
+	at, _, err := core.NewMachine(rand.New(rand.NewSource(opts.Seed)), opts.InitPoints, core.ModelManagerOptions{
 		RefitEvery: opts.RefitEvery,
 		FitIters:   opts.FitIters,
 		Backend:    backend,
 		EscalateAt: opts.EscalateAt,
-	})
+	}, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("easybo: %w", err)
 	}
-	at, err := core.NewAskTell(core.AskTellConfig{
-		Init: init,
-		Lo:   ip.Lo, Hi: ip.Hi,
-		Fit: mm.Fit,
-		Proposer: &core.Proposer{
-			Lambda:   opts.Lambda,
-			Penalize: opts.Algorithm != EasyBOA,
-		},
-		Rng: rng,
-		// Loop reports failures through Forget, never through Observe, so
-		// the machine's own failure policy is unreachable; skip is the
-		// benign default.
-		Failure: core.FailSkip,
-		// Not enough observations for a surrogate yet (caller suggested
-		// more than it observed): fall back to random points.
-		MinFitObs:      2,
-		RandomFallback: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Loop{ip: ip, at: at}, nil
+	return at, nil
 }
 
 // Suggest returns the next point to evaluate. Until the initial design is
