@@ -61,12 +61,16 @@ test: build
 # service and its WAL syncLoop, the cluster peer layer (heartbeats, forward
 # retries, handoffs), parallel AC sweeps (circuit), the multistart
 # optimizer's worker pool, the experiment harness, the client retrier
-# (cmd/easybo), and the daemon's serve/shutdown paths (cmd/easybod).
+# (cmd/easybo), and the daemon's serve/shutdown paths (cmd/easybod). The
+# session's read routes hand other goroutines prefixes of the arrays its
+# actor appends to; the test of that contract is schedule-dependent, so it
+# runs ten more times.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/serve/... \
 		./internal/cluster/... ./internal/loadgen/... \
 		./internal/circuit/... ./internal/optimize/... ./internal/harness/... \
 		./cmd/easybo/... ./cmd/easybod/... ./cmd/easyboload/...
+	$(GO) test -race -count 10 -run 'TestReadsShareHistoryWithActor' ./internal/serve
 
 # Coverage with a ratchet: scripts/coverage.sh fails if the durability
 # stack (./internal/serve/...) drops below its recorded floor.
@@ -88,7 +92,8 @@ fuzz-smoke:
 # Serving-path throughput smoke: first the shed-equivalence test (admission
 # control loses no tells, history bitwise-identical to unthrottled), then a
 # real easyboload run against an in-process daemon asserting zero errors,
-# nonzero cache traffic on its repeated-point workload, and a p99 ceiling,
+# nonzero cache traffic on its repeated-point workload, a p99 ceiling, and
+# that no tell response outgrew a constant-size ack (1 KB),
 # then the same harness against a real fsync=always WAL so the group-commit
 # serving path is smoke-gated too (distinct seeds, cache off: every tell
 # rides the committer). The benchjson-shaped results land in LOAD_OUT and
@@ -98,12 +103,12 @@ load-smoke:
 	$(GO) run ./cmd/easyboload -sessions $(LOADSESSIONS) -workers $(LOADWORKERS) \
 		-duration $(LOADTIME) -out $(LOAD_OUT) \
 		-assert-max-errors 0 -assert-min-cache-hits 1 -assert-min-asks 1 \
-		-assert-max-p99 $(LOADP99)
+		-assert-max-p99 $(LOADP99) -assert-max-tell-bytes 1024
 	$(GO) run ./cmd/easyboload -sessions $(LOADSESSIONS) -workers $(LOADWORKERS) \
 		-duration $(LOADTIME) -fsync always -bench-suffix Durable \
 		-seed-groups $(LOADSESSIONS) -testbench "" -init-points 4096 \
 		-out $(LOAD_OUT_DURABLE) \
-		-assert-max-errors 0 -assert-min-asks 1
+		-assert-max-errors 0 -assert-min-asks 1 -assert-max-tell-bytes 1024
 
 # Smoke-run the incremental-engine and surrogate-backend benchmarks so a
 # regression on the hot path (or a compile error in a bench file) fails CI
@@ -118,14 +123,17 @@ bench-smoke:
 # of the workload that exercises the surrogate and the acquisition maximizer
 # end to end — untraced (easybo.NewLoop) and traced (the benchmark's own hand
 # copy of NewLoop's construction, so the two are compared on every run) — and
-# of the whole serving stack with a restart replay. A run checks that every
-# block walks the same history digest and prints "correct":true only then.
+# of the serving envelope alone (serve-wal: no model, a real WAL, a restart
+# whose status body must match byte for byte) and of the whole serving stack
+# with a restart replay. A run checks that every block walks the same
+# history digest and prints "correct":true only then.
 # benchmark/run.sh is what a performance claim is measured with (30 s per
 # workload; see benchmark/README.md).
 bench-check:
 	cd benchmark && $(GO) test ./...
 	bash benchmark/run.sh --workload bo-opamp --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload bo-opamp --seed 1 --seconds 5 --trace 1 | grep -q '"correct":true'
+	bash benchmark/run.sh --workload serve-wal --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload serve-model --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
 
 bench:
@@ -133,21 +141,23 @@ bench:
 
 # Machine-readable hot-path benchmark results: newton-iteration, tran-step,
 # AC-sweep, full testbench evaluations (sparse vs. dense), the
-# exact-vs-feature-space surrogate scaling suite, the WAL append, the
+# exact-vs-feature-space surrogate scaling suite, the WAL append, one tell
+# through the handler at history 100 and 5000 (tell_flatness), the
 # end-to-end 40-eval EasyBO-A run, and the easyboload serving-path rows
 # (in-memory and fsync=always legs), with speedups derived.
 bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_7.json
+	$(GO) run ./cmd/benchjson -out BENCH_8.json
 
 # CI bench-regression gate: measure a short fresh report and compare it to
-# the committed BENCH_7.json baseline. Gated hot-path benchmarks
+# the committed BENCH_8.json baseline. Gated hot-path benchmarks
 # (newton-iteration, testbench evals, feature-space surrogate updates, the
-# WAL append, and the serving-path throughput/latency rows — durable leg
-# included) fail CI on a >2x slowdown; everything else only warns, since
-# shared runners are noisy.
+# WAL append, the tell handler, and the serving-path throughput/latency
+# rows — durable leg included) fail CI on a >2x slowdown, and so does a
+# tell that costs over twice as much at history 5000 as at 100 (tell_flatness);
+# everything else only warns, since shared runners are noisy.
 bench-gate:
 	$(GO) run ./cmd/benchjson -out $(BENCH_HEAD) -benchtime 0.3s -count 2 -loadtime 5s
-	$(GO) run ./cmd/benchcmp -baseline BENCH_7.json -head $(BENCH_HEAD)
+	$(GO) run ./cmd/benchcmp -baseline BENCH_8.json -head $(BENCH_HEAD)
 
 # Build every cmd/* and examples/* binary, run each example on a tiny
 # budget, and drive a live easybod daemon through an ask/tell round trip,

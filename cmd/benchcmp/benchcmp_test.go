@@ -132,3 +132,20 @@ func TestCompareFailsOnMissingServeRow(t *testing.T) {
 		t.Fatal("a vanished serving-path row must fail the gate")
 	}
 }
+
+func TestFlatnessVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		speedups map[string]float64
+		failed   bool
+	}{
+		{"flat", map[string]float64{"tell_flatness": 1.04}, false},
+		{"noisy but flat", map[string]float64{"tell_flatness": 1.35}, false},
+		{"grows with history", map[string]float64{"tell_flatness": 6.2}, true},
+		{"missing", map[string]float64{"tran_step": 5}, true},
+	} {
+		if msg, failed := flatnessVerdict(report{Speedups: tc.speedups}); failed != tc.failed {
+			t.Errorf("%s: failed=%v (%s), want %v", tc.name, failed, msg, tc.failed)
+		}
+	}
+}

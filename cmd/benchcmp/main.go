@@ -1,18 +1,22 @@
 // Command benchcmp is the CI bench-regression gate: it compares a fresh
-// benchjson report against the committed baseline (BENCH_7.json) and fails
+// benchjson report against the committed baseline (BENCH_8.json) and fails
 // when a gated hot-path benchmark slowed down beyond the tolerance.
 //
 // Benchmarks matching -gate (by default the newton-iteration kernel, the
-// testbench evaluation paths, the WAL append, and the easyboload
-// serving-path rows — both the in-memory and the fsync=always Durable
-// legs) FAIL the run when head/baseline exceeds -max-ratio; every other
-// benchmark only warns, because generic benchmarks on shared CI runners
-// are too noisy to block merges on.
+// testbench evaluation paths, the WAL append, the tell handler, and the
+// easyboload serving-path rows — both the in-memory and the fsync=always
+// Durable legs) FAIL the run when head/baseline exceeds -max-ratio; every
+// other benchmark only warns, because generic benchmarks on shared CI
+// runners are too noisy to block merges on.
+//
+// One check needs no baseline: the head report's tell_flatness (a tell at
+// history 5000 over one at history 100, measured side by side in one run)
+// must stay under maxTellFlatness.
 //
 // Usage:
 //
 //	go run ./cmd/benchjson -out /tmp/head.json -benchtime 0.3s -count 2
-//	go run ./cmd/benchcmp -baseline BENCH_7.json -head /tmp/head.json
+//	go run ./cmd/benchcmp -baseline BENCH_8.json -head /tmp/head.json
 package main
 
 import (
@@ -29,6 +33,27 @@ type report struct {
 		Name    string  `json:"name"`
 		NsPerOp float64 `json:"ns_per_op"`
 	} `json:"benchmarks"`
+	Speedups map[string]float64 `json:"speedups"`
+}
+
+// maxTellFlatness bounds the head report's tell_flatness. A flat tell reads
+// 1.1–1.35 here, not 1.0: the benchmark holds the history at n by restoring
+// the session every 128 tells, and the n=5000 leg's restores churn megabytes
+// of heap beside its timed tells. A tell that copies or encodes the history
+// (the code before TellAck) reads 22.
+const maxTellFlatness = 2.0
+
+// flatnessVerdict checks the head report's tell_flatness: a report without
+// the ratio fails, because the rows it derives from are gated.
+func flatnessVerdict(head report) (msg string, failed bool) {
+	f, ok := head.Speedups["tell_flatness"]
+	switch {
+	case !ok:
+		return "tell_flatness missing from head report", true
+	case f > maxTellFlatness:
+		return fmt.Sprintf("tell_flatness %.2f: a tell at history 5000 costs more than %.1fx one at history 100", f, maxTellFlatness), true
+	}
+	return fmt.Sprintf("tell_flatness %.2f (bound %.1f)", f, maxTellFlatness), false
 }
 
 // row is one benchmark comparison.
@@ -96,7 +121,7 @@ func load(path string) (report, error) {
 
 func main() {
 	var (
-		basePath = flag.String("baseline", "BENCH_7.json", "committed baseline report")
+		basePath = flag.String("baseline", "BENCH_8.json", "committed baseline report")
 		headPath = flag.String("head", "", "freshly measured report to gate")
 		maxRatio = flag.Float64("max-ratio", 2.0, "fail gated benchmarks slower than baseline by this factor")
 		// Only the sparse hot paths plus the serving-path load rows are
@@ -104,7 +129,7 @@ func main() {
 		// and are too noisy on short CI runs to block merges on. The Serve*
 		// alternatives match the Durable-suffixed rows too (substring match),
 		// so the fsync=always leg is gated alongside the in-memory one.
-		gateExpr = flag.String("gate", "(NewtonIteration|OpAmpEval|ClassEEval)Sparse|Surrogate(Extend|Predict)Features|LogAppend|Serve(AskThroughput|AskLatencyP99|TellThroughput|TellLatencyP99)", "regexp of benchmark names that hard-fail the gate")
+		gateExpr = flag.String("gate", "(NewtonIteration|OpAmpEval|ClassEEval)Sparse|Surrogate(Extend|Predict)Features|LogAppend|TellAtHistory|Serve(AskThroughput|AskLatencyP99|TellThroughput|TellLatencyP99)", "regexp of benchmark names that hard-fail the gate")
 	)
 	flag.Parse()
 	if *headPath == "" {
@@ -146,8 +171,15 @@ func main() {
 		}
 		fmt.Println(line)
 	}
+	msg, notFlat := flatnessVerdict(head)
+	fmt.Println(msg)
 	if failed {
 		fmt.Fprintf(os.Stderr, "benchcmp: FAIL — gated hot-path benchmark regressed beyond %.2fx\n", *maxRatio)
+	}
+	if notFlat {
+		fmt.Fprintln(os.Stderr, "benchcmp: FAIL — per-tell cost grows with session history")
+	}
+	if failed || notFlat {
 		os.Exit(1)
 	}
 	fmt.Println("benchcmp: ok")

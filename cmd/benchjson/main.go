@@ -2,9 +2,10 @@
 // serving-path load run (cmd/easyboload) and writes the results as
 // machine-readable JSON (ns/op, B/op, allocs/op, extra metrics like
 // ns/step and asks/sec, plus derived sparse-vs-dense and
-// exact-vs-feature-space speedups), so the repository's performance
-// trajectory is tracked in data rather than prose. `make bench-json`
-// invokes it to produce BENCH_7.json.
+// exact-vs-feature-space speedups, and tell_flatness: a tell at history
+// 5000 over one at history 100, which must stay ≈ 1), so the repository's
+// performance trajectory is tracked in data rather than prose. `make
+// bench-json` invokes it to produce BENCH_8.json.
 //
 // The serving-path load runs twice: once against the in-memory store and
 // once with -fsync always (rows suffixed "Durable"), so the group-commit
@@ -12,7 +13,7 @@
 //
 // Usage:
 //
-//	benchjson -out BENCH_7.json -benchtime 20x -loadtime 10s
+//	benchjson -out BENCH_8.json -benchtime 20x -loadtime 10s
 package main
 
 import (
@@ -38,6 +39,7 @@ var suite = []struct {
 	{"easybo/internal/linalg", "BenchmarkSolveLowerMulti"},
 	{"easybo/internal/surrogate", "Benchmark(Surrogate(Fit|Extend|Predict|Suggest)|PredictBatch(Exact|Features))"},
 	{"easybo/internal/serve/wal", "BenchmarkLogAppend"},
+	{"easybo/internal/serve", "BenchmarkTellAtHistory"},
 	{"easybo", "BenchmarkEndToEnd40EvalEasyBOA"},
 }
 
@@ -68,7 +70,7 @@ var lineRe = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 func main() {
 	var (
-		out       = flag.String("out", "BENCH_7.json", "output JSON path")
+		out       = flag.String("out", "BENCH_8.json", "output JSON path")
 		benchtime = flag.String("benchtime", "2s", "go test -benchtime value")
 		count     = flag.Int("count", 3, "go test -count value; the per-benchmark minimum is reported")
 		goBin     = flag.String("go", "go", "go tool to invoke")
@@ -172,6 +174,9 @@ func main() {
 		ratio("surrogate_predict_n"+n, "BenchmarkSurrogatePredictExact/n="+n, "BenchmarkSurrogatePredictFeatures/n="+n)
 	}
 	ratio("surrogate_suggest_n2000", "BenchmarkSurrogateSuggestExactN2000", "BenchmarkSurrogateSuggestFeaturesN2000")
+	// Per-request cost against history length (key = ns at n=5000 / ns at
+	// n=100): ≈ 1 while a tell is O(1) in the session's history.
+	ratio("tell_flatness", "BenchmarkTellAtHistory/n=5000", "BenchmarkTellAtHistory/n=100")
 	// Batched prediction, per point: width w against width 1
 	// (key = w · ns at width 1 / ns at width w).
 	for _, b := range []struct{ key, name string }{

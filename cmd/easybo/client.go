@@ -390,10 +390,12 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 					ev.Y = math.NaN()
 					ev.Err = fmt.Errorf("%s", evalErr)
 				}
-				var st struct {
+				// The daemon's constant-size tell ack; a worker acts on one
+				// field of it.
+				var ack struct {
 					Aborted string `json:"aborted"`
 				}
-				resent, err := rt.call(http.MethodPost, "/sessions/"+created.ID+"/tell", t, &st, newIK())
+				resent, err := rt.call(http.MethodPost, "/sessions/"+created.ID+"/tell", t, &ack, newIK())
 				if err != nil {
 					// A 409 on a resent tell means the daemon durably applied
 					// an earlier attempt and already consumed the proposal —
@@ -412,8 +414,8 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 					evals = append(evals, ev)
 				}
 				mu.Unlock()
-				if st.Aborted != "" {
-					setErr(fmt.Errorf("easybo: session aborted by daemon: %s", st.Aborted))
+				if ack.Aborted != "" {
+					setErr(fmt.Errorf("easybo: session aborted by daemon: %s", ack.Aborted))
 					return
 				}
 			}

@@ -1,9 +1,10 @@
 // Command easyboload is the throughput harness for the easybod serving
 // path: it drives N concurrent sessions of ask/tell round trips for a
 // fixed duration and reports asks/sec, tells/sec, latency quantiles, shed
-// counts, and evaluation-cache traffic — machine-readably, in the
-// repository's benchjson shape, so cmd/benchcmp gates the serving path
-// exactly like kernel benchmarks.
+// counts, evaluation-cache traffic, and the size of the tell responses
+// (flat in session length) — machine-readably, in the repository's
+// benchjson shape, so cmd/benchcmp gates the serving path exactly like
+// kernel benchmarks.
 //
 // With no -serve it boots a daemon in-process (the CI mode: hermetic, no
 // ports to coordinate); point -serve at a running easybod (or a cluster
@@ -69,6 +70,7 @@ func main() {
 		maxP99      = flag.Duration("assert-max-p99", 0, "fail when ask p99 exceeds this (0: off)")
 		minAsks     = flag.Int64("assert-min-asks", -1, "fail when successful asks fall below this (-1: off)")
 		assertSheds = flag.Bool("assert-sheds", false, "fail unless the run absorbed at least one 429 shed")
+		maxTellResp = flag.Int64("assert-max-tell-bytes", 0, "fail when any tell response body exceeds this many bytes (0: off)")
 	)
 	flag.Parse()
 
@@ -159,6 +161,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "easyboload: tell latency p50 %s  p95 %s  p99 %s  max %s\n",
 			time.Duration(sum.TellLatency.P50), time.Duration(sum.TellLatency.P95),
 			time.Duration(sum.TellLatency.P99), time.Duration(sum.TellLatency.Max))
+		fmt.Fprintf(os.Stderr, "easyboload: tell response mean %.0f B  max %d B\n", sum.TellRespBytes, sum.TellRespBytesMax)
 	}
 
 	if *out != "" {
@@ -191,6 +194,7 @@ func main() {
 	check(*maxP99 > 0 && sum.AskLatency.P99 > int64(*maxP99), "ask p99 %s > %s", time.Duration(sum.AskLatency.P99), *maxP99)
 	check(*minAsks >= 0 && sum.Asks < *minAsks, "asks %d < %d", sum.Asks, *minAsks)
 	check(*assertSheds && sum.Shed == 0, "expected at least one 429 shed, saw none")
+	check(*maxTellResp > 0 && sum.TellRespBytesMax > *maxTellResp, "largest tell response %d B > %d B", sum.TellRespBytesMax, *maxTellResp)
 	if failed {
 		os.Exit(1)
 	}

@@ -139,7 +139,11 @@
 // endpoints for restart-safe sessions. External simulator farms attach as
 // plain HTTP clients: ask for a design point, simulate it for however long
 // it takes, tell the result back — out of order, from many machines, with
-// per-session failure policies (abort, skip, resubmit). `easybo -serve URL`
+// per-session failure policies (abort, skip, resubmit). Both per-evaluation
+// requests cost the same however long the session has run: an ask answers
+// one proposal and a tell a constant-size acknowledgement (counters,
+// terminal flags, incumbent). The history is the GET, which pages with
+// ?since=N. `easybo -serve URL`
 // runs the built-in testbenches as such a remote worker pool. See the
 // README for a curl walkthrough and DESIGN.md for the session-actor
 // concurrency model.

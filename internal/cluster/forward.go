@@ -193,7 +193,9 @@ func (n *Node) forwardSessionBody(w http.ResponseWriter, r *http.Request, id str
 			n.serveLocal(w, r, body, hdr)
 			return
 		}
-		res, err := n.forwardOnce(r.Context(), target, r.Method, r.URL.Path, body, hdr)
+		// RequestURI, not Path: a status poll's ?since= cursor must reach
+		// the owner.
+		res, err := n.forwardOnce(r.Context(), target, r.Method, r.URL.RequestURI(), body, hdr)
 		if err != nil {
 			// Transport failure: the owner may be down; tell the health
 			// table so the next route excludes it.

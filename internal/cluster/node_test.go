@@ -231,9 +231,8 @@ func drive(t *testing.T, base, id string) *serve.Ask {
 		return nil
 	}
 	y := ask.X[0] + 2*ask.X[1]
-	var st serve.Status
 	if code := call(t, http.MethodPost, base+"/sessions/"+id+"/tell",
-		map[string]any{"proposal_id": ask.ProposalID, "y": y}, &st); code != http.StatusOK {
+		map[string]any{"proposal_id": ask.ProposalID, "y": y}, &serve.TellAck{}); code != http.StatusOK {
 		t.Fatalf("tell via %s: status %d", base, code)
 	}
 	return &ask
@@ -264,8 +263,18 @@ func TestAnyNodeRouting(t *testing.T) {
 	if code := call(t, http.MethodGet, tc.url("node1")+"/sessions/"+id, nil, &st); code != http.StatusOK {
 		t.Fatalf("status via node1: %d", code)
 	}
-	if st.Observations != acked {
-		t.Fatalf("observations %d, acked tells %d", st.Observations, acked)
+	if st.Observations != acked || len(st.Records) != acked {
+		t.Fatalf("%d observations, %d records, %d acked tells", st.Observations, len(st.Records), acked)
+	}
+	// The ?since= cursor rides the forward: node1 and node2 proxy, node0 owns.
+	for _, node := range []string{"node0", "node1", "node2"} {
+		var tail serve.Status
+		if code := call(t, http.MethodGet, fmt.Sprintf("%s/sessions/%s?since=%d", tc.url(node), id, acked-2), nil, &tail); code != http.StatusOK {
+			t.Fatalf("status?since via %s: %d", node, code)
+		}
+		if len(tail.Records) != 2 || tail.Observations != acked || tail.Records[1].ID != st.Records[acked-1].ID {
+			t.Fatalf("since=%d via %s: %d records of %d observations", acked-2, node, len(tail.Records), tail.Observations)
+		}
 	}
 }
 
@@ -361,7 +370,7 @@ func TestStaleOwnerIsFenced(t *testing.T) {
 	if err := sv0.CompleteHandoff(id, false); err != nil {
 		t.Fatal(err)
 	}
-	var st serve.Status
+	var st serve.TellAck
 	if code := call(t, http.MethodPost, tc.url("node1")+"/sessions/"+id+"/tell",
 		map[string]any{"proposal_id": ask.ProposalID, "y": 1.5}, &st); code != http.StatusOK {
 		t.Fatalf("tell to new owner: %d", code)
@@ -402,7 +411,7 @@ func TestIdempotentRetries(t *testing.T) {
 	}
 	// Tell twice with the same key: applied exactly once.
 	tell := map[string]any{"proposal_id": a1.ProposalID, "y": 0.25, "ik": "tell-key-1"}
-	var st1, st2 serve.Status
+	var st1, st2 serve.TellAck
 	if code := call(t, http.MethodPost, tc.url("node0")+"/sessions/"+id+"/tell", tell, &st1); code != http.StatusOK {
 		t.Fatalf("tell: %d", code)
 	}

@@ -130,6 +130,11 @@ type Summary struct {
 	TellsPerSec float64       `json:"tells_per_sec"`
 	AskLatency  Quantiles     `json:"ask_latency"`
 	TellLatency Quantiles     `json:"tell_latency"`
+	// Tell response bodies: the mean and the largest one seen. A tell is
+	// acknowledged with a constant-size document, so both stay a few hundred
+	// bytes however long the sessions ran.
+	TellRespBytes    float64 `json:"tell_resp_bytes"`
+	TellRespBytesMax int64   `json:"tell_resp_bytes_max"`
 }
 
 // Client is the harness's minimal retrying JSON caller, exported so the
@@ -151,10 +156,16 @@ type Client struct {
 // decisive) attempt only, so admission backoff does not pollute the
 // service-latency distribution.
 func (c *Client) Call(ctx context.Context, method, path string, body, out any) (shed int64, lat time.Duration, err error) {
+	shed, lat, _, err = c.call(ctx, method, path, body, out)
+	return shed, lat, err
+}
+
+// call is Call that also reports the size of the response body it accepted.
+func (c *Client) call(ctx context.Context, method, path string, body, out any) (shed int64, lat time.Duration, size int, err error) {
 	var payload []byte
 	if body != nil {
 		if payload, err = json.Marshal(body); err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 	}
 	backoff := 2 * time.Millisecond
@@ -165,7 +176,7 @@ func (c *Client) Call(ctx context.Context, method, path string, body, out any) (
 		}
 		req, rerr := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
 		if rerr != nil {
-			return shed, 0, rerr
+			return shed, 0, 0, rerr
 		}
 		req.Header.Set("Content-Type", "application/json")
 		start := time.Now()
@@ -173,7 +184,7 @@ func (c *Client) Call(ctx context.Context, method, path string, body, out any) (
 		lat = time.Since(start)
 		if derr != nil {
 			if ctx.Err() != nil {
-				return shed, lat, ctx.Err()
+				return shed, lat, 0, ctx.Err()
 			}
 			err = derr
 		} else {
@@ -185,22 +196,22 @@ func (c *Client) Call(ctx context.Context, method, path string, body, out any) (
 				shed++
 				err = fmt.Errorf("loadgen: shed (HTTP 429)")
 			} else if resp.StatusCode/100 != 2 {
-				return shed, lat, fmt.Errorf("loadgen: %s %s: HTTP %d: %s", method, path, resp.StatusCode, bytes.TrimSpace(data))
+				return shed, lat, 0, fmt.Errorf("loadgen: %s %s: HTTP %d: %s", method, path, resp.StatusCode, bytes.TrimSpace(data))
 			} else {
 				if out != nil {
 					if uerr := json.Unmarshal(data, out); uerr != nil {
-						return shed, lat, uerr
+						return shed, lat, 0, uerr
 					}
 				}
-				return shed, lat, nil
+				return shed, lat, len(data), nil
 			}
 		}
 		if attempt >= c.MaxRetries {
-			return shed, lat, fmt.Errorf("loadgen: giving up after %d attempts: %w", attempt+1, err)
+			return shed, lat, 0, fmt.Errorf("loadgen: giving up after %d attempts: %w", attempt+1, err)
 		}
 		select {
 		case <-ctx.Done():
-			return shed, lat, ctx.Err()
+			return shed, lat, 0, ctx.Err()
 		case <-time.After(backoff):
 		}
 		if backoff *= 2; backoff > 250*time.Millisecond {
@@ -235,6 +246,7 @@ type workerStats struct {
 	asks, tells, errors, shed int64
 	cached, joins, waits      int64
 	askLat, tellLat           histogram
+	tellBytes, tellBytesMax   int64 // tell response bodies: total and largest
 }
 
 // Run drives the load: Sessions sessions × WorkersPerSession workers of
@@ -300,6 +312,7 @@ func Run(ctx context.Context, o Options) (*Summary, error) {
 
 	sum := &Summary{Sessions: o.Sessions, Workers: nWorkers, Elapsed: elapsed}
 	var askH, tellH histogram
+	var tellBytes int64
 	for i := range stats {
 		st := &stats[i]
 		sum.Asks += st.asks
@@ -309,6 +322,10 @@ func Run(ctx context.Context, o Options) (*Summary, error) {
 		sum.CachedHits += st.cached
 		sum.Joins += st.joins
 		sum.Waits += st.waits
+		tellBytes += st.tellBytes
+		if st.tellBytesMax > sum.TellRespBytesMax {
+			sum.TellRespBytesMax = st.tellBytesMax
+		}
 		askH.merge(&st.askLat)
 		tellH.merge(&st.tellLat)
 	}
@@ -316,6 +333,9 @@ func Run(ctx context.Context, o Options) (*Summary, error) {
 	if secs > 0 {
 		sum.AsksPerSec = float64(sum.Asks) / secs
 		sum.TellsPerSec = float64(sum.Tells) / secs
+	}
+	if sum.Tells > 0 {
+		sum.TellRespBytes = float64(tellBytes) / float64(sum.Tells)
 	}
 	sum.AskLatency = Quantiles{P50: askH.quantile(0.50), P95: askH.quantile(0.95), P99: askH.quantile(0.99), Max: askH.max}
 	sum.TellLatency = Quantiles{P50: tellH.quantile(0.50), P95: tellH.quantile(0.95), P99: tellH.quantile(0.99), Max: tellH.max}
@@ -381,7 +401,7 @@ func drive(ctx context.Context, cl *Client, session string, evalDelay time.Durat
 		}
 		pid := a.ProposalID
 		tell := map[string]any{"proposal_id": pid, "y": y}
-		shed, lat, err = cl.Call(ctx, http.MethodPost, base+"/tell", tell, nil)
+		shed, lat, size, err := cl.call(ctx, http.MethodPost, base+"/tell", tell, nil)
 		st.shed += shed
 		if err != nil {
 			if ctx.Err() != nil {
@@ -392,5 +412,9 @@ func drive(ctx context.Context, cl *Client, session string, evalDelay time.Durat
 		}
 		st.tells++
 		st.tellLat.observe(lat)
+		st.tellBytes += int64(size)
+		if int64(size) > st.tellBytesMax {
+			st.tellBytesMax = int64(size)
+		}
 	}
 }

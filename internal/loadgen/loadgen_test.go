@@ -49,6 +49,10 @@ func TestRunSmoke(t *testing.T) {
 	if sum.AsksPerSec <= 0 {
 		t.Fatalf("asks_per_sec = %v, want > 0", sum.AsksPerSec)
 	}
+	// A tell is acknowledged with a constant-size document, not the history.
+	if sum.TellRespBytes <= 0 || float64(sum.TellRespBytesMax) < sum.TellRespBytes || sum.TellRespBytesMax > 512 {
+		t.Fatalf("tell responses: mean %.0f B, max %d B", sum.TellRespBytes, sum.TellRespBytesMax)
+	}
 	if sum.AskLatency.P99 <= 0 || sum.AskLatency.P99 < sum.AskLatency.P50 {
 		t.Fatalf("ask latency quantiles inconsistent: %+v", sum.AskLatency)
 	}

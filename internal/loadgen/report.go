@@ -62,12 +62,14 @@ func (s *Summary) BenchResultsNamed(suffix string) []BenchResult {
 			Iterations: s.Tells,
 			NsPerOp:    tellNs,
 			Metrics: map[string]float64{
-				"tells_per_sec": s.TellsPerSec,
-				"asks_per_sec":  s.AsksPerSec,
-				"sessions":      float64(s.Sessions),
-				"workers":       float64(s.Workers),
-				"errors":        float64(s.Errors),
-				"shed":          float64(s.Shed),
+				"tells_per_sec":       s.TellsPerSec,
+				"asks_per_sec":        s.AsksPerSec,
+				"sessions":            float64(s.Sessions),
+				"workers":             float64(s.Workers),
+				"errors":              float64(s.Errors),
+				"shed":                float64(s.Shed),
+				"tell_resp_bytes":     s.TellRespBytes,
+				"tell_resp_bytes_max": float64(s.TellRespBytesMax),
 			},
 		},
 		{

@@ -338,9 +338,9 @@ func (l *memLog) commit(cut int, snap Snapshot) error {
 	}
 	l.s.mu.Lock()
 	defer l.s.mu.Unlock()
-	c := snap
-	c.Events = append([]Event(nil), snap.Events...)
-	l.s.snap = &c
+	// Retained as handed over: snap.Events is a read-only prefix of the
+	// session's append-only event array (session.snapshot).
+	l.s.snap = &snap
 	l.s.events = append([]Event(nil), l.s.events[cut:]...)
 	return nil
 }

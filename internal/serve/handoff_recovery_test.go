@@ -45,8 +45,7 @@ func askTellN(c *client, id string, n int) {
 			c.t.Fatalf("ask %s #%d: disposition %q, want ok", id, i, a.Status)
 		}
 		tell := Tell{ProposalID: &a.ProposalID, Y: hoObjective(a.X)}
-		var st Status
-		if code := c.post("/sessions/"+id+"/tell", tell, &st); code != http.StatusOK {
+		if code := c.post("/sessions/"+id+"/tell", tell, &TellAck{}); code != http.StatusOK {
 			c.t.Fatalf("tell %s #%d: status %d", id, i, code)
 		}
 	}
@@ -71,8 +70,7 @@ func finishSession(c *client, id string) Status {
 			c.t.Fatalf("ask %s: disposition %q", id, a.Status)
 		}
 		tell := Tell{ProposalID: &a.ProposalID, Y: hoObjective(a.X)}
-		var st Status
-		if code := c.post("/sessions/"+id+"/tell", tell, &st); code != http.StatusOK {
+		if code := c.post("/sessions/"+id+"/tell", tell, &TellAck{}); code != http.StatusOK {
 			c.t.Fatalf("tell %s: status %d", id, code)
 		}
 	}

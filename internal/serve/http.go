@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,10 +21,10 @@ import (
 //	POST   /sessions                 create a session from a SessionConfig
 //	GET    /sessions                 list live and quarantined session ids
 //	POST   /sessions/restore         restore a session from a Snapshot
-//	GET    /sessions/{id}            session status
+//	GET    /sessions/{id}            session status (?since=N: records[N:] only)
 //	DELETE /sessions/{id}            delete the session
 //	POST   /sessions/{id}/ask        next proposal to evaluate
-//	POST   /sessions/{id}/tell       report one evaluation outcome
+//	POST   /sessions/{id}/tell       report one evaluation outcome (answers a TellAck)
 //	GET    /sessions/{id}/snapshot   restart-safe session snapshot
 //	GET    /healthz                  liveness probe (alive during recovery)
 //	GET    /readyz                   readiness probe (503 until Recover ran)
@@ -248,6 +250,11 @@ type respEncoder struct {
 	enc *json.Encoder
 }
 
+// maxPooledResp caps the buffers respPool keeps. Asks, tell acks and errors
+// are a few hundred bytes; a Status or Snapshot of a long session grows its
+// buffer to the whole history, and pooling that would pin it for good.
+const maxPooledResp = 64 << 10
+
 var respPool = sync.Pool{
 	New: func() any {
 		e := &respEncoder{}
@@ -260,18 +267,20 @@ var respPool = sync.Pool{
 // WriteJSON writes v as the JSON response body with the given status code.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	e := respPool.Get().(*respEncoder)
+	defer func() {
+		if e.buf.Cap() <= maxPooledResp {
+			respPool.Put(e)
+		}
+	}()
 	e.buf.Reset()
+	w.Header().Set("Content-Type", "application/json")
 	if err := e.enc.Encode(v); err != nil {
-		respPool.Put(e)
-		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
 		_, _ = fmt.Fprintf(w, "{\"error\":%q}\n", "serve: encoding response: "+err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_, _ = w.Write(e.buf.Bytes())
-	respPool.Put(e)
 }
 
 func writeError(w http.ResponseWriter, err error) {
@@ -330,6 +339,11 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequest(fmt.Errorf("serve: decoding request body: %w", err))
+	}
+	// The body is one JSON value: anything after it but whitespace means the
+	// sender and this decoder disagree about what was sent.
+	if _, err := dec.Token(); err != io.EOF {
+		return badRequest(errors.New("serve: decoding request body: trailing data after the JSON value"))
 	}
 	return nil
 }
@@ -436,7 +450,7 @@ func (sv *Server) serveSessions(w http.ResponseWriter, r *http.Request, rest []s
 	case len(rest) == 1:
 		switch r.Method {
 		case http.MethodGet:
-			sv.handleStatus(w, rest[0])
+			sv.handleStatus(w, r, rest[0])
 		case http.MethodDelete:
 			sv.handleDelete(w, rest[0])
 		default:
@@ -534,17 +548,33 @@ func (sv *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusCreated, st)
 }
 
-func (sv *Server) handleStatus(w http.ResponseWriter, id string) {
+// handleStatus answers the session's Status — the one route whose response
+// grows with the history. ?since=N is the cursor that keeps a poller's cost
+// flat: only records[N:] are sent, and the observations field of the answer
+// is the next N. The records are sliced and encoded here, off the actor.
+func (sv *Server) handleStatus(w http.ResponseWriter, r *http.Request, id string) {
 	s, err := sv.lookup(id)
 	if err != nil {
 		writeError(w, err)
 		return
+	}
+	since := 0
+	if q := r.URL.Query(); q.Has("since") {
+		if since, err = strconv.Atoi(q.Get("since")); err != nil || since < 0 {
+			writeError(w, badRequest(fmt.Errorf("serve: since=%q is not a non-negative integer", q.Get("since"))))
+			return
+		}
 	}
 	var st Status
 	if err := s.do(func() { st = s.status() }); err != nil {
 		writeError(w, err)
 		return
 	}
+	if since > len(st.Records) {
+		writeError(w, badRequest(fmt.Errorf("serve: since=%d is past the session's %d observations", since, len(st.Records))))
+		return
+	}
+	st.Records = st.Records[since:]
 	WriteJSON(w, http.StatusOK, st)
 }
 
@@ -634,9 +664,22 @@ func (sv *Server) handleSessionVerb(w http.ResponseWriter, r *http.Request, id, 
 			WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use POST"})
 			return
 		}
-		var t Tell
-		if err := readJSON(w, r, &t); err != nil {
+		// The outer Y shadows Tell.Y for the decoder: a pointer tells an
+		// omitted y from y = 0.
+		var req struct {
+			Tell
+			Y *float64 `json:"y"`
+		}
+		if err := readJSON(w, r, &req); err != nil {
 			writeError(w, err)
+			return
+		}
+		t := req.Tell
+		switch {
+		case req.Y != nil:
+			t.Y = *req.Y
+		case t.Error == "":
+			writeError(w, badRequest(errors.New("serve: tell carries neither y nor error")))
 			return
 		}
 		if t.IK == "" {
@@ -644,10 +687,10 @@ func (sv *Server) handleSessionVerb(w http.ResponseWriter, r *http.Request, id, 
 			// the client's body.
 			t.IK = r.Header.Get(IdempotencyHeader)
 		}
-		var st Status
+		var ack TellAck
 		var ct commitTicket
 		var tellErr error
-		if err := s.do(func() { st, ct, tellErr = s.tell(t) }); err != nil {
+		if err := s.do(func() { ack, ct, tellErr = s.tell(t) }); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -657,17 +700,14 @@ func (sv *Server) handleSessionVerb(w http.ResponseWriter, r *http.Request, id, 
 			writeError(w, err)
 			return
 		}
-		if tellErr != nil {
-			if st.Aborted != "" {
-				// The tell was absorbed and it killed the session: report
-				// the terminal state rather than a transport-level error.
-				WriteJSON(w, http.StatusOK, st)
-				return
-			}
+		if tellErr != nil && ack.Aborted == "" {
 			writeError(w, tellErr)
 			return
 		}
-		WriteJSON(w, http.StatusOK, st)
+		// A tell that was absorbed and killed the session is acknowledged
+		// like any other: the ack carries the terminal state, not a
+		// transport-level error.
+		WriteJSON(w, http.StatusOK, ack)
 	case "snapshot":
 		if r.Method != http.MethodGet {
 			WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "serve: use GET"})

@@ -2,8 +2,9 @@ package serve
 
 // Table-driven edge-case tests for the hand-rolled HTTP router: every route
 // must answer the right status for the wrong method, unknown ids must 404 on
-// verb routes, and an oversized body must be rejected 413 before a byte of
-// it is JSON-decoded.
+// verb routes, an oversized body must be rejected 413 before a byte of it is
+// JSON-decoded, and a malformed tell must answer 400 before anything is
+// logged.
 
 import (
 	"bytes"
@@ -62,6 +63,19 @@ func TestHTTPRoutingEdgeCases(t *testing.T) {
 		{"oversized create", http.MethodPost, "/sessions", oversized, http.StatusRequestEntityTooLarge},
 		{"oversized restore", http.MethodPost, "/sessions/restore", oversized, http.StatusRequestEntityTooLarge},
 		{"oversized tell", http.MethodPost, "/sessions/edge/tell", oversized, http.StatusRequestEntityTooLarge},
+
+		// Malformed tells: a validation error, never a 500 and never an
+		// observation. A tell with neither y nor error used to be recorded
+		// as y = 0.
+		{"tell wrong dimension", http.MethodPost, "/sessions/edge/tell", []byte(`{"x":[0.5],"y":1}`), http.StatusBadRequest},
+		{"tell no point", http.MethodPost, "/sessions/edge/tell", []byte(`{"y":1}`), http.StatusBadRequest},
+		{"tell without y, by id", http.MethodPost, "/sessions/edge/tell", []byte(`{"proposal_id":3}`), http.StatusBadRequest},
+		{"tell without y, by x", http.MethodPost, "/sessions/edge/tell", []byte(`{"x":[0.5,0.5]}`), http.StatusBadRequest},
+		{"tell null y", http.MethodPost, "/sessions/edge/tell", []byte(`{"x":[0.5,0.5],"y":null}`), http.StatusBadRequest},
+		{"tell trailing garbage", http.MethodPost, "/sessions/edge/tell", []byte(`{"x":[0.5,0.5],"y":2} garbage`), http.StatusBadRequest},
+		{"tell trailing value", http.MethodPost, "/sessions/edge/tell", []byte(`{"x":[0.5,0.5],"y":2}{}`), http.StatusBadRequest},
+		{"tell trailing brace", http.MethodPost, "/sessions/edge/tell", []byte(`{"x":[0.5,0.5],"y":2}}`), http.StatusBadRequest},
+		{"create trailing garbage", http.MethodPost, "/sessions", []byte(`{"id":"tail","lo":[0],"hi":[1]} x`), http.StatusBadRequest},
 	}
 
 	for _, tc := range cases {
@@ -93,7 +107,16 @@ func TestHTTPRoutingEdgeCases(t *testing.T) {
 
 	// The edge session must be untouched by all of the above.
 	var st Status
-	if code := c.get("/sessions/edge", &st); code != http.StatusOK || st.Observations != 0 {
+	if code := c.get("/sessions/edge", &st); code != http.StatusOK || st.Observations != 0 || st.Failures != 0 {
 		t.Fatalf("edge session disturbed: code %d, status %+v", code, st)
+	}
+	if code := c.get("/sessions/tail", &errorResponse{}); code != http.StatusNotFound {
+		t.Fatalf("create with trailing data left a session behind: %d", code)
+	}
+	// Trailing whitespace is not trailing data, and a failed tell needs no y.
+	for _, body := range []string{`{"x":[0.5,0.5],"y":2}` + " \n\t", `{"x":[0.25,0.5],"error":"diverged"}`} {
+		if code, data := c.raw(http.MethodPost, "/sessions/edge/tell", body); code != http.StatusOK {
+			t.Fatalf("tell %s: %d: %s", body, code, data)
+		}
 	}
 }

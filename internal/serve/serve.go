@@ -13,6 +13,13 @@
 // requests to the same session can never interleave mid-fit; requests to
 // different sessions run fully in parallel.
 //
+// What the actor does per request is O(1) in the session's history. A tell
+// is acknowledged with a TellAck, not the history. The routes that do carry
+// history — status, snapshot, handoff, compaction — take a capacity-capped
+// prefix of the session's append-only record and event arrays on the actor
+// and encode it on their own goroutine; the arrays' elements are never
+// written after they are appended, which is what makes that sharing safe.
+//
 // # Restart safety
 //
 // A session snapshots to JSON as its configuration plus the full ask/tell

@@ -130,8 +130,7 @@ func driveSession(c *client, spec sessionSpec) Status {
 				tell.Y = spec.eval(a.X)
 			}
 			tells++
-			var st Status
-			if code := c.post("/sessions/"+spec.id+"/tell", tell, &st); code != http.StatusOK {
+			if code := c.post("/sessions/"+spec.id+"/tell", tell, &TellAck{}); code != http.StatusOK {
 				c.t.Errorf("tell %s: status %d", spec.id, code)
 				return Status{}
 			}
@@ -271,7 +270,7 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 		t.Fatalf("first ask body lacks explicit proposal_id: %s", raw)
 	}
 	pid0 := 0
-	c.post("/sessions/life/tell", Tell{ProposalID: &pid0, Y: -99}, &Status{})
+	c.post("/sessions/life/tell", Tell{ProposalID: &pid0, Y: -99}, &TellAck{})
 
 	// Drive the rest to completion, telling by proposal id.
 	for i := 1; i < 6; i++ {
@@ -280,10 +279,10 @@ func TestHTTPSessionLifecycle(t *testing.T) {
 		if a.Status != AskOK {
 			t.Fatalf("ask %d: %+v", i, a)
 		}
-		var st Status
-		c.post("/sessions/life/tell", Tell{ProposalID: &a.ProposalID, Y: -float64(i)}, &st)
-		if st.Observations != i+1 {
-			t.Fatalf("observations = %d after %d tells", st.Observations, i+1)
+		var ack TellAck
+		c.post("/sessions/life/tell", Tell{ProposalID: &a.ProposalID, Y: -float64(i)}, &ack)
+		if ack.Observations != i+1 {
+			t.Fatalf("observations = %d after %d tells", ack.Observations, i+1)
 		}
 	}
 	var a Ask
@@ -328,7 +327,7 @@ func TestHTTPAbortPolicyKillsSession(t *testing.T) {
 	c.post("/sessions", req, &createResponse{})
 	var a Ask
 	c.post("/sessions/fragile/ask", map[string]any{}, &a)
-	var st Status
+	var st TellAck
 	if code := c.post("/sessions/fragile/tell", Tell{ProposalID: &a.ProposalID, Error: "boom"}, &st); code != http.StatusOK {
 		t.Fatalf("aborting tell status = %d", code)
 	}
@@ -349,7 +348,7 @@ func TestHTTPUnsolicitedTellEnriches(t *testing.T) {
 		Lo: []float64{0, 0}, Hi: []float64{1, 1}, InitPoints: 2, FitIters: 8,
 	}}
 	c.post("/sessions", req, &createResponse{})
-	var st Status
+	var st TellAck
 	if code := c.post("/sessions/open/tell", Tell{X: []float64{0.25, 0.75}, Y: 1.5}, &st); code != http.StatusOK {
 		t.Fatalf("raw-x tell = %d", code)
 	}

@@ -114,9 +114,12 @@ type Proposal struct {
 // failed (crashed or diverged simulator), in which case Y is ignored.
 //
 // IK is an optional idempotency key: a tell resent with the same key is
-// acknowledged with the current status instead of being applied twice, so
+// acknowledged with the current TellAck instead of being applied twice, so
 // at-least-once delivery (client retries, cluster forwarding) yields
 // exactly-once observation.
+//
+// On the wire y is required unless error is set: the HTTP layer rejects a
+// tell carrying neither rather than record the observation y = 0.
 type Tell struct {
 	ProposalID *int      `json:"proposal_id,omitempty"`
 	X          []float64 `json:"x,omitempty"`
@@ -125,7 +128,29 @@ type Tell struct {
 	IK         string    `json:"ik,omitempty"`
 }
 
-// Status is a session's externally visible state.
+// TellAck acknowledges one tell. It is constant-size — the session's
+// identity, its five counters, the terminal flags and the incumbent — so a
+// tell costs the same at observation 10 and at observation 10000. The JSON
+// field names are the ones Status uses; a client wanting the history reads
+// GET /sessions/{id}, with ?since= to page it.
+type TellAck struct {
+	ID           string    `json:"id"`
+	Epoch        uint64    `json:"epoch,omitempty"`
+	Observations int       `json:"observations"`
+	Pending      int       `json:"pending"`
+	Completed    int       `json:"completed"`
+	Launched     int       `json:"launched"`
+	Failures     int       `json:"failures"`
+	Done         bool      `json:"done"`
+	Aborted      string    `json:"aborted,omitempty"`
+	BestX        []float64 `json:"best_x,omitempty"`
+	BestY        *float64  `json:"best_y,omitempty"`
+}
+
+// Status is a session's externally visible state: what GET /sessions/{id}
+// answers, and the only response whose size grows with the history. Records
+// and Failed share the session's append-only backing arrays (see
+// session.status); they are read-only.
 type Status struct {
 	ID     string        `json:"id"`
 	Config SessionConfig `json:"config"`
@@ -147,8 +172,10 @@ type Status struct {
 	Outstanding []Proposal `json:"outstanding,omitempty"`
 	BestX       []float64  `json:"best_x,omitempty"`
 	BestY       *float64   `json:"best_y,omitempty"` // nil before the first observation
-	Records     []Record   `json:"records,omitempty"`
-	Failed      []Record   `json:"failed,omitempty"`
+	// Records lists the successful observations in tell order; under
+	// ?since=N only Records[N:], with Observations the next cursor.
+	Records []Record `json:"records,omitempty"`
+	Failed  []Record `json:"failed,omitempty"`
 	// Evaluation-cache counters for this session's asks. Process-lifetime
 	// observability, not session state: they reset on recovery/restore
 	// (replay never consults the cache) and are excluded from snapshots.
@@ -173,10 +200,15 @@ type session struct {
 	mm     *core.ModelManager
 	log    SessionLog // durable write-ahead log; nil = not persisted
 	logErr error      // poisoned: a durable append or compaction failed
+	// events, recs and failed are append-only and an appended element is
+	// never written again — its X slice included. status() and snapshot()
+	// rely on that: they hand out capacity-capped prefixes of these arrays
+	// for other goroutines to read while the actor keeps appending past
+	// them.
 	events []Event
-	ledger []ledgerEntry // outstanding proposals, ask order
 	recs   []Record
 	failed []Record
+	ledger []ledgerEntry // outstanding proposals, ask order
 
 	// lastSeq is the WAL sequence of the newest append; requests return it
 	// in their commitTicket so the HTTP layer can wait for durability off
@@ -393,13 +425,13 @@ func (s *session) ticket() commitTicket {
 }
 
 // maybeCompact starts a snapshot compaction when the durable log asks for
-// one. The actor pays only the seal (a segment rotation); the snapshot
-// encode and write — the expensive part, O(history) — run on their own
-// goroutine so a large-n compaction no longer head-of-line-blocks asks
-// behind it. The snapshot's event copies are never mutated after the seal
-// (the actor only ever appends), so the off-actor marshal is race-free. A
-// commit failure poisons the session through the mailbox, exactly like a
-// failed append.
+// one. The actor pays only the seal (a segment rotation) and an O(1)
+// snapshot of the event prefix; the encode and write — the expensive part,
+// O(history) — run on their own goroutine so a large-n compaction does not
+// head-of-line-block asks behind it. The prefix is never written after the
+// seal (the actor only ever appends past it), so the off-actor marshal is
+// race-free. A commit failure poisons the session through the mailbox,
+// exactly like a failed append.
 func (s *session) maybeCompact() {
 	if s.log == nil || s.logErr != nil || s.compacting || !s.log.CompactionDue() {
 		return
@@ -513,7 +545,7 @@ func (s *session) resolveTell(t Tell) (id int, x []float64, err error) {
 		return 0, nil, fmt.Errorf("%w: %d", ErrUnknownProposal, *t.ProposalID)
 	}
 	if len(t.X) != len(s.cfg.Lo) {
-		return 0, nil, fmt.Errorf("serve: tell dimension %d, want %d", len(t.X), len(s.cfg.Lo))
+		return 0, nil, badRequest(fmt.Errorf("serve: tell dimension %d, want %d", len(t.X), len(s.cfg.Lo)))
 	}
 	for i, e := range s.ledger {
 		if core.EqualPoints(e.x, t.X) {
@@ -533,28 +565,28 @@ func (s *session) gaugeDone(n int) {
 	}
 }
 
-// tell absorbs one evaluation outcome and logs it. The returned Status
+// tell absorbs one evaluation outcome and logs it. The returned TellAck
 // reflects the post-tell session state, and the commitTicket names the
 // logged event — the caller must wait it before acknowledging, so no acked
 // tell can be lost to a crash. A failed tell under the abort policy kills
-// the session and surfaces the abort error.
-func (s *session) tell(t Tell) (Status, commitTicket, error) {
+// the session and surfaces the abort error next to an ack that says so.
+func (s *session) tell(t Tell) (TellAck, commitTicket, error) {
 	if s.fenced {
-		return Status{}, commitTicket{}, s.staleErr()
+		return TellAck{}, commitTicket{}, s.staleErr()
 	}
 	if s.logErr != nil {
-		return Status{}, commitTicket{}, s.logErr
+		return TellAck{}, commitTicket{}, s.logErr
 	}
 	if t.IK != "" && s.ikTells[t.IK] {
 		// Already applied: a resent at-least-once delivery. Acknowledge
 		// with the current state; applying again would double-count the
 		// observation. The ticket covers the original event in case its
 		// group-commit pass is still in flight.
-		return s.status(), s.ticket(), nil
+		return s.ack(), s.ticket(), nil
 	}
 	id, x, err := s.resolveTell(t)
 	if err != nil {
-		return Status{}, commitTicket{}, err
+		return TellAck{}, commitTicket{}, err
 	}
 	ev := Event{Kind: "tell", ID: id, X: x, Y: t.Y, IK: t.IK}
 	if t.Error != "" {
@@ -571,7 +603,7 @@ func (s *session) tell(t Tell) (Status, commitTicket, error) {
 	// so replay must include it to reproduce the dead state — and a tell
 	// that cannot be made durable must not be absorbed at all.
 	if err := s.logAppend(ev); err != nil {
-		return Status{}, commitTicket{}, err
+		return TellAck{}, commitTicket{}, err
 	}
 	wasDead := s.at.Err() != nil
 	obsErr := s.absorbTell(ev)
@@ -600,8 +632,7 @@ func (s *session) tell(t Tell) (Status, commitTicket, error) {
 		}
 	}
 	s.maybeCompact()
-	st := s.status()
-	return st, s.ticket(), obsErr
+	return s.ack(), s.ticket(), obsErr
 }
 
 // absorbTell is the state change of one recorded tell — event history,
@@ -630,36 +661,59 @@ func (s *session) absorbTell(ev Event) error {
 	return obsErr
 }
 
-// status renders the session state (actor side).
+// ack renders the constant-size part of the session state (actor side).
+func (s *session) ack() TellAck {
+	a := TellAck{
+		ID:           s.id,
+		Epoch:        s.epoch,
+		Observations: s.at.Observations(),
+		Pending:      len(s.ledger),
+		Completed:    s.at.Completed(),
+		Launched:     s.at.Launched(),
+		Failures:     s.at.Failures(),
+		Done:         s.at.Done(),
+	}
+	if err := s.at.Err(); err != nil {
+		a.Aborted = err.Error()
+	} else if s.logErr != nil {
+		a.Aborted = s.logErr.Error()
+	}
+	if bx, by := s.at.Best(); bx != nil {
+		a.BestX = append([]float64(nil), bx...)
+		a.BestY = &by
+	}
+	return a
+}
+
+// status renders the session state (actor side). The actor pays O(pending),
+// not O(history): Records and Failed are capacity-capped prefixes of the
+// append-only arrays, so the caller encodes them off the actor while later
+// tells append past the cap — into the spare capacity the prefix cannot
+// reach, or into a fresh array — and never into an element the prefix holds.
 func (s *session) status() Status {
+	a := s.ack()
 	st := Status{
-		ID:              s.id,
+		ID:              a.ID,
 		Config:          s.cfg,
-		Epoch:           s.epoch,
+		Epoch:           a.Epoch,
 		SurrogateActive: string(s.mm.Active()),
-		Observations:    s.at.Observations(),
-		Pending:         len(s.ledger),
-		Completed:       s.at.Completed(),
-		Launched:        s.at.Launched(),
-		Failures:        s.at.Failures(),
-		Done:            s.at.Done(),
-		Records:         append([]Record(nil), s.recs...),
-		Failed:          append([]Record(nil), s.failed...),
+		Observations:    a.Observations,
+		Pending:         a.Pending,
+		Completed:       a.Completed,
+		Launched:        a.Launched,
+		Failures:        a.Failures,
+		Done:            a.Done,
+		Aborted:         a.Aborted,
+		BestX:           a.BestX,
+		BestY:           a.BestY,
+		Records:         s.recs[:len(s.recs):len(s.recs)],
+		Failed:          s.failed[:len(s.failed):len(s.failed)],
 		CacheHits:       s.cacheHits,
 		CacheMiss:       s.cacheMiss,
 		CacheJoins:      s.cacheJoins,
 	}
 	for _, e := range s.ledger {
 		st.Outstanding = append(st.Outstanding, Proposal{ProposalID: e.id, X: append([]float64(nil), e.x...)})
-	}
-	if err := s.at.Err(); err != nil {
-		st.Aborted = err.Error()
-	} else if s.logErr != nil {
-		st.Aborted = s.logErr.Error()
-	}
-	if bx, by := s.at.Best(); bx != nil {
-		st.BestX = append([]float64(nil), bx...)
-		st.BestY = &by
 	}
 	return st
 }

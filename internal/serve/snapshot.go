@@ -48,13 +48,16 @@ type Snapshot struct {
 	BestY        *float64  `json:"best_y,omitempty"`
 }
 
-// snapshot renders the actor-side state as a Snapshot document.
+// snapshot renders the actor-side state as a Snapshot document. Events is a
+// capacity-capped prefix of the session's append-only event array, not a
+// copy (see session.status): the HTTP handler, the handoff sender and the
+// compaction goroutine encode it off the actor.
 func (s *session) snapshot() Snapshot {
 	snap := Snapshot{
 		Version:      SnapshotVersion,
 		ID:           s.id,
 		Config:       s.cfg,
-		Events:       append([]Event(nil), s.events...),
+		Events:       s.events[:len(s.events):len(s.events)],
 		Epoch:        s.epoch,
 		Owner:        s.owner,
 		Observations: s.at.Observations(),

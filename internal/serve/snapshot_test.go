@@ -55,10 +55,10 @@ func (d *virtualDriver) fill(c *client, id string) {
 
 // step completes one virtual evaluation and tells it back. ok=false when
 // the pool has drained.
-func (d *virtualDriver) step(c *client, id string) (Status, bool) {
+func (d *virtualDriver) step(c *client, id string) (TellAck, bool) {
 	r, ok := d.ex.Wait()
 	if !ok {
-		return Status{}, false
+		return TellAck{}, false
 	}
 	k := pointKey(r.X)
 	q := d.pids[k]
@@ -72,28 +72,25 @@ func (d *virtualDriver) step(c *client, id string) (Status, bool) {
 		tell.Y, tell.Error = 0, "virtual evaluation diverged"
 	}
 	d.tells++
-	var st Status
-	if code := c.post("/sessions/"+id+"/tell", tell, &st); code != http.StatusOK {
+	var ack TellAck
+	if code := c.post("/sessions/"+id+"/tell", tell, &ack); code != http.StatusOK {
 		d.t.Fatalf("tell: status %d", code)
 	}
-	return st, true
+	return ack, true
 }
 
 // run drives until the session is done (or the optional tell budget is
-// reached), keeping the pool as full as the session allows.
+// reached), keeping the pool as full as the session allows, and returns the
+// session's status at that point.
 func (d *virtualDriver) run(c *client, id string, maxTells int) Status {
-	var last Status
 	d.fill(c, id)
 	for {
-		st, ok := d.step(c, id)
-		if !ok {
-			return last
-		}
-		last = st
-		if st.Done && st.Pending == 0 {
-			return st
-		}
-		if maxTells > 0 && d.tells >= maxTells {
+		ack, ok := d.step(c, id)
+		if !ok || (ack.Done && ack.Pending == 0) || (maxTells > 0 && d.tells >= maxTells) {
+			var st Status
+			if code := c.get("/sessions/"+id, &st); code != http.StatusOK {
+				d.t.Fatalf("status: %d", code)
+			}
 			return st
 		}
 		d.fill(c, id)
@@ -239,7 +236,7 @@ func TestSnapshotRestoreAbortedSession(t *testing.T) {
 	if code := c1.post("/sessions/rip/ask", map[string]any{}, &a); code != http.StatusOK {
 		t.Fatalf("ask: status %d", code)
 	}
-	var dead Status
+	var dead TellAck
 	code := c1.post("/sessions/rip/tell", Tell{ProposalID: &a.ProposalID, Error: "spice netlist error"}, &dead)
 	if code != http.StatusOK || dead.Aborted == "" {
 		t.Fatalf("abort tell: status %d, aborted %q", code, dead.Aborted)

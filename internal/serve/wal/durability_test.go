@@ -331,7 +331,7 @@ func TestRecoveryRestoresAbortedSession(t *testing.T) {
 	if code := c1.do("POST", "/sessions/doomed/ask", map[string]any{}, &ask); code != http.StatusOK {
 		t.Fatalf("ask: %d", code)
 	}
-	var st serve.Status
+	var st serve.TellAck
 	code := c1.do("POST", "/sessions/doomed/tell",
 		map[string]any{"proposal_id": ask.ProposalID, "error": "simulator segfault"}, &st)
 	if code != http.StatusOK || st.Aborted == "" {
