@@ -279,6 +279,7 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 		failed   []easybo.Evaluation
 		firstErr error
 		inflight = map[int]bool{} // proposal ids being evaluated locally
+		asking   int              // local asks sent whose proposal is not claimed yet
 	)
 	setErr := func(err error) {
 		mu.Lock()
@@ -310,6 +311,14 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 		if _, err := rt.call(http.MethodGet, "/sessions/"+created.ID, nil, &st, ""); err != nil {
 			return askResp{}, false, err
 		}
+		// An outstanding proposal may be the answer to a sibling worker's
+		// ask that it has not claimed yet, not an orphan: wait those out.
+		mu.Lock()
+		pending := asking
+		mu.Unlock()
+		if pending > 0 {
+			return askResp{}, false, nil
+		}
 		for _, p := range st.Outstanding {
 			if claim(p.ProposalID) {
 				return askResp{Status: "ok", ProposalID: p.ProposalID, X: p.X}, true, nil
@@ -335,7 +344,17 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 				// call re-sent, the daemon returns the same proposal instead
 				// of minting a second one (orphan adoption is the backstop
 				// for pre-cluster daemons).
-				if _, err := rt.call(http.MethodPost, "/sessions/"+created.ID+"/ask", map[string]any{}, &a, newIK()); err != nil {
+				mu.Lock()
+				asking++
+				mu.Unlock()
+				_, err := rt.call(http.MethodPost, "/sessions/"+created.ID+"/ask", map[string]any{}, &a, newIK())
+				mu.Lock()
+				asking--
+				if err == nil && a.Status == "ok" {
+					inflight[a.ProposalID] = true
+				}
+				mu.Unlock()
+				if err != nil {
 					setErr(fmt.Errorf("easybo: ask: %w", err))
 					return
 				}
@@ -353,8 +372,6 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 						continue
 					}
 					a = orphan
-				default:
-					claim(a.ProposalID)
 				}
 				if a.Eval == "inflight" {
 					// Another session's worker is evaluating this exact point;

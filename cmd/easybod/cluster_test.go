@@ -237,6 +237,10 @@ func TestClusterKill9SingleNodeLoss(t *testing.T) {
 				id, st.Records, want.Records)
 		}
 	}
+	for _, d := range nodes {
+		d.kill()
+	}
+	auditDataDir(t, bin, dataDir)
 }
 
 // TestClusterRoutesAcrossNodes is the cheap always-on sanity check for the

@@ -116,6 +116,18 @@ func (d *daemon) waitReady() {
 	d.t.Fatalf("daemon never became ready; log:\n%s", d.logs)
 }
 
+// auditDataDir runs the offline audit (easybod -verify) over a data directory
+// no daemon is writing any more: every log the test's incarnations recovered
+// — through a checkpoint wherever one was logged — is replayed once more from
+// its first event, every ask re-derived, every checkpoint recomputed.
+func auditDataDir(t *testing.T, bin, dataDir string) {
+	t.Helper()
+	out, err := exec.Command(bin, "-verify", dataDir).CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte(", 0 diverged")) {
+		t.Fatalf("easybod -verify %s: %v\n%s", dataDir, err, out)
+	}
+}
+
 // call does one JSON round trip; transport errors are returned (the daemon
 // may be getting killed underneath us), HTTP status comes back to the caller.
 func (d *daemon) call(method, path string, in, out any) (int, error) {
@@ -323,6 +335,8 @@ func TestCrashRecoveryKill9(t *testing.T) {
 				t.Fatal("final incarnation never finished")
 			}
 			requireSameHistory(t, finalStatus(d, "ref"), want)
+			d.kill()
+			auditDataDir(t, bin, dataDir)
 		})
 	}
 }
@@ -405,4 +419,6 @@ func TestCrashRecoveryAsyncKill9(t *testing.T) {
 		t.Fatal("final incarnation never finished")
 	}
 	requireSameHistory(t, finalStatus(d, "ref"), want)
+	d.kill()
+	auditDataDir(t, bin, dataDir)
 }

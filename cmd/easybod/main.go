@@ -10,11 +10,18 @@
 //
 // With -data-dir set, every session is backed by a per-session write-ahead
 // log: each ask/tell is durably appended before it is applied, and a
-// restarted daemon recovers all sessions by replaying their logs (every
-// replayed ask re-derived and verified bit-for-bit; divergence or
-// corruption quarantines the session instead of resurrecting a wrong
-// state). /healthz answers while recovery replays; /readyz flips to 200
-// only when sessions are being served.
+// restarted daemon recovers all sessions by replaying their logs — from
+// each log's last checkpoint, with the proposals still in flight re-derived
+// and verified bit-for-bit, or from its first event with every ask
+// re-derived when there is no checkpoint or it does not check out;
+// divergence or corruption quarantines the session instead of resurrecting
+// a wrong state. /healthz answers while recovery replays; /readyz flips to
+// 200 only when sessions are being served.
+//
+//	easybod -verify /var/lib/easybod
+//
+// audits a data directory offline: every session replayed from its first
+// event, read-only, one line per session, non-zero exit on any divergence.
 //
 // A minimal round trip:
 //
@@ -44,6 +51,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -66,6 +74,7 @@ func main() {
 		surrogate = flag.String("surrogate", "", "default surrogate backend for sessions that omit one: auto | exact | features")
 
 		dataDir       = flag.String("data-dir", "", "durable session store directory (empty: sessions are in-memory and die with the process)")
+		verifyDir     = flag.String("verify", "", "audit this data directory offline and exit: replay every session from its first event, re-derive every ask, recompute every checkpoint; read-only, non-zero exit on any divergence")
 		fsyncPolicy   = flag.String("fsync", "interval", "write-ahead log fsync policy: always | interval | off")
 		fsyncInterval = flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync cadence for -fsync interval")
 		segmentBytes  = flag.Int64("segment-bytes", 1<<20, "rotate write-ahead log segments past this size")
@@ -86,6 +95,10 @@ func main() {
 		suspectAfter = flag.Int("suspect-after", 3, "consecutive failed probes before a peer is routed around")
 	)
 	flag.Parse()
+
+	if *verifyDir != "" {
+		os.Exit(verify(*verifyDir, os.Stdout))
+	}
 
 	// Validate boot configuration before anything binds: a typo here must
 	// not start a daemon that 400s every default session create.
@@ -231,8 +244,14 @@ func main() {
 		os.Exit(1)
 	}
 	if !*quiet && (*dataDir != "" || len(report.Recovered) > 0 || len(report.Quarantined) > 0) {
-		fmt.Fprintf(os.Stderr, "easybod: recovery: %d session(s) replayed, %d quarantined\n",
-			len(report.Recovered), len(report.Quarantined))
+		tot := sv.RecoveryTotals()
+		fmt.Fprintf(os.Stderr, "easybod: recovery: %d session(s) replayed (%d from a checkpoint, %d in full, %d fell back to full; %d asks re-derived), %d quarantined\n",
+			len(report.Recovered), tot.Checkpoint, tot.Full, tot.Fallback, tot.AsksRederived, len(report.Quarantined))
+		for _, rec := range report.Sessions {
+			if rec.Mode == serve.RecoverFallback {
+				fmt.Fprintf(os.Stderr, "easybod: recovered %s in full after its checkpoint failed: %s\n", rec.ID, rec.Reason)
+			}
+		}
 		for id, reason := range report.Quarantined {
 			fmt.Fprintf(os.Stderr, "easybod: quarantined %s: %s\n", id, reason)
 		}
@@ -272,4 +291,33 @@ func main() {
 		}
 		sv.Close()
 	}
+}
+
+// verify is the -verify mode: an offline audit of a data directory. Every
+// session's record is replayed from its first event (serve.Audit) and one
+// line per session says how that went. It reads only — no lock, no repair,
+// no quarantine — so it can run against a copy, a backup, or the directory of
+// a stopped daemon. It returns the process exit code: 0 when every session
+// verified, 1 otherwise.
+func verify(dir string, out io.Writer) int {
+	sessions, err := wal.ReadAll(dir)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "easybod:", err)
+		return 1
+	}
+	bad := 0
+	for _, ps := range sessions {
+		rec, err := serve.Audit(ps)
+		if err != nil {
+			bad++
+			fmt.Fprintf(out, "%s: DIVERGED: %v\n", ps.ID, err)
+			continue
+		}
+		fmt.Fprintf(out, "%s: ok (%d events, %d asks re-derived)\n", ps.ID, rec.Events, rec.AsksRederived)
+	}
+	fmt.Fprintf(out, "verified %d session(s), %d diverged\n", len(sessions), bad)
+	if bad > 0 {
+		return 1
+	}
+	return 0
 }

@@ -150,10 +150,15 @@
 //
 // # Determinism and static enforcement
 //
-// Snapshot restore and crash recovery replay the ask/tell event log and
-// verify every recorded proposal against the recomputed one, so the whole
-// suggestion path — core, surrogates, linear algebra, the simulator — must
-// be bit-for-bit deterministic given (seed, config, tell order). That
+// Snapshot restore and crash recovery replay the ask/tell event log. They
+// resume at the log's last checkpoint — the surrogate manager's state and
+// the rng position recorded in front of a hyperparameter training — retrain
+// from there as the live run did, and verify the proposals still in flight
+// against the recomputed ones; replay from the first event with every
+// proposal verified is the fallback and the offline audit (easybod
+// -verify). Either way the whole suggestion path — core, surrogates, linear
+// algebra, the simulator — must be bit-for-bit deterministic given (seed,
+// config, tell order). That
 // invariant is enforced statically: `make lint` runs cmd/easybolint, a
 // suite of project-specific analyzers (internal/analysis, stdlib
 // go/ast+go/types only) that flag map-iteration order, wall-clock or

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -466,5 +467,95 @@ func TestHealAfterOwnerReturns(t *testing.T) {
 	}
 	if st.Epoch < 3 {
 		t.Fatalf("epoch %d after failover + heal, want >= 3", st.Epoch)
+	}
+}
+
+// TestFailoverAndHealResumeAtACheckpoint: ownership moves are recoveries, and
+// they take the same short path a restart does. A session far enough along to
+// have logged checkpoints is adopted by a survivor after its owner dies, then
+// handed home when the owner returns; both rebuilds must resume at a
+// checkpoint (never replay from the first event, never fall back), and the
+// history the cluster ends with must be the single-node history bit for bit.
+func TestFailoverAndHealResumeAtACheckpoint(t *testing.T) {
+	const perLeg = 7
+	cfg := sessionConfig("")
+	cfg["fit_iters"], cfg["refit_every"] = 8, 3
+
+	// Reference: the same asks and tells against one plain server.
+	ref := serve.NewServer()
+	if _, err := ref.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(ref)
+	defer func() { rts.Close(); ref.Close() }()
+	cfg["id"] = "ref"
+	if code := call(t, http.MethodPost, rts.URL+"/sessions", cfg, nil); code != http.StatusCreated {
+		t.Fatalf("reference create: status %d", code)
+	}
+	for i := 0; i < 3*perLeg; i++ {
+		drive(t, rts.URL, "ref")
+	}
+	var want serve.Status
+	call(t, http.MethodGet, rts.URL+"/sessions/ref", nil, &want)
+
+	tc := newTestCluster(t, 3)
+	id := tc.idOwnedBy("node0", "ckpt")
+	cfg["id"] = id
+	if code := call(t, http.MethodPost, tc.url("node0")+"/sessions", cfg, nil); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	totals := func(nodes ...string) (tot serve.RecoveryTotals) {
+		for _, n := range nodes {
+			nt := tc.nodes[n].sv.RecoveryTotals()
+			tot.Checkpoint += nt.Checkpoint
+			tot.Full += nt.Full
+			tot.Fallback += nt.Fallback
+			tot.AsksRederived += nt.AsksRederived
+		}
+		return tot
+	}
+	for i := 0; i < perLeg; i++ {
+		drive(t, tc.url("node0"), id)
+	}
+	var snap serve.Snapshot
+	call(t, http.MethodGet, tc.url("node0")+"/sessions/"+id+"/snapshot", nil, &snap)
+	ckpts := 0
+	for _, ev := range snap.Events {
+		if ev.Ckpt != nil {
+			ckpts++
+		}
+	}
+	if ckpts == 0 {
+		t.Fatalf("no checkpoint among the first %d events; drive longer", len(snap.Events))
+	}
+
+	tc.kill("node0")
+	for i := 0; i < perLeg; i++ {
+		drive(t, tc.url("node1"), id)
+	}
+	if tot := totals("node1", "node2"); tot.Checkpoint != 1 || tot.Full != 0 || tot.Fallback != 0 || tot.AsksRederived > 2 {
+		t.Fatalf("failover adoption: recovery totals %+v, want one checkpoint resume", tot)
+	}
+
+	tc.revive("node0")
+	deadline := time.Now().Add(10 * time.Second)
+	for !tc.nodes["node0"].sv.Has(id) {
+		if time.Now().After(deadline) {
+			t.Fatal("session never healed back to its ring owner")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if tot := totals("node0"); tot.Checkpoint != 1 || tot.Full != 0 || tot.Fallback != 0 {
+		t.Fatalf("heal handoff: recovery totals %+v on the returning owner, want one checkpoint resume", tot)
+	}
+	for i := 0; i < perLeg; i++ {
+		drive(t, tc.url(fmt.Sprintf("node%d", i%3)), id)
+	}
+	var got serve.Status
+	if code := call(t, http.MethodGet, tc.url("node2")+"/sessions/"+id, nil, &got); code != http.StatusOK {
+		t.Fatalf("status after heal: %d", code)
+	}
+	if len(got.Records) != 3*perLeg || !reflect.DeepEqual(got.Records, want.Records) {
+		t.Fatalf("history after failover and heal differs from the single-node run:\n got  %+v\n want %+v", got.Records, want.Records)
 	}
 }

@@ -160,11 +160,40 @@ func (s *AskTell) issue(x []float64, init, resubmit bool, failedID int) Proposal
 // resubmissions first, then the initial design, then the acquisition
 // maximizer on the refreshed surrogate with all pending points hallucinated.
 func (s *AskTell) Suggest() (p Proposal, ok bool, err error) {
+	return s.next(nil, true)
+}
+
+// Reissue takes the step Suggest took when it issued x, without deriving x
+// again: the machine ends up holding the same proposal, budget and pending
+// set, but the acquisition is not maximized and no random number is drawn.
+// It is for rebuilding a machine from a record of its own proposals. Where
+// the machine can tell what the next point must be without a model — a
+// queued resubmission, an initial-design point — x must be that point bit
+// for bit. fit says whether a model-based step still refreshes the
+// surrogate, as Suggest did before proposing, so that the manager behind
+// Fit goes through the states it went through then; without it the manager
+// is not touched at all.
+func (s *AskTell) Reissue(x []float64, fit bool) (Proposal, error) {
+	if len(x) != len(s.cfg.Lo) {
+		return Proposal{}, fmt.Errorf("core: recorded proposal has dimension %d, want %d", len(x), len(s.cfg.Lo))
+	}
+	p, ok, err := s.next(x, fit)
+	if err == nil && !ok {
+		err = errors.New("core: a proposal is recorded where the budget was already exhausted")
+	}
+	return p, err
+}
+
+// next is Suggest (rec == nil) and Reissue (rec is the recorded point).
+func (s *AskTell) next(rec []float64, fit bool) (p Proposal, ok bool, err error) {
 	if s.err != nil {
 		return Proposal{}, false, s.err
 	}
 	if len(s.queue) > 0 {
 		r := s.queue[0]
+		if err := checkRecorded(rec, r.x); err != nil {
+			return Proposal{}, false, err
+		}
 		s.queue = s.queue[1:]
 		return s.issue(r.x, false, true, r.failedID), true, nil
 	}
@@ -172,28 +201,50 @@ func (s *AskTell) Suggest() (p Proposal, ok bool, err error) {
 		return Proposal{}, false, nil
 	}
 	if s.launched < len(s.cfg.Init) {
-		return s.issue(s.cfg.Init[s.launched], true, false, 0), true, nil
+		x := s.cfg.Init[s.launched]
+		if err := checkRecorded(rec, x); err != nil {
+			return Proposal{}, false, err
+		}
+		return s.issue(x, true, false, 0), true, nil
 	}
 	if s.cfg.RandomFallback && len(s.obsY) < s.cfg.MinFitObs {
 		// Caller suggested more than it observed: uniform random draw.
-		x := make([]float64, len(s.cfg.Lo))
-		for j := range x {
-			x[j] = s.cfg.Lo[j] + s.cfg.Rng.Float64()*(s.cfg.Hi[j]-s.cfg.Lo[j])
+		x := rec
+		if x == nil {
+			x = make([]float64, len(s.cfg.Lo))
+			for j := range x {
+				x[j] = s.cfg.Lo[j] + s.cfg.Rng.Float64()*(s.cfg.Hi[j]-s.cfg.Lo[j])
+			}
 		}
 		return s.issue(x, false, false, 0), true, nil
 	}
 	if len(s.obsY) == 0 {
 		return Proposal{}, false, fmt.Errorf("core: no successful observation after %d launches; cannot fit a surrogate", s.launched)
 	}
-	m, err := s.cfg.Fit(s.obsX, s.obsY)
-	if err != nil {
-		return Proposal{}, false, fmt.Errorf("core: surrogate refresh: %w", err)
-	}
-	x, _, err := s.cfg.Proposer.Propose(m, s.PendingPoints(), s.cfg.Lo, s.cfg.Hi, s.cfg.Rng)
-	if err != nil {
-		return Proposal{}, false, err
+	x := rec
+	if rec == nil || fit {
+		m, err := s.cfg.Fit(s.obsX, s.obsY)
+		if err != nil {
+			return Proposal{}, false, fmt.Errorf("core: surrogate refresh: %w", err)
+		}
+		if rec == nil {
+			x, _, err = s.cfg.Proposer.Propose(m, s.PendingPoints(), s.cfg.Lo, s.cfg.Hi, s.cfg.Rng)
+			if err != nil {
+				return Proposal{}, false, err
+			}
+		}
 	}
 	return s.issue(x, false, false, 0), true, nil
+}
+
+// checkRecorded compares a recorded proposal with the point the machine
+// issues at that step without consulting a model (rec == nil: nothing was
+// recorded, the machine is suggesting).
+func checkRecorded(rec, x []float64) error {
+	if rec != nil && !EqualPoints(rec, x) {
+		return fmt.Errorf("core: recorded proposal %v where the machine issues %v", rec, x)
+	}
+	return nil
 }
 
 // ObserveResult feeds one finished evaluation back into the machine. The

@@ -15,8 +15,14 @@ import (
 // order. cfg supplies the (validated) box, budget, proposer and failure
 // policy; Init, Fit and Rng are filled in here. The manager is returned for
 // callers that report on the surrogate.
+//
+// A caller that has already drawn the design — the first draws of the same
+// stream, taken before it put a draw counter in front of the generator —
+// passes it in cfg.Init; initPoints is then not consulted.
 func NewMachine(rng *rand.Rand, initPoints int, mo ModelManagerOptions, cfg AskTellConfig) (*AskTell, *ModelManager, error) {
-	cfg.Init = stats.LatinHypercubeIn(rng, initPoints, cfg.Lo, cfg.Hi)
+	if cfg.Init == nil {
+		cfg.Init = stats.LatinHypercubeIn(rng, initPoints, cfg.Lo, cfg.Hi)
+	}
 	mm, err := NewModelManager(cfg.Lo, cfg.Hi, rng, mo)
 	if err != nil {
 		return nil, nil, err

@@ -145,3 +145,48 @@ func (mm *ModelManager) Hyper() (theta []float64, logNoise float64, ok bool) {
 	}
 	return mm.exact.Hyper()
 }
+
+// ModelState is what a ModelManager carries from one Fit to the next apart
+// from the fitted model: which backend is active and that backend's
+// surrogate.ManagerState. A session records it in front of every Fit that
+// trained from scratch (LastHyperN or Active moved across the Fit), and
+// Restore puts a fresh manager back there.
+type ModelState struct {
+	Active surrogate.Backend
+	surrogate.ManagerState
+}
+
+// State returns the manager's current ModelState. Theta is read-only (see
+// surrogate.ManagerState).
+func (mm *ModelManager) State() ModelState {
+	if mm.feat != nil {
+		return ModelState{Active: surrogate.BackendFeatures, ManagerState: mm.feat.State()}
+	}
+	return ModelState{Active: surrogate.BackendExact, ManagerState: mm.exact.State()}
+}
+
+// Restore puts a manager that has not fitted yet into a recorded state: the
+// recorded backend becomes the active one — an auto manager recorded past
+// its escalation comes back escalated — and holds the recorded
+// hyperparameters with no fitted model, so the next Fit trains from scratch
+// the way the recorded run's next Fit did. A state the configuration could
+// never have reached is an error.
+func (mm *ModelManager) Restore(st ModelState) error {
+	switch st.Active {
+	case surrogate.BackendExact:
+		if mm.exact == nil {
+			return fmt.Errorf("core: cannot restore the exact backend into a %s manager", mm.opts.Backend)
+		}
+		return mm.exact.Restore(st.ManagerState)
+	case surrogate.BackendFeatures:
+		if mm.feat == nil {
+			if mm.opts.Backend != surrogate.BackendAuto {
+				return fmt.Errorf("core: cannot restore the feature-space backend into a %s manager", mm.opts.Backend)
+			}
+			mm.feat = surrogate.NewFeatureManager(mm.lo, mm.hi, mm.rng, mm.featureOptions())
+			mm.exact = nil
+		}
+		return mm.feat.Restore(st.ManagerState)
+	}
+	return fmt.Errorf("core: cannot restore unknown backend %q", st.Active)
+}

@@ -163,7 +163,7 @@ func (sv *Server) Adopt(id, self string, mayTakeFrom func(owner string) bool) (S
 		sv.quarantine(ps, q, fmt.Errorf("corrupt log: %w", ps.Corrupt))
 		return Status{}, fmt.Errorf("%w: %q (%s)", ErrSessionQuarantined, id, q[id])
 	}
-	s, err := rebuildSession(ps)
+	s, _, err := sv.rebuildSession(ps)
 	if err != nil {
 		q := map[string]string{}
 		sv.quarantine(ps, q, err)
@@ -192,8 +192,8 @@ func (sv *Server) Adopt(id, self string, mayTakeFrom func(owner string) bool) (S
 }
 
 // InstallSnapshot is the restore route and the separate-store arm of a
-// handoff: the target verifies the shipped snapshot by full replay and
-// persists it as its durable base. A handed-off snapshot already carries
+// handoff: the target verifies the shipped snapshot by replay (from its last
+// checkpoint, like any recovery) and persists it as its durable base. A handed-off snapshot already carries
 // the epoch and owner the source fenced at, so the installed copy is
 // provably the newer one.
 func (sv *Server) InstallSnapshot(snap Snapshot) (Status, error) {
@@ -203,10 +203,11 @@ func (sv *Server) InstallSnapshot(snap Snapshot) (Status, error) {
 	if reason, ok := sv.quarantineReason(snap.ID); ok {
 		return Status{}, fmt.Errorf("%w: %q (%s)", ErrSessionQuarantined, snap.ID, reason)
 	}
-	s, err := restoreSession(snap)
+	s, rec, err := rebuildPersisted(PersistedSession{ID: snap.ID, Snapshot: &snap})
 	if err != nil {
 		return Status{}, err
 	}
+	sv.noteRecovery(rec)
 	if err := sv.install(s, true); err != nil {
 		return Status{}, err
 	}

@@ -50,6 +50,12 @@ type Server struct {
 	recDone  atomic.Int64
 	recQuar  atomic.Int64
 	recSkip  atomic.Int64
+	// How sessions were rebuilt (RecoveryTotals): boot recovery and, after
+	// it, adoptions, handoffs and snapshot restores.
+	recCkpt      atomic.Int64
+	recFull      atomic.Int64
+	recFallback  atomic.Int64
+	recRederived atomic.Int64
 
 	qmu         sync.Mutex
 	quarantined map[string]string // id -> quarantine reason
@@ -158,6 +164,7 @@ type Statz struct {
 	// WAL reports the durable store's group-commit amortization (absent for
 	// stores without one, e.g. the in-memory store).
 	WAL *WALStats `json:"wal,omitempty"`
+	RecoveryTotals
 }
 
 // WALStats is the durable store's commit-pipeline accounting: fsync passes
@@ -175,6 +182,8 @@ func (sv *Server) Stats() Statz {
 		Ready:     sv.ready.Load(),
 		Sessions:  sv.reg.Len(),
 		Admission: sv.adm.stats(),
+
+		RecoveryTotals: sv.RecoveryTotals(),
 	}
 	if sv.cache != nil {
 		cs := sv.cache.Stats()

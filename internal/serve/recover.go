@@ -22,6 +22,21 @@ type RecoveryReport struct {
 	// Quarantined maps session ids that failed integrity or replay
 	// verification to the reason they were set aside.
 	Quarantined map[string]string
+	// Sessions says, for each recovered session (List order, which is
+	// Recovered's), how its replay went: from a checkpoint or in full, and how much of it was
+	// re-derived.
+	Sessions []SessionRecovery
+}
+
+// RecoveryTotals counts, since the process started, how sessions were
+// rebuilt from their records — at boot, on failover adoption, on a handoff
+// or a snapshot restore. Counts only: what an operator reads off them is
+// whether restarts are paying for a log's tail or for the whole log.
+type RecoveryTotals struct {
+	Checkpoint    int64 `json:"recover_checkpoint"`     // resumed at a checkpoint
+	Full          int64 `json:"recover_full"`           // no checkpoint in the log: replayed in full
+	Fallback      int64 `json:"recover_fallback"`       // checkpoint replay failed, full replay passed
+	AsksRederived int64 `json:"recover_asks_rederived"` // proposals maximized again and compared
 }
 
 // Progress is a point-in-time view of a recovery replay, served by /readyz
@@ -33,6 +48,7 @@ type Progress struct {
 	Replayed    int  `json:"replayed"`    // sessions rebuilt so far
 	Quarantined int  `json:"quarantined"` // sessions set aside so far
 	Skipped     int  `json:"skipped"`     // sessions owned by other nodes
+	RecoveryTotals
 }
 
 // Progress reports how far the boot recovery replay has come.
@@ -43,15 +59,41 @@ func (sv *Server) Progress() Progress {
 		Replayed:    int(sv.recDone.Load()),
 		Quarantined: int(sv.recQuar.Load()),
 		Skipped:     int(sv.recSkip.Load()),
+
+		RecoveryTotals: sv.RecoveryTotals(),
 	}
 }
 
-// Recover loads every persisted session from the store, re-derives its
-// state by replaying the durable log (every ask verified bit-for-bit
-// against the recorded proposal), and registers the survivors as live
-// sessions. Sessions whose log is corrupt — or whose replay diverges from
-// the recorded history — are quarantined in the store, never silently
-// resurrected.
+// RecoveryTotals reports how the sessions rebuilt so far were replayed.
+func (sv *Server) RecoveryTotals() RecoveryTotals {
+	return RecoveryTotals{
+		Checkpoint:    sv.recCkpt.Load(),
+		Full:          sv.recFull.Load(),
+		Fallback:      sv.recFallback.Load(),
+		AsksRederived: sv.recRederived.Load(),
+	}
+}
+
+// noteRecovery adds one rebuilt session to the totals.
+func (sv *Server) noteRecovery(rec SessionRecovery) {
+	switch rec.Mode {
+	case RecoverCheckpoint:
+		sv.recCkpt.Add(1)
+	case RecoverFallback:
+		sv.recFallback.Add(1)
+	default:
+		sv.recFull.Add(1)
+	}
+	sv.recRederived.Add(int64(rec.AsksRederived))
+}
+
+// Recover loads every persisted session from the store, rebuilds its state
+// by replaying the durable log (from its last checkpoint when it has one,
+// else — or if that fails — from its first event with every ask verified
+// bit-for-bit against the recorded proposal; see session.replay), and
+// registers the survivors as live sessions. Sessions whose log is corrupt —
+// or whose full replay diverges from the recorded history — are quarantined
+// in the store, never silently resurrected.
 //
 // Recover must be called exactly once, before serving traffic is expected
 // to succeed: until it returns, session routes answer 503 and /readyz
@@ -109,8 +151,9 @@ func (sv *Server) RecoverOwned(owns func(id string) bool) (RecoveryReport, error
 			rep.HeldElsewhere[id] = ps.Owner
 			continue
 		}
-		if sv.recoverOne(ps, rep.Quarantined) {
+		if rec, ok := sv.recoverOne(ps, rep.Quarantined); ok {
 			rep.Recovered = append(rep.Recovered, id)
+			rep.Sessions = append(rep.Sessions, rec)
 		}
 	}
 	sort.Strings(rep.Recovered)
@@ -120,18 +163,19 @@ func (sv *Server) RecoverOwned(owns func(id string) bool) (RecoveryReport, error
 }
 
 // recoverOne replays a single persisted session and registers it, updating
-// the progress counters; it reports whether the session recovered.
-func (sv *Server) recoverOne(ps PersistedSession, quarantined map[string]string) bool {
+// the progress counters; it reports how the replay went and whether the
+// session recovered.
+func (sv *Server) recoverOne(ps PersistedSession, quarantined map[string]string) (SessionRecovery, bool) {
 	if ps.Corrupt != nil {
 		sv.recQuar.Add(1)
 		sv.quarantine(ps, quarantined, fmt.Errorf("corrupt log: %w", ps.Corrupt))
-		return false
+		return SessionRecovery{}, false
 	}
-	s, err := rebuildSession(ps)
+	s, rec, err := sv.rebuildSession(ps)
 	if err != nil {
 		sv.recQuar.Add(1)
 		sv.quarantine(ps, quarantined, err)
-		return false
+		return rec, false
 	}
 	s.log = ps.Log
 	sv.bind(s)
@@ -143,10 +187,10 @@ func (sv *Server) recoverOne(ps PersistedSession, quarantined map[string]string)
 		s.close()
 		sv.recQuar.Add(1)
 		sv.quarantine(ps, quarantined, fmt.Errorf("registering recovered session: %w", err))
-		return false
+		return rec, false
 	}
 	sv.recDone.Add(1)
-	return true
+	return rec, true
 }
 
 // quarantine records and persists one failed recovery.
@@ -162,50 +206,21 @@ func (sv *Server) quarantine(ps PersistedSession, out map[string]string, reason 
 	_ = sv.store.Quarantine(ps.ID, msg)
 }
 
-// rebuildSession re-derives one persisted session: from its snapshot base
-// (if it ever compacted) plus the log tail, or from the config and the full
-// log. Every replayed ask is verified against the recorded one; the
-// session resumes at its last durably fenced ownership epoch.
-func rebuildSession(ps PersistedSession) (*session, error) {
-	s, err := rebuildReplayed(ps)
+// rebuildSession rebuilds one persisted session — from its snapshot base (if
+// it ever compacted) plus the log tail, or from the config and the full log
+// — and counts it in the recovery totals; the session resumes at its last
+// durably fenced ownership epoch.
+func (sv *Server) rebuildSession(ps PersistedSession) (*session, SessionRecovery, error) {
+	s, rec, err := rebuildPersisted(ps)
 	if err != nil {
-		return nil, err
+		return nil, rec, err
 	}
+	sv.noteRecovery(rec)
 	if ps.Epoch > s.epoch {
 		s.epoch = ps.Epoch
 	}
 	if ps.Owner != "" {
 		s.owner = ps.Owner
 	}
-	return s, nil
-}
-
-func rebuildReplayed(ps PersistedSession) (*session, error) {
-	if ps.Snapshot != nil {
-		snap := *ps.Snapshot
-		if snap.ID != ps.ID {
-			return nil, fmt.Errorf("%w (snapshot names session %q, stored under %q)",
-				ErrSnapshotDiverged, snap.ID, ps.ID)
-		}
-		s, err := restoreSession(snap)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.replay(ps.Events, len(snap.Events)); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-	cfg := ps.Config
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	s, err := newSession(ps.ID, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.replay(ps.Events, 0); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s, rec, nil
 }

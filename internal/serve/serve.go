@@ -25,9 +25,14 @@
 // A session snapshots to JSON as its configuration plus the full ask/tell
 // event log (which encodes the observation history and the pending set).
 // Because a session is deterministic given its seed and the tell sequence,
-// restoring replays the log against a fresh machine and provably reaches
-// the exact same state: every replayed ask is verified against the recorded
-// proposal and any divergence aborts the restore.
+// restoring replays the log against a fresh machine and reaches the exact
+// same state. The replay resumes the surrogate at the log's last checkpoint
+// (an ask that retrained hyperparameters records the state it started from)
+// and re-derives only the proposals still in flight; replay from the first
+// event, every ask verified against the recorded proposal, is what a log
+// without checkpoints gets, what a failed checkpoint falls back to, and
+// what Audit runs. Only a divergence on that full replay aborts a restore.
+// See session.replay.
 package serve
 
 import (

@@ -9,6 +9,7 @@ import (
 
 	"easybo/internal/core"
 	"easybo/internal/sched"
+	"easybo/internal/stats"
 	"easybo/internal/surrogate"
 )
 
@@ -23,6 +24,10 @@ import (
 //	"tell"  an outcome was absorbed (ID, X, Y or Err)
 //	"abort" the machine died on the preceding tell (Err holds the abort
 //	        error); replay verifies the dead state rather than mutating
+//
+// Rng and Ckpt are what lets recovery start from the middle of the log
+// instead of its beginning (see session.replay). Both are additive: a log
+// written before they existed simply has neither and is replayed in full.
 type Event struct {
 	Kind string    `json:"kind"`
 	ID   int       `json:"id"`            // proposal id (asks; tells that referenced one, else -1)
@@ -35,7 +40,96 @@ type Event struct {
 	// crashes too, because the key rides in the WAL with the event it
 	// keyed. Empty for requests that carried none.
 	IK string `json:"ik,omitempty"`
+	// Rng is the position of the session's random source once this ask was
+	// derived: the number of values drawn since the initial design (asks
+	// only). Replay that takes an ask's point from the log rather than
+	// deriving it seeks the source here instead. 0 means not recorded, which
+	// is also what an ask that precedes the first draw records — the design
+	// asks — and to the same effect: there is nothing to seek past.
+	Rng uint64 `json:"rng,omitempty"`
+	// Ckpt is set on an ask whose surrogate refresh trained hyperparameters
+	// from scratch: the state that training started from.
+	Ckpt *Checkpoint `json:"ckpt,omitempty"`
 }
+
+// Checkpoint is everything an ask read that is not in the events before it:
+// the surrogate manager's state and the random source's position as they
+// stood before the ask, with the observation count and a hash of the earlier
+// events to tie it to its place in the log. It is recorded only in front of
+// a from-scratch hyperparameter training because that is where the live run
+// itself discards the incrementally grown model and rebuilds it from this
+// state, the observations and the rng — so a recovery that starts here
+// rebuilds exactly what the live run built, and never has to reconstruct a
+// grown factor.
+type Checkpoint struct {
+	Backend    string    `json:"backend"`                // active backend before the fit
+	Theta      []float64 `json:"theta,omitempty"`        // absent before the first training
+	LogNoise   float64   `json:"log_noise"`              // (never omitted: a zero's sign would not survive)
+	LastHyperN int       `json:"last_hyper_n,omitempty"` // observations at the previous training
+	N          int       `json:"n"`                      // observations at this ask
+	Rng        uint64    `json:"rng"`                    // source position before the ask
+	Chain      string    `json:"chain"`                  // chainSum over every earlier event, 16 hex digits
+}
+
+// state is the manager state the checkpoint recorded.
+func (ck *Checkpoint) state() core.ModelState {
+	return core.ModelState{Active: surrogate.Backend(ck.Backend), ManagerState: surrogate.ManagerState{
+		Theta: ck.Theta, LogNoise: ck.LogNoise, LastHyperN: ck.LastHyperN,
+	}}
+}
+
+// equal compares two checkpoints bit for bit.
+func (ck *Checkpoint) equal(o *Checkpoint) bool {
+	return ck.Backend == o.Backend && core.EqualPoints(ck.Theta, o.Theta) &&
+		math.Float64bits(ck.LogNoise) == math.Float64bits(o.LogNoise) &&
+		ck.LastHyperN == o.LastHyperN && ck.N == o.N && ck.Rng == o.Rng && ck.Chain == o.Chain
+}
+
+// chainSum folds one event into the session's running hash over the fields
+// replay consumes, the variable-length ones behind their length so that
+// neighbouring fields cannot trade bytes. Ckpt is left out — it describes
+// the replayed state rather than feeding it, and the audit compares it
+// directly. The chain is a consistency check on a log whose frames already
+// carry CRCs, not a defence against someone who can rewrite both; it runs on
+// every live event, so it mixes a 64-bit word at a time (the FNV-1a step
+// widened from bytes to words, with a fold so high bits reach low ones).
+func chainSum(h uint64, ev *Event) uint64 {
+	h = chainString(h, ev.Kind)
+	h = chainWord(h, uint64(int64(ev.ID)))
+	h = chainWord(h, uint64(len(ev.X)))
+	for _, x := range ev.X {
+		h = chainWord(h, math.Float64bits(x))
+	}
+	h = chainWord(h, math.Float64bits(ev.Y))
+	h = chainString(h, ev.Err)
+	h = chainString(h, ev.IK)
+	return chainWord(h, ev.Rng)
+}
+
+func chainWord(h, v uint64) uint64 {
+	h = (h ^ v) * 1099511628211
+	return h ^ h>>32
+}
+
+func chainString(h uint64, s string) uint64 {
+	h = chainWord(h, uint64(len(s)))
+	for len(s) >= 8 {
+		h = chainWord(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
+		s = s[8:]
+	}
+	var tail uint64
+	for i := 0; i < len(s); i++ {
+		tail |= uint64(s[i]) << (8 * i)
+	}
+	return chainWord(h, tail)
+}
+
+// chainHex is a chain value as a checkpoint records it.
+func chainHex(h uint64) string { return fmt.Sprintf("%016x", h) }
+
+// chainSeed is the chain before the first event (the FNV-1a offset basis).
+const chainSeed uint64 = 14695981039346656037
 
 // clone deep-copies the event so stores can retain it safely.
 func (ev Event) clone() Event {
@@ -195,9 +289,14 @@ type session struct {
 	stopped chan struct{}
 	started bool
 
-	cfg    SessionConfig
-	at     *core.AskTell
-	mm     *core.ModelManager
+	cfg SessionConfig
+	at  *core.AskTell
+	mm  *core.ModelManager
+	// src is the machine's random source. Every draw happens on the actor
+	// (the acquisition maximizer draws up front, before it fans out), so its
+	// position between requests is well defined; asks record it.
+	src    *stats.CountingSource
+	chain  uint64     // chainSum over events
 	log    SessionLog // durable write-ahead log; nil = not persisted
 	logErr error      // poisoned: a durable append or compaction failed
 	// events, recs and failed are append-only and an appended element is
@@ -254,8 +353,13 @@ type session struct {
 
 // newMachine builds the deterministic ask/tell machine a config describes:
 // seeded rng, Latin-hypercube initial design, shared surrogate manager, and
-// the per-session failure policy.
-func newMachine(cfg SessionConfig) (*core.AskTell, *core.ModelManager, error) {
+// the per-session failure policy. Everything is drawn from the one
+// rand.NewSource(cfg.Seed) stream, in NewMachine's order; once the design is
+// out, a draw counter goes in front of the generator, and is returned so
+// that the session can record and restore its position. (The design is a
+// fixed prefix of the stream that nothing ever needs to seek into, and it can
+// be 10⁵ points; counting it would only tax it.)
+func newMachine(cfg SessionConfig) (*core.AskTell, *core.ModelManager, *stats.CountingSource, error) {
 	var policy core.FailurePolicy
 	switch cfg.Failure {
 	case "skip":
@@ -265,13 +369,17 @@ func newMachine(cfg SessionConfig) (*core.AskTell, *core.ModelManager, error) {
 	default:
 		policy = core.FailAbort
 	}
-	return core.NewMachine(rand.New(rand.NewSource(cfg.Seed)), cfg.InitPoints, core.ModelManagerOptions{
+	bare := rand.NewSource(cfg.Seed)
+	design := stats.LatinHypercubeIn(rand.New(bare), cfg.InitPoints, cfg.Lo, cfg.Hi)
+	src := stats.NewCountingSource(bare)
+	at, mm, err := core.NewMachine(rand.New(src), cfg.InitPoints, core.ModelManagerOptions{
 		RefitEvery: cfg.RefitEvery,
 		FitIters:   cfg.FitIters,
 		Backend:    surrogate.Backend(cfg.Surrogate),
 		EscalateAt: cfg.EscalateAt,
 	}, core.AskTellConfig{
 		MaxEvals: cfg.MaxEvals,
+		Init:     design,
 		Lo:       cfg.Lo, Hi: cfg.Hi,
 		Proposer: &core.Proposer{
 			Lambda:   cfg.Lambda,
@@ -284,12 +392,13 @@ func newMachine(cfg SessionConfig) (*core.AskTell, *core.ModelManager, error) {
 		MinFitObs:      2,
 		RandomFallback: true,
 	})
+	return at, mm, src, err
 }
 
 // newSession builds a session without starting its actor; the caller binds
 // a durable log (or replays events) and then calls start().
 func newSession(id string, cfg SessionConfig) (*session, error) {
-	at, mm, err := newMachine(cfg)
+	at, mm, src, err := newMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -301,6 +410,8 @@ func newSession(id string, cfg SessionConfig) (*session, error) {
 		cfg:     cfg,
 		at:      at,
 		mm:      mm,
+		src:     src,
+		chain:   chainSeed,
 		epoch:   1,
 		ikAsks:  map[string]Ask{},
 		ikTells: map[string]bool{},
@@ -482,7 +593,7 @@ func (s *session) ask(ik string) (Ask, commitTicket, error) {
 			return a, s.ticket(), nil
 		}
 	}
-	p, ok, err := s.at.Suggest()
+	p, ok, ck, err := s.suggest()
 	if err != nil {
 		return Ask{}, commitTicket{}, err
 	}
@@ -492,11 +603,11 @@ func (s *session) ask(ik string) (Ask, commitTicket, error) {
 		}
 		return Ask{Status: AskWait}, commitTicket{}, nil
 	}
-	ev := Event{Kind: "ask", ID: p.ID, X: p.X, IK: ik}
+	ev := Event{Kind: "ask", ID: p.ID, X: p.X, IK: ik, Rng: s.src.Pos(), Ckpt: ck}
 	if err := s.logAppend(ev); err != nil {
 		return Ask{}, commitTicket{}, err
 	}
-	s.events = append(s.events, ev)
+	s.record(ev)
 	s.ledger = append(s.ledger, ledgerEntry{id: p.ID, x: p.X})
 	if s.evalGauge != nil {
 		s.evalGauge.Add(1)
@@ -527,6 +638,31 @@ func (s *session) ask(ik string) (Ask, commitTicket, error) {
 	}
 	s.maybeCompact()
 	return a, s.ticket(), nil
+}
+
+// suggest derives the machine's next proposal and, when the surrogate refresh
+// behind it trained hyperparameters from scratch, the checkpoint that ask is
+// logged with. The live ask and replay's re-derivation are both this one
+// step, so a checkpoint the audit recomputes is the one the live run wrote.
+func (s *session) suggest() (p core.Proposal, ok bool, ck *Checkpoint, err error) {
+	pre, pos, n := s.mm.State(), s.src.Pos(), s.at.Observations()
+	p, ok, err = s.at.Suggest()
+	if err != nil || !ok {
+		return p, ok, nil, err
+	}
+	if post := s.mm.State(); post.LastHyperN != pre.LastHyperN || post.Active != pre.Active {
+		ck = &Checkpoint{
+			Backend: string(pre.Active), Theta: pre.Theta, LogNoise: pre.LogNoise, LastHyperN: pre.LastHyperN,
+			N: n, Rng: pos, Chain: chainHex(s.chain),
+		}
+	}
+	return p, true, ck, nil
+}
+
+// record appends one event to the history and folds it into the chain.
+func (s *session) record(ev Event) {
+	s.events = append(s.events, ev)
+	s.chain = chainSum(s.chain, &ev)
 }
 
 // resolveTell maps a tell onto concrete coordinates, consuming the matching
@@ -594,9 +730,11 @@ func (s *session) tell(t Tell) (TellAck, commitTicket, error) {
 	} else if math.IsNaN(t.Y) {
 		ev.Err = sched.ErrNaN.Error()
 	}
-	if ev.Err != "" {
+	if ev.Err != "" || ev.Y == 0 {
 		// Zero Y on failures: NaN is not representable in JSON, and the
-		// error string already marks the record as unusable.
+		// error string already marks the record as unusable. And one zero
+		// only: the log omits a zero Y, so a -0 would come back from it as
+		// +0, and the machine must absorb what a replay will read.
 		ev.Y = 0
 	}
 	// Write-ahead, then apply: an aborting tell still mutated the machine,
@@ -643,7 +781,7 @@ func (s *session) tell(t Tell) (TellAck, commitTicket, error) {
 // abort event compares messages, not error identities). It returns the
 // machine's verdict: the abort error when this tell killed it.
 func (s *session) absorbTell(ev Event) error {
-	s.events = append(s.events, ev)
+	s.record(ev)
 	if ev.IK != "" {
 		s.ikTells[ev.IK] = true
 	}

@@ -22,9 +22,11 @@ var errEmptySession = errors.New("wal: no durable records")
 
 // List implements serve.Store: the persisted session ids, sorted, without
 // opening or validating anything.
-func (st *Store) List() ([]string, error) {
-	dir := filepath.Join(st.root, sessionsDirName)
-	entries, err := os.ReadDir(dir)
+func (st *Store) List() ([]string, error) { return listSessions(st.root) }
+
+// listSessions names the session directories under a store root.
+func listSessions(root string) ([]string, error) {
+	entries, err := os.ReadDir(filepath.Join(root, sessionsDirName))
 	if err != nil {
 		return nil, fmt.Errorf("wal: listing sessions: %w", err)
 	}
@@ -172,13 +174,57 @@ type scanResult struct {
 	lastSeg uint64 // highest live segment index (0 = none survive the scan)
 }
 
-// scanSession reads and validates one session directory.
+// ReadAll decodes every session under a store root for an offline reader
+// (easybod -verify): the same scan and the same integrity checks as
+// LoadSession, but strictly read-only — no directory is created, no lock is
+// taken, no log is opened for append, and the repairs a recovery makes (a
+// torn final line truncated, a finished compaction's leftovers pruned) are
+// skipped over instead of written. It therefore cannot disturb a live daemon
+// on the same directory. What it reads of a session that daemon is appending
+// to is a consistent prefix; one it happens to be compacting at that instant
+// can fail the scan (segments vanish under the reader) and wants a second
+// look. A session that fails the scan comes back with Corrupt set; the
+// sessions are in id order.
+func ReadAll(root string) ([]serve.PersistedSession, error) {
+	ids, err := listSessions(root)
+	if err != nil {
+		return nil, err
+	}
+	var out []serve.PersistedSession
+	for _, id := range ids {
+		ps := serve.PersistedSession{ID: id}
+		sc, err := scanDir(filepath.Join(root, sessionsDirName, id), id, false)
+		switch {
+		case errors.Is(err, errEmptySession):
+			continue // never durably existed; recovery frees it
+		case err != nil:
+			ps.Corrupt = err
+		default:
+			ps.Config, ps.Snapshot, ps.Events = sc.cfg, sc.snap, sc.events
+			ps.Epoch, ps.Owner = max(sc.epoch, 1), sc.owner
+		}
+		out = append(out, ps)
+	}
+	return out, nil
+}
+
+// scanSession reads and validates one session directory, repairing what a
+// crash left behind.
 func (st *Store) scanSession(id string) (*scanResult, error) {
-	dir := st.sessionDir(id)
-	// A crash between writing snapshot.json.tmp and renaming it leaves a
-	// stale tmp; the renamed document is the only one that counts.
-	//easybolint:ok errdrop best-effort: a stale tmp that survives is removed again on the next boot
-	_ = os.Remove(filepath.Join(dir, snapshotFileName+".tmp"))
+	return scanDir(st.sessionDir(id), id, true)
+}
+
+// scanDir reads and validates one session directory. With repair it also
+// finishes what a crash interrupted — removes a stale snapshot tmp, truncates
+// a torn final line, prunes segments a snapshot covers — which only the
+// directory's lock holder may do; without, it writes nothing.
+func scanDir(dir, id string, repair bool) (*scanResult, error) {
+	if repair {
+		// A crash between writing snapshot.json.tmp and renaming it leaves a
+		// stale tmp; the renamed document is the only one that counts.
+		//easybolint:ok errdrop best-effort: a stale tmp that survives is removed again on the next boot
+		_ = os.Remove(filepath.Join(dir, snapshotFileName+".tmp"))
+	}
 
 	sc := &scanResult{}
 	haveCreate := false
@@ -254,8 +300,10 @@ func (st *Store) scanSession(id string) (*scanResult, error) {
 				// so it must never be silently dropped — and so is any bad
 				// line in the middle of history: quarantine.
 				if last && nl < 0 {
-					if err := os.Truncate(path, int64(lineStart)); err != nil {
-						return nil, fmt.Errorf("truncating torn tail of %s: %w", seg.path, err)
+					if repair {
+						if err := os.Truncate(path, int64(lineStart)); err != nil {
+							return nil, fmt.Errorf("truncating torn tail of %s: %w", seg.path, err)
+						}
 					}
 					break
 				}
@@ -311,8 +359,10 @@ func (st *Store) scanSession(id string) (*scanResult, error) {
 	// deleting the segments the snapshot fully covers. Best-effort — a
 	// leftover is skipped again on the next boot.
 	for _, path := range stale {
-		//easybolint:ok errdrop best-effort, as documented above: a leftover segment is skipped again next boot
-		_ = os.Remove(path)
+		if repair {
+			//easybolint:ok errdrop best-effort, as documented above: a leftover segment is skipped again next boot
+			_ = os.Remove(path)
+		}
 	}
 	return sc, nil
 }

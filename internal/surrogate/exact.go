@@ -119,12 +119,13 @@ func (mm *ExactManager) Fit(x [][]float64, y []float64) (Surrogate, error) {
 	if mm.cached != nil && n == mm.cachedN {
 		return NewExact(mm.cached), nil
 	}
-	if mm.theta != nil && n-mm.lastHyperN < mm.refitEvery {
+	if mm.cached != nil && mm.theta != nil && n-mm.lastHyperN < mm.refitEvery {
 		// Between hyperparameter refits: absorb the new points through the
 		// rank-append update. Failure means the frozen hyperparameters or
 		// standardization became numerically unusable for the grown dataset
 		// (e.g. duplicate points with tiny noise); fall through to a fresh
-		// hyperparameter fit in that case.
+		// hyperparameter fit in that case. So does a manager that was just
+		// Restored: it has hyperparameters but no factor to extend.
 		m, err := mm.cached.Extend(x[mm.cachedN:n], y[mm.cachedN:n])
 		if err == nil {
 			mm.cached = m
@@ -161,4 +162,23 @@ func (mm *ExactManager) Hyper() (theta []float64, logNoise float64, ok bool) {
 		return nil, 0, false
 	}
 	return append([]float64(nil), mm.theta...), mm.logNoise, true
+}
+
+// State implements Manager.
+func (mm *ExactManager) State() ManagerState {
+	return ManagerState{Theta: mm.theta, LogNoise: mm.logNoise, LastHyperN: mm.lastHyperN}
+}
+
+// Restore implements Manager.
+func (mm *ExactManager) Restore(st ManagerState) error {
+	kern := mm.kernel
+	if kern == nil {
+		kern = gp.SEARD{}
+	}
+	if err := st.validate(kern.NumHyper(len(mm.lo))); err != nil {
+		return err
+	}
+	mm.theta, mm.logNoise, mm.lastHyperN = st.Theta, st.LogNoise, st.LastHyperN
+	mm.cached, mm.cachedN = nil, 0
+	return nil
 }

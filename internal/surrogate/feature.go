@@ -443,3 +443,18 @@ func (mm *FeatureManager) Hyper() (theta []float64, logNoise float64, ok bool) {
 	}
 	return append([]float64(nil), mm.theta...), mm.logNoise, true
 }
+
+// State implements Manager.
+func (mm *FeatureManager) State() ManagerState {
+	return ManagerState{Theta: mm.theta, LogNoise: mm.logNoise, LastHyperN: mm.lastHyperN}
+}
+
+// Restore implements Manager.
+func (mm *FeatureManager) Restore(st ManagerState) error {
+	if err := st.validate(gp.SEARD{}.NumHyper(len(mm.lo))); err != nil {
+		return err
+	}
+	mm.theta, mm.logNoise, mm.lastHyperN = st.Theta, st.LogNoise, st.LastHyperN
+	mm.cached, mm.cachedN = nil, 0
+	return nil
+}

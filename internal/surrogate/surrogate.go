@@ -103,6 +103,47 @@ type Manager interface {
 	// Hyper returns the hyperparameters of the last optimization
 	// (ok=false before the first fit), for reporting and snapshots.
 	Hyper() (theta []float64, logNoise float64, ok bool)
+	// State returns everything a later Fit reads from the manager besides
+	// the observations, the rng and the fitted model itself.
+	State() ManagerState
+	// Restore puts the manager into a recorded State with no fitted model,
+	// so that its next Fit trains from scratch — warm-started from the
+	// recorded hyperparameters, exactly as a Fit that found the cadence due
+	// would. It is how a recovered session resumes at a refit boundary
+	// without replaying the fits before it.
+	Restore(ManagerState) error
+}
+
+// ManagerState is a Manager's carried-over state: the hyperparameters of
+// its last from-scratch training and the observation count it ran at. The
+// fitted model is deliberately not part of it. Between trainings a model is
+// grown incrementally, and a factor rebuilt from these numbers is not
+// guaranteed to equal the grown one bit for bit; a from-scratch training
+// reads only this state, the data and the rng, so that is the one point at
+// which a manager can be put back exactly.
+//
+// LastHyperN changes exactly when Fit trains from scratch, which is how a
+// caller holding the State from before a Fit can tell that it did. Theta
+// aliases the manager's slice, which is replaced, never written, by a
+// training; treat it as read-only.
+type ManagerState struct {
+	Theta      []float64 // nil before the first training
+	LogNoise   float64
+	LastHyperN int
+}
+
+// validate checks a state about to be restored into a manager whose kernel
+// has numHyper hyperparameters.
+func (st ManagerState) validate(numHyper int) error {
+	switch {
+	case st.Theta == nil && st.LastHyperN != 0:
+		return fmt.Errorf("surrogate: manager state trained at n=%d has no hyperparameters", st.LastHyperN)
+	case st.Theta != nil && len(st.Theta) != numHyper:
+		return fmt.Errorf("surrogate: manager state has %d hyperparameters, the kernel takes %d", len(st.Theta), numHyper)
+	case st.LastHyperN < 0:
+		return fmt.Errorf("surrogate: manager state trained at n=%d", st.LastHyperN)
+	}
+	return nil
 }
 
 // Backend names a surrogate implementation, as selected through bo.Config,

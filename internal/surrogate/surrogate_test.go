@@ -343,3 +343,37 @@ func TestParseBackend(t *testing.T) {
 		t.Fatal("unknown backend must be rejected")
 	}
 }
+
+// TestManagersTrainAfterRestore: a restored manager has hyperparameters but
+// no model, whatever its cadence says about the next fit being incremental
+// (the live manager got here through an Extend that failed). It must train,
+// warm-started, not extend a model it does not have.
+func TestManagersTrainAfterRestore(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	x, y, lo, hi := fixture(rng, 30)
+	for name, mm := range map[string]Manager{
+		"exact":    NewExactManager(lo, hi, rng, ExactOptions{RefitEvery: 5, FitIters: 10}),
+		"features": NewFeatureManager(lo, hi, rng, FeatureOptions{Features: 32, FitIters: 10}),
+	} {
+		if _, err := mm.Fit(x[:20], y[:20]); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		st := mm.State()
+		if st.Theta == nil || st.LastHyperN != 20 {
+			t.Fatalf("%s: state after the first fit: %+v", name, st)
+		}
+		if err := mm.Restore(st); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s, err := mm.Fit(x[:22], y[:22]) // two new points: inside both cadences
+		if err != nil {
+			t.Fatalf("%s: fit after restore: %v", name, err)
+		}
+		if s.N() != 22 || mm.State().LastHyperN != 22 {
+			t.Fatalf("%s: fit after restore did not train from scratch: N=%d, state %+v", name, s.N(), mm.State())
+		}
+		if err := mm.Restore(ManagerState{Theta: st.Theta[:1], LastHyperN: 20}); err == nil {
+			t.Fatalf("%s: restored hyperparameters of the wrong length", name)
+		}
+	}
+}
