@@ -1,5 +1,4 @@
 GO ?= go
-BENCH_HEAD ?= /tmp/bench_head.json
 STATICCHECK ?= staticcheck
 # Pinned staticcheck release: CI installs exactly this version so a new
 # upstream release cannot break the build unreviewed. Bump deliberately.
@@ -11,10 +10,8 @@ LOADTIME ?= 10s
 LOADSESSIONS ?= 8
 LOADWORKERS ?= 1
 LOADP99 ?= 2s
-LOAD_OUT ?= /tmp/easyboload.json
-LOAD_OUT_DURABLE ?= /tmp/easyboload-durable.json
 
-.PHONY: check vet fmt lint loc staticcheck build test race cover fuzz-smoke load-smoke bench-smoke bench-check bench bench-json bench-gate smoke crash-smoke cluster-smoke
+.PHONY: check vet fmt lint loc staticcheck build test race cover fuzz-smoke load-smoke bench-smoke bench-check bench smoke crash-smoke cluster-smoke
 
 check: vet fmt lint staticcheck build test race bench-smoke bench-check fuzz-smoke load-smoke
 
@@ -96,33 +93,36 @@ fuzz-smoke:
 # that no tell response outgrew a constant-size ack (1 KB),
 # then the same harness against a real fsync=always WAL so the group-commit
 # serving path is smoke-gated too (distinct seeds, cache off: every tell
-# rides the committer). The benchjson-shaped results land in LOAD_OUT and
-# LOAD_OUT_DURABLE (uploaded as CI artifacts).
+# rides the committer).
 load-smoke:
 	$(GO) test -race -run TestShedEquivalence -v ./cmd/easyboload
 	$(GO) run ./cmd/easyboload -sessions $(LOADSESSIONS) -workers $(LOADWORKERS) \
-		-duration $(LOADTIME) -out $(LOAD_OUT) \
+		-duration $(LOADTIME) \
 		-assert-max-errors 0 -assert-min-cache-hits 1 -assert-min-asks 1 \
 		-assert-max-p99 $(LOADP99) -assert-max-tell-bytes 1024
 	$(GO) run ./cmd/easyboload -sessions $(LOADSESSIONS) -workers $(LOADWORKERS) \
-		-duration $(LOADTIME) -fsync always -bench-suffix Durable \
+		-duration $(LOADTIME) -fsync always \
 		-seed-groups $(LOADSESSIONS) -testbench "" -init-points 4096 \
-		-out $(LOAD_OUT_DURABLE) \
 		-assert-max-errors 0 -assert-min-asks 1 -assert-max-tell-bytes 1024
 
-# Smoke-run the incremental-engine and surrogate-backend benchmarks so a
-# regression on the hot path (or a compile error in a bench file) fails CI
-# loudly.
+# Run each hot-path go-test benchmark once, so a panic or a compile error in
+# a bench file fails CI loudly. These are a developer's microscope: no number
+# they print is committed or compared — benchmark/ is the only thing in the
+# repository that turns time into a verdict (DESIGN.md §8.3).
 bench-smoke:
 	$(GO) test -run XXX -bench 'GPExtend|GPRefit|Hallucinate' -benchtime 1x .
 	$(GO) test -run XXX -bench 'SurrogateExtend|SurrogatePredict|PredictBatch' -benchtime 1x ./internal/surrogate/
 	$(GO) test -run XXX -bench 'SolveLowerMulti' -benchtime 1x ./internal/linalg/
+	$(GO) test -run XXX -bench 'NewtonIteration' -benchtime 1x ./internal/circuit/
+	$(GO) test -run XXX -bench 'EvalSparse$$' -benchtime 1x ./internal/testbench/
+	$(GO) test -run XXX -bench 'LogAppend|Recover' -benchtime 1x ./internal/serve/...
 
 # The repo benchmark (BENCHMARK.json) lives in its own module under
 # benchmark/, outside `go test ./...`: run its tests, then five seconds each
-# of the workload that exercises the surrogate and the acquisition maximizer
-# end to end — untraced (easybo.NewLoop) and traced (the benchmark's own hand
-# copy of NewLoop's construction, so the two are compared on every run) — and
+# of the simulation kernel (de-classe: the only CI step that runs it for more
+# than one iteration), of the workload that exercises the surrogate and the
+# acquisition maximizer end to end — untraced (easybo.NewLoop) and traced
+# (the benchmark's own hand copy of NewLoop's construction, so the two are compared on every run) — and
 # of the serving envelope alone (serve-wal: no model, a real WAL, a restart
 # whose status body must match byte for byte) and of the whole serving stack
 # with a restart replay. A run checks that every block walks the same
@@ -131,6 +131,7 @@ bench-smoke:
 # workload; see benchmark/README.md).
 bench-check:
 	cd benchmark && $(GO) test ./...
+	bash benchmark/run.sh --workload de-classe --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload bo-opamp --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload bo-opamp --seed 1 --seconds 5 --trace 1 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload serve-wal --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
@@ -138,26 +139,6 @@ bench-check:
 
 bench:
 	$(GO) test -run XXX -bench 'GPExtend|GPRefit|Hallucinate|SuggestHotPath' -benchtime 20x .
-
-# Machine-readable hot-path benchmark results: newton-iteration, tran-step,
-# AC-sweep, full testbench evaluations (sparse vs. dense), the
-# exact-vs-feature-space surrogate scaling suite, the WAL append, one tell
-# through the handler at history 100 and 5000 (tell_flatness), the
-# end-to-end 40-eval EasyBO-A run, and the easyboload serving-path rows
-# (in-memory and fsync=always legs), with speedups derived.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_8.json
-
-# CI bench-regression gate: measure a short fresh report and compare it to
-# the committed BENCH_8.json baseline. Gated hot-path benchmarks
-# (newton-iteration, testbench evals, feature-space surrogate updates, the
-# WAL append, the tell handler, and the serving-path throughput/latency
-# rows — durable leg included) fail CI on a >2x slowdown, and so does a
-# tell that costs over twice as much at history 5000 as at 100 (tell_flatness);
-# everything else only warns, since shared runners are noisy.
-bench-gate:
-	$(GO) run ./cmd/benchjson -out $(BENCH_HEAD) -benchtime 0.3s -count 2 -loadtime 5s
-	$(GO) run ./cmd/benchcmp -baseline BENCH_8.json -head $(BENCH_HEAD)
 
 # Build every cmd/* and examples/* binary, run each example on a tiny
 # budget, and drive a live easybod daemon through an ask/tell round trip,

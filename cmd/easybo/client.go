@@ -280,6 +280,7 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 		firstErr error
 		inflight = map[int]bool{} // proposal ids being evaluated locally
 		asking   int              // local asks sent whose proposal is not claimed yet
+		seen     int              // most observations any tell ack has reported
 	)
 	setErr := func(err error) {
 		mu.Lock()
@@ -287,6 +288,14 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 			firstErr = err
 		}
 		mu.Unlock()
+	}
+	// statusPath is the status read past the history this client already
+	// told: ?since=seen leaves the records out, so a poll costs O(pending)
+	// and the document stays small however long the session has run.
+	statusPath := func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return fmt.Sprintf("/sessions/%s?since=%d", created.ID, seen)
 	}
 	claim := func(pid int) bool {
 		mu.Lock()
@@ -308,7 +317,7 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 				X          []float64 `json:"x"`
 			} `json:"outstanding"`
 		}
-		if _, err := rt.call(http.MethodGet, "/sessions/"+created.ID, nil, &st, ""); err != nil {
+		if _, err := rt.call(http.MethodGet, statusPath(), nil, &st, ""); err != nil {
 			return askResp{}, false, err
 		}
 		// An outstanding proposal may be the answer to a sibling worker's
@@ -407,10 +416,11 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 					ev.Y = math.NaN()
 					ev.Err = fmt.Errorf("%s", evalErr)
 				}
-				// The daemon's constant-size tell ack; a worker acts on one
-				// field of it.
+				// The daemon's constant-size tell ack; a worker acts on two
+				// fields of it.
 				var ack struct {
-					Aborted string `json:"aborted"`
+					Observations int    `json:"observations"`
+					Aborted      string `json:"aborted"`
 				}
 				resent, err := rt.call(http.MethodPost, "/sessions/"+created.ID+"/tell", t, &ack, newIK())
 				if err != nil {
@@ -425,6 +435,9 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 				}
 				mu.Lock()
 				delete(inflight, a.ProposalID)
+				if ack.Observations > seen {
+					seen = ack.Observations
+				}
 				if evalErr != "" {
 					failed = append(failed, ev)
 				} else {
@@ -447,7 +460,7 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 		BestX []float64 `json:"best_x"`
 		BestY *float64  `json:"best_y"`
 	}
-	if _, err := rt.call(http.MethodGet, "/sessions/"+created.ID, nil, &status, ""); err != nil {
+	if _, err := rt.call(http.MethodGet, statusPath(), nil, &status, ""); err != nil {
 		return nil, fmt.Errorf("easybo: reading final status: %w", err)
 	}
 	// This client created the session, so it owns the lifecycle: delete it

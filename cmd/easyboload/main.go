@@ -2,15 +2,15 @@
 // path: it drives N concurrent sessions of ask/tell round trips for a
 // fixed duration and reports asks/sec, tells/sec, latency quantiles, shed
 // counts, evaluation-cache traffic, and the size of the tell responses
-// (flat in session length) — machine-readably, in the repository's
-// benchjson shape, so cmd/benchcmp gates the serving path exactly like
-// kernel benchmarks.
+// (flat in session length) as a human summary on stderr. It is a load
+// tool, not a performance gate: what a number means for a change is
+// decided by the repo benchmark (benchmark/README.md).
 //
 // With no -serve it boots a daemon in-process (the CI mode: hermetic, no
 // ports to coordinate); point -serve at a running easybod (or a cluster
 // node) to load-test a real deployment:
 //
-//	easyboload -sessions 16 -duration 30s -out load.json
+//	easyboload -sessions 16 -duration 30s
 //	easyboload -serve http://127.0.0.1:7823 -sessions 64 -workers 2
 //
 // Same-seed session groups (-seed-groups) propose bitwise-identical
@@ -19,8 +19,7 @@
 // in-process daemon so shed/backpressure behavior is measured too. -fsync
 // gives the in-process daemon a real write-ahead log, making the durable
 // serving path (group commit included) measurable without a separate
-// easybod process; pair it with -bench-suffix so the durable rows merge
-// into baselines under their own names.
+// easybod process.
 //
 // The -assert-* flags turn a run into a pass/fail smoke gate for CI:
 // exit status 1 when the run violates any bound.
@@ -28,7 +27,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -61,9 +59,7 @@ func main() {
 		fsyncIvl  = flag.Duration("fsync-interval", 100*time.Millisecond, "in-process daemon: background fsync cadence for -fsync interval")
 		dataDir   = flag.String("data-dir", "", "in-process daemon: WAL directory for -fsync runs (empty: a temp dir, removed at exit)")
 
-		out         = flag.String("out", "", "write benchjson benchmarks to this file (\"-\": stdout)")
-		benchSuffix = flag.String("bench-suffix", "", "suffix appended to benchjson row names (distinguish e.g. a durable leg)")
-		quiet       = flag.Bool("quiet", false, "suppress the human summary on stderr")
+		quiet = flag.Bool("quiet", false, "suppress the human summary on stderr")
 
 		maxErrors   = flag.Int64("assert-max-errors", -1, "fail when errors exceed this (-1: off)")
 		minHits     = flag.Int64("assert-min-cache-hits", -1, "fail when cache hits fall below this (-1: off)")
@@ -162,24 +158,6 @@ func main() {
 			time.Duration(sum.TellLatency.P50), time.Duration(sum.TellLatency.P95),
 			time.Duration(sum.TellLatency.P99), time.Duration(sum.TellLatency.Max))
 		fmt.Fprintf(os.Stderr, "easyboload: tell response mean %.0f B  max %d B\n", sum.TellRespBytes, sum.TellRespBytesMax)
-	}
-
-	if *out != "" {
-		payload := struct {
-			Benchmarks []loadgen.BenchResult `json:"benchmarks"`
-		}{Benchmarks: sum.BenchResultsNamed(*benchSuffix)}
-		data, err := json.MarshalIndent(payload, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		data = append(data, '\n')
-		if *out == "-" {
-			if _, err := os.Stdout.Write(data); err != nil {
-				fatal(err)
-			}
-		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatal(err)
-		}
 	}
 
 	failed := false

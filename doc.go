@@ -65,8 +65,7 @@
 // Newton iteration, AC sweeps run in parallel over reusable per-worker
 // workspaces, and Problem.NewObjective hands each optimization worker a
 // private reusable simulator instance. The dense reference solver is kept
-// for golden equivalence (1e-9 on every analysis); `make bench-json`
-// records the sparse-vs-dense speedups in BENCH_4.json. See DESIGN.md.
+// for golden equivalence (1e-9 on every analysis). See DESIGN.md §2.
 //
 // # Choosing a surrogate backend
 //

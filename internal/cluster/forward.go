@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -68,6 +69,14 @@ type forwardResult struct {
 	body   []byte
 }
 
+// maxForwardedBytes caps a peer response buffered for relay. A response
+// over it fails with errResponseTooLarge: the peer is healthy and a retry
+// would read the same bytes, so the client gets a 502 naming the owner —
+// never the first maxForwardedBytes under the peer's 2xx.
+const maxForwardedBytes = 16 << 20
+
+var errResponseTooLarge = errors.New("cluster: forwarded response too large to relay")
+
 // forwardOnce proxies one buffered request to a peer with a per-attempt
 // timeout. A non-nil error is a transport failure (connect refused, peer
 // died mid-response, deadline): the caller may re-route and retry; any
@@ -97,9 +106,13 @@ func (n *Node) forwardOnce(ctx context.Context, m Member, method, path string, b
 		//easybolint:ok errdrop response body already fully read (or failed); close releases the connection
 		_ = resp.Body.Close()
 	}()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxForwardedBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: reading forwarded response from %s: %w", m.ID, err)
+	}
+	if len(data) > maxForwardedBytes {
+		return nil, fmt.Errorf("%w: %s %s on %s is over %d bytes; ask %s directly, or page a status read with ?since=",
+			errResponseTooLarge, method, path, m.ID, maxForwardedBytes, m.URL)
 	}
 	return &forwardResult{status: resp.StatusCode, header: resp.Header, body: data}, nil
 }
@@ -119,9 +132,8 @@ func retryableStatus(code int) bool {
 // whose response was lost acknowledges the retry instead of applying it
 // twice — at-least-once forwarding, exactly-once tells.
 func (n *Node) forwardSession(w http.ResponseWriter, r *http.Request, id string) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading request body: %w", err))
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	n.forwardSessionBody(w, r, id, body)
@@ -196,6 +208,10 @@ func (n *Node) forwardSessionBody(w http.ResponseWriter, r *http.Request, id str
 		// RequestURI, not Path: a status poll's ?since= cursor must reach
 		// the owner.
 		res, err := n.forwardOnce(r.Context(), target, r.Method, r.URL.RequestURI(), body, hdr)
+		if errors.Is(err, errResponseTooLarge) {
+			writeJSONError(w, http.StatusBadGateway, err)
+			return
+		}
 		if err != nil {
 			// Transport failure: the owner may be down; tell the health
 			// table so the next route excludes it.

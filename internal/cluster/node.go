@@ -343,9 +343,8 @@ func (n *Node) serveSessions(w http.ResponseWriter, r *http.Request, rest []stri
 // here when the client left the choice open (the owner is a function of
 // the id, so someone must fix it before routing).
 func (n *Node) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading request body: %w", err))
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var probe struct {
@@ -374,9 +373,8 @@ func (n *Node) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 // handleRestore routes a snapshot restore to the snapshot id's owner.
 func (n *Node) handleRestore(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("cluster: reading request body: %w", err))
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var probe struct {
@@ -421,6 +419,33 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte, h
 	n.sv.ServeHTTP(w, r2)
 }
 
+// readBody buffers a session request's body under serve's limit, answering
+// 413 itself when it is larger: the owner would refuse it anyway, so it is
+// neither held in memory whole nor proxied — and never cut short and
+// forwarded as if complete.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.ContentLength > serve.MaxBodyBytes {
+		writeJSONError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("cluster: request body %d bytes exceeds the %d-byte limit", r.ContentLength, serve.MaxBodyBytes))
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
+	if err != nil {
+		writeJSONError(w, bodyErrorStatus(err), fmt.Errorf("cluster: reading request body: %w", err))
+		return nil, false
+	}
+	return body, true
+}
+
+// bodyErrorStatus maps a failed body read: 413 past the limit, else 400.
+func bodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // restoreBody rebinds a consumed request body.
 func restoreBody(r *http.Request, body []byte) *http.Request {
 	r2 := r.Clone(r.Context())
@@ -447,8 +472,10 @@ type adoptResponse struct {
 // shipped snapshot.
 func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	var req adoptRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 32<<20)).Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("cluster: decoding adopt request: %w", err))
+	// Node to node: a long session's shipped snapshot may outgrow what
+	// serve accepts from a client, hence the headroom.
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4*serve.MaxBodyBytes)).Decode(&req); err != nil {
+		writeJSONError(w, bodyErrorStatus(err), fmt.Errorf("cluster: decoding adopt request: %w", err))
 		return
 	}
 	if req.ID == "" {

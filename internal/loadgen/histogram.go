@@ -1,8 +1,8 @@
 // Package loadgen drives synthetic ask/tell load against an easybod
-// daemon and reports throughput and latency in the repository's benchjson
-// format, so `cmd/benchcmp` can gate serving-path regressions exactly like
-// kernel benchmarks. cmd/easyboload is the CLI; the shed-equivalence test
-// under cmd/easyboload is the correctness side of the same harness.
+// daemon and summarizes throughput, latency quantiles, shed counts and
+// cache traffic. cmd/easyboload is the CLI; the shed-equivalence test
+// under cmd/easyboload is the correctness side of the same harness. Its
+// Client is also the HTTP client the repo benchmark drives the daemon with.
 //
 // loadgen sits outside the determinism boundary (it is a measurement tool,
 // not replayed state), so it uses the wall clock freely.

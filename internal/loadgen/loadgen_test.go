@@ -56,28 +56,6 @@ func TestRunSmoke(t *testing.T) {
 	if sum.AskLatency.P99 <= 0 || sum.AskLatency.P99 < sum.AskLatency.P50 {
 		t.Fatalf("ask latency quantiles inconsistent: %+v", sum.AskLatency)
 	}
-	// The benchjson rows derive from the summary without inventing numbers.
-	rows := sum.BenchResults()
-	if len(rows) != 4 {
-		t.Fatalf("BenchResults returned %d rows, want 4", len(rows))
-	}
-	if rows[0].Name != "ServeAskThroughput" || rows[0].Iterations != sum.Asks {
-		t.Fatalf("ask throughput row mismatch: %+v", rows[0])
-	}
-	if rows[1].Name != "ServeTellThroughput" || rows[1].Iterations != sum.Tells {
-		t.Fatalf("tell throughput row mismatch: %+v", rows[1])
-	}
-	if rows[2].NsPerOp != float64(sum.AskLatency.P99) {
-		t.Fatalf("latency row ns_per_op %v != p99 %d", rows[2].NsPerOp, sum.AskLatency.P99)
-	}
-	// A suffix renames every row — the durable leg must not collide with
-	// the in-memory leg in a merged report.
-	for i, r := range sum.BenchResultsNamed("Durable") {
-		if r.Name != rows[i].Name+"Durable" {
-			t.Fatalf("suffixed row %d = %q, want %q", i, r.Name, rows[i].Name+"Durable")
-		}
-	}
-
 	// The daemon's own /statz agrees that cache traffic happened.
 	stz := sv.Stats()
 	if stz.Cache == nil {

@@ -37,7 +37,7 @@ type Store interface {
 	LoadSession(id string) (PersistedSession, error)
 
 	// Quarantine moves a session's persisted state aside with a reason.
-	// The session will not be returned by future Loads; its data is kept
+	// The session will not be returned by future List calls; its data is kept
 	// for forensics, not deleted.
 	Quarantine(id, reason string) error
 
@@ -140,7 +140,7 @@ func ValidateSessionID(id string) error {
 // ---------------------------------------------------------------- MemStore
 
 // MemStore is the in-memory Store: one mutex-guarded map. Nothing survives
-// the process — Load after a restart is empty — but recovery, compaction,
+// the process — List after a restart is empty — but recovery, compaction,
 // and shutdown-ordering logic can all be exercised against it in-process.
 type MemStore struct {
 	mu sync.Mutex
@@ -224,24 +224,6 @@ func (st *MemStore) LoadSession(id string) (PersistedSession, error) {
 	}
 	ps.Events = append([]Event(nil), s.events...)
 	return ps, nil
-}
-
-// Load returns every persisted session, sorted by id — the whole-store
-// recovery convenience over List + LoadSession.
-func (st *MemStore) Load() ([]PersistedSession, error) {
-	ids, err := st.List()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PersistedSession, 0, len(ids))
-	for _, id := range ids {
-		ps, err := st.LoadSession(id)
-		if err != nil {
-			continue // removed concurrently
-		}
-		out = append(out, ps)
-	}
-	return out, nil
 }
 
 func (st *MemStore) Quarantine(id, reason string) error {

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -321,61 +322,77 @@ func TestReadsShareHistoryWithActor(t *testing.T) {
 	}
 }
 
-// BenchmarkTellAtHistory is one tell through the handler — decode, actor,
-// in-memory log, ack encode — on a session holding n observations. The
-// session is restored from an n-observation snapshot every window tells
-// (untimed), so the history stays inside [n, n+window) however large b.N
-// gets: a cost that grows with the history shows as n=5000 slower than
-// n=100, which cmd/benchjson reports as tell_flatness.
-func BenchmarkTellAtHistory(b *testing.B) {
-	const window = 128
+// TestTellCostIndependentOfHistory pins what keeps a long session servable:
+// a tell through the handler — decode, actor, in-memory log, ack encode —
+// and the actor's share of a status read (which every tell queued behind it
+// waits for) allocate the same at history 5000 as at 100. Cost is counted
+// in heap bytes and allocations, not read off a clock, so the verdict does
+// not depend on the box; the median over a window of operations, so the one
+// tell in the window that regrows a history slice cannot move it.
+func TestTellCostIndependentOfHistory(t *testing.T) {
+	const window = 64
 	const tell = `{"x":[0.25,0.5],"y":1}`
-	for _, n := range []int{100, 5000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			sv := NewServer()
-			if _, err := sv.Recover(); err != nil {
-				b.Fatal(err)
-			}
-			defer sv.Close()
-			// post returns the size of the response body.
-			post := func(path, body string) int {
-				r, err := http.NewRequest(http.MethodPost, path, strings.NewReader(body))
-				if err != nil {
-					b.Fatal(err)
-				}
-				w := httptest.NewRecorder()
-				sv.ServeHTTP(w, r)
-				if w.Code/100 != 2 {
-					b.Fatalf("POST %s: %d: %s", path, w.Code, w.Body)
-				}
-				return w.Body.Len()
-			}
-			post("/sessions", `{"id":"hist","lo":[0,0],"hi":[1,1]}`)
-			for i := 0; i < n; i++ {
-				post("/sessions/hist/tell", tell)
-			}
-			snap, err := sv.BeginHandoff("hist", "")
+	// measure returns the median heap bytes and allocation count of op.
+	measure := func(op func()) (bytes, allocs float64) {
+		var b, a [window]float64
+		var before, after runtime.MemStats
+		for i := range b {
+			runtime.ReadMemStats(&before)
+			op()
+			runtime.ReadMemStats(&after)
+			b[i], a[i] = float64(after.TotalAlloc-before.TotalAlloc), float64(after.Mallocs-before.Mallocs)
+		}
+		sort.Float64s(b[:])
+		sort.Float64s(a[:])
+		return b[window/2], a[window/2]
+	}
+	type cost struct{ tellBytes, tellAllocs, statusBytes, statusAllocs float64 }
+	at := func(n int) (c cost) {
+		sv := NewServer()
+		if _, err := sv.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		defer sv.Close()
+		post := func(path, body string) {
+			r, err := http.NewRequest(http.MethodPost, path, strings.NewReader(body))
 			if err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
-			var respBytes int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%window == 0 {
-					b.StopTimer()
-					if err := sv.CompleteHandoff("hist", true); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := sv.InstallSnapshot(snap); err != nil {
-						b.Fatal(err)
-					}
-					runtime.GC() // the replay's garbage is not the tells' to collect
-					b.StartTimer()
-				}
-				respBytes += post("/sessions/hist/tell", tell)
+			w := httptest.NewRecorder()
+			sv.ServeHTTP(w, r)
+			if w.Code/100 != 2 {
+				t.Fatalf("POST %s: %d: %s", path, w.Code, w.Body)
 			}
-			b.ReportMetric(float64(respBytes)/float64(b.N), "resp-B/op")
-		})
+		}
+		post("/sessions", `{"id":"hist","lo":[0,0],"hi":[1,1]}`)
+		for i := 0; i < n; i++ {
+			post("/sessions/hist/tell", tell)
+		}
+		s, err := sv.reg.get("hist")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.do(func() {
+			c.statusBytes, c.statusAllocs = measure(func() { _ = s.status() })
+		}); err != nil {
+			t.Fatal(err)
+		}
+		c.tellBytes, c.tellAllocs = measure(func() { post("/sessions/hist/tell", tell) })
+		return c
+	}
+	small, large := at(100), at(5000)
+	for _, m := range []struct {
+		name         string
+		small, large float64
+	}{
+		{"bytes per tell", small.tellBytes, large.tellBytes},
+		{"allocations per tell", small.tellAllocs, large.tellAllocs},
+		{"bytes per status on the actor", small.statusBytes, large.statusBytes},
+		{"allocations per status on the actor", small.statusAllocs, large.statusAllocs},
+	} {
+		t.Logf("%s: %.0f at n=100, %.0f at n=5000", m.name, m.small, m.large)
+		if m.small <= 0 || m.large > 1.10*m.small {
+			t.Errorf("%s: ratio %.2f, want <= 1.10", m.name, m.large/m.small)
+		}
 	}
 }

@@ -174,13 +174,12 @@ func TestRecoverQuarantinesTamperedLog(t *testing.T) {
 	askTellN(c1, id, 4)
 	done1()
 
-	// The bulk-load view (used by store migration tooling) must see the
-	// session before it is tampered with.
-	pss, err := st.Load()
-	if err != nil || len(pss) != 1 || pss[0].ID != id {
-		t.Fatalf("store load: %v %+v", err, pss)
+	// The store must see the session before it is tampered with.
+	ps, err := st.LoadSession(id)
+	if err != nil || ps.ID != id {
+		t.Fatalf("store load: %v %+v", err, ps)
 	}
-	_ = pss[0].Log.Close()
+	_ = ps.Log.Close()
 
 	// Flip one coordinate of a recorded proposal in place.
 	st.mu.Lock()

@@ -30,9 +30,10 @@ import (
 //	GET    /readyz                   readiness probe (503 until Recover ran)
 //	GET    /statz                    throughput stats: eval cache + admission
 //
-// Routing is hand-rolled on the URL path so the daemon builds with every
-// toolchain the CI matrix covers (the pattern-matching ServeMux needs a
-// go directive >= 1.22).
+// Routing is hand-rolled on the URL path because the module's go directive
+// selects ServeMux semantics — method and wildcard patterns need go >= 1.22
+// — and it cannot move past 1.21 alone: the nested benchmark/ module pins
+// go 1.21 and builds against this one (ROADMAP, the [benchmark] unblocker).
 type Server struct {
 	reg   *registry
 	store Store
@@ -226,9 +227,10 @@ func (sv *Server) Close() {
 	_ = sv.store.Close()
 }
 
-// maxBodyBytes bounds request bodies; snapshots of long sessions are the
-// largest legitimate payload.
-const maxBodyBytes = 8 << 20
+// MaxBodyBytes bounds request bodies; snapshots of long sessions are the
+// largest legitimate payload. Exported so a cluster node refuses an
+// oversized request at the same size instead of buffering and proxying it.
+const MaxBodyBytes = 8 << 20
 
 // IdempotencyHeader carries a request's idempotency key when it is not in
 // the body: asks have no body, and a cluster node forwarding a tell keys
@@ -340,11 +342,11 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	// A declared oversize is rejected before a byte is decoded (413); a
 	// body that lies about its length trips MaxBytesReader mid-decode and
 	// maps to 413 in writeError.
-	if r.ContentLength > maxBodyBytes {
+	if r.ContentLength > MaxBodyBytes {
 		return badRequest(fmt.Errorf("serve: request body %d bytes exceeds the %d-byte limit: %w",
-			r.ContentLength, maxBodyBytes, &http.MaxBytesError{Limit: maxBodyBytes}))
+			r.ContentLength, MaxBodyBytes, &http.MaxBytesError{Limit: MaxBodyBytes}))
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequest(fmt.Errorf("serve: decoding request body: %w", err))

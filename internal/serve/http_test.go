@@ -29,7 +29,7 @@ func TestHTTPRoutingEdgeCases(t *testing.T) {
 
 	// Deliberately NOT JSON: if the router decoded the body before checking
 	// its size, these requests would answer 400 (bad JSON), not 413.
-	oversized := bytes.Repeat([]byte("x"), maxBodyBytes+1)
+	oversized := bytes.Repeat([]byte("x"), MaxBodyBytes+1)
 
 	cases := []struct {
 		name   string

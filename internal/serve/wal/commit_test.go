@@ -99,10 +99,7 @@ func TestGroupCommitConcurrentAckOrdering(t *testing.T) {
 	// Nothing acked may be missing: reload and count.
 	st2 := mustOpen(t, st.root, Options{})
 	defer st2.Close()
-	pss, err := st2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pss := loadAll(t, st2)
 	if len(pss) != nSessions {
 		t.Fatalf("recovered %d sessions, want %d", len(pss), nSessions)
 	}

@@ -145,24 +145,6 @@ func (st *Store) peekOwner(id string) string {
 	return owner
 }
 
-// Load scans every persisted session — the whole-store convenience over
-// List + LoadSession, kept for single-node recovery and tests.
-func (st *Store) Load() ([]serve.PersistedSession, error) {
-	ids, err := st.List()
-	if err != nil {
-		return nil, err
-	}
-	var out []serve.PersistedSession
-	for _, id := range ids {
-		ps, err := st.LoadSession(id)
-		if err != nil {
-			continue // freed husk or removed concurrently
-		}
-		out = append(out, ps)
-	}
-	return out, nil
-}
-
 // scanResult is one session's decoded on-disk state.
 type scanResult struct {
 	cfg     serve.SessionConfig

@@ -63,13 +63,27 @@ func eventsEqual(a, b []serve.Event) bool {
 	return true
 }
 
-// loadOne Loads the store and returns the single session it must hold.
-func loadOne(t *testing.T, st *Store, id string) serve.PersistedSession {
+// loadAll scans every persisted session the way serve's Recover does:
+// List, then LoadSession each id, skipping one that is gone by then.
+func loadAll(t *testing.T, st *Store) []serve.PersistedSession {
 	t.Helper()
-	ps, err := st.Load()
+	ids, err := st.List()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out []serve.PersistedSession
+	for _, id := range ids {
+		if ps, err := st.LoadSession(id); err == nil {
+			out = append(out, ps)
+		}
+	}
+	return out
+}
+
+// loadOne loads the store and returns the single session it must hold.
+func loadOne(t *testing.T, st *Store, id string) serve.PersistedSession {
+	t.Helper()
+	ps := loadAll(t, st)
 	if len(ps) != 1 || ps[0].ID != id {
 		t.Fatalf("Load = %d sessions (%v), want just %q", len(ps), ps, id)
 	}
@@ -532,7 +546,7 @@ func TestWALMidFileCorruptionQuarantines(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, quarantineDirName, "bad", "REASON")); err != nil {
 		t.Fatalf("quarantine did not preserve forensics: %v", err)
 	}
-	if sessions, _ := st2.Load(); len(sessions) != 0 {
+	if sessions := loadAll(t, st2); len(sessions) != 0 {
 		t.Fatalf("quarantined session still loads: %+v", sessions)
 	}
 	// The id stays burned while the quarantine exists.
@@ -586,7 +600,7 @@ func TestWALBeginDuplicateAndRemove(t *testing.T) {
 	if err := st.Remove("dup"); err != nil {
 		t.Fatal(err)
 	}
-	if sessions, _ := st.Load(); len(sessions) != 0 {
+	if sessions := loadAll(t, st); len(sessions) != 0 {
 		t.Fatalf("removed session still loads: %+v", sessions)
 	}
 	if _, err := st.Begin("dup", testConfig()); err != nil {

@@ -15,8 +15,7 @@ import (
 // 2000} observations on a 6-D problem (the op-amp's dimensionality):
 // fixed-hyperparameter fit, single-observation incremental extend, and
 // posterior prediction, plus the end-to-end fit+suggest hot path at
-// n=2000. cmd/benchjson runs it into BENCH_4.json and derives the
-// exact-vs-feature speedups.
+// n=2000.
 
 const benchDim = 6
 

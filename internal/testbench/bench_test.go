@@ -6,9 +6,9 @@ import (
 	"easybo/internal/circuit"
 )
 
-// Benchmarks of the two testbench evaluations on both solver paths. These
-// are the numbers behind `make bench-json`: the class-E transient is the
-// transient-dominated workload, the op-amp AC sweep the AC-dominated one.
+// Benchmarks of the two testbench evaluations on both solver paths: the
+// class-E transient is the transient-dominated workload, the op-amp AC
+// sweep the AC-dominated one.
 
 func benchMid(lo, hi []float64) []float64 {
 	x := make([]float64, len(lo))
