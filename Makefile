@@ -112,7 +112,8 @@ load-smoke:
 bench-smoke:
 	$(GO) test -run XXX -bench 'GPExtend|GPRefit|Hallucinate' -benchtime 1x .
 	$(GO) test -run XXX -bench 'SurrogateExtend|SurrogatePredict|PredictBatch' -benchtime 1x ./internal/surrogate/
-	$(GO) test -run XXX -bench 'SolveLowerMulti' -benchtime 1x ./internal/linalg/
+	$(GO) test -run XXX -bench 'FitHyper' -benchtime 1x ./internal/gp/
+	$(GO) test -run XXX -bench 'SolveLowerMulti|CholeskyInverse' -benchtime 1x ./internal/linalg/
 	$(GO) test -run XXX -bench 'NewtonIteration' -benchtime 1x ./internal/circuit/
 	$(GO) test -run XXX -bench 'EvalSparse$$' -benchtime 1x ./internal/testbench/
 	$(GO) test -run XXX -bench 'LogAppend|Recover' -benchtime 1x ./internal/serve/...

@@ -45,9 +45,10 @@
 //   - Hallucinating the b busy points (the σ̂ of Eq. 9) appends b rows to
 //     the factor, O(b·n²) per suggestion.
 //   - Hyperparameter re-optimization still pays for full refits, but only on
-//     the RefitEvery cadence, warm-started from the previous optimum, and
-//     over a pairwise-distance cache that turns every Gram build of the fit
-//     into one exponential per entry instead of d+1.
+//     the RefitEvery cadence, warm-started from the previous optimum, over a
+//     pairwise-distance cache that turns every Gram build of the fit into
+//     one exponential per entry instead of d+1, and in one reused workspace
+//     whose Adam steps allocate nothing.
 //   - The acquisition maximizer fans its multistart out across goroutines,
 //     each worker owning an allocation-free predictor; results are
 //     bit-identical for any worker count.

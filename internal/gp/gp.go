@@ -21,10 +21,8 @@ type GP struct {
 	chol  *linalg.Cholesky
 	alpha []float64 // K⁻¹y
 
-	// dk/st are the stationary-kernel fast path: prepared once per fit so
-	// every covariance evaluation costs a single exponential. nil dk means
-	// the kernel only supports the generic Eval path.
-	dk distKernel
+	// st holds the theta-derived constants of the kernel, prepared once per
+	// fit so every covariance evaluation costs a single exponential.
 	st distState
 }
 
@@ -32,36 +30,13 @@ type GP struct {
 // inputs; Y observations. The inputs are retained by reference — callers
 // must not mutate them afterwards.
 func Fit(kern Kernel, x [][]float64, y []float64, theta []float64, logNoise float64) (*GP, error) {
-	return fitCached(kern, x, y, theta, logNoise, nil)
-}
-
-// fitCached is Fit with an optional precomputed pairwise-distance cache over
-// the same x (used by the hyperparameter optimizer, which rebuilds the Gram
-// matrix many times over a fixed training set).
-func fitCached(kern Kernel, x [][]float64, y []float64, theta []float64, logNoise float64, cache *gramCache) (*GP, error) {
-	n := len(x)
-	if n == 0 {
-		return nil, errors.New("gp: empty training set")
+	if err := checkTrainingSet(x, y); err != nil {
+		return nil, err
 	}
-	if len(y) != n {
-		return nil, fmt.Errorf("gp: %d inputs but %d observations", n, len(y))
-	}
-	d := len(x[0])
-	validateTheta(kern, theta, d)
-	for i, xi := range x {
-		if len(xi) != d {
-			return nil, fmt.Errorf("gp: input %d has dimension %d, want %d", i, len(xi), d)
-		}
-	}
-	g := &GP{Kern: kern, X: x, Y: y, Theta: append([]float64(nil), theta...), LogNoise: logNoise}
-	g.prepKernel()
-	var k *linalg.Matrix
-	if cache != nil && g.dk != nil && cache.n == n {
-		k = cache.buildCov(g.dk, &g.st, logNoise)
-	} else {
-		k = g.buildCov()
-	}
-	chol, err := linalg.NewCholesky(k)
+	validateTheta(kern, theta, len(x[0]))
+	g := &GP{Kern: kern, X: x, Y: y, Theta: append([]float64(nil), theta...), LogNoise: logNoise,
+		st: prepDist(theta, len(x[0]))}
+	chol, err := linalg.NewCholesky(g.buildCov())
 	if err != nil {
 		return nil, fmt.Errorf("gp: covariance factorization: %w", err)
 	}
@@ -70,20 +45,27 @@ func fitCached(kern Kernel, x [][]float64, y []float64, theta []float64, logNois
 	return g, nil
 }
 
-// prepKernel resolves the stationary fast path for the fitted kernel.
-func (g *GP) prepKernel() {
-	if dk, ok := g.Kern.(distKernel); ok {
-		g.dk = dk
-		g.st = prepDist(g.Theta, len(g.X[0]))
+// checkTrainingSet rejects an empty, ragged or mismatched training set.
+func checkTrainingSet(x [][]float64, y []float64) error {
+	n := len(x)
+	if n == 0 {
+		return errors.New("gp: empty training set")
 	}
+	if len(y) != n {
+		return fmt.Errorf("gp: %d inputs but %d observations", n, len(y))
+	}
+	d := len(x[0])
+	for i, xi := range x {
+		if len(xi) != d {
+			return fmt.Errorf("gp: input %d has dimension %d, want %d", i, len(xi), d)
+		}
+	}
+	return nil
 }
 
-// kernEval evaluates k(a, b) through the fast path when available.
+// kernEval evaluates k(a, b) at the fitted hyperparameters.
 func (g *GP) kernEval(a, b []float64) float64 {
-	if g.dk != nil {
-		return g.dk.evalScaled(&g.st, g.st.scaledSq(a, b))
-	}
-	return g.Kern.Eval(g.Theta, a, b)
+	return g.Kern.evalScaled(&g.st, g.st.scaledSq(a, b))
 }
 
 // minNoise2 floors the observation-noise variance wherever it enters a
@@ -206,16 +188,9 @@ func (g *GP) PredictBatchWith(buf *PredictBuf, xs [][]float64, mu, sigma []float
 // PredictMean returns only the posterior mean (cheaper: skips the
 // triangular solve needed for the variance).
 func (g *GP) PredictMean(x []float64) float64 {
-	n := g.N()
 	var mu float64
-	if g.dk != nil {
-		for i := 0; i < n; i++ {
-			mu += g.dk.evalScaled(&g.st, g.st.scaledSq(x, g.X[i])) * g.alpha[i]
-		}
-		return mu
-	}
-	for i := 0; i < n; i++ {
-		mu += g.Kern.Eval(g.Theta, x, g.X[i]) * g.alpha[i]
+	for i, xi := range g.X {
+		mu += g.kernEval(x, xi) * g.alpha[i]
 	}
 	return mu
 }
@@ -228,67 +203,12 @@ func (g *GP) LogMarginalLikelihood() float64 {
 
 // LMLGradient returns the gradient of the log marginal likelihood with
 // respect to [kernel hyperparameters…, log σn], using
-// ∂LML/∂θ = ½·tr((ααᵀ − K⁻¹)·∂K/∂θ).
+// ∂LML/∂θ = ½·tr((ααᵀ − K⁻¹)·∂K/∂θ). It is the hyperparameter optimizer's
+// gradient (trainWork.gradient) on a one-off workspace.
 func (g *GP) LMLGradient() []float64 {
-	return g.lmlGradient(nil)
-}
-
-// lmlGradient computes the LML gradient, optionally reusing a pairwise
-// distance cache over the training inputs. The weight matrix
-// W = ααᵀ − K⁻¹ is symmetric and never materialized: the inverse (itself
-// computed exploiting symmetry) is consumed entry by entry, and only the
-// upper triangle is visited — off-diagonal pairs count twice.
-func (g *GP) lmlGradient(cache *gramCache) []float64 {
-	n := g.N()
-	d := g.Dim()
-	nh := g.Kern.NumHyper(d)
-	grad := make([]float64, nh+1)
-	kinv := g.chol.Inverse()
-	var trW float64
-	useDist := g.dk != nil
-	var zero, scratch []float64
-	if useDist {
-		zero = make([]float64, d)
-		scratch = make([]float64, 0, d)
-	}
-	for i := 0; i < n; i++ {
-		ai := g.alpha[i]
-		wii := ai*ai - kinv.At(i, i)
-		trW += wii
-		kinvRow := kinv.Row(i)
-		if useDist {
-			g.dk.accumGradDiff(&g.st, zero, 0.5*wii, grad[:nh])
-			for j := i + 1; j < n; j++ {
-				wij := ai*g.alpha[j] - kinvRow[j]
-				var diff2 []float64
-				if cache != nil && cache.n == n {
-					diff2 = cache.pair(i, j)
-				} else {
-					diff2 = pairDiff2(g.X[i], g.X[j], scratch[:0])
-				}
-				g.dk.accumGradDiff(&g.st, diff2, wij, grad[:nh])
-			}
-		} else {
-			g.Kern.AccumGrad(g.Theta, g.X[i], g.X[i], 0.5*wii, grad[:nh])
-			for j := i + 1; j < n; j++ {
-				wij := ai*g.alpha[j] - kinvRow[j]
-				g.Kern.AccumGrad(g.Theta, g.X[i], g.X[j], wij, grad[:nh])
-			}
-		}
-	}
-	// Noise: ∂K/∂log σn = 2σn² I.
-	noise2 := math.Exp(2 * g.LogNoise)
-	grad[nh] = 0.5 * trW * 2 * noise2
-	return grad
-}
-
-// pairDiff2 appends the per-dimension squared differences of (a, b) to dst.
-func pairDiff2(a, b, dst []float64) []float64 {
-	for i, ai := range a {
-		r := ai - b[i]
-		dst = append(dst, r*r)
-	}
-	return dst
+	w := newTrainWork(g.Kern, g.X, g.Y)
+	w.cache.buildCovInto(w.k, g.Kern, &g.st, g.LogNoise)
+	return w.gradient(g)
 }
 
 // Extend returns a new GP whose training set is augmented with the given
@@ -338,10 +258,10 @@ func (g *GP) Extend(xNew [][]float64, yNew []float64) (*GP, error) {
 	if err != nil {
 		// The fixed jitter no longer suffices for the grown matrix; pay for
 		// one full refactorization, which re-runs the adaptive jitter ladder.
-		return fitCached(g.Kern, x, y, g.Theta, g.LogNoise, nil)
+		return Fit(g.Kern, x, y, g.Theta, g.LogNoise)
 	}
 	out := &GP{Kern: g.Kern, X: x, Y: y, Theta: g.Theta, LogNoise: g.LogNoise,
-		chol: chol, dk: g.dk, st: g.st}
+		chol: chol, st: g.st}
 	out.alpha = chol.Solve(y)
 	return out, nil
 }

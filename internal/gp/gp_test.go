@@ -81,6 +81,46 @@ func TestKernelGradFiniteDifference(t *testing.T) {
 	}
 }
 
+// TestPreparedKernelMatchesPointwise holds the path every fit takes —
+// evalScaled and accumGradDiff on a prepared distState — to the pointwise
+// definition in Eval and AccumGrad, which nothing else calls.
+func TestPreparedKernelMatchesPointwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, kern := range []Kernel{SEARD{}, Matern52{}} {
+		d := 5
+		for trial := 0; trial < 50; trial++ {
+			theta := kern.DefaultTheta(d)
+			a, b := make([]float64, d), make([]float64, d)
+			for i := range a {
+				theta[i] += 0.5 * rng.NormFloat64()
+				a[i], b[i] = rng.Float64(), rng.Float64()
+			}
+			theta[d] += 0.5 * rng.NormFloat64()
+			if trial == 0 {
+				b = a // the diagonal case: zero distance
+			}
+			st := prepDist(theta, d)
+			want := kern.Eval(theta, a, b)
+			k := kern.evalScaled(&st, st.scaledSq(a, b))
+			if math.Abs(k-want) > 1e-12*(1+math.Abs(want)) {
+				t.Fatalf("%s: evalScaled %v, Eval %v", kern.Name(), k, want)
+			}
+			diff2 := make([]float64, d)
+			for i := range diff2 {
+				diff2[i] = (a[i] - b[i]) * (a[i] - b[i])
+			}
+			got, ref := make([]float64, d+1), make([]float64, d+1)
+			kern.accumGradDiff(&st, diff2, k, 0.7, got)
+			kern.AccumGrad(theta, a, b, 0.7, ref)
+			for j := range ref {
+				if math.Abs(got[j]-ref[j]) > 1e-12*(1+math.Abs(ref[j])) {
+					t.Fatalf("%s: accumGradDiff[%d] = %v, AccumGrad %v", kern.Name(), j, got[j], ref[j])
+				}
+			}
+		}
+	}
+}
+
 func TestGPInterpolatesWithLowNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x, y := trainData(rng, 12, 2, func(v []float64) float64 {

@@ -9,18 +9,15 @@ import (
 // inputs (the hyperparameter optimizer evaluates the Gram matrix once per
 // Adam iteration) cost one exponential per pair instead of O(d) exponentials
 // and subtractions. Only the strict upper triangle is stored (the diagonal
-// differences are identically zero); pair (i<j) lives at offset idx(i,j)·d.
+// differences are identically zero), row by row: the pairs of point 0, then
+// of point 1, …, d values each, which is the order every reader walks it in.
 type gramCache struct {
 	n, d int
 	sq   []float64 // len n·(n−1)/2 · d
 }
 
 func newGramCache(x [][]float64) *gramCache {
-	n := len(x)
-	if n == 0 {
-		return &gramCache{}
-	}
-	d := len(x[0])
+	n, d := len(x), len(x[0])
 	c := &gramCache{n: n, d: d, sq: make([]float64, n*(n-1)/2*d)}
 	off := 0
 	for i := 0; i < n; i++ {
@@ -38,32 +35,22 @@ func newGramCache(x [][]float64) *gramCache {
 	return c
 }
 
-// pair returns the per-dimension squared differences of pair (i, j), i < j.
-func (c *gramCache) pair(i, j int) []float64 {
-	// Row i of the strict upper triangle starts after Σ_{t<i} (n−1−t) pairs.
-	p := i*(2*c.n-i-1)/2 + (j - i - 1)
-	return c.sq[p*c.d : (p+1)*c.d]
-}
-
-// buildCovCached assembles K + σn²I from the cache using the kernel's
-// distance fast path. The result is bitwise identical to buildCov for
-// distance kernels (same summation order), just cheaper.
-func (c *gramCache) buildCov(dk distKernel, st *distState, logNoise float64) *linalg.Matrix {
+// buildCovInto assembles K + σn²I into the n×n matrix k from the cache.
+// The result is bitwise identical to GP.buildCov (same summation order),
+// just cheaper, and both triangles are written: the factorization reads the
+// lower one, the LML gradient the upper.
+func (c *gramCache) buildCovInto(k *linalg.Matrix, kern Kernel, st *distState, logNoise float64) {
 	n := c.n
-	k := linalg.NewMatrix(n, n)
-	noise2 := NoiseVar(logNoise)
-	diagV := st.sf2 + noise2
+	diagV := st.sf2 + NoiseVar(logNoise)
 	off := 0
 	for i := 0; i < n; i++ {
-		k.Set(i, i, diagV)
 		krow := k.Row(i)
+		krow[i] = diagV
 		for j := i + 1; j < n; j++ {
-			s := st.scaledSqFromDiff(c.sq[off : off+c.d])
+			v := kern.evalScaled(st, st.scaledSqFromDiff(c.sq[off:off+c.d]))
 			off += c.d
-			v := dk.evalScaled(st, s)
 			krow[j] = v
 			k.Set(j, i, v)
 		}
 	}
-	return k
 }

@@ -3,6 +3,8 @@ package gp
 import (
 	"math"
 	"math/rand"
+
+	"easybo/internal/linalg"
 )
 
 // FitOptions configures hyperparameter optimization.
@@ -50,6 +52,9 @@ func FitHyper(kern Kernel, x [][]float64, y []float64, rng *rand.Rand, opts *Fit
 		o = *opts
 	}
 	o.defaults()
+	if err := checkTrainingSet(x, y); err != nil {
+		return nil, err
+	}
 	d := len(x[0])
 	lo, hi := kern.Bounds(d)
 
@@ -59,7 +64,8 @@ func FitHyper(kern Kernel, x [][]float64, y []float64, rng *rand.Rand, opts *Fit
 	}
 	var starts []start
 	if o.InitTheta != nil {
-		starts = append(starts, start{append([]float64(nil), o.InitTheta...), o.InitNoise})
+		validateTheta(kern, o.InitTheta, d)
+		starts = append(starts, start{o.InitTheta, o.InitNoise})
 	}
 	if o.InitTheta == nil || !o.WarmOnly {
 		starts = append(starts, start{kern.DefaultTheta(d), math.Log(1e-2)})
@@ -72,40 +78,95 @@ func FitHyper(kern Kernel, x [][]float64, y []float64, rng *rand.Rand, opts *Fit
 		}
 	}
 
-	// One pairwise-distance cache serves every start and every Adam
-	// iteration: the training inputs never change during a hyperparameter
-	// fit, so the O(n²·d) coordinate differences are computed exactly once
-	// instead of once per Gram build.
-	var cache *gramCache
-	if _, ok := kern.(distKernel); ok {
-		cache = newGramCache(x)
-	}
-
-	var best *GP
-	bestLML := math.Inf(-1)
+	w := newTrainWork(kern, x, y)
 	for _, st := range starts {
-		g, lml := adamFit(kern, x, y, st.theta, st.noise, lo, hi, o, cache)
-		if g != nil && lml > bestLML {
-			best, bestLML = g, lml
-		}
+		w.adam(st.theta, st.noise, lo, hi, o)
 	}
-	if best == nil {
+	if w.best == nil {
 		// Last resort: plain fit at the default hyperparameters with a large
 		// noise floor, which is always positive definite.
 		return Fit(kern, x, y, kern.DefaultTheta(d), math.Log(0.1))
 	}
-	return best, nil
+	// The winner leaves with its slot's buffers — the workspace ends here, so
+	// nothing else will write them — copied out of the slot array so that the
+	// rest of the workspace does not stay reachable through it.
+	g := *w.best
+	return &g, nil
 }
 
-// adamFit runs projected Adam ascent on the LML from one start. It returns
-// the best GP visited and its LML (nil, -Inf if every fit failed).
-func adamFit(kern Kernel, x [][]float64, y []float64, theta0 []float64, noise0 float64,
-	lo, hi []float64, o FitOptions, cache *gramCache) (*GP, float64) {
+// trainWork is the storage one FitHyper call works in. The training inputs
+// never change during a hyperparameter fit, so everything an Adam step
+// touches is sized once: the pairwise coordinate differences (computed
+// exactly once for every start and step), the Gram matrix, two factor slots,
+// and the scratch of the K⁻¹ the gradient consumes. A step allocates nothing.
+//
+// Ownership: slot[0] and slot[1] are GPs whose Theta, distState, factor and
+// alpha live here and are overwritten in place. best points at the slot
+// holding the best fit visited so far (over all starts); each step fits into
+// the other one, and takes over best — handing its predecessor's slot back
+// for reuse — only by beating it. The workspace lives for one FitHyper call
+// and is never pooled, so the winner can leave with its slot's buffers.
+type trainWork struct {
+	cache *gramCache
+	k     *linalg.Matrix // K + σn²I of the step being taken; read un-jittered after factoring
+	slot  [2]GP
+	best  *GP // nil until some step's LML beats −Inf
+	lml   float64
 
+	ginv, kinv *linalg.Matrix // L⁻¹ (lower) and K⁻¹ (upper triangle only)
+	zero       []float64      // a point's coordinate differences with itself
+	grad       []float64
+	p, m, v    []float64 // Adam parameters and moments
+}
+
+func newTrainWork(kern Kernel, x [][]float64, y []float64) *trainWork {
+	n, d := len(x), len(x[0])
+	nh := kern.NumHyper(d)
+	w := &trainWork{
+		cache: newGramCache(x),
+		k:     linalg.NewMatrix(n, n),
+		lml:   math.Inf(-1),
+		ginv:  linalg.NewMatrix(n, n),
+		kinv:  linalg.NewMatrix(n, n),
+		zero:  make([]float64, d),
+		grad:  make([]float64, nh+1),
+		p:     make([]float64, nh+1),
+		m:     make([]float64, nh+1),
+		v:     make([]float64, nh+1),
+	}
+	for i := range w.slot {
+		w.slot[i] = GP{Kern: kern, X: x, Y: y,
+			Theta: make([]float64, nh),
+			chol:  &linalg.Cholesky{},
+			alpha: make([]float64, n),
+			st:    distState{invl2: make([]float64, d)},
+		}
+	}
+	return w
+}
+
+// fit is Fit at (theta, logNoise) into the slot g, Gram matrix into w.k.
+func (w *trainWork) fit(g *GP, theta []float64, logNoise float64) error {
+	copy(g.Theta, theta)
+	g.LogNoise = logNoise
+	g.st.prep(theta)
+	w.cache.buildCovInto(w.k, g.Kern, &g.st, logNoise)
+	if err := linalg.NewCholeskyInto(g.chol, w.k); err != nil {
+		return err
+	}
+	g.chol.SolveInto(g.alpha, g.Y)
+	return nil
+}
+
+// adam runs projected Adam ascent on the LML from one start, leaving the
+// best GP visited in w.best if it beats what earlier starts found.
+func (w *trainWork) adam(theta0 []float64, noise0 float64, lo, hi []float64, o FitOptions) {
 	nh := len(theta0)
-	p := make([]float64, nh+1) // parameters: kernel hypers + log noise
+	p, m, v := w.p, w.m, w.v // parameters: kernel hypers + log noise
 	copy(p, theta0)
 	p[nh] = noise0
+	clear(m)
+	clear(v)
 	clamp := func(p []float64) {
 		for i := 0; i < nh; i++ {
 			p[i] = math.Min(math.Max(p[i], lo[i]), hi[i])
@@ -113,26 +174,23 @@ func adamFit(kern Kernel, x [][]float64, y []float64, theta0 []float64, noise0 f
 		p[nh] = math.Min(math.Max(p[nh], o.NoiseLo), o.NoiseHi)
 	}
 	clamp(p)
-
-	m := make([]float64, nh+1)
-	v := make([]float64, nh+1)
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-	var best *GP
-	bestLML := math.Inf(-1)
 	for iter := 1; iter <= o.Iters; iter++ {
-		g, err := fitCached(kern, x, y, p[:nh], p[nh], cache)
-		if err != nil {
+		g := &w.slot[0]
+		if g == w.best {
+			g = &w.slot[1]
+		}
+		if w.fit(g, p[:nh], p[nh]) != nil {
 			break
 		}
-		lml := g.LogMarginalLikelihood()
-		if lml > bestLML {
-			best, bestLML = g, lml
+		if lml := g.LogMarginalLikelihood(); lml > w.lml {
+			w.best, w.lml = g, lml
 		}
 		if iter == o.Iters {
 			break // the step below would only produce a never-fitted point
 		}
-		grad := g.lmlGradient(cache)
+		grad := w.gradient(g)
 		// Adam ascent step.
 		b1t := 1 - math.Pow(beta1, float64(iter))
 		b2t := 1 - math.Pow(beta2, float64(iter))
@@ -143,5 +201,36 @@ func adamFit(kern Kernel, x [][]float64, y []float64, theta0 []float64, noise0 f
 		}
 		clamp(p)
 	}
-	return best, bestLML
+}
+
+// gradient returns the LML gradient of g, whose Gram matrix is in w.k, into
+// w.grad. The weight matrix W = ααᵀ − K⁻¹ is symmetric and never
+// materialized: only the upper triangle of the inverse is computed and
+// visited — off-diagonal pairs count twice — and each pair's covariance is
+// read back from the Gram matrix rather than exponentiated again. On the
+// diagonal that is σf², since K's diagonal carries the noise.
+func (w *trainWork) gradient(g *GP) []float64 {
+	n, d := w.cache.n, w.cache.d
+	nh := len(g.Theta)
+	grad := w.grad
+	clear(grad)
+	g.chol.InverseUpperInto(w.kinv, w.ginv)
+	var trW float64
+	off := 0
+	for i := 0; i < n; i++ {
+		ai := g.alpha[i]
+		krow, kinvRow := w.k.Row(i), w.kinv.Row(i)
+		wii := ai*ai - kinvRow[i]
+		trW += wii
+		g.Kern.accumGradDiff(&g.st, w.zero, g.st.sf2, 0.5*wii, grad[:nh])
+		for j := i + 1; j < n; j++ {
+			wij := ai*g.alpha[j] - kinvRow[j]
+			g.Kern.accumGradDiff(&g.st, w.cache.sq[off:off+d], krow[j], wij, grad[:nh])
+			off += d
+		}
+	}
+	// Noise: ∂K/∂log σn = 2σn² I.
+	noise2 := math.Exp(2 * g.LogNoise)
+	grad[nh] = 0.5 * trW * 2 * noise2
+	return grad
 }

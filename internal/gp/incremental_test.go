@@ -155,6 +155,56 @@ func TestWithPseudoMatchesBatchFit(t *testing.T) {
 	checkPosteriorEqual(t, rng, inc, batch, d, 1e-9, "with-pseudo")
 }
 
+// TestWithPseudoTargetsArePredictedMeans pins the hallucination targets: the
+// pseudo-observation at each of five busy points is, bit for bit, the mean
+// Predict reports there. Model.WithPseudo takes it from PredictMean (no σ, no
+// forward solve), which sums k(x, Xᵢ)·αᵢ in Dot's order — on a fitted GP and
+// on an already-extended one, for both kernels.
+func TestWithPseudoTargetsArePredictedMeans(t *testing.T) {
+	for _, kern := range []Kernel{SEARD{}, Matern52{}} {
+		rng := rand.New(rand.NewSource(301))
+		d, n := 6, 40
+		lo, hi := make([]float64, d), make([]float64, d)
+		for i := range hi {
+			lo[i], hi[i] = -2, 3
+		}
+		x, y := trainData(rng, n, d, func(v []float64) float64 { return 1e3 * (math.Sin(4*v[0]) + v[1]*v[2] - v[5]) })
+		for _, xi := range x {
+			for j := range xi {
+				xi[j] = lo[j] + xi[j]*(hi[j]-lo[j])
+			}
+		}
+		m, err := Train(x, y, lo, hi, rng, &TrainOptions{Kernel: kern, Fit: &FitOptions{Iters: 15}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ { // round 1 hallucinates on a hallucinated model
+			busy := make([][]float64, 5)
+			for i := range busy {
+				busy[i] = make([]float64, d)
+				for j := range busy[i] {
+					busy[i][j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
+				}
+			}
+			busy[4] = x[7] // a training point: a mean far from the prior's
+			h, err := m.WithPseudo(busy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range busy {
+				want, _ := m.gp.Predict(m.scale(b))
+				mean := m.gp.PredictMean(m.scale(b))
+				got := h.gp.Y[m.N()+i]
+				if math.Float64bits(mean) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s round %d busy %d: Predict mean %x, PredictMean %x, pseudo-target %x", kern.Name(), round, i,
+						math.Float64bits(want), math.Float64bits(mean), math.Float64bits(got))
+				}
+			}
+			m = h
+		}
+	}
+}
+
 // TestModelExtendMatchesPredictions checks the raw-unit wrapper: extending a
 // model keeps hyperparameters and standardization frozen, so predictions
 // must match a gp-level batch fit mapped through the same constants.

@@ -12,8 +12,11 @@ import (
 	"math"
 )
 
-// Kernel is a positive-definite covariance function with hyperparameters
-// stored in log space.
+// Kernel is a stationary ARD covariance function with hyperparameters stored
+// in log space. Eval and AccumGrad are the pointwise definition; the fitted
+// GP works through evalScaled and accumGradDiff on a prepared distState, which
+// cost one exponential per covariance instead of d+2. The unexported methods
+// close the set: the kernels are the ones in this file.
 type Kernel interface {
 	// NumHyper returns the hyperparameter count for input dimension d.
 	NumHyper(d int) int
@@ -28,6 +31,14 @@ type Kernel interface {
 	AccumGrad(theta, a, b []float64, w float64, grad []float64)
 	// Name identifies the kernel in diagnostics.
 	Name() string
+
+	// evalScaled returns k given the scaled squared distance s = Σ rᵢ².
+	evalScaled(st *distState, s float64) float64
+	// accumGradDiff adds w·∂k/∂θ to grad from a pair's per-dimension squared
+	// differences (lengthscale gradients need the per-dimension split) and
+	// its covariance k = evalScaled(st, st.scaledSqFromDiff(diff2)), which the
+	// caller has in the Gram matrix already.
+	accumGradDiff(st *distState, diff2 []float64, k, w float64, grad []float64)
 }
 
 // SEARD is the squared-exponential kernel with automatic relevance
@@ -170,11 +181,18 @@ type distState struct {
 }
 
 func prepDist(theta []float64, d int) distState {
-	invl2 := make([]float64, d)
+	st := distState{invl2: make([]float64, d)}
+	st.prep(theta)
+	return st
+}
+
+// prep recomputes the state for theta into the existing invl2 buffer.
+func (st *distState) prep(theta []float64) {
+	d := len(st.invl2)
 	for i := 0; i < d; i++ {
-		invl2[i] = math.Exp(-2 * theta[i])
+		st.invl2[i] = math.Exp(-2 * theta[i])
 	}
-	return distState{invl2: invl2, sf2: math.Exp(2 * theta[d])}
+	st.sf2 = math.Exp(2 * theta[d])
 }
 
 // scaledSq returns Σᵢ (aᵢ−bᵢ)²/lᵢ² from raw coordinates.
@@ -198,26 +216,11 @@ func (st *distState) scaledSqFromDiff(diff2 []float64) float64 {
 	return s
 }
 
-// distKernel is implemented by stationary ARD kernels that can evaluate
-// covariances and hyperparameter gradients from a prepared distState —
-// either from raw coordinates or from cached per-dimension squared
-// differences. Both built-in kernels implement it; kernels that do not fall
-// back to the generic Eval/AccumGrad path.
-type distKernel interface {
-	// evalScaled returns k given the scaled squared distance s = Σ rᵢ².
-	evalScaled(st *distState, s float64) float64
-	// accumGradDiff adds w·∂k/∂θ to grad from per-dimension squared
-	// differences (lengthscale gradients need the per-dimension split).
-	accumGradDiff(st *distState, diff2 []float64, w float64, grad []float64)
-}
-
 func (SEARD) evalScaled(st *distState, s float64) float64 {
 	return st.sf2 * math.Exp(-0.5*s)
 }
 
-func (SEARD) accumGradDiff(st *distState, diff2 []float64, w float64, grad []float64) {
-	s := st.scaledSqFromDiff(diff2)
-	k := st.sf2 * math.Exp(-0.5*s)
+func (SEARD) accumGradDiff(st *distState, diff2 []float64, k, w float64, grad []float64) {
 	wk := w * k
 	for i, d2 := range diff2 {
 		grad[i] += wk * d2 * st.invl2[i]
@@ -230,13 +233,11 @@ func (Matern52) evalScaled(st *distState, s float64) float64 {
 	return st.sf2 * (1 + sr5 + 5*s/3) * math.Exp(-sr5)
 }
 
-func (Matern52) accumGradDiff(st *distState, diff2 []float64, w float64, grad []float64) {
-	s := st.scaledSqFromDiff(diff2)
-	r := math.Sqrt(s)
-	sr5 := math.Sqrt(5) * r
-	e := math.Exp(-sr5)
-	k := st.sf2 * (1 + sr5 + 5*s/3) * e
-	dk := (5.0 / 3.0) * st.sf2 * e * (1 + sr5) / 2
+// The lengthscale derivative is not a multiple of k, so the exponential is
+// taken again here; only the σf term reads the covariance passed in.
+func (Matern52) accumGradDiff(st *distState, diff2 []float64, k, w float64, grad []float64) {
+	sr5 := math.Sqrt(5) * math.Sqrt(st.scaledSqFromDiff(diff2))
+	dk := (5.0 / 3.0) * st.sf2 * math.Exp(-sr5) * (1 + sr5) / 2
 	for i, d2 := range diff2 {
 		grad[i] += w * 2 * dk * d2 * st.invl2[i]
 	}

@@ -3,6 +3,7 @@ package gp
 import (
 	"math"
 
+	"easybo/internal/linalg"
 	"easybo/internal/stats"
 )
 
@@ -23,10 +24,12 @@ type LOOResult struct {
 //
 //	µ_i = y_i − α_i / [K⁻¹]_ii,   σ²_i = 1 / [K⁻¹]_ii
 //
-// No refitting is needed; cost is one matrix inverse on the existing factor.
+// No refitting is needed; cost is one matrix inverse on the existing factor —
+// its upper triangle, of which only the diagonal is read.
 func (g *GP) LeaveOneOut() LOOResult {
 	n := g.N()
-	kinv := g.chol.Inverse()
+	kinv := linalg.NewMatrix(n, n)
+	g.chol.InverseUpperInto(kinv, linalg.NewMatrix(n, n))
 	res := LOOResult{Mean: make([]float64, n), Sigma: make([]float64, n)}
 	var sq float64
 	for i := 0; i < n; i++ {

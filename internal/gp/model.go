@@ -275,7 +275,7 @@ func (m *Model) WithPseudo(xp [][]float64) (*Model, error) {
 	ys := make([]float64, len(xp))
 	for i, x := range xp {
 		xs[i] = m.scale(x)
-		ys[i], _ = m.gp.Predict(xs[i]) // standardized-space predictive mean
+		ys[i] = m.gp.PredictMean(xs[i]) // standardized-space predictive mean
 	}
 	g, err := m.gp.WithPseudo(xs, ys)
 	if err != nil {

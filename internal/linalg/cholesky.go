@@ -24,10 +24,27 @@ type Cholesky struct {
 // 10× up to maxTries times) is added to the diagonal; this is the standard
 // guard for near-singular Gaussian-process covariance matrices.
 func NewCholesky(a *Matrix) (*Cholesky, error) {
+	c := &Cholesky{}
+	if err := NewCholeskyInto(c, a); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// NewCholeskyInto is NewCholesky into dst's storage: dst.L is reused when it
+// is already n×n (a caller factoring many matrices of one size allocates
+// nothing after the first) and allocated otherwise. Only the lower triangle
+// of dst.L is written, so a reused L must never have been written above its
+// diagonal — true of any L this package produced. On error dst is garbage.
+func NewCholeskyInto(dst *Cholesky, a *Matrix) error {
 	if a.Rows != a.Cols {
-		return nil, ErrDimension
+		return ErrDimension
 	}
 	n := a.Rows
+	if dst.L == nil || dst.L.Rows != n || dst.L.Cols != n {
+		dst.L = NewMatrix(n, n)
+	}
+	dst.N = n
 	scale := a.MaxAbsDiag()
 	if scale == 0 {
 		scale = 1
@@ -35,9 +52,9 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 	const maxTries = 10
 	jitter := 0.0
 	for try := 0; try <= maxTries; try++ {
-		L, ok := tryCholesky(a, jitter)
-		if ok {
-			return &Cholesky{L: L, N: n, Jitter: jitter}, nil
+		if tryCholesky(dst.L, a, jitter) {
+			dst.Jitter = jitter
+			return nil
 		}
 		if jitter == 0 {
 			jitter = 1e-12 * scale
@@ -45,32 +62,51 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 			jitter *= 10
 		}
 	}
-	return nil, ErrNotPositiveDefinite
+	return ErrNotPositiveDefinite
 }
 
-func tryCholesky(a *Matrix, jitter float64) (*Matrix, bool) {
+// tryCholesky writes the factor of a + jitter·I into the lower triangle of
+// L, column by column; it reports false at the first non-positive pivot.
+func tryCholesky(L, a *Matrix, jitter float64) bool {
 	n := a.Rows
-	L := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
-		d := a.At(j, j) + jitter
-		for k := 0; k < j; k++ {
-			ljk := L.At(j, k)
+		lj := L.Row(j)[: j+1 : j+1]
+		d := a.Data[j*n+j] + jitter
+		for _, ljk := range lj[:j] {
 			d -= ljk * ljk
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, false
+			return false
 		}
 		ljj := math.Sqrt(d)
-		L.Set(j, j, ljj)
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= L.At(i, k) * L.At(j, k)
+		lj[j] = ljj
+		// Each row's sum is one dependency chain; four rows' chains are
+		// independent and overlap in the pipeline, each keeping its own
+		// operations in their order (as in SolveLowerMulti).
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			l0, l1 := L.Row(i)[:j+1:j+1], L.Row(i + 1)[:j+1:j+1]
+			l2, l3 := L.Row(i + 2)[:j+1:j+1], L.Row(i + 3)[:j+1:j+1]
+			s0, s1 := a.Data[i*n+j], a.Data[(i+1)*n+j]
+			s2, s3 := a.Data[(i+2)*n+j], a.Data[(i+3)*n+j]
+			for k, ljk := range lj[:j] {
+				s0 -= l0[k] * ljk
+				s1 -= l1[k] * ljk
+				s2 -= l2[k] * ljk
+				s3 -= l3[k] * ljk
 			}
-			L.Set(i, j, s/ljj)
+			l0[j], l1[j], l2[j], l3[j] = s0/ljj, s1/ljj, s2/ljj, s3/ljj
+		}
+		for ; i < n; i++ {
+			li := L.Row(i)[: j+1 : j+1]
+			s := a.Data[i*n+j]
+			for k, ljk := range lj[:j] {
+				s -= li[k] * ljk
+			}
+			li[j] = s / ljj
 		}
 	}
-	return L, true
+	return true
 }
 
 // Append returns a new factorization extended by k rows in O(k·n²) instead
@@ -347,51 +383,12 @@ func (c *Cholesky) SolveMatrix(b *Matrix) *Matrix {
 	return out
 }
 
-// Inverse returns A⁻¹ exploiting symmetry, LAPACK dpotri-style: first
-// G = L⁻¹ (lower triangular, built row by row with contiguous axpy updates),
-// then A⁻¹ = GᵀG accumulated rank-1 row by row into the upper triangle and
-// mirrored — ~n³/3 streaming work against the n³ of a column-by-column
-// solve. The result is exactly symmetric. Prefer Solve when only products
-// are needed.
+// Inverse returns A⁻¹, exactly symmetric: InverseUpperInto plus the mirror.
+// Prefer Solve when only products are needed.
 func (c *Cholesky) Inverse() *Matrix {
 	n := c.N
-	// G = L⁻¹: row i solves G[i][:] from the rows above it,
-	//   G[i][j] = (δ_ij − Σ_{k<i} L[i][k]·G[k][j]) / L[i][i].
-	g := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		lrow := c.L.Row(i)
-		grow := g.Row(i)
-		grow[i] = 1
-		for k := 0; k < i; k++ {
-			coef := lrow[k]
-			if coef == 0 {
-				continue
-			}
-			gk := g.Row(k)[: k+1 : k+1]
-			for j, gkj := range gk {
-				grow[j] -= coef * gkj
-			}
-		}
-		inv := 1 / lrow[i]
-		for j := 0; j <= i; j++ {
-			grow[j] *= inv
-		}
-	}
-	// A⁻¹ = GᵀG: accumulate each row of G as a rank-1 update of the upper
-	// triangle (row k only touches the leading (k+1)×(k+1) block).
 	out := NewMatrix(n, n)
-	for k := 0; k < n; k++ {
-		gk := g.Row(k)[: k+1 : k+1]
-		for i, gki := range gk {
-			if gki == 0 {
-				continue
-			}
-			orow := out.Row(i)
-			for j := i; j <= k; j++ {
-				orow[j] += gki * gk[j]
-			}
-		}
-	}
+	c.InverseUpperInto(out, NewMatrix(n, n))
 	for i := 0; i < n; i++ {
 		orow := out.Row(i)
 		for j := i + 1; j < n; j++ {
@@ -399,6 +396,54 @@ func (c *Cholesky) Inverse() *Matrix {
 		}
 	}
 	return out
+}
+
+// InverseUpperInto writes the upper triangle (diagonal included) of A⁻¹ into
+// out, LAPACK dpotri-style: first G = L⁻¹ into the lower triangle of the
+// scratch g (built row by row with contiguous axpy updates), then A⁻¹ = GᵀG
+// accumulated rank-1 row by row — ~n³/3 streaming work against the n³ of a
+// column-by-column solve. out and g are n×n and distinct; neither's other
+// triangle is read or written, and nothing is allocated.
+func (c *Cholesky) InverseUpperInto(out, g *Matrix) {
+	n := c.N
+	if out.Rows != n || out.Cols != n || g.Rows != n || g.Cols != n {
+		panic("linalg: Cholesky.InverseUpperInto dimension mismatch")
+	}
+	// G = L⁻¹: row i solves G[i][:] from the rows above it,
+	//   G[i][j] = (δ_ij − Σ_{k<i} L[i][k]·G[k][j]) / L[i][i].
+	for i := 0; i < n; i++ {
+		lrow := c.L.Row(i)
+		grow := g.Row(i)[: i+1 : i+1]
+		clear(grow)
+		grow[i] = 1
+		for k := 0; k < i; k++ {
+			coef := lrow[k]
+			if coef == 0 {
+				continue
+			}
+			// grow[j] -= coef·G[k][j], as the addition of its negation:
+			// x − c·b and x + (−c)·b are the same IEEE operation.
+			Axpy(-coef, g.Row(k)[:k+1], grow[:k+1])
+		}
+		inv := 1 / lrow[i]
+		for j := range grow {
+			grow[j] *= inv
+		}
+	}
+	// A⁻¹ = GᵀG: accumulate each row of G as a rank-1 update of the upper
+	// triangle (row k only touches the leading (k+1)×(k+1) block).
+	for i := 0; i < n; i++ {
+		clear(out.Row(i)[i:])
+	}
+	for k := 0; k < n; k++ {
+		gk := g.Row(k)[: k+1 : k+1]
+		for i, gki := range gk {
+			if gki == 0 {
+				continue
+			}
+			Axpy(gki, gk[i:], out.Row(i)[i:k+1])
+		}
+	}
 }
 
 // LogDet returns log|A| = 2·Σ log L_ii.

@@ -489,3 +489,237 @@ func BenchmarkSolveLowerMulti(b *testing.B) {
 		})
 	}
 }
+
+// refCholesky is NewCholesky as it stood before NewCholeskyInto: a fresh L
+// per jitter try, every element through At/Set. The row-slice factorization
+// must reproduce it bit for bit — GP histories are pinned on these bits.
+func refCholesky(a *Matrix) (*Cholesky, error) {
+	n := a.Rows
+	scale := a.MaxAbsDiag()
+	if scale == 0 {
+		scale = 1
+	}
+	jitter := 0.0
+	for try := 0; try <= 10; try++ {
+		L, ok := func() (*Matrix, bool) {
+			L := NewMatrix(n, n)
+			for j := 0; j < n; j++ {
+				d := a.At(j, j) + jitter
+				for k := 0; k < j; k++ {
+					ljk := L.At(j, k)
+					d -= ljk * ljk
+				}
+				if d <= 0 || math.IsNaN(d) {
+					return nil, false
+				}
+				ljj := math.Sqrt(d)
+				L.Set(j, j, ljj)
+				for i := j + 1; i < n; i++ {
+					s := a.At(i, j)
+					for k := 0; k < j; k++ {
+						s -= L.At(i, k) * L.At(j, k)
+					}
+					L.Set(i, j, s/ljj)
+				}
+			}
+			return L, true
+		}()
+		if ok {
+			return &Cholesky{L: L, N: n, Jitter: jitter}, nil
+		}
+		if jitter == 0 {
+			jitter = 1e-12 * scale
+		} else {
+			jitter *= 10
+		}
+	}
+	return nil, ErrNotPositiveDefinite
+}
+
+// refInverse is Cholesky.Inverse as it stood before InverseUpperInto: plain
+// element loops, fresh matrices, both triangles.
+func refInverse(c *Cholesky) *Matrix {
+	n := c.N
+	g := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		lrow := c.L.Row(i)
+		grow := g.Row(i)
+		grow[i] = 1
+		for k := 0; k < i; k++ {
+			coef := lrow[k]
+			if coef == 0 {
+				continue
+			}
+			gk := g.Row(k)[: k+1 : k+1]
+			for j, gkj := range gk {
+				grow[j] -= coef * gkj
+			}
+		}
+		inv := 1 / lrow[i]
+		for j := 0; j <= i; j++ {
+			grow[j] *= inv
+		}
+	}
+	out := NewMatrix(n, n)
+	for k := 0; k < n; k++ {
+		gk := g.Row(k)[: k+1 : k+1]
+		for i, gki := range gk {
+			if gki == 0 {
+				continue
+			}
+			orow := out.Row(i)
+			for j := i; j <= k; j++ {
+				orow[j] += gki * gk[j]
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		orow := out.Row(i)
+		for j := i + 1; j < n; j++ {
+			out.Set(j, i, orow[j])
+		}
+	}
+	return out
+}
+
+// pinMatrices returns, for one size, the inputs the bit-identity pins run
+// on: a well-conditioned SPD matrix, a rank-deficient Gram matrix that only
+// factors on the jitter ladder, and a block-diagonal one whose factor and
+// inverse are full of exact zeros (the coef == 0 / gki == 0 skips).
+func pinMatrices(rng *rand.Rand, n int) []pinMatrix {
+	low := randomMatrix(rng, n, n/2)
+	blocks := randomSPD(rng, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i/3 != j/3 {
+				blocks.Set(i, j, 0)
+			}
+		}
+	}
+	return []pinMatrix{
+		{"plain", randomSPD(rng, n)},
+		{"jittered", low.Mul(low.T())},
+		{"blocks", blocks},
+	}
+}
+
+type pinMatrix struct {
+	name string
+	a    *Matrix
+}
+
+func sameBits(t *testing.T, what string, got, want *Matrix, upperOnly bool) {
+	t.Helper()
+	for i := 0; i < want.Rows; i++ {
+		for j := 0; j < want.Cols; j++ {
+			if upperOnly && j < i {
+				continue
+			}
+			if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+				t.Fatalf("%s: (%d,%d) = %x, reference %x", what, i, j,
+					math.Float64bits(got.At(i, j)), math.Float64bits(want.At(i, j)))
+			}
+		}
+	}
+}
+
+// TestNewCholeskyIntoBitIdentical pins the row-slice factorization — fresh
+// and into a reused, previously-failed-into destination — against the
+// At/Set one it replaced, jitter included, and checks the input survives.
+func TestNewCholeskyIntoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, n := range []int{1, 2, 3, 7, 64, 151} {
+		reused := &Cholesky{}
+		for _, pm := range pinMatrices(rng, n) {
+			name, a := pm.name, pm.a
+			what := fmt.Sprintf("n=%d %s", n, name)
+			want, err := refCholesky(a)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if (name == "jittered") != (want.Jitter > 0) {
+				t.Fatalf("%s: jitter %v", what, want.Jitter)
+			}
+			before := a.Clone()
+			got, err := NewCholesky(a)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if err := NewCholeskyInto(reused, a); err != nil {
+				t.Fatalf("%s: reused: %v", what, err)
+			}
+			sameBits(t, what+": input", a, before, false)
+			for _, c := range []*Cholesky{got, reused} {
+				if c.N != n || math.Float64bits(c.Jitter) != math.Float64bits(want.Jitter) {
+					t.Fatalf("%s: N=%d jitter=%v, reference N=%d jitter=%v", what, c.N, c.Jitter, n, want.Jitter)
+				}
+				sameBits(t, what+": L", c.L, want.L, false)
+			}
+		}
+	}
+	// A failed factorization leaves garbage below the diagonal only; the next
+	// success into the same storage is still the reference factor.
+	c := &Cholesky{}
+	if err := NewCholeskyInto(c, NewMatrixFromRows([][]float64{{1, 0}, {0, -5}})); err == nil {
+		t.Fatal("indefinite matrix factored")
+	}
+	a := randomSPD(rng, 2)
+	if err := NewCholeskyInto(c, a); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := refCholesky(a)
+	sameBits(t, "after failure", c.L, want.L, false)
+}
+
+// TestInverseUpperIntoBitIdentical pins the unrolled, upper-triangle-only,
+// scratch-reusing inverse against the element loops it replaced, and Inverse
+// (now that plus the mirror) with it. The destinations start full of NaN so
+// a cell the routine should have cleared, or should not have touched, shows.
+func TestInverseUpperIntoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, n := range []int{1, 2, 3, 7, 64, 151} {
+		out, g := NewMatrix(n, n), NewMatrix(n, n)
+		for _, pm := range pinMatrices(rng, n) {
+			name, a := pm.name, pm.a
+			what := fmt.Sprintf("n=%d %s", n, name)
+			c, err := NewCholesky(a)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			want := refInverse(c)
+			for i := range out.Data {
+				out.Data[i], g.Data[i] = math.NaN(), math.NaN()
+			}
+			c.InverseUpperInto(out, g)
+			sameBits(t, what+": upper", out, want, true)
+			for i := 0; i < n; i++ {
+				for j := 0; j < i; j++ {
+					if !math.IsNaN(out.At(i, j)) || !math.IsNaN(g.At(j, i)) {
+						t.Fatalf("%s: wrote outside its triangle at (%d,%d)", what, i, j)
+					}
+				}
+			}
+			sameBits(t, what+": Inverse", c.Inverse(), want, false)
+		}
+	}
+}
+
+// BenchmarkCholeskyInverse is the upper-triangle inverse into scratch at the
+// training-set sizes a hyperparameter refit meets; it is a third of every
+// Adam step of gp.FitHyper.
+func BenchmarkCholeskyInverse(b *testing.B) {
+	rng := rand.New(rand.NewSource(46))
+	for _, n := range []int{60, 150} {
+		c, err := NewCholesky(randomSPD(rng, n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, g := NewMatrix(n, n), NewMatrix(n, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.InverseUpperInto(out, g)
+			}
+		})
+	}
+}
