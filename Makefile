@@ -61,13 +61,15 @@ test: build
 # (cmd/easybo), and the daemon's serve/shutdown paths (cmd/easybod). The
 # session's read routes hand other goroutines prefixes of the arrays its
 # actor appends to; the test of that contract is schedule-dependent, so it
-# runs ten more times.
+# runs ten more times. So is what the refinement queue promises (no simplex
+# unclaimed while a worker is free, the same bits on any schedule): twenty.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/serve/... \
 		./internal/cluster/... ./internal/loadgen/... \
 		./internal/circuit/... ./internal/optimize/... ./internal/harness/... \
 		./cmd/easybo/... ./cmd/easybod/... ./cmd/easyboload/...
 	$(GO) test -race -count 10 -run 'TestReadsShareHistoryWithActor' ./internal/serve
+	$(GO) test -race -count 20 -run 'TestRefineIsWorkConserving|TestMaximizeParallelDeterministicAcrossWorkers' ./internal/optimize
 
 # Coverage with a ratchet: scripts/coverage.sh fails if the durability
 # stack (./internal/serve/...) drops below its recorded floor.
@@ -111,7 +113,7 @@ load-smoke:
 # repository that turns time into a verdict (DESIGN.md §8.3).
 bench-smoke:
 	$(GO) test -run XXX -bench 'GPExtend|GPRefit|Hallucinate' -benchtime 1x .
-	$(GO) test -run XXX -bench 'SurrogateExtend|SurrogatePredict|PredictBatch' -benchtime 1x ./internal/surrogate/
+	$(GO) test -run XXX -bench 'SurrogateExtend|SurrogatePredict|PredictBatch|Refine' -benchtime 1x ./internal/surrogate/
 	$(GO) test -run XXX -bench 'FitHyper' -benchtime 1x ./internal/gp/
 	$(GO) test -run XXX -bench 'SolveLowerMulti|CholeskyInverse' -benchtime 1x ./internal/linalg/
 	$(GO) test -run XXX -bench 'NewtonIteration' -benchtime 1x ./internal/circuit/

@@ -155,12 +155,13 @@ func (g *GP) PredictWith(buf *PredictBuf, x []float64) (mu, sigma float64) {
 }
 
 // PredictBatchWith predicts at every xs[i] into mu[i] and sigma[i]. The
-// deviation needs v = L⁻¹·k(x), a forward substitution that is one long
+// deviation needs v = L⁻¹·k(x), a forward substitution whose every row is a
 // floating-point dependency chain; linalg.SolveWidth points go through the
-// factor together so their chains overlap. Each point's arithmetic is exactly
-// the single-point sequence — kernel vector, mean, solve, variance — so the
-// values are bit-identical to predicting the points one at a time, in any
-// grouping.
+// factor together and the solve interleaves their chains — a lone point's
+// rows with one another — so no width runs at add latency. Each point's
+// arithmetic is exactly the single-point sequence — kernel vector, mean,
+// solve, variance — so the values are bit-identical to predicting the points
+// one at a time, in any grouping.
 func (g *GP) PredictBatchWith(buf *PredictBuf, xs [][]float64, mu, sigma []float64) {
 	n := g.N()
 	for len(xs) > 0 {

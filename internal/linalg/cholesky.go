@@ -199,11 +199,7 @@ func (c *Cholesky) RankUpdate(v []float64) error {
 // Clone returns an independent copy of the factorization (RankUpdate
 // mutates in place; callers that need copy-on-write semantics clone first).
 func (c *Cholesky) Clone() *Cholesky {
-	L := NewMatrix(c.N, c.N)
-	for i := 0; i < c.N; i++ {
-		copy(L.Row(i), c.L.Row(i))
-	}
-	return &Cholesky{L: L, N: c.N, Jitter: c.Jitter}
+	return &Cholesky{L: c.L.Clone(), N: c.N, Jitter: c.Jitter}
 }
 
 // Solve returns x such that A·x = b, reusing the factorization.
@@ -228,17 +224,49 @@ func (c *Cholesky) SolveLower(b []float64) []float64 {
 
 // SolveLowerInto solves L·y = b into dst without allocating (forward
 // substitution over the contiguous rows of L). dst may alias b. It is the
-// one-right-hand-side case of SolveLowerMulti and the reference for its
-// operation order.
+// one-right-hand-side case of SolveLowerMulti.
+//
+// Rows i…i+3 all subtract multiples of the already-solved prefix y[:i], so
+// over that prefix their four sums are independent chains and go through it
+// together; the 4×4 triangle between them is then closed in row order. Each
+// y[i] still sees s −= L[i][k]·y[k] for k = 0…i−1 ascending and then the one
+// division — the plain loop (the tail below, and refSolveLower in the tests)
+// with its rows interleaved, every bit the same.
 func (c *Cholesky) SolveLowerInto(dst, b []float64) {
-	if len(b) != c.N || len(dst) != c.N {
+	n := c.N
+	if len(b) != n || len(dst) != n {
 		panic("linalg: Cholesky.SolveLowerInto dimension mismatch")
 	}
-	for i := 0; i < c.N; i++ {
-		s := b[i]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		r0, r1, r2, r3 := c.L.Row(i)[:n], c.L.Row(i + 1)[:n], c.L.Row(i + 2)[:n], c.L.Row(i + 3)[:n]
+		// b is read before dst is written: the two may be one slice.
+		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
+		q1, q2, q3 := r1[:i], r2[:i], r3[:i]
+		for k, l := range r0[:i] {
+			v := dst[k]
+			s0 -= l * v
+			s1 -= q1[k] * v
+			s2 -= q2[k] * v
+			s3 -= q3[k] * v
+		}
+		v0 := s0 / r0[i]
+		s1 -= r1[i] * v0
+		v1 := s1 / r1[i+1]
+		s2 -= r2[i] * v0
+		s2 -= r2[i+1] * v1
+		v2 := s2 / r2[i+2]
+		s3 -= r3[i] * v0
+		s3 -= r3[i+1] * v1
+		s3 -= r3[i+2] * v2
+		v3 := s3 / r3[i+3]
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = v0, v1, v2, v3
+	}
+	for ; i < n; i++ {
 		row := c.L.Row(i)
-		for k := 0; k < i; k++ {
-			s -= row[k] * dst[k]
+		s := b[i]
+		for k, l := range row[:i] {
+			s -= l * dst[k]
 		}
 		dst[i] = s / row[i]
 	}
@@ -251,16 +279,21 @@ const SolveWidth = 4
 
 // SolveLowerMulti solves L·y = b for several right-hand sides in place:
 // each vs[j] holds b on entry and y on return. The sides are taken SolveWidth
-// at a time through one pass over L with one scalar accumulator per side.
+// at a time through one pass over L with one scalar accumulator per side and
+// row.
 //
-// Forward substitution is a single dependency chain — every s −= L[i][k]·y[k]
-// waits for the subtraction before it — so one solve runs at floating-point
-// add latency while the multiplier and the other add ports idle. Chains of
-// different right-hand sides are independent and interleave in the pipeline,
-// and each side still sees exactly SolveLowerInto's operations in
-// SolveLowerInto's order, so every result is bit-identical to a solve on its
-// own. (Splitting one side's sum into several accumulators would also break
-// the chain, but reassociates the sum and changes its rounding.)
+// In forward substitution every s −= L[i][k]·y[k] waits for the subtraction
+// before it, so one sum runs at floating-point add latency while the
+// multiplier and the other add ports idle. Sums that do not feed one another
+// interleave in the pipeline: the same row of different sides, and — over
+// the prefix of y already solved — neighbouring rows of one side. The widths
+// the acquisition maximizer solves at keep at least four such chains in
+// flight (1 side × 4 rows, 3 × 2, 4 × 1; a group of two is the end game of a
+// one-worker refinement, under 2 % of the sides it solves, and stays two
+// sides a row), and each element still sees exactly the plain loop's
+// operations in the plain loop's order, so every result is bit-identical to
+// a solve on its own. (Splitting one sum into several accumulators would
+// also break the chain, but reassociates the sum and changes its rounding.)
 func (c *Cholesky) SolveLowerMulti(vs [][]float64) {
 	for _, v := range vs {
 		if len(v) != c.N {
@@ -295,19 +328,39 @@ func (c *Cholesky) solveLower2(y0, y1 []float64) {
 	}
 }
 
+// solveLower3 carries three sides through two rows at a time: six chains,
+// which measured ~10 % under three sides a row at a time, and three is the
+// width a one-worker process refines at (eight chains — four sides by two
+// rows — measured no faster than solveLower4's four; DESIGN.md §14.1). Of an
+// odd number of rows the first, which has no prefix to subtract, goes alone.
 func (c *Cholesky) solveLower3(y0, y1, y2 []float64) {
 	n := c.N
 	y0, y1, y2 = y0[:n], y1[:n], y2[:n]
-	for i := 0; i < n; i++ {
-		row := c.L.Row(i)[:n]
-		s0, s1, s2 := y0[i], y1[i], y2[i]
-		p0, p1, p2 := y0[:i], y1[:i], y2[:i]
-		for k, l := range row[:i] {
-			s0 -= l * p0[k]
-			s1 -= l * p1[k]
-			s2 -= l * p2[k]
+	i := n & 1
+	if i == 1 {
+		d := c.L.Data[0]
+		y0[0], y1[0], y2[0] = y0[0]/d, y1[0]/d, y2[0]/d
+	}
+	for ; i < n; i += 2 {
+		r0, r1 := c.L.Row(i)[:n], c.L.Row(i + 1)[:n]
+		s00, s01, s02 := y0[i], y1[i], y2[i]
+		s10, s11, s12 := y0[i+1], y1[i+1], y2[i+1]
+		q1, p0, p1, p2 := r1[:i], y0[:i], y1[:i], y2[:i]
+		for k, l0 := range r0[:i] {
+			l1, v0, v1, v2 := q1[k], p0[k], p1[k], p2[k]
+			s00 -= l0 * v0
+			s01 -= l0 * v1
+			s02 -= l0 * v2
+			s10 -= l1 * v0
+			s11 -= l1 * v1
+			s12 -= l1 * v2
 		}
-		y0[i], y1[i], y2[i] = s0/row[i], s1/row[i], s2/row[i]
+		v0, v1, v2 := s00/r0[i], s01/r0[i], s02/r0[i]
+		s10 -= r1[i] * v0
+		s11 -= r1[i] * v1
+		s12 -= r1[i] * v2
+		y0[i], y1[i], y2[i] = v0, v1, v2
+		y0[i+1], y1[i+1], y2[i+1] = s10/r1[i+1], s11/r1[i+1], s12/r1[i+1]
 	}
 }
 

@@ -401,44 +401,102 @@ func TestCholeskyCloneIsIndependent(t *testing.T) {
 	}
 }
 
-// TestSolveLowerMultiBitIdentical is the contract the batched predictors
-// stand on: whatever number of right-hand sides are solved together — every
-// kernel width, full groups of four and every remainder — each side comes
-// out with exactly the bits SolveLowerInto gives it alone. Right-hand sides
-// include one shared between two slots' worth of values, a zero vector and
-// entries large enough to lose low bits, so a reassociated or fused sum
-// would show.
+// refSolveLower is forward substitution one row and one side at a time, every
+// element through At: the loop SolveLowerInto was before it interleaved rows.
+// The solves below must reproduce it bit for bit — predictions, and through
+// them every pinned history, stand on these bits.
+func refSolveLower(c *Cholesky, b []float64) []float64 {
+	y := make([]float64, c.N)
+	for i := range y {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= c.L.At(i, k) * y[k]
+		}
+		y[i] = s / c.L.At(i, i)
+	}
+	return y
+}
+
+func sameVecBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: entry %d = %x, reference %x", what, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+func nanVec(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.NaN()
+	}
+	return v
+}
+
+// TestSolveLowerMultiBitIdentical is the contract the batched predictors stand on:
+// however a forward substitution is interleaved — four rows of one side, two
+// rows of two or three sides, four sides of one row, full groups of four and
+// every remainder — each side comes out with exactly the bits of the plain
+// loop. Sizes cover every tail length of the four- and two-row kernels;
+// factors include one off the jitter ladder and one full of exact zeros;
+// right-hand sides include one scaled to lose low bits, one sharing another
+// slot's values and a zero vector, so a reassociated, reordered or fused sum
+// would show. Destinations that do not alias b start as NaN, so an entry read
+// before it is written shows too.
 func TestSolveLowerMultiBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{1, 2, 3, 5, 64, 257} {
-		ch, err := NewCholesky(randomSPD(rng, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for width := 1; width <= 9; width++ {
-			vs := make([][]float64, width)
-			want := make([][]float64, width)
-			for j := range vs {
-				vs[j] = make([]float64, n)
-				for i := range vs[j] {
-					switch j % 4 {
-					case 0:
-						vs[j][i] = rng.NormFloat64()
-					case 1:
-						vs[j][i] = 1e8 * rng.NormFloat64()
-					case 2:
-						vs[j][i] = vs[0][i] // same values as side 0, other slot
-					}
-				}
-				want[j] = ch.SolveLower(vs[j])
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 64, 150, 151, 257} {
+		for _, pm := range pinMatrices(rng, n) {
+			ch, err := NewCholesky(pm.a)
+			if err != nil {
+				t.Fatal(err)
 			}
-			ch.SolveLowerMulti(vs)
-			for j := range vs {
-				for i := range vs[j] {
-					if math.Float64bits(vs[j][i]) != math.Float64bits(want[j][i]) {
-						t.Fatalf("n=%d width=%d: side %d entry %d = %x, alone %x",
-							n, width, j, i, math.Float64bits(vs[j][i]), math.Float64bits(want[j][i]))
+			if (pm.name == "jittered") != (ch.Jitter > 0) {
+				t.Fatalf("n=%d %s: jitter %v", n, pm.name, ch.Jitter)
+			}
+			for width := 1; width <= 9; width++ {
+				what := fmt.Sprintf("n=%d %s width=%d", n, pm.name, width)
+				vs := make([][]float64, width)
+				want := make([][]float64, width)
+				for j := range vs {
+					vs[j] = make([]float64, n)
+					for i := range vs[j] {
+						switch j % 4 {
+						case 0:
+							vs[j][i] = rng.NormFloat64()
+						case 1:
+							vs[j][i] = 1e8 * rng.NormFloat64()
+						case 2:
+							vs[j][i] = vs[0][i] // same values as side 0, other slot
+						}
 					}
+					want[j] = refSolveLower(ch, vs[j])
+				}
+				// One side at a time, apart from b and in place; then the full solve.
+				for j, b := range vs {
+					side := fmt.Sprintf("%s side %d", what, j)
+					kept := append([]float64(nil), b...)
+					dst := nanVec(n)
+					ch.SolveLowerInto(dst, b)
+					sameVecBits(t, side+": SolveLowerInto", dst, want[j])
+					sameVecBits(t, side+": SolveLowerInto's b", b, kept)
+					copy(dst, b)
+					ch.SolveLowerInto(dst, dst)
+					sameVecBits(t, side+": SolveLowerInto in place", dst, want[j])
+
+					full := ch.SolveUpperT(want[j])
+					dst = nanVec(n)
+					ch.SolveInto(dst, b)
+					sameVecBits(t, side+": SolveInto", dst, full)
+					sameVecBits(t, side+": SolveInto's b", b, kept)
+					copy(dst, b)
+					ch.SolveInto(dst, dst)
+					sameVecBits(t, side+": SolveInto in place", dst, full)
+				}
+				ch.SolveLowerMulti(vs)
+				for j := range vs {
+					sameVecBits(t, fmt.Sprintf("%s side %d: SolveLowerMulti", what, j), vs[j], want[j])
 				}
 			}
 		}
@@ -458,35 +516,38 @@ func TestSolveLowerMultiDimensionMismatch(t *testing.T) {
 	ch.SolveLowerMulti([][]float64{make([]float64, 4), make([]float64, 3)})
 }
 
-// BenchmarkSolveLowerMulti is the forward substitution at the feature
-// backend's default basis size, one to four right-hand sides per pass;
-// ns/side is what one more prediction costs at that width.
+// BenchmarkSolveLowerMulti is the forward substitution at the two sizes the
+// repo benchmark ends on — n = 150, the exact backend after bo-opamp's 150
+// evaluations, and n = 256, the feature backend's default basis — one to four
+// right-hand sides per pass; ns/side is what one more prediction costs at
+// that width.
 func BenchmarkSolveLowerMulti(b *testing.B) {
-	const n = 256
 	rng := rand.New(rand.NewSource(43))
-	ch, err := NewCholesky(randomSPD(rng, n))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for width := 1; width <= 4; width++ {
-		rhs := make([][]float64, width)
-		vs := make([][]float64, width)
-		for j := range vs {
-			rhs[j] = make([]float64, n)
-			for i := range rhs[j] {
-				rhs[j][i] = rng.NormFloat64()
-			}
-			vs[j] = make([]float64, n)
+	for _, n := range []int{150, 256} {
+		ch, err := NewCholesky(randomSPD(rng, n))
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("w%d", width), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for j := range vs {
-					copy(vs[j], rhs[j])
+		for width := 1; width <= 4; width++ {
+			rhs := make([][]float64, width)
+			vs := make([][]float64, width)
+			for j := range vs {
+				rhs[j] = make([]float64, n)
+				for i := range rhs[j] {
+					rhs[j][i] = rng.NormFloat64()
 				}
-				ch.SolveLowerMulti(vs)
+				vs[j] = make([]float64, n)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(width), "ns/side")
-		})
+			b.Run(fmt.Sprintf("n%d/w%d", n, width), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for j := range vs {
+						copy(vs[j], rhs[j])
+					}
+					ch.SolveLowerMulti(vs)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(width), "ns/side")
+			})
+		}
 	}
 }
 

@@ -60,9 +60,8 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
+	// append copies into storage it does not zero first: one pass, not two.
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
 }
 
 // T returns the transpose of m as a new matrix.

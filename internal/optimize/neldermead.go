@@ -7,14 +7,17 @@
 // The simplex is an ask/tell state machine (Simplex): Next names the point
 // whose value it is waiting for, Tell supplies it. Control is inverted so
 // that whoever owns the objective decides how to evaluate — the NelderMead
-// function drives one Simplex with a scalar Objective, and the maximizer
-// advances several simplexes in lockstep, scoring all their pending points
-// with one BatchObjective call per step. A posterior prediction is a single
-// floating-point dependency chain (a triangular solve), so it runs at add
-// latency; predicting several points at once interleaves independent chains
-// and is bit-identical per point, which a faster single prediction cannot
-// be. There is one simplex and one maximizer: the scalar entry points
-// (NelderMead, Maximize) are the width-1 use of the same code.
+// function drives one Simplex with a scalar Objective; the maximizer on one
+// worker advances several in lockstep, scoring all their pending points with
+// one BatchObjective call per step, and on several workers hands whole
+// simplexes between them so that none idles. A posterior prediction is a
+// triangular solve, a chain of dependent subtractions that runs at add
+// latency unless independent chains are interleaved with it — other points'
+// (a batch) or the same point's other rows (linalg.SolveLowerInto) — and
+// either way each point's value is bit-identical to its value alone, which
+// is what lets the maximizer regroup and reschedule freely. There is one
+// simplex and one maximizer: the scalar entry points (NelderMead, Maximize)
+// are the width-1 use of the same code.
 package optimize
 
 import (
@@ -304,8 +307,9 @@ type MaximizeOptions struct {
 	// Workers is the number of goroutines evaluating candidates and running
 	// simplex refinements concurrently (default GOMAXPROCS). The result is
 	// identical for every worker count: all randomness is drawn before the
-	// fan-out and the reduction is order-independent. Set 1 to force the
-	// serial path.
+	// fan-out, the reduction is order-independent, and a simplex sees the
+	// same values whichever worker advances it. With 1 the caller's
+	// goroutine does everything, the refinements together in lockstep.
 	Workers int
 }
 

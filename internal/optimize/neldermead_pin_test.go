@@ -201,8 +201,9 @@ func TestPinnedCasesReachEveryBranch(t *testing.T) {
 }
 
 // TestLockstepMatchesSolo runs searches from several starts together on one
-// batched objective and requires each to evaluate exactly the sequence it
-// evaluates alone.
+// batched objective — to completion in one call, and a few rounds per call
+// as the refinement workers do — and requires each to evaluate exactly the
+// sequence it evaluates alone.
 func TestLockstepMatchesSolo(t *testing.T) {
 	for _, c := range pinCases() {
 		starts := [][]float64{c.x0, c.lo, c.hi}
@@ -219,26 +220,38 @@ func TestLockstepMatchesSolo(t *testing.T) {
 			solo[k] = nmTrace(kc)
 		}
 
-		together := make([]*Simplex, len(starts))
-		for k, x0 := range starts {
-			together[k] = NewSimplex(x0, c.lo, c.hi, c.opts)
-		}
-		logs := make([]strings.Builder, len(starts))
-		running := append([]*Simplex(nil), together...)
-		lockstep(func(xs [][]float64, out []float64) {
-			for i, x := range xs {
-				k := 0 // the search whose pending point x is
-				for together[k].Next() == nil || &together[k].Next()[0] != &x[0] {
-					k++
-				}
-				out[i] = c.f(x)
-				logs[k].WriteString(bits(x, out[i]))
+		for _, rounds := range []int{math.MaxInt, 1, 7} {
+			together := make([]*Simplex, len(starts))
+			for k, x0 := range starts {
+				together[k] = NewSimplex(x0, c.lo, c.hi, c.opts)
 			}
-		}, running)
-		for k, s := range together {
-			x, v := s.Best()
-			if got := logs[k].String() + "best " + bits(x, v); got != solo[k] {
-				t.Errorf("%s: start %d evaluated a different sequence in lockstep than alone", c.name, k)
+			logs := make([]strings.Builder, len(starts))
+			batches := 0 // five points fit one batch, so one per round
+			f := func(xs [][]float64, out []float64) {
+				batches++
+				for i, x := range xs {
+					k := 0 // the search whose pending point x is
+					for together[k].Next() == nil || &together[k].Next()[0] != &x[0] {
+						k++
+					}
+					out[i] = c.f(x)
+					logs[k].WriteString(bits(x, out[i]))
+				}
+			}
+			running := append([]*Simplex(nil), together...)
+			xs, vals := make([][]float64, len(running)), make([]float64, len(running))
+			for n := len(running); n > 0; {
+				before := batches
+				n = lockstep(f, running[:n], xs, vals, rounds)
+				if n > 0 && batches-before != rounds {
+					t.Fatalf("%s: a call budgeted %d rounds came back after %d with simplexes running", c.name, rounds, batches-before)
+				}
+			}
+			for k, s := range together {
+				x, v := s.Best()
+				if got := logs[k].String() + "best " + bits(x, v); got != solo[k] {
+					t.Errorf("%s: start %d evaluated a different sequence in lockstep (%d rounds a call) than alone", c.name, k, rounds)
+				}
 			}
 		}
 	}

@@ -1,11 +1,14 @@
 package optimize
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // negSphere peaks at the box midpoint c with value 0.
@@ -167,58 +170,186 @@ func TestDERespectsBounds(t *testing.T) {
 // TestMaximizeParallelDeterministicAcrossWorkers pins the parallel
 // multistart's core guarantee: the result is bit-identical for every worker
 // count, because all randomness is drawn before the fan-out, the reduction
-// is order-independent, and a point's value does not depend on the batch it
-// is scored in. The worker count decides how candidates are chunked and
-// which simplexes advance in lockstep (5 refinements: all together, 3+2,
-// 2+2+1, one each), and the objective records that it really was batched.
+// is order-independent, and a point's value does not depend on the batch or
+// the worker it is scored in. The worker count decides how candidates are
+// chunked and how the refinement runs — all simplexes in lockstep on one
+// worker, handed between workers a quantum at a time when they outnumber
+// them, one each when they do not — and none of it may show: same point,
+// same value, same number of evaluations. The budget is not a multiple of
+// the quantum and the objective is capped just under its peak, so the
+// simplexes stop at different times and for both reasons: the five starts
+// take 48, 46, 75, 52 and 69 evaluations — Tol on the plateau, or the budget.
 func TestMaximizeParallelDeterministicAcrossWorkers(t *testing.T) {
+	const refineEval = 75
+	if refineEval%refineQuantum == 0 {
+		t.Fatal("the budget must end inside a quantum")
+	}
 	f := func(x []float64) float64 {
 		s := 0.0
 		for i := range x {
 			d := x[i] - 0.3*float64(i+1)
 			s -= d * d
 		}
-		return s + 0.05*math.Sin(40*x[0])
+		return math.Min(s+0.05*math.Sin(40*x[0]), 0.045)
 	}
 	lo := []float64{-1, -1, -1}
 	hi := []float64{2, 2, 2}
-	var refX []float64
-	refV := 0.0
-	for _, workers := range []int{1, 2, 3, 8, 16} {
-		var filled atomic.Bool // some call carried a full MaxBatch
-		newF := func() BatchObjective {
-			each := Each(f)
-			return func(xs [][]float64, out []float64) {
-				if len(xs) == 0 || len(xs) > MaxBatch || len(xs) != len(out) {
-					t.Errorf("workers=%d: batch of %d points into %d values", workers, len(xs), len(out))
+	for _, refineN := range []int{1, 3, 5} {
+		var refX []float64
+		refV, refEvals := 0.0, int64(0)
+		for _, workers := range []int{1, 2, 3, 4, 7, 16} {
+			var filled atomic.Bool // some call carried a full MaxBatch
+			var evals atomic.Int64
+			newF := func() BatchObjective {
+				each := Each(f)
+				return func(xs [][]float64, out []float64) {
+					if len(xs) == 0 || len(xs) > MaxBatch || len(xs) != len(out) {
+						t.Errorf("workers=%d: batch of %d points into %d values", workers, len(xs), len(out))
+					}
+					if len(xs) == MaxBatch {
+						filled.Store(true)
+					}
+					evals.Add(int64(len(xs)))
+					each(xs, out)
 				}
-				if len(xs) == MaxBatch {
-					filled.Store(true)
+			}
+			rng := rand.New(rand.NewSource(42))
+			x, v := MaximizeParallel(newF, lo, hi, rng,
+				MaximizeOptions{Candidates: 120, Refine: refineN, RefineEval: refineEval, Workers: workers})
+			if workers == 1 {
+				if !filled.Load() {
+					t.Fatal("serial sweep never filled a batch")
 				}
-				each(xs, out)
+				refX, refV, refEvals = x, v, evals.Load()
+				continue
+			}
+			what := fmt.Sprintf("refine=%d workers=%d", refineN, workers)
+			if evals.Load() != refEvals {
+				t.Fatalf("%s: %d evaluations, one worker made %d", what, evals.Load(), refEvals)
+			}
+			if math.Float64bits(v) != math.Float64bits(refV) {
+				t.Fatalf("%s: value %v != reference %v", what, v, refV)
+			}
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(refX[i]) {
+					t.Fatalf("%s: x[%d] = %v != reference %v", what, i, x[i], refX[i])
+				}
 			}
 		}
-		rng := rand.New(rand.NewSource(42))
-		x, v := MaximizeParallel(newF, lo, hi, rng,
-			MaximizeOptions{Candidates: 120, Refine: 5, Workers: workers})
-		if workers == 1 && !filled.Load() {
-			t.Fatal("serial sweep never filled a batch")
+		if most := int64(120 + refineN*refineEval); refEvals >= most {
+			t.Fatalf("refine=%d: %d evaluations of at most %d: no simplex stopped on Tol", refineN, refEvals, most)
 		}
-		if refX == nil {
-			refX, refV = x, v
-			continue
-		}
-		if math.Float64bits(v) != math.Float64bits(refV) {
-			t.Fatalf("workers=%d: value %v != reference %v", workers, v, refV)
-		}
-		for i := range x {
-			if math.Float64bits(x[i]) != math.Float64bits(refX[i]) {
-				t.Fatalf("workers=%d: x[%d] = %v != reference %v", workers, i, x[i], refX[i])
-			}
+		if refV < -0.2 {
+			t.Fatalf("refine=%d: optimum quality too poor: %v", refineN, refV)
 		}
 	}
-	if refV < -0.2 {
-		t.Fatalf("optimum quality too poor: %v", refV)
+}
+
+// TestRefineIsWorkConserving counts, rather than times, what the shared queue
+// is for: two workers, three simplexes, and the first worker's first
+// evaluation blocks until released (the second worker waits for that before
+// its own first, so the test never passes by the first simply starting late).
+// Whichever simplex the blocked worker holds, the other worker must run both
+// remaining ones to completion meanwhile — a static split strands the second
+// simplex dealt to the blocked worker. The simplexes live in boxes ten apart,
+// so a point names the simplex that asked for it.
+func TestRefineIsWorkConserving(t *testing.T) {
+	const d, nref = 3, 3
+	f := func(x []float64) float64 {
+		s := 0.0
+		for j := range x {
+			e := x[j] - math.Floor(x[j]/10)*10 - 0.3*float64(j+1)
+			s -= e * e
+		}
+		return s
+	}
+	owner := func(x []float64) int { return int(x[0] / 10) }
+	opts := NelderMeadOptions{MaxEvals: 150} // not a multiple of the quantum
+	x0s, los, his := make([][]float64, nref), make([][]float64, nref), make([][]float64, nref)
+	var want [nref]int64 // evaluations each search makes alone
+	soloX, soloV := make([][]float64, nref), make([]float64, nref)
+	for r := 0; r < nref; r++ {
+		los[r], his[r] = box(d, float64(10*r), float64(10*r+1))
+		x0s[r] = []float64{float64(10*r) + 0.9, float64(10*r) + 0.1, float64(10*r) + 0.2*float64(r+1)}
+		soloX[r], soloV[r] = NelderMead(func(x []float64) float64 {
+			want[r]++
+			return f(x)
+		}, x0s[r], los[r], his[r], opts)
+		if want[r] <= refineQuantum {
+			t.Fatalf("search %d ends inside its first quantum (%d evaluations): nothing would be handed off", r, want[r])
+		}
+	}
+
+	starts := make([]*Simplex, nref)
+	for r := range starts {
+		starts[r] = NewSimplex(x0s[r], los[r], his[r], opts)
+	}
+	var held atomic.Int32 // the simplex whose evaluation is blocked
+	var got [nref]atomic.Int64
+	blocked, release, othersDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	score := func(xs [][]float64, out []float64) {
+		for i, x := range xs {
+			out[i] = f(x)
+			got[owner(x)].Add(1)
+		}
+	}
+	var first sync.Once
+	blocker := func(xs [][]float64, out []float64) {
+		first.Do(func() {
+			held.Store(int32(owner(xs[0])))
+			close(blocked)
+			<-release
+		})
+		score(xs, out)
+	}
+	other := func(xs [][]float64, out []float64) {
+		<-blocked
+		score(xs, out)
+		select {
+		case <-release:
+			return
+		default:
+		}
+		// Equality holds once per search: the call that completes the
+		// second one is the only call that sees both.
+		for r := range got {
+			if r != int(held.Load()) && got[r].Load() != want[r] {
+				return
+			}
+		}
+		close(othersDone)
+	}
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		refine([]BatchObjective{blocker, other}, starts)
+	}()
+	select {
+	case <-othersDone:
+	case <-time.After(30 * time.Second):
+		stuck := [nref]int64{got[0].Load(), got[1].Load(), got[2].Load()}
+		close(release)
+		<-returned
+		t.Fatalf("with simplex %d's evaluation blocked, the searches stood at %v of %v evaluations: a simplex sat unclaimed",
+			held.Load(), stuck, want)
+	}
+	select {
+	case <-returned:
+		t.Fatal("refine returned with an evaluation still blocked")
+	default:
+	}
+	close(release)
+	<-returned
+	for r, s := range starts {
+		x, v := s.Best()
+		if got[r].Load() != want[r] || math.Float64bits(v) != math.Float64bits(soloV[r]) {
+			t.Fatalf("search %d: %d evaluations to %v, alone %d to %v", r, got[r].Load(), v, want[r], soloV[r])
+		}
+		for j := range x {
+			if math.Float64bits(x[j]) != math.Float64bits(soloX[r][j]) {
+				t.Fatalf("search %d: x[%d] = %v, alone %v", r, j, x[j], soloX[r][j])
+			}
+		}
 	}
 }
 

@@ -16,20 +16,28 @@ import (
 // it and call it on error-exit paths — an os.Exit that skipped it would
 // leave a truncated CPU profile behind.
 func Start(cpu, mem string) (stop func(), err error) {
+	var cpuFile *os.File
 	if cpu != "" {
 		f, err := os.Create(cpu)
 		if err != nil {
 			return nil, fmt.Errorf("create cpu profile: %w", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
+			// Nothing will be written: leave neither a handle nor an empty file.
+			f.Close()
+			os.Remove(cpu)
 			return nil, fmt.Errorf("start cpu profile: %w", err)
 		}
+		cpuFile = f
 	}
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			if cpu != "" {
+			if cpuFile != nil {
 				pprof.StopCPUProfile()
+				if err := cpuFile.Close(); err != nil {
+					fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+				}
 			}
 			if mem != "" {
 				f, err := os.Create(mem)

@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"easybo/internal/acq"
 	"easybo/internal/core"
 	"easybo/internal/gp"
+	"easybo/internal/optimize"
 	"easybo/internal/surrogate"
 )
 
@@ -21,9 +23,11 @@ const benchDim = 6
 
 var benchSizes = []int{100, 500, 2000}
 
-func benchTheta() []float64 {
-	th := make([]float64, benchDim+1)
-	for i := 0; i < benchDim; i++ {
+func benchTheta() []float64 { return benchThetaDim(benchDim) }
+
+func benchThetaDim(d int) []float64 {
+	th := make([]float64, d+1)
+	for i := 0; i < d; i++ {
 		th[i] = math.Log(0.4)
 	}
 	return th
@@ -32,16 +36,20 @@ func benchTheta() []float64 {
 const benchLogNoise = -3.0
 
 func benchData(n int) (x [][]float64, y []float64, lo, hi []float64) {
+	return benchDataDim(n, benchDim)
+}
+
+func benchDataDim(n, d int) (x [][]float64, y []float64, lo, hi []float64) {
 	rng := rand.New(rand.NewSource(int64(1000 + n)))
-	lo = make([]float64, benchDim)
-	hi = make([]float64, benchDim)
+	lo = make([]float64, d)
+	hi = make([]float64, d)
 	for i := range hi {
 		hi[i] = 1
 	}
 	x = make([][]float64, n)
 	y = make([]float64, n)
 	for i := 0; i < n; i++ {
-		xi := make([]float64, benchDim)
+		xi := make([]float64, d)
 		s := 0.0
 		for j := range xi {
 			xi[j] = rng.Float64()
@@ -216,6 +224,48 @@ func BenchmarkPredictBatchFeatures(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchPredictBatch(b, fm.StandardizedPredictor())
+}
+
+// BenchmarkRefine is one acquisition maximization as an ask runs it — the
+// candidate sweep, then three Nelder–Mead refinements, two thirds of its
+// predictions — on the two model shapes the repo benchmark ends on: the
+// feature backend at its default basis (serve-model: d = 6, m = 256) and the
+// exact GP at n = 150, d = 10 (bo-opamp). One worker steps the refinements in
+// lockstep, two share three through the queue, three take one each.
+func BenchmarkRefine(b *testing.B) {
+	x, y, lo, hi := benchData(500)
+	fm, err := surrogate.FitFeatures(x, y, lo, hi, benchTheta(), benchLogNoise,
+		rand.New(rand.NewSource(1)), surrogate.DefaultFeatures)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const exactDim = 10
+	x10, y10, lo10, hi10 := benchDataDim(150, exactDim)
+	m, err := gp.Train(x10, y10, lo10, hi10, nil,
+		&gp.TrainOptions{FixedTheta: benchThetaDim(exactDim), FixedNoise: benchLogNoise})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		s      surrogate.Surrogate
+		lo, hi []float64
+	}{
+		{"features", fm, lo, hi},
+		{"exact", surrogate.NewExact(m), lo10, hi10},
+	} {
+		newF := core.AcqObjective(acq.Weighted{W: 0.5}, c.s)
+		for _, workers := range []int{1, 2, 3} {
+			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rng := rand.New(rand.NewSource(int64(i)))
+					optimize.MaximizeParallel(newF, c.lo, c.hi, rng, optimize.MaximizeOptions{Workers: workers})
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/maximization")
+			})
+		}
+	}
 }
 
 // benchSuggest measures the full per-ask hot path at n=2000: refresh the

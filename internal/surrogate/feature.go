@@ -258,10 +258,11 @@ func (p *featurePredictor) Predict(x []float64) (mu, sigma float64) {
 }
 
 // PredictBatch implements Predictor. σ² = φᵀA⁻¹φ = ‖L⁻¹φ‖² costs a forward
-// substitution over the m×m factor — m²/2 dependent multiply-subtracts,
-// whatever n is — so linalg.SolveWidth points go through the factor
-// together. Each point's arithmetic is the single-point sequence (features,
-// mean, solve, norm), so the values do not depend on the grouping.
+// substitution over the m×m factor — m²/2 multiply-subtracts, whatever n is —
+// so linalg.SolveWidth points go through the factor together; the solve
+// keeps four or more dependency chains in flight at every width, a batch of
+// one included. Each point's arithmetic is the single-point sequence
+// (features, mean, solve, norm), so the values do not depend on the grouping.
 func (p *featurePredictor) PredictBatch(xs [][]float64, mu, sigma []float64) {
 	fm := p.fm
 	for len(xs) > 0 {
