@@ -43,6 +43,12 @@ type ConstrainedResult struct {
 // same hallucination-based batch diversity as the unconstrained algorithm.
 // This implements the constrained extension the paper announces as future
 // work (§II-A).
+//
+// Of Options it honours Workers, InitPoints, MaxEvals, Seed, Lambda,
+// FitIters (default 30) and Algorithm (EasyBO or EasyBOA; anything else runs
+// as EasyBO). It runs on virtual time and retrains every surrogate, an exact
+// GP per output, on every completion, so Surrogate, EscalateAt, RefitEvery
+// and Async are not consulted.
 func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*ConstrainedResult, error) {
 	if _, err := p.toInternal(); err != nil {
 		return nil, err
@@ -54,19 +60,13 @@ func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*Co
 		opts.Workers = 1
 	}
 	if opts.InitPoints <= 0 {
-		opts.InitPoints = 20
+		opts.InitPoints = core.DefaultInitPoints
 	}
 	if opts.MaxEvals <= 0 {
 		opts.MaxEvals = 150
 	}
 	if opts.MaxEvals < opts.InitPoints {
 		opts.InitPoints = opts.MaxEvals
-	}
-	if opts.Lambda <= 0 {
-		opts.Lambda = 6
-	}
-	if opts.RefitEvery <= 0 {
-		opts.RefitEvery = 5
 	}
 	if opts.FitIters <= 0 {
 		opts.FitIters = 30

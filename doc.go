@@ -107,7 +107,7 @@
 //     of concurrently running evaluations are always distinct and a crashed
 //     evaluation can never deadlock the run.
 //   - Panics inside the objective are recovered into failed evaluations;
-//     NaN objective values are classified the same way.
+//     NaN and ±Inf objective values are classified the same way.
 //   - Options.Async configures per-evaluation timeouts, bounded retries on
 //     the same worker, and context-based cancellation (OptimizeParallel),
 //     plus the failure policy shared with virtual runs: AbortOnFailure

@@ -75,7 +75,7 @@ const (
 )
 
 // FailurePolicy decides what an optimization run does when an evaluation
-// fails: the objective panics, returns NaN, exceeds AsyncOptions.EvalTimeout,
+// fails: the objective panics, returns NaN or ±Inf, exceeds AsyncOptions.EvalTimeout,
 // or the run's context is cancelled.
 type FailurePolicy int
 
@@ -97,7 +97,7 @@ const (
 // the first failure.
 //
 // For Optimize (virtual time), Context, Policy, and MaxFailures apply — the
-// only virtual failure mode is a NaN objective. For OptimizeParallel every
+// only virtual failure mode is a non-finite objective value. For OptimizeParallel every
 // field applies, and panics inside the objective are recovered into
 // failures instead of crashing the run.
 type AsyncOptions struct {
@@ -311,7 +311,7 @@ func Optimize(p Problem, opts Options) (*Result, error) {
 // suggestion sequence is seeded by Options.Seed, but completion order (and
 // therefore the trajectory) depends on real execution times.
 //
-// Evaluations are fault-isolated: a panicking objective, a NaN value, or a
+// Evaluations are fault-isolated: a panicking objective, a NaN or ±Inf value, or a
 // call exceeding Options.Async.EvalTimeout becomes a failed evaluation
 // handled per Options.Async.Policy (abort by default, or skip/retry), never
 // a crashed run or a leaked worker.

@@ -163,8 +163,10 @@ func TestLoopObserveUnsuggestedAndErrors(t *testing.T) {
 	if err := loop.Observe([]float64{1}, 0); err == nil {
 		t.Fatal("dimension mismatch must fail")
 	}
-	if err := loop.Observe([]float64{0, 1}, math.NaN()); err == nil {
-		t.Fatal("NaN observation must fail")
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := loop.Observe([]float64{0, 1}, bad); err == nil {
+			t.Fatalf("observation %v must fail", bad)
+		}
 	}
 	// Loop rejects non-EasyBO algorithms.
 	if _, err := easybo.NewLoop(p, easybo.Options{Algorithm: easybo.PBO}); err == nil {
@@ -389,14 +391,21 @@ func TestOptimizeParallelRetriesTransientFailures(t *testing.T) {
 }
 
 func TestOptimizeVirtualSkipsNaN(t *testing.T) {
-	// The virtual engine's failure path through the public API: a slice of
-	// the box returns NaN; SkipFailures completes the budget and reports
-	// the failures, deterministically.
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		testOptimizeVirtualSkips(t, bad)
+	}
+}
+
+// testOptimizeVirtualSkips is the virtual engine's failure path through the
+// public API: a slice of the box returns the non-finite value bad;
+// SkipFailures completes the budget and reports the failures,
+// deterministically.
+func testOptimizeVirtualSkips(t *testing.T, bad float64) {
 	p := circuits.Branin()
 	base := p.Objective
 	p.Objective = func(x []float64) float64 {
 		if x[0] > 9 {
-			return math.NaN()
+			return bad
 		}
 		return base(x)
 	}
@@ -417,7 +426,10 @@ func TestOptimizeVirtualSkipsNaN(t *testing.T) {
 		t.Fatalf("ok %d + failed %d != 40", len(r1.Evaluations), len(r1.Failed))
 	}
 	if len(r1.Failed) == 0 {
-		t.Fatal("expected NaN failures on this seed")
+		t.Fatal("expected failures on this seed")
+	}
+	if math.IsInf(r1.BestY, 0) {
+		t.Fatalf("a failed evaluation became the incumbent: %v", r1.BestY)
 	}
 	if r1.BestY != r2.BestY || len(r1.Failed) != len(r2.Failed) || r1.Seconds != r2.Seconds {
 		t.Fatal("virtual failure handling must stay deterministic")

@@ -81,6 +81,3 @@ func (p *Portfolio) Update(s Surrogate) {
 		p.rewards[i] += mu
 	}
 }
-
-// NumStrategies returns the portfolio arity.
-func (p *Portfolio) NumStrategies() int { return len(p.rewards) }

@@ -14,7 +14,7 @@ func TestPortfolioWeightsStartUniform(t *testing.T) {
 			t.Fatalf("initial weights %v, want uniform", w)
 		}
 	}
-	if p.NumStrategies() != 3 {
+	if len(w) != 3 {
 		t.Fatal("arity wrong")
 	}
 }

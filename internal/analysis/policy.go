@@ -1,7 +1,5 @@
 package analysis
 
-import "strings"
-
 // This file is the single written-down form of the determinism boundary:
 // which packages must replay bit-for-bit, and which analyzers police them.
 // DESIGN.md §6 explains the boundary; this is the machine-readable copy.
@@ -58,9 +56,3 @@ var durabilityPkgs = map[string]bool{
 func isDeterministic(pkgPath string) bool { return deterministicPkgs[pkgPath] }
 
 func isDurability(pkgPath string) bool { return durabilityPkgs[pkgPath] }
-
-// inModule distinguishes this module's packages from the standard library
-// when analyzers are pointed at arbitrary patterns.
-func inModule(pkgPath string) bool {
-	return pkgPath == "easybo" || strings.HasPrefix(pkgPath, "easybo/")
-}

@@ -48,18 +48,17 @@ const (
 type Config struct {
 	Algo       Algorithm
 	BatchSize  int   // parallel workers B (default 1)
-	InitPoints int   // initial random design size (default 20, as in §IV)
+	InitPoints int   // initial random design size (default core.DefaultInitPoints)
 	MaxEvals   int   // total simulations including the initial design
 	Seed       int64 // master seed; every run is deterministic given it
 
 	// EasyBO knobs.
-	Lambda float64 // κ upper bound of Eq. (8) (default 6.0)
+	Lambda float64 // κ upper bound of Eq. (8) (default acq.DefaultLambda)
 
 	// Surrogate management.
-	RefitEvery  int       // hyperparameter re-optimization cadence in observations (default 5)
-	FitIters    int       // Adam iterations per hyperfit (default 40)
-	FitRestarts int       // random restarts on the first hyperfit (default 1)
-	Kernel      gp.Kernel // surrogate kernel (default SE-ARD, the paper's choice)
+	RefitEvery int       // hyperparameter re-optimization cadence in observations (default surrogate.DefaultRefitEvery)
+	FitIters   int       // Adam iterations per hyperfit (default surrogate.DefaultFitIters)
+	Kernel     gp.Kernel // surrogate kernel (default SE-ARD, the paper's choice)
 
 	// Surrogate selects the backend: exact GP, feature-space, or auto
 	// (exact below EscalateAt observations, feature-space past it; the
@@ -73,14 +72,7 @@ type Config struct {
 	AcqCandidates int // candidate sweep size (default 60·d, min 200)
 	AcqRefine     int // simplex refinements (default 2)
 
-	// Baseline knobs.
-	KappaLCB float64 // LCB/UCB κ (default 2.0)
-	XiEI     float64 // EI exploration margin in standardized units (default 0.01)
-	DEPop    int     // DE population (default 50)
-
-	// pHCBO knobs (Eq. 6).
-	NHC      float64 // penalty scale (default 100)
-	HCRadius float64 // veto radius in normalized space (default 0.1)
+	DEPop int // DE population (default 50)
 
 	// Failure policy for the virtual-engine drivers: what to do when an
 	// evaluation fails (its objective returned NaN). Default core.FailAbort.
@@ -96,7 +88,7 @@ func (c *Config) defaults() {
 		c.BatchSize = 1
 	}
 	if c.InitPoints <= 0 {
-		c.InitPoints = 20
+		c.InitPoints = core.DefaultInitPoints
 	}
 	if c.MaxEvals <= 0 {
 		c.MaxEvals = 150
@@ -104,32 +96,8 @@ func (c *Config) defaults() {
 	if c.MaxEvals < c.InitPoints {
 		c.InitPoints = c.MaxEvals
 	}
-	if c.Lambda <= 0 {
-		c.Lambda = 6.0
-	}
-	if c.RefitEvery <= 0 {
-		c.RefitEvery = 5
-	}
-	if c.FitIters <= 0 {
-		c.FitIters = 40
-	}
-	if c.FitRestarts <= 0 {
-		c.FitRestarts = 1
-	}
-	if c.KappaLCB <= 0 {
-		c.KappaLCB = 2.0
-	}
-	if c.XiEI <= 0 {
-		c.XiEI = 0.01
-	}
 	if c.DEPop <= 0 {
 		c.DEPop = 50
-	}
-	if c.NHC <= 0 {
-		c.NHC = 100
-	}
-	if c.HCRadius <= 0 {
-		c.HCRadius = 0.1
 	}
 }
 
@@ -164,29 +132,6 @@ func newHistory(algo Algorithm, b int, recs, failed []sched.Result) *History {
 	return h
 }
 
-// WorkerUtilization returns the fraction of the makespan each of the B
-// workers spent evaluating, counting failed evaluations (they occupied
-// their slot too).
-func (h *History) WorkerUtilization() []float64 {
-	all := make([]sched.Result, 0, len(h.Records)+len(h.Failed))
-	all = append(all, h.Records...)
-	all = append(all, h.Failed...)
-	return sched.Utilization(all, h.BatchSize)
-}
-
-// BestSoFar returns the running maximum of Y in completion order.
-func (h *History) BestSoFar() []float64 {
-	out := make([]float64, len(h.Records))
-	best := math.Inf(-1)
-	for i, r := range h.Records {
-		if r.Y > best {
-			best = r.Y
-		}
-		out[i] = best
-	}
-	return out
-}
-
 // CurveVsTime returns the best objective value observed up to each query
 // time (a right-continuous step function; -Inf before the first completion).
 // Used to regenerate the paper's Figures 4 and 6.
@@ -212,26 +157,6 @@ func (h *History) CurveVsTime(ts []float64) []float64 {
 	}
 	return out
 }
-
-// TimeToReach returns the earliest virtual time at which the running best
-// reached the given level (ok=false if never).
-func (h *History) TimeToReach(level float64) (float64, bool) {
-	type pt struct{ t, y float64 }
-	pts := make([]pt, len(h.Records))
-	for i, r := range h.Records {
-		pts[i] = pt{r.End, r.Y}
-	}
-	sort.Slice(pts, func(a, b int) bool { return pts[a].t < pts[b].t })
-	for _, p := range pts {
-		if p.y >= level {
-			return p.t, true
-		}
-	}
-	return 0, false
-}
-
-// IsAsync reports whether the algorithm dispatches asynchronously.
-func (a Algorithm) IsAsync() bool { return a == AlgoEasyBO || a == AlgoEasyBOA }
 
 // IsBatch reports whether the algorithm uses parallel workers.
 func (a Algorithm) IsBatch() bool {

@@ -176,13 +176,6 @@ func TestHistoryCurves(t *testing.T) {
 	if h.BestY != 3 || h.Makespan != 20 {
 		t.Fatalf("history %+v", h)
 	}
-	bsf := h.BestSoFar()
-	want := []float64{1, 3, 3}
-	for i := range bsf {
-		if bsf[i] != want[i] {
-			t.Fatalf("BestSoFar = %v", bsf)
-		}
-	}
 	curve := h.CurveVsTime([]float64{0, 5, 10, 20, 30})
 	if !math.IsInf(curve[0], -1) {
 		t.Fatal("curve before first completion must be -Inf")
@@ -192,12 +185,6 @@ func TestHistoryCurves(t *testing.T) {
 		if curve[i+1] != w {
 			t.Fatalf("curve = %v", curve)
 		}
-	}
-	if tt, ok := h.TimeToReach(2.5); !ok || tt != 5 {
-		t.Fatalf("TimeToReach(2.5) = %v %v", tt, ok)
-	}
-	if _, ok := h.TimeToReach(99); ok {
-		t.Fatal("unreachable level must report not-ok")
 	}
 }
 
@@ -210,9 +197,6 @@ func TestAlgorithmLabels(t *testing.T) {
 	}
 	if AlgoEasyBOSeq.Label(1) != "EasyBO" {
 		t.Fatal(AlgoEasyBOSeq.Label(1))
-	}
-	if !AlgoEasyBO.IsAsync() || AlgoEasyBOSP.IsAsync() {
-		t.Fatal("IsAsync wrong")
 	}
 	if !AlgoPBO.IsBatch() || AlgoEI.IsBatch() {
 		t.Fatal("IsBatch wrong")
@@ -399,7 +383,7 @@ func TestRunAsyncSkipsFailedEvaluations(t *testing.T) {
 			t.Fatalf("healthy evaluation in Failed: %+v", r)
 		}
 	}
-	util := h.WorkerUtilization()
+	util := sched.Utilization(append(append([]sched.Result(nil), h.Records...), h.Failed...), h.BatchSize)
 	if len(util) != 4 {
 		t.Fatalf("utilization workers = %d", len(util))
 	}
@@ -416,40 +400,42 @@ func TestRunAsyncSkipsFailedEvaluations(t *testing.T) {
 }
 
 func TestRunSyncHonorsFailurePolicy(t *testing.T) {
-	// The synchronous drivers share the failure contract: NaN evaluations
-	// abort by default, and under FailSkip they consume budget without
-	// reaching the surrogate or Records.
-	flaky := func() *objective.Problem {
+	// The synchronous drivers share the failure contract: non-finite
+	// evaluations abort by default, and under FailSkip they consume budget
+	// without reaching the surrogate or Records.
+	flaky := func(bad float64) *objective.Problem {
 		p := objective.Branin()
 		base := p.Eval
 		return &objective.Problem{Name: "flaky", Lo: p.Lo, Hi: p.Hi,
 			Eval: func(x []float64) float64 {
 				if x[0] < -3 {
-					return math.NaN()
+					return bad
 				}
 				return base(x)
 			},
 		}
 	}
-	for _, algo := range []Algorithm{AlgoPBO, AlgoRandom, AlgoDE} {
-		cfg := fastCfg(algo, 4, 30, 13)
-		if _, err := Run(flaky(), cfg); err == nil {
-			t.Fatalf("%s: NaN evaluation must abort by default", algo)
-		}
-		cfg.Failure = core.FailSkip
-		h, err := Run(flaky(), cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if len(h.Records)+len(h.Failed) != 30 {
-			t.Fatalf("%s: records %d + failed %d != 30", algo, len(h.Records), len(h.Failed))
-		}
-		if len(h.Failed) == 0 {
-			t.Fatalf("%s: expected failures on this seed", algo)
-		}
-		for _, r := range h.Records {
-			if math.IsNaN(r.Y) || r.Err != nil {
-				t.Fatalf("%s: failure leaked into Records: %+v", algo, r)
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for _, algo := range []Algorithm{AlgoPBO, AlgoRandom, AlgoDE} {
+			cfg := fastCfg(algo, 4, 30, 13)
+			if _, err := Run(flaky(bad), cfg); err == nil {
+				t.Fatalf("%s: an evaluation returning %v must abort by default", algo, bad)
+			}
+			cfg.Failure = core.FailSkip
+			h, err := Run(flaky(bad), cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", algo, err)
+			}
+			if len(h.Records)+len(h.Failed) != 30 {
+				t.Fatalf("%s: records %d + failed %d != 30", algo, len(h.Records), len(h.Failed))
+			}
+			if len(h.Failed) == 0 {
+				t.Fatalf("%s: expected failures on this seed", algo)
+			}
+			for _, r := range h.Records {
+				if math.IsNaN(r.Y) || math.IsInf(r.Y, 0) || r.Err != nil {
+					t.Fatalf("%s: failure leaked into Records: %+v", algo, r)
+				}
 			}
 		}
 	}
@@ -514,9 +500,10 @@ func TestEveryWorkerIsUsedWhenDesignIsSmallerThanPool(t *testing.T) {
 		if len(h.Records) != 30 {
 			t.Fatalf("%s: %d records, want 30", algo, len(h.Records))
 		}
-		for w, u := range h.WorkerUtilization() {
+		util := sched.Utilization(h.Records, h.BatchSize)
+		for w, u := range util {
 			if u <= 0 {
-				t.Fatalf("%s: worker %d never ran an evaluation: %v", algo, w, h.WorkerUtilization())
+				t.Fatalf("%s: worker %d never ran an evaluation: %v", algo, w, util)
 			}
 		}
 		if h.Makespan > 6 {

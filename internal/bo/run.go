@@ -73,13 +73,12 @@ func run(p *objective.Problem, cfg Config, rng *rand.Rand, ac core.AskTellConfig
 	ac.OnResult = func(r sched.Result) { recs = append(recs, r) }
 	ac.OnFailure = func(r sched.Result) { failed = append(failed, r) }
 	at, _, err := core.NewMachine(rng, cfg.InitPoints, core.ModelManagerOptions{
-		RefitEvery:  cfg.RefitEvery,
-		FitIters:    cfg.FitIters,
-		FitRestarts: cfg.FitRestarts,
-		Kernel:      cfg.Kernel,
-		Backend:     cfg.Surrogate,
-		EscalateAt:  cfg.EscalateAt,
-		Features:    cfg.Features,
+		RefitEvery: cfg.RefitEvery,
+		FitIters:   cfg.FitIters,
+		Kernel:     cfg.Kernel,
+		Backend:    cfg.Surrogate,
+		EscalateAt: cfg.EscalateAt,
+		Features:   cfg.Features,
 	}, ac)
 	if err != nil {
 		return nil, err
@@ -140,13 +139,13 @@ func (c Config) selectorFor() (batchSelector, error) {
 	opts := c.acqOpts()
 	switch c.Algo {
 	case AlgoEI:
-		return eiSelector{xi: c.XiEI, opts: opts}, nil
+		return eiSelector{opts: opts}, nil
 	case AlgoLCB:
-		return lcbSelector{kappa: c.KappaLCB, opts: opts}, nil
+		return lcbSelector{opts: opts}, nil
 	case AlgoPBO:
 		return pboSelector{opts: opts}, nil
 	case AlgoPHCBO:
-		return newPHCBOSelector(c.NHC, c.HCRadius, opts), nil
+		return newPHCBOSelector(opts), nil
 	case AlgoEasyBOSeq, AlgoEasyBOS:
 		return easySelector{&core.Proposer{Lambda: c.Lambda, Penalize: false, MaxOpts: opts}}, nil
 	case AlgoEasyBOSP:
@@ -154,7 +153,7 @@ func (c Config) selectorFor() (batchSelector, error) {
 	case AlgoTS:
 		return tsSelector{opts: opts}, nil
 	case AlgoPortfolio:
-		return newPortfolioSelector(c.XiEI, c.KappaLCB, opts), nil
+		return newPortfolioSelector(opts), nil
 	default:
 		return nil, fmt.Errorf("bo: unknown algorithm %q", c.Algo)
 	}
@@ -190,8 +189,8 @@ func runDE(p *objective.Problem, cfg Config, rng *rand.Rand) (*History, error) {
 			Start: now, End: now + cost, Attempts: 1,
 		}
 		now += cost
-		if math.IsNaN(y) {
-			r.Err = sched.ErrNaN
+		if r.Err = sched.ValueErr(y); r.Err != nil {
+			r.Y = math.NaN()
 			failed = append(failed, r)
 			if action, ferr := fh.Handle(r); action == core.ActionAbort {
 				abortErr = fmt.Errorf("bo: %w", ferr)

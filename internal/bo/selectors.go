@@ -24,15 +24,20 @@ func maximizeAcq(a acq.Func, m surrogate.Surrogate, lo, hi []float64, rng *rand.
 	return x
 }
 
+// The baselines' tuning, fixed at the values every table was run with.
+const (
+	kappaLCB = 2.0  // LCB/UCB κ
+	xiEI     = 0.01 // EI/PI exploration margin, standardized units
+)
+
 // eiSelector is sequential expected improvement.
 type eiSelector struct {
-	xi   float64
 	opts optimize.MaximizeOptions
 }
 
 func (s eiSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64, bestRaw float64, rng *rand.Rand) ([][]float64, error) {
 	out := make([][]float64, 0, b)
-	a := acq.EI{Best: m.StandardizeY(bestRaw), Xi: s.xi}
+	a := acq.EI{Best: m.StandardizeY(bestRaw), Xi: xiEI}
 	for i := 0; i < b; i++ {
 		out = append(out, maximizeAcq(a, m, lo, hi, rng, s.opts))
 	}
@@ -41,13 +46,12 @@ func (s eiSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64, 
 
 // lcbSelector is the sequential confidence-bound strategy.
 type lcbSelector struct {
-	kappa float64
-	opts  optimize.MaximizeOptions
+	opts optimize.MaximizeOptions
 }
 
 func (s lcbSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64, _ float64, rng *rand.Rand) ([][]float64, error) {
 	out := make([][]float64, 0, b)
-	a := acq.LCB{Kappa: s.kappa}
+	a := acq.LCB{Kappa: kappaLCB}
 	for i := 0; i < b; i++ {
 		out = append(out, maximizeAcq(a, m, lo, hi, rng, s.opts))
 	}
@@ -70,16 +74,15 @@ func (s pboSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64,
 }
 
 // phcboSelector implements pHCBO (Eq. 5-6): pBO penalized around the 5 most
-// recent queries of the same weight index, in normalized coordinates.
+// recent queries of the same weight index, in normalized coordinates, at
+// acq.HCPenalty's default scale and radius.
 type phcboSelector struct {
-	nhc    float64
-	radius float64
 	opts   optimize.MaximizeOptions
 	recent map[int][][]float64 // weight index -> recent normalized queries
 }
 
-func newPHCBOSelector(nhc, radius float64, opts optimize.MaximizeOptions) *phcboSelector {
-	return &phcboSelector{nhc: nhc, radius: radius, opts: opts, recent: map[int][][]float64{}}
+func newPHCBOSelector(opts optimize.MaximizeOptions) *phcboSelector {
+	return &phcboSelector{opts: opts, recent: map[int][][]float64{}}
 }
 
 // normalize maps x into the unit cube of [lo, hi].
@@ -103,7 +106,7 @@ func (s *phcboSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float
 	ws := acq.PBOWeights(b)
 	out := make([][]float64, 0, b)
 	for i, w := range ws {
-		pen := acq.HCPenalty{NHC: s.nhc, D: s.radius, Recent: s.recent[i]}
+		pen := acq.HCPenalty{Recent: s.recent[i]}
 		weighted := core.AcqObjective(acq.Weighted{W: w}, m)
 		x, _ := optimize.MaximizeParallel(func() optimize.BatchObjective {
 			base := weighted()
@@ -172,13 +175,11 @@ func (s tsSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64, 
 // refreshed posterior mean at their past nominations.
 type portfolioSelector struct {
 	hedge *acq.Portfolio
-	xi    float64
-	kappa float64
 	opts  optimize.MaximizeOptions
 }
 
-func newPortfolioSelector(xi, kappa float64, opts optimize.MaximizeOptions) *portfolioSelector {
-	return &portfolioSelector{hedge: acq.NewPortfolio(3, 1.0), xi: xi, kappa: kappa, opts: opts}
+func newPortfolioSelector(opts optimize.MaximizeOptions) *portfolioSelector {
+	return &portfolioSelector{hedge: acq.NewPortfolio(3, 1.0), opts: opts}
 }
 
 func (s *portfolioSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64, bestRaw float64, rng *rand.Rand) ([][]float64, error) {
@@ -186,9 +187,9 @@ func (s *portfolioSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []f
 	s.hedge.Update(std) // reward last round's nominations under the new posterior
 	best := m.StandardizeY(bestRaw)
 	strategies := []acq.Func{
-		acq.EI{Best: best, Xi: s.xi},
-		acq.PI{Best: best, Xi: s.xi},
-		acq.UCB{Kappa: s.kappa},
+		acq.EI{Best: best, Xi: xiEI},
+		acq.PI{Best: best, Xi: xiEI},
+		acq.UCB{Kappa: kappaLCB},
 	}
 	choices := make([][]float64, len(strategies))
 	for i, a := range strategies {

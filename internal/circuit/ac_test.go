@@ -143,14 +143,6 @@ func TestBodeMeasurements(t *testing.T) {
 	if ugf < 5e4 || ugf > 3e5 {
 		t.Fatalf("UGF = %v, expected ≈1e5", ugf)
 	}
-	pm, ok := bode.PhaseMarginDeg()
-	if !ok {
-		t.Fatal("no phase margin")
-	}
-	// Second pole at the crossing: PM ≈ 45-60°.
-	if pm < 20 || pm > 80 {
-		t.Fatalf("PM = %v, expected moderate margin", pm)
-	}
 }
 
 func TestBodePhaseUnwrap(t *testing.T) {

@@ -121,9 +121,6 @@ func (c *Circuit) AddDevice(d Device) {
 	c.compiled = false
 }
 
-// NumNodes returns the number of nodes including ground.
-func (c *Circuit) NumNodes() int { return len(c.names) }
-
 // NodeNames returns the node names excluding ground, in index order.
 func (c *Circuit) NodeNames() []string {
 	out := make([]string, 0, len(c.names)-1)
@@ -131,16 +128,6 @@ func (c *Circuit) NodeNames() []string {
 		out = append(out, n)
 	}
 	return out
-}
-
-// NodeIndex returns the unknown-vector index of a named node, or -1 for
-// ground / unknown names.
-func (c *Circuit) NodeIndex(name string) int {
-	idx, ok := c.nodes[name]
-	if !ok || idx == 0 {
-		return -1
-	}
-	return idx - 1
 }
 
 // allocBranch reserves a branch-current unknown (voltage sources, VCVS).

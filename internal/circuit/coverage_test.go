@@ -137,21 +137,6 @@ func TestACCurrentSource(t *testing.T) {
 	}
 }
 
-func TestInductorCurrentAccessor(t *testing.T) {
-	// Steady DC through L: after a long transient the inductor current must
-	// approach V/R.
-	c := New("lcur")
-	c.AddV("V1", "in", "0", DC(1))
-	l := c.AddL("L1", "in", "a", 1e-3)
-	c.AddR("R1", "a", "0", 100)
-	if _, err := c.Tran(TranOptions{TStop: 1e-3, TStep: 1e-6}); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.Current(); math.Abs(got-0.01) > 1e-4 {
-		t.Fatalf("inductor current %v, want 0.01", got)
-	}
-}
-
 func TestNodeAccessors(t *testing.T) {
 	c := New("acc")
 	c.AddR("R1", "x", "y", 1e3)
@@ -159,18 +144,9 @@ func TestNodeAccessors(t *testing.T) {
 	if err := c.Compile(); err != nil {
 		t.Fatal(err)
 	}
-	if c.NumNodes() != 3 {
-		t.Fatalf("NumNodes = %d", c.NumNodes())
-	}
 	names := c.NodeNames()
 	if len(names) != 2 || names[0] != "x" || names[1] != "y" {
 		t.Fatalf("NodeNames = %v", names)
-	}
-	if c.NodeIndex("x") != 0 || c.NodeIndex("y") != 1 {
-		t.Fatal("NodeIndex wrong")
-	}
-	if c.NodeIndex("0") != -1 || c.NodeIndex("nope") != -1 {
-		t.Fatal("ground/unknown NodeIndex must be -1")
 	}
 	// Labels exist for diagnostics.
 	for _, d := range []Device{

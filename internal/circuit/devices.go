@@ -264,10 +264,6 @@ func (d *Inductor) advance(e *env) {
 	d.vLPrev = v - d.ESR*i
 }
 
-// Current returns the most recent inductor current (valid during/after a
-// transient run; used to measure supply current draw).
-func (d *Inductor) Current() float64 { return d.iPrev }
-
 // ----------------------------------------------------------------- VSource
 
 // VSource is an independent voltage source with a branch-current unknown.

@@ -99,19 +99,6 @@ func (b *Bode) PhaseAt(f float64) float64 {
 	return b.PhaseDeg[n-1]
 }
 
-// PhaseMarginDeg returns 180° + phase at the unity-gain frequency, relative
-// to the low-frequency phase (so an inverting amplifier measured with a
-// 180° DC phase still reports the conventional margin). ok is false when
-// there is no unity crossing.
-func (b *Bode) PhaseMarginDeg() (pm float64, ok bool) {
-	ugf, ok := b.UnityGainFreq()
-	if !ok {
-		return 0, false
-	}
-	phaseShift := b.PhaseAt(ugf) - b.PhaseDeg[0] // negative lag accumulated
-	return 180 + phaseShift, true
-}
-
 // Phase180Freq returns the first frequency at which the accumulated phase
 // lag (relative to the low-frequency phase) reaches 180°. Beyond this
 // frequency a unity-feedback loop is unstable, so it bounds the usable
@@ -238,19 +225,4 @@ func AveragePower(t, v, i []float64, f0 float64) float64 {
 		return 0
 	}
 	return sum / tw
-}
-
-// MeanOverPeriods returns the average of x over the last whole number of
-// periods of f0 (or the whole record if f0 <= 0).
-func MeanOverPeriods(t, x []float64, f0 float64) float64 {
-	ones := make([]float64, len(x))
-	for i := range ones {
-		ones[i] = 1
-	}
-	return AveragePower(t, x, ones, f0)
-}
-
-// RMSOverPeriods returns the RMS of x over the last whole number of periods.
-func RMSOverPeriods(t, x []float64, f0 float64) float64 {
-	return math.Sqrt(AveragePower(t, x, x, f0))
 }

@@ -68,32 +68,3 @@ func (p Pulse) At(t float64) float64 {
 		return p.V1
 	}
 }
-
-// PWL is a piecewise-linear waveform through (T[i], V[i]) points; constant
-// extrapolation outside the range.
-type PWL struct {
-	T []float64
-	V []float64
-}
-
-// At evaluates the piecewise-linear waveform.
-func (p PWL) At(t float64) float64 {
-	n := len(p.T)
-	if n == 0 {
-		return 0
-	}
-	if t <= p.T[0] {
-		return p.V[0]
-	}
-	if t >= p.T[n-1] {
-		return p.V[n-1]
-	}
-	// Linear scan: PWL sources in this project have few points.
-	for i := 1; i < n; i++ {
-		if t <= p.T[i] {
-			f := (t - p.T[i-1]) / (p.T[i] - p.T[i-1])
-			return p.V[i-1] + f*(p.V[i]-p.V[i-1])
-		}
-	}
-	return p.V[n-1]
-}

@@ -291,10 +291,10 @@ func (s *AskTell) ObserveResult(r sched.Result) error {
 }
 
 // Observe is the plain ask/tell form of ObserveResult for callers without an
-// executor: evalErr non-nil (or a NaN y) marks the evaluation failed.
+// executor: evalErr non-nil (or a non-finite y) marks the evaluation failed.
 func (s *AskTell) Observe(x []float64, y float64, evalErr error) error {
-	if evalErr == nil && math.IsNaN(y) {
-		evalErr = sched.ErrNaN
+	if evalErr == nil {
+		evalErr = sched.ValueErr(y)
 	}
 	return s.ObserveResult(sched.Result{ID: s.tells, X: x, Y: y, Err: evalErr, Attempts: 1})
 }
@@ -356,10 +356,6 @@ func (s *AskTell) PendingPoints() [][]float64 {
 
 // Best returns the incumbent (nil, -Inf before any successful observation).
 func (s *AskTell) Best() ([]float64, float64) { return s.bestX, s.bestY }
-
-// Data returns the observed dataset in completion order. The slices alias
-// internal state; callers must not mutate them.
-func (s *AskTell) Data() ([][]float64, []float64) { return s.obsX, s.obsY }
 
 // EqualPoints compares coordinate vectors bit-for-bit: matching a tell to
 // a pending proposal, or a replayed ask to the recorded one, means "the same

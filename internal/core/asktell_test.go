@@ -143,9 +143,9 @@ func TestAskTellResubmitPrecedesEverything(t *testing.T) {
 
 func TestAskTellSkipConsumesBudget(t *testing.T) {
 	at := askTellFixture(t, AskTellConfig{MaxEvals: 3, Failure: FailSkip})
-	for i := 0; i < 3; i++ {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		p := mustSuggest(t, at)
-		if err := at.Observe(p.X, math.NaN(), nil); err != nil {
+		if err := at.Observe(p.X, bad, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,6 +154,9 @@ func TestAskTellSkipConsumesBudget(t *testing.T) {
 	}
 	if at.Observations() != 0 {
 		t.Fatalf("observations = %d, want 0", at.Observations())
+	}
+	if _, best := at.Best(); !math.IsInf(best, -1) {
+		t.Fatalf("a failed evaluation became the incumbent: %v", best)
 	}
 }
 

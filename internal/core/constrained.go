@@ -21,11 +21,13 @@ import (
 // ordering. Busy points are hallucinated into the objective and every
 // constraint surrogate alike.
 type ConstrainedProposer struct {
-	Lambda     float64
-	Penalize   bool
-	Candidates int // candidate sweep size (default 80·d, min 300)
-	Refine     int // Nelder-Mead refinements (default 2)
+	Lambda   float64
+	Penalize bool
 }
+
+// constrainedRefine is how many of the sweep's best candidates get a
+// Nelder–Mead refinement.
+const constrainedRefine = 2
 
 // ProposeConstrained returns the next query point given the objective
 // surrogate, one surrogate per constraint (trained on the same inputs), and
@@ -55,17 +57,7 @@ func (p *ConstrainedProposer) ProposeConstrained(
 	}
 
 	d := len(lo)
-	nCand := p.Candidates
-	if nCand <= 0 {
-		nCand = 80 * d
-		if nCand < 300 {
-			nCand = 300
-		}
-	}
-	refine := p.Refine
-	if refine <= 0 {
-		refine = 2
-	}
+	nCand := max(80*d, 300) // candidate sweep size
 
 	// One reusable predictor per constraint: the candidate sweep and the
 	// simplex refinements below run on this goroutine only.
@@ -123,7 +115,7 @@ func (p *ConstrainedProposer) ProposeConstrained(
 	}
 	bestX := cands[0].x
 	bestV := f(bestX)
-	for i := 0; i < refine && i < len(cands); i++ {
+	for i := 0; i < constrainedRefine; i++ {
 		x, v := optimize.NelderMead(f, cands[i].x, lo, hi,
 			optimize.NelderMeadOptions{MaxEvals: 40 * d})
 		if v > bestV {

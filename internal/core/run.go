@@ -9,6 +9,10 @@ import (
 	"easybo/internal/stats"
 )
 
+// DefaultInitPoints is the paper's initial-design size (§IV): what every
+// layer that lets a caller leave the design size unset asks NewMachine for.
+const DefaultInitPoints = 20
+
 // NewMachine is the one place an optimization run is put together: the
 // Latin-hypercube initial design over cfg's box, the surrogate manager and
 // the ask/tell machine, all on the run's rng and drawn from it in that

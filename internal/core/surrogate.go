@@ -9,13 +9,12 @@ import (
 )
 
 // ModelManagerOptions tunes a ModelManager. Zero values select the paper's
-// defaults (refit cadence 5, 40 Adam iterations, 1 restart, SE-ARD kernel)
-// on the auto backend.
+// defaults (surrogate.DefaultRefitEvery, surrogate.DefaultFitIters, SE-ARD
+// kernel) on the auto backend.
 type ModelManagerOptions struct {
-	RefitEvery  int       // hyperparameter re-optimization cadence in observations
-	FitIters    int       // Adam iterations per hyperfit
-	FitRestarts int       // random restarts on the first hyperfit
-	Kernel      gp.Kernel // surrogate kernel (nil = SE-ARD; exact backend only)
+	RefitEvery int       // hyperparameter re-optimization cadence in observations
+	FitIters   int       // Adam iterations per hyperfit
+	Kernel     gp.Kernel // surrogate kernel (nil = SE-ARD; exact backend only)
 
 	// Backend selects the surrogate implementation (default
 	// surrogate.BackendAuto: exact below EscalateAt, feature-space past it).
@@ -44,8 +43,8 @@ type ModelManager struct {
 	rng    *rand.Rand
 	opts   ModelManagerOptions
 
-	exact *surrogate.ExactManager
-	feat  *surrogate.FeatureManager
+	active surrogate.Backend // BackendExact or BackendFeatures: which one mgr is
+	mgr    surrogate.Manager
 }
 
 // NewModelManager builds a surrogate manager over the design box. The rng
@@ -73,23 +72,25 @@ func NewModelManager(lo, hi []float64, rng *rand.Rand, o ModelManagerOptions) (*
 				return nil, fmt.Errorf("core: the feature-space backend supports the SE-ARD kernel, not %s", o.Kernel.Name())
 			}
 		}
-		mm.feat = surrogate.NewFeatureManager(lo, hi, rng, mm.featureOptions())
+		mm.toFeatures(surrogate.FeatureOptions{})
 	} else {
-		mm.exact = surrogate.NewExactManager(lo, hi, rng, surrogate.ExactOptions{
-			RefitEvery:  o.RefitEvery,
-			FitIters:    o.FitIters,
-			FitRestarts: o.FitRestarts,
-			Kernel:      o.Kernel,
+		mm.active = surrogate.BackendExact
+		mm.mgr = surrogate.NewExactManager(lo, hi, rng, surrogate.ExactOptions{
+			RefitEvery: o.RefitEvery,
+			FitIters:   o.FitIters,
+			Kernel:     o.Kernel,
 		})
 	}
 	return mm, nil
 }
 
-func (mm *ModelManager) featureOptions() surrogate.FeatureOptions {
-	return surrogate.FeatureOptions{
-		Features: mm.opts.Features,
-		FitIters: mm.opts.FitIters,
-	}
+// toFeatures makes a fresh feature-space manager the active one; warm
+// carries the hyperparameters an escalation hands over. The switch away from
+// the exact manager is one-way and frees its O(n²) factor state.
+func (mm *ModelManager) toFeatures(warm surrogate.FeatureOptions) {
+	warm.Features, warm.FitIters = mm.opts.Features, mm.opts.FitIters
+	mm.active = surrogate.BackendFeatures
+	mm.mgr = surrogate.NewFeatureManager(mm.lo, mm.hi, mm.rng, warm)
 }
 
 // Fit returns a surrogate trained on the observations, re-optimizing
@@ -98,18 +99,14 @@ func (mm *ModelManager) featureOptions() surrogate.FeatureOptions {
 // absorbed incrementally (rank-append on the exact backend, rank-1
 // information updates on the feature-space backend).
 func (mm *ModelManager) Fit(x [][]float64, y []float64) (surrogate.Surrogate, error) {
-	if mm.feat == nil && mm.shouldEscalate(len(y)) {
-		fo := mm.featureOptions()
-		if theta, logNoise, ok := mm.exact.Hyper(); ok {
-			fo.InitTheta, fo.InitNoise = theta, logNoise
+	if mm.active == surrogate.BackendExact && mm.shouldEscalate(len(y)) {
+		var warm surrogate.FeatureOptions
+		if theta, logNoise, ok := mm.mgr.Hyper(); ok {
+			warm.InitTheta, warm.InitNoise = theta, logNoise
 		}
-		mm.feat = surrogate.NewFeatureManager(mm.lo, mm.hi, mm.rng, fo)
-		mm.exact = nil // the switch is one-way; free the O(n²) factor state
+		mm.toFeatures(warm)
 	}
-	if mm.feat != nil {
-		return mm.feat.Fit(x, y)
-	}
-	return mm.exact.Fit(x, y)
+	return mm.mgr.Fit(x, y)
 }
 
 // shouldEscalate reports whether the auto backend hands over to the
@@ -129,21 +126,13 @@ func (mm *ModelManager) shouldEscalate(n int) bool {
 // Active returns the backend currently serving fits: BackendExact until an
 // auto escalation (or always, for the exact backend), BackendFeatures
 // afterwards. Exposed for status reporting.
-func (mm *ModelManager) Active() surrogate.Backend {
-	if mm.feat != nil {
-		return surrogate.BackendFeatures
-	}
-	return surrogate.BackendExact
-}
+func (mm *ModelManager) Active() surrogate.Backend { return mm.active }
 
 // Hyper returns the hyperparameters of the last optimization (ok=false
 // before the first fit). Exposed so service sessions can report and
 // snapshot them.
 func (mm *ModelManager) Hyper() (theta []float64, logNoise float64, ok bool) {
-	if mm.feat != nil {
-		return mm.feat.Hyper()
-	}
-	return mm.exact.Hyper()
+	return mm.mgr.Hyper()
 }
 
 // ModelState is what a ModelManager carries from one Fit to the next apart
@@ -159,10 +148,7 @@ type ModelState struct {
 // State returns the manager's current ModelState. Theta is read-only (see
 // surrogate.ManagerState).
 func (mm *ModelManager) State() ModelState {
-	if mm.feat != nil {
-		return ModelState{Active: surrogate.BackendFeatures, ManagerState: mm.feat.State()}
-	}
-	return ModelState{Active: surrogate.BackendExact, ManagerState: mm.exact.State()}
+	return ModelState{Active: mm.active, ManagerState: mm.mgr.State()}
 }
 
 // Restore puts a manager that has not fitted yet into a recorded state: the
@@ -174,19 +160,18 @@ func (mm *ModelManager) State() ModelState {
 func (mm *ModelManager) Restore(st ModelState) error {
 	switch st.Active {
 	case surrogate.BackendExact:
-		if mm.exact == nil {
+		if mm.active != surrogate.BackendExact {
 			return fmt.Errorf("core: cannot restore the exact backend into a %s manager", mm.opts.Backend)
 		}
-		return mm.exact.Restore(st.ManagerState)
 	case surrogate.BackendFeatures:
-		if mm.feat == nil {
+		if mm.active != surrogate.BackendFeatures {
 			if mm.opts.Backend != surrogate.BackendAuto {
 				return fmt.Errorf("core: cannot restore the feature-space backend into a %s manager", mm.opts.Backend)
 			}
-			mm.feat = surrogate.NewFeatureManager(mm.lo, mm.hi, mm.rng, mm.featureOptions())
-			mm.exact = nil
+			mm.toFeatures(surrogate.FeatureOptions{})
 		}
-		return mm.feat.Restore(st.ManagerState)
+	default:
+		return fmt.Errorf("core: cannot restore unknown backend %q", st.Active)
 	}
-	return fmt.Errorf("core: cannot restore unknown backend %q", st.Active)
+	return mm.mgr.Restore(st.ManagerState)
 }

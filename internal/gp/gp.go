@@ -120,12 +120,6 @@ type PredictBuf struct {
 	out  [2]float64   // and its (mu, sigma)
 }
 
-// NewPredictBuf returns scratch sized for full-width batches over the GP's
-// current training set; it grows automatically if the GP is extended.
-func (g *GP) NewPredictBuf() *PredictBuf {
-	return &PredictBuf{flat: make([]float64, linalg.SolveWidth*g.N())}
-}
-
 // sized returns w kernel vectors of length n.
 func (b *PredictBuf) sized(w, n int) [][]float64 {
 	if len(b.flat) < w*n {

@@ -267,14 +267,14 @@ func TestPredictWithMatchesPredict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := g.NewPredictBuf()
+		var buf PredictBuf
 		for q := 0; q < 20; q++ {
 			xq := make([]float64, d)
 			for j := range xq {
 				xq[j] = rng.Float64()
 			}
 			mu1, s1 := g.Predict(xq)
-			mu2, s2 := g.PredictWith(buf, xq)
+			mu2, s2 := g.PredictWith(&buf, xq)
 			if mu1 != mu2 || s1 != s2 {
 				t.Fatalf("%s: PredictWith differs: (%v,%v) vs (%v,%v)", kern.Name(), mu1, s1, mu2, s2)
 			}
@@ -309,7 +309,7 @@ func TestPredictWithMatchesPredict(t *testing.T) {
 		if pm := pr.PredictMean(xq); math.Abs(pm-m.PredictMean(xq)) > 1e-12*(1+math.Abs(pm)) {
 			t.Fatalf("Predictor mean differs")
 		}
-		mu3, s3 := m.Standardized().Predict(xq)
+		mu3, s3 := m.gp.Predict(m.scaledQuery(xq))
 		mu4, s4 := ps.Predict(xq)
 		if mu3 != mu4 || s3 != s4 {
 			t.Fatalf("StandardizedPredictor differs: (%v,%v) vs (%v,%v)", mu3, s3, mu4, s4)

@@ -116,22 +116,6 @@ func (m *Model) PredictMean(x []float64) float64 {
 	return m.gp.PredictMean(m.scale(x))*m.ystd + m.ymean
 }
 
-// Standardized returns a view of the model whose predictions are in
-// standardized output units (zero mean, unit variance over the training
-// set). Acquisition functions that mix µ and σ — the weighted forms of
-// Eq. (4)/(8) — must operate on this view so the two terms stay
-// commensurate.
-func (m *Model) Standardized() StandardizedModel { return StandardizedModel{m} }
-
-// StandardizedModel adapts a Model to predict in standardized output units.
-type StandardizedModel struct{ m *Model }
-
-// Predict returns the standardized posterior mean and deviation at the raw
-// input point x.
-func (s StandardizedModel) Predict(x []float64) (mu, sigma float64) {
-	return s.m.gp.Predict(s.m.scale(x))
-}
-
 // StandardizeY maps a raw objective value into the model's standardized
 // output units (used to express the incumbent best for EI/PI).
 func (m *Model) StandardizeY(y float64) float64 { return (y - m.ymean) / m.ystd }
@@ -142,9 +126,6 @@ func (m *Model) Theta() []float64 { return append([]float64(nil), m.gp.Theta...)
 
 // LogNoise returns the fitted log observation-noise deviation.
 func (m *Model) LogNoise() float64 { return m.gp.LogNoise }
-
-// LogMarginalLikelihood exposes the underlying fit quality.
-func (m *Model) LogMarginalLikelihood() float64 { return m.gp.LogMarginalLikelihood() }
 
 // N returns the training-set size.
 func (m *Model) N() int { return m.gp.N() }

@@ -57,9 +57,6 @@ func NewRFF(rng *rand.Rand, theta []float64, d, m int) (*RFF, error) {
 // Features returns the feature count m.
 func (r *RFF) Features() int { return len(r.w) }
 
-// Dim returns the input dimension d.
-func (r *RFF) Dim() int { return r.dim }
-
 // Phi returns the feature vector φ(x) for an input in the basis's
 // (normalized) coordinate system.
 func (r *RFF) Phi(x []float64) []float64 {

@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"easybo/internal/bo"
+	"easybo/internal/core"
 	"easybo/internal/objective"
 	"easybo/internal/stats"
 )
@@ -73,7 +74,7 @@ func RunTable(spec Spec) (*Table, error) {
 		spec.MaxEvals = 150
 	}
 	if spec.InitPoints <= 0 {
-		spec.InitPoints = 20
+		spec.InitPoints = core.DefaultInitPoints
 	}
 
 	// Jobs carry the entry's position: two identical Entry values (the same

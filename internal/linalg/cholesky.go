@@ -215,13 +215,6 @@ func (c *Cholesky) SolveInto(dst, b []float64) {
 	c.SolveUpperTInto(dst, dst)
 }
 
-// SolveLower returns y solving L·y = b (forward substitution).
-func (c *Cholesky) SolveLower(b []float64) []float64 {
-	y := make([]float64, c.N)
-	c.SolveLowerInto(y, b)
-	return y
-}
-
 // SolveLowerInto solves L·y = b into dst without allocating (forward
 // substitution over the contiguous rows of L). dst may alias b. It is the
 // one-right-hand-side case of SolveLowerMulti.
@@ -287,12 +280,11 @@ const SolveWidth = 4
 // multiplier and the other add ports idle. Sums that do not feed one another
 // interleave in the pipeline: the same row of different sides, and — over
 // the prefix of y already solved — neighbouring rows of one side. The widths
-// the acquisition maximizer solves at keep at least four such chains in
-// flight (1 side × 4 rows, 3 × 2, 4 × 1; a group of two is the end game of a
-// one-worker refinement, under 2 % of the sides it solves, and stays two
-// sides a row), and each element still sees exactly the plain loop's
-// operations in the plain loop's order, so every result is bit-identical to
-// a solve on its own. (Splitting one sum into several accumulators would
+// the acquisition maximizer solves at with two or more workers keep four
+// such chains in flight (1 side × 4 rows, 4 × 1; groups of two and three
+// arise only in a one-worker process and stay one row at a time), and each
+// element still sees exactly the plain loop's operations in the plain loop's
+// order, so every result is bit-identical to a solve on its own. (Splitting one sum into several accumulators would
 // also break the chain, but reassociates the sum and changes its rounding.)
 func (c *Cholesky) SolveLowerMulti(vs [][]float64) {
 	for _, v := range vs {
@@ -328,39 +320,22 @@ func (c *Cholesky) solveLower2(y0, y1 []float64) {
 	}
 }
 
-// solveLower3 carries three sides through two rows at a time: six chains,
-// which measured ~10 % under three sides a row at a time, and three is the
-// width a one-worker process refines at (eight chains — four sides by two
-// rows — measured no faster than solveLower4's four; DESIGN.md §14.1). Of an
-// odd number of rows the first, which has no prefix to subtract, goes alone.
+// solveLower3 stays the one-row loop, as solveLower2 does: only a one-worker
+// process refines three sides at a time, and no recorded configuration runs
+// one (DESIGN.md §14.1).
 func (c *Cholesky) solveLower3(y0, y1, y2 []float64) {
 	n := c.N
 	y0, y1, y2 = y0[:n], y1[:n], y2[:n]
-	i := n & 1
-	if i == 1 {
-		d := c.L.Data[0]
-		y0[0], y1[0], y2[0] = y0[0]/d, y1[0]/d, y2[0]/d
-	}
-	for ; i < n; i += 2 {
-		r0, r1 := c.L.Row(i)[:n], c.L.Row(i + 1)[:n]
-		s00, s01, s02 := y0[i], y1[i], y2[i]
-		s10, s11, s12 := y0[i+1], y1[i+1], y2[i+1]
-		q1, p0, p1, p2 := r1[:i], y0[:i], y1[:i], y2[:i]
-		for k, l0 := range r0[:i] {
-			l1, v0, v1, v2 := q1[k], p0[k], p1[k], p2[k]
-			s00 -= l0 * v0
-			s01 -= l0 * v1
-			s02 -= l0 * v2
-			s10 -= l1 * v0
-			s11 -= l1 * v1
-			s12 -= l1 * v2
+	for i := 0; i < n; i++ {
+		row := c.L.Row(i)[:n]
+		s0, s1, s2 := y0[i], y1[i], y2[i]
+		p0, p1, p2 := y0[:i], y1[:i], y2[:i]
+		for k, l := range row[:i] {
+			s0 -= l * p0[k]
+			s1 -= l * p1[k]
+			s2 -= l * p2[k]
 		}
-		v0, v1, v2 := s00/r0[i], s01/r0[i], s02/r0[i]
-		s10 -= r1[i] * v0
-		s11 -= r1[i] * v1
-		s12 -= r1[i] * v2
-		y0[i], y1[i], y2[i] = v0, v1, v2
-		y0[i+1], y1[i+1], y2[i+1] = s10/r1[i+1], s11/r1[i+1], s12/r1[i+1]
+		y0[i], y1[i], y2[i] = s0/row[i], s1/row[i], s2/row[i]
 	}
 }
 
@@ -414,26 +389,6 @@ func (c *Cholesky) SolveUpperTInto(dst, y []float64) {
 			dst[k] -= row[k] * xi
 		}
 	}
-}
-
-// SolveMatrix solves A·X = B column by column, returning X. A single column
-// buffer is reused across columns; no per-column allocation.
-func (c *Cholesky) SolveMatrix(b *Matrix) *Matrix {
-	if b.Rows != c.N {
-		panic("linalg: Cholesky.SolveMatrix dimension mismatch")
-	}
-	out := NewMatrix(b.Rows, b.Cols)
-	col := make([]float64, b.Rows)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < b.Rows; i++ {
-			col[i] = b.At(i, j)
-		}
-		c.SolveInto(col, col)
-		for i := 0; i < b.Rows; i++ {
-			out.Set(i, j, col[i])
-		}
-	}
-	return out
 }
 
 // Inverse returns A⁻¹, exactly symmetric: InverseUpperInto plus the mirror.

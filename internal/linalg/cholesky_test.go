@@ -435,10 +435,10 @@ func nanVec(n int) []float64 {
 }
 
 // TestSolveLowerMultiBitIdentical is the contract the batched predictors stand on:
-// however a forward substitution is interleaved — four rows of one side, two
-// rows of two or three sides, four sides of one row, full groups of four and
-// every remainder — each side comes out with exactly the bits of the plain
-// loop. Sizes cover every tail length of the four- and two-row kernels;
+// however a forward substitution is interleaved — four rows of one side, one
+// row of two, three or four sides, full groups of four and every remainder —
+// each side comes out with exactly the bits of the plain loop. Sizes cover
+// every tail length of the four-row kernel;
 // factors include one off the jitter ladder and one full of exact zeros;
 // right-hand sides include one scaled to lose low bits, one sharing another
 // slot's values and a zero vector, so a reassociated, reordered or fused sum

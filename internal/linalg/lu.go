@@ -12,9 +12,8 @@ var ErrSingular = errors.New("linalg: singular matrix")
 // LU holds an LU factorization with partial pivoting: P·A = L·U, where L is
 // unit lower triangular and U is upper triangular, stored compactly in lu.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
+	lu  *Matrix
+	piv []int
 }
 
 // NewLU factors a (copied, not modified) with partial pivoting.
@@ -28,7 +27,6 @@ func NewLU(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest absolute value in column k at or below row k.
 		p := k
@@ -48,7 +46,6 @@ func NewLU(a *Matrix) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -63,7 +60,7 @@ func NewLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve returns x with A·x = b.
@@ -95,15 +92,6 @@ func (f *LU) Solve(b []float64) []float64 {
 		x[i] = s / row[i]
 	}
 	return x
-}
-
-// Det returns the determinant of A.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // SolveLinear is a convenience wrapper: factor a and solve a single system.

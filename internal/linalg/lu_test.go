@@ -59,26 +59,6 @@ func TestLUPivoting(t *testing.T) {
 	}
 }
 
-func TestLUDet(t *testing.T) {
-	a := NewMatrixFromRows([][]float64{{3, 0, 0}, {0, 2, 0}, {0, 0, -4}})
-	f, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f.Det(), -24, 1e-12) {
-		t.Fatalf("Det = %v, want -24", f.Det())
-	}
-	// Swapped rows flip sign relative to the diagonal product.
-	b := NewMatrixFromRows([][]float64{{0, 1}, {1, 0}})
-	fb, err := NewLU(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(fb.Det(), -1, 1e-14) {
-		t.Fatalf("Det = %v, want -1", fb.Det())
-	}
-}
-
 func TestLUSingular(t *testing.T) {
 	a := NewMatrixFromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := NewLU(a); err == nil {

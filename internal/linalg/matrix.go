@@ -110,25 +110,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	return out
 }
 
-// AddMat returns m + b as a new matrix.
-func (m *Matrix) AddMat(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: AddMat dimension mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
-// ScaleInPlace multiplies every entry by alpha.
-func (m *Matrix) ScaleInPlace(alpha float64) {
-	for i := range m.Data {
-		m.Data[i] *= alpha
-	}
-}
-
 // AddToDiag adds v to every diagonal entry (m must be square).
 func (m *Matrix) AddToDiag(v float64) {
 	if m.Rows != m.Cols {
@@ -148,21 +129,6 @@ func (m *Matrix) MaxAbsDiag() float64 {
 		}
 	}
 	return mx
-}
-
-// SymmetrizeInPlace replaces m with (m + mᵀ)/2. Useful to remove tiny
-// asymmetries before a Cholesky factorization.
-func (m *Matrix) SymmetrizeInPlace() {
-	if m.Rows != m.Cols {
-		panic("linalg: SymmetrizeInPlace on non-square matrix")
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			v := 0.5 * (m.At(i, j) + m.At(j, i))
-			m.Set(i, j, v)
-			m.Set(j, i, v)
-		}
-	}
 }
 
 // String renders the matrix for debugging.

@@ -71,31 +71,8 @@ type CMatrix struct {
 	Val    []complex128
 }
 
-// Zero clears every stored value, keeping the pattern.
-func (m *CMatrix) Zero() {
-	for i := range m.Val {
-		m.Val[i] = 0
-	}
-}
-
 // NNZ returns the number of stored entries.
 func (m *CMatrix) NNZ() int { return len(m.Val) }
-
-// MulVec computes y = A·x into the caller's buffer (len N each).
-func (m *CMatrix) MulVec(x, y []complex128) {
-	for i := range y {
-		y[i] = 0
-	}
-	for j := 0; j < m.N; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			y[m.Row[p]] += m.Val[p] * xj
-		}
-	}
-}
 
 // Builder accumulates a sparsity pattern and assigns each distinct (row,
 // col) coordinate a provisional slot id. Build finalizes the compressed

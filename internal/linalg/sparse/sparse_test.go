@@ -224,7 +224,6 @@ func TestComplexFactorSolveMatchesDense(t *testing.T) {
 		b, slots, coords := randomSystem(n, 0.25, rng)
 		m, remap := b.BuildComplex()
 		dense := linalg.NewCMatrix(n, n)
-		m.Zero()
 		for k, s := range slots {
 			v := complex(rng.NormFloat64(), rng.NormFloat64())
 			if coords[k][0] == coords[k][1] {
@@ -271,7 +270,6 @@ func TestComplexRefactorZeroAlloc(t *testing.T) {
 	n := 12
 	b, slots, coords := randomSystem(n, 0.2, rng)
 	m, remap := b.BuildComplex()
-	m.Zero()
 	for k, s := range slots {
 		v := complex(rng.NormFloat64(), rng.NormFloat64())
 		if coords[k][0] == coords[k][1] {

@@ -12,7 +12,6 @@ package linalg
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrDimension is returned when operand shapes do not conform.
@@ -29,37 +28,6 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v, guarding against overflow by
-// scaling with the largest absolute entry.
-func Norm2(v []float64) float64 {
-	var maxAbs float64
-	for _, x := range v {
-		if a := math.Abs(x); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 || math.IsInf(maxAbs, 0) {
-		return maxAbs
-	}
-	var s float64
-	for _, x := range v {
-		r := x / maxAbs
-		s += r * r
-	}
-	return maxAbs * math.Sqrt(s)
-}
-
-// NormInf returns the maximum absolute entry of v (0 for an empty vector).
-func NormInf(v []float64) float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Axpy computes y += alpha*x in place, four elements per trip. The elements
@@ -84,69 +52,11 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Scale multiplies every entry of v by alpha in place.
-func Scale(alpha float64, v []float64) {
-	for i := range v {
-		v[i] *= alpha
-	}
-}
-
-// AddScaled returns a + alpha*b as a fresh slice.
-func AddScaled(a []float64, alpha float64, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: AddScaled length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + alpha*b[i]
-	}
-	return out
-}
-
-// Sub returns a - b as a fresh slice.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: Sub length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // Clone returns a copy of v.
 func Clone(v []float64) []float64 {
 	out := make([]float64, len(v))
 	copy(out, v)
 	return out
-}
-
-// SqDist returns the squared Euclidean distance between a and b.
-func SqDist(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: SqDist length mismatch")
-	}
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}
-
-// WeightedSqDist returns sum_i ((a_i-b_i)/l_i)^2, the squared distance under
-// per-dimension length scales l. Used by ARD kernels.
-func WeightedSqDist(a, b, l []float64) float64 {
-	if len(a) != len(b) || len(a) != len(l) {
-		panic("linalg: WeightedSqDist length mismatch")
-	}
-	var s float64
-	for i := range a {
-		d := (a[i] - b[i]) / l[i]
-		s += d * d
-	}
-	return s
 }
 
 // AllFinite reports whether every entry of v is finite.

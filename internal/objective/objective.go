@@ -4,7 +4,7 @@
 // evaluation (the HSPICE wall-clock stand-in; see DESIGN.md).
 //
 // The package also provides the classic synthetic benchmarks (Branin,
-// Hartmann-6, Ackley, Rosenbrock, Levy, Sphere) used by tests and examples.
+// Hartmann-6, Ackley, Rosenbrock, Sphere) used by tests and examples.
 package objective
 
 import (
@@ -35,9 +35,6 @@ type Problem struct {
 	BestKnown float64
 }
 
-// Dim returns the input dimension.
-func (p *Problem) Dim() int { return len(p.Lo) }
-
 // Validate reports structural problems.
 func (p *Problem) Validate() error {
 	if p.Eval == nil {
@@ -63,18 +60,6 @@ func (p *Problem) EvalWithCost(x []float64) (y, cost float64) {
 		cost = 1
 	}
 	return y, cost
-}
-
-// Clamp projects x into the problem box, in place.
-func (p *Problem) Clamp(x []float64) {
-	for i := range x {
-		if x[i] < p.Lo[i] {
-			x[i] = p.Lo[i]
-		}
-		if x[i] > p.Hi[i] {
-			x[i] = p.Hi[i]
-		}
-	}
 }
 
 // uniformBounds builds d-dimensional [lo, hi] boxes.
@@ -180,29 +165,6 @@ func Rosenbrock(d int) *Problem {
 				b := x[i+1] - x[i]*x[i]
 				s += a*a + 100*b*b
 			}
-			return -s
-		},
-		BestKnown: 0,
-	}
-}
-
-// Levy returns the negated Levy function on [-10,10]^d; max value 0 at
-// (1,…,1).
-func Levy(d int) *Problem {
-	lo, hi := uniformBounds(d, -10, 10)
-	w := func(x float64) float64 { return 1 + (x-1)/4 }
-	return &Problem{
-		Name: fmt.Sprintf("levy%d", d),
-		Lo:   lo, Hi: hi,
-		Eval: func(x []float64) float64 {
-			n := len(x)
-			s := math.Pow(math.Sin(math.Pi*w(x[0])), 2)
-			for i := 0; i < n-1; i++ {
-				wi := w(x[i])
-				s += (wi - 1) * (wi - 1) * (1 + 10*math.Pow(math.Sin(math.Pi*wi+1), 2))
-			}
-			wn := w(x[n-1])
-			s += (wn - 1) * (wn - 1) * (1 + math.Pow(math.Sin(2*math.Pi*wn), 2))
 			return -s
 		},
 		BestKnown: 0,

@@ -219,8 +219,8 @@ func (g *GoExecutor) attempt(eval GoEvalCtx, x []float64) (float64, error) {
 	}
 }
 
-// safeEval invokes the objective, converting panics to *PanicError and NaN
-// objective values to ErrNaN. Y is NaN whenever the error is non-nil.
+// safeEval invokes the objective, converting panics to *PanicError and
+// non-finite objective values to ErrNaN. Y is NaN whenever the error is non-nil.
 func safeEval(eval GoEvalCtx, ctx context.Context, x []float64) (y float64, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -229,8 +229,8 @@ func safeEval(eval GoEvalCtx, ctx context.Context, x []float64) (y float64, err 
 		}
 	}()
 	y, err = eval(ctx, x)
-	if err == nil && math.IsNaN(y) {
-		err = ErrNaN
+	if err == nil {
+		err = ValueErr(y)
 	}
 	if err != nil {
 		y = math.NaN()

@@ -148,17 +148,24 @@ func TestGoExecutorPanicDoesNotLeakWorker(t *testing.T) {
 	}
 }
 
+// nonFinite are the objective values every engine must turn into the same
+// failed evaluation.
+var nonFinite = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+
 func TestGoExecutorNaNIsFailure(t *testing.T) {
-	ex := NewGo(1, func(x []float64) float64 { return math.NaN() })
-	if err := ex.Launch([]float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	r, ok := ex.Wait()
-	if !ok || !errors.Is(r.Err, ErrNaN) {
-		t.Fatalf("NaN objective must fail with ErrNaN, got %+v", r)
-	}
-	if ex.Idle() != 1 {
-		t.Fatal("NaN eval leaked its worker")
+	for _, bad := range nonFinite {
+		bad := bad
+		ex := NewGo(1, func(x []float64) float64 { return bad })
+		if err := ex.Launch([]float64{1}); err != nil {
+			t.Fatal(err)
+		}
+		r, ok := ex.Wait()
+		if !ok || !errors.Is(r.Err, ErrNaN) || !math.IsNaN(r.Y) {
+			t.Fatalf("objective value %v must fail with ErrNaN and Y = NaN, got %+v", bad, r)
+		}
+		if ex.Idle() != 1 {
+			t.Fatal("failed eval leaked its worker")
+		}
 	}
 }
 
@@ -359,9 +366,15 @@ func sortResultsByStart(rs []Result) {
 }
 
 func TestVirtualNaNIsFailure(t *testing.T) {
+	for _, bad := range nonFinite {
+		testVirtualFailure(t, bad)
+	}
+}
+
+func testVirtualFailure(t *testing.T, bad float64) {
 	ex := NewVirtual(2, func(x []float64) (float64, float64) {
 		if x[0] < 0 {
-			return math.NaN(), 1
+			return bad, 1
 		}
 		return x[0], 1
 	})
@@ -379,8 +392,8 @@ func TestVirtualNaNIsFailure(t *testing.T) {
 		}
 		if r.X[0] < 0 {
 			sawFail = true
-			if !errors.Is(r.Err, ErrNaN) || r.Attempts != 1 {
-				t.Fatalf("NaN eval must fail with ErrNaN: %+v", r)
+			if !errors.Is(r.Err, ErrNaN) || r.Attempts != 1 || !math.IsNaN(r.Y) {
+				t.Fatalf("objective value %v must fail with ErrNaN and Y = NaN: %+v", bad, r)
 			}
 		} else {
 			sawOK = true

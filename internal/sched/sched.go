@@ -38,11 +38,22 @@ import (
 // wraps one), carries a *PanicError, or is a context error from the pool's
 // cancellation.
 var (
-	// ErrNaN marks an evaluation whose objective returned NaN.
+	// ErrNaN marks an evaluation whose objective returned NaN or ±Inf.
 	ErrNaN = errors.New("sched: evaluation returned NaN")
 	// ErrTimeout marks an evaluation that exceeded the per-eval timeout.
 	ErrTimeout = errors.New("sched: evaluation timed out")
 )
+
+// ValueErr classifies an objective value: ErrNaN for NaN and ±Inf, which no
+// surrogate can train on, nil for anything finite. Every place that turns a
+// raw objective value into a Result asks here, so a diverged simulation is
+// the same failed evaluation on every engine.
+func ValueErr(y float64) error {
+	if math.IsNaN(y) || math.IsInf(y, 0) {
+		return ErrNaN
+	}
+	return nil
+}
 
 // PanicError carries a recovered objective panic through Result.Err.
 type PanicError struct {
@@ -67,9 +78,6 @@ type Result struct {
 	// Always 1 on the virtual engine.
 	Attempts int
 }
-
-// Failed reports whether the evaluation produced no usable observation.
-func (r Result) Failed() bool { return r.Err != nil }
 
 // Executor evaluates points on a pool of workers.
 type Executor interface {
@@ -117,8 +125,8 @@ func Utilization(results []Result, workers int) []float64 {
 // ---------------------------------------------------------------- virtual
 
 // VirtualEval is the evaluation function for a VirtualExecutor: it returns
-// the objective value and the simulated duration (seconds) of the run. A NaN
-// objective value marks the evaluation as failed (Result.Err = ErrNaN), so
+// the objective value and the simulated duration (seconds) of the run. A
+// non-finite objective value marks the evaluation as failed (ValueErr), so
 // fault handling can be exercised deterministically in virtual time.
 type VirtualEval func(x []float64) (y, cost float64)
 
@@ -192,9 +200,9 @@ func (v *VirtualExecutor) Launch(x []float64) error {
 		v.slots.release(worker)
 		return fmt.Errorf("sched: negative cost %g", cost)
 	}
-	var err error
-	if math.IsNaN(y) {
-		err = ErrNaN
+	err := ValueErr(y)
+	if err != nil {
+		y = math.NaN()
 	}
 	r := &run{
 		res: Result{

@@ -39,6 +39,8 @@ import (
 	"errors"
 	"fmt"
 
+	"easybo/internal/acq"
+	"easybo/internal/core"
 	"easybo/internal/surrogate"
 )
 
@@ -158,19 +160,19 @@ func (c *SessionConfig) normalize() error {
 		return fmt.Errorf("serve: unknown failure policy %q (want abort, skip, or resubmit)", c.Failure)
 	}
 	if c.InitPoints <= 0 {
-		c.InitPoints = 20
+		c.InitPoints = core.DefaultInitPoints
 	}
 	if c.MaxEvals > 0 && c.InitPoints > c.MaxEvals {
 		c.InitPoints = c.MaxEvals
 	}
 	if c.Lambda <= 0 {
-		c.Lambda = 6
+		c.Lambda = acq.DefaultLambda
 	}
 	if c.RefitEvery <= 0 {
-		c.RefitEvery = 5
+		c.RefitEvery = surrogate.DefaultRefitEvery
 	}
 	if c.FitIters <= 0 {
-		c.FitIters = 40
+		c.FitIters = surrogate.DefaultFitIters
 	}
 	backend, err := surrogate.ParseBackend(c.Surrogate)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNormPDF(t *testing.T) {
@@ -29,29 +28,6 @@ func TestNormCDFKnownValues(t *testing.T) {
 		if got := NormCDF(c.z); math.Abs(got-c.want) > 1e-12 {
 			t.Fatalf("NormCDF(%v) = %v, want %v", c.z, got, c.want)
 		}
-	}
-}
-
-func TestNormQuantileInvertsCDF(t *testing.T) {
-	f := func(u float64) bool {
-		p := math.Abs(math.Mod(u, 1))
-		if p < 1e-10 || p > 1-1e-10 {
-			return true
-		}
-		z := NormQuantile(p)
-		return math.Abs(NormCDF(z)-p) < 1e-10
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(NormQuantile(0), -1) || !math.IsInf(NormQuantile(1), 1) {
-		t.Fatal("tail values wrong")
-	}
-	if !math.IsNaN(NormQuantile(-0.1)) || !math.IsNaN(NormQuantile(1.1)) {
-		t.Fatal("out-of-range p must be NaN")
-	}
-	if math.Abs(NormQuantile(0.5)) > 1e-12 {
-		t.Fatal("median must be 0")
 	}
 }
 
@@ -98,58 +74,6 @@ func TestLatinHypercubeDeterministic(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	pts := Uniform(rand.New(rand.NewSource(1)), 100, 4)
-	for _, p := range pts {
-		for _, v := range p {
-			if v < 0 || v >= 1 {
-				t.Fatalf("uniform point out of range: %v", v)
-			}
-		}
-	}
-}
-
-func TestSobolFirstPoints(t *testing.T) {
-	// The base-2 van der Corput sequence starts 1/2, 1/4, 3/4, ...
-	g := NewSobol(2)
-	p1 := g.Next()
-	p2 := g.Next()
-	p3 := g.Next()
-	if math.Abs(p1[0]-0.5) > 1e-12 || math.Abs(p2[0]-0.75)+math.Abs(p3[0]-0.25) > 1e-9 &&
-		math.Abs(p2[0]-0.25)+math.Abs(p3[0]-0.75) > 1e-9 {
-		t.Fatalf("unexpected first Sobol points: %v %v %v", p1, p2, p3)
-	}
-}
-
-func TestSobolUniformity(t *testing.T) {
-	// Low-discrepancy: each half of each dimension gets n/2 ± small.
-	n, d := 256, 6
-	pts := SobolPoints(n, d)
-	for j := 0; j < d; j++ {
-		var lo int
-		for _, p := range pts {
-			if p[j] < 0 || p[j] >= 1 {
-				t.Fatalf("out of range: %v", p[j])
-			}
-			if p[j] < 0.5 {
-				lo++
-			}
-		}
-		if lo < n/2-2 || lo > n/2+2 {
-			t.Fatalf("dim %d: %d of %d points in lower half", j, lo, n)
-		}
-	}
-}
-
-func TestSobolDimensionLimit(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic beyond MaxSobolDim")
-		}
-	}()
-	NewSobol(MaxSobolDim + 1)
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{3, 1, 4, 1, 5})
 	if s.Best != 5 || s.Worst != 1 || s.N != 5 {
@@ -191,15 +115,6 @@ func TestMeanVarianceMaxMin(t *testing.T) {
 	}
 	if Variance([]float64{1}) != 0 {
 		t.Fatal("Variance singleton must be 0")
-	}
-	if v, i := Max(xs); v != 6 || i != 2 {
-		t.Fatal("Max wrong")
-	}
-	if v, i := Min(xs); v != 2 || i != 0 {
-		t.Fatal("Min wrong")
-	}
-	if v, i := Max(nil); !math.IsNaN(v) || i != -1 {
-		t.Fatal("Max(nil) wrong")
 	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Fatal("Mean(nil) wrong")

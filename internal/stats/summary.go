@@ -100,31 +100,3 @@ func Variance(xs []float64) float64 {
 	}
 	return ss / float64(len(xs)-1)
 }
-
-// Max returns the maximum of xs and its index (NaN, -1 for empty input).
-func Max(xs []float64) (float64, int) {
-	if len(xs) == 0 {
-		return math.NaN(), -1
-	}
-	best, idx := xs[0], 0
-	for i, x := range xs[1:] {
-		if x > best {
-			best, idx = x, i+1
-		}
-	}
-	return best, idx
-}
-
-// Min returns the minimum of xs and its index (NaN, -1 for empty input).
-func Min(xs []float64) (float64, int) {
-	if len(xs) == 0 {
-		return math.NaN(), -1
-	}
-	best, idx := xs[0], 0
-	for i, x := range xs[1:] {
-		if x < best {
-			best, idx = x, i+1
-		}
-	}
-	return best, idx
-}

@@ -15,10 +15,6 @@ type Exact struct {
 // NewExact wraps a fitted gp.Model.
 func NewExact(m *gp.Model) Exact { return Exact{m: m} }
 
-// Model returns the underlying gp.Model for GP-specific consumers
-// (diagnostics like LeaveOneOut that have no backend-agnostic meaning).
-func (e Exact) Model() *gp.Model { return e.m }
-
 // Predict implements Surrogate.
 func (e Exact) Predict(x []float64) (mu, sigma float64) { return e.m.Predict(x) }
 
@@ -61,12 +57,11 @@ func (e Exact) SampleRFF(rng *rand.Rand, m int) (func(x []float64) float64, erro
 }
 
 // ExactOptions tunes an ExactManager. Zero values select the paper's
-// defaults (refit cadence 5, 40 Adam iterations, 1 restart, SE-ARD kernel).
+// defaults (DefaultRefitEvery, DefaultFitIters, SE-ARD kernel).
 type ExactOptions struct {
-	RefitEvery  int       // hyperparameter re-optimization cadence in observations
-	FitIters    int       // Adam iterations per hyperfit
-	FitRestarts int       // random restarts on the first hyperfit
-	Kernel      gp.Kernel // surrogate kernel (nil = SE-ARD)
+	RefitEvery int       // hyperparameter re-optimization cadence in observations
+	FitIters   int       // Adam iterations per hyperfit
+	Kernel     gp.Kernel // surrogate kernel (nil = SE-ARD)
 }
 
 // ExactManager owns the exact-GP surrogate across a run: it re-optimizes
@@ -76,11 +71,10 @@ type ExactOptions struct {
 // refits no covariance rebuild or refactorization happens — new points are
 // absorbed through the incremental rank-append update.
 type ExactManager struct {
-	lo, hi      []float64
-	rng         *rand.Rand
-	refitEvery  int
-	fitIters    int
-	fitRestarts int
+	lo, hi     []float64
+	rng        *rand.Rand
+	refitEvery int
+	fitIters   int
 
 	kernel     gp.Kernel
 	lastHyperN int // dataset size at the last hyperparameter optimization
@@ -94,20 +88,16 @@ type ExactManager struct {
 // drives hyperparameter restarts and must be the run's rng for determinism.
 func NewExactManager(lo, hi []float64, rng *rand.Rand, o ExactOptions) *ExactManager {
 	if o.RefitEvery <= 0 {
-		o.RefitEvery = 5
+		o.RefitEvery = DefaultRefitEvery
 	}
 	if o.FitIters <= 0 {
-		o.FitIters = 40
-	}
-	if o.FitRestarts <= 0 {
-		o.FitRestarts = 1
+		o.FitIters = DefaultFitIters
 	}
 	return &ExactManager{
 		lo: lo, hi: hi, rng: rng,
-		refitEvery:  o.RefitEvery,
-		fitIters:    o.FitIters,
-		fitRestarts: o.FitRestarts,
-		kernel:      o.Kernel,
+		refitEvery: o.RefitEvery,
+		fitIters:   o.FitIters,
+		kernel:     o.Kernel,
 	}
 }
 
@@ -133,7 +123,7 @@ func (mm *ExactManager) Fit(x [][]float64, y []float64) (Surrogate, error) {
 			return NewExact(m), nil
 		}
 	}
-	fo := &gp.FitOptions{Iters: mm.fitIters, Restarts: mm.fitRestarts}
+	fo := &gp.FitOptions{Iters: mm.fitIters}
 	if mm.theta != nil {
 		// Warm start: fewer iterations, no default or random restarts.
 		fo.InitTheta = mm.theta

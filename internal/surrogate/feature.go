@@ -315,7 +315,7 @@ type FeatureOptions struct {
 	// 256), keeping the refresh cost independent of n.
 	Subsample int
 	// FitIters is the Adam iteration budget per subsample hyperfit
-	// (default 40).
+	// (default DefaultFitIters).
 	FitIters int
 	// InitTheta/InitNoise warm-start the first hyperfit (the escalation
 	// handoff from the exact backend).
@@ -356,7 +356,7 @@ func NewFeatureManager(lo, hi []float64, rng *rand.Rand, o FeatureOptions) *Feat
 		o.Subsample = 256
 	}
 	if o.FitIters <= 0 {
-		o.FitIters = 40
+		o.FitIters = DefaultFitIters
 	}
 	return &FeatureManager{lo: lo, hi: hi, rng: rng, o: o}
 }

@@ -171,6 +171,14 @@ const DefaultEscalateAt = 500
 // DefaultFeatures is the feature-space backend's default basis size m.
 const DefaultFeatures = 256
 
+// The paper's surrogate cadence (§IV): hyperparameters are re-optimized
+// every DefaultRefitEvery observations, DefaultFitIters Adam iterations a
+// time. Every layer that lets a caller leave these unset reads them here.
+const (
+	DefaultRefitEvery = 5
+	DefaultFitIters   = 40
+)
+
 // ParseBackend validates a backend name; the empty string selects
 // BackendAuto.
 func ParseBackend(s string) (Backend, error) {

@@ -3,11 +3,11 @@ package easybo
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"easybo/internal/core"
 	"easybo/internal/objective"
+	"easybo/internal/sched"
 	"easybo/internal/surrogate"
 )
 
@@ -48,19 +48,10 @@ func NewLoop(p Problem, opts Options) (*Loop, error) {
 // OptimizeParallel; cfg carries the budget, failure policy and observers.
 func newMachine(ip *objective.Problem, opts Options, cfg core.AskTellConfig) (*core.AskTell, error) {
 	if opts.InitPoints <= 0 {
-		opts.InitPoints = 20
+		opts.InitPoints = core.DefaultInitPoints
 	}
 	if cfg.MaxEvals > 0 {
 		opts.InitPoints = min(opts.InitPoints, cfg.MaxEvals) // as Optimize does
-	}
-	if opts.Lambda <= 0 {
-		opts.Lambda = 6
-	}
-	if opts.RefitEvery <= 0 {
-		opts.RefitEvery = 5
-	}
-	if opts.FitIters <= 0 {
-		opts.FitIters = 40
 	}
 	switch opts.Algorithm {
 	case "", EasyBO, EasyBOA:
@@ -105,12 +96,13 @@ func (l *Loop) Suggest() ([]float64, error) {
 
 // Observe records a finished evaluation. The point is matched against the
 // busy set (exact coordinates) and removed from it; observing a point that
-// was never suggested is allowed and simply enriches the surrogate.
+// was never suggested is allowed and simply enriches the surrogate. A NaN or
+// ±Inf y is an error: report a failed evaluation through Forget.
 func (l *Loop) Observe(x []float64, y float64) error {
 	if len(x) != len(l.ip.Lo) {
 		return errors.New("easybo: observation dimension mismatch")
 	}
-	if math.IsNaN(y) {
+	if sched.ValueErr(y) != nil {
 		return errors.New("easybo: NaN observation")
 	}
 	return l.at.Observe(x, y, nil)
