@@ -11,7 +11,7 @@ LOADSESSIONS ?= 8
 LOADWORKERS ?= 1
 LOADP99 ?= 2s
 
-.PHONY: check vet fmt lint loc surface staticcheck build test race cover fuzz-smoke load-smoke bench-smoke bench-check bench smoke crash-smoke cluster-smoke
+.PHONY: check vet fmt lint loc surface dupes staticcheck build test race cover fuzz-smoke load-smoke bench-smoke bench-check bench smoke crash-smoke cluster-smoke
 
 check: vet fmt lint staticcheck build test race bench-smoke bench-check fuzz-smoke load-smoke
 
@@ -41,6 +41,12 @@ loc:
 # size; `make surface BASE=<ref>` prints that commit's counts beside them.
 surface:
 	@GO=$(GO) ./scripts/surface.sh $(BASE)
+
+# File pairs that share runs of code (8-line windows, float64/complex128
+# read alike), largest first: a fork of one file into another shows up as a
+# number. It gates nothing.
+dupes:
+	@./scripts/dupes.sh
 
 # Static analysis beyond vet. The tool is not vendored; when it is absent
 # (e.g. a hermetic build container) the target skips with a notice instead
@@ -124,7 +130,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'FitHyper' -benchtime 1x ./internal/gp/
 	$(GO) test -run XXX -bench 'SolveLowerMulti|CholeskyInverse' -benchtime 1x ./internal/linalg/
 	$(GO) test -run XXX -bench 'NewtonIteration' -benchtime 1x ./internal/circuit/
-	$(GO) test -run XXX -bench 'EvalSparse$$' -benchtime 1x ./internal/testbench/
+	$(GO) test -run XXX -bench 'EvalSparse$$|ACSweepSparse|TranStepSparse' -benchtime 1x ./internal/testbench/
 	$(GO) test -run XXX -bench 'LogAppend|Recover' -benchtime 1x ./internal/serve/...
 
 # The repo benchmark (BENCHMARK.json) lives in its own module under

@@ -18,6 +18,8 @@ import (
 	"time"
 
 	"easybo"
+	"easybo/internal/sched"
+	"easybo/internal/serve"
 )
 
 // httpError is a non-2xx daemon response, typed so the retry layer can
@@ -227,51 +229,35 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 	hc := &http.Client{Timeout: 30 * time.Second}
 	rt := newRetrier(hc, bases, maxRetries, retryBudget)
 
-	createBody := map[string]any{
-		"name":        p.Name,
-		"lo":          p.Lo,
-		"hi":          p.Hi,
-		"algorithm":   algo,
-		"init_points": opts.InitPoints,
-		"max_evals":   opts.MaxEvals,
-		"seed":        opts.Seed,
-		"lambda":      opts.Lambda,
-		"refit_every": opts.RefitEvery,
-		"fit_iters":   opts.FitIters,
-		"failure":     policy,
+	// Requests and responses are the daemon's own wire types, so a renamed
+	// field there is a compile error here.
+	cfg := serve.SessionConfig{
+		Name:        p.Name,
+		Lo:          p.Lo,
+		Hi:          p.Hi,
+		Algorithm:   algo,
+		InitPoints:  opts.InitPoints,
+		MaxEvals:    opts.MaxEvals,
+		Seed:        opts.Seed,
+		Lambda:      opts.Lambda,
+		RefitEvery:  opts.RefitEvery,
+		FitIters:    opts.FitIters,
+		Surrogate:   string(opts.Surrogate),
+		EscalateAt:  opts.EscalateAt,
+		Failure:     policy,
+		MaxFailures: opts.Async.MaxFailures,
 	}
-	if opts.Surrogate != "" {
-		createBody["surrogate"] = string(opts.Surrogate)
-	}
-	if opts.EscalateAt > 0 {
-		createBody["escalate_at"] = opts.EscalateAt
-	}
-	if opts.Async.MaxFailures > 0 {
-		createBody["max_failures"] = opts.Async.MaxFailures
-	}
-	var created struct {
-		ID string `json:"id"`
-	}
-	if _, err := rt.call(http.MethodPost, "/sessions", createBody, &created, newIK()); err != nil {
+	var created serve.Status
+	if _, err := rt.call(http.MethodPost, "/sessions", cfg, &created, newIK()); err != nil {
 		return nil, fmt.Errorf("easybo: creating session: %w", err)
 	}
-
-	type askResp struct {
-		Status     string    `json:"status"`
-		ProposalID int       `json:"proposal_id"`
-		X          []float64 `json:"x"`
-		// Eval/Y are the daemon's evaluation-cache hints (sessions that
-		// declare a testbench): "cached" means Y carries a prior result to
-		// tell straight back, "inflight" means another worker is computing
-		// this exact point and the daemon will tell it itself.
-		Eval string   `json:"eval"`
-		Y    *float64 `json:"y"`
-	}
-	type tellReq struct {
-		ProposalID *int    `json:"proposal_id,omitempty"`
-		Y          float64 `json:"y"`
-		Error      string  `json:"error,omitempty"`
-	}
+	// This client created the session, so it owns the lifecycle: delete it
+	// on every way out — a failed run included — so repeated CLI runs don't
+	// accumulate actors and event logs in a long-lived daemon. Best effort:
+	// whatever the run produced is already local.
+	defer func() {
+		_ = callJSON(context.Background(), hc, http.MethodDelete, rt.base()+"/sessions/"+created.ID, nil, nil, "")
+	}()
 
 	var (
 		mu       sync.Mutex
@@ -310,15 +296,10 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 	// work orphaned when an ask was applied by the daemon but its response
 	// was lost to a retried transport failure. Without adoption such a
 	// proposal would pin the session's budget open forever.
-	adoptOrphan := func() (askResp, bool, error) {
-		var st struct {
-			Outstanding []struct {
-				ProposalID int       `json:"proposal_id"`
-				X          []float64 `json:"x"`
-			} `json:"outstanding"`
-		}
+	adoptOrphan := func() (serve.Ask, bool, error) {
+		var st serve.Status
 		if _, err := rt.call(http.MethodGet, statusPath(), nil, &st, ""); err != nil {
-			return askResp{}, false, err
+			return serve.Ask{}, false, err
 		}
 		// An outstanding proposal may be the answer to a sibling worker's
 		// ask that it has not claimed yet, not an orphan: wait those out.
@@ -326,14 +307,14 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 		pending := asking
 		mu.Unlock()
 		if pending > 0 {
-			return askResp{}, false, nil
+			return serve.Ask{}, false, nil
 		}
 		for _, p := range st.Outstanding {
 			if claim(p.ProposalID) {
-				return askResp{Status: "ok", ProposalID: p.ProposalID, X: p.X}, true, nil
+				return serve.Ask{Status: serve.AskOK, ProposalID: p.ProposalID, X: p.X}, true, nil
 			}
 		}
-		return askResp{}, false, nil
+		return serve.Ask{}, false, nil
 	}
 	t0 := time.Now()
 	var wg sync.WaitGroup
@@ -348,7 +329,7 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 				if stop {
 					return
 				}
-				var a askResp
+				var a serve.Ask
 				// One key per logical ask: if the response is lost and the
 				// call re-sent, the daemon returns the same proposal instead
 				// of minting a second one (orphan adoption is the backstop
@@ -359,7 +340,7 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 				_, err := rt.call(http.MethodPost, "/sessions/"+created.ID+"/ask", map[string]any{}, &a, newIK())
 				mu.Lock()
 				asking--
-				if err == nil && a.Status == "ok" {
+				if err == nil && a.Status == serve.AskOK {
 					inflight[a.ProposalID] = true
 				}
 				mu.Unlock()
@@ -368,9 +349,9 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 					return
 				}
 				switch a.Status {
-				case "done":
+				case serve.AskDone:
 					return
-				case "wait":
+				case serve.AskWait:
 					orphan, ok, err := adoptOrphan()
 					if err != nil {
 						setErr(fmt.Errorf("easybo: scanning for orphaned proposals: %w", err))
@@ -382,7 +363,7 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 					}
 					a = orphan
 				}
-				if a.Eval == "inflight" {
+				if a.Eval == serve.EvalInflight {
 					// Another session's worker is evaluating this exact point;
 					// the daemon tells this proposal itself when it lands. The
 					// pid stays claimed so this client does not re-adopt it as
@@ -393,7 +374,7 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 				var y float64
 				var evalErr string
 				attempts := 0
-				if a.Eval == "cached" && a.Y != nil {
+				if a.Eval == serve.EvalCached && a.Y != nil {
 					// Prior result for an identical evaluation: skip the
 					// simulation and report the recorded value back.
 					y = *a.Y
@@ -409,19 +390,14 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 					}
 				}
 				end := time.Since(t0).Seconds()
-				t := tellReq{ProposalID: &a.ProposalID, Y: y}
+				t := serve.Tell{ProposalID: &a.ProposalID, Y: y}
 				ev := easybo.Evaluation{X: a.X, Y: y, Start: start, End: end, Worker: worker, Attempts: attempts}
 				if evalErr != "" {
 					t.Y, t.Error = 0, evalErr
 					ev.Y = math.NaN()
 					ev.Err = fmt.Errorf("%s", evalErr)
 				}
-				// The daemon's constant-size tell ack; a worker acts on two
-				// fields of it.
-				var ack struct {
-					Observations int    `json:"observations"`
-					Aborted      string `json:"aborted"`
-				}
+				var ack serve.TellAck
 				resent, err := rt.call(http.MethodPost, "/sessions/"+created.ID+"/tell", t, &ack, newIK())
 				if err != nil {
 					// A 409 on a resent tell means the daemon durably applied
@@ -456,17 +432,10 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 		return nil, firstErr
 	}
 
-	var status struct {
-		BestX []float64 `json:"best_x"`
-		BestY *float64  `json:"best_y"`
-	}
+	var status serve.Status
 	if _, err := rt.call(http.MethodGet, statusPath(), nil, &status, ""); err != nil {
 		return nil, fmt.Errorf("easybo: reading final status: %w", err)
 	}
-	// This client created the session, so it owns the lifecycle: delete it
-	// so repeated CLI runs don't accumulate actors and event logs in a
-	// long-lived daemon. Best effort — the result is already local.
-	_ = callJSON(context.Background(), hc, http.MethodDelete, rt.base()+"/sessions/"+created.ID, nil, nil, "")
 	res := &easybo.Result{
 		BestX:       status.BestX,
 		Evaluations: evals,
@@ -487,8 +456,9 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 	return res, nil
 }
 
-// safeEval runs the objective, converting panics and NaN results into a
-// failure message for the tell (a crashed or diverged remote simulator).
+// safeEval runs the objective, converting panics and non-finite results
+// (sched.ValueErr: the classification every engine shares) into a failure
+// message for the tell (a crashed or diverged remote simulator).
 func safeEval(obj func([]float64) float64, x []float64) (y float64, evalErr string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -496,8 +466,8 @@ func safeEval(obj func([]float64) float64, x []float64) (y float64, evalErr stri
 		}
 	}()
 	y = obj(x)
-	if math.IsNaN(y) {
-		return 0, "objective returned NaN"
+	if sched.ValueErr(y) != nil {
+		return 0, fmt.Sprintf("objective returned %v", y)
 	}
 	return y, ""
 }
@@ -520,7 +490,7 @@ func callJSON(ctx context.Context, hc *http.Client, method, url string, body, ou
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if ik != "" {
-		req.Header.Set("X-Easybod-Idempotency", ik)
+		req.Header.Set(serve.IdempotencyHeader, ik)
 	}
 	resp, err := hc.Do(req)
 	if err != nil {

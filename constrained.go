@@ -48,7 +48,10 @@ type ConstrainedResult struct {
 // FitIters (default 30) and Algorithm (EasyBO or EasyBOA; anything else runs
 // as EasyBO). It runs on virtual time and retrains every surrogate, an exact
 // GP per output, on every completion, so Surrogate, EscalateAt, RefitEvery
-// and Async are not consulted.
+// and Async are not consulted: an evaluation whose objective or any
+// constraint is NaN or ±Inf is a failed evaluation whatever the policy —
+// listed in Evaluations with Err set and Feasible false, never the reported
+// best, never shown to a surrogate — and still spends one of MaxEvals.
 func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*ConstrainedResult, error) {
 	if _, err := p.toInternal(); err != nil {
 		return nil, err
@@ -143,9 +146,15 @@ func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*Co
 		completed++
 		pl := payloads[r.ID]
 		delete(payloads, r.ID)
+		// The executor has classified the objective; the constraints are
+		// outputs of the same run and fail it the same way.
+		evalErr := r.Err
 		feasible := true
 		worst := math.Inf(-1)
 		for _, cv := range pl.c {
+			if evalErr == nil {
+				evalErr = sched.ValueErr(cv)
+			}
 			if cv > 0 {
 				feasible = false
 			}
@@ -153,26 +162,31 @@ func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*Co
 				worst = cv
 			}
 		}
+		if evalErr != nil {
+			r.Y, feasible = math.NaN(), false
+		}
 		res.Evaluations = append(res.Evaluations, ConstrainedEvaluation{
-			Evaluation:  Evaluation{X: r.X, Y: r.Y, Start: r.Start, End: r.End, Worker: r.Worker},
+			Evaluation:  Evaluation{X: r.X, Y: r.Y, Start: r.Start, End: r.End, Worker: r.Worker, Err: evalErr},
 			Constraints: pl.c,
 			Feasible:    feasible,
 		})
-		obsX = append(obsX, r.X)
-		obsY = append(obsY, r.Y)
-		for j := range constraints {
-			obsC[j] = append(obsC[j], pl.c[j])
-		}
-		switch {
-		case feasible && (!res.Found || r.Y > res.BestY):
-			res.BestX, res.BestY, res.Found = r.X, r.Y, true
-			anyFeasible = true
-		case !res.Found && worst < bestViolation:
-			res.BestX = r.X
-			bestViolation = worst
-		}
 		if r.End > res.Seconds {
 			res.Seconds = r.End
+		}
+		if evalErr == nil {
+			obsX = append(obsX, r.X)
+			obsY = append(obsY, r.Y)
+			for j := range constraints {
+				obsC[j] = append(obsC[j], pl.c[j])
+			}
+			switch {
+			case feasible && (!res.Found || r.Y > res.BestY):
+				res.BestX, res.BestY, res.Found = r.X, r.Y, true
+				anyFeasible = true
+			case !res.Found && worst < bestViolation:
+				res.BestX = r.X
+				bestViolation = worst
+			}
 		}
 
 		if launched >= opts.MaxEvals {

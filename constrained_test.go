@@ -150,3 +150,62 @@ func TestOptimizeConstrainedDeterministic(t *testing.T) {
 		t.Fatal("constrained optimization not deterministic")
 	}
 }
+
+// A non-finite objective or constraint is a failed evaluation: it is listed
+// with Err set, is never feasible or the incumbent, and the surrogates never
+// see it, so the run goes on.
+func TestOptimizeConstrainedNonFiniteOutputsFail(t *testing.T) {
+	p, _ := linearUnderDisk()
+	t.Run("NaN constraint is not feasible", func(t *testing.T) {
+		calls := 0
+		cons := []easybo.Constraint{func([]float64) float64 {
+			if calls++; calls == 6 {
+				return math.NaN()
+			}
+			return 1
+		}}
+		res, err := easybo.OptimizeConstrained(p, cons, easybo.Options{Workers: 1, MaxEvals: 6, InitPoints: 6, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := res.Evaluations[5]
+		if res.Found || last.Feasible || last.Err == nil || !math.IsNaN(last.Y) {
+			t.Fatalf("Found=%v, last evaluation %+v: a NaN constraint must fail the evaluation", res.Found, last)
+		}
+	})
+	t.Run("the run survives them", func(t *testing.T) {
+		_, cons := linearUnderDisk()
+		calls := 0
+		q := p
+		q.Objective = func(x []float64) float64 {
+			if calls++; calls == 2 {
+				return math.Inf(1)
+			}
+			return p.Objective(x)
+		}
+		disk := cons[0]
+		cons[0] = func(x []float64) float64 {
+			if calls == 4 {
+				return math.Inf(-1)
+			}
+			return disk(x)
+		}
+		res, err := easybo.OptimizeConstrained(q, cons, easybo.Options{Workers: 2, MaxEvals: 14, InitPoints: 6, Seed: 1, FitIters: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed := 0
+		for _, e := range res.Evaluations {
+			if e.Err == nil {
+				continue
+			}
+			failed++
+			if e.Feasible || &e.X[0] == &res.BestX[0] {
+				t.Fatalf("failed evaluation %+v is feasible or the reported best", e)
+			}
+		}
+		if len(res.Evaluations) != 14 || failed != 2 {
+			t.Fatalf("%d evaluations, %d failed; want 14 and 2", len(res.Evaluations), failed)
+		}
+	})
+}

@@ -61,8 +61,9 @@
 //
 // The simulator substrate itself runs on a sparse compiled-stamp kernel:
 // device stamps are compiled once per circuit into flat slot indices of a
-// compressed sparse matrix, the LU split computes the symbolic analysis
-// once and refactors numerically (and partially) with zero allocations per
+// compressed sparse matrix, the LU split (one generic implementation for
+// the real and the complex systems) computes the symbolic analysis once
+// and refactors numerically (and partially) with zero allocations per
 // Newton iteration, AC sweeps run in parallel over reusable per-worker
 // workspaces, and Problem.NewObjective hands each optimization worker a
 // private reusable simulator instance. The dense reference solver is kept

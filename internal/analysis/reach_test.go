@@ -4,8 +4,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -23,7 +25,7 @@ var reachKeep = map[string]string{
 	"easybo/internal/linalg.Matrix.AddToDiag":        "fixture: randomSPD and the LU round trips make their matrices with it",
 	"easybo/internal/linalg.SolveLinear":             "oracle: the dense LU the sparse LU tests compare against",
 	"easybo/internal/linalg.CMatrix.MulVec":          "oracle: TestCLUSolveRoundTrip forms b = A·x with it",
-	"easybo/internal/linalg/sparse.Matrix.Zero":      "fixture: the refactor tests restamp one pattern with it",
+	"easybo/internal/linalg/sparse.MatrixOf.Zero":    "fixture: the refactor tests restamp one pattern with it",
 	"easybo/internal/gp.GP.LMLGradient":              "oracle: TestFitHyperMatchesReference checks trainWork.gradient against it",
 	"easybo/internal/gp.Model.LeaveOneOut":           "ROADMAP names its consumer: GET /sessions/{id}/diagnostics",
 	"easybo/internal/circuit.Circuit.SetDenseSolver": "reference: the dense MNA path every sparse/dense agreement test switches on",
@@ -135,6 +137,32 @@ func collectReach(pkgs []*Package, rooted func(p *Package, name string, recv boo
 	}
 }
 
+// loadModules type-checks the non-test files of the root module and of the
+// benchmark module, once for both audits.
+func loadModules(t *testing.T) (root, bench []*Package) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks both modules; skipped in -short")
+	}
+	modules, err := loadedModules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root, bench = modules[0], modules[1]; len(root) < 20 || len(bench) < 1 {
+		t.Fatalf("loaded %d + %d packages; the audit is not seeing the modules", len(root), len(bench))
+	}
+	return root, bench
+}
+
+var loadedModules = sync.OnceValues(func() (modules [2][]*Package, err error) {
+	for i, dir := range []string{"../..", "../../benchmark"} {
+		if modules[i], err = LoadPackages(dir, "./..."); err != nil {
+			break
+		}
+	}
+	return modules, err
+})
+
 func recvName(e ast.Expr) string {
 	for {
 		switch t := e.(type) {
@@ -162,20 +190,7 @@ func recvName(e ast.Expr) string {
 // method value, or, once its receiver type is, by bearing a name that an
 // interface declared in the module (or reachAlways) could call it through.
 func TestNoUnreachableDeclarations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks both modules; skipped in -short")
-	}
-	root, err := LoadPackages("../..", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bench, err := LoadPackages("../../benchmark", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(root) < 20 || len(bench) < 1 {
-		t.Fatalf("loaded %d + %d packages; the audit is not seeing the modules", len(root), len(bench))
-	}
+	root, bench := loadModules(t)
 
 	decls := map[string]*reachDecl{}
 	methods := map[string][]string{} // type key -> its method names
@@ -264,5 +279,218 @@ func TestNoUnreachableDeclarations(t *testing.T) {
 	}
 	if len(findings) > 0 {
 		t.Errorf("%d unreachable declarations: delete them, or add each to reachKeep with a reason", len(findings))
+	}
+}
+
+// optionKeep lists the exported option fields that no production code sets
+// and that stay anyway: each is a lever a named test pulls. Keys are import
+// path, struct and field. An entry production code does set, or that names
+// nothing, fails the test.
+var optionKeep = map[string]string{
+	"easybo/internal/gp.FitOptions.NoiseLo":               "TestFitHyperMatchesReferenceOnHazards pins the noise against its lower bound",
+	"easybo/internal/gp.FitOptions.NoiseHi":               "the same test, the upper bound",
+	"easybo/internal/gp.TrainOptions.FixedTheta":          "TestTrainFixedTheta and the surrogate benchmarks train without a hyperparameter search",
+	"easybo/internal/gp.TrainOptions.FixedNoise":          "the same tests, the noise beside FixedTheta",
+	"easybo/internal/surrogate.FeatureOptions.HyperEvery": "TestFeatureManagerCadence shortens the hyperparameter cadence to see it fire",
+	"easybo/internal/surrogate.FeatureOptions.Subsample":  "the same test, the hyperfit subsample",
+	"easybo/internal/optimize.NelderMeadOptions.InitStep": "TestNelderMeadReproducesPinnedSequences: the nm_* pins record a small-simplex case",
+	"easybo/internal/optimize.NelderMeadOptions.Tol":      "the same pins, a case that stops on the tolerance",
+	"easybo/internal/optimize.MaximizeOptions.RefineEval": "TestMaximizeParallelDeterministicAcrossWorkers ends the budget inside a quantum",
+	"easybo/internal/bo.Config.Features":                  "TestDriversRunOnEveryBackend runs the drivers on a 64-feature basis",
+	"easybo/internal/bo.Config.AcqCandidates":             "TestAllAlgorithmsRunAndRespectBudget (fastCfg) shrinks the sweep to stay fast",
+	"easybo/internal/bo.Config.AcqRefine":                 "the same fastCfg, one refinement",
+	"easybo/internal/bo.Config.DEPop":                     "TestDERunsAndIsSequential runs a population of 20 in 200 evaluations",
+	"easybo/internal/cluster.Config.AttemptTimeout":       "the node_test clusters (TestAnyNodeRouting …) forward under a 2 s attempt timeout",
+	"easybo/internal/cluster.Config.MaxAttempts":          "the same clusters, ten attempts",
+	"easybo/internal/circuit.OPOptions.MaxIter":           "TestOPNoConvergenceError starves every continuation stage to one iteration",
+	"easybo/internal/loadgen.Options.MaxRetries":          "TestShedEquivalence never gives up on a shed",
+	"easybo/internal/loadgen.Options.Client":              "TestRunSmoke drives an httptest server through its client",
+}
+
+// fieldKey names the field a selection ends at by the struct that declares
+// it (walking through embedded structs), "" for a field of an unnamed one.
+func fieldKey(sel *types.Selection) string {
+	t := sel.Recv()
+	for i, k := range sel.Index() {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		f := t.Underlying().(*types.Struct).Field(k)
+		if i == len(sel.Index())-1 {
+			return structFieldKey(t, f.Name())
+		}
+		t = f.Type()
+	}
+	return ""
+}
+
+func structFieldKey(t types.Type, field string) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + field
+}
+
+// TestNoUnsetOptionFields keeps the option audit true: every exported field
+// of a struct named *Options or *Config is set somewhere outside _test.go
+// files — a composite literal, an assignment, an address handed to a flag —
+// or it is on optionKeep with the test that needs it. The two public packages
+// are exempt, their fields being the module's API. Filling a default does
+// not count (an assignment under an if that tests the same field), nor does
+// copying the whole struct; a field with a json tag is a wire field, set by
+// the decoder.
+func TestNoUnsetOptionFields(t *testing.T) {
+	root, bench := loadModules(t)
+
+	type optionField struct {
+		pos token.Position
+		set bool
+	}
+	fields := map[string]*optionField{}
+	for _, p := range root {
+		if p.PkgPath == "easybo" || p.PkgPath == "easybo/circuits" {
+			continue // the public API: its callers are outside the module
+		}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, s := range gd.Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok || !(strings.HasSuffix(ts.Name.Name, "Options") || strings.HasSuffix(ts.Name.Name, "Config")) {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						if fl.Tag != nil {
+							tag, _ := reflect.StructTag(strings.Trim(fl.Tag.Value, "`")).Lookup("json")
+							if tag != "" && tag != "-" {
+								continue
+							}
+						}
+						for _, id := range fl.Names {
+							if id.IsExported() {
+								fields[p.PkgPath+"."+ts.Name.Name+"."+id.Name] = &optionField{pos: p.Fset.Position(id.Pos())}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(fields) < 40 {
+		t.Fatalf("found %d option fields; the audit is not seeing the structs", len(fields))
+	}
+
+	set := func(key string) {
+		if f := fields[key]; f != nil {
+			f.set = true
+		}
+	}
+	for _, p := range append(root[:len(root):len(root)], bench...) {
+		info := p.Info
+		selKey := func(e ast.Expr) string {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					return fieldKey(s)
+				}
+			}
+			return ""
+		}
+		// mentions reports whether cond reads the field named key.
+		mentions := func(cond ast.Expr, key string) (found bool) {
+			ast.Inspect(cond, func(n ast.Node) bool {
+				if e, ok := n.(ast.Expr); ok && selKey(e) == key {
+					found = true
+				}
+				return !found
+			})
+			return found
+		}
+		for _, f := range p.Files {
+			var ifs []*ast.IfStmt // the if statements enclosing the node being visited
+			var stack []ast.Node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					if _, ok := stack[len(stack)-1].(*ast.IfStmt); ok {
+						ifs = ifs[:len(ifs)-1]
+					}
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				switch n := n.(type) {
+				case *ast.IfStmt:
+					ifs = append(ifs, n)
+				case *ast.CompositeLit:
+					t := info.TypeOf(n)
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							set(structFieldKey(t, kv.Key.(*ast.Ident).Name))
+						} else {
+							set(structFieldKey(t, st.Field(i).Name()))
+						}
+					}
+				case *ast.AssignStmt:
+				lhs:
+					for _, l := range n.Lhs {
+						key := selKey(l)
+						if key == "" {
+							continue
+						}
+						for _, in := range ifs {
+							if mentions(in.Cond, key) {
+								continue lhs // filling a default
+							}
+						}
+						set(key)
+					}
+				case *ast.IncDecStmt:
+					set(selKey(n.X))
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						set(selKey(n.X))
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	for key, reason := range optionKeep {
+		switch f := fields[key]; {
+		case f == nil:
+			t.Errorf("optionKeep names %s, which is not an option field", key)
+		case f.set:
+			t.Errorf("optionKeep names %s, which production code sets: drop the entry", key)
+		case reason == "":
+			t.Errorf("optionKeep entry %s has no reason", key)
+		}
+	}
+	var findings []string
+	for key, f := range fields {
+		if !f.set && optionKeep[key] == "" {
+			findings = append(findings, f.pos.String()+": "+key)
+		}
+	}
+	sort.Strings(findings)
+	for _, f := range findings {
+		t.Errorf("option field no production code sets: %s", f)
+	}
+	if len(findings) > 0 {
+		t.Errorf("%d unset option fields: make each a constant, or add it to optionKeep naming the test that needs it", len(findings))
 	}
 }

@@ -201,7 +201,7 @@ func runDE(p *objective.Problem, cfg Config, rng *rand.Rand) (*History, error) {
 		return y
 	}
 	optimize.DE(wrapped, p.Lo, p.Hi, rng,
-		optimize.DEOptions{PopSize: cfg.DEPop, MaxEvals: cfg.MaxEvals}, nil)
+		optimize.DEOptions{PopSize: cfg.DEPop, MaxEvals: cfg.MaxEvals})
 	if abortErr != nil {
 		return nil, abortErr
 	}

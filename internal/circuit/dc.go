@@ -9,32 +9,19 @@ import (
 )
 
 // OPOptions tunes the operating-point solver. The zero value requests the
-// defaults.
+// default.
 type OPOptions struct {
-	MaxIter int     // Newton iterations per continuation stage (default 150)
-	AbsTol  float64 // absolute voltage tolerance (default 1e-9 V)
-	RelTol  float64 // relative tolerance (default 1e-6)
-	VStep   float64 // maximum Newton voltage update per iteration (default 1 V)
-	Gmin    float64 // final gmin (default 1e-12 S)
+	MaxIter int // Newton iterations per continuation stage (default opMaxIter)
 }
 
-func (o *OPOptions) defaults() {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 150
-	}
-	if o.AbsTol <= 0 {
-		o.AbsTol = 1e-9
-	}
-	if o.RelTol <= 0 {
-		o.RelTol = 1e-6
-	}
-	if o.VStep <= 0 {
-		o.VStep = 1.0
-	}
-	if o.Gmin <= 0 {
-		o.Gmin = 1e-12
-	}
-}
+// The operating-point solver's fixed settings.
+const (
+	opMaxIter = 150   // Newton iterations per continuation stage
+	opAbsTol  = 1e-9  // absolute voltage tolerance, V
+	opRelTol  = 1e-6  // relative tolerance
+	opVStep   = 1.0   // maximum Newton voltage update per iteration, V
+	opGmin    = 1e-12 // final gmin, S
+)
 
 // ErrNoConvergence is returned when every continuation strategy fails.
 var ErrNoConvergence = errors.New("circuit: operating point did not converge")
@@ -45,11 +32,10 @@ var ErrNoConvergence = errors.New("circuit: operating point did not converge")
 // sources from zero). NewtonStats reports the total iteration count, which
 // the testbenches use as a deterministic simulation-cost proxy.
 func (c *Circuit) OP(opts *OPOptions) (*Solution, *NewtonStats, error) {
-	var o OPOptions
-	if opts != nil {
-		o = *opts
+	maxIter := opMaxIter
+	if opts != nil && opts.MaxIter > 0 {
+		maxIter = opts.MaxIter
 	}
-	o.defaults()
 	if err := c.Compile(); err != nil {
 		return nil, nil, err
 	}
@@ -57,15 +43,15 @@ func (c *Circuit) OP(opts *OPOptions) (*Solution, *NewtonStats, error) {
 	x := make([]float64, c.unknowns)
 
 	// Strategy 1: direct Newton.
-	if xs, ok := c.newton(x, o, o.Gmin, 1.0, stats); ok {
+	if xs, ok := c.newton(x, maxIter, opGmin, 1.0, stats); ok {
 		return &Solution{c: c, X: xs}, stats, nil
 	}
 	// Strategy 2: gmin stepping.
 	x = make([]float64, c.unknowns)
 	ok := true
-	for _, g := range []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, o.Gmin} {
+	for _, g := range []float64{1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, opGmin} {
 		var xs []float64
-		xs, ok = c.newton(x, o, g, 1.0, stats)
+		xs, ok = c.newton(x, maxIter, g, 1.0, stats)
 		if !ok {
 			break
 		}
@@ -79,7 +65,7 @@ func (c *Circuit) OP(opts *OPOptions) (*Solution, *NewtonStats, error) {
 	ok = true
 	for _, s := range []float64{0.1, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0} {
 		var xs []float64
-		xs, ok = c.newton(x, o, o.Gmin, s, stats)
+		xs, ok = c.newton(x, maxIter, opGmin, s, stats)
 		if !ok {
 			break
 		}
@@ -107,9 +93,9 @@ type NewtonStats struct {
 // nonlinear residual at x0 already vanishes (an exactly warm-started
 // solve, e.g. a repeated sweep point or homotopy stage); a cold start
 // always runs at least two iterations so the Δx criterion is meaningful.
-func (c *Circuit) newton(x0 []float64, o OPOptions, gmin, srcScale float64, stats *NewtonStats) ([]float64, bool) {
+func (c *Circuit) newton(x0 []float64, maxIter int, gmin, srcScale float64, stats *NewtonStats) ([]float64, bool) {
 	if c.dense {
-		return c.newtonDense(x0, o, gmin, srcScale, stats)
+		return c.newtonDense(x0, maxIter, gmin, srcScale, stats)
 	}
 	ws := c.realWS(modeDC)
 	nv := len(c.names) - 1
@@ -119,7 +105,7 @@ func (c *Circuit) newton(x0 []float64, o OPOptions, gmin, srcScale float64, stat
 	x := ws.x
 	copy(x, x0)
 	xNew := ws.xNew
-	for iter := 0; iter < o.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		stats.Iterations++
 		e.firstIter = iter == 0
 		e.x = x
@@ -132,7 +118,7 @@ func (c *Circuit) newton(x0 []float64, o OPOptions, gmin, srcScale float64, stat
 		}
 		residOK := false
 		if iter == 0 {
-			residOK = residualVanishes(ws, x, o.AbsTol)
+			residOK = residualVanishes(ws, x, opAbsTol)
 		}
 		ws.lu.Solve(ws.b, xNew)
 		if !linalg.AllFinite(xNew) {
@@ -144,17 +130,17 @@ func (c *Circuit) newton(x0 []float64, o OPOptions, gmin, srcScale float64, stat
 				maxDelta = d
 			}
 		}
-		if maxDelta > o.VStep {
-			f := o.VStep / maxDelta
+		if maxDelta > opVStep {
+			f := opVStep / maxDelta
 			for i := range xNew {
 				xNew[i] = x[i] + f*(xNew[i]-x[i])
 			}
 		}
-		converged := maxDelta <= o.AbsTol
+		converged := maxDelta <= opAbsTol
 		if !converged {
 			converged = true
 			for i := 0; i < nv; i++ {
-				if math.Abs(xNew[i]-x[i]) > o.AbsTol+o.RelTol*math.Abs(xNew[i]) {
+				if math.Abs(xNew[i]-x[i]) > opAbsTol+opRelTol*math.Abs(xNew[i]) {
 					converged = false
 					break
 				}
@@ -183,11 +169,11 @@ func residualVanishes(ws *realWorkspace, x []float64, tol float64) bool {
 
 // newtonDense is the original dense-matrix Newton loop, kept as the golden
 // reference and benchmark baseline.
-func (c *Circuit) newtonDense(x0 []float64, o OPOptions, gmin, srcScale float64, stats *NewtonStats) ([]float64, bool) {
+func (c *Circuit) newtonDense(x0 []float64, maxIter int, gmin, srcScale float64, stats *NewtonStats) ([]float64, bool) {
 	x := linalg.Clone(x0)
 	e := &env{mode: modeDC, c: c, gmin: gmin, srcScale: srcScale}
 	n := c.unknowns
-	for iter := 0; iter < o.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		stats.Iterations++
 		e.firstIter = iter == 0
 		e.A = linalg.NewMatrix(n, n)
@@ -205,7 +191,7 @@ func (c *Circuit) newtonDense(x0 []float64, o OPOptions, gmin, srcScale float64,
 		if iter == 0 {
 			residOK = true
 			for i, r := range e.A.MulVec(x) {
-				if math.Abs(r-e.b[i]) > o.AbsTol {
+				if math.Abs(r-e.b[i]) > opAbsTol {
 					residOK = false
 					break
 				}
@@ -228,17 +214,17 @@ func (c *Circuit) newtonDense(x0 []float64, o OPOptions, gmin, srcScale float64,
 				maxDelta = d
 			}
 		}
-		if maxDelta > o.VStep {
-			f := o.VStep / maxDelta
+		if maxDelta > opVStep {
+			f := opVStep / maxDelta
 			for i := range xNew {
 				xNew[i] = x[i] + f*(xNew[i]-x[i])
 			}
 		}
-		converged := maxDelta <= o.AbsTol
+		converged := maxDelta <= opAbsTol
 		if !converged {
 			converged = true
 			for i := 0; i < nv; i++ {
-				if math.Abs(xNew[i]-x[i]) > o.AbsTol+o.RelTol*math.Abs(xNew[i]) {
+				if math.Abs(xNew[i]-x[i]) > opAbsTol+opRelTol*math.Abs(xNew[i]) {
 					converged = false
 					break
 				}

@@ -65,8 +65,6 @@ func (c *Circuit) DCSweep(srcName string, from, to float64, steps int) (*DCSweep
 
 	res := &DCSweepResult{c: c}
 	var prev []float64
-	o := OPOptions{}
-	o.defaults()
 	stats := &NewtonStats{}
 	for k := 0; k < steps; k++ {
 		v := from + (to-from)*float64(k)/float64(steps-1)
@@ -75,7 +73,7 @@ func (c *Circuit) DCSweep(srcName string, from, to float64, steps int) (*DCSweep
 		var ok bool
 		if prev != nil {
 			// Warm start from the previous sweep point.
-			x, ok = c.newton(prev, o, o.Gmin, 1.0, stats)
+			x, ok = c.newton(prev, opMaxIter, opGmin, 1.0, stats)
 		}
 		if !ok {
 			sol, _, err := c.OP(nil)

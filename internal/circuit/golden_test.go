@@ -259,10 +259,8 @@ func TestWarmStartSkipsSecondIteration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var o OPOptions
-		o.defaults()
 		stats := &NewtonStats{}
-		x, ok := c.newton(sol.X, o, o.Gmin, 1.0, stats)
+		x, ok := c.newton(sol.X, opMaxIter, opGmin, 1.0, stats)
 		if !ok {
 			t.Fatalf("dense=%v: warm restart did not converge", dense)
 		}
@@ -288,11 +286,8 @@ func TestColdStartStillNeedsTwoIterations(t *testing.T) {
 	if err := c.Compile(); err != nil {
 		t.Fatal(err)
 	}
-	var o OPOptions
-	o.defaults()
-	o.MaxIter = 1
 	stats := &NewtonStats{}
-	if _, ok := c.newton(make([]float64, c.unknowns), o, o.Gmin, 1.0, stats); ok {
+	if _, ok := c.newton(make([]float64, c.unknowns), 1, opGmin, 1.0, stats); ok {
 		t.Fatal("cold start converged in one iteration; residual gate broken")
 	}
 }

@@ -10,18 +10,19 @@ import (
 
 // TranOptions configures a transient analysis.
 type TranOptions struct {
-	TStop   float64 // end time (required)
-	TStep   float64 // fixed step size (required)
-	MaxIter int     // Newton iterations per step (default 50)
-	AbsTol  float64 // voltage tolerance (default 1e-6 V)
-	RelTol  float64 // relative tolerance (default 1e-4)
-	UIC     bool    // skip the initial OP; start from zero state
-	// SkipOP starts from the zero vector as operating point without failing
-	// if the OP does not converge (useful for oscillating switch circuits).
-	SkipOP bool
+	TStop float64 // end time (required)
+	TStep float64 // fixed step size (required)
+	UIC   bool    // skip the initial OP; start from zero state
 	// Record lists node names to record. Empty means record all nodes.
 	Record []string
 }
+
+// The timestep Newton solver's fixed settings.
+const (
+	tranMaxIter = 50   // Newton iterations per step
+	tranAbsTol  = 1e-6 // voltage tolerance, V
+	tranRelTol  = 1e-4 // relative tolerance
+)
 
 // TranResult holds the recorded waveforms of a transient run.
 type TranResult struct {
@@ -46,15 +47,6 @@ func (c *Circuit) Tran(opts TranOptions) (*TranResult, error) {
 	if opts.TStop <= 0 || opts.TStep <= 0 {
 		return nil, errors.New("circuit: Tran requires positive TStop and TStep")
 	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 50
-	}
-	if opts.AbsTol <= 0 {
-		opts.AbsTol = 1e-6
-	}
-	if opts.RelTol <= 0 {
-		opts.RelTol = 1e-4
-	}
 	if err := c.Compile(); err != nil {
 		return nil, err
 	}
@@ -70,13 +62,9 @@ func (c *Circuit) Tran(opts TranOptions) (*TranResult, error) {
 		stats.Iterations += opStats.Iterations
 		stats.Factors += opStats.Factors
 		if err != nil {
-			if !opts.SkipOP {
-				return nil, fmt.Errorf("circuit: transient initial OP: %w", err)
-			}
-			x = make([]float64, c.unknowns)
-		} else {
-			x = sol.X
+			return nil, fmt.Errorf("circuit: transient initial OP: %w", err)
 		}
+		x = sol.X
 	}
 
 	// Which nodes to record.
@@ -146,9 +134,9 @@ func (c *Circuit) Tran(opts TranOptions) (*TranResult, error) {
 		var sol []float64
 		var ok bool
 		if c.dense {
-			sol, ok = c.tranNewtonDense(cur, e, opts, &stats)
+			sol, ok = c.tranNewtonDense(cur, e, &stats)
 		} else {
-			sol, ok = c.tranNewtonSparse(ws, cur, e, opts, &stats)
+			sol, ok = c.tranNewtonSparse(ws, cur, e, &stats)
 		}
 		if !ok {
 			return nil, fmt.Errorf("circuit %q: transient Newton failed at t=%g", c.Name, tNew)
@@ -171,7 +159,7 @@ func (c *Circuit) Tran(opts TranOptions) (*TranResult, error) {
 // refactorization (skipped entirely when the Jacobian is bitwise unchanged
 // — linear circuits at a fixed step factor exactly once per integration
 // method), and an in-place solve: no allocations.
-func (c *Circuit) tranNewtonSparse(ws *realWorkspace, x0 []float64, e *env, opts TranOptions, stats *NewtonStats) ([]float64, bool) {
+func (c *Circuit) tranNewtonSparse(ws *realWorkspace, x0 []float64, e *env, stats *NewtonStats) ([]float64, bool) {
 	ws.stampBaseStep(e)
 	rank1 := ws.rank1OK
 	if rank1 && (!ws.rank1Primed || ws.baseLUEpoch != ws.baseEpoch) {
@@ -184,7 +172,7 @@ func (c *Circuit) tranNewtonSparse(ws *realWorkspace, x0 []float64, e *env, opts
 	copy(x, x0)
 	xNew := ws.xNew
 	nv := len(c.names) - 1
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < tranMaxIter; iter++ {
 		stats.Iterations++
 		e.firstIter = iter == 0
 		e.x = x
@@ -212,7 +200,7 @@ func (c *Circuit) tranNewtonSparse(ws *realWorkspace, x0 []float64, e *env, opts
 		}
 		converged := true
 		for i := 0; i < nv; i++ {
-			if math.Abs(xNew[i]-x[i]) > opts.AbsTol+opts.RelTol*math.Abs(xNew[i]) {
+			if math.Abs(xNew[i]-x[i]) > tranAbsTol+tranRelTol*math.Abs(xNew[i]) {
 				converged = false
 				break
 			}
@@ -227,10 +215,10 @@ func (c *Circuit) tranNewtonSparse(ws *realWorkspace, x0 []float64, e *env, opts
 
 // tranNewtonDense is the original dense-matrix timestep solver, kept as
 // the golden reference and benchmark baseline.
-func (c *Circuit) tranNewtonDense(x0 []float64, e *env, opts TranOptions, stats *NewtonStats) ([]float64, bool) {
+func (c *Circuit) tranNewtonDense(x0 []float64, e *env, stats *NewtonStats) ([]float64, bool) {
 	x := linalg.Clone(x0)
 	n := c.unknowns
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < tranMaxIter; iter++ {
 		stats.Iterations++
 		e.firstIter = iter == 0
 		e.A = linalg.NewMatrix(n, n)
@@ -254,7 +242,7 @@ func (c *Circuit) tranNewtonDense(x0 []float64, e *env, opts TranOptions, stats 
 		converged := true
 		nv := len(c.names) - 1
 		for i := 0; i < nv; i++ {
-			if math.Abs(xNew[i]-x[i]) > opts.AbsTol+opts.RelTol*math.Abs(xNew[i]) {
+			if math.Abs(xNew[i]-x[i]) > tranAbsTol+tranRelTol*math.Abs(xNew[i]) {
 				converged = false
 				break
 			}

@@ -11,7 +11,6 @@ import (
 type FitOptions struct {
 	Restarts  int       // additional random restarts (default 1)
 	Iters     int       // Adam iterations per start (default 60)
-	LearnRate float64   // Adam step size in log space (default 0.08)
 	InitTheta []float64 // warm start for the kernel hyperparameters
 	InitNoise float64   // warm start for log σn (used when InitTheta != nil)
 	NoiseLo   float64   // lower bound for log σn (default log 1e-4)
@@ -29,9 +28,6 @@ func (o *FitOptions) defaults() {
 	}
 	if o.Iters <= 0 {
 		o.Iters = 60
-	}
-	if o.LearnRate <= 0 {
-		o.LearnRate = 0.08
 	}
 	if o.NoiseLo == 0 {
 		o.NoiseLo = math.Log(1e-4)
@@ -175,6 +171,7 @@ func (w *trainWork) adam(theta0 []float64, noise0 float64, lo, hi []float64, o F
 	}
 	clamp(p)
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
+	const learnRate = 0.08 // Adam step size in log space
 
 	for iter := 1; iter <= o.Iters; iter++ {
 		g := &w.slot[0]
@@ -197,7 +194,7 @@ func (w *trainWork) adam(theta0 []float64, noise0 float64, lo, hi []float64, o F
 		for i := range p {
 			m[i] = beta1*m[i] + (1-beta1)*grad[i]
 			v[i] = beta2*v[i] + (1-beta2)*grad[i]*grad[i]
-			p[i] += o.LearnRate * (m[i] / b1t) / (math.Sqrt(v[i]/b2t) + eps)
+			p[i] += learnRate * (m[i] / b1t) / (math.Sqrt(v[i]/b2t) + eps)
 		}
 		clamp(p)
 	}

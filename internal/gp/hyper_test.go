@@ -76,7 +76,7 @@ func refAdamFit(kern Kernel, x [][]float64, y []float64, theta0 []float64, noise
 	clamp(p)
 	m := make([]float64, nh+1)
 	v := make([]float64, nh+1)
-	const beta1, beta2, eps = 0.9, 0.999, 1e-8
+	const beta1, beta2, eps, learnRate = 0.9, 0.999, 1e-8, 0.08
 	bestLML = math.Inf(-1)
 	for iter := 1; iter <= o.Iters; iter++ {
 		g, err := refFit(kern, x, y, p[:nh], p[nh])
@@ -97,7 +97,7 @@ func refAdamFit(kern Kernel, x [][]float64, y []float64, theta0 []float64, noise
 		for i := range p {
 			m[i] = beta1*m[i] + (1-beta1)*grad[i]
 			v[i] = beta2*v[i] + (1-beta2)*grad[i]*grad[i]
-			p[i] += o.LearnRate * (m[i] / b1t) / (math.Sqrt(v[i]/b2t) + eps)
+			p[i] += learnRate * (m[i] / b1t) / (math.Sqrt(v[i]/b2t) + eps)
 		}
 		clamp(p)
 	}

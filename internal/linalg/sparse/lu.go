@@ -1,32 +1,38 @@
 package sparse
 
-import "math"
+import (
+	"math"
+	"math/cmplx"
+)
 
 // pivTol is the refactorization stability threshold: a frozen pivot whose
 // magnitude falls below pivTol × (largest candidate in its column) triggers
 // ErrPivot and a full re-pivoting Factor, mirroring KLU's refactor guard.
 const pivTol = 1e-3
 
-// LU is a sparse LU factorization P·A·Q = L·U with partial (row) pivoting
+// LUOf is a sparse LU factorization P·A·Q = L·U with partial (row) pivoting
 // and a fill-reducing column pre-ordering Q. The first Factor performs the
 // symbolic analysis — ordering, reachability, fill pattern — and records
 // the pivot sequence; Refactor replays the numeric elimination on the
 // frozen pattern with zero allocations. L is unit lower triangular (unit
 // diagonal implicit, row ids in original coordinates); U is strictly upper
 // triangular by pivot-step ids with the diagonal held separately.
-type LU struct {
+//
+// The factorization is one implementation over both scalar types: the
+// only lines that depend on T are the two magnitudes pivotMag and guardMag.
+type LUOf[T Scalar] struct {
 	n     int
 	q     []int32 // column order: step t eliminates original column q[t]
 	pinv  []int32 // original row -> pivot step (-1 while unpivoted)
 	prow  []int32 // pivot step -> original row
 	lp    []int32 // L column pointers (len n+1)
 	li    []int32 // L row indices (original coordinates)
-	lx    []float64
+	lx    []T
 	up    []int32 // U column pointers (len n+1)
 	ui    []int32 // U row ids (pivot steps, in elimination replay order)
-	ux    []float64
-	udiag []float64
-	udinv []float64 // 1/udiag, refreshed by Factor and Refactor
+	ux    []T
+	udiag []T
+	udinv []T // 1/udiag, refreshed by Factor and Refactor
 	// Derived index arrays rebuilt after each Factor (pattern and pivots
 	// are frozen across Refactor): liPerm maps L row indices to pivot
 	// steps for the forward solve, uprow maps U entries to the original
@@ -35,12 +41,12 @@ type LU struct {
 	uprow  []int32
 
 	// workspaces (sized n, reused across Factor/Refactor/Solve)
-	w      []float64
+	w      []T
 	flag   []int32
 	stack  []int32
 	pstack []int32
 	xi     []int32
-	z      []float64
+	z      []T
 	stamp  int32
 	valid  bool
 	qinv   []int32 // original column -> elimination step
@@ -59,24 +65,61 @@ type LU struct {
 // Must be called before the first Factor; typical use is marking the
 // columns a nonlinear device re-stamps every Newton iteration ("hot
 // columns", as in KLU's ordering for circuit matrices).
-func (f *LU) PreferLast(cols []int32) {
+func (f *LUOf[T]) PreferLast(cols []int32) {
 	f.orderLast = append(f.orderLast[:0], cols...)
 	f.q = nil // force re-ordering on the next Factor
 }
 
 // ColPos returns the elimination step of an original column (only
 // meaningful after a successful Factor).
-func (f *LU) ColPos(col int32) int32 { return f.qinv[col] }
+func (f *LUOf[T]) ColPos(col int32) int32 { return f.qinv[col] }
 
-// NewLU returns an empty factorization object; sizing happens on the first
-// Factor call.
+// LU is the real factorization (DC, transient); CLU the complex one (the
+// AC small-signal sweep).
+type (
+	LU  = LUOf[float64]
+	CLU = LUOf[complex128]
+)
+
+// NewLU returns an empty real factorization object; sizing happens on the
+// first Factor call.
 func NewLU() *LU { return &LU{} }
+
+// NewCLU returns an empty complex factorization object.
+func NewCLU() *CLU { return &CLU{} }
+
+// pivotMag is the magnitude Factor's partial pivoting compares: the true
+// modulus, so the pivot sequence is the one a dense reference picks.
+func pivotMag[T Scalar](v T) float64 {
+	switch v := any(v).(type) {
+	case float64:
+		return math.Abs(v)
+	case complex128:
+		return cmplx.Abs(v)
+	}
+	panic("unreachable")
+}
+
+// guardMag is the magnitude the refactorization stability guard compares.
+// The guard only gates the full-Factor fallback, so for complex values the
+// cheap 1-norm |re|+|im| replaces the hypot-based modulus (KLU uses the
+// same trick for complex pivots); it is within √2 of the true magnitude,
+// which a 10⁻³ relative threshold absorbs.
+func guardMag[T Scalar](v T) float64 {
+	switch v := any(v).(type) {
+	case float64:
+		return math.Abs(v)
+	case complex128:
+		return math.Abs(real(v)) + math.Abs(imag(v))
+	}
+	panic("unreachable")
+}
 
 // Valid reports whether a successful Factor has produced a reusable
 // pattern.
-func (f *LU) Valid() bool { return f.valid }
+func (f *LUOf[T]) Valid() bool { return f.valid }
 
-func (f *LU) init(n int) {
+func (f *LUOf[T]) init(n int) {
 	if f.n == n && f.pinv != nil {
 		return
 	}
@@ -85,14 +128,14 @@ func (f *LU) init(n int) {
 	f.prow = make([]int32, n)
 	f.lp = make([]int32, n+1)
 	f.up = make([]int32, n+1)
-	f.udiag = make([]float64, n)
-	f.udinv = make([]float64, n)
-	f.w = make([]float64, n)
+	f.udiag = make([]T, n)
+	f.udinv = make([]T, n)
+	f.w = make([]T, n)
 	f.flag = make([]int32, n)
 	f.stack = make([]int32, n)
 	f.pstack = make([]int32, n)
 	f.xi = make([]int32, n)
-	f.z = make([]float64, n)
+	f.z = make([]T, n)
 	f.q = nil
 	f.valid = false
 }
@@ -100,7 +143,7 @@ func (f *LU) init(n int) {
 // Factor performs a full symbolic + numeric factorization of a, selecting
 // fresh pivots with partial pivoting. The fill-reducing column ordering is
 // computed on the first call for a pattern and kept thereafter.
-func (f *LU) Factor(a *Matrix) error {
+func (f *LUOf[T]) Factor(a *MatrixOf[T]) error {
 	n := a.N
 	f.init(n)
 	f.valid = false
@@ -164,7 +207,7 @@ func (f *LU) Factor(a *Matrix) error {
 			if f.pinv[r] >= 0 {
 				continue
 			}
-			av := math.Abs(f.w[r])
+			av := pivotMag(f.w[r])
 			//easybolint:ok floateq deterministic pivot tie-break: equal magnitudes pick the lower row; NaN is rejected after the scan
 			if av > maxAbs || (av == maxAbs && r < pivRow) {
 				maxAbs = av
@@ -208,7 +251,7 @@ func (f *LU) Factor(a *Matrix) error {
 // the L factor built so far: the set of rows reachable from A(:,j) in the
 // graph whose pivoted rows link to their L-column entries. Results land in
 // f.xi[top:n] in topological order; f.flag marks visited rows.
-func (f *LU) reach(a *Matrix, j int) int {
+func (f *LUOf[T]) reach(a *MatrixOf[T], j int) int {
 	f.stamp++
 	top := f.n
 	for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
@@ -221,7 +264,7 @@ func (f *LU) reach(a *Matrix, j int) int {
 	return top
 }
 
-func (f *LU) dfs(root int32, top int) int {
+func (f *LUOf[T]) dfs(root int32, top int) int {
 	head := 0
 	f.stack[0] = root
 	for head >= 0 {
@@ -262,7 +305,7 @@ func (f *LU) dfs(root int32, top int) int {
 // pivot sequence from the last Factor. It allocates nothing. ErrPivot is
 // returned when a frozen pivot has become unstable (caller should Factor);
 // the factorization is invalid until a subsequent successful call.
-func (f *LU) Refactor(a *Matrix) error { return f.RefactorFrom(a, 0) }
+func (f *LUOf[T]) Refactor(a *MatrixOf[T]) error { return f.RefactorFrom(a, 0) }
 
 // RefactorFrom is a partial numeric refactorization: elimination steps
 // before `from` are kept as-is. Valid only when every column of a whose
@@ -270,7 +313,7 @@ func (f *LU) Refactor(a *Matrix) error { return f.RefactorFrom(a, 0) }
 // left-looking elimination of step t reads only A(:,q[t]) and factor
 // columns < t, so an untouched prefix stays exact. Combine with PreferLast
 // so frequently-changing columns sit at the end and `from` stays large.
-func (f *LU) RefactorFrom(a *Matrix, from int) error {
+func (f *LUOf[T]) RefactorFrom(a *MatrixOf[T], from int) error {
 	if !f.valid {
 		return ErrPivot
 	}
@@ -309,14 +352,15 @@ func (f *LU) RefactorFrom(a *Matrix, from int) error {
 			}
 		}
 		piv := f.w[f.prow[t]]
-		maxAbs := math.Abs(piv)
+		pivAbs := guardMag(piv)
+		maxAbs := pivAbs
 		for p := f.lp[t]; p < f.lp[t+1]; p++ {
-			if av := math.Abs(f.w[f.li[p]]); av > maxAbs {
+			if av := guardMag(f.w[f.li[p]]); av > maxAbs {
 				maxAbs = av
 			}
 		}
-		if piv == 0 || math.IsNaN(maxAbs) || math.IsInf(maxAbs, 0) ||
-			math.Abs(piv) < pivTol*maxAbs {
+		if pivAbs == 0 || math.IsNaN(maxAbs) || math.IsInf(maxAbs, 0) ||
+			pivAbs < pivTol*maxAbs {
 			return ErrPivot
 		}
 		pivInv := 1 / piv
@@ -332,7 +376,7 @@ func (f *LU) RefactorFrom(a *Matrix, from int) error {
 
 // Solve writes the solution of A·x = b into x using the current factors.
 // b and x may alias; no allocations.
-func (f *LU) Solve(b, x []float64) {
+func (f *LUOf[T]) Solve(b, x []T) {
 	if !f.valid {
 		panic("sparse: Solve without a valid factorization")
 	}

@@ -1,5 +1,6 @@
-// Package sparse provides compressed sparse matrices (real and complex)
-// with a KLU-style LU factorization split into a symbolic analysis —
+// Package sparse provides a compressed sparse matrix and a KLU-style LU
+// factorization, each one generic implementation instantiated for float64
+// and complex128. The factorization is split into a symbolic analysis —
 // fill-reducing ordering plus pattern factorization, computed once per
 // sparsity pattern — and a numeric refactorization that reuses the pattern
 // (and pivot sequence) on every subsequent solve. Solves write into caller
@@ -23,31 +24,41 @@ var ErrSingular = errors.New("sparse: singular matrix")
 // which re-selects pivots.
 var ErrPivot = errors.New("sparse: pivot degenerated, refactorization refused")
 
-// Matrix is a compressed-sparse real matrix with a fixed pattern. Entries
+// Scalar is the set of value types the kernel is instantiated for.
+type Scalar interface{ float64 | complex128 }
+
+// MatrixOf is a compressed-sparse matrix with a fixed pattern. Entries
 // are stored column-major (compressed sparse column): column j occupies
 // Val[ColPtr[j]:ColPtr[j+1]], with Row holding the matching row indices in
 // ascending order. The column orientation is what the left-looking LU
 // wants; a Builder constructs the pattern and hands out flat slot indices
 // into Val so clients can re-stamp values without any index arithmetic.
-type Matrix struct {
+type MatrixOf[T Scalar] struct {
 	N      int
 	ColPtr []int32
 	Row    []int32
-	Val    []float64
+	Val    []T
 }
 
+// Matrix is the real matrix (DC, transient); CMatrix the complex one (the
+// AC small-signal solver).
+type (
+	Matrix  = MatrixOf[float64]
+	CMatrix = MatrixOf[complex128]
+)
+
 // Zero clears every stored value, keeping the pattern.
-func (m *Matrix) Zero() {
+func (m *MatrixOf[T]) Zero() {
 	for i := range m.Val {
 		m.Val[i] = 0
 	}
 }
 
 // NNZ returns the number of stored entries.
-func (m *Matrix) NNZ() int { return len(m.Val) }
+func (m *MatrixOf[T]) NNZ() int { return len(m.Val) }
 
 // MulVec computes y = A·x into the caller's buffer (len N each).
-func (m *Matrix) MulVec(x, y []float64) {
+func (m *MatrixOf[T]) MulVec(x, y []T) {
 	for i := range y {
 		y[i] = 0
 	}
@@ -61,18 +72,6 @@ func (m *Matrix) MulVec(x, y []float64) {
 		}
 	}
 }
-
-// CMatrix is the complex-valued counterpart of Matrix, used by the AC
-// small-signal solver.
-type CMatrix struct {
-	N      int
-	ColPtr []int32
-	Row    []int32
-	Val    []complex128
-}
-
-// NNZ returns the number of stored entries.
-func (m *CMatrix) NNZ() int { return len(m.Val) }
 
 // Builder accumulates a sparsity pattern and assigns each distinct (row,
 // col) coordinate a provisional slot id. Build finalizes the compressed
@@ -160,15 +159,14 @@ func (b *Builder) compress() (colPtr, row, remap []int32) {
 	return colPtr, row, remap
 }
 
-// BuildReal finalizes the pattern into a real matrix. remap translates the
-// provisional slot ids returned by Slot into indices of Matrix.Val.
-func (b *Builder) BuildReal() (m *Matrix, remap []int32) {
+func build[T Scalar](b *Builder) (*MatrixOf[T], []int32) {
 	colPtr, row, remap := b.compress()
-	return &Matrix{N: b.n, ColPtr: colPtr, Row: row, Val: make([]float64, len(row))}, remap
+	return &MatrixOf[T]{N: b.n, ColPtr: colPtr, Row: row, Val: make([]T, len(row))}, remap
 }
 
+// BuildReal finalizes the pattern into a real matrix. remap translates the
+// provisional slot ids returned by Slot into indices of Matrix.Val.
+func (b *Builder) BuildReal() (m *Matrix, remap []int32) { return build[float64](b) }
+
 // BuildComplex finalizes the pattern into a complex matrix.
-func (b *Builder) BuildComplex() (m *CMatrix, remap []int32) {
-	colPtr, row, remap := b.compress()
-	return &CMatrix{N: b.n, ColPtr: colPtr, Row: row, Val: make([]complex128, len(row))}, remap
-}
+func (b *Builder) BuildComplex() (m *CMatrix, remap []int32) { return build[complex128](b) }

@@ -1,22 +1,17 @@
 package sparse
 
-// minDegreeOrder computes a fill-reducing column ordering of the pattern
+// minDegreeOrderLast computes a fill-reducing column ordering of the pattern
 // (colPtr, row) by greedy minimum degree on the symmetrized adjacency
 // graph of A + Aᵀ. MNA matrices are nearly structurally symmetric, so the
 // symmetric heuristic orders them well; ties break toward the lowest index
-// to keep the ordering deterministic. Returns q with q[t] = the original
+// to keep the ordering deterministic. The columns in last are forced to the
+// end of the elimination order (min degree within each group): the hot
+// columns of a partial refactorization. Returns q with q[t] = the original
 // column eliminated at step t.
 //
 // The quotient-graph sophistication of real AMD is unnecessary at circuit
 // sizes (tens of unknowns): the dense-bitset elimination below is O(n³/64)
 // worst case and runs once per circuit topology.
-func minDegreeOrder(n int, colPtr, row []int32) []int32 {
-	return minDegreeOrderLast(n, colPtr, row, nil)
-}
-
-// minDegreeOrderLast is minDegreeOrder with a set of columns forced to the
-// end of the elimination order (min degree within each group): the hot
-// columns of a partial refactorization.
 func minDegreeOrderLast(n int, colPtr, row []int32, last []int32) []int32 {
 	words := (n + 63) / 64
 	adj := make([]uint64, n*words)

@@ -1,8 +1,8 @@
 package sparse
 
 import (
+	"errors"
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -31,133 +31,235 @@ func randomSystem(n int, density float64, rng *rand.Rand) (*Builder, []int32, []
 	return b, slots, coords
 }
 
-func stamp(m *Matrix, remap, slots []int32, coords [][2]int, vals []float64, dense *linalg.Matrix) {
-	m.Zero()
-	if dense != nil {
-		for i := range dense.Data {
-			dense.Data[i] = 0
+// randScalar draws a standard normal value: one draw for float64, real and
+// imaginary part for complex128.
+func randScalar[T Scalar](rng *rand.Rand) T {
+	var v T
+	switch p := any(&v).(type) {
+	case *float64:
+		*p = rng.NormFloat64()
+	case *complex128:
+		*p = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	return v
+}
+
+// randVals draws one value per slot, diagonal entries shifted by diag to
+// keep the system comfortably nonsingular.
+func randVals[T Scalar](coords [][2]int, diag T, rng *rand.Rand) []T {
+	vals := make([]T, len(coords))
+	for k := range vals {
+		vals[k] = randScalar[T](rng)
+		if coords[k][0] == coords[k][1] {
+			vals[k] += diag
 		}
 	}
+	return vals
+}
+
+func randVec[T Scalar](n int, rng *rand.Rand) []T {
+	v := make([]T, n)
+	for i := range v {
+		v[i] = randScalar[T](rng)
+	}
+	return v
+}
+
+func stamp[T Scalar](m *MatrixOf[T], remap, slots []int32, vals []T) {
+	m.Zero()
 	for k, s := range slots {
 		m.Val[remap[s]] += vals[k]
-		if dense != nil {
-			dense.Add(coords[k][0], coords[k][1], vals[k])
+	}
+}
+
+// denseSolve is the oracle: the same system assembled densely and solved by
+// the dense partial-pivoting LU of the parent package.
+func denseSolve[T Scalar](n int, coords [][2]int, vals, rhs []T) ([]T, error) {
+	switch vals := any(vals).(type) {
+	case []float64:
+		d := linalg.NewMatrix(n, n)
+		for k, c := range coords {
+			d.Add(c[0], c[1], vals[k])
+		}
+		x, err := linalg.SolveLinear(d, any(rhs).([]float64))
+		return any(x).([]T), err
+	case []complex128:
+		d := linalg.NewCMatrix(n, n)
+		for k, c := range coords {
+			d.Add(c[0], c[1], vals[k])
+		}
+		x, err := linalg.SolveComplexLinear(d, any(rhs).([]complex128))
+		return any(x).([]T), err
+	}
+	panic("unreachable")
+}
+
+// wantClose fails unless got[i] is within tol·(1+|want[i]|) of want[i].
+func wantClose[T Scalar](t *testing.T, what string, got, want []T, tol float64) {
+	t.Helper()
+	for i := range got {
+		if pivotMag(got[i]-want[i]) > tol*(1+pivotMag(want[i])) {
+			t.Fatalf("%s: [%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// bothScalars runs one generic test body on each instantiation.
+func bothScalars(t *testing.T, real, cplx func(*testing.T)) {
+	t.Run("float64", real)
+	t.Run("complex128", cplx)
+}
+
+func factorSolveMatchesDense[T Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 5, 13, 40} {
+		for trial := 0; trial < 5; trial++ {
+			b, slots, coords := randomSystem(n, 0.25, rng)
+			m, remap := build[T](b)
+			vals := randVals[T](coords, 4, rng)
+			stamp(m, remap, slots, vals)
+			rhs := randVec[T](n, rng)
+			lu := &LUOf[T]{}
+			if err := lu.Factor(m); err != nil {
+				t.Fatalf("n=%d: Factor: %v", n, err)
+			}
+			x := make([]T, n)
+			lu.Solve(rhs, x)
+			want, err := denseSolve(n, coords, vals, rhs)
+			if err != nil {
+				t.Fatalf("dense solve: %v", err)
+			}
+			wantClose(t, "x", x, want, 1e-10)
+			// Residual check too: ||Ax-b|| small.
+			y := make([]T, n)
+			m.MulVec(x, y)
+			wantClose(t, "A·x", y, rhs, 1e-9)
 		}
 	}
 }
 
 func TestFactorSolveMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 5, 13, 40} {
-		for trial := 0; trial < 5; trial++ {
-			b, slots, coords := randomSystem(n, 0.25, rng)
-			m, remap := b.BuildReal()
-			vals := make([]float64, len(slots))
-			for k := range vals {
-				vals[k] = rng.NormFloat64()
-				if coords[k][0] == coords[k][1] {
-					vals[k] += 4 // keep comfortably nonsingular
-				}
-			}
-			dense := linalg.NewMatrix(n, n)
-			stamp(m, remap, slots, coords, vals, dense)
-			rhs := make([]float64, n)
-			for i := range rhs {
-				rhs[i] = rng.NormFloat64()
-			}
-			lu := NewLU()
-			if err := lu.Factor(m); err != nil {
-				t.Fatalf("n=%d: Factor: %v", n, err)
-			}
-			x := make([]float64, n)
-			lu.Solve(rhs, x)
-			want, err := linalg.SolveLinear(dense, rhs)
-			if err != nil {
-				t.Fatalf("dense solve: %v", err)
-			}
-			for i := range x {
-				if math.Abs(x[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
-					t.Fatalf("n=%d trial=%d: x[%d]=%g want %g", n, trial, i, x[i], want[i])
-				}
-			}
-			// Residual check too: ||Ax-b|| small.
-			y := make([]float64, n)
-			m.MulVec(x, y)
-			for i := range y {
-				if math.Abs(y[i]-rhs[i]) > 1e-9*(1+math.Abs(rhs[i])) {
-					t.Fatalf("residual row %d: %g vs %g", i, y[i], rhs[i])
-				}
-			}
-		}
-	}
+	t.Run("float64", factorSolveMatchesDense[float64])
 }
 
-func TestRefactorMatchesFactor(t *testing.T) {
+func TestComplexFactorSolveMatchesDense(t *testing.T) {
+	t.Run("complex128", factorSolveMatchesDense[complex128])
+}
+
+func refactorMatchesFactor[T Scalar](t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 20
 	b, slots, coords := randomSystem(n, 0.2, rng)
-	m, remap := b.BuildReal()
-	vals := make([]float64, len(slots))
-	for k := range vals {
-		vals[k] = rng.NormFloat64()
-		if coords[k][0] == coords[k][1] {
-			vals[k] += 4
-		}
-	}
-	stamp(m, remap, slots, coords, vals, nil)
-	lu := NewLU()
+	m, remap := build[T](b)
+	vals := randVals[T](coords, 4, rng)
+	stamp(m, remap, slots, vals)
+	lu := &LUOf[T]{}
 	if err := lu.Factor(m); err != nil {
 		t.Fatal(err)
 	}
-	rhs := make([]float64, n)
-	x1 := make([]float64, n)
-	x2 := make([]float64, n)
+	x1 := make([]T, n)
+	x2 := make([]T, n)
 	for trial := 0; trial < 10; trial++ {
 		// Perturb values mildly (same sign structure) and compare the
 		// refactor path against a fresh full factorization.
 		for k := range vals {
-			vals[k] *= 1 + 0.05*rng.NormFloat64()
+			vals[k] *= 1 + 0.05*randScalar[T](rng)
 		}
-		stamp(m, remap, slots, coords, vals, nil)
-		for i := range rhs {
-			rhs[i] = rng.NormFloat64()
-		}
+		stamp(m, remap, slots, vals)
+		rhs := randVec[T](n, rng)
 		if err := lu.Refactor(m); err != nil {
 			t.Fatalf("trial %d: Refactor: %v", trial, err)
 		}
 		lu.Solve(rhs, x1)
-		fresh := NewLU()
+		fresh := &LUOf[T]{}
 		if err := fresh.Factor(m); err != nil {
 			t.Fatal(err)
 		}
 		fresh.Solve(rhs, x2)
-		for i := range x1 {
-			if math.Abs(x1[i]-x2[i]) > 1e-9*(1+math.Abs(x2[i])) {
-				t.Fatalf("trial %d: refactor x[%d]=%g, factor %g", trial, i, x1[i], x2[i])
-			}
-		}
+		wantClose(t, "refactor vs factor", x1, x2, 1e-9)
 	}
 }
 
-func TestRefactorZeroAlloc(t *testing.T) {
+func TestRefactorMatchesFactor(t *testing.T) {
+	bothScalars(t, refactorMatchesFactor[float64], refactorMatchesFactor[complex128])
+}
+
+// refactorFromMatchesRefactor pins what a partial refactorization promises:
+// with the changed columns ordered last, redoing only the steps from the
+// first of them leaves the same bits as redoing every step.
+func refactorFromMatchesRefactor[T Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	n := 20
+	hot := []int32{3, 11, 17}
+	b, slots, coords := randomSystem(n, 0.2, rng)
+	m, remap := build[T](b)
+	vals := randVals[T](coords, 4, rng)
+	stamp(m, remap, slots, vals)
+	partial, full := &LUOf[T]{}, &LUOf[T]{}
+	for _, lu := range []*LUOf[T]{partial, full} {
+		lu.PreferLast(hot)
+		if err := lu.Factor(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	from := n
+	isHot := make([]bool, n)
+	for _, c := range hot {
+		isHot[c] = true
+		if p := int(partial.ColPos(c)); p < from {
+			from = p
+		}
+	}
+	if from != n-len(hot) {
+		t.Fatalf("hot columns start at step %d, want the last %d of %d", from, len(hot), n)
+	}
+	x1 := make([]T, n)
+	x2 := make([]T, n)
+	for trial := 0; trial < 5; trial++ {
+		for k, c := range coords {
+			if isHot[c[1]] {
+				vals[k] *= 1 + 0.05*randScalar[T](rng)
+			}
+		}
+		stamp(m, remap, slots, vals)
+		rhs := randVec[T](n, rng)
+		if err := partial.RefactorFrom(m, from); err != nil {
+			t.Fatalf("trial %d: RefactorFrom: %v", trial, err)
+		}
+		if err := full.Refactor(m); err != nil {
+			t.Fatalf("trial %d: Refactor: %v", trial, err)
+		}
+		partial.Solve(rhs, x1)
+		full.Solve(rhs, x2)
+		for i := range x1 {
+			if x1[i] != x2[i] {
+				t.Fatalf("trial %d: partial x[%d]=%v, full %v", trial, i, x1[i], x2[i])
+			}
+		}
+		want, err := denseSolve(n, coords, vals, rhs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantClose(t, "partial refactor vs dense", x1, want, 1e-9)
+	}
+}
+
+func TestRefactorFromMatchesRefactor(t *testing.T) {
+	bothScalars(t, refactorFromMatchesRefactor[float64], refactorFromMatchesRefactor[complex128])
+}
+
+func refactorZeroAlloc[T Scalar](t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 15
 	b, slots, coords := randomSystem(n, 0.2, rng)
-	m, remap := b.BuildReal()
-	vals := make([]float64, len(slots))
-	for k := range vals {
-		vals[k] = rng.NormFloat64()
-		if coords[k][0] == coords[k][1] {
-			vals[k] += 4
-		}
-	}
-	stamp(m, remap, slots, coords, vals, nil)
-	lu := NewLU()
+	m, remap := build[T](b)
+	stamp(m, remap, slots, randVals[T](coords, 4, rng))
+	lu := &LUOf[T]{}
 	if err := lu.Factor(m); err != nil {
 		t.Fatal(err)
 	}
-	rhs := make([]float64, n)
-	x := make([]float64, n)
+	rhs := make([]T, n)
+	x := make([]T, n)
 	allocs := testing.AllocsPerRun(50, func() {
 		if err := lu.Refactor(m); err != nil {
 			t.Fatal(err)
@@ -169,129 +271,90 @@ func TestRefactorZeroAlloc(t *testing.T) {
 	}
 }
 
+func TestRefactorZeroAlloc(t *testing.T) {
+	t.Run("float64", refactorZeroAlloc[float64])
+}
+
+func TestComplexRefactorZeroAlloc(t *testing.T) {
+	t.Run("complex128", refactorZeroAlloc[complex128])
+}
+
+// refactorPivotGuard scales a real 2×2 system by the unit u, so the complex
+// instantiation meets the guard with both parts of every entry nonzero.
+func refactorPivotGuard[T Scalar](u T) func(*testing.T) {
+	return func(t *testing.T) {
+		// A factorization whose pivot is driven (nearly) to zero must refuse
+		// to refactor rather than produce garbage.
+		b := NewBuilder(2)
+		s00 := b.Slot(0, 0)
+		s01 := b.Slot(0, 1)
+		s10 := b.Slot(1, 0)
+		s11 := b.Slot(1, 1)
+		m, remap := build[T](b)
+		set := func(v00, v01, v10, v11 T) {
+			m.Val[remap[s00]] = u * v00
+			m.Val[remap[s01]] = u * v01
+			m.Val[remap[s10]] = u * v10
+			m.Val[remap[s11]] = u * v11
+		}
+		set(4, 1, 1, 4)
+		lu := &LUOf[T]{}
+		if err := lu.Factor(m); err != nil {
+			t.Fatal(err)
+		}
+		// The frozen pivot (0,0) against its column's other candidate (1,0):
+		// kept inside the guard's 10⁻³ band, refused below it.
+		set(4e-3, 1, 1, 4)
+		if err := lu.Refactor(m); err != nil {
+			t.Fatalf("pivot at 4e-3 of its column: %v, want it kept", err)
+		}
+		set(5e-4, 1, 1, 4)
+		if err := lu.Refactor(m); !errors.Is(err, ErrPivot) {
+			t.Fatalf("pivot at 5e-4 of its column: %v, want ErrPivot", err)
+		}
+		if lu.Valid() {
+			t.Fatal("factorization still valid after a refused refactor")
+		}
+		if err := lu.Refactor(m); !errors.Is(err, ErrPivot) {
+			t.Fatalf("refactor of an invalid factorization: %v, want ErrPivot", err)
+		}
+		// Full factor re-pivots and succeeds.
+		set(1e-12, 1, 1, 1e-12)
+		if err := lu.Factor(m); err != nil {
+			t.Fatalf("re-Factor after pivot failure: %v", err)
+		}
+		x := make([]T, 2)
+		lu.Solve([]T{u, u}, x)
+		wantClose(t, "solution", x, []T{1, 1}, 1e-9)
+	}
+}
+
 func TestRefactorPivotGuard(t *testing.T) {
-	// A factorization whose pivot is driven (nearly) to zero must refuse to
-	// refactor rather than produce garbage.
+	bothScalars(t, refactorPivotGuard[float64](1), refactorPivotGuard(complex(0.6, 0.8)))
+}
+
+func singularDetection[T Scalar](t *testing.T) {
 	b := NewBuilder(2)
 	s00 := b.Slot(0, 0)
-	s01 := b.Slot(0, 1)
-	s10 := b.Slot(1, 0)
 	s11 := b.Slot(1, 1)
-	m, remap := b.BuildReal()
-	set := func(v00, v01, v10, v11 float64) {
-		m.Val[remap[s00]] = v00
-		m.Val[remap[s01]] = v01
-		m.Val[remap[s10]] = v10
-		m.Val[remap[s11]] = v11
+	m, remap := build[T](b)
+	m.Val[remap[s00]] = 1 // leaves (1,1) structurally present but zero
+	lu := &LUOf[T]{}
+	if err := lu.Factor(m); !errors.Is(err, ErrSingular) {
+		t.Fatalf("zero pivot: %v, want ErrSingular", err)
 	}
-	set(4, 1, 1, 4)
-	lu := NewLU()
-	if err := lu.Factor(m); err != nil {
-		t.Fatal(err)
+	var zero T
+	m.Val[remap[s11]] = zero / zero // NaN in either instantiation
+	if err := lu.Factor(m); !errors.Is(err, ErrSingular) {
+		t.Fatalf("NaN pivot: %v, want ErrSingular", err)
 	}
-	set(1e-12, 1, 1, 1e-12) // frozen diagonal pivots collapse
-	if err := lu.Refactor(m); err == nil {
-		t.Fatal("expected ErrPivot from degenerate refactor")
-	}
-	// Full factor re-pivots and succeeds.
-	if err := lu.Factor(m); err != nil {
-		t.Fatalf("re-Factor after pivot failure: %v", err)
-	}
-	x := make([]float64, 2)
-	lu.Solve([]float64{1, 1}, x)
-	for _, v := range x {
-		if math.Abs(v-1) > 1e-9 {
-			t.Fatalf("solution %v, want ≈[1 1]", x)
-		}
+	if lu.Valid() {
+		t.Fatal("factorization valid after a failed Factor")
 	}
 }
 
 func TestSingularDetection(t *testing.T) {
-	b := NewBuilder(2)
-	s00 := b.Slot(0, 0)
-	b.Slot(1, 1)
-	m, remap := b.BuildReal()
-	m.Val[remap[s00]] = 1 // leaves (1,1) structurally present but zero
-	lu := NewLU()
-	if err := lu.Factor(m); err == nil {
-		t.Fatal("expected singular")
-	}
-}
-
-func TestComplexFactorSolveMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, n := range []int{1, 3, 9, 21} {
-		b, slots, coords := randomSystem(n, 0.25, rng)
-		m, remap := b.BuildComplex()
-		dense := linalg.NewCMatrix(n, n)
-		for k, s := range slots {
-			v := complex(rng.NormFloat64(), rng.NormFloat64())
-			if coords[k][0] == coords[k][1] {
-				v += 5
-			}
-			m.Val[remap[s]] += v
-			dense.Add(coords[k][0], coords[k][1], v)
-		}
-		rhs := make([]complex128, n)
-		for i := range rhs {
-			rhs[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		lu := NewCLU()
-		if err := lu.Factor(m); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		x := make([]complex128, n)
-		lu.Solve(rhs, x)
-		want, err := linalg.SolveComplexLinear(dense, rhs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range x {
-			if cmplx.Abs(x[i]-want[i]) > 1e-9*(1+cmplx.Abs(want[i])) {
-				t.Fatalf("n=%d: x[%d]=%v want %v", n, i, x[i], want[i])
-			}
-		}
-		// Refactor path must reproduce the same solution.
-		if err := lu.Refactor(m); err != nil {
-			t.Fatal(err)
-		}
-		x2 := make([]complex128, n)
-		lu.Solve(rhs, x2)
-		for i := range x2 {
-			if cmplx.Abs(x2[i]-x[i]) > 1e-12*(1+cmplx.Abs(x[i])) {
-				t.Fatalf("complex refactor drifted at %d", i)
-			}
-		}
-	}
-}
-
-func TestComplexRefactorZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	n := 12
-	b, slots, coords := randomSystem(n, 0.2, rng)
-	m, remap := b.BuildComplex()
-	for k, s := range slots {
-		v := complex(rng.NormFloat64(), rng.NormFloat64())
-		if coords[k][0] == coords[k][1] {
-			v += 5
-		}
-		m.Val[remap[s]] += v
-	}
-	lu := NewCLU()
-	if err := lu.Factor(m); err != nil {
-		t.Fatal(err)
-	}
-	rhs := make([]complex128, n)
-	x := make([]complex128, n)
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := lu.Refactor(m); err != nil {
-			t.Fatal(err)
-		}
-		lu.Solve(rhs, x)
-	})
-	if allocs != 0 {
-		t.Fatalf("complex Refactor+Solve allocated %.1f/op, want 0", allocs)
-	}
+	bothScalars(t, singularDetection[float64], singularDetection[complex128])
 }
 
 func TestOrderingReducesFillOnChain(t *testing.T) {
@@ -322,7 +385,7 @@ func TestOrderingReducesFillOnChain(t *testing.T) {
 			vals[k] = 1
 		}
 	}
-	stamp(m, remap, slots, coords, vals, nil)
+	stamp(m, remap, slots, vals)
 
 	ordered := NewLU()
 	if err := ordered.Factor(m); err != nil {

@@ -9,6 +9,9 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"easybo/internal/serve"
+	"easybo/internal/surrogate"
 )
 
 // Options configures one load run against a live easybod endpoint.
@@ -40,9 +43,6 @@ type Options struct {
 	// Testbench labels the synthetic objective for the evaluation cache;
 	// empty opts the run out of caching entirely.
 	Testbench string
-	// Surrogate selects the sessions' backend (default "features": flat
-	// per-suggest cost, so throughput does not decay over a long run).
-	Surrogate string
 	// SessionPrefix namespaces session ids (default "loadgen"), letting
 	// concurrent runs share a daemon.
 	SessionPrefix string
@@ -77,9 +77,6 @@ func (o *Options) normalize() error {
 	}
 	if o.InitPoints <= 0 {
 		o.InitPoints = 32
-	}
-	if o.Surrogate == "" {
-		o.Surrogate = "features"
 	}
 	if o.SessionPrefix == "" {
 		o.SessionPrefix = "loadgen"
@@ -231,15 +228,6 @@ func objective(x []float64) float64 {
 	return -s
 }
 
-// askResp mirrors serve.Ask over the wire.
-type askResp struct {
-	Status     string    `json:"status"`
-	ProposalID int       `json:"proposal_id"`
-	X          []float64 `json:"x"`
-	Eval       string    `json:"eval"`
-	Y          *float64  `json:"y"`
-}
-
 // worker accumulates its own counters and histograms; merged after the run
 // so the measurement path shares nothing.
 type workerStats struct {
@@ -266,18 +254,21 @@ func Run(ctx context.Context, o Options) (*Summary, error) {
 	}
 	for i := range ids {
 		ids[i] = fmt.Sprintf("%s-%d", o.SessionPrefix, i)
-		body := map[string]any{
-			"id": ids[i],
-			"lo": lo, "hi": hi,
-			"init_points": o.InitPoints,
-			"max_evals":   0, // unbounded: the run is time-limited
-			"seed":        int64(i % o.SeedGroups),
-			"surrogate":   o.Surrogate,
-			"fit_iters":   8, "refit_every": 8,
-		}
-		if o.Testbench != "" {
-			body["testbench"] = o.Testbench
-		}
+		// The daemon's own config type under the one field a create adds to
+		// it; MaxEvals stays 0, unbounded: the run is time-limited.
+		body := struct {
+			ID string `json:"id"`
+			serve.SessionConfig
+		}{ids[i], serve.SessionConfig{
+			Lo: lo, Hi: hi,
+			InitPoints: o.InitPoints,
+			Seed:       int64(i % o.SeedGroups),
+			// Flat per-suggest cost, so throughput does not decay over a
+			// long run.
+			Surrogate: string(surrogate.BackendFeatures),
+			FitIters:  8, RefitEvery: 8,
+			Testbench: o.Testbench,
+		}}
 		if _, _, err := cl.Call(ctx, http.MethodPost, "/sessions", body, nil); err != nil {
 			return nil, fmt.Errorf("loadgen: creating session %s: %w", ids[i], err)
 		}
@@ -352,7 +343,7 @@ func drive(ctx context.Context, cl *Client, session string, evalDelay time.Durat
 		if ctx.Err() != nil {
 			return
 		}
-		var a askResp
+		var a serve.Ask
 		shed, lat, err := cl.Call(ctx, http.MethodPost, base+"/ask", map[string]any{}, &a)
 		st.shed += shed
 		if err != nil {
@@ -365,8 +356,8 @@ func drive(ctx context.Context, cl *Client, session string, evalDelay time.Durat
 		st.asks++
 		st.askLat.observe(lat)
 		switch a.Status {
-		case "ok":
-		case "wait":
+		case serve.AskOK:
+		case serve.AskWait:
 			st.waits++
 			select {
 			case <-ctx.Done():
@@ -379,12 +370,12 @@ func drive(ctx context.Context, cl *Client, session string, evalDelay time.Durat
 		}
 		var y float64
 		switch a.Eval {
-		case "cached":
+		case serve.EvalCached:
 			st.cached++
 			if a.Y != nil {
 				y = *a.Y
 			}
-		case "inflight":
+		case serve.EvalInflight:
 			// The daemon delivers this proposal itself when the in-flight
 			// evaluation lands; this worker moves straight to its next ask.
 			st.joins++
@@ -399,8 +390,7 @@ func drive(ctx context.Context, cl *Client, session string, evalDelay time.Durat
 				}
 			}
 		}
-		pid := a.ProposalID
-		tell := map[string]any{"proposal_id": pid, "y": y}
+		tell := serve.Tell{ProposalID: &a.ProposalID, Y: y}
 		shed, lat, size, err := cl.call(ctx, http.MethodPost, base+"/tell", tell, nil)
 		st.shed += shed
 		if err != nil {

@@ -7,11 +7,15 @@ import (
 // DEOptions configures differential evolution (rand/1/bin), the classic
 // simulation-based baseline the paper compares against [13].
 type DEOptions struct {
-	PopSize  int     // population size (default 50)
-	F        float64 // differential weight (default 0.5)
-	CR       float64 // crossover rate (default 0.9)
-	MaxEvals int     // total objective evaluations (required)
+	PopSize  int // population size (default 50)
+	MaxEvals int // total objective evaluations (required)
 }
+
+// The rand/1/bin scheme's fixed settings.
+const (
+	deF  = 0.5 // differential weight
+	deCR = 0.9 // crossover rate
+)
 
 // DEResult reports the best point found and the evaluation trace.
 type DEResult struct {
@@ -20,12 +24,8 @@ type DEResult struct {
 	Evals int
 }
 
-// DE maximizes f over [lo, hi] with differential evolution. The optional
-// onEval callback observes every objective evaluation in order (used by the
-// benchmark harness to account simulated time and best-so-far curves).
-func DE(f Objective, lo, hi []float64, rng *rand.Rand, opts DEOptions,
-	onEval func(x []float64, y float64)) DEResult {
-
+// DE maximizes f over [lo, hi] with differential evolution.
+func DE(f Objective, lo, hi []float64, rng *rand.Rand, opts DEOptions) DEResult {
 	d := len(lo)
 	if opts.PopSize <= 0 {
 		opts.PopSize = 50
@@ -33,22 +33,12 @@ func DE(f Objective, lo, hi []float64, rng *rand.Rand, opts DEOptions,
 	if opts.PopSize < 4 {
 		opts.PopSize = 4
 	}
-	if opts.F <= 0 {
-		opts.F = 0.5
-	}
-	if opts.CR <= 0 {
-		opts.CR = 0.9
-	}
 	np := opts.PopSize
 
 	evals := 0
 	eval := func(x []float64) float64 {
-		y := f(x)
 		evals++
-		if onEval != nil {
-			onEval(x, y)
-		}
-		return y
+		return f(x)
 	}
 
 	pop := make([][]float64, np)
@@ -95,8 +85,8 @@ func DE(f Objective, lo, hi []float64, rng *rand.Rand, opts DEOptions,
 			}
 			jr := rng.Intn(d)
 			for j := 0; j < d; j++ {
-				if j == jr || rng.Float64() < opts.CR {
-					trial[j] = pop[a][j] + opts.F*(pop[b][j]-pop[c][j])
+				if j == jr || rng.Float64() < deCR {
+					trial[j] = pop[a][j] + deF*(pop[b][j]-pop[c][j])
 					if trial[j] < lo[j] {
 						trial[j] = lo[j]
 					}

@@ -108,7 +108,7 @@ func TestDESphere(t *testing.T) {
 	lo := []float64{-5, -5, -5, -5}
 	hi := []float64{5, 5, 5, 5}
 	c := []float64{1, 2, -3, 0.5}
-	res := DE(negSphere(c), lo, hi, rng, DEOptions{PopSize: 30, MaxEvals: 6000}, nil)
+	res := DE(negSphere(c), lo, hi, rng, DEOptions{PopSize: 30, MaxEvals: 6000})
 	if res.Y < -1e-3 {
 		t.Fatalf("DE best %v", res.Y)
 	}
@@ -126,30 +126,9 @@ func TestDERosenbrock(t *testing.T) {
 	}
 	lo := []float64{-2, -2}
 	hi := []float64{2, 2}
-	res := DE(f, lo, hi, rng, DEOptions{PopSize: 40, MaxEvals: 8000}, nil)
+	res := DE(f, lo, hi, rng, DEOptions{PopSize: 40, MaxEvals: 8000})
 	if res.Y < -1e-4 {
 		t.Fatalf("DE Rosenbrock best %v at %v", res.Y, res.X)
-	}
-}
-
-func TestDEOnEvalCallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	count := 0
-	var lastY float64
-	DE(negSphere([]float64{0}), []float64{-1}, []float64{1}, rng,
-		DEOptions{PopSize: 10, MaxEvals: 100},
-		func(x []float64, y float64) {
-			count++
-			lastY = y
-			if len(x) != 1 {
-				t.Fatal("bad x in callback")
-			}
-		})
-	if count != 100 {
-		t.Fatalf("callback count = %d, want 100", count)
-	}
-	if lastY > 0 {
-		t.Fatal("impossible objective value")
 	}
 }
 
@@ -164,7 +143,7 @@ func TestDERespectsBounds(t *testing.T) {
 			}
 		}
 		return x[0] + x[1]
-	}, lo, hi, rng, DEOptions{PopSize: 12, MaxEvals: 500}, nil)
+	}, lo, hi, rng, DEOptions{PopSize: 12, MaxEvals: 500})
 }
 
 // TestMaximizeParallelDeterministicAcrossWorkers pins the parallel
