@@ -11,9 +11,9 @@ LOADSESSIONS ?= 8
 LOADWORKERS ?= 1
 LOADP99 ?= 2s
 
-.PHONY: check vet fmt lint loc surface dupes staticcheck build test race cover fuzz-smoke load-smoke bench-smoke bench-check bench smoke crash-smoke cluster-smoke
+.PHONY: check vet fmt lint loc surface dupes staticcheck build test race cover fuzz-smoke load-smoke bench-smoke bench-check scoreboard bench smoke crash-smoke cluster-smoke
 
-check: vet fmt lint staticcheck build test race bench-smoke bench-check fuzz-smoke load-smoke
+check: vet fmt lint staticcheck build test race bench-smoke bench-check scoreboard fuzz-smoke load-smoke
 
 vet:
 	$(GO) vet ./...
@@ -152,6 +152,26 @@ bench-check:
 	bash benchmark/run.sh --workload bo-opamp --seed 1 --seconds 5 --trace 1 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload serve-wal --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
 	bash benchmark/run.sh --workload serve-model --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
+
+# The paper-fidelity scoreboard (DESIGN.md §15): every table and figure of
+# the paper on -quick budgets at five seeds, as one JSON board, with the
+# paper's qualitative claims asserted on it (repro -check: async saves wall
+# time and more so as B grows, EasyBO no worse than pBO/pHCBO, penalisation
+# no worse than none, sequential EasyBO near DE at a fraction of its
+# simulations, graceful degradation 5 → 15); then the three-seed board
+# against its committed golden, byte for byte. The digests above say whether
+# histories moved; this says whether a change that moves them still
+# reproduces the paper. `repro -compare A.json B.json` pairs two boards seed
+# by seed.
+# The board, its CSVs and the run's text land in git-ignored .scoreboard/.
+SCOREDIR ?= .scoreboard
+scoreboard:
+	mkdir -p $(SCOREDIR)
+	$(GO) run ./cmd/repro -all -quick -runs 5 -out $(SCOREDIR) \
+		-json $(SCOREDIR)/board.json -check $(SCOREDIR)/board.json > $(SCOREDIR)/board.txt \
+		|| { grep -E '^(ok  |FAIL) |^repro:' $(SCOREDIR)/board.txt; exit 1; }
+	@tail -1 $(SCOREDIR)/board.txt
+	$(GO) test -run TestQuickBoardGolden ./cmd/repro
 
 bench:
 	$(GO) test -run XXX -bench 'GPExtend|GPRefit|Hallucinate|SuggestHotPath' -benchtime 20x .

@@ -10,7 +10,11 @@
 //
 // Usage:
 //
-//	ablate -runs 5 -evals 100 [-which lambda|penalty|kernel|refit|all]
+//	ablate -runs 5 -evals 100 [-which lambda|penalty|kernel|refit|all] [-json FILE]
+//
+// With -json the sweeps are also written as one board document, a table per
+// sweep in cmd/repro's row schema, so `repro -compare` pairs two builds'
+// ablations seed by seed.
 package main
 
 import (
@@ -19,9 +23,10 @@ import (
 	"os"
 
 	"easybo/internal/bo"
+	"easybo/internal/core"
 	"easybo/internal/gp"
+	"easybo/internal/harness"
 	"easybo/internal/objective"
-	"easybo/internal/stats"
 	"easybo/internal/testbench"
 )
 
@@ -30,97 +35,118 @@ func main() {
 		runs  = flag.Int("runs", 5, "repetitions per configuration")
 		evals = flag.Int("evals", 100, "simulations per run")
 		which = flag.String("which", "all", "lambda | penalty | kernel | refit | all")
+		out   = flag.String("json", "", "also write the sweeps to `FILE` as a board document (see repro -compare)")
 	)
 	flag.Parse()
-	prob := testbench.OpAmp()
+	a := &ablation{prob: testbench.OpAmp(), runs: *runs, evals: *evals,
+		board: harness.Board{Version: harness.BoardVersion}}
 
 	if *which == "all" || *which == "lambda" {
-		ablateLambda(prob, *runs, *evals)
+		a.lambda()
 	}
 	if *which == "all" || *which == "penalty" {
-		ablatePenalty(prob, *runs, *evals)
+		a.penalty()
 	}
 	if *which == "all" || *which == "kernel" {
-		ablateKernel(prob, *runs, *evals)
+		a.kernel()
 	}
 	if *which == "all" || *which == "refit" {
-		ablateRefit(prob, *runs, *evals)
+		a.refit()
+	}
+	if *out != "" {
+		if err := a.board.WriteFile(*out); err != nil {
+			fmt.Fprintln(os.Stderr, "ablate:", err)
+			os.Exit(1)
+		}
 	}
 }
 
-// collect runs one configuration `runs` times and returns the best-FOM stats.
-func collect(prob *objective.Problem, cfg bo.Config, runs int) stats.Summary {
-	bests := make([]float64, 0, runs)
-	for r := 0; r < runs; r++ {
-		cfg.Seed = 1000 + 7919*int64(r)
-		h, err := bo.Run(prob, cfg)
+// ablation is one invocation: the problem, the budgets, and the board the
+// sweeps accumulate into.
+type ablation struct {
+	prob        *objective.Problem
+	runs, evals int
+	board       harness.Board
+}
+
+// sweep opens a table on the board and prints its header.
+func (a *ablation) sweep(name, title string) {
+	fmt.Printf("\n=== %s ===\n", title)
+	fmt.Printf("%-22s %12s %12s %10s\n", "config", "mean best", "worst", "std")
+	t := harness.BoardTable{Name: "ablate-" + name, Title: title, MaxEvals: a.evals, InitPoints: core.DefaultInitPoints}
+	for r := 0; r < a.runs; r++ {
+		t.Seeds = append(t.Seeds, seed(r))
+	}
+	a.board.Tables = append(a.board.Tables, t)
+}
+
+func seed(run int) int64 { return 1000 + 7919*int64(run) }
+
+// row runs one configuration at every seed, prints its line and adds it to
+// the sweep that was opened last.
+func (a *ablation) row(label string, cfg bo.Config) {
+	cfg.MaxEvals = a.evals
+	hs := make([]*bo.History, a.runs)
+	for r := range hs {
+		cfg.Seed = seed(r)
+		h, err := bo.Run(a.prob, cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ablate:", err)
 			os.Exit(1)
 		}
-		bests = append(bests, h.BestY)
+		hs[r] = h
 	}
-	return stats.Summarize(bests)
+	br := harness.NewBoardRow(label, cfg.Algo, cfg.BatchSize, a.evals, hs)
+	fmt.Printf("%-22s %12.2f %12.2f %10.2f\n", label, br.Mean, br.Worst, br.Std)
+	t := &a.board.Tables[len(a.board.Tables)-1]
+	t.Rows = append(t.Rows, br)
 }
 
-func header(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
-	fmt.Printf("%-22s %12s %12s %10s\n", "config", "mean best", "worst", "std")
-}
-
-func row(label string, s stats.Summary) {
-	fmt.Printf("%-22s %12.2f %12.2f %10.2f\n", label, s.Mean, s.Worst, s.Std)
-}
-
-func ablateLambda(prob *objective.Problem, runs, evals int) {
-	header("λ ablation (EasyBO-10; paper fixes λ = 6)")
+func (a *ablation) lambda() {
+	a.sweep("lambda", "λ ablation (EasyBO-10; paper fixes λ = 6)")
 	for _, lambda := range []float64{0.5, 2, 6, 20} {
-		s := collect(prob, bo.Config{
-			Algo: bo.AlgoEasyBO, BatchSize: 10, MaxEvals: evals,
+		a.row(fmt.Sprintf("lambda=%g", lambda), bo.Config{
+			Algo: bo.AlgoEasyBO, BatchSize: 10,
 			Lambda: lambda, FitIters: 20, RefitEvery: 10,
-		}, runs)
-		row(fmt.Sprintf("lambda=%g", lambda), s)
+		})
 	}
 	fmt.Println("small λ → exploitation-heavy, duplicate-prone batches;")
 	fmt.Println("large λ → exploration-heavy; λ≈6 balances both (paper §III-B).")
 }
 
-func ablatePenalty(prob *objective.Problem, runs, evals int) {
-	header("penalization ablation across batch size (async EasyBO)")
+func (a *ablation) penalty() {
+	a.sweep("penalty", "penalization ablation across batch size (async EasyBO)")
 	for _, b := range []int{5, 15} {
 		for _, algo := range []bo.Algorithm{bo.AlgoEasyBOA, bo.AlgoEasyBO} {
-			s := collect(prob, bo.Config{
-				Algo: algo, BatchSize: b, MaxEvals: evals,
+			a.row(fmt.Sprintf("%s B=%d", algo.Label(b), b), bo.Config{
+				Algo: algo, BatchSize: b,
 				FitIters: 20, RefitEvery: 10,
-			}, runs)
-			row(fmt.Sprintf("%s B=%d", algo.Label(b), b), s)
+			})
 		}
 	}
 	fmt.Println("the hallucination penalty (§III-C) matters more as B grows.")
 }
 
-func ablateKernel(prob *objective.Problem, runs, evals int) {
-	header("kernel ablation (EasyBO-10)")
+func (a *ablation) kernel() {
+	a.sweep("kernel", "kernel ablation (EasyBO-10)")
 	for _, k := range []struct {
 		name string
 		kern gp.Kernel
 	}{{"SE-ARD (paper)", gp.SEARD{}}, {"Matern-5/2", gp.Matern52{}}} {
-		s := collect(prob, bo.Config{
-			Algo: bo.AlgoEasyBO, BatchSize: 10, MaxEvals: evals,
+		a.row(k.name, bo.Config{
+			Algo: bo.AlgoEasyBO, BatchSize: 10,
 			Kernel: k.kern, FitIters: 20, RefitEvery: 10,
-		}, runs)
-		row(k.name, s)
+		})
 	}
 }
 
-func ablateRefit(prob *objective.Problem, runs, evals int) {
-	header("hyperparameter refit cadence (EasyBO-10)")
+func (a *ablation) refit() {
+	a.sweep("refit", "hyperparameter refit cadence (EasyBO-10)")
 	for _, every := range []int{1, 5, 20} {
-		s := collect(prob, bo.Config{
-			Algo: bo.AlgoEasyBO, BatchSize: 10, MaxEvals: evals,
+		a.row(fmt.Sprintf("refit every %d obs", every), bo.Config{
+			Algo: bo.AlgoEasyBO, BatchSize: 10,
 			FitIters: 20, RefitEvery: every,
-		}, runs)
-		row(fmt.Sprintf("refit every %d obs", every), s)
+		})
 	}
 	fmt.Println("frequent refits cost model time but track the landscape better;")
 	fmt.Println("the harness defaults to 5 (op-amp) / 15 (class-E).")

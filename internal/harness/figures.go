@@ -76,19 +76,25 @@ func RunFigure(spec Spec, batch int, points int) (*Figure, error) {
 	return fig, nil
 }
 
+// Reduction is the relative time EasyBO saves against one reference curve.
+type Reduction struct {
+	Label     string  `json:"label"`
+	Reduction float64 `json:"reduction"`
+}
+
 // TimeReduction reports, for each non-EasyBO curve, the relative time saved
 // by EasyBO to first reach that curve's final mean value — the percentages
-// annotated on the paper's Figures 4 and 6.
-func (f *Figure) TimeReduction() map[string]float64 {
+// annotated on the paper's Figures 4 and 6. Rows come in curve order; a
+// reference whose final level EasyBO never reaches has none.
+func (f *Figure) TimeReduction() []Reduction {
 	var easy *Curve
 	for i := range f.Curves {
 		if strings.HasPrefix(f.Curves[i].Label, "EasyBO") {
 			easy = &f.Curves[i]
 		}
 	}
-	out := map[string]float64{}
 	if easy == nil {
-		return out
+		return nil
 	}
 	timeTo := func(c *Curve, level float64) (float64, bool) {
 		for i, y := range c.Y {
@@ -98,6 +104,7 @@ func (f *Figure) TimeReduction() map[string]float64 {
 		}
 		return 0, false
 	}
+	var out []Reduction
 	for i := range f.Curves {
 		c := &f.Curves[i]
 		if c == easy {
@@ -107,7 +114,7 @@ func (f *Figure) TimeReduction() map[string]float64 {
 		tRef, ok1 := timeTo(c, level)
 		tEasy, ok2 := timeTo(easy, level)
 		if ok1 && ok2 && tRef > 0 {
-			out[c.Label] = 1 - tEasy/tRef
+			out = append(out, Reduction{c.Label, 1 - tEasy/tRef})
 		}
 	}
 	return out

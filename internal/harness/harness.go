@@ -44,6 +44,10 @@ type Spec struct {
 	Progress func(label string, run int, best float64)
 }
 
+// seed is the master seed of repetition run, the same for every entry, so
+// that rows — and two builds of the same row — pair up seed by seed.
+func (s *Spec) seed(run int) int64 { return s.BaseSeed + 7919*int64(run+1) }
+
 // Row is one aggregated table row.
 type Row struct {
 	Label                  string
@@ -116,7 +120,7 @@ func RunTable(spec Spec) (*Table, error) {
 					BatchSize:  j.entry.Batch,
 					InitPoints: spec.InitPoints,
 					MaxEvals:   spec.MaxEvals,
-					Seed:       spec.BaseSeed + 7919*int64(j.run+1),
+					Seed:       spec.seed(j.run),
 					FitIters:   spec.FitIters,
 					RefitEvery: spec.RefitEvery,
 				}
@@ -281,22 +285,25 @@ func PaperEntries(deEvals int) []Entry {
 }
 
 // Significance runs a two-sided Mann–Whitney rank-sum test between the
-// best-FOM distributions of two rows, returning the p-value (1 when either
-// row is missing). Used to state whether an algorithm's advantage in the
-// table is statistically meaningful at the chosen run count.
-func (t *Table) Significance(labelA, labelB string) float64 {
+// best-FOM distributions of two rows, returning the p-value; ok is false,
+// and p meaningless, when either row is missing. Used to state whether an
+// algorithm's advantage in the table is statistically meaningful at the
+// chosen run count.
+func (t *Table) Significance(labelA, labelB string) (p float64, ok bool) {
 	ha, ok1 := t.Histories[labelA]
 	hb, ok2 := t.Histories[labelB]
 	if !ok1 || !ok2 {
-		return 1
+		return 0, false
 	}
-	bests := func(hs []*bo.History) []float64 {
-		out := make([]float64, 0, len(hs))
-		for _, h := range hs {
-			out = append(out, h.BestY)
-		}
-		return out
+	_, p = stats.MannWhitneyU(bestsOf(ha), bestsOf(hb))
+	return p, true
+}
+
+// bestsOf lists the runs' best objective values, in run order.
+func bestsOf(hs []*bo.History) []float64 {
+	out := make([]float64, len(hs))
+	for i, h := range hs {
+		out[i] = h.BestY
 	}
-	_, p := stats.MannWhitneyU(bests(ha), bests(hb))
-	return p
+	return out
 }

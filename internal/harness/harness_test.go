@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,9 +193,23 @@ func TestRunFigure(t *testing.T) {
 	if len(red) == 0 {
 		t.Fatalf("no time reductions derived: %+v", red)
 	}
-	for k, v := range red {
-		if math.IsNaN(v) || v >= 1 {
-			t.Fatalf("bad reduction %s=%v", k, v)
+	// Rows come in curve order (a map here made two runs of repro print, and
+	// would have made -json encode, the references in different orders).
+	at := 0
+	for _, r := range red {
+		if math.IsNaN(r.Reduction) || r.Reduction >= 1 {
+			t.Fatalf("bad reduction %+v", r)
+		}
+		for at < len(fig.Curves) && fig.Curves[at].Label != r.Label {
+			at++
+		}
+		if at == len(fig.Curves) {
+			t.Fatalf("reductions %+v are not in curve order", red)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if again := fig.TimeReduction(); !reflect.DeepEqual(again, red) {
+			t.Fatalf("TimeReduction changed between calls: %+v then %+v", red, again)
 		}
 	}
 }
@@ -255,11 +270,16 @@ func TestTableSignificance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tbl.Significance("EasyBO", "Random")
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		t.Fatalf("p = %v", p)
+	p, ok := tbl.Significance("EasyBO", "Random")
+	if !ok || p < 0 || p > 1 || math.IsNaN(p) {
+		t.Fatalf("p = %v, ok = %v", p, ok)
 	}
-	if tbl.Significance("EasyBO", "missing") != 1 {
-		t.Fatal("missing row must report p=1")
+	if _, ok := tbl.Significance("EasyBO", "missing"); ok {
+		t.Fatal("a missing row must not report a p-value")
+	}
+	// The board keeps the two findings apart: null is "row absent".
+	bt := tbl.Board("t", [][2]string{{"EasyBO", "Random"}, {"EasyBO", "missing"}})
+	if bt.Significance[0].P == nil || *bt.Significance[0].P != p || bt.Significance[1].P != nil {
+		t.Fatalf("board significance %+v", bt.Significance)
 	}
 }

@@ -80,3 +80,23 @@ func MannWhitneyU(a, b []float64) (u, p float64) {
 	}
 	return u, p
 }
+
+// SignTest returns the exact two-sided p-value of the sign test for wins and
+// losses among paired differences (ties dropped beforehand): the probability,
+// were either sign equally likely, of a split at least as lopsided. It is the
+// test behind a paired comparison of two boards at equal seeds.
+func SignTest(wins, losses int) float64 {
+	n := wins + losses
+	if n == 0 {
+		return 1
+	}
+	k := min(wins, losses)
+	// Σ_{i≤k} C(n,i) / 2ⁿ, the terms built up multiplicatively.
+	term := math.Pow(0.5, float64(n))
+	tail := term
+	for i := 1; i <= k; i++ {
+		term *= float64(n-i+1) / float64(i)
+		tail += term
+	}
+	return math.Min(1, 2*tail)
+}

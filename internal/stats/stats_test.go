@@ -187,3 +187,23 @@ func TestMannWhitneyUSymmetry(t *testing.T) {
 		t.Fatalf("p not symmetric: %v vs %v", pab, pba)
 	}
 }
+
+func TestSignTest(t *testing.T) {
+	cases := []struct {
+		w, l int
+		want float64
+	}{
+		{0, 0, 1},
+		{5, 0, 2.0 / 32},        // 2·(1/32)
+		{0, 5, 2.0 / 32},        // symmetric
+		{9, 1, 2 * 11.0 / 1024}, // 2·(C(10,0)+C(10,1))/2¹⁰
+		{8, 2, 2 * 56.0 / 1024}, // + C(10,2)
+		{5, 5, 1},               // an even split is no evidence (capped)
+		{10, 0, 2 * 1.0 / 1024},
+	}
+	for _, c := range cases {
+		if got := SignTest(c.w, c.l); math.Abs(got-c.want) > 1e-15 {
+			t.Errorf("SignTest(%d, %d) = %v, want %v", c.w, c.l, got, c.want)
+		}
+	}
+}
