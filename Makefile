@@ -74,8 +74,8 @@ test: build
 # actor appends to; the test of that contract is schedule-dependent, so it
 # runs ten more times, and so does the allocation pin beside it, whose
 # counters the race runtime's own goroutines share. So is what the refinement
-# queue promises (no simplex unclaimed while a worker is free, the same bits
-# on any schedule): twenty.
+# queue promises (no search unclaimed while a worker is free, the same bits
+# on any schedule, for simplexes and for gradient ascents): twenty.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/serve/... \
 		./internal/cluster/... ./internal/loadgen/... \
@@ -126,7 +126,7 @@ load-smoke:
 # repository that turns time into a verdict (DESIGN.md §8.3).
 bench-smoke:
 	$(GO) test -run XXX -bench 'GPExtend|GPRefit|Hallucinate' -benchtime 1x .
-	$(GO) test -run XXX -bench 'SurrogateExtend|SurrogatePredict|PredictBatch|Refine' -benchtime 1x ./internal/surrogate/
+	$(GO) test -run XXX -bench 'SurrogateExtend|SurrogatePredict|PredictBatch|PredictGrad|Refine' -benchtime 1x ./internal/surrogate/
 	$(GO) test -run XXX -bench 'FitHyper' -benchtime 1x ./internal/gp/
 	$(GO) test -run XXX -bench 'SolveLowerMulti|CholeskyInverse' -benchtime 1x ./internal/linalg/
 	$(GO) test -run XXX -bench 'NewtonIteration' -benchtime 1x ./internal/circuit/

@@ -21,7 +21,9 @@
 //	easybod -verify /var/lib/easybod
 //
 // audits a data directory offline: every session replayed from its first
-// event, read-only, one line per session, non-zero exit on any divergence.
+// event, read-only, one line per session; exit 1 on any divergence, 2 when
+// nothing diverged but a log holds asks of an older build's proposer
+// generation, which this build replays as recorded and cannot re-derive.
 //
 // A minimal round trip:
 //
@@ -60,6 +62,7 @@ import (
 	"time"
 
 	"easybo/internal/cluster"
+	"easybo/internal/core"
 	"easybo/internal/serve"
 	"easybo/internal/serve/wal"
 	surrogatepkg "easybo/internal/surrogate"
@@ -74,7 +77,7 @@ func main() {
 		surrogate = flag.String("surrogate", "", "default surrogate backend for sessions that omit one: auto | exact | features")
 
 		dataDir       = flag.String("data-dir", "", "durable session store directory (empty: sessions are in-memory and die with the process)")
-		verifyDir     = flag.String("verify", "", "audit this data directory offline and exit: replay every session from its first event, re-derive every ask, recompute every checkpoint; read-only, non-zero exit on any divergence")
+		verifyDir     = flag.String("verify", "", "audit this data directory offline and exit: replay every session from its first event, re-derive every ask, recompute every checkpoint; read-only; exit 1 on any divergence, 2 when nothing diverged but an older build's asks could only be taken as recorded")
 		fsyncPolicy   = flag.String("fsync", "interval", "write-ahead log fsync policy: always | interval | off")
 		fsyncInterval = flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync cadence for -fsync interval")
 		segmentBytes  = flag.Int64("segment-bytes", 1<<20, "rotate write-ahead log segments past this size")
@@ -245,11 +248,15 @@ func main() {
 	}
 	if !*quiet && (*dataDir != "" || len(report.Recovered) > 0 || len(report.Quarantined) > 0) {
 		tot := sv.RecoveryTotals()
-		fmt.Fprintf(os.Stderr, "easybod: recovery: %d session(s) replayed (%d from a checkpoint, %d in full, %d fell back to full; %d asks re-derived), %d quarantined\n",
-			len(report.Recovered), tot.Checkpoint, tot.Full, tot.Fallback, tot.AsksRederived, len(report.Quarantined))
+		fmt.Fprintf(os.Stderr, "easybod: recovery: %d session(s) replayed (%d from a checkpoint, %d in full, %d fell back to full; %d asks re-derived, %d of another proposer generation taken as recorded), %d quarantined\n",
+			len(report.Recovered), tot.Checkpoint, tot.Full, tot.Fallback, tot.AsksRederived, tot.AsksUnverified, len(report.Quarantined))
 		for _, rec := range report.Sessions {
 			if rec.Mode == serve.RecoverFallback {
 				fmt.Fprintf(os.Stderr, "easybod: recovered %s in full after its checkpoint failed: %s\n", rec.ID, rec.Reason)
+			}
+			if rec.AsksUnverified > 0 {
+				fmt.Fprintf(os.Stderr, "easybod: recovered %s with %d asks of proposer generation %d (this build is generation %d) taken as recorded, not re-derived\n",
+					rec.ID, rec.AsksUnverified, rec.UnverifiedGen, core.ProposerGeneration)
 			}
 		}
 		for id, reason := range report.Quarantined {
@@ -298,26 +305,36 @@ func main() {
 // line per session says how that went. It reads only — no lock, no repair,
 // no quarantine — so it can run against a copy, a backup, or the directory of
 // a stopped daemon. It returns the process exit code: 0 when every session
-// verified, 1 otherwise.
+// verified, 1 when one diverged, and 2 when none diverged but some hold asks
+// of another proposer generation — an older build's log, which this build
+// can replay but not re-derive: that is neither a divergence nor a pass.
 func verify(dir string, out io.Writer) int {
 	sessions, err := wal.ReadAll(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "easybod:", err)
 		return 1
 	}
-	bad := 0
+	bad, unverifiable := 0, 0
 	for _, ps := range sessions {
 		rec, err := serve.Audit(ps)
-		if err != nil {
+		switch {
+		case err != nil:
 			bad++
 			fmt.Fprintf(out, "%s: DIVERGED: %v\n", ps.ID, err)
-			continue
+		case rec.AsksUnverified > 0:
+			unverifiable++
+			fmt.Fprintf(out, "%s: UNVERIFIABLE (generation %d): %d events replay, %d asks re-derived, %d asks of proposer generation %d cannot be re-derived by this build (generation %d)\n",
+				ps.ID, rec.UnverifiedGen, rec.Events, rec.AsksRederived, rec.AsksUnverified, rec.UnverifiedGen, core.ProposerGeneration)
+		default:
+			fmt.Fprintf(out, "%s: ok (%d events, %d asks re-derived)\n", ps.ID, rec.Events, rec.AsksRederived)
 		}
-		fmt.Fprintf(out, "%s: ok (%d events, %d asks re-derived)\n", ps.ID, rec.Events, rec.AsksRederived)
 	}
-	fmt.Fprintf(out, "verified %d session(s), %d diverged\n", len(sessions), bad)
-	if bad > 0 {
+	fmt.Fprintf(out, "verified %d session(s), %d diverged, %d unverifiable\n", len(sessions)-bad-unverifiable, bad, unverifiable)
+	switch {
+	case bad > 0:
 		return 1
+	case unverifiable > 0:
+		return 2
 	}
 	return 0
 }

@@ -21,9 +21,14 @@ type Surrogate interface {
 	Predict(x []float64) (mu, sigma float64)
 }
 
-// Func scores a candidate point; higher is better.
+// Func scores a candidate point; higher is better. Every acquisition here
+// is a function of the posterior mean and deviation at the point alone, and
+// Partials returns its two derivatives there, ∂α/∂µ and ∂α/∂σ — with the
+// posterior's own gradients (surrogate.Predictor.PredictGrad) all a
+// gradient-based maximizer needs: ∇α = ∂α/∂µ·∇µ + ∂α/∂σ·∇σ.
 type Func interface {
 	Value(s Surrogate, x []float64) float64
+	Partials(mu, sigma float64) (dMu, dSigma float64)
 	Name() string
 }
 
@@ -39,6 +44,9 @@ func (u UCB) Value(s Surrogate, x []float64) float64 {
 	return mu + u.Kappa*sigma
 }
 
+// Partials implements Func.
+func (u UCB) Partials(_, _ float64) (dMu, dSigma float64) { return 1, u.Kappa }
+
 // LCB is the optimistic lower-confidence-bound strategy from the paper's
 // baseline list. For a maximization problem the optimistic rule coincides
 // with UCB; the type exists so experiment tables can name it faithfully.
@@ -51,6 +59,9 @@ func (LCB) Name() string { return "LCB" }
 func (l LCB) Value(s Surrogate, x []float64) float64 {
 	return UCB{Kappa: l.Kappa}.Value(s, x)
 }
+
+// Partials implements Func.
+func (l LCB) Partials(_, _ float64) (dMu, dSigma float64) { return 1, l.Kappa }
 
 // EI is the expected improvement over Best by at least Xi.
 type EI struct {
@@ -80,6 +91,25 @@ func (e EI) Value(s Surrogate, x []float64) float64 {
 	return v
 }
 
+// Partials implements Func: ∂EI/∂µ = Φ(z), ∂EI/∂σ = φ(z). On the certain
+// posterior (σ ≤ 1e-12) EI is max(µ − Best − Xi, 0), and where Value clamps
+// to zero so does the gradient.
+func (e EI) Partials(mu, sigma float64) (dMu, dSigma float64) {
+	d := mu - e.Best - e.Xi
+	if sigma <= 1e-12 {
+		if d > 0 {
+			return 1, 0
+		}
+		return 0, 0
+	}
+	z := d / sigma
+	cdf, pdf := stats.NormCDF(z), stats.NormPDF(z)
+	if v := d*cdf + sigma*pdf; math.IsNaN(v) || v < 0 {
+		return 0, 0
+	}
+	return cdf, pdf
+}
+
 // PI is the probability of improvement over Best by at least Xi.
 type PI struct {
 	Best float64
@@ -101,6 +131,18 @@ func (p PI) Value(s Surrogate, x []float64) float64 {
 	return stats.NormCDF((mu - p.Best - p.Xi) / sigma)
 }
 
+// Partials implements Func: with z = (µ − Best − Xi)/σ, ∂PI/∂µ = φ(z)/σ and
+// ∂PI/∂σ = −z·φ(z)/σ; PI is a step on the certain posterior, flat on both
+// sides.
+func (p PI) Partials(mu, sigma float64) (dMu, dSigma float64) {
+	if sigma <= 1e-12 {
+		return 0, 0
+	}
+	z := (mu - p.Best - p.Xi) / sigma
+	pdf := stats.NormPDF(z)
+	return pdf / sigma, -z * pdf / sigma
+}
+
 // Weighted is the pBO/EasyBO weighted acquisition (paper Eq. 4, 7, 8, 9):
 //
 //	α(x, w) = (1−w)·µ(x) + w·σ(x)
@@ -117,6 +159,9 @@ func (a Weighted) Value(s Surrogate, x []float64) float64 {
 	mu, sigma := s.Predict(x)
 	return (1-a.W)*mu + a.W*sigma
 }
+
+// Partials implements Func.
+func (a Weighted) Partials(_, _ float64) (dMu, dSigma float64) { return 1 - a.W, a.W }
 
 // PBOWeights returns the fixed weight ladder used by pBO/pHCBO in the paper:
 // w_i = (i−1)/(B−1) for batch size B (w = 0 for B = 1).
@@ -176,7 +221,16 @@ type HCPenalty struct {
 }
 
 // Value returns the penalty to SUBTRACT from the base acquisition.
-func (h HCPenalty) Value(x []float64) float64 {
+func (h HCPenalty) Value(x []float64) float64 { return h.ValueGrad(x, nil) }
+
+// ValueGrad returns the penalty and, when grad is not nil, writes its
+// gradient in x there:
+//
+//	∇α_HC = α_HC · ⅕ Σ_j ∇e_j,   e_j = (d/dx_j)^10,   ∇e_j = −10·e_j·(x − q_j)/dx_j²,
+//
+// a term at the overflow guard contributing nothing (it is constant there).
+// On top of a recent query the penalty is +Inf and the gradient zero.
+func (h HCPenalty) ValueGrad(x, grad []float64) float64 {
 	nhc := h.NHC
 	if nhc == 0 {
 		nhc = 100
@@ -184,6 +238,9 @@ func (h HCPenalty) Value(x []float64) float64 {
 	d := h.D
 	if d == 0 {
 		d = 0.1
+	}
+	for i := range grad {
+		grad[i] = 0
 	}
 	if len(h.Recent) == 0 {
 		return 0
@@ -202,13 +259,25 @@ func (h HCPenalty) Value(x []float64) float64 {
 		}
 		dx := math.Sqrt(dist2)
 		if dx < 1e-12 {
+			for i := range grad {
+				grad[i] = 0
+			}
 			return math.Inf(1)
 		}
 		e := math.Pow(d/dx, 10)
 		if e > 600 { // exp overflow guard: the veto is already absolute
 			e = 600
+		} else if grad != nil {
+			c := -10 * e / dist2
+			for i := range grad {
+				grad[i] += c * (x[i] - q[i])
+			}
 		}
 		sum += e
 	}
-	return nhc * math.Exp(sum/5)
+	v := nhc * math.Exp(sum/5)
+	for i := range grad {
+		grad[i] *= v / 5
+	}
+	return v
 }

@@ -212,3 +212,90 @@ func TestAcquisitionsOnFieldSurrogate(t *testing.T) {
 		t.Fatal("names must be non-empty")
 	}
 }
+
+// TestPartialsMatchDifferences checks ∂α/∂µ and ∂α/∂σ of every acquisition
+// against central differences of Value over a grid of posteriors, and pins
+// the certain posterior (σ ≤ 1e-12), where EI is the hinge max(µ−Best−Xi, 0)
+// and PI a step: their partials there are the hinge's and the step's, finite
+// and free of 0/0.
+func TestPartialsMatchDifferences(t *testing.T) {
+	funcs := []Func{
+		Weighted{W: 0.7}, Weighted{W: 0}, UCB{Kappa: 2}, LCB{Kappa: 1.5},
+		EI{Best: 0.3, Xi: 0.01}, PI{Best: 0.3, Xi: 0.01},
+	}
+	const h = 1e-6
+	for _, a := range funcs {
+		for _, mu := range []float64{-2, -0.4, 0.29, 0.31, 0.9, 3} {
+			for _, sigma := range []float64{1e-3, 0.05, 0.4, 1, 2.5} {
+				dMu, dSigma := a.Partials(mu, sigma)
+				v := func(m, s float64) float64 { return a.Value(stubSurrogate{m, s}, nil) }
+				wantMu := (v(mu+h, sigma) - v(mu-h, sigma)) / (2 * h)
+				wantSigma := (v(mu, sigma+h*sigma) - v(mu, sigma-h*sigma)) / (2 * h * sigma)
+				if math.Abs(dMu-wantMu) > 1e-6*(1+math.Abs(wantMu)) || math.Abs(dSigma-wantSigma) > 1e-6*(1+math.Abs(wantSigma)) {
+					t.Errorf("%s at µ=%v σ=%v: partials (%g, %g), differences (%g, %g)", a.Name(), mu, sigma, dMu, dSigma, wantMu, wantSigma)
+				}
+			}
+		}
+	}
+	for _, sigma := range []float64{0, 1e-13, 1e-12} {
+		for _, c := range []struct {
+			a           Func
+			mu          float64
+			dMu, dSigma float64
+		}{
+			{EI{Best: 0.3, Xi: 0.01}, 0.5, 1, 0},
+			{EI{Best: 0.3, Xi: 0.01}, 0.2, 0, 0},
+			{PI{Best: 0.3, Xi: 0.01}, 0.5, 0, 0},
+			{PI{Best: 0.3, Xi: 0.01}, 0.2, 0, 0},
+		} {
+			if dMu, dSigma := c.a.Partials(c.mu, sigma); dMu != c.dMu || dSigma != c.dSigma {
+				t.Errorf("%s at µ=%v σ=%v: partials (%v, %v), want (%v, %v)", c.a.Name(), c.mu, sigma, dMu, dSigma, c.dMu, c.dSigma)
+			}
+		}
+	}
+	// Where Value clamps a cancelled EI to zero, so does the gradient.
+	far := EI{Best: 1e6, Xi: 0}
+	if v := far.Value(stubSurrogate{0, 1}, nil); v != 0 {
+		t.Fatalf("EI 10⁶ deviations under the incumbent = %v", v)
+	}
+	if dMu, dSigma := far.Partials(0, 1); dMu != 0 || dSigma != 0 || math.IsNaN(dMu) {
+		t.Fatalf("its partials (%v, %v), want zeros", dMu, dSigma)
+	}
+}
+
+// TestHCPenaltyGradMatchesDifferences checks the closed-form ∇α_HC against
+// central differences at points inside, at the edge of and beyond the veto
+// radius, that ValueGrad's value is Value's bits, and the two degenerate
+// cases: a clamped term contributes no gradient, a point on a recent query
+// is vetoed with a zero gradient.
+func TestHCPenaltyGradMatchesDifferences(t *testing.T) {
+	h := HCPenalty{Recent: [][]float64{{0.5, 0.5, 0.2}, {0.1, 0.9, 0.4}, {0.52, 0.48, 0.25}}}
+	grad := make([]float64, 3)
+	xp := make([]float64, 3)
+	for _, x := range [][]float64{{0.58, 0.5, 0.2}, {0.45, 0.6, 0.3}, {0.9, 0.1, 0.8}, {0.16, 0.85, 0.44}} {
+		v := h.ValueGrad(x, grad)
+		if math.Float64bits(v) != math.Float64bits(h.Value(x)) {
+			t.Fatalf("at %v: ValueGrad %v, Value %v", x, v, h.Value(x))
+		}
+		for j := range x {
+			const e = 1e-7
+			copy(xp, x)
+			xp[j] = x[j] + e
+			vp := h.Value(xp)
+			xp[j] = x[j] - e
+			vm := h.Value(xp)
+			want := (vp - vm) / (2 * e)
+			if math.Abs(grad[j]-want) > 1e-5*(math.Abs(want)+v) {
+				t.Errorf("at %v axis %d: gradient %g, differences %g", x, j, grad[j], want)
+			}
+		}
+	}
+	// Within ~0.053 of a query (d/dx)^10 passes 600 and is held there.
+	one := HCPenalty{Recent: h.Recent[1:2]}
+	if v := one.ValueGrad([]float64{0.1, 0.9, 0.43}, grad); math.IsInf(v, 0) || grad[0] != 0 || grad[1] != 0 || grad[2] != 0 {
+		t.Fatalf("clamped term: value %v, gradient %v", v, grad)
+	}
+	if v := h.ValueGrad([]float64{0.1, 0.9, 0.4}, grad); !math.IsInf(v, 1) || grad[0] != 0 || grad[1] != 0 || grad[2] != 0 {
+		t.Fatalf("on a recent query: value %v, gradient %v", v, grad)
+	}
+}

@@ -17,10 +17,11 @@ type batchSelector interface {
 }
 
 // maximizeAcq maximizes an acquisition over the box on the model's
-// standardized view, through the same batched objective EasyBO's proposer
-// uses, so every baseline pays the same price per acquisition evaluation.
+// standardized view, through the same objective and the same gradient
+// refinement EasyBO's proposer uses, so every baseline pays the same price
+// per acquisition evaluation.
 func maximizeAcq(a acq.Func, m surrogate.Surrogate, lo, hi []float64, rng *rand.Rand, opts optimize.MaximizeOptions) []float64 {
-	x, _ := optimize.MaximizeParallel(core.AcqObjective(a, m), lo, hi, rng, opts)
+	x, _ := optimize.MaximizeGrad(core.AcqObjective(a, m), lo, hi, rng, opts)
 	return x
 }
 
@@ -108,15 +109,24 @@ func (s *phcboSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float
 	for i, w := range ws {
 		pen := acq.HCPenalty{Recent: s.recent[i]}
 		weighted := core.AcqObjective(acq.Weighted{W: w}, m)
-		x, _ := optimize.MaximizeParallel(func() optimize.BatchObjective {
-			base := weighted()
-			nbuf := make([]float64, len(lo))
+		x, _ := optimize.MaximizeGrad(func() (optimize.BatchObjective, optimize.GradObjective) {
+			base, baseGrad := weighted()
+			nbuf, pgrad := make([]float64, len(lo)), make([]float64, len(lo))
 			return func(qs [][]float64, vals []float64) {
-				base(qs, vals)
-				for k, q := range qs {
-					vals[k] -= pen.Value(normalizeInto(nbuf, q, lo, hi))
+					base(qs, vals)
+					for k, q := range qs {
+						vals[k] -= pen.Value(normalizeInto(nbuf, q, lo, hi))
+					}
+				}, func(q, grad []float64) float64 {
+					v := baseGrad(q, grad) - pen.ValueGrad(normalizeInto(nbuf, q, lo, hi), pgrad)
+					for j := range grad {
+						// The penalty lives in normalized coordinates.
+						if span := hi[j] - lo[j]; span > 0 {
+							grad[j] -= pgrad[j] / span
+						}
+					}
+					return v
 				}
-			}
 		}, lo, hi, rng, s.opts)
 		out = append(out, x)
 		// Record for the next iteration: newest first, keep 5.

@@ -14,13 +14,14 @@ import (
 )
 
 // testdata/sync_golden.txt holds the full histories of the sequential,
-// synchronous-batch and random-search algorithms as the hand-written
-// runSync/runRandom loops produced them, before those loops became
-// core.AskTell.Run with a barrier — every float as a hex literal, failed
-// evaluations included. It was written by running this test with -update at
-// that commit; -update rewrites it from the current code, so only do that
-// deliberately.
-var update = flag.Bool("update", false, "rewrite testdata/sync_golden.txt from the current drivers")
+// synchronous-batch and random-search algorithms — every float as a hex
+// literal, failed evaluations included. It was first written by the
+// hand-written runSync/runRandom loops, before those became core.AskTell.Run
+// with a barrier (PR 13), and rewritten once, with -update, by the commit
+// that moved the proposer to generation 1 (see TestAsyncHistoriesMatchGolden;
+// the TS and Random rows, which refine no posterior, did not move). -update rewrites both
+// golden files from the current code, so only do that deliberately.
+var update = flag.Bool("update", false, "rewrite testdata/{async,sync}_golden.txt from the current drivers")
 
 // pinProblem fails (NaN) on roughly a fifth of the box, chosen from the bits
 // of x so the design and the model phase both meet failures. With flaky set
@@ -102,7 +103,7 @@ func TestSyncHistoriesMatchGolden(t *testing.T) {
 		wl := strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("history diverged from the hand-written sync loops at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+				t.Fatalf("history diverged from the golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
 			}
 		}
 		t.Fatalf("history length changed: got %d lines, want %d", len(gl), len(wl))

@@ -299,10 +299,11 @@ func (d *Switch) conductance(vc float64) (g, dg float64) {
 	mid := 0.5 * (d.Von + d.Voff)
 	width := d.Von - d.Voff // may be negative for inverted logic
 	u := 2 * (vc - mid) / width
-	s := 0.5 * (1 + math.Tanh(u))
+	th := math.Tanh(u)
+	s := 0.5 * (1 + th)
 	lg := lgOff + s*(lgOn-lgOff)
 	g = math.Exp(lg)
-	sech2 := 1 - math.Tanh(u)*math.Tanh(u)
+	sech2 := 1 - th*th
 	ds := sech2 / width // d s / d vc  (factor 2 * 1/2)
 	dg = g * (lgOn - lgOff) * ds
 	return g, dg

@@ -70,7 +70,7 @@ func TestAcqObjectiveMatchesPointwiseAcquisition(t *testing.T) {
 		acq.Weighted{W: 0.7}, acq.UCB{Kappa: 2}, acq.LCB{Kappa: 1.5},
 		acq.EI{Best: best, Xi: 0.01}, acq.PI{Best: best, Xi: 0.01},
 	} {
-		f := AcqObjective(a, view)()
+		f, _ := AcqObjective(a, view)()
 		std := view.StandardizedPredictor()
 		for n := 1; n <= optimize.MaxBatch; n++ {
 			xs := make([][]float64, n)

@@ -65,27 +65,51 @@ func (p *Proposer) Propose(m surrogate.Surrogate, busy [][]float64, lo, hi []flo
 // hallucinated surrogate view.
 func (p *Proposer) proposeOn(view surrogate.Surrogate, lo, hi []float64, rng *rand.Rand) (x []float64, w float64, err error) {
 	w = acq.SampleWeight(rng, p.Lambda)
-	x, _ = optimize.MaximizeParallel(AcqObjective(acq.Weighted{W: w}, view), lo, hi, rng, p.MaxOpts)
+	x, _ = optimize.MaximizeGrad(AcqObjective(acq.Weighted{W: w}, view), lo, hi, rng, p.MaxOpts)
 	return x, w, nil
 }
 
+// ProposerGeneration numbers the arithmetic by which a model-based proposal
+// follows from the surrogate, the busy set and the random source. A recorded
+// proposal can be derived again, bit for bit, only by a build of the same
+// generation; whoever records proposals stamps them with it (serve does, on
+// every ask event). Generation 0 refined the sweep's best candidates with
+// Nelder–Mead simplexes of 40·d evaluations; generation 1 refines them with
+// optimize.Ascent on the posterior's analytic gradient. Any change to what
+// an ask computes — the sweep, a constant of the ascent, the operation order
+// of a prediction — is a new generation.
+const ProposerGeneration = 1
+
 // AcqObjective is the objective every acquisition maximization in the stack
-// hands optimize.MaximizeParallel: acquisition a on the standardized view of
-// m. Each worker gets one predictor; a batch of points is predicted together
-// (surrogate.Predictor.PredictBatch — bit-identical to one Predict per
-// point) and a is then evaluated, unchanged, on each point's fixed (µ, σ).
-func AcqObjective(a acq.Func, m surrogate.Surrogate) optimize.ObjectiveFactory {
-	return func() optimize.BatchObjective {
+// hands optimize.MaximizeGrad: acquisition a on the standardized view of m.
+// Each worker gets one predictor. The sweep predicts a batch of points
+// together (surrogate.Predictor.PredictBatch — bit-identical to one Predict
+// per point) and evaluates a, unchanged, on each point's fixed (µ, σ); the
+// refinement asks for the posterior's gradient beside them (PredictGrad, the
+// same µ and σ) and chains it through a's two partials.
+func AcqObjective(a acq.Func, m surrogate.Surrogate) optimize.GradFactory {
+	return func() (optimize.BatchObjective, optimize.GradObjective) {
 		p := m.StandardizedPredictor()
 		var mu, sigma [optimize.MaxBatch]float64
 		var at posteriorAt
+		var dsigma []float64
 		return func(xs [][]float64, out []float64) {
-			p.PredictBatch(xs, mu[:], sigma[:])
-			for i, x := range xs {
-				at.mu, at.sigma = mu[i], sigma[i]
-				out[i] = a.Value(&at, x)
+				p.PredictBatch(xs, mu[:], sigma[:])
+				for i, x := range xs {
+					at.mu, at.sigma = mu[i], sigma[i]
+					out[i] = a.Value(&at, x)
+				}
+			}, func(x, grad []float64) float64 {
+				if dsigma == nil {
+					dsigma = make([]float64, len(x))
+				}
+				at.mu, at.sigma = p.PredictGrad(x, grad, dsigma)
+				dMu, dSigma := a.Partials(at.mu, at.sigma)
+				for j := range grad {
+					grad[j] = dMu*grad[j] + dSigma*dsigma[j]
+				}
+				return a.Value(&at, x)
 			}
-		}
 	}
 }
 

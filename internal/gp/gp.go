@@ -180,6 +180,63 @@ func (g *GP) PredictBatchWith(buf *PredictBuf, xs [][]float64, mu, sigma []float
 	}
 }
 
+// sigmaFloor is the deviation at or below which the posterior is treated as
+// certain: ∇σ = ∇σ²/(2σ) is then reported as zero instead of a quotient of
+// two rounding errors. It is the floor the acquisitions use (acq.EI).
+const sigmaFloor = 1e-12
+
+// PredictGradWith returns the posterior mean and deviation at x and writes
+// their gradients in x into dmu and dsigma:
+//
+//	∇µ = Σᵢ αᵢ·∇k(x, xᵢ),   ∇σ² = −2 Σᵢ βᵢ·∇k(x, xᵢ),   β = K⁻¹k(x),
+//
+// with ∇k(x, xᵢ) = dk/ds·2(x − xᵢ)/l². The mean and deviation are computed
+// by PredictBatchWith's arithmetic on a batch of one, so they are the same
+// bits; the gradient costs one more triangular solve (β = L⁻ᵀ·L⁻¹k, whose
+// first half the deviation already paid for) and an O(n·d) pass. Where
+// σ ≤ sigmaFloor — at a noise-free training point — dsigma is zero. The
+// scratch is three of buf's kernel vectors.
+func (g *GP) PredictGradWith(buf *PredictBuf, x, dmu, dsigma []float64) (mu, sigma float64) {
+	n := g.N()
+	ks := buf.sized(3, n)
+	k, c, beta := ks[0], ks[1], ks[2]
+	for i, xi := range g.X {
+		s := g.st.scaledSq(x, xi)
+		k[i] = g.Kern.evalScaled(&g.st, s)
+		c[i] = g.Kern.dkds(&g.st, s, k[i])
+	}
+	mu = linalg.Dot(k, g.alpha)
+	g.chol.SolveLowerInto(k, k) // v = L⁻¹k
+	s2 := g.kernEval(x, x) - linalg.Dot(k, k)
+	if s2 < 0 {
+		s2 = 0
+	}
+	sigma = math.Sqrt(s2)
+	g.chol.SolveUpperTInto(beta, k) // β = L⁻ᵀv
+
+	for j := range dmu {
+		dmu[j], dsigma[j] = 0, 0
+	}
+	for i, xi := range g.X {
+		wm, ws := g.alpha[i]*c[i], beta[i]*c[i]
+		for j, xj := range x {
+			r := xj - xi[j]
+			dmu[j] += wm * r
+			dsigma[j] += ws * r
+		}
+	}
+	// dsigma holds Σ βᵢcᵢ(x − xᵢ): ∇σ² is −4·invl2 times it, ∇σ that over 2σ.
+	toSigma := 0.0
+	if sigma > sigmaFloor {
+		toSigma = -2 / sigma
+	}
+	for j, l := range g.st.invl2 {
+		dmu[j] *= 2 * l
+		dsigma[j] *= toSigma * l
+	}
+	return mu, sigma
+}
+
 // PredictMean returns only the posterior mean (cheaper: skips the
 // triangular solve needed for the variance).
 func (g *GP) PredictMean(x []float64) float64 {

@@ -34,6 +34,10 @@ type Kernel interface {
 
 	// evalScaled returns k given the scaled squared distance s = Σ rᵢ².
 	evalScaled(st *distState, s float64) float64
+	// dkds returns ∂k/∂s at s, given k = evalScaled(st, s). Both kernels are
+	// functions of s alone, so this one derivative is all a posterior
+	// gradient needs of the kernel: ∂k/∂xⱼ = dkds·2(xⱼ−x'ⱼ)/lⱼ².
+	dkds(st *distState, s, k float64) float64
 	// accumGradDiff adds w·∂k/∂θ to grad from a pair's per-dimension squared
 	// differences (lengthscale gradients need the per-dimension split) and
 	// its covariance k = evalScaled(st, st.scaledSqFromDiff(diff2)), which the
@@ -220,6 +224,8 @@ func (SEARD) evalScaled(st *distState, s float64) float64 {
 	return st.sf2 * math.Exp(-0.5*s)
 }
 
+func (SEARD) dkds(_ *distState, _, k float64) float64 { return -0.5 * k }
+
 func (SEARD) accumGradDiff(st *distState, diff2 []float64, k, w float64, grad []float64) {
 	wk := w * k
 	for i, d2 := range diff2 {
@@ -231,6 +237,12 @@ func (SEARD) accumGradDiff(st *distState, diff2 []float64, k, w float64, grad []
 func (Matern52) evalScaled(st *distState, s float64) float64 {
 	sr5 := math.Sqrt(5) * math.Sqrt(s)
 	return st.sf2 * (1 + sr5 + 5*s/3) * math.Exp(-sr5)
+}
+
+// Finite at s = 0, where the r-form of the derivative is 0/0.
+func (Matern52) dkds(st *distState, s, _ float64) float64 {
+	sr5 := math.Sqrt(5) * math.Sqrt(s)
+	return -(5.0 / 6.0) * st.sf2 * (1 + sr5) * math.Exp(-sr5)
 }
 
 // The lengthscale derivative is not a multiple of k, so the exponential is

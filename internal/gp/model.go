@@ -231,6 +231,31 @@ func (p *Predictor) PredictBatch(xs [][]float64, mu, sigma []float64) {
 	}
 }
 
+// PredictGrad returns the posterior mean and deviation at the raw point x —
+// the bits PredictBatch returns there — and writes their gradients with
+// respect to the raw coordinates into dmu and dsigma (see
+// GP.PredictGradWith), in the predictor's output units.
+func (p *Predictor) PredictGrad(x, dmu, dsigma []float64) (mu, sigma float64) {
+	m := p.m
+	p.one[0] = x
+	mu, sigma = m.gp.PredictGradWith(&p.buf, p.scale(p.one[:])[0], dmu, dsigma)
+	ystd := m.ystd
+	if p.standardized {
+		ystd = 1
+	} else {
+		mu, sigma = mu*m.ystd+m.ymean, sigma*m.ystd
+	}
+	for i := range dmu {
+		span := m.Hi[i] - m.Lo[i]
+		if span <= 0 {
+			span = 1
+		}
+		dmu[i] *= ystd / span
+		dsigma[i] *= ystd / span
+	}
+	return mu, sigma
+}
+
 // PredictMean returns only the posterior mean at the raw point x.
 func (p *Predictor) PredictMean(x []float64) float64 {
 	p.one[0] = x

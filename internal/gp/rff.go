@@ -72,6 +72,28 @@ func (r *RFF) PhiInto(dst, x []float64) []float64 {
 	return dst
 }
 
+// PhiGradInto computes φ(x) into phi, the bits PhiInto computes, and into
+// dphi the derivative of each feature in its phase, −s·sin(wᵢ·x + bᵢ), so
+// that ∂φᵢ/∂xⱼ = dphi[i]·wᵢⱼ (see Project).
+func (r *RFF) PhiGradInto(phi, dphi, x []float64) {
+	for i, wi := range r.w {
+		sin, cos := math.Sincos(linalg.Dot(wi, x) + r.b[i])
+		phi[i] = r.scale * cos
+		dphi[i] = -r.scale * sin
+	}
+}
+
+// Project writes Σᵢ c[i]·wᵢ into dst: with c = a∘dphi it is the gradient in
+// x of a·φ(x).
+func (r *RFF) Project(dst, c []float64) {
+	for j := range dst {
+		dst[j] = 0
+	}
+	for i, wi := range r.w {
+		linalg.Axpy(c[i], wi, dst)
+	}
+}
+
 // SampleRFF draws an approximate sample from the GP posterior using random
 // Fourier features, enabling Thompson-sampling acquisitions: the returned
 // function is a fixed, cheap-to-evaluate draw f̃ ~ GP(µ, k) conditioned on

@@ -385,9 +385,9 @@ func (c *Cholesky) SolveUpperTInto(dst, y []float64) {
 		row := c.L.Row(i)
 		xi := dst[i] / row[i]
 		dst[i] = xi
-		for k := 0; k < i; k++ {
-			dst[k] -= row[k] * xi
-		}
+		// dst[k] −= row[k]·xi for k < i: the pending entries are independent
+		// of one another, so the four-wide Axpy changes no bit of them.
+		Axpy(-xi, row[:i], dst[:i])
 	}
 }
 

@@ -417,6 +417,21 @@ func refSolveLower(c *Cholesky, b []float64) []float64 {
 	return y
 }
 
+// refSolveUpperT is back substitution as SolveUpperTInto was before its inner
+// update went through Axpy: rows swept from the last, each resolved entry's
+// multiple subtracted from the pending ones, one element at a time.
+func refSolveUpperT(c *Cholesky, y []float64) []float64 {
+	x := append([]float64(nil), y...)
+	for i := c.N - 1; i >= 0; i-- {
+		xi := x[i] / c.L.At(i, i)
+		x[i] = xi
+		for k := 0; k < i; k++ {
+			x[k] -= c.L.At(i, k) * xi
+		}
+	}
+	return x
+}
+
 func sameVecBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {
@@ -486,6 +501,7 @@ func TestSolveLowerMultiBitIdentical(t *testing.T) {
 					sameVecBits(t, side+": SolveLowerInto in place", dst, want[j])
 
 					full := ch.SolveUpperT(want[j])
+					sameVecBits(t, side+": SolveUpperT", full, refSolveUpperT(ch, want[j]))
 					dst = nanVec(n)
 					ch.SolveInto(dst, b)
 					sameVecBits(t, side+": SolveInto", dst, full)

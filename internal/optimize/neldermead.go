@@ -1,23 +1,27 @@
-// Package optimize provides the derivative-free optimizers used by the BO
-// stack: a box-constrained Nelder–Mead simplex, a multi-start acquisition
-// maximizer (space-filling candidates + simplex refinement), and the
-// differential-evolution global optimizer that serves as the paper's DE
+// Package optimize provides the optimizers used by the BO stack: a
+// multi-start acquisition maximizer (space-filling candidates, then local
+// refinement of the best of them), its two local searches — a box-constrained
+// quasi-Newton ascent for objectives that have a gradient to give (Ascent;
+// every posterior acquisition does) and a box-constrained Nelder–Mead simplex
+// for those that do not (Simplex: Thompson draws, a constrained score) — and
+// the differential-evolution global optimizer that serves as the paper's DE
 // baseline [13].
 //
-// The simplex is an ask/tell state machine (Simplex): Next names the point
-// whose value it is waiting for, Tell supplies it. Control is inverted so
-// that whoever owns the objective decides how to evaluate — the NelderMead
-// function drives one Simplex with a scalar Objective; the maximizer on one
-// worker advances several in lockstep, scoring all their pending points with
-// one BatchObjective call per step, and on several workers hands whole
-// simplexes between them so that none idles. A posterior prediction is a
+// Both local searches are ask/tell state machines: Next names the point
+// whose value the search is waiting for, Tell supplies it. Control is
+// inverted so that whoever owns the objective decides how to evaluate — the
+// NelderMead function drives one Simplex with a scalar Objective; the
+// maximizer on one worker advances several searches in lockstep, scoring all
+// their pending points in one call per step, and on several workers hands
+// whole searches between them so that none idles. A posterior prediction is a
 // triangular solve, a chain of dependent subtractions that runs at add
 // latency unless independent chains are interleaved with it — other points'
 // (a batch) or the same point's other rows (linalg.SolveLowerInto) — and
 // either way each point's value is bit-identical to its value alone, which
 // is what lets the maximizer regroup and reschedule freely. There is one
-// simplex and one maximizer: the scalar entry points (NelderMead, Maximize)
-// are the width-1 use of the same code.
+// sweep, one scheduler and one reduction: MaximizeGrad and MaximizeParallel
+// differ in which search refines, and the scalar entry points (NelderMead,
+// Maximize) are the width-1 use of the same code.
 package optimize
 
 import (
@@ -226,6 +230,9 @@ func (s *Simplex) Best() ([]float64, float64) {
 	return append([]float64(nil), s.x[0]...), s.v[0]
 }
 
+// top implements stepper.
+func (s *Simplex) top() ([]float64, float64) { return s.x[0], s.v[0] }
+
 // iterate opens the next simplex iteration: rank the vertices, stop on the
 // budget or the value spread, otherwise send out the reflection.
 func (s *Simplex) iterate() {
@@ -302,12 +309,12 @@ func NelderMead(f Objective, x0, lo, hi []float64, opts NelderMeadOptions) ([]fl
 // MaximizeOptions tunes the global acquisition maximizer.
 type MaximizeOptions struct {
 	Candidates int // space-filling candidates (default 60·d, min 200)
-	Refine     int // top candidates refined with Nelder-Mead (default 3)
-	RefineEval int // simplex evaluation budget per refinement (default 40·d)
+	Refine     int // top candidates refined by a local search (default 3)
+	RefineEval int // evaluation budget of one Simplex (default 40·d); an Ascent's is the constant ascentEvals
 	// Workers is the number of goroutines evaluating candidates and running
-	// simplex refinements concurrently (default GOMAXPROCS). The result is
+	// refinements concurrently (default GOMAXPROCS). The result is
 	// identical for every worker count: all randomness is drawn before the
-	// fan-out, the reduction is order-independent, and a simplex sees the
+	// fan-out, the reduction is order-independent, and a search sees the
 	// same values whichever worker advances it. With 1 the caller's
 	// goroutine does everything, the refinements together in lockstep.
 	Workers int

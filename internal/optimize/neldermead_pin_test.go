@@ -242,7 +242,7 @@ func TestLockstepMatchesSolo(t *testing.T) {
 			xs, vals := make([][]float64, len(running)), make([]float64, len(running))
 			for n := len(running); n > 0; {
 				before := batches
-				n = lockstep(f, running[:n], xs, vals, rounds)
+				n = lockstep(0, func(_ int, _ []*Simplex, xs [][]float64, out []float64) { f(xs, out) }, running[:n], xs, vals, rounds)
 				if n > 0 && batches-before != rounds {
 					t.Fatalf("%s: a call budgeted %d rounds came back after %d with simplexes running", c.name, rounds, batches-before)
 				}

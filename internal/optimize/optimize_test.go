@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,41 +148,55 @@ func TestDERespectsBounds(t *testing.T) {
 }
 
 // TestMaximizeParallelDeterministicAcrossWorkers pins the parallel
-// multistart's core guarantee: the result is bit-identical for every worker
-// count, because all randomness is drawn before the fan-out, the reduction
-// is order-independent, and a point's value does not depend on the batch or
-// the worker it is scored in. The worker count decides how candidates are
-// chunked and how the refinement runs — all simplexes in lockstep on one
-// worker, handed between workers a quantum at a time when they outnumber
-// them, one each when they do not — and none of it may show: same point,
-// same value, same number of evaluations. The budget is not a multiple of
-// the quantum and the objective is capped just under its peak, so the
-// simplexes stop at different times and for both reasons: the five starts
-// take 48, 46, 75, 52 and 69 evaluations — Tol on the plateau, or the budget.
+// multistart's core guarantee, for both refinements: the result is
+// bit-identical for every worker count, because all randomness is drawn
+// before the fan-out, the reduction is order-independent, and a point's value
+// does not depend on the batch or the worker it is scored in. The worker
+// count decides how candidates are chunked and how the refinement runs — all
+// searches in lockstep on one worker, handed between workers a quantum at a
+// time when they outnumber them, one each when they do not — and none of it
+// may show: same point, same value, same number of evaluations. The simplex
+// budget is not a multiple of the quantum and the objective is capped just
+// under its peak, so the simplexes stop at different times and for both
+// reasons: the five starts take 48, 46, 75, 52 and 69 evaluations — Tol on
+// the plateau, or the budget. The ascents stop on the plateau's zero
+// gradient, on a step that no longer moves, or on their budget.
 func TestMaximizeParallelDeterministicAcrossWorkers(t *testing.T) {
 	const refineEval = 75
 	if refineEval%refineQuantum == 0 {
 		t.Fatal("the budget must end inside a quantum")
 	}
-	f := func(x []float64) float64 {
+	// f and its gradient; on the cap the gradient is zero.
+	fg := func(x, grad []float64) float64 {
 		s := 0.0
 		for i := range x {
 			d := x[i] - 0.3*float64(i+1)
 			s -= d * d
+			if grad != nil {
+				grad[i] = -2 * d
+			}
 		}
-		return math.Min(s+0.05*math.Sin(40*x[0]), 0.045)
+		if grad != nil {
+			grad[0] += 2 * math.Cos(40*x[0])
+		}
+		if v := s + 0.05*math.Sin(40*x[0]); v < 0.045 {
+			return v
+		}
+		for i := range grad {
+			grad[i] = 0
+		}
+		return 0.045
 	}
 	lo := []float64{-1, -1, -1}
 	hi := []float64{2, 2, 2}
-	for _, refineN := range []int{1, 3, 5} {
-		var refX []float64
-		refV, refEvals := 0.0, int64(0)
-		for _, workers := range []int{1, 2, 3, 4, 7, 16} {
-			var filled atomic.Bool // some call carried a full MaxBatch
-			var evals atomic.Int64
-			newF := func() BatchObjective {
-				each := Each(f)
-				return func(xs [][]float64, out []float64) {
+	for _, kind := range []string{"simplex", "grad"} {
+		for _, refineN := range []int{1, 3, 5} {
+			var refX []float64
+			refV, refEvals := 0.0, int64(0)
+			for _, workers := range []int{1, 2, 3, 4, 7, 16} {
+				var filled atomic.Bool // some call carried a full MaxBatch
+				var evals atomic.Int64
+				batch := func(xs [][]float64, out []float64) {
 					if len(xs) == 0 || len(xs) > MaxBatch || len(xs) != len(out) {
 						t.Errorf("workers=%d: batch of %d points into %d values", workers, len(xs), len(out))
 					}
@@ -189,37 +204,57 @@ func TestMaximizeParallelDeterministicAcrossWorkers(t *testing.T) {
 						filled.Store(true)
 					}
 					evals.Add(int64(len(xs)))
-					each(xs, out)
+					for i, x := range xs {
+						out[i] = fg(x, nil)
+					}
+				}
+				rng := rand.New(rand.NewSource(42))
+				opts := MaximizeOptions{Candidates: 120, Refine: refineN, RefineEval: refineEval, Workers: workers}
+				var x []float64
+				var v float64
+				if kind == "simplex" {
+					x, v = MaximizeParallel(func() BatchObjective { return batch }, lo, hi, rng, opts)
+				} else {
+					x, v = MaximizeGrad(func() (BatchObjective, GradObjective) {
+						return batch, func(x, grad []float64) float64 {
+							evals.Add(1)
+							return fg(x, grad)
+						}
+					}, lo, hi, rng, opts)
+				}
+				if workers == 1 {
+					if !filled.Load() {
+						t.Fatal("serial sweep never filled a batch")
+					}
+					refX, refV, refEvals = x, v, evals.Load()
+					continue
+				}
+				what := fmt.Sprintf("%s refine=%d workers=%d", kind, refineN, workers)
+				if evals.Load() != refEvals {
+					t.Fatalf("%s: %d evaluations, one worker made %d", what, evals.Load(), refEvals)
+				}
+				if math.Float64bits(v) != math.Float64bits(refV) {
+					t.Fatalf("%s: value %v != reference %v", what, v, refV)
+				}
+				for i := range x {
+					if math.Float64bits(x[i]) != math.Float64bits(refX[i]) {
+						t.Fatalf("%s: x[%d] = %v != reference %v", what, i, x[i], refX[i])
+					}
 				}
 			}
-			rng := rand.New(rand.NewSource(42))
-			x, v := MaximizeParallel(newF, lo, hi, rng,
-				MaximizeOptions{Candidates: 120, Refine: refineN, RefineEval: refineEval, Workers: workers})
-			if workers == 1 {
-				if !filled.Load() {
-					t.Fatal("serial sweep never filled a batch")
-				}
-				refX, refV, refEvals = x, v, evals.Load()
-				continue
+			budget := refineEval
+			if kind == "grad" {
+				budget = ascentEvals
 			}
-			what := fmt.Sprintf("refine=%d workers=%d", refineN, workers)
-			if evals.Load() != refEvals {
-				t.Fatalf("%s: %d evaluations, one worker made %d", what, evals.Load(), refEvals)
+			if most := int64(120 + refineN*budget); refEvals >= most {
+				t.Fatalf("%s refine=%d: %d evaluations of at most %d: no search stopped early", kind, refineN, refEvals, most)
 			}
-			if math.Float64bits(v) != math.Float64bits(refV) {
-				t.Fatalf("%s: value %v != reference %v", what, v, refV)
+			if refEvals <= 120+int64(refineN) {
+				t.Fatalf("%s refine=%d: %d evaluations: the refinement never ran", kind, refineN, refEvals)
 			}
-			for i := range x {
-				if math.Float64bits(x[i]) != math.Float64bits(refX[i]) {
-					t.Fatalf("%s: x[%d] = %v != reference %v", what, i, x[i], refX[i])
-				}
+			if refV < -0.2 {
+				t.Fatalf("%s refine=%d: optimum quality too poor: %v", kind, refineN, refV)
 			}
-		}
-		if most := int64(120 + refineN*refineEval); refEvals >= most {
-			t.Fatalf("refine=%d: %d evaluations of at most %d: no simplex stopped on Tol", refineN, refEvals, most)
-		}
-		if refV < -0.2 {
-			t.Fatalf("refine=%d: optimum quality too poor: %v", refineN, refV)
 		}
 	}
 }
@@ -301,7 +336,8 @@ func TestRefineIsWorkConserving(t *testing.T) {
 	returned := make(chan struct{})
 	go func() {
 		defer close(returned)
-		refine([]BatchObjective{blocker, other}, starts)
+		fs := []BatchObjective{blocker, other}
+		refine(len(fs), starts, refineQuantum, func(w int, _ []*Simplex, xs [][]float64, out []float64) { fs[w](xs, out) })
 	}()
 	select {
 	case <-othersDone:
@@ -345,5 +381,43 @@ func TestMaximizeMatchesParallelSerial(t *testing.T) {
 		MaximizeOptions{Candidates: 80, Workers: 4})
 	if v1 != v2 || x1[0] != x2[0] || x1[1] != x2[1] {
 		t.Fatalf("serial (%v,%v) vs parallel (%v,%v)", x1, v1, x2, v2)
+	}
+}
+
+// TestSweepRanksLikeASort: the sweep's few-pass selection of the best
+// candidates is the head of the full ranking it replaced — value descending,
+// equal values by candidate index — on an objective quantized so that most
+// candidates tie, for every refinement count in use.
+func TestSweepRanksLikeASort(t *testing.T) {
+	lo, hi := box(2, 0, 1)
+	quantized := func(x []float64) float64 { return math.Floor(5 * (x[0] + x[1])) }
+	for _, refineN := range []int{1, 2, 3, 5} {
+		for seed := int64(0); seed < 20; seed++ {
+			opts := MaximizeOptions{Candidates: 60, Refine: refineN, Workers: 1}
+			opts.resolve(len(lo))
+			var pts [][]float64 // in candidate order: one worker scores them in order
+			sw := sweep(lo, hi, rand.New(rand.NewSource(seed)), opts, 1, func(int) BatchObjective {
+				return func(xs [][]float64, out []float64) {
+					pts = append(pts, xs...)
+					for i, x := range xs {
+						out[i] = quantized(x)
+					}
+				}
+			})
+			order := make([]int, len(pts))
+			for i := range order {
+				order[i] = i
+			}
+			sort.SliceStable(order, func(a, b int) bool { return quantized(pts[order[a]]) > quantized(pts[order[b]]) })
+			if len(sw.top) != refineN || &sw.x[0] != &sw.top[0][0] || sw.v != quantized(sw.x) {
+				t.Fatalf("refine=%d seed=%d: %d starts, best %v = %v", refineN, seed, len(sw.top), sw.x, sw.v)
+			}
+			for r, x := range sw.top {
+				if &x[0] != &pts[order[r]][0] {
+					t.Fatalf("refine=%d seed=%d: start %d is %v (%v), the ranking has %v (%v)",
+						refineN, seed, r, x, quantized(x), pts[order[r]], quantized(pts[order[r]]))
+				}
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"easybo/internal/core"
 	"easybo/internal/serve"
 	"easybo/internal/serve/wal"
 )
@@ -160,6 +161,16 @@ func lastCkpt(events []serve.Event) int {
 // backend, and on auto across its escalation; through the in-memory store
 // and the WAL; with failed evaluations skipped and resubmitted; and with one
 // proposal outstanding from before every checkpoint to the end.
+//
+// The mixed cases are logs an upgrade leaves behind: the asks below gen0Below
+// carry no proposer generation, as if an older build had derived them, the
+// rest this build's. Recovery must put the former back as recorded — counted
+// as unverified, never re-derived, never a reason to fall back — and still
+// leave surrogate and rng exactly where the live run had them, because the
+// later asks, of its own generation, are derived and compared as ever and
+// the run it continues must be the uninterrupted one. (The relabelled points
+// are this build's own, which is what lets the test know the right answer;
+// a log an older build really wrote is testdata/parent_wal.)
 func TestRecoverAtEveryCutMatchesUninterrupted(t *testing.T) {
 	box := serve.SessionConfig{Lo: []float64{0, 0}, Hi: []float64{1, 1}, InitPoints: 5, FitIters: 8, RefitEvery: 4}
 	with := func(f func(*serve.SessionConfig)) serve.SessionConfig {
@@ -183,27 +194,44 @@ func TestRecoverAtEveryCutMatchesUninterrupted(t *testing.T) {
 		cfg   serve.SessionConfig
 		sc    schedule
 		ckpts int // checkpoints the run must at least contain
+		// gen0Below relabels the asks with a smaller proposal id as
+		// generation 0 (mixed cases; they schedule no failures, so a
+		// proposal id past the design is a model-based ask).
+		gen0Below int
 	}{
 		{"exact/skip", "wal", with(func(c *serve.SessionConfig) {
 			c.Surrogate, c.MaxEvals, c.Seed, c.Failure = "exact", 20, 31, "skip"
-		}), schedule{busy: 3, hold: 6, fail: func(pid int) bool { return pid == 2 || pid == 11 }}, 3},
+		}), schedule{busy: 3, hold: 6, fail: func(pid int) bool { return pid == 2 || pid == 11 }}, 3, 0},
 		{"exact/resubmit", "mem", with(func(c *serve.SessionConfig) {
 			c.Surrogate, c.MaxEvals, c.Seed, c.Failure = "exact", 18, 32, "resubmit"
-		}), schedule{busy: 3, hold: 7, fail: func(pid int) bool { return pid == 3 || pid == 9 }}, 3},
+		}), schedule{busy: 3, hold: 7, fail: func(pid int) bool { return pid == 3 || pid == 9 }}, 3, 0},
 		{"features", "mem", with(func(c *serve.SessionConfig) {
 			c.Surrogate, c.MaxEvals, c.Seed = "features", 16, 33
-		}), schedule{busy: 2, hold: -1}, 1},
+		}), schedule{busy: 2, hold: -1}, 1, 0},
 		{"auto-escalating", "wal", with(func(c *serve.SessionConfig) {
 			c.Surrogate, c.EscalateAt, c.MaxEvals, c.Seed, c.Failure = "auto", 11, 20, 34, "skip"
-		}), schedule{busy: 3, hold: 8, fail: func(pid int) bool { return pid == 12 }}, 3},
+		}), schedule{busy: 3, hold: 8, fail: func(pid int) bool { return pid == 12 }}, 3, 0},
+		{"exact/mixed", "wal", with(func(c *serve.SessionConfig) {
+			c.Surrogate, c.MaxEvals, c.Seed = "exact", 20, 35
+		}), schedule{busy: 3, hold: 6}, 3, 13},
+		{"features/mixed", "mem", with(func(c *serve.SessionConfig) {
+			c.Surrogate, c.MaxEvals, c.Seed = "features", 16, 36
+		}), schedule{busy: 2, hold: -1}, 1, 10},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			events, want := runReference(t, "cut", tc.cfg, tc.sc)
+			live := append([]serve.Event(nil), events...) // as this build logs them
 			n := 0
-			for _, ev := range events {
+			for i, ev := range events {
+				if ev.Kind == "ask" && ev.Gen != core.ProposerGeneration {
+					t.Fatalf("ask %d logged with generation %d, this build is %d", ev.ID, ev.Gen, core.ProposerGeneration)
+				}
+				if ev.Kind == "ask" && ev.ID < tc.gen0Below {
+					events[i].Gen = 0
+				}
 				if ev.Ckpt != nil {
 					n++
 				}
@@ -242,6 +270,18 @@ func TestRecoverAtEveryCutMatchesUninterrupted(t *testing.T) {
 				if cut > 0 && rec.AsksRederived > tc.sc.busy+1 {
 					t.Fatalf("cut %d: %d asks re-derived from a checkpoint with at most %d proposals in flight", k, rec.AsksRederived, tc.sc.busy)
 				}
+				// Every model-based ask of the other generation that the
+				// replay took with the model live, and none besides.
+				unverified := 0
+				for _, ev := range events[cut:k] {
+					if ev.Kind == "ask" && ev.Gen != core.ProposerGeneration && ev.ID >= tc.cfg.InitPoints {
+						unverified++
+					}
+				}
+				if rec.AsksUnverified != unverified || (unverified > 0 && rec.UnverifiedGen != 0) {
+					t.Fatalf("cut %d: %d asks reported unverified (generation %d), the log holds %d of generation 0 past the cut",
+						k, rec.AsksUnverified, rec.UnverifiedGen, unverified)
+				}
 				var mid serve.Status
 				call(t, sv, "GET", "/sessions/cut", nil, &mid)
 				for _, p := range mid.Outstanding {
@@ -258,7 +298,9 @@ func TestRecoverAtEveryCutMatchesUninterrupted(t *testing.T) {
 				if !reflect.DeepEqual(got.Records, want.Records) || !reflect.DeepEqual(got.Failed, want.Failed) {
 					t.Fatalf("cut %d: stitched history differs from the uninterrupted run", k)
 				}
-				if !reflect.DeepEqual(snap.Events, events) {
+				// What was recovered keeps its stamps; what is logged from
+				// there on is this build's.
+				if stitched := append(events[:k:k], live[k:]...); !reflect.DeepEqual(snap.Events, stitched) {
 					t.Fatalf("cut %d: the events logged after recovery (positions, checkpoints, chain) differ from the uninterrupted run's", k)
 				}
 			}

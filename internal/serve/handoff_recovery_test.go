@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"easybo/internal/core"
 )
 
 // These tests exercise the recovery and ownership-transfer surface from
@@ -313,6 +315,63 @@ func TestHandoffAcrossSeparateStores(t *testing.T) {
 		t.Fatalf("idle abort: %v", err)
 	}
 	askTellN(cA, id2, 1) // serving resumed
+}
+
+// TestHandoffAcrossGenerations ships one snapshot to two targets: as this
+// build wrote it, and with the proposer generation struck from every ask, the
+// way a node still running the previous build would have written it (a
+// rolling upgrade hands sessions from old nodes to new ones). Both installs
+// must succeed in the same recovery mode — from the snapshot's last
+// checkpoint — the second with its tail asks counted unverified where the
+// first re-derived them; and because the struck points are in truth this
+// build's, the two targets must then continue to the same history, which
+// shows the reissued asks left surrogate and rng where derivation does.
+func TestHandoffAcrossGenerations(t *testing.T) {
+	cA, svA, doneA := newTestServer(t)
+	defer doneA()
+	const id = "ho-gen"
+	if code := cA.post("/sessions", hoSpec(id, 23), nil); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	askTellN(cA, id, 7) // four design points, then model-based asks past a checkpoint
+	snap, err := svA.BeginHandoff(id, "node-b")
+	if err != nil {
+		t.Fatalf("begin handoff: %v", err)
+	}
+	older := snap
+	older.Events = make([]Event, len(snap.Events))
+	for i, ev := range snap.Events {
+		if ev.Kind == "ask" && ev.Gen != core.ProposerGeneration {
+			t.Fatalf("ask %d logged with generation %d", ev.ID, ev.Gen)
+		}
+		ev.Gen = 0
+		older.Events[i] = ev
+	}
+
+	var finals [2]Status
+	var totals [2]RecoveryTotals
+	for i, sn := range []Snapshot{snap, older} {
+		c, sv, done := newTestServer(t)
+		if _, err := sv.InstallSnapshot(sn); err != nil {
+			t.Fatalf("install %d: %v", i, err)
+		}
+		totals[i] = sv.RecoveryTotals()
+		finals[i] = finishSession(c, id)
+		done()
+	}
+	own, old := totals[0], totals[1]
+	if own.Checkpoint != 1 || own.AsksUnverified != 0 || own.AsksRederived == 0 {
+		t.Fatalf("own-generation snapshot installed as %+v, want a checkpoint replay that re-derived its tail", own)
+	}
+	// All three model-based asks lie past the checkpoint the replay resumes
+	// at: the first of them carries it.
+	if old.Checkpoint != 1 || old.Fallback != 0 || old.AsksRederived != 0 || old.AsksUnverified != 3 {
+		t.Fatalf("older-generation snapshot installed as %+v, want the same checkpoint replay with its 3 tail asks unverified", old)
+	}
+	if !finals[0].Done || len(finals[0].Records) != 10 {
+		t.Fatalf("session did not finish on the target: done=%v records=%d", finals[0].Done, len(finals[0].Records))
+	}
+	requireSameRecords(t, finals[0].Records, finals[1].Records)
 }
 
 // TestAdoptFailoverFromSharedStore covers the owner-died path: a second

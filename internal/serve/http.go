@@ -53,10 +53,11 @@ type Server struct {
 	recSkip  atomic.Int64
 	// How sessions were rebuilt (RecoveryTotals): boot recovery and, after
 	// it, adoptions, handoffs and snapshot restores.
-	recCkpt      atomic.Int64
-	recFull      atomic.Int64
-	recFallback  atomic.Int64
-	recRederived atomic.Int64
+	recCkpt       atomic.Int64
+	recFull       atomic.Int64
+	recFallback   atomic.Int64
+	recRederived  atomic.Int64
+	recUnverified atomic.Int64
 
 	qmu         sync.Mutex
 	quarantined map[string]string // id -> quarantine reason

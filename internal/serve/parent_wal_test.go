@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"io/fs"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -15,17 +16,35 @@ import (
 	"easybo/internal/serve/wal"
 )
 
-// testdata/parent_wal is a WAL data directory written by the commit before
-// the acquisition maximizer was batched (PR 12, f90de40): two sessions, one
-// per surrogate backend, each stopped mid-run with proposals in flight.
-// Recovery re-derives every recorded ask bit for bit, so accepting these
-// logs is the cross-version proof that batched prediction and the lockstep
-// simplex changed no result. Regenerating them with -write-parent-wal at a
-// later commit would only prove that commit agrees with itself.
-var writeParentWAL = flag.Bool("write-parent-wal", false,
-	"rewrite testdata/parent_wal from the current code (meaningful only at the commit the fixture is named for)")
+// Two WAL data directories are pinned under testdata/, each two sessions, one
+// per surrogate backend, stopped mid-run with proposals in flight.
+//
+// testdata/parent_wal was written by the commit before the acquisition
+// maximizer was batched (PR 12, f90de40). Its asks carry no proposer
+// generation — generation 0, the simplex refinement — and through PR 22
+// recovery re-derived every one of them bit for bit, which is how batched
+// prediction, the lockstep simplex and the factorization rewrites proved
+// they changed no result. A generation-1 build cannot derive those points,
+// and must not quarantine them either: it recovers the sessions with the
+// recorded proposals taken as they are, says so, and continues.
+//
+// testdata/gen1_wal was written by the commit that introduced generation 1
+// (the gradient refinement) and is the bitwise pin from there on: recovery
+// re-derives its asks bit for bit, so accepting it is the cross-version
+// proof that a later change under an ask changed no result. Regenerating
+// either fixture at a later commit would only prove that commit agrees with
+// itself.
+var (
+	writeParentWAL = flag.Bool("write-parent-wal", false,
+		"rewrite testdata/parent_wal from the current code (meaningful only at the commit the fixture is named for)")
+	writeGen1WAL = flag.Bool("write-gen1-wal", false,
+		"rewrite testdata/gen1_wal from the current code (meaningful only at a generation-1 commit, and only deliberately)")
+)
 
-const parentWALDir = "testdata/parent_wal"
+const (
+	parentWALDir = "testdata/parent_wal"
+	gen1WALDir   = "testdata/gen1_wal"
+)
 
 // parentSessions are the fixture's sessions. 3-D box, 6 design points, then
 // model-based asks with three proposals kept outstanding, so every ask past
@@ -47,6 +66,10 @@ var parentSessions = []struct {
 		Surrogate: "features",
 	}, 12, wal.Options{Fsync: wal.PolicyAlways, CompactEvery: -1}},
 }
+
+// inFlight is how many proposals a fixture session had outstanding when its
+// daemon stopped: run keeps three out, and stops on a tell.
+const inFlight = 2
 
 func parentObjective(x []float64) float64 {
 	return -(x[0]-0.3)*(x[0]-0.3) - 0.5*(x[1]+0.2)*(x[1]+0.2) - 0.1*(x[2]-3)*(x[2]-3)
@@ -119,29 +142,123 @@ func (d *daemon) run(id string, tells int) serve.Status {
 	return st
 }
 
-func TestRecoverAcceptsParentCommitWAL(t *testing.T) {
-	if *writeParentWAL {
-		if err := os.RemoveAll(parentWALDir); err != nil {
+// writeFixture runs the fixture's sessions on a fresh daemon each and stops
+// them mid-run.
+func writeFixture(t *testing.T, dir string) {
+	t.Helper()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range parentSessions {
+		d := startDaemon(t, filepath.Join(dir, s.id), s.policy)
+		d.call("POST", "/sessions", createRequest{s.id, s.cfg}, nil)
+		d.run(s.id, s.tells)
+		d.stop()
+		// The store's lock file is process state, not part of the record.
+		if err := os.Remove(filepath.Join(dir, s.id, "sessions", s.id, "LOCK")); err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range parentSessions {
-			d := startDaemon(t, filepath.Join(parentWALDir, s.id), s.policy)
-			d.call("POST", "/sessions", createRequest{s.id, s.cfg}, nil)
-			d.run(s.id, s.tells)
-			d.stop()
-		}
 	}
+}
 
+// audit is easybod -verify on one session directory.
+func audit(t *testing.T, dir string) serve.SessionRecovery {
+	t.Helper()
+	sessions, err := wal.ReadAll(dir)
+	if err != nil || len(sessions) != 1 {
+		t.Fatalf("reading %s: %d sessions, %v", dir, len(sessions), err)
+	}
+	rec, err := serve.Audit(sessions[0])
+	if err != nil {
+		t.Fatalf("audit of %s: %v", dir, err)
+	}
+	return rec
+}
+
+// TestRecoverAcceptsParentCommitWAL: the PR 12 log under a generation-1
+// build. No quarantine; every model-based ask counted as generation 0, on the
+// report, on the daemon's totals and by the offline audit (which therefore
+// does not pass); every acknowledged tell present, bit for bit; and the run
+// the recovered session continues stays in the box and ends on its budget.
+func TestRecoverAcceptsParentCommitWAL(t *testing.T) {
+	if *writeParentWAL {
+		writeFixture(t, parentWALDir)
+	}
 	for _, s := range parentSessions {
 		t.Run(s.id, func(t *testing.T) {
 			// Recovery takes the store's lock and may prune; work on a copy.
 			dir := t.TempDir()
 			copyTree(t, dir, filepath.Join(parentWALDir, s.id))
+			modelAsks := s.tells + inFlight - s.cfg.InitPoints
+			if rec := audit(t, dir); rec.AsksUnverified != modelAsks || rec.UnverifiedGen != 0 {
+				t.Fatalf("audit: %d asks unverifiable (generation %d), the log holds %d model-based asks of generation 0",
+					rec.AsksUnverified, rec.UnverifiedGen, modelAsks)
+			}
 			d := startDaemon(t, dir, s.policy)
 			defer d.stop()
 			if len(d.report.Quarantined) != 0 || !reflect.DeepEqual(d.report.Recovered, []string{s.id}) {
 				t.Fatalf("recovery of the parent commit's log: recovered %v, quarantined %v",
 					d.report.Recovered, d.report.Quarantined)
+			}
+			rec := d.report.Sessions[0]
+			if rec.Mode != serve.RecoverFull || rec.AsksUnverified != modelAsks || rec.UnverifiedGen != 0 || rec.AsksRederived != 0 {
+				t.Fatalf("recovered as %+v, want a full replay with all %d model-based asks unverified (generation 0)", rec, modelAsks)
+			}
+			if tot := d.sv.RecoveryTotals(); tot.AsksUnverified != int64(modelAsks) {
+				t.Fatalf("recovery totals %+v, want %d asks unverified", tot, modelAsks)
+			}
+			var mid serve.Status
+			d.call("GET", "/sessions/"+s.id, nil, &mid)
+			if len(mid.Records) != s.tells || len(mid.Outstanding) != inFlight {
+				t.Fatalf("recovered with %d records and %d proposals in flight, the log acknowledged %d tells with %d in flight",
+					len(mid.Records), len(mid.Outstanding), s.tells, inFlight)
+			}
+			for i, r := range mid.Records {
+				if r.ID != i || math.Float64bits(r.Y) != math.Float64bits(parentObjective(r.X)) {
+					t.Fatalf("record %d came back as %+v", i, r)
+				}
+			}
+			got := d.run(s.id, -1)
+			if !got.Done || len(got.Records) != s.cfg.MaxEvals || got.Launched != s.cfg.MaxEvals {
+				t.Fatalf("recovered session stopped at %d records of %d launched, done=%v", len(got.Records), got.Launched, got.Done)
+			}
+			if !reflect.DeepEqual(got.Records[:s.tells], mid.Records) {
+				t.Fatal("continuing the run rewrote recovered records")
+			}
+			for _, r := range got.Records {
+				for j, v := range r.X {
+					if !(v >= s.cfg.Lo[j] && v <= s.cfg.Hi[j]) {
+						t.Fatalf("record %d left the box: %v", r.ID, r.X)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRecoverGen1WAL is the bitwise cross-version pin (see the fixtures'
+// comment): the generation-1 log recovers from its checkpoints with every
+// derived ask equal to the record, nothing unverified, the audit passing from
+// the first event, and finishes exactly as a run that never stopped.
+func TestRecoverGen1WAL(t *testing.T) {
+	if *writeGen1WAL {
+		writeFixture(t, gen1WALDir)
+	}
+	for _, s := range parentSessions {
+		t.Run(s.id, func(t *testing.T) {
+			dir := t.TempDir()
+			copyTree(t, dir, filepath.Join(gen1WALDir, s.id))
+			if rec := audit(t, dir); rec.AsksUnverified != 0 || rec.AsksRederived != s.tells+inFlight {
+				t.Fatalf("audit: %+v, want all %d asks re-derived", rec, s.tells+inFlight)
+			}
+			d := startDaemon(t, dir, s.policy)
+			defer d.stop()
+			if len(d.report.Quarantined) != 0 || !reflect.DeepEqual(d.report.Recovered, []string{s.id}) {
+				t.Fatalf("recovery of the generation-1 log: recovered %v, quarantined %v",
+					d.report.Recovered, d.report.Quarantined)
+			}
+			if rec := d.report.Sessions[0]; rec.Mode != serve.RecoverCheckpoint || rec.AsksUnverified != 0 || rec.AsksRederived == 0 {
+				t.Fatalf("recovered as %+v, want a checkpoint replay with asks re-derived and none unverified", rec)
 			}
 			got := d.run(s.id, -1)
 

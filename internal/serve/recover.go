@@ -37,6 +37,10 @@ type RecoveryTotals struct {
 	Full          int64 `json:"recover_full"`           // no checkpoint in the log: replayed in full
 	Fallback      int64 `json:"recover_fallback"`       // checkpoint replay failed, full replay passed
 	AsksRederived int64 `json:"recover_asks_rederived"` // proposals maximized again and compared
+	// AsksUnverified counts the recorded proposals of another proposer
+	// generation (an older build's log), put back as recorded: recovered, and
+	// not checked.
+	AsksUnverified int64 `json:"recover_asks_unverified"`
 }
 
 // Progress is a point-in-time view of a recovery replay, served by /readyz
@@ -71,6 +75,8 @@ func (sv *Server) RecoveryTotals() RecoveryTotals {
 		Full:          sv.recFull.Load(),
 		Fallback:      sv.recFallback.Load(),
 		AsksRederived: sv.recRederived.Load(),
+
+		AsksUnverified: sv.recUnverified.Load(),
 	}
 }
 
@@ -85,6 +91,7 @@ func (sv *Server) noteRecovery(rec SessionRecovery) {
 		sv.recFull.Add(1)
 	}
 	sv.recRederived.Add(int64(rec.AsksRederived))
+	sv.recUnverified.Add(int64(rec.AsksUnverified))
 }
 
 // Recover loads every persisted session from the store, rebuilds its state

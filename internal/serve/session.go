@@ -27,7 +27,8 @@ import (
 //
 // Rng and Ckpt are what lets recovery start from the middle of the log
 // instead of its beginning (see session.replay). Both are additive: a log
-// written before they existed simply has neither and is replayed in full.
+// written before they existed simply has neither and is replayed in full. So
+// is Gen, which says whether replay can derive an ask again at all.
 type Event struct {
 	Kind string    `json:"kind"`
 	ID   int       `json:"id"`            // proposal id (asks; tells that referenced one, else -1)
@@ -50,6 +51,15 @@ type Event struct {
 	// Ckpt is set on an ask whose surrogate refresh trained hyperparameters
 	// from scratch: the state that training started from.
 	Ckpt *Checkpoint `json:"ckpt,omitempty"`
+	// Gen is the proposer generation of the build that derived this ask
+	// (core.ProposerGeneration; asks only). A log from before generations
+	// were recorded has none, which reads as 0 — the simplex proposer those
+	// builds had. Replay derives an ask again, and holds the record to the
+	// result, only when the generation is its own; an ask of any other is
+	// put back as recorded and reported as unverified (session.replay). Like
+	// Ckpt it describes the run rather than feeding it, so chainSum leaves it
+	// out and the chains of older logs hash as they always did.
+	Gen int `json:"gen,omitempty"`
 }
 
 // Checkpoint is everything an ask read that is not in the events before it:
@@ -87,9 +97,9 @@ func (ck *Checkpoint) equal(o *Checkpoint) bool {
 
 // chainSum folds one event into the session's running hash over the fields
 // replay consumes, the variable-length ones behind their length so that
-// neighbouring fields cannot trade bytes. Ckpt is left out — it describes
-// the replayed state rather than feeding it, and the audit compares it
-// directly. The chain is a consistency check on a log whose frames already
+// neighbouring fields cannot trade bytes. Ckpt and Gen are left out — they
+// describe the replayed state rather than feeding it, and the audit reads
+// them directly. The chain is a consistency check on a log whose frames already
 // carry CRCs, not a defence against someone who can rewrite both; it runs on
 // every live event, so it mixes a 64-bit word at a time (the FNV-1a step
 // widened from bytes to words, with a fold so high bits reach low ones).
@@ -603,7 +613,7 @@ func (s *session) ask(ik string) (Ask, commitTicket, error) {
 		}
 		return Ask{Status: AskWait}, commitTicket{}, nil
 	}
-	ev := Event{Kind: "ask", ID: p.ID, X: p.X, IK: ik, Rng: s.src.Pos(), Ckpt: ck}
+	ev := Event{Kind: "ask", ID: p.ID, X: p.X, IK: ik, Rng: s.src.Pos(), Ckpt: ck, Gen: core.ProposerGeneration}
 	if err := s.logAppend(ev); err != nil {
 		return Ask{}, commitTicket{}, err
 	}

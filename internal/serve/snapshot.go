@@ -93,6 +93,12 @@ type SessionRecovery struct {
 	// AsksRederived counts the asks whose proposal was maximized again and
 	// compared with the record.
 	AsksRederived int `json:"asks_rederived"`
+	// AsksUnverified counts the model-based asks written by a build of
+	// another proposer generation (UnverifiedGen is the first one's): this
+	// build cannot derive them, so they were put back as recorded. They are
+	// neither a divergence nor a pass — the record was trusted, not checked.
+	AsksUnverified int `json:"asks_unverified,omitempty"`
+	UnverifiedGen  int `json:"unverified_gen,omitempty"`
 	// Stale is the first rng position or checkpoint in the record that a
 	// full replay did not reproduce ("" when they all agree, and always
 	// after a checkpoint replay, which trusts the ones before its cut).
@@ -174,10 +180,20 @@ func asksToRederive(events []Event, cut int) map[int]bool {
 // comparison checks the restored surrogate, rng and busy set end to end. The
 // other tail asks are reissued and the rng wound to their recorded position.
 //
+// An ask stamped with a proposer generation other than this build's
+// (Event.Gen) is never derived, wherever it stands: a different maximizer
+// proposed it, so deriving it again would "diverge" on every healthy log an
+// earlier build wrote. It is put back the way the unpicked tail asks are —
+// reissued with the surrogate refreshed as the live run refreshed it, the rng
+// wound to the recorded position when there is one — and counted in
+// rec.AsksUnverified. With positions recorded the surrogate and the rng then
+// pass through exactly the states they had live, so the asks of this build's
+// own generation further down the same log are still derived and compared.
+//
 // cut == 0 is the full replay, and what a log without checkpoints gets: the
-// model is live from the first event and every ask is re-derived, so a log
-// from a diverging binary (or a tampered one) fails loudly instead of
-// silently continuing a different run. It also recomputes every rng position
+// model is live from the first event and every ask of this generation is
+// re-derived, so a log from a diverging binary (or a tampered one) fails
+// loudly instead of silently continuing a different run. It also recomputes every rng position
 // and checkpoint the log recorded and reports the first that disagrees
 // (rec.Stale). JSON float64 round-trips exactly (encoding/json emits the shortest
 // representation that parses back to the same bits), so the comparisons are
@@ -214,9 +230,15 @@ func (s *session) replay(events []Event, cut int, snap *Snapshot, rec *SessionRe
 			switch {
 			case n < cut:
 				p, err = s.at.Reissue(ev.X, false)
-			case rederive != nil && !rederive[ev.ID] && ev.Rng != 0:
-				if p, err = s.at.Reissue(ev.X, true); err == nil {
+			case ev.Gen != core.ProposerGeneration, rederive != nil && !rederive[ev.ID] && ev.Rng != 0:
+				if p, err = s.at.Reissue(ev.X, true); err == nil && ev.Rng != 0 {
 					err = s.seekRng(ev.Rng, limit)
+				}
+				if err == nil && ev.Gen != core.ProposerGeneration && !p.Init && !p.Resubmit {
+					if rec.AsksUnverified == 0 {
+						rec.UnverifiedGen = ev.Gen
+					}
+					rec.AsksUnverified++
 				}
 			default:
 				var ok bool
@@ -444,7 +466,9 @@ func rebuildPersisted(ps PersistedSession) (*session, SessionRecovery, error) {
 // the hash chain over the events. Nothing is written, registered or
 // quarantined. The error is what a recovery would quarantine the session
 // for, or the first stale position or checkpoint, which a recovery only
-// falls back on.
+// falls back on. Asks of another proposer generation are outside what this
+// build can check: with no error, rec.AsksUnverified > 0 means "consistent
+// as far as it could be verified", which is not "verified".
 func Audit(ps PersistedSession) (SessionRecovery, error) {
 	if ps.Corrupt != nil {
 		return SessionRecovery{ID: ps.ID}, fmt.Errorf("corrupt log: %w", ps.Corrupt)

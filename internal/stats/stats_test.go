@@ -207,3 +207,21 @@ func TestSignTest(t *testing.T) {
 		}
 	}
 }
+
+func TestStudentT975(t *testing.T) {
+	// Exact quantiles from the tables.
+	for _, c := range []struct{ df, want, tol float64 }{
+		{2, 4.303, 0.04}, {3, 3.182, 0.01}, {4, 2.776, 0.003}, {8, 2.306, 0.001},
+		{18, 2.101, 0.001}, {1000, 1.962, 0.001},
+	} {
+		if got := StudentT975(c.df); math.Abs(got-c.want) > c.tol*c.want {
+			t.Errorf("StudentT975(%v) = %v, want %v", c.df, got, c.want)
+		}
+	}
+	if !math.IsInf(StudentT975(0), 1) {
+		t.Error("no degrees of freedom must tolerate anything")
+	}
+	if a, b := StudentT975(3.5), StudentT975(4.5); !(a > b && b > 1.96) {
+		t.Errorf("not decreasing toward the normal quantile: %v, %v", a, b)
+	}
+}

@@ -226,12 +226,49 @@ func BenchmarkPredictBatchFeatures(b *testing.B) {
 	benchPredictBatch(b, fm.StandardizedPredictor())
 }
 
-// BenchmarkRefine is one acquisition maximization as an ask runs it — the
-// candidate sweep, then three Nelder–Mead refinements, two thirds of its
-// predictions — on the two model shapes the repo benchmark ends on: the
+// benchPredictGrad measures one value-and-gradient evaluation, the unit the
+// gradient refinement is budgeted in, beside PredictBatch's w=1 row.
+func benchPredictGrad(b *testing.B, p surrogate.Predictor) {
+	b.Helper()
+	qs := benchQueries(64)
+	dmu, dsigma := make([]float64, len(qs[0])), make([]float64, len(qs[0]))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.PredictGrad(qs[i%len(qs)], dmu, dsigma)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/point")
+}
+
+func BenchmarkPredictGradExact(b *testing.B) {
+	x, y, lo, hi := benchData(150)
+	m, err := gp.Train(x, y, lo, hi, nil,
+		&gp.TrainOptions{FixedTheta: benchTheta(), FixedNoise: benchLogNoise})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPredictGrad(b, m.StandardizedPredictor())
+}
+
+func BenchmarkPredictGradFeatures(b *testing.B) {
+	x, y, lo, hi := benchData(500)
+	fm, err := surrogate.FitFeatures(x, y, lo, hi, benchTheta(), benchLogNoise,
+		rand.New(rand.NewSource(1)), surrogate.DefaultFeatures)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchPredictGrad(b, fm.StandardizedPredictor())
+}
+
+// BenchmarkRefine is one acquisition maximization — the candidate sweep, then
+// three refinements — on the two model shapes the repo benchmark ends on: the
 // feature backend at its default basis (serve-model: d = 6, m = 256) and the
-// exact GP at n = 150, d = 10 (bo-opamp). One worker steps the refinements in
-// lockstep, two share three through the queue, three take one each.
+// exact GP at n = 150, d = 10 (bo-opamp). The grad rows are what an ask runs
+// (three Ascents, at most 90 value-and-gradient evaluations); the simplex
+// rows are the derivative-free entry on the same objective (three Nelder–Mead
+// searches of 40·d predictions, what an ask ran before). One worker steps the
+// refinements in lockstep, two share three through the queue, three take one
+// each.
 func BenchmarkRefine(b *testing.B) {
 	x, y, lo, hi := benchData(500)
 	fm, err := surrogate.FitFeatures(x, y, lo, hi, benchTheta(), benchLogNoise,
@@ -255,15 +292,24 @@ func BenchmarkRefine(b *testing.B) {
 		{"exact", surrogate.NewExact(m), lo10, hi10},
 	} {
 		newF := core.AcqObjective(acq.Weighted{W: 0.5}, c.s)
+		valueOnly := func() optimize.BatchObjective { f, _ := newF(); return f }
 		for _, workers := range []int{1, 2, 3} {
-			b.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rng := rand.New(rand.NewSource(int64(i)))
-					optimize.MaximizeParallel(newF, c.lo, c.hi, rng, optimize.MaximizeOptions{Workers: workers})
-				}
-				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/maximization")
-			})
+			opts := optimize.MaximizeOptions{Workers: workers}
+			for _, r := range []struct {
+				name     string
+				maximize func(rng *rand.Rand)
+			}{
+				{"grad", func(rng *rand.Rand) { optimize.MaximizeGrad(newF, c.lo, c.hi, rng, opts) }},
+				{"simplex", func(rng *rand.Rand) { optimize.MaximizeParallel(valueOnly, c.lo, c.hi, rng, opts) }},
+			} {
+				b.Run(fmt.Sprintf("%s/%s/workers=%d", c.name, r.name, workers), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						r.maximize(rand.New(rand.NewSource(int64(i))))
+					}
+					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/maximization")
+				})
+			}
 		}
 	}
 }

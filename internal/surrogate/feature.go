@@ -288,6 +288,53 @@ func (p *featurePredictor) PredictBatch(xs [][]float64, mu, sigma []float64) {
 	}
 }
 
+// PredictGrad implements Predictor. With dφᵢ/dx = −s·sin(wᵢ·x+bᵢ)·wᵢ,
+//
+//	∇µ = Σᵢ w̄ᵢ·dφᵢ/dx,   ∇σ² = 2 Σᵢ γᵢ·dφᵢ/dx,   γ = A⁻¹φ = L⁻ᵀ·L⁻¹φ,
+//
+// one back substitution past what σ costs. The value is PredictBatch's
+// arithmetic on a batch of one.
+func (p *featurePredictor) PredictGrad(x, dmu, dsigma []float64) (mu, sigma float64) {
+	fm := p.fm
+	f := p.features(3)
+	phi, dphi, gamma := f[0], f[1], f[2]
+	fm.basis.PhiGradInto(phi, dphi, fm.scaleInto(p.xs, x))
+	mu = linalg.Dot(phi, fm.wmean)
+	fm.chol.SolveLowerInto(phi, phi) // L⁻¹φ
+	s2 := linalg.Dot(phi, phi)
+	if s2 < 0 {
+		s2 = 0
+	}
+	sigma = math.Sqrt(s2)
+	fm.chol.SolveUpperTInto(gamma, phi)
+
+	inv := 0.0 // ∇σ = ∇σ²/(2σ) = Σ γᵢ·dφᵢ/dx / σ, zero where the posterior is certain
+	if sigma > 1e-12 {
+		inv = 1 / sigma
+	}
+	for i, dp := range dphi {
+		gamma[i] *= dp * inv
+		dphi[i] = dp * fm.wmean[i]
+	}
+	fm.basis.Project(dmu, dphi)
+	fm.basis.Project(dsigma, gamma)
+	ystd := fm.ystd
+	if p.standardized {
+		ystd = 1
+	} else {
+		mu, sigma = mu*fm.ystd+fm.ymean, sigma*fm.ystd
+	}
+	for j := range dmu {
+		span := fm.hi[j] - fm.lo[j]
+		if span <= 0 {
+			span = 1
+		}
+		dmu[j] *= ystd / span
+		dsigma[j] *= ystd / span
+	}
+	return mu, sigma
+}
+
 // PredictMean implements Predictor (skips the triangular solve).
 func (p *featurePredictor) PredictMean(x []float64) float64 {
 	fm := p.fm

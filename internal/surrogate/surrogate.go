@@ -50,6 +50,15 @@ type Predictor interface {
 	PredictBatch(xs [][]float64, mu, sigma []float64)
 	// PredictMean returns only the posterior mean (often cheaper).
 	PredictMean(x []float64) float64
+	// PredictGrad returns the posterior mean and deviation at x — the bits
+	// PredictBatch returns there — and writes their gradients in x into dmu
+	// and dsigma (len(x) each). It costs about two predictions: the
+	// gradient of σ needs K⁻¹k (A⁻¹φ), one more triangular solve than σ
+	// itself. Where the posterior is certain (σ ≤ 1e-12) dsigma is zero.
+	// It is a method of the interface, not an optional one, so that a
+	// Predictor wrapped for tracing or testing forwards it and the wrapped
+	// run proposes the same points.
+	PredictGrad(x, dmu, dsigma []float64) (mu, sigma float64)
 }
 
 // Surrogate is a fitted posterior over the design box. Inputs are raw
