@@ -11,7 +11,7 @@ LOADSESSIONS ?= 8
 LOADWORKERS ?= 1
 LOADP99 ?= 2s
 
-.PHONY: check vet fmt lint loc surface dupes staticcheck build test race cover fuzz-smoke load-smoke bench-smoke bench-check scoreboard bench smoke crash-smoke cluster-smoke
+.PHONY: check vet fmt lint loc surface dupes staticcheck build test race cover fuzz-smoke fuzz-http load-smoke bench-smoke bench-check scoreboard bench smoke crash-smoke cluster-smoke
 
 check: vet fmt lint staticcheck build test race bench-smoke bench-check scoreboard fuzz-smoke load-smoke
 
@@ -75,7 +75,9 @@ test: build
 # runs ten more times, and so does the allocation pin beside it, whose
 # counters the race runtime's own goroutines share. So is what the refinement
 # queue promises (no search unclaimed while a worker is free, the same bits
-# on any schedule, for simplexes and for gradient ascents): twenty.
+# on any schedule, for simplexes and for gradient ascents): twenty. The
+# sweep's floor is per worker, so which candidates skip their solve depends
+# on the schedule of the ranges; that the result does not runs ten more times.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/serve/... \
 		./internal/cluster/... ./internal/loadgen/... \
@@ -83,6 +85,7 @@ race:
 		./cmd/easybo/... ./cmd/easybod/... ./cmd/easyboload/...
 	$(GO) test -race -count 10 -run 'TestReadsShareHistoryWithActor|TestTellCostIndependentOfHistory' ./internal/serve
 	$(GO) test -race -count 20 -run 'TestRefineIsWorkConserving|TestMaximizeParallelDeterministicAcrossWorkers' ./internal/optimize
+	$(GO) test -race -count 10 -run 'TestSweepFloorChangesNothing' ./internal/core
 
 # Coverage with a ratchet: scripts/coverage.sh fails if the durability
 # stack (./internal/serve/...) drops below its recorded floor.
@@ -100,6 +103,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanSessionWithSnapshot$$' -fuzztime $(FUZZTIME) ./internal/serve/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzParseValue$$' -fuzztime $(FUZZTIME) ./internal/circuit
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNetlist$$' -fuzztime $(FUZZTIME) ./internal/circuit
+
+# The HTTP API under arbitrary requests (FuzzHTTP: never a panic, never a 5xx
+# but the documented 503, never a store change behind a 4xx). Its seeds run
+# in every go test; this runs the fuzzer itself, locally — it is not in CI.
+fuzz-http:
+	$(GO) test -run '^$$' -fuzz '^FuzzHTTP$$' -fuzztime 30s ./internal/serve
 
 # Serving-path throughput smoke: first the shed-equivalence test (admission
 # control loses no tells, history bitwise-identical to unthrottled), then a

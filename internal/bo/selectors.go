@@ -2,6 +2,7 @@ package bo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"easybo/internal/acq"
@@ -112,8 +113,10 @@ func (s *phcboSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float
 		x, _ := optimize.MaximizeGrad(func() (optimize.BatchObjective, optimize.GradObjective) {
 			base, baseGrad := weighted()
 			nbuf, pgrad := make([]float64, len(lo)), make([]float64, len(lo))
-			return func(qs [][]float64, vals []float64) {
-					base(qs, vals)
+			// The penalty is not bounded through the posterior's σ: every
+			// point is scored in full.
+			return func(qs [][]float64, vals []float64, _ float64) {
+					base(qs, vals, math.Inf(-1))
 					for k, q := range qs {
 						vals[k] -= pen.Value(normalizeInto(nbuf, q, lo, hi))
 					}

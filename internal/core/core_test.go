@@ -78,7 +78,7 @@ func TestAcqObjectiveMatchesPointwiseAcquisition(t *testing.T) {
 				xs[i] = []float64{rng.Float64(), rng.Float64()}
 			}
 			out := make([]float64, n)
-			f(xs, out)
+			f(xs, out, math.Inf(-1))
 			for i, x := range xs {
 				if want := a.Value(std, x); math.Float64bits(out[i]) != math.Float64bits(want) {
 					t.Fatalf("%s, batch of %d, point %d: objective %v, acquisition %v", a.Name(), n, i, out[i], want)

@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"easybo/internal/acq"
@@ -87,30 +88,90 @@ const ProposerGeneration = 1
 // per point) and evaluates a, unchanged, on each point's fixed (µ, σ); the
 // refinement asks for the posterior's gradient beside them (PredictGrad, the
 // same µ and σ) and chains it through a's two partials.
+//
+// When the sweep passes a floor and a never falls as σ grows
+// (boundedBySigma), the batch objective asks the predictor to skip the
+// solve of every point whose a at (µ, σ̄) — σ̄ the predictor's free upper
+// bound on σ — is already below the floor: its true value a(µ, σ) ≤ a(µ, σ̄)
+// is too, so it scores −Inf. The comparison keeps ties and NaN.
 func AcqObjective(a acq.Func, m surrogate.Surrogate) optimize.GradFactory {
+	bounded := boundedBySigma(a)
 	return func() (optimize.BatchObjective, optimize.GradObjective) {
-		p := m.StandardizedPredictor()
-		var mu, sigma [optimize.MaxBatch]float64
-		var at posteriorAt
-		var dsigma []float64
-		return func(xs [][]float64, out []float64) {
-				p.PredictBatch(xs, mu[:], sigma[:])
-				for i, x := range xs {
-					at.mu, at.sigma = mu[i], sigma[i]
-					out[i] = a.Value(&at, x)
-				}
-			}, func(x, grad []float64) float64 {
-				if dsigma == nil {
-					dsigma = make([]float64, len(x))
-				}
-				at.mu, at.sigma = p.PredictGrad(x, grad, dsigma)
-				dMu, dSigma := a.Partials(at.mu, at.sigma)
-				for j := range grad {
-					grad[j] = dMu*grad[j] + dSigma*dsigma[j]
-				}
-				return a.Value(&at, x)
-			}
+		w := &acqWorker{a: a, p: m.StandardizedPredictor()}
+		if bounded {
+			w.keep = w.reaches
+		}
+		return w.batch, w.grad
 	}
+}
+
+// acqWorker is one worker's AcqObjective: its predictor and every buffer the
+// two objectives share, in one allocation.
+type acqWorker struct {
+	a         acq.Func
+	p         surrogate.Predictor
+	keep      func(mu, sigmaMax float64) bool // reaches when a is bounded by σ, else nil
+	floor     float64                         // of the batch being scored
+	mu, sigma [optimize.MaxBatch]float64
+	at        posteriorAt
+	dsigma    []float64
+}
+
+// batch is the sweep's objective.
+func (w *acqWorker) batch(xs [][]float64, out []float64, floor float64) {
+	var keep func(mu, sigmaMax float64) bool
+	if floor > math.Inf(-1) {
+		w.floor, keep = floor, w.keep
+	}
+	w.p.PredictBatch(xs, w.mu[:], w.sigma[:], keep)
+	for i, x := range xs {
+		if w.sigma[i] < 0 {
+			out[i] = math.Inf(-1)
+			continue
+		}
+		w.at.mu, w.at.sigma = w.mu[i], w.sigma[i]
+		out[i] = w.a.Value(&w.at, x)
+	}
+}
+
+// reaches is the keep of a floored batch: whether a at the deviation's bound
+// reaches the floor. The strict comparison keeps ties and NaN. It borrows
+// w.at, which batch sets only once the predictor is done asking.
+func (w *acqWorker) reaches(mu, sigmaMax float64) bool {
+	w.at.mu, w.at.sigma = mu, sigmaMax
+	return !(w.a.Value(&w.at, nil) < w.floor)
+}
+
+// grad is the refinement's objective.
+func (w *acqWorker) grad(x, grad []float64) float64 {
+	if w.dsigma == nil {
+		w.dsigma = make([]float64, len(x))
+	}
+	w.at.mu, w.at.sigma = w.p.PredictGrad(x, grad, w.dsigma)
+	dMu, dSigma := w.a.Partials(w.at.mu, w.at.sigma)
+	for j := range grad {
+		grad[j] = dMu*grad[j] + dSigma*w.dsigma[j]
+	}
+	return w.a.Value(&w.at, x)
+}
+
+// boundedBySigma reports whether a's value, as computed in floating point,
+// never decreases when σ grows at a fixed µ — what lets a sweep score a point
+// at an upper bound of its deviation and drop it unsolved. (1−w)·µ + w·σ and
+// µ + κ·σ have it for w, κ ≥ 0: rounding is monotone, so a product with a
+// non-negative constant and a sum with a fixed term cannot turn a larger σ
+// into a smaller value. EI and PI go through NormCDF/NormPDF, whose rounding
+// is not shown monotone, so they are scored in full; so is anything else.
+func boundedBySigma(a acq.Func) bool {
+	switch a := a.(type) {
+	case acq.Weighted:
+		return a.W >= 0
+	case acq.UCB:
+		return a.Kappa >= 0
+	case acq.LCB:
+		return a.Kappa >= 0
+	}
+	return false
 }
 
 // posteriorAt is an already-computed prediction presented as the

@@ -61,16 +61,16 @@ func TestGradientRefineBeatsSimplex(t *testing.T) {
 						seed := rng.Int63()
 						_, vSimplex := optimize.MaximizeParallel(func() optimize.BatchObjective {
 							f, _ := newF()
-							return func(xs [][]float64, out []float64) {
+							return func(xs [][]float64, out []float64, floor float64) {
 								nmEvals.Add(int64(len(xs)))
-								f(xs, out)
+								f(xs, out, floor)
 							}
 						}, prob.Lo, prob.Hi, rand.New(rand.NewSource(seed)), optimize.MaximizeOptions{})
 						_, vGrad := optimize.MaximizeGrad(func() (optimize.BatchObjective, optimize.GradObjective) {
 							f, g := newF()
-							return func(xs [][]float64, out []float64) {
+							return func(xs [][]float64, out []float64, floor float64) {
 									sweepEvals.Add(int64(len(xs)))
-									f(xs, out)
+									f(xs, out, floor)
 								}, func(x, grad []float64) float64 {
 									gEvals.Add(1)
 									return g(x, grad)

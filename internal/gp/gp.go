@@ -144,7 +144,7 @@ func (g *GP) Predict(x []float64) (mu, sigma float64) {
 // PredictBatchWith.
 func (g *GP) PredictWith(buf *PredictBuf, x []float64) (mu, sigma float64) {
 	buf.one[0] = x
-	g.PredictBatchWith(buf, buf.one[:], buf.out[:1], buf.out[1:])
+	g.PredictBatchWith(buf, buf.one[:], buf.out[:1], buf.out[1:], nil)
 	return buf.out[0], buf.out[1]
 }
 
@@ -156,27 +156,50 @@ func (g *GP) PredictWith(buf *PredictBuf, x []float64) (mu, sigma float64) {
 // arithmetic is exactly the single-point sequence — kernel vector, mean,
 // solve, variance — so the values are bit-identical to predicting the points
 // one at a time, in any grouping.
-func (g *GP) PredictBatchWith(buf *PredictBuf, xs [][]float64, mu, sigma []float64) {
-	n := g.N()
-	for len(xs) > 0 {
-		w := min(len(xs), linalg.SolveWidth)
-		ks := buf.sized(w, n)
-		for j, k := range ks {
-			for i := 0; i < n; i++ {
-				k[i] = g.kernEval(xs[j], g.X[i])
-			}
-			mu[j] = linalg.Dot(k, g.alpha)
+//
+// keep, when not nil, is asked about each point before its solve, with its
+// mean and sigmaMax = √k(x,x). The variance is that same k(x,x) less a sum of
+// squares, which cannot make it larger under rounding either, so σ ≤ sigmaMax
+// holds in floating point with no margin. A point keep rejects skips the
+// solve and gets sigma −1, which no deviation is; the points it keeps fill the
+// solve groups in order, so each gets the bits it gets with keep nil.
+func (g *GP) PredictBatchWith(buf *PredictBuf, xs [][]float64, mu, sigma []float64, keep func(mu, sigmaMax float64) bool) {
+	ks := buf.sized(min(len(xs), linalg.SolveWidth), g.N())
+	var at [linalg.SolveWidth]int // the point each pending kernel vector is for
+	var kss [linalg.SolveWidth]float64
+	w := 0
+	for i, x := range xs {
+		k := ks[w]
+		for t, xt := range g.X {
+			k[t] = g.kernEval(x, xt)
 		}
-		g.chol.SolveLowerMulti(ks) // v = L⁻¹·ks, in place
-		for j, v := range ks {
-			kss := g.kernEval(xs[j], xs[j])
-			s2 := kss - linalg.Dot(v, v)
-			if s2 < 0 {
-				s2 = 0
-			}
-			sigma[j] = math.Sqrt(s2)
+		mu[i] = linalg.Dot(k, g.alpha)
+		kss[w] = g.kernEval(x, x)
+		if keep != nil && !keep(mu[i], math.Sqrt(kss[w])) {
+			sigma[i] = -1
+			continue
 		}
-		xs, mu, sigma = xs[w:], mu[w:], sigma[w:]
+		at[w] = i
+		if w++; w == len(ks) {
+			g.deviations(ks, at[:], kss[:], sigma)
+			w = 0
+		}
+	}
+	if w > 0 {
+		g.deviations(ks[:w], at[:w], kss[:w], sigma)
+	}
+}
+
+// deviations solves the pending kernel vectors ks in place (v = L⁻¹·k) and
+// writes σ = √(k(x,x) − ‖v‖²) of the point at[j] each is for.
+func (g *GP) deviations(ks [][]float64, at []int, kss []float64, sigma []float64) {
+	g.chol.SolveLowerMulti(ks)
+	for j, v := range ks {
+		s2 := kss[j] - linalg.Dot(v, v)
+		if s2 < 0 {
+			s2 = 0
+		}
+		sigma[at[j]] = math.Sqrt(s2)
 	}
 }
 

@@ -367,13 +367,29 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 			}
 			qs[width/2] = g.X[1] // a training point: the variance cancels to ~0
 			mu, sigma := make([]float64, width), make([]float64, width)
-			g.PredictBatchWith(&buf, qs, mu, sigma)
+			g.PredictBatchWith(&buf, qs, mu, sigma, nil)
+			// A keep that takes every third point: the others skip the
+			// solve, and the kept ones, packed into groups of their own,
+			// must still get the reference bits.
+			asked := 0
+			every3rd := func(float64, float64) bool { asked++; return asked%3 == 1 }
+			kmu, ksigma := make([]float64, width), make([]float64, width)
+			g.PredictBatchWith(&buf, qs, kmu, ksigma, every3rd)
 			for i, xq := range qs {
 				wantMu, wantSigma := reference(xq)
 				if math.Float64bits(mu[i]) != math.Float64bits(wantMu) ||
 					math.Float64bits(sigma[i]) != math.Float64bits(wantSigma) {
 					t.Fatalf("%s width=%d point %d: batch (%v, %v), serial reference (%v, %v)",
 						name, width, i, mu[i], sigma[i], wantMu, wantSigma)
+				}
+				keptSigma := wantSigma
+				if i%3 != 0 {
+					keptSigma = -1
+				}
+				if math.Float64bits(kmu[i]) != math.Float64bits(wantMu) ||
+					math.Float64bits(ksigma[i]) != math.Float64bits(keptSigma) {
+					t.Fatalf("%s width=%d point %d: every third kept (%v, %v), want (%v, %v)",
+						name, width, i, kmu[i], ksigma[i], wantMu, keptSigma)
 				}
 				if oneMu, oneSigma := g.PredictWith(&buf, xq); math.Float64bits(oneMu) != math.Float64bits(wantMu) ||
 					math.Float64bits(oneSigma) != math.Float64bits(wantSigma) {

@@ -13,10 +13,11 @@ import (
 )
 
 // Kernel is a stationary ARD covariance function with hyperparameters stored
-// in log space. Eval and AccumGrad are the pointwise definition; the fitted
-// GP works through evalScaled and accumGradDiff on a prepared distState, which
-// cost one exponential per covariance instead of d+2. The unexported methods
-// close the set: the kernels are the ones in this file.
+// in log space. The fitted GP evaluates it through evalScaled and
+// accumGradDiff on a prepared distState, which cost one exponential per
+// covariance instead of d+2 (the pointwise definition, restated in the tests
+// as refEval and refAccumGrad, is what they are checked against). The
+// unexported methods close the set: the kernels are the ones in this file.
 type Kernel interface {
 	// NumHyper returns the hyperparameter count for input dimension d.
 	NumHyper(d int) int
@@ -25,10 +26,6 @@ type Kernel interface {
 	DefaultTheta(d int) []float64
 	// Bounds returns per-hyperparameter lower and upper bounds (log space).
 	Bounds(d int) (lo, hi []float64)
-	// Eval returns k(a, b | theta).
-	Eval(theta, a, b []float64) float64
-	// AccumGrad adds w·∂k(a,b)/∂θ_j to grad[j] for every hyperparameter j.
-	AccumGrad(theta, a, b []float64, w float64, grad []float64)
 	// Name identifies the kernel in diagnostics.
 	Name() string
 
@@ -80,39 +77,6 @@ func (SEARD) Bounds(d int) (lo, hi []float64) {
 	return lo, hi
 }
 
-// Eval implements Kernel.
-func (SEARD) Eval(theta, a, b []float64) float64 {
-	d := len(a)
-	var s float64
-	for i := 0; i < d; i++ {
-		li := math.Exp(theta[i])
-		r := (a[i] - b[i]) / li
-		s += r * r
-	}
-	sf := math.Exp(theta[d])
-	return sf * sf * math.Exp(-0.5*s)
-}
-
-// AccumGrad implements Kernel.
-// ∂k/∂log l_i = k·(a_i−b_i)²/l_i²;  ∂k/∂log σf = 2k.
-func (SEARD) AccumGrad(theta, a, b []float64, w float64, grad []float64) {
-	d := len(a)
-	var s float64
-	ri2 := make([]float64, d)
-	for i := 0; i < d; i++ {
-		li := math.Exp(theta[i])
-		r := (a[i] - b[i]) / li
-		ri2[i] = r * r
-		s += ri2[i]
-	}
-	sf := math.Exp(theta[d])
-	k := sf * sf * math.Exp(-0.5*s)
-	for i := 0; i < d; i++ {
-		grad[i] += w * k * ri2[i]
-	}
-	grad[d] += w * 2 * k
-}
-
 // Matern52 is the Matérn-5/2 ARD kernel, a common alternative surrogate:
 //
 //	k(a,b) = σf²·(1 + √5·r + 5r²/3)·exp(−√5·r),  r = ‖(a−b)/l‖
@@ -131,48 +95,6 @@ func (Matern52) DefaultTheta(d int) []float64 { return SEARD{}.DefaultTheta(d) }
 
 // Bounds implements Kernel.
 func (Matern52) Bounds(d int) (lo, hi []float64) { return SEARD{}.Bounds(d) }
-
-// Eval implements Kernel.
-func (Matern52) Eval(theta, a, b []float64) float64 {
-	d := len(a)
-	var s float64
-	for i := 0; i < d; i++ {
-		li := math.Exp(theta[i])
-		r := (a[i] - b[i]) / li
-		s += r * r
-	}
-	r := math.Sqrt(s)
-	sf := math.Exp(theta[d])
-	sr5 := math.Sqrt(5) * r
-	return sf * sf * (1 + sr5 + 5*s/3) * math.Exp(-sr5)
-}
-
-// AccumGrad implements Kernel.
-func (Matern52) AccumGrad(theta, a, b []float64, w float64, grad []float64) {
-	d := len(a)
-	var s float64
-	ri2 := make([]float64, d)
-	for i := 0; i < d; i++ {
-		li := math.Exp(theta[i])
-		r := (a[i] - b[i]) / li
-		ri2[i] = r * r
-		s += ri2[i]
-	}
-	r := math.Sqrt(s)
-	sf := math.Exp(theta[d])
-	sf2 := sf * sf
-	sr5 := math.Sqrt(5) * r
-	e := math.Exp(-sr5)
-	k := sf2 * (1 + sr5 + 5*s/3) * e
-	// dk/dr² where r² = s: k = sf²(1+√5 r+5r²/3)e^{−√5 r}
-	// dk/ds = sf²·e·(−5/6)·(1+√5r)   [standard Matérn-5/2 identity]
-	// and ∂s/∂log l_i = −2·ri2[i]  →  ∂k/∂log l_i = (5/3)·sf²·e·(1+√5r)·ri2[i]
-	dk := (5.0 / 3.0) * sf2 * e * (1 + sr5) / 2 // per unit of ri2, × 2 below
-	for i := 0; i < d; i++ {
-		grad[i] += w * 2 * dk * ri2[i]
-	}
-	grad[d] += w * 2 * k
-}
 
 // distState caches the theta-derived quantities every pairwise evaluation of
 // a stationary ARD kernel needs: the inverse squared lengthscales and the

@@ -27,10 +27,10 @@ func TestLeaveOneOutAnalyticTwoPoints(t *testing.T) {
 	res := g.LeaveOneOut()
 
 	k := SEARD{}
-	k12 := k.Eval(theta, x[0], x[1])
+	k12 := refEval(k, theta, x[0], x[1])
 	noise2 := math.Exp(2 * logNoise)
-	k11 := k.Eval(theta, x[0], x[0]) + noise2
-	k22 := k.Eval(theta, x[1], x[1]) + noise2
+	k11 := refEval(k, theta, x[0], x[0]) + noise2
+	k22 := refEval(k, theta, x[1], x[1]) + noise2
 
 	wantMu := []float64{k12 / k22 * y[1], k12 / k11 * y[0]}
 	wantS2 := []float64{k11 - k12*k12/k22, k22 - k12*k12/k11}

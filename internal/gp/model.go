@@ -168,10 +168,8 @@ func (m *Model) Extend(x [][]float64, y []float64) (*Model, error) {
 type Predictor struct {
 	m            *Model
 	standardized bool
-	buf          PredictBuf
+	buf          PredictBuf  // its one and out serve the predictor's single-point calls too
 	scaled       [][]float64 // unit-cube images of a batch's points
-	one          [1][]float64
-	out          [2]float64
 }
 
 // Predictor returns a raw-unit prediction context.
@@ -212,16 +210,23 @@ func (p *Predictor) scale(xs [][]float64) [][]float64 {
 // in raw or standardized output units per the predictor's view. It is
 // PredictBatch on a batch of one.
 func (p *Predictor) Predict(x []float64) (mu, sigma float64) {
-	p.one[0] = x
-	p.PredictBatch(p.one[:], p.out[:1], p.out[1:])
-	return p.out[0], p.out[1]
+	b := &p.buf
+	b.one[0] = x
+	p.PredictBatch(b.one[:], b.out[:1], b.out[1:], nil)
+	return b.out[0], b.out[1]
 }
 
 // PredictBatch writes the posterior mean and deviation at every raw point
-// xs[i] into mu[i] and sigma[i], bit-identical to Predict(xs[i]) (see
-// GP.PredictBatchWith).
-func (p *Predictor) PredictBatch(xs [][]float64, mu, sigma []float64) {
-	p.m.gp.PredictBatchWith(&p.buf, p.scale(xs), mu, sigma)
+// xs[i] into mu[i] and sigma[i], bit-identical to Predict(xs[i]); keep, in
+// the predictor's output units, may reject a point before its solve (see
+// GP.PredictBatchWith), which leaves its sigma negative.
+func (p *Predictor) PredictBatch(xs [][]float64, mu, sigma []float64, keep func(mu, sigmaMax float64) bool) {
+	if keep != nil && !p.standardized {
+		// Asked in raw units; scaling by ystd > 0 keeps σ ≤ sigmaMax.
+		rawKeep, ystd, ymean := keep, p.m.ystd, p.m.ymean
+		keep = func(mu, sigmaMax float64) bool { return rawKeep(mu*ystd+ymean, sigmaMax*ystd) }
+	}
+	p.m.gp.PredictBatchWith(&p.buf, p.scale(xs), mu, sigma, keep)
 	if p.standardized {
 		return
 	}
@@ -237,8 +242,8 @@ func (p *Predictor) PredictBatch(xs [][]float64, mu, sigma []float64) {
 // GP.PredictGradWith), in the predictor's output units.
 func (p *Predictor) PredictGrad(x, dmu, dsigma []float64) (mu, sigma float64) {
 	m := p.m
-	p.one[0] = x
-	mu, sigma = m.gp.PredictGradWith(&p.buf, p.scale(p.one[:])[0], dmu, dsigma)
+	p.buf.one[0] = x
+	mu, sigma = m.gp.PredictGradWith(&p.buf, p.scale(p.buf.one[:])[0], dmu, dsigma)
 	ystd := m.ystd
 	if p.standardized {
 		ystd = 1
@@ -258,8 +263,8 @@ func (p *Predictor) PredictGrad(x, dmu, dsigma []float64) (mu, sigma float64) {
 
 // PredictMean returns only the posterior mean at the raw point x.
 func (p *Predictor) PredictMean(x []float64) float64 {
-	p.one[0] = x
-	mu := p.m.gp.PredictMean(p.scale(p.one[:])[0])
+	p.buf.one[0] = x
+	mu := p.m.gp.PredictMean(p.scale(p.buf.one[:])[0])
 	if p.standardized {
 		return mu
 	}

@@ -161,7 +161,7 @@ func TestRFFPhiApproximatesKernel(t *testing.T) {
 		for i := range pa {
 			dot += pa[i] * pb[i]
 		}
-		want := k.Eval(theta, a, b)
+		want := refEval(k, theta, a, b)
 		// Monte-Carlo error of the feature expansion is O(1/√m).
 		if e := math.Abs(dot - want); e > 0.08 {
 			t.Fatalf("trial %d: φ(a)·φ(b) = %v, k(a,b) = %v (err %v)", trial, dot, want, e)

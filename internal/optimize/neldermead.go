@@ -38,16 +38,24 @@ type Objective func(x []float64) float64
 const MaxBatch = 16
 
 // BatchObjective scores xs[i] into out[i] for every i; len(xs) == len(out)
-// and is at most MaxBatch. Each out[i] must depend on xs[i] alone and equal,
-// bit for bit, what a call with that single point returns: the maximizer
-// regroups points freely (by worker count, by which simplexes are still
-// running) and promises the same result for every grouping. It must not
-// retain xs.
-type BatchObjective func(xs [][]float64, out []float64)
+// and is at most MaxBatch. Each out[i] must depend on xs[i] and floor alone
+// and equal, bit for bit, what a call with that single point and floor
+// returns: the maximizer regroups points freely (by worker count, by which
+// searches are still running) and promises the same result for every
+// grouping. It must not retain xs.
+//
+// floor says which values the caller has no use for: an objective that can
+// show, before paying for it, that a point's value is strictly below floor
+// may score it −Inf; every other point it scores exactly. −Inf asks for every
+// value, and an objective is free to ignore floor (Each does). Only the
+// candidate sweep passes a finite floor, below which a candidate cannot be
+// among those it refines.
+type BatchObjective func(xs [][]float64, out []float64, floor float64)
 
-// Each adapts a scalar objective to the batch signature, one call per point.
+// Each adapts a scalar objective to the batch signature, one call per point;
+// it scores every point, whatever the floor.
 func Each(f Objective) BatchObjective {
-	return func(xs [][]float64, out []float64) {
+	return func(xs [][]float64, out []float64, _ float64) {
 		for i, x := range xs {
 			out[i] = f(x)
 		}

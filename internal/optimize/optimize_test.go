@@ -155,7 +155,11 @@ func TestDERespectsBounds(t *testing.T) {
 // count decides how candidates are chunked and how the refinement runs — all
 // searches in lockstep on one worker, handed between workers a quantum at a
 // time when they outnumber them, one each when they do not — and none of it
-// may show: same point, same value, same number of evaluations. The simplex
+// may show: same point, same value, same number of evaluations. The batch
+// objective honors the sweep's floor — a candidate below it scores −Inf —
+// and since each worker floors its own range with its own running k-th best,
+// which candidates are skipped depends on the worker count; the result may
+// not. The simplex
 // budget is not a multiple of the quantum and the objective is capped just
 // under its peak, so the simplexes stop at different times and for both
 // reasons: the five starts take 48, 46, 75, 52 and 69 evaluations — Tol on
@@ -193,10 +197,11 @@ func TestMaximizeParallelDeterministicAcrossWorkers(t *testing.T) {
 		for _, refineN := range []int{1, 3, 5} {
 			var refX []float64
 			refV, refEvals := 0.0, int64(0)
+			skippedBy := map[int64]bool{} // skip counts seen across worker counts
 			for _, workers := range []int{1, 2, 3, 4, 7, 16} {
 				var filled atomic.Bool // some call carried a full MaxBatch
-				var evals atomic.Int64
-				batch := func(xs [][]float64, out []float64) {
+				var evals, skipped atomic.Int64
+				batch := func(xs [][]float64, out []float64, floor float64) {
 					if len(xs) == 0 || len(xs) > MaxBatch || len(xs) != len(out) {
 						t.Errorf("workers=%d: batch of %d points into %d values", workers, len(xs), len(out))
 					}
@@ -205,7 +210,10 @@ func TestMaximizeParallelDeterministicAcrossWorkers(t *testing.T) {
 					}
 					evals.Add(int64(len(xs)))
 					for i, x := range xs {
-						out[i] = fg(x, nil)
+						if out[i] = fg(x, nil); out[i] < floor {
+							out[i] = math.Inf(-1)
+							skipped.Add(1)
+						}
 					}
 				}
 				rng := rand.New(rand.NewSource(42))
@@ -222,6 +230,7 @@ func TestMaximizeParallelDeterministicAcrossWorkers(t *testing.T) {
 						}
 					}, lo, hi, rng, opts)
 				}
+				skippedBy[skipped.Load()] = true
 				if workers == 1 {
 					if !filled.Load() {
 						t.Fatal("serial sweep never filled a batch")
@@ -241,6 +250,9 @@ func TestMaximizeParallelDeterministicAcrossWorkers(t *testing.T) {
 						t.Fatalf("%s: x[%d] = %v != reference %v", what, i, x[i], refX[i])
 					}
 				}
+			}
+			if len(skippedBy) < 2 { // two counts differ, so one is not zero
+				t.Fatalf("%s refine=%d: skip counts %v across worker counts: the floor went untested", kind, refineN, skippedBy)
 			}
 			budget := refineEval
 			if kind == "grad" {
@@ -308,7 +320,7 @@ func TestRefineIsWorkConserving(t *testing.T) {
 		}
 	}
 	var first sync.Once
-	blocker := func(xs [][]float64, out []float64) {
+	blocker := func(xs [][]float64, out []float64, _ float64) {
 		first.Do(func() {
 			held.Store(int32(owner(xs[0])))
 			close(blocked)
@@ -316,7 +328,7 @@ func TestRefineIsWorkConserving(t *testing.T) {
 		})
 		score(xs, out)
 	}
-	other := func(xs [][]float64, out []float64) {
+	other := func(xs [][]float64, out []float64, _ float64) {
 		<-blocked
 		score(xs, out)
 		select {
@@ -337,7 +349,7 @@ func TestRefineIsWorkConserving(t *testing.T) {
 	go func() {
 		defer close(returned)
 		fs := []BatchObjective{blocker, other}
-		refine(len(fs), starts, refineQuantum, func(w int, _ []*Simplex, xs [][]float64, out []float64) { fs[w](xs, out) })
+		refine(len(fs), starts, refineQuantum, func(w int, _ []*Simplex, xs [][]float64, out []float64) { fs[w](xs, out, math.Inf(-1)) })
 	}()
 	select {
 	case <-othersDone:
@@ -397,7 +409,7 @@ func TestSweepRanksLikeASort(t *testing.T) {
 			opts.resolve(len(lo))
 			var pts [][]float64 // in candidate order: one worker scores them in order
 			sw := sweep(lo, hi, rand.New(rand.NewSource(seed)), opts, 1, func(int) BatchObjective {
-				return func(xs [][]float64, out []float64) {
+				return func(xs [][]float64, out []float64, _ float64) {
 					pts = append(pts, xs...)
 					for i, x := range xs {
 						out[i] = quantized(x)

@@ -35,7 +35,9 @@ type ObjectiveFactory func() BatchObjective
 // BatchObjective scores each point independently of its batch, so neither
 // the worker count, nor the grouping it induces, nor which worker advances
 // which search when can change a value — the result is bit-identical for
-// any worker count, including 1, and any schedule.
+// any worker count, including 1, and any schedule. The floor a sweep call
+// carries does depend on the worker's range, but it only decides which
+// candidates that cannot be refined go unscored.
 func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, opts MaximizeOptions) ([]float64, float64) {
 	workers := opts.resolve(len(lo))
 	// Worker w builds fs[w] in the sweep and keeps it for the refinement.
@@ -49,7 +51,7 @@ func MaximizeParallel(newF ObjectiveFactory, lo, hi []float64, rng *rand.Rand, o
 		starts[r] = NewSimplex(x0, lo, hi, NelderMeadOptions{MaxEvals: opts.RefineEval})
 	}
 	refine(workers, starts, refineQuantum, func(w int, _ []*Simplex, xs [][]float64, vals []float64) {
-		evalChunked(fs[w], xs, vals)
+		evalChunked(fs[w], xs, vals, 0)
 	})
 	return best(sw, starts)
 }
@@ -109,14 +111,15 @@ type swept struct {
 }
 
 // sweep draws the Latin-hypercube candidates, scores them on workers
-// goroutines — newF(w) builds worker w's objective on worker w's goroutine —
-// and ranks them. opts has been resolved.
+// goroutines — newF(w) builds worker w's objective on worker w's goroutine,
+// and each worker floors its calls at its own range's Refine-th best
+// (evalChunked) — and ranks them. opts has been resolved.
 func sweep(lo, hi []float64, rng *rand.Rand, opts MaximizeOptions, workers int, newF func(w int) BatchObjective) swept {
 	pts := stats.LatinHypercubeIn(rng, opts.Candidates, lo, hi)
 	vals := make([]float64, len(pts))
 	fanOut(workers, func(w int) {
 		from, to := w*len(pts)/workers, (w+1)*len(pts)/workers
-		evalChunked(newF(w), pts[from:to], vals[from:to])
+		evalChunked(newF(w), pts[from:to], vals[from:to], opts.Refine)
 	})
 
 	// The Refine best candidates, best first, an equal value ranking by
@@ -185,14 +188,42 @@ func fanOut(n int, body func(w int)) {
 	wg.Wait()
 }
 
-// evalChunked scores xs into out, at most MaxBatch points per call of f.
-func evalChunked(f BatchObjective, xs [][]float64, out []float64) {
-	for len(xs) > MaxBatch {
-		f(xs[:MaxBatch], out[:MaxBatch])
-		xs, out = xs[MaxBatch:], out[MaxBatch:]
+// evalChunked scores xs into out, MaxBatch points per call of f. With
+// keep = 0 every call asks for every value. The candidate sweep, which ranks
+// its keep best, passes keep > 0 for each worker's contiguous range, and
+// each call gets the keep-th best value the range has scored so far as its
+// floor (−Inf until keep values are in): a candidate below it cannot be among
+// the keep best of the sweep, since keep candidates of this range are at
+// least the floor and have lower indices, which win ties. So whatever f
+// scores it — its value or the −Inf f may put there instead — the ranking
+// takes the same candidates. NaN and −Inf never raise the floor.
+func evalChunked(f BatchObjective, xs [][]float64, out []float64, keep int) {
+	var stack [8]float64 // no allocation at the Refine counts in use
+	best := stack[:0]    // the keep best values so far, descending
+	if keep > len(stack) {
+		best = make([]float64, 0, keep)
 	}
-	if len(xs) > 0 {
-		f(xs, out)
+	for len(best) < keep {
+		best = append(best, math.Inf(-1))
+	}
+	floor := math.Inf(-1)
+	for len(xs) > 0 {
+		c := min(len(xs), MaxBatch)
+		if keep > 0 {
+			floor = best[keep-1]
+		}
+		f(xs[:c], out[:c], floor)
+		for _, v := range out[:c] {
+			j := keep
+			for j > 0 && v > best[j-1] {
+				j--
+			}
+			if j < keep {
+				copy(best[j+1:], best[j:keep-1])
+				best[j] = v
+			}
+		}
+		xs, out = xs[c:], out[c:]
 	}
 }
 

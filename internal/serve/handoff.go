@@ -200,6 +200,12 @@ func (sv *Server) InstallSnapshot(snap Snapshot) (Status, error) {
 	if err := ValidateSessionID(snap.ID); err != nil {
 		return Status{}, badRequest(err)
 	}
+	// A config no create would accept is the sender's error, not a replay
+	// failure: check it on a copy, the replay runs on the recorded one.
+	cfg := snap.Config
+	if err := cfg.normalize(); err != nil {
+		return Status{}, badRequest(fmt.Errorf("serve: snapshot config: %w", err))
+	}
 	if reason, ok := sv.quarantineReason(snap.ID); ok {
 		return Status{}, fmt.Errorf("%w: %q (%s)", ErrSessionQuarantined, snap.ID, reason)
 	}

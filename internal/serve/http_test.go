@@ -76,6 +76,10 @@ func TestHTTPRoutingEdgeCases(t *testing.T) {
 		{"tell trailing value", http.MethodPost, "/sessions/edge/tell", []byte(`{"x":[0.5,0.5],"y":2}{}`), http.StatusBadRequest},
 		{"tell trailing brace", http.MethodPost, "/sessions/edge/tell", []byte(`{"x":[0.5,0.5],"y":2}}`), http.StatusBadRequest},
 		{"create trailing garbage", http.MethodPost, "/sessions", []byte(`{"id":"tail","lo":[0],"hi":[1]} x`), http.StatusBadRequest},
+		// A snapshot whose config no create would accept is the sender's
+		// error (FuzzHTTP found it answering 500).
+		{"restore degenerate bounds", http.MethodPost, "/sessions/restore",
+			[]byte(`{"version":1,"id":"rb","config":{"lo":[0],"hi":[-0]},"events":[]}`), http.StatusBadRequest},
 	}
 
 	for _, tc := range cases {

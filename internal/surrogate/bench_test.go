@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"easybo/internal/acq"
@@ -195,7 +196,7 @@ func benchPredictBatch(b *testing.B, p surrogate.Predictor) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				at := i * w % (len(qs) - w + 1)
-				p.PredictBatch(qs[at:at+w], mu, sigma)
+				p.PredictBatch(qs[at:at+w], mu, sigma, nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(w), "ns/point")
 		})
@@ -260,6 +261,35 @@ func BenchmarkPredictGradFeatures(b *testing.B) {
 	benchPredictGrad(b, fm.StandardizedPredictor())
 }
 
+// solveCounter wraps a surrogate so that a benchmark can count, of the
+// points its standardized predictors are asked for in batches, how many went
+// through the triangular solve — the rest a keep turned away.
+type solveCounter struct {
+	surrogate.Surrogate
+	asked, solved *atomic.Int64
+}
+
+func (s solveCounter) StandardizedPredictor() surrogate.Predictor {
+	return countingPredictor{s.Surrogate.StandardizedPredictor(), s}
+}
+
+type countingPredictor struct {
+	surrogate.Predictor
+	c solveCounter
+}
+
+func (p countingPredictor) PredictBatch(xs [][]float64, mu, sigma []float64, keep func(mu, sigmaMax float64) bool) {
+	p.Predictor.PredictBatch(xs, mu, sigma, keep)
+	solved := 0
+	for _, s := range sigma[:len(xs)] {
+		if s >= 0 {
+			solved++
+		}
+	}
+	p.c.asked.Add(int64(len(xs)))
+	p.c.solved.Add(int64(solved))
+}
+
 // BenchmarkRefine is one acquisition maximization — the candidate sweep, then
 // three refinements — on the two model shapes the repo benchmark ends on: the
 // feature backend at its default basis (serve-model: d = 6, m = 256) and the
@@ -268,7 +298,11 @@ func BenchmarkPredictGradFeatures(b *testing.B) {
 // rows are the derivative-free entry on the same objective (three Nelder–Mead
 // searches of 40·d predictions, what an ask ran before). One worker steps the
 // refinements in lockstep, two share three through the queue, three take one
-// each.
+// each. The grad rows also report how many of the sweep's candidates paid
+// for a solve (solved/op) and what share of the sweep that is: the rest the
+// floor ruled out on their mean and the bound on their deviation. (In a grad
+// row every batch prediction is the sweep's; a simplex row's refinement
+// predicts in batches too, so it reports no share.)
 func BenchmarkRefine(b *testing.B) {
 	x, y, lo, hi := benchData(500)
 	fm, err := surrogate.FitFeatures(x, y, lo, hi, benchTheta(), benchLogNoise,
@@ -291,7 +325,8 @@ func BenchmarkRefine(b *testing.B) {
 		{"features", fm, lo, hi},
 		{"exact", surrogate.NewExact(m), lo10, hi10},
 	} {
-		newF := core.AcqObjective(acq.Weighted{W: 0.5}, c.s)
+		var asked, solved atomic.Int64
+		newF := core.AcqObjective(acq.Weighted{W: 0.5}, solveCounter{c.s, &asked, &solved})
 		valueOnly := func() optimize.BatchObjective { f, _ := newF(); return f }
 		for _, workers := range []int{1, 2, 3} {
 			opts := optimize.MaximizeOptions{Workers: workers}
@@ -304,10 +339,16 @@ func BenchmarkRefine(b *testing.B) {
 			} {
 				b.Run(fmt.Sprintf("%s/%s/workers=%d", c.name, r.name, workers), func(b *testing.B) {
 					b.ReportAllocs()
+					asked.Store(0)
+					solved.Store(0)
 					for i := 0; i < b.N; i++ {
 						r.maximize(rand.New(rand.NewSource(int64(i))))
 					}
 					b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/maximization")
+					if r.name == "grad" {
+						b.ReportMetric(float64(solved.Load())/float64(b.N), "solved/op")
+						b.ReportMetric(float64(solved.Load())/float64(asked.Load()), "solved-share")
+					}
 				})
 			}
 		}

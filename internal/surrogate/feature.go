@@ -253,9 +253,17 @@ func (p *featurePredictor) features(w int) [][]float64 {
 // Predict implements Predictor as PredictBatch on a batch of one.
 func (p *featurePredictor) Predict(x []float64) (mu, sigma float64) {
 	p.one[0] = x
-	p.PredictBatch(p.one[:], p.out[:1], p.out[1:])
+	p.PredictBatch(p.one[:], p.out[:1], p.out[1:], nil)
 	return p.out[0], p.out[1]
 }
+
+// sigmaMargin widens the feature backend's deviation bound ‖φ‖ by enough to
+// cover the rounding of the solve that σ = ‖L⁻¹φ‖ goes through: A = I +
+// ΦᵀΦ/σn² ⪰ I makes σ ≤ ‖φ‖ exact only in exact arithmetic. Where the noise
+// swamps the data, A ≈ I and TestPredictBatchKeep sees σ/‖φ‖ reach
+// 1 + 4.4e-16 — past 1, so a margin is needed, and 2⁻²⁰ ≈ 9.5e-7 is nine
+// orders of magnitude more than that (DESIGN.md §10.1).
+const sigmaMargin = 1 + 0x1p-20
 
 // PredictBatch implements Predictor. σ² = φᵀA⁻¹φ = ‖L⁻¹φ‖² costs a forward
 // substitution over the m×m factor — m²/2 multiply-subtracts, whatever n is —
@@ -263,29 +271,54 @@ func (p *featurePredictor) Predict(x []float64) (mu, sigma float64) {
 // keeps four or more dependency chains in flight at every width, a batch of
 // one included. Each point's arithmetic is the single-point sequence
 // (features, mean, solve, norm), so the values do not depend on the grouping.
-func (p *featurePredictor) PredictBatch(xs [][]float64, mu, sigma []float64) {
+// keep is asked before the solve with sigmaMax = ‖φ‖·sigmaMargin, one O(m)
+// dot product; a point it rejects skips the solve and gets a negative sigma.
+func (p *featurePredictor) PredictBatch(xs [][]float64, mu, sigma []float64, keep func(mu, sigmaMax float64) bool) {
 	fm := p.fm
-	for len(xs) > 0 {
-		w := min(len(xs), linalg.SolveWidth)
-		phi := p.features(w)
-		for j, f := range phi {
-			fm.basis.PhiInto(f, fm.scaleInto(p.xs, xs[j]))
-			mu[j] = linalg.Dot(f, fm.wmean)
+	phi := p.features(min(len(xs), linalg.SolveWidth))
+	var at [linalg.SolveWidth]int // the point each pending feature vector is for
+	w := 0
+	for i, x := range xs {
+		f := phi[w]
+		fm.basis.PhiInto(f, fm.scaleInto(p.xs, x))
+		mu[i] = linalg.Dot(f, fm.wmean)
+		if !p.standardized {
+			mu[i] = mu[i]*fm.ystd + fm.ymean
 		}
-		fm.chol.SolveLowerMulti(phi) // L⁻¹φ, in place
-		for j, v := range phi {
-			s2 := linalg.Dot(v, v)
-			if s2 < 0 {
-				s2 = 0
-			}
-			sigma[j] = math.Sqrt(s2)
-			if !p.standardized {
-				mu[j] = mu[j]*fm.ystd + fm.ymean
-				sigma[j] *= fm.ystd
-			}
+		if keep != nil && !keep(mu[i], p.unscale(math.Sqrt(linalg.Dot(f, f))*sigmaMargin)) {
+			sigma[i] = -1
+			continue
 		}
-		xs, mu, sigma = xs[w:], mu[w:], sigma[w:]
+		at[w] = i
+		if w++; w == len(phi) {
+			p.deviations(phi, at[:], sigma)
+			w = 0
+		}
 	}
+	if w > 0 {
+		p.deviations(phi[:w], at[:w], sigma)
+	}
+}
+
+// deviations solves the pending feature vectors in place (L⁻¹φ) and writes
+// σ = ‖L⁻¹φ‖ of the point at[j] each is for.
+func (p *featurePredictor) deviations(phi [][]float64, at []int, sigma []float64) {
+	p.fm.chol.SolveLowerMulti(phi)
+	for j, v := range phi {
+		s2 := linalg.Dot(v, v)
+		if s2 < 0 {
+			s2 = 0
+		}
+		sigma[at[j]] = p.unscale(math.Sqrt(s2))
+	}
+}
+
+// unscale puts a standardized deviation into the predictor's output units.
+func (p *featurePredictor) unscale(sigma float64) float64 {
+	if p.standardized {
+		return sigma
+	}
+	return sigma * p.fm.ystd
 }
 
 // PredictGrad implements Predictor. With dφᵢ/dx = −s·sin(wᵢ·x+bᵢ)·wᵢ,

@@ -91,7 +91,7 @@ func TestPredictGradMatchesDifferences(t *testing.T) {
 			for _, x := range points {
 				mu, sigma := p.PredictGrad(x, dmu, dsigma)
 				var wantMu, wantSigma [1]float64
-				ref.PredictBatch([][]float64{x}, wantMu[:], wantSigma[:])
+				ref.PredictBatch([][]float64{x}, wantMu[:], wantSigma[:], nil)
 				if math.Float64bits(mu) != math.Float64bits(wantMu[0]) || math.Float64bits(sigma) != math.Float64bits(wantSigma[0]) {
 					t.Fatalf("%s std=%v at %v: PredictGrad returned (%x, %x), PredictBatch (%x, %x)", name, std, x,
 						math.Float64bits(mu), math.Float64bits(sigma), math.Float64bits(wantMu[0]), math.Float64bits(wantSigma[0]))

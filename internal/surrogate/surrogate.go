@@ -40,14 +40,23 @@ import (
 // whether it is predicted alone, first in a batch or last, and whatever else
 // is in the batch. Implementations get this by construction — Predict is
 // PredictBatch on a batch of one, and the batch kernel gives every point its
-// own accumulators and the single-point operation order.
+// own accumulators and the single-point operation order. The same contract
+// lets a batch skip the solve of points its caller has no use for: the points
+// left fill the solve groups and get the bits they would get anyway.
 type Predictor interface {
 	// Predict returns the posterior mean and standard deviation at x.
 	Predict(x []float64) (mu, sigma float64)
 	// PredictBatch writes the posterior mean and deviation at xs[i] into
 	// mu[i] and sigma[i], for any number of points; mu and sigma are at
-	// least as long as xs. It does not retain xs.
-	PredictBatch(xs [][]float64, mu, sigma []float64)
+	// least as long as xs. It does not retain xs or keep.
+	//
+	// keep, when not nil, is asked about every point, in order, once its
+	// mean is known and before its deviation is paid for, with an upper
+	// bound on that deviation which costs nothing more: σ ≤ sigmaMax holds
+	// in floating point. A point keep rejects gets a negative sigma, which no
+	// deviation is; every other point gets the bits it gets with keep nil.
+	// nil keeps every point.
+	PredictBatch(xs [][]float64, mu, sigma []float64, keep func(mu, sigmaMax float64) bool)
 	// PredictMean returns only the posterior mean (often cheaper).
 	PredictMean(x []float64) float64
 	// PredictGrad returns the posterior mean and deviation at x — the bits
