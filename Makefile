@@ -78,9 +78,12 @@ test: build
 # on any schedule, for simplexes and for gradient ascents): twenty. The
 # sweep's floor is per worker, so which candidates skip their solve depends
 # on the schedule of the ranges; that the result does not runs ten more times.
+# The surrogate package spawns nothing, but every goroutine above reads one
+# fitted model through predictors of its own: its test of that contract
+# (TestOneModelServesConcurrentReaders) runs here too.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/serve/... \
-		./internal/cluster/... ./internal/loadgen/... \
+		./internal/cluster/... ./internal/loadgen/... ./internal/surrogate/... \
 		./internal/circuit/... ./internal/optimize/... ./internal/harness/... \
 		./cmd/easybo/... ./cmd/easybod/... ./cmd/easyboload/...
 	$(GO) test -race -count 10 -run 'TestReadsShareHistoryWithActor|TestTellCostIndependentOfHistory' ./internal/serve

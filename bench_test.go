@@ -15,8 +15,17 @@ import (
 	"easybo/internal/gp"
 	"easybo/internal/harness"
 	"easybo/internal/objective"
+	"easybo/internal/surrogate"
 	"easybo/internal/testbench"
 )
+
+// trainExact fits the exact GP with a marginal-likelihood search of iters
+// Adam steps on rng.
+func trainExact(x [][]float64, y, lo, hi []float64, rng *rand.Rand, iters int) (*surrogate.Exact, error) {
+	return surrogate.NewExact(x, y, lo, hi, func(xs [][]float64, ys []float64) (*gp.GP, error) {
+		return gp.FitHyper(gp.SEARD{}, xs, ys, rng, &gp.FitOptions{Iters: iters})
+	})
+}
 
 // benchSpec builds a reduced harness spec so a single benchmark iteration
 // stays in the seconds range.
@@ -197,15 +206,16 @@ func BenchmarkGPFitPredict(b *testing.B) {
 	q := make([]float64, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := gp.Train(x, y, lo, hi, rng, &gp.TrainOptions{Fit: &gp.FitOptions{Iters: 10}})
+		m, err := trainExact(x, y, lo, hi, rng, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
+		p := m.Predictor()
 		for k := 0; k < 100; k++ {
 			for j := range q {
 				q[j] = rng.Float64()
 			}
-			m.Predict(q)
+			p.Predict(q)
 		}
 	}
 }
@@ -459,7 +469,7 @@ func BenchmarkHallucinate(b *testing.B) {
 		hi[i] = 1
 	}
 	rng := rand.New(rand.NewSource(3))
-	m, err := gp.Train(x, y, lo, hi, rng, &gp.TrainOptions{Fit: &gp.FitOptions{Iters: 10}})
+	m, err := trainExact(x, y, lo, hi, rng, 10)
 	if err != nil {
 		b.Fatal(err)
 	}

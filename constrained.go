@@ -113,22 +113,27 @@ func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*Co
 	// surfaces are usually sharp near their boundary, which is exactly where
 	// the feature expansion is weakest, so backend selection is not offered
 	// here.
+	train := func(y []float64, iters int) (surrogate.Surrogate, error) {
+		m, err := surrogate.NewExact(obsX, y, p.Lo, p.Hi, func(xs [][]float64, ys []float64) (*gp.GP, error) {
+			return gp.FitHyper(gp.SEARD{}, xs, ys, rng, &gp.FitOptions{Iters: iters, Restarts: 1})
+		})
+		if err != nil {
+			return nil, err
+		}
+		return m, nil
+	}
 	trainAll := func() (surrogate.Surrogate, []surrogate.Surrogate, error) {
-		objM, err := gp.Train(obsX, obsY, p.Lo, p.Hi, rng,
-			&gp.TrainOptions{Fit: &gp.FitOptions{Iters: opts.FitIters, Restarts: 1}})
+		objM, err := train(obsY, opts.FitIters)
 		if err != nil {
 			return nil, nil, err
 		}
 		consM := make([]surrogate.Surrogate, len(constraints))
 		for j := range constraints {
-			cm, err := gp.Train(obsX, obsC[j], p.Lo, p.Hi, rng,
-				&gp.TrainOptions{Fit: &gp.FitOptions{Iters: opts.FitIters / 2, Restarts: 1}})
-			if err != nil {
+			if consM[j], err = train(obsC[j], opts.FitIters/2); err != nil {
 				return nil, nil, err
 			}
-			consM[j] = surrogate.NewExact(cm)
 		}
-		return surrogate.NewExact(objM), consM, nil
+		return objM, consM, nil
 	}
 
 	launched, completed := 0, 0

@@ -74,8 +74,9 @@
 // # Choosing a surrogate backend
 //
 // Options.Surrogate selects the model behind the optimization
-// (internal/surrogate is the model-agnostic layer every consumer goes
-// through):
+// (internal/surrogate is the model layer every consumer goes through; one
+// manager, core.ModelManager, fits it on the hyperparameter cadence and
+// switches backends):
 //
 //   - SurrogateExact is the paper's exact Gaussian process: the highest
 //     fidelity posterior, with O(n³) hyperparameter refits and O(n²)

@@ -27,7 +27,7 @@ var reachKeep = map[string]string{
 	"easybo/internal/linalg.CMatrix.MulVec":          "oracle: TestCLUSolveRoundTrip forms b = A·x with it",
 	"easybo/internal/linalg/sparse.MatrixOf.Zero":    "fixture: the refactor tests restamp one pattern with it",
 	"easybo/internal/gp.GP.LMLGradient":              "oracle: TestFitHyperMatchesReference checks trainWork.gradient against it",
-	"easybo/internal/gp.Model.LeaveOneOut":           "ROADMAP names its consumer: GET /sessions/{id}/diagnostics",
+	"easybo/internal/surrogate.Exact.LeaveOneOut":    "ROADMAP names its consumer: GET /sessions/{id}/diagnostics",
 	"easybo/internal/circuit.Circuit.SetDenseSolver": "reference: the dense MNA path every sparse/dense agreement test switches on",
 	"easybo/internal/testbench.ClassESim.SetDense":   "reference: the same switch, for the class-E testbench goldens",
 	"easybo/internal/testbench.OpAmpSim.SetDense":    "reference: the same switch, for the op-amp testbench goldens",
@@ -289,10 +289,6 @@ func TestNoUnreachableDeclarations(t *testing.T) {
 var optionKeep = map[string]string{
 	"easybo/internal/gp.FitOptions.NoiseLo":               "TestFitHyperMatchesReferenceOnHazards pins the noise against its lower bound",
 	"easybo/internal/gp.FitOptions.NoiseHi":               "the same test, the upper bound",
-	"easybo/internal/gp.TrainOptions.FixedTheta":          "TestTrainFixedTheta and the surrogate benchmarks train without a hyperparameter search",
-	"easybo/internal/gp.TrainOptions.FixedNoise":          "the same tests, the noise beside FixedTheta",
-	"easybo/internal/surrogate.FeatureOptions.HyperEvery": "TestFeatureManagerCadence shortens the hyperparameter cadence to see it fire",
-	"easybo/internal/surrogate.FeatureOptions.Subsample":  "the same test, the hyperfit subsample",
 	"easybo/internal/optimize.NelderMeadOptions.InitStep": "TestNelderMeadReproducesPinnedSequences: the nm_* pins record a small-simplex case",
 	"easybo/internal/optimize.NelderMeadOptions.Tol":      "the same pins, a case that stops on the tolerance",
 	"easybo/internal/optimize.MaximizeOptions.RefineEval": "TestMaximizeParallelDeterministicAcrossWorkers ends the budget inside a quantum",

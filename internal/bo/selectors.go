@@ -1,7 +1,6 @@
 package bo
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -163,13 +162,9 @@ type tsSelector struct {
 const tsFeatures = 400
 
 func (s tsSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64, _ float64, rng *rand.Rand) ([][]float64, error) {
-	sampler, ok := m.(surrogate.Sampler)
-	if !ok {
-		return nil, fmt.Errorf("bo: surrogate backend %T does not support Thompson sampling", m)
-	}
 	out := make([][]float64, 0, b)
 	for i := 0; i < b; i++ {
-		sample, err := sampler.SampleRFF(rng, tsFeatures)
+		sample, err := m.SampleRFF(rng, tsFeatures)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"easybo/internal/gp"
 	"easybo/internal/surrogate"
 )
 
@@ -23,15 +22,15 @@ func constrainedSetup(t *testing.T, rng *rand.Rand) (obj surrogate.Surrogate, co
 		ys = append(ys, x[0])
 		cs = append(cs, x[0]-0.5)
 	}
-	om, err := gp.Train(xs, ys, lo, hi, rng, &gp.TrainOptions{Fit: &gp.FitOptions{Iters: 25}})
+	om, err := trainExact(xs, ys, lo, hi, rng, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := gp.Train(xs, cs, lo, hi, rng, &gp.TrainOptions{Fit: &gp.FitOptions{Iters: 25}})
+	cm, err := trainExact(xs, cs, lo, hi, rng, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return surrogate.NewExact(om), []surrogate.Surrogate{surrogate.NewExact(cm)}, lo, hi
+	return om, []surrogate.Surrogate{cm}, lo, hi
 }
 
 func TestProposeConstrainedRespectsFeasibility(t *testing.T) {

@@ -13,6 +13,14 @@ import (
 	"easybo/internal/surrogate"
 )
 
+// trainExact fits the exact GP with a marginal-likelihood search of iters
+// Adam steps on rng.
+func trainExact(x [][]float64, y, lo, hi []float64, rng *rand.Rand, iters int) (*surrogate.Exact, error) {
+	return surrogate.NewExact(x, y, lo, hi, func(xs [][]float64, ys []float64) (*gp.GP, error) {
+		return gp.FitHyper(gp.SEARD{}, xs, ys, rng, &gp.FitOptions{Iters: iters})
+	})
+}
+
 func trainedModel(t *testing.T, rng *rand.Rand, n int) (surrogate.Surrogate, []float64, []float64) {
 	t.Helper()
 	lo := []float64{0, 0}
@@ -27,11 +35,11 @@ func trainedModel(t *testing.T, rng *rand.Rand, n int) (surrogate.Surrogate, []f
 		xs = append(xs, x)
 		ys = append(ys, f(x))
 	}
-	m, err := gp.Train(xs, ys, lo, hi, rng, &gp.TrainOptions{Fit: &gp.FitOptions{Iters: 20}})
+	m, err := trainExact(xs, ys, lo, hi, rng, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return surrogate.NewExact(m), lo, hi
+	return m, lo, hi
 }
 
 func TestProposeStaysInBox(t *testing.T) {
@@ -169,11 +177,11 @@ func TestAsyncLoopRunsAlgorithm1(t *testing.T) {
 		init = append(init, []float64{rng.Float64(), rng.Float64()})
 	}
 	fit := func(xs [][]float64, ys []float64) (surrogate.Surrogate, error) {
-		m, err := gp.Train(xs, ys, lo, hi, rng, &gp.TrainOptions{Fit: &gp.FitOptions{Iters: 10}})
+		m, err := trainExact(xs, ys, lo, hi, rng, 10)
 		if err != nil {
 			return nil, err
 		}
-		return surrogate.NewExact(m), nil
+		return m, nil
 	}
 	var seen []sched.Result
 	err := runAsync(context.Background(), ex, AskTellConfig{

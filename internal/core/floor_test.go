@@ -41,11 +41,13 @@ func floorPosterior(t *testing.T, rng *rand.Rand, seed int) (surrogate.Surrogate
 	logNoise := []float64{-12, -3, 0, math.Log(1e3), math.Log(1e8)}[rng.Intn(5)]
 	var m surrogate.Surrogate
 	if seed%2 == 0 {
-		em, err := gp.Train(x, y, lo, hi, rng, &gp.TrainOptions{FixedTheta: theta, FixedNoise: logNoise})
+		em, err := surrogate.NewExact(x, y, lo, hi, func(xs [][]float64, ys []float64) (*gp.GP, error) {
+			return gp.Fit(gp.SEARD{}, xs, ys, theta, logNoise)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m = surrogate.NewExact(em)
+		m = em
 	} else {
 		fm, err := surrogate.FitFeatures(x, y, lo, hi, theta, logNoise, rng, 16+rng.Intn(48))
 		if err != nil {

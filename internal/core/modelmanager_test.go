@@ -56,8 +56,8 @@ func TestModelManagerAutoEscalates(t *testing.T) {
 			// Identical rng seeds and identical code path: predictions must
 			// agree to the bit below the threshold.
 			xq := []float64{0.3, 0.7}
-			ma, da := sa.Predict(xq)
-			me, de := se.Predict(xq)
+			ma, da := sa.Predictor().Predict(xq)
+			me, de := se.Predictor().Predict(xq)
 			if math.Float64bits(ma) != math.Float64bits(me) || math.Float64bits(da) != math.Float64bits(de) {
 				t.Fatalf("n=%d: auto and exact posteriors differ below the threshold: (%v,%v) vs (%v,%v)", n, ma, da, me, de)
 			}
@@ -139,5 +139,129 @@ func TestModelManagerRejectsBadConfigs(t *testing.T) {
 		Backend: surrogate.BackendFeatures, Features: 4,
 	}); err == nil {
 		t.Fatal("a sub-minimum feature count must be rejected, not clamped")
+	}
+}
+
+// TestModelManagerFeatureCadence drives the feature backend through an
+// append-only history: it trains from scratch exactly when
+// featureHyperEvery observations have come in since the last training —
+// past featureSubsample of them on a subsample — extends in between, hands
+// back the model it holds while the data is unchanged, and fits.
+func TestModelManagerFeatureCadence(t *testing.T) {
+	lo, hi := []float64{0, 0}, []float64{1, 1}
+	x, y := growData(rand.New(rand.NewSource(17)), 300)
+	mm, err := NewModelManager(lo, hi, rand.New(rand.NewSource(17)), ModelManagerOptions{
+		FitIters: 10, Backend: surrogate.BackendFeatures, Features: 128,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := mm.Hyper(); ok {
+		t.Fatal("Hyper must report not-ok before the first fit")
+	}
+	var last surrogate.Surrogate
+	trainedAt := 0
+	for n := 20; n <= 300; n += 40 {
+		s, err := mm.Fit(x[:n], y[:n])
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if s.N() != n {
+			t.Fatalf("n=%d: surrogate reports N=%d", n, s.N())
+		}
+		if trainedAt == 0 || n-trainedAt >= featureHyperEvery {
+			trainedAt = n
+		}
+		if got := mm.State().LastHyperN; got != trainedAt {
+			t.Fatalf("n=%d: last training at %d, want %d", n, got, trainedAt)
+		}
+		last = s
+	}
+	if trainedAt <= featureSubsample {
+		t.Fatalf("the last training ran at n=%d, not past the subsample bound %d", trainedAt, featureSubsample)
+	}
+	if _, _, ok := mm.Hyper(); !ok {
+		t.Fatal("Hyper must report ok after fitting")
+	}
+	again, err := mm.Fit(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != last {
+		t.Fatal("unchanged dataset must return the cached surrogate")
+	}
+	// The fitted posterior interpolates the smooth target reasonably.
+	var sumSq float64
+	p := last.Predictor()
+	for i := range y {
+		mu, _ := p.Predict(x[i])
+		sumSq += (mu - y[i]) * (mu - y[i])
+	}
+	if rmse := math.Sqrt(sumSq / float64(len(y))); rmse > 0.25 {
+		t.Fatalf("training RMSE %v implausibly large", rmse)
+	}
+}
+
+// TestModelManagerExactBasics runs the exact backend end to end: a fit, its
+// hyperparameters, and a hallucinated view of the model it returns.
+func TestModelManagerExactBasics(t *testing.T) {
+	lo, hi := []float64{0, 0}, []float64{1, 1}
+	x, y := growData(rand.New(rand.NewSource(18)), 30)
+	mm, err := NewModelManager(lo, hi, rand.New(rand.NewSource(18)), ModelManagerOptions{
+		RefitEvery: 5, FitIters: 15, Backend: surrogate.BackendExact,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := mm.Fit(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.N() != 30 {
+		t.Fatalf("N = %d, want 30", s.N())
+	}
+	if _, _, ok := mm.Hyper(); !ok {
+		t.Fatal("Hyper must report ok after fitting")
+	}
+	h, err := s.WithPseudo([][]float64{{0.5, 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.N() != 31 {
+		t.Fatalf("hallucinated N = %d, want 31", h.N())
+	}
+}
+
+// TestModelManagerTrainsAfterRestore: a restored manager has
+// hyperparameters but no model, whatever its cadence says about the next fit
+// being incremental (the live manager got here through an Extend that
+// failed). It must train, warm-started, not extend a model it does not have.
+func TestModelManagerTrainsAfterRestore(t *testing.T) {
+	lo, hi := []float64{0, 0}, []float64{1, 1}
+	x, y := growData(rand.New(rand.NewSource(19)), 30)
+	for _, backend := range []surrogate.Backend{surrogate.BackendExact, surrogate.BackendFeatures} {
+		mm, err := NewModelManager(lo, hi, rand.New(rand.NewSource(19)), ModelManagerOptions{
+			RefitEvery: 5, FitIters: 10, Backend: backend, Features: 32,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mm.Fit(x[:20], y[:20]); err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		st := mm.State()
+		if st.Theta == nil || st.LastHyperN != 20 {
+			t.Fatalf("%s: state after the first fit: %+v", backend, st)
+		}
+		if err := mm.Restore(st); err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		s, err := mm.Fit(x[:22], y[:22]) // two new points: inside both cadences
+		if err != nil {
+			t.Fatalf("%s: fit after restore: %v", backend, err)
+		}
+		if s.N() != 22 || mm.State().LastHyperN != 22 {
+			t.Fatalf("%s: fit after restore did not train from scratch: N=%d, state %+v", backend, s.N(), mm.State())
+		}
 	}
 }

@@ -52,7 +52,7 @@ func TestModelManagerRestoreResumesAtARefit(t *testing.T) {
 					marks = append(marks, mark{n, pre, pos})
 				}
 				for _, q := range xq {
-					mu, sd := m.Predict(q)
+					mu, sd := m.Predictor().Predict(q)
 					want[n] = append(want[n], mu, sd)
 				}
 			}
@@ -79,7 +79,7 @@ func TestModelManagerRestoreResumesAtARefit(t *testing.T) {
 					}
 					var got []float64
 					for _, q := range xq {
-						mu, sd := m.Predict(q)
+						mu, sd := m.Predictor().Predict(q)
 						got = append(got, mu, sd)
 					}
 					if !EqualPoints(got, want[n]) {
@@ -100,17 +100,19 @@ func TestModelManagerRestoreResumesAtARefit(t *testing.T) {
 func TestModelManagerRestoreRejectsImpossibleStates(t *testing.T) {
 	lo, hi := []float64{0, 0}, []float64{1, 1}
 	theta := []float64{0, 0, 0} // SE-ARD over two dimensions
-	ok := surrogate.ManagerState{Theta: theta, LogNoise: -2, LastHyperN: 5}
+	ok := func(active surrogate.Backend) ModelState {
+		return ModelState{Active: active, Theta: theta, LogNoise: -2, LastHyperN: 5}
+	}
 	for name, tc := range map[string]struct {
 		backend surrogate.Backend
 		st      ModelState
 	}{
-		"features into exact":   {surrogate.BackendExact, ModelState{Active: surrogate.BackendFeatures, ManagerState: ok}},
-		"exact into features":   {surrogate.BackendFeatures, ModelState{Active: surrogate.BackendExact, ManagerState: ok}},
-		"unknown backend":       {surrogate.BackendAuto, ModelState{Active: "neural", ManagerState: ok}},
-		"theta too short":       {surrogate.BackendExact, ModelState{Active: surrogate.BackendExact, ManagerState: surrogate.ManagerState{Theta: theta[:1], LastHyperN: 5}}},
-		"trained without theta": {surrogate.BackendFeatures, ModelState{Active: surrogate.BackendFeatures, ManagerState: surrogate.ManagerState{LastHyperN: 5}}},
-		"negative count":        {surrogate.BackendExact, ModelState{Active: surrogate.BackendExact, ManagerState: surrogate.ManagerState{Theta: theta, LastHyperN: -1}}},
+		"features into exact":   {surrogate.BackendExact, ok(surrogate.BackendFeatures)},
+		"exact into features":   {surrogate.BackendFeatures, ok(surrogate.BackendExact)},
+		"unknown backend":       {surrogate.BackendAuto, ok("neural")},
+		"theta too short":       {surrogate.BackendExact, ModelState{Active: surrogate.BackendExact, Theta: theta[:1], LastHyperN: 5}},
+		"trained without theta": {surrogate.BackendFeatures, ModelState{Active: surrogate.BackendFeatures, LastHyperN: 5}},
+		"negative count":        {surrogate.BackendExact, ModelState{Active: surrogate.BackendExact, Theta: theta, LastHyperN: -1}},
 	} {
 		mm, err := NewModelManager(lo, hi, rand.New(rand.NewSource(1)), ModelManagerOptions{Backend: tc.backend})
 		if err != nil {
@@ -120,8 +122,12 @@ func TestModelManagerRestoreRejectsImpossibleStates(t *testing.T) {
 			t.Errorf("%s: restore accepted %+v", name, tc.st)
 		}
 	}
+	matern, _ := NewModelManager(lo, hi, rand.New(rand.NewSource(1)), ModelManagerOptions{Kernel: maternKernel()})
+	if err := matern.Restore(ok(surrogate.BackendFeatures)); err == nil {
+		t.Error("an auto manager on a Matérn kernel, which never escalates, restored past an escalation")
+	}
 	mm, _ := NewModelManager(lo, hi, rand.New(rand.NewSource(1)), ModelManagerOptions{Backend: surrogate.BackendAuto})
-	if err := mm.Restore(ModelState{Active: surrogate.BackendFeatures, ManagerState: ok}); err != nil || mm.Active() != surrogate.BackendFeatures {
+	if err := mm.Restore(ok(surrogate.BackendFeatures)); err != nil || mm.Active() != surrogate.BackendFeatures {
 		t.Fatalf("auto manager restored past its escalation: %v, active %s", err, mm.Active())
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"easybo/internal/gp"
 	"easybo/internal/sched"
 	"easybo/internal/surrogate"
 )
@@ -38,11 +37,11 @@ func asyncFixture(rng *rand.Rand) ([][]float64, []float64, []float64, Fitter) {
 				panic("core: NaN observation reached the surrogate")
 			}
 		}
-		m, err := gp.Train(xs, ys, lo, hi, rand.New(rand.NewSource(9)), &gp.TrainOptions{Fit: &gp.FitOptions{Iters: 10}})
+		m, err := trainExact(xs, ys, lo, hi, rand.New(rand.NewSource(9)), 10)
 		if err != nil {
 			return nil, err
 		}
-		return surrogate.NewExact(m), nil
+		return m, nil
 	}
 	return init, lo, hi, fit
 }

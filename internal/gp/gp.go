@@ -8,9 +8,9 @@ import (
 	"easybo/internal/linalg"
 )
 
-// GP is a fitted Gaussian-process regressor over raw (already normalized)
-// inputs and outputs. Use Model for the user-facing wrapper that handles
-// input/output scaling.
+// GP is a fitted Gaussian-process regressor over inputs and outputs taken
+// as given — in practice the unit cube and standardized outputs that
+// surrogate.Exact maps raw units into.
 type GP struct {
 	Kern     Kernel
 	X        [][]float64
@@ -116,8 +116,6 @@ func (g *GP) Dim() int { return len(g.X[0]) }
 type PredictBuf struct {
 	flat []float64
 	ks   [linalg.SolveWidth][]float64
-	one  [1][]float64 // the single-point call's batch of one
-	out  [2]float64   // and its (mu, sigma)
 }
 
 // sized returns w kernel vectors of length n.
@@ -131,31 +129,15 @@ func (b *PredictBuf) sized(w, n int) [][]float64 {
 	return b.ks[:w]
 }
 
-// Predict returns the posterior mean and standard deviation at x
-// (paper Eq. (2)). The returned deviation excludes observation noise
-// (it is the deviation of the latent function).
-func (g *GP) Predict(x []float64) (mu, sigma float64) {
-	var buf PredictBuf
-	return g.PredictWith(&buf, x)
-}
-
-// PredictWith is Predict reusing caller-provided scratch: zero allocations
-// once the buf has grown to the training-set size. It is the batch of one of
-// PredictBatchWith.
-func (g *GP) PredictWith(buf *PredictBuf, x []float64) (mu, sigma float64) {
-	buf.one[0] = x
-	g.PredictBatchWith(buf, buf.one[:], buf.out[:1], buf.out[1:], nil)
-	return buf.out[0], buf.out[1]
-}
-
-// PredictBatchWith predicts at every xs[i] into mu[i] and sigma[i]. The
-// deviation needs v = L⁻¹·k(x), a forward substitution whose every row is a
-// floating-point dependency chain; linalg.SolveWidth points go through the
-// factor together and the solve interleaves their chains — a lone point's
-// rows with one another — so no width runs at add latency. Each point's
-// arithmetic is exactly the single-point sequence — kernel vector, mean,
-// solve, variance — so the values are bit-identical to predicting the points
-// one at a time, in any grouping.
+// PredictBatchWith predicts at every xs[i] into mu[i] and sigma[i] (paper
+// Eq. (2); the deviation is the latent function's, without the observation
+// noise). The deviation needs v = L⁻¹·k(x), a forward substitution whose
+// every row is a floating-point dependency chain; linalg.SolveWidth points
+// go through the factor together and the solve interleaves their chains — a
+// lone point's rows with one another — so no width runs at add latency.
+// Each point's arithmetic is exactly the single-point sequence — kernel
+// vector, mean, solve, variance — so the values are bit-identical to
+// predicting the points one at a time, in any grouping.
 //
 // keep, when not nil, is asked about each point before its solve, with its
 // mean and sigmaMax = √k(x,x). The variance is that same k(x,x) less a sum of

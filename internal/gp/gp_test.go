@@ -55,6 +55,15 @@ func refAccumGrad(k Kernel, theta, a, b []float64, w float64, grad []float64) {
 	grad[d] += w * 2 * kv
 }
 
+// Predict is PredictBatchWith on a batch of one, on scratch of its own: the
+// tests' way to ask a GP for one posterior.
+func (g *GP) Predict(x []float64) (mu, sigma float64) {
+	var buf PredictBuf
+	var out [2]float64
+	g.PredictBatchWith(&buf, [][]float64{x}, out[:1], out[1:], nil)
+	return out[0], out[1]
+}
+
 func trainData(rng *rand.Rand, n, d int, f func([]float64) float64) ([][]float64, []float64) {
 	x := make([][]float64, n)
 	y := make([]float64, n)
@@ -359,129 +368,5 @@ func TestWithPseudoShrinksSigmaKeepsMean(t *testing.T) {
 	g3, err := g.WithPseudo(nil, nil)
 	if err != nil || g3 != g {
 		t.Fatal("empty pseudo set should be a no-op")
-	}
-}
-
-func TestModelScalingRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	// Raw inputs in a wildly scaled box; outputs with large offset.
-	lo := []float64{-1000, 1e-9}
-	hi := []float64{1000, 1e-6}
-	f := func(v []float64) float64 { return 500 + v[0]/100 + v[1]*1e7 }
-	n := 20
-	x := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = []float64{lo[0] + rng.Float64()*(hi[0]-lo[0]), lo[1] + rng.Float64()*(hi[1]-lo[1])}
-		y[i] = f(x[i])
-	}
-	m, err := Train(x, y, lo, hi, rng, &TrainOptions{Fit: &FitOptions{Iters: 40}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Prediction at training points should be close in raw units.
-	var worst float64
-	for i := range x {
-		mu, _ := m.Predict(x[i])
-		if e := math.Abs(mu - y[i]); e > worst {
-			worst = e
-		}
-	}
-	spread := 20.0 // output range ≈ [490, 520]
-	if worst > 0.2*spread {
-		t.Fatalf("poor fit in raw units: worst error %v", worst)
-	}
-	if m.N() != n {
-		t.Fatalf("N = %d", m.N())
-	}
-	if len(m.Theta()) != (SEARD{}).NumHyper(2) {
-		t.Fatal("Theta length wrong")
-	}
-}
-
-func TestModelWithPseudo(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	lo := []float64{0, 0}
-	hi := []float64{10, 10}
-	x := [][]float64{{1, 1}, {5, 5}, {9, 9}, {2, 8}, {8, 2}}
-	y := []float64{1, 5, 9, 5, 5}
-	m, err := Train(x, y, lo, hi, rng, &TrainOptions{Fit: &FitOptions{Iters: 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	busy := [][]float64{{5, 1}}
-	m2, err := m.WithPseudo(busy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, s1 := m.Predict(busy[0])
-	_, s2 := m2.Predict(busy[0])
-	if s2 >= s1 {
-		t.Fatalf("pseudo point did not reduce deviation: %v -> %v", s1, s2)
-	}
-	mu1 := m.PredictMean([]float64{3, 3})
-	mu2 := m2.PredictMean([]float64{3, 3})
-	if math.Abs(mu1-mu2) > 1e-6*(1+math.Abs(mu1)) {
-		t.Fatalf("pseudo point changed the mean: %v -> %v", mu1, mu2)
-	}
-}
-
-func TestTrainErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	if _, err := Train(nil, nil, nil, nil, rng, nil); err == nil {
-		t.Fatal("empty training must fail")
-	}
-	if _, err := Train([][]float64{{1, 2}}, []float64{1}, []float64{0}, []float64{1}, rng, nil); err == nil {
-		t.Fatal("bounds mismatch must fail")
-	}
-}
-
-func TestTrainConstantOutputs(t *testing.T) {
-	// Degenerate: all observations identical. Must not blow up (ystd guard).
-	rng := rand.New(rand.NewSource(12))
-	x := [][]float64{{0.1}, {0.5}, {0.9}}
-	y := []float64{3, 3, 3}
-	m, err := Train(x, y, []float64{0}, []float64{1}, rng, &TrainOptions{Fit: &FitOptions{Iters: 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu, sigma := m.Predict([]float64{0.3})
-	if math.IsNaN(mu) || math.IsNaN(sigma) {
-		t.Fatal("NaN prediction on constant data")
-	}
-	if math.Abs(mu-3) > 0.5 {
-		t.Fatalf("constant-data mean should be ≈3, got %v", mu)
-	}
-}
-
-func TestTrainFixedTheta(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	x := [][]float64{{0.1}, {0.5}, {0.9}}
-	y := []float64{1, 2, 3}
-	theta := SEARD{}.DefaultTheta(1)
-	m, err := Train(x, y, []float64{0}, []float64{1}, rng,
-		&TrainOptions{FixedTheta: theta, FixedNoise: math.Log(1e-3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.Theta()
-	for i := range theta {
-		if got[i] != theta[i] {
-			t.Fatal("FixedTheta not respected")
-		}
-	}
-	if m.LogNoise() != math.Log(1e-3) {
-		t.Fatal("FixedNoise not respected")
-	}
-}
-
-func TestTrainRejectsNonFiniteObservations(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	x := [][]float64{{0.1}, {0.5}, {0.9}}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		y := []float64{1, bad, 3}
-		if _, err := Train(x, y, []float64{0}, []float64{1}, rng, nil); err == nil {
-			t.Fatalf("non-finite observation %v must be rejected", bad)
-		}
 	}
 }

@@ -155,109 +155,47 @@ func TestWithPseudoMatchesBatchFit(t *testing.T) {
 	checkPosteriorEqual(t, rng, inc, batch, d, 1e-9, "with-pseudo")
 }
 
-// TestWithPseudoTargetsArePredictedMeans pins the hallucination targets: the
-// pseudo-observation at each of five busy points is, bit for bit, the mean
-// Predict reports there. Model.WithPseudo takes it from PredictMean (no σ, no
-// forward solve), which sums k(x, Xᵢ)·αᵢ in Dot's order — on a fitted GP and
-// on an already-extended one, for both kernels.
+// TestWithPseudoTargetsArePredictedMeans pins what hallucination relies on:
+// PredictMean (no σ, no forward solve), from which surrogate.Exact takes the
+// pseudo-target at each busy point, sums k(x, Xᵢ)·αᵢ in Dot's order, so the
+// target is, bit for bit, the mean Predict reports there — at five busy
+// points, one of them a training point, on a fitted GP and on an already
+// hallucinated one, for both kernels.
 func TestWithPseudoTargetsArePredictedMeans(t *testing.T) {
 	for _, kern := range []Kernel{SEARD{}, Matern52{}} {
 		rng := rand.New(rand.NewSource(301))
 		d, n := 6, 40
-		lo, hi := make([]float64, d), make([]float64, d)
-		for i := range hi {
-			lo[i], hi[i] = -2, 3
-		}
-		x, y := trainData(rng, n, d, func(v []float64) float64 { return 1e3 * (math.Sin(4*v[0]) + v[1]*v[2] - v[5]) })
-		for _, xi := range x {
-			for j := range xi {
-				xi[j] = lo[j] + xi[j]*(hi[j]-lo[j])
-			}
-		}
-		m, err := Train(x, y, lo, hi, rng, &TrainOptions{Kernel: kern, Fit: &FitOptions{Iters: 15}})
+		x, y := trainData(rng, n, d, func(v []float64) float64 { return math.Sin(4*v[0]) + v[1]*v[2] - v[5] })
+		g, err := FitHyper(kern, x, y, rng, &FitOptions{Iters: 15})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for round := 0; round < 2; round++ { // round 1 hallucinates on a hallucinated model
-			busy := make([][]float64, 5)
-			for i := range busy {
-				busy[i] = make([]float64, d)
-				for j := range busy[i] {
-					busy[i][j] = lo[j] + rng.Float64()*(hi[j]-lo[j])
-				}
-			}
+		for round := 0; round < 2; round++ { // round 1 hallucinates on a hallucinated GP
+			busy, _ := trainData(rng, 5, d, func([]float64) float64 { return 0 })
 			busy[4] = x[7] // a training point: a mean far from the prior's
-			h, err := m.WithPseudo(busy)
+			targets := make([]float64, len(busy))
+			for i, b := range busy {
+				targets[i] = g.PredictMean(b)
+			}
+			h, err := g.WithPseudo(busy, targets)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, b := range busy {
-				want, _ := m.gp.Predict(m.scale(b))
-				mean := m.gp.PredictMean(m.scale(b))
-				got := h.gp.Y[m.N()+i]
-				if math.Float64bits(mean) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s round %d busy %d: Predict mean %x, PredictMean %x, pseudo-target %x", kern.Name(), round, i,
-						math.Float64bits(want), math.Float64bits(mean), math.Float64bits(got))
+				want, _ := g.Predict(b)
+				if got := h.Y[g.N()+i]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s round %d busy %d: Predict mean %x, pseudo-target %x", kern.Name(), round, i,
+						math.Float64bits(want), math.Float64bits(got))
 				}
 			}
-			m = h
+			g = h
 		}
 	}
 }
 
-// TestModelExtendMatchesPredictions checks the raw-unit wrapper: extending a
-// model keeps hyperparameters and standardization frozen, so predictions
-// must match a gp-level batch fit mapped through the same constants.
-func TestModelExtendMatchesPredictions(t *testing.T) {
-	rng := rand.New(rand.NewSource(400))
-	lo := []float64{-5, 0}
-	hi := []float64{5, 10}
-	n, k := 20, 4
-	x := make([][]float64, n+k)
-	y := make([]float64, n+k)
-	for i := range x {
-		x[i] = []float64{lo[0] + rng.Float64()*10, hi[1] * rng.Float64()}
-		y[i] = 100 + x[i][0]*x[i][1]
-	}
-	m, err := Train(x[:n], y[:n], lo, hi, rng, &TrainOptions{Fit: &FitOptions{Iters: 20}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := m.Extend(x[n:], y[n:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.N() != n || ext.N() != n+k {
-		t.Fatalf("sizes: base %d ext %d", m.N(), ext.N())
-	}
-	// Same data refit with the frozen hyperparameters and the SAME
-	// standardization constants: Train would re-standardize, so compare
-	// against a manual gp.Fit through the model's own scaling.
-	batchGP, err := Fit(m.Kern, ext.gp.X, ext.gp.Y, m.Theta(), m.LogNoise())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < 20; q++ {
-		xq := []float64{lo[0] + rng.Float64()*10, hi[1] * rng.Float64()}
-		mu1, s1 := ext.Predict(xq)
-		mu2, s2 := batchGP.Predict(ext.scaledQuery(xq))
-		mu2 = mu2*ext.ystd + ext.ymean
-		s2 *= ext.ystd
-		if math.Abs(mu1-mu2) > 1e-9*(1+math.Abs(mu1)) || math.Abs(s1-s2) > 1e-9*(1+s1) {
-			t.Fatalf("model extend mismatch: (%v,%v) vs (%v,%v)", mu1, s1, mu2, s2)
-		}
-	}
-	// NaN observations must be rejected.
-	if _, err := m.Extend([][]float64{{0, 0}}, []float64{math.NaN()}); err == nil {
-		t.Fatal("NaN observation must be rejected")
-	}
-}
-
-// scaledQuery exposes input scaling for the white-box equivalence test.
-func (m *Model) scaledQuery(x []float64) []float64 { return m.scale(x) }
-
-// TestPredictWithMatchesPredict pins the scratch-based prediction variants
-// and the Predictor wrapper to the allocating originals.
+// TestPredictWithMatchesPredict pins prediction on reused scratch — one
+// PredictBuf through batches of every width, grown and shrunk — to a fresh
+// buffer per point, and PredictMean to Predict's mean.
 func TestPredictWithMatchesPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(500))
 	for _, kern := range []Kernel{SEARD{}, Matern52{}} {
@@ -268,51 +206,19 @@ func TestPredictWithMatchesPredict(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf PredictBuf
-		for q := 0; q < 20; q++ {
-			xq := make([]float64, d)
-			for j := range xq {
-				xq[j] = rng.Float64()
+		for q := 1; q <= 20; q++ {
+			xs, _ := trainData(rng, 1+q%7, d, func([]float64) float64 { return 0 })
+			mu, sigma := make([]float64, len(xs)), make([]float64, len(xs))
+			g.PredictBatchWith(&buf, xs, mu, sigma, nil)
+			for i, xq := range xs {
+				mu1, s1 := g.Predict(xq)
+				if mu1 != mu[i] || s1 != sigma[i] {
+					t.Fatalf("%s: reused scratch (%v,%v), fresh (%v,%v)", kern.Name(), mu[i], sigma[i], mu1, s1)
+				}
+				if mu3 := g.PredictMean(xq); math.Abs(mu3-mu1) > 1e-12*(1+math.Abs(mu1)) {
+					t.Fatalf("%s: PredictMean differs: %v vs %v", kern.Name(), mu3, mu1)
+				}
 			}
-			mu1, s1 := g.Predict(xq)
-			mu2, s2 := g.PredictWith(&buf, xq)
-			if mu1 != mu2 || s1 != s2 {
-				t.Fatalf("%s: PredictWith differs: (%v,%v) vs (%v,%v)", kern.Name(), mu1, s1, mu2, s2)
-			}
-			if mu3 := g.PredictMean(xq); math.Abs(mu3-mu1) > 1e-12*(1+math.Abs(mu1)) {
-				t.Fatalf("%s: PredictMean differs: %v vs %v", kern.Name(), mu3, mu1)
-			}
-		}
-	}
-
-	// Model-level predictors, raw and standardized views.
-	lo := []float64{0, 0, 0}
-	hi := []float64{1, 2, 3}
-	x := make([][]float64, 15)
-	y := make([]float64, 15)
-	for i := range x {
-		x[i] = []float64{rng.Float64(), 2 * rng.Float64(), 3 * rng.Float64()}
-		y[i] = 10 + x[i][0] + x[i][1]*x[i][2]
-	}
-	m, err := Train(x, y, lo, hi, rng, &TrainOptions{Fit: &FitOptions{Iters: 15}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := m.Predictor()
-	ps := m.StandardizedPredictor()
-	for q := 0; q < 20; q++ {
-		xq := []float64{rng.Float64(), 2 * rng.Float64(), 3 * rng.Float64()}
-		mu1, s1 := m.Predict(xq)
-		mu2, s2 := pr.Predict(xq)
-		if mu1 != mu2 || s1 != s2 {
-			t.Fatalf("Predictor differs: (%v,%v) vs (%v,%v)", mu1, s1, mu2, s2)
-		}
-		if pm := pr.PredictMean(xq); math.Abs(pm-m.PredictMean(xq)) > 1e-12*(1+math.Abs(pm)) {
-			t.Fatalf("Predictor mean differs")
-		}
-		mu3, s3 := m.gp.Predict(m.scaledQuery(xq))
-		mu4, s4 := ps.Predict(xq)
-		if mu3 != mu4 || s3 != s4 {
-			t.Fatalf("StandardizedPredictor differs: (%v,%v) vs (%v,%v)", mu3, s3, mu4, s4)
 		}
 	}
 }
@@ -391,9 +297,10 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 					t.Fatalf("%s width=%d point %d: every third kept (%v, %v), want (%v, %v)",
 						name, width, i, kmu[i], ksigma[i], wantMu, keptSigma)
 				}
-				if oneMu, oneSigma := g.PredictWith(&buf, xq); math.Float64bits(oneMu) != math.Float64bits(wantMu) ||
-					math.Float64bits(oneSigma) != math.Float64bits(wantSigma) {
-					t.Fatalf("%s: PredictWith (%v, %v), serial reference (%v, %v)", name, oneMu, oneSigma, wantMu, wantSigma)
+				var one [2]float64
+				g.PredictBatchWith(&buf, [][]float64{xq}, one[:1], one[1:], nil)
+				if math.Float64bits(one[0]) != math.Float64bits(wantMu) || math.Float64bits(one[1]) != math.Float64bits(wantSigma) {
+					t.Fatalf("%s: batch of one (%v, %v), serial reference (%v, %v)", name, one[0], one[1], wantMu, wantSigma)
 				}
 			}
 		}

@@ -48,15 +48,3 @@ func (g *GP) LeaveOneOut() LOOResult {
 	res.RMSE = math.Sqrt(sq / float64(n))
 	return res
 }
-
-// LeaveOneOut exposes the LOO diagnostics on the user-facing model, with
-// the mean and RMSE reported in raw output units.
-func (m *Model) LeaveOneOut() LOOResult {
-	r := m.gp.LeaveOneOut()
-	for i := range r.Mean {
-		r.Mean[i] = r.Mean[i]*m.ystd + m.ymean
-		r.Sigma[i] *= m.ystd
-	}
-	r.RMSE *= m.ystd
-	return r
-}

@@ -97,39 +97,3 @@ func TestLeaveOneOutMatchesBruteForceRefits(t *testing.T) {
 		}
 	}
 }
-
-// TestModelLeaveOneOutRawUnits checks the user-facing wrapper reports the
-// diagnostics in raw output units: the Model standardizes y internally, so
-// its LOO means/deviations must be the standardized-space ones mapped back.
-func TestModelLeaveOneOutRawUnits(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	n := 12
-	x := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = []float64{rng.Float64() * 10}
-		y[i] = 100 + 25*math.Sin(x[i][0]) // large offset/scale exercises the mapping
-	}
-	m, err := Train(x, y, []float64{0}, []float64{10}, rng,
-		&TrainOptions{Fit: &FitOptions{Iters: 30}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := m.LeaveOneOut()
-	std := m.gp.LeaveOneOut()
-	for i := 0; i < n; i++ {
-		if want := std.Mean[i]*m.ystd + m.ymean; math.Abs(raw.Mean[i]-want) > 1e-9 {
-			t.Fatalf("point %d: raw LOO mean %v, want %v", i, raw.Mean[i], want)
-		}
-		if want := std.Sigma[i] * m.ystd; math.Abs(raw.Sigma[i]-want) > 1e-9 {
-			t.Fatalf("point %d: raw LOO sigma %v, want %v", i, raw.Sigma[i], want)
-		}
-	}
-	if want := std.RMSE * m.ystd; math.Abs(raw.RMSE-want) > 1e-9 {
-		t.Fatalf("raw LOO RMSE %v, want %v", raw.RMSE, want)
-	}
-	// Sanity: a good fit's LOO means should track the observations loosely.
-	if raw.RMSE > 10 {
-		t.Fatalf("LOO RMSE %v implausibly large for a smooth target", raw.RMSE)
-	}
-}

@@ -1,7 +1,6 @@
 package gp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,7 +9,7 @@ import (
 )
 
 // MinRFFFeatures is the smallest random-Fourier-feature count accepted by
-// NewRFF and SampleRFF. Below it the kernel approximation is so coarse that
+// NewRFF. Below it the kernel approximation is so coarse that
 // results are meaningless, so callers get an error instead of a silently
 // adjusted feature count.
 const MinRFFFeatures = 8
@@ -19,8 +18,8 @@ const MinRFFFeatures = 8
 // SE-ARD kernel: m features φ_i(x) = s·cos(w_i·x + b_i) whose inner product
 // φ(a)·φ(b) approximates k(a, b). The spectral sample is drawn once at
 // construction and immutable afterwards, so one basis can be shared by many
-// readers; it is the machinery behind both posterior draws (SampleRFF) and
-// the feature-space surrogate backend (internal/surrogate).
+// readers; it is the basis of the feature-space surrogate backend and of the
+// posterior draws both backends take (internal/surrogate).
 type RFF struct {
 	w     [][]float64 // spectral frequencies, m rows of dimension d
 	b     []float64   // phase offsets, U[0, 2π)
@@ -92,82 +91,4 @@ func (r *RFF) Project(dst, c []float64) {
 	for i, wi := range r.w {
 		linalg.Axpy(c[i], wi, dst)
 	}
-}
-
-// SampleRFF draws an approximate sample from the GP posterior using random
-// Fourier features, enabling Thompson-sampling acquisitions: the returned
-// function is a fixed, cheap-to-evaluate draw f̃ ~ GP(µ, k) conditioned on
-// the training data.
-//
-// Only stationary kernels are supported; the spectral density used here is
-// the SE-ARD one, matching the paper's kernel. nf is the number of features
-// (a few hundred is plenty for d ≤ 12); nf < MinRFFFeatures is an error.
-//
-// The sample is expressed in raw output units.
-func (m *Model) SampleRFF(rng *rand.Rand, nf int) (func(x []float64) float64, error) {
-	if _, ok := m.Kern.(SEARD); !ok {
-		return nil, errors.New("gp: SampleRFF requires the SE-ARD kernel")
-	}
-	g := m.gp
-	d := g.Dim()
-	basis, err := NewRFF(rng, g.Theta, d, nf)
-	if err != nil {
-		return nil, err
-	}
-	noise2 := NoiseVar(g.LogNoise)
-
-	// Bayesian linear regression on the features:
-	//   A = ΦᵀΦ/σn² + I,   mean = A⁻¹ Φᵀ y / σn²,   cov = A⁻¹.
-	n := g.N()
-	phiX := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		phiX[i] = basis.Phi(g.X[i])
-	}
-	a := linalg.NewMatrix(nf, nf)
-	for i := 0; i < nf; i++ {
-		a.Add(i, i, 1)
-	}
-	for k := 0; k < n; k++ {
-		pk := phiX[k]
-		for i := 0; i < nf; i++ {
-			pki := pk[i] / noise2
-			if pki == 0 {
-				continue
-			}
-			row := a.Row(i)
-			for j := 0; j < nf; j++ {
-				row[j] += pki * pk[j]
-			}
-		}
-	}
-	rhs := make([]float64, nf)
-	for k := 0; k < n; k++ {
-		pk := phiX[k]
-		yk := g.Y[k] / noise2
-		for i := 0; i < nf; i++ {
-			rhs[i] += pk[i] * yk
-		}
-	}
-	chol, err := linalg.NewCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	mean := chol.Solve(rhs)
-	// Sample θ = mean + A^{-1/2}·z. With A = LLᵀ, cov = A⁻¹ = L⁻ᵀL⁻¹, so a
-	// valid square root of the covariance is L⁻ᵀ: solve Lᵀ·u = z.
-	z := make([]float64, nf)
-	for i := range z {
-		z[i] = rng.NormFloat64()
-	}
-	u := chol.SolveUpperT(z)
-	thetaS := make([]float64, nf)
-	for i := range thetaS {
-		thetaS[i] = mean[i] + u[i]
-	}
-
-	ymean, ystd := m.ymean, m.ystd
-	return func(x []float64) float64 {
-		f := linalg.Dot(basis.Phi(m.scale(x)), thetaS)
-		return f*ystd + ymean
-	}, nil
 }

@@ -95,6 +95,12 @@ func FuzzHTTP(f *testing.F) {
 			f.Add(http.MethodPost, "/sessions/restore", strings.ReplaceAll(restore, "@", v))
 		}
 	}
+	for _, body := range ceilingBodies() {
+		f.Add(http.MethodPost, "/sessions", body)
+	}
+	for _, body := range fittedSeeds(f) {
+		f.Add(http.MethodPost, "/sessions/restore", body)
+	}
 
 	f.Fuzz(func(t *testing.T, method, path, body string) {
 		req, err := http.NewRequest(method, "http://easybod"+path, strings.NewReader(body))
@@ -103,7 +109,7 @@ func FuzzHTTP(f *testing.F) {
 		}
 		store := NewMemStore()
 		sv := NewServerWith(ServerOptions{Store: store})
-		defer sv.Close()
+		defer func() { sv.Close() }()
 		if _, err := sv.Recover(); err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +127,65 @@ func FuzzHTTP(f *testing.F) {
 				t.Fatalf("%s %s %q answered %d but changed the store: %s → %s", method, path, body, code, before, after)
 			}
 		}
+		if code < 400 {
+			live := replayed(t, sv)
+			sv.Close()
+			sv = NewServerWith(ServerOptions{Store: store})
+			if _, err := sv.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			if got := replayed(t, sv); got != live {
+				t.Fatalf("%s %s %q answered %d, and a recovery replays\n%s\nwhere the live server held\n%s", method, path, body, code, got, live)
+			}
+		}
 	})
+}
+
+// replayed is, as JSON, what a recovery re-derives of every session the
+// server holds: its records, failed tells, outstanding proposals, best,
+// observation count, active surrogate backend and hyperparameters. Go
+// encodes a float64 as the shortest decimal that parses back to it, -0
+// included, so two equal strings hold the same bits.
+func replayed(tb testing.TB, sv *Server) string {
+	tb.Helper()
+	get := func(path string, out any) {
+		rec := httptest.NewRecorder()
+		sv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			tb.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body.Bytes())
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			tb.Fatalf("GET %s: %v", path, err)
+		}
+	}
+	ids := sv.reg.IDs()
+	sort.Strings(ids)
+	var b bytes.Buffer
+	for _, id := range ids {
+		var st Status
+		var snap Snapshot
+		get("/sessions/"+id, &st)
+		get("/sessions/"+id+"/snapshot", &snap)
+		enc, err := json.Marshal(struct {
+			ID           string
+			Records      []Record
+			Failed       []Record
+			Outstanding  []Proposal
+			BestX        []float64
+			BestY        *float64
+			Observations int
+			Surrogate    string
+			Theta        []float64
+			LogNoise     *float64
+		}{id, st.Records, st.Failed, st.Outstanding, st.BestX, st.BestY, st.Observations,
+			st.SurrogateActive, snap.Theta, snap.LogNoise})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		b.Write(enc)
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // midway builds the fuzz target's session "fz" through the API: two design
@@ -191,6 +255,55 @@ func restoreSeeds(f *testing.F) []string {
 	variant(func(_, cfg, _, _ map[string]any) { cfg["hi"].([]any)[0] = "@" })
 	variant(func(_, cfg, _, _ map[string]any) { cfg["lambda"] = "@" })
 	variant(func(snap, _, _, _ map[string]any) { snap["observations"] = "@" })
+	return out
+}
+
+// fittedSeeds returns restore bodies of sessions that have fitted a model —
+// on the exact backend, on the feature backend, and on auto past its
+// escalation — and have two model asks outstanding, so that what the replay
+// oracle compares includes hyperparameters and the active backend.
+func fittedSeeds(f *testing.F) []string {
+	sv := NewServerWith(ServerOptions{})
+	defer sv.Close()
+	if _, err := sv.Recover(); err != nil {
+		f.Fatal(err)
+	}
+	post := func(path, body string) []byte {
+		rec := httptest.NewRecorder()
+		sv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code >= 300 {
+			f.Fatalf("POST %s %s: %d %s", path, body, rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	var out []string
+	for i, backend := range []string{`"surrogate":"exact"`, `"surrogate":"features"`, `"surrogate":"auto","escalate_at":3`} {
+		id := fmt.Sprintf("m%d", i)
+		post("/sessions", fmt.Sprintf(`{"id":%q,"lo":[0,0],"hi":[1,1],"init_points":3,"fit_iters":4,%s}`, id, backend))
+		for p := 0; p < 3; p++ {
+			post("/sessions/"+id+"/ask", "")
+		}
+		for p, y := range []float64{1.5, -0.25, 0.75} {
+			post("/sessions/"+id+"/tell", fmt.Sprintf(`{"proposal_id":%d,"y":%g}`, p, y))
+		}
+		post("/sessions/"+id+"/ask", "")
+		post("/sessions/"+id+"/ask", "")
+		rec := httptest.NewRecorder()
+		sv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sessions/"+id+"/snapshot", nil))
+		var snap map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+			f.Fatal(err)
+		}
+		if snap["theta"] == nil {
+			f.Fatalf("%s fitted no model: %s", backend, rec.Body.Bytes())
+		}
+		snap["id"] = "r"
+		b, err := json.Marshal(snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, string(b))
+	}
 	return out
 }
 

@@ -9,7 +9,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -121,6 +123,60 @@ func TestHTTPRoutingEdgeCases(t *testing.T) {
 	for _, body := range []string{`{"x":[0.5,0.5],"y":2}` + " \n\t", `{"x":[0.25,0.5],"error":"diverged"}`} {
 		if code, data := c.raw(http.MethodPost, "/sessions/edge/tell", body); code != http.StatusOK {
 			t.Fatalf("tell %s: %d: %s", body, code, data)
+		}
+	}
+}
+
+// box is a JSON array of d copies of v: one side of a d-dimensional box.
+func box(d int, v float64) string {
+	return "[" + strings.TrimSuffix(strings.Repeat(fmt.Sprint(v)+",", d), ",") + "]"
+}
+
+// ceilingBodies are create bodies one past each of normalize's ceilings.
+func ceilingBodies() map[string]string {
+	return map[string]string{
+		"init_points": fmt.Sprintf(`{"id":"big-design","lo":[0,0],"hi":[1,1],"init_points":%d}`, maxDesignCoords/2+1),
+		"dimensions":  fmt.Sprintf(`{"id":"big-box","lo":%s,"hi":%s}`, box(maxDim+1, 0), box(maxDim+1, 1)),
+		"fit_iters":   fmt.Sprintf(`{"id":"big-fit","lo":[0],"hi":[1],"fit_iters":%d}`, maxFitIters+1),
+	}
+}
+
+// TestCreateCeilings: a create one past a ceiling — a design of more
+// coordinates than the daemon allocates for one session, more dimensions
+// than an ask sweeps, more Adam steps than a refit runs — is a 400 that
+// creates and logs nothing, where it would otherwise allocate, or wedge the
+// session on, whatever a 60-byte body asked for. At the ceilings, and at the
+// serve-wal benchmark's 100 000-point design, it is a 201.
+func TestCreateCeilings(t *testing.T) {
+	store := NewMemStore()
+	sv := NewServerWith(ServerOptions{Store: store})
+	defer sv.Close()
+	if _, err := sv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	create := func(body string) (int, string) {
+		rec := httptest.NewRecorder()
+		sv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sessions", strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	for name, body := range ceilingBodies() {
+		if code, resp := create(body); code != http.StatusBadRequest {
+			t.Errorf("%s one past its ceiling: %d %s", name, code, resp)
+		}
+	}
+	if n := sv.reg.Len(); n != 0 {
+		t.Fatalf("%d sessions after rejected creates", n)
+	}
+	if ids, err := store.List(); err != nil || len(ids) != 0 {
+		t.Fatalf("store holds %v (%v) after rejected creates", ids, err)
+	}
+	for name, body := range map[string]string{
+		"at the ceilings": fmt.Sprintf(`{"id":"edge","lo":%s,"hi":%s,"init_points":%d,"fit_iters":%d}`,
+			box(maxDim, 0), box(maxDim, 1), maxDesignCoords/maxDim, maxFitIters),
+		"serve-wal": `{"id":"wal","lo":[0,0,0,0],"hi":[1,1,1,1],"init_points":100000}`,
+	} {
+		if code, resp := create(body); code != http.StatusCreated {
+			t.Errorf("%s: %d %s", name, code, resp)
 		}
 	}
 }

@@ -135,10 +135,27 @@ type SessionConfig struct {
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
+// Ceilings on what one session config may ask of the daemon, far above
+// every value a test, example, command default or benchmark workload uses
+// (the serve-wal benchmark's 100 000-point design over 4 dimensions, 40 Adam
+// steps a refit, a dozen dimensions) and far below what would exhaust the
+// process or wedge the session: the design — InitPoints × d coordinates —
+// is allocated at create, every model ask sweeps 60·d candidates of d
+// coordinates, and every refit runs FitIters Adam steps on the session's
+// actor, again serially when recovery replays it.
+const (
+	maxDesignCoords = 1 << 21 // InitPoints × len(Lo), after MaxEvals caps InitPoints
+	maxDim          = 64      // len(Lo)
+	maxFitIters     = 1000
+)
+
 // normalize validates the config and fills defaults in place.
 func (c *SessionConfig) normalize() error {
 	if len(c.Lo) == 0 || len(c.Lo) != len(c.Hi) {
 		return fmt.Errorf("serve: invalid design box (lo %d, hi %d)", len(c.Lo), len(c.Hi))
+	}
+	if len(c.Lo) > maxDim {
+		return fmt.Errorf("serve: %d dimensions, at most %d", len(c.Lo), maxDim)
 	}
 	for i := range c.Lo {
 		if !(c.Lo[i] < c.Hi[i]) {
@@ -165,6 +182,9 @@ func (c *SessionConfig) normalize() error {
 	if c.MaxEvals > 0 && c.InitPoints > c.MaxEvals {
 		c.InitPoints = c.MaxEvals
 	}
+	if c.InitPoints > maxDesignCoords/len(c.Lo) {
+		return fmt.Errorf("serve: init_points %d over %d dimensions exceeds %d design coordinates", c.InitPoints, len(c.Lo), maxDesignCoords)
+	}
 	if c.Lambda <= 0 {
 		c.Lambda = acq.DefaultLambda
 	}
@@ -173,6 +193,9 @@ func (c *SessionConfig) normalize() error {
 	}
 	if c.FitIters <= 0 {
 		c.FitIters = surrogate.DefaultFitIters
+	}
+	if c.FitIters > maxFitIters {
+		return fmt.Errorf("serve: fit_iters %d exceeds %d", c.FitIters, maxFitIters)
 	}
 	backend, err := surrogate.ParseBackend(c.Surrogate)
 	if err != nil {

@@ -83,9 +83,7 @@ type Checkpoint struct {
 
 // state is the manager state the checkpoint recorded.
 func (ck *Checkpoint) state() core.ModelState {
-	return core.ModelState{Active: surrogate.Backend(ck.Backend), ManagerState: surrogate.ManagerState{
-		Theta: ck.Theta, LogNoise: ck.LogNoise, LastHyperN: ck.LastHyperN,
-	}}
+	return core.ModelState{Active: surrogate.Backend(ck.Backend), Theta: ck.Theta, LogNoise: ck.LogNoise, LastHyperN: ck.LastHyperN}
 }
 
 // equal compares two checkpoints bit for bit.

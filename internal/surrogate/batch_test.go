@@ -19,11 +19,7 @@ import (
 func TestPredictBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	x, y, lo, hi := fixture(rng, 40)
-	em, err := gp.Train(x, y, lo, hi, rng,
-		&gp.TrainOptions{FixedTheta: fixtureTheta, FixedNoise: fixtureLogNoise})
-	if err != nil {
-		t.Fatal(err)
-	}
+	em := fitExact(t, x, y, lo, hi, gp.SEARD{}, fixtureTheta, fixtureLogNoise)
 	fm, err := FitFeatures(x, y, lo, hi, fixtureTheta, fixtureLogNoise, rng, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +32,7 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 	}
 	busy := [][]float64{{0.2, 0.7}, {0.9, 0.1}, {0.5, 0.5}}
 	models := map[string]Surrogate{
-		"exact": NewExact(em), "features": fm, "features/stiff": stiff,
+		"exact": em, "features": fm, "features/stiff": stiff,
 	}
 	for _, name := range []string{"exact", "features"} {
 		view, err := models[name].WithPseudo(busy)
@@ -132,11 +128,7 @@ func TestPredictBatchKeep(t *testing.T) {
 	dupY := append(append([]float64(nil), y[:20]...), y[:20]...)
 	const floored = -12.0 // σn² = e⁻²⁴, under the 1e-10 floor
 	exact := func(x [][]float64, y []float64, logNoise float64) Surrogate {
-		m, err := gp.Train(x, y, lo, hi, rng, &gp.TrainOptions{FixedTheta: fixtureTheta, FixedNoise: logNoise})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewExact(m)
+		return fitExact(t, x, y, lo, hi, gp.SEARD{}, fixtureTheta, logNoise)
 	}
 	features := func(x [][]float64, y []float64, logNoise float64) Surrogate {
 		fm, err := FitFeatures(x, y, lo, hi, fixtureTheta, logNoise, rng, 64)

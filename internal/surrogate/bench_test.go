@@ -24,6 +24,14 @@ const benchDim = 6
 
 var benchSizes = []int{100, 500, 2000}
 
+// fitExactAt fits the exact GP at the given hyperparameters and
+// benchLogNoise, without a hyperparameter search.
+func fitExactAt(x [][]float64, y, lo, hi, theta []float64) (*surrogate.Exact, error) {
+	return surrogate.NewExact(x, y, lo, hi, func(xs [][]float64, ys []float64) (*gp.GP, error) {
+		return gp.Fit(gp.SEARD{}, xs, ys, theta, benchLogNoise)
+	})
+}
+
 func benchTheta() []float64 { return benchThetaDim(benchDim) }
 
 func benchThetaDim(d int) []float64 {
@@ -68,8 +76,7 @@ func BenchmarkSurrogateFitExact(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := gp.Train(x, y, lo, hi, nil,
-					&gp.TrainOptions{FixedTheta: benchTheta(), FixedNoise: benchLogNoise}); err != nil {
+				if _, err := fitExactAt(x, y, lo, hi, benchTheta()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -96,12 +103,10 @@ func BenchmarkSurrogateFitFeatures(b *testing.B) {
 func BenchmarkSurrogateExtendExact(b *testing.B) {
 	for _, n := range benchSizes {
 		x, y, lo, hi := benchData(n + 1)
-		m, err := gp.Train(x[:n], y[:n], lo, hi, nil,
-			&gp.TrainOptions{FixedTheta: benchTheta(), FixedNoise: benchLogNoise})
+		s, err := fitExactAt(x[:n], y[:n], lo, hi, benchTheta())
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := surrogate.NewExact(m)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -148,8 +153,7 @@ func benchQueries(k int) [][]float64 {
 func BenchmarkSurrogatePredictExact(b *testing.B) {
 	for _, n := range benchSizes {
 		x, y, lo, hi := benchData(n)
-		m, err := gp.Train(x, y, lo, hi, nil,
-			&gp.TrainOptions{FixedTheta: benchTheta(), FixedNoise: benchLogNoise})
+		m, err := fitExactAt(x, y, lo, hi, benchTheta())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,8 +211,7 @@ func benchPredictBatch(b *testing.B, p surrogate.Predictor) {
 // of a 150-evaluation op-amp run.
 func BenchmarkPredictBatchExact(b *testing.B) {
 	x, y, lo, hi := benchData(150)
-	m, err := gp.Train(x, y, lo, hi, nil,
-		&gp.TrainOptions{FixedTheta: benchTheta(), FixedNoise: benchLogNoise})
+	m, err := fitExactAt(x, y, lo, hi, benchTheta())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,8 +246,7 @@ func benchPredictGrad(b *testing.B, p surrogate.Predictor) {
 
 func BenchmarkPredictGradExact(b *testing.B) {
 	x, y, lo, hi := benchData(150)
-	m, err := gp.Train(x, y, lo, hi, nil,
-		&gp.TrainOptions{FixedTheta: benchTheta(), FixedNoise: benchLogNoise})
+	m, err := fitExactAt(x, y, lo, hi, benchTheta())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -312,8 +314,7 @@ func BenchmarkRefine(b *testing.B) {
 	}
 	const exactDim = 10
 	x10, y10, lo10, hi10 := benchDataDim(150, exactDim)
-	m, err := gp.Train(x10, y10, lo10, hi10, nil,
-		&gp.TrainOptions{FixedTheta: benchThetaDim(exactDim), FixedNoise: benchLogNoise})
+	m, err := fitExactAt(x10, y10, lo10, hi10, benchThetaDim(exactDim))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func BenchmarkRefine(b *testing.B) {
 		lo, hi []float64
 	}{
 		{"features", fm, lo, hi},
-		{"exact", surrogate.NewExact(m), lo10, hi10},
+		{"exact", m, lo10, hi10},
 	} {
 		var asked, solved atomic.Int64
 		newF := core.AcqObjective(acq.Weighted{W: 0.5}, solveCounter{c.s, &asked, &solved})
@@ -380,12 +381,11 @@ func benchSuggest(b *testing.B, fit func() (surrogate.Surrogate, error)) {
 func BenchmarkSurrogateSuggestExactN2000(b *testing.B) {
 	x, y, lo, hi := benchData(2000)
 	benchSuggest(b, func() (surrogate.Surrogate, error) {
-		m, err := gp.Train(x, y, lo, hi, nil,
-			&gp.TrainOptions{FixedTheta: benchTheta(), FixedNoise: benchLogNoise})
+		m, err := fitExactAt(x, y, lo, hi, benchTheta())
 		if err != nil {
 			return nil, err
 		}
-		return surrogate.NewExact(m), nil
+		return m, nil
 	})
 }
 

@@ -1,174 +1,134 @@
 package surrogate
 
 import (
+	"errors"
 	"math/rand"
 
 	"easybo/internal/gp"
 )
 
-// Exact adapts the exact Gaussian process (gp.Model) to the Surrogate
-// interface. It is a thin immutable wrapper; the zero value is invalid.
+// Exact is the paper's surrogate: an exact Gaussian process fitted in the
+// frame's units — exact posteriors, O(n³) trainings, rank-append O(k·n²)
+// extensions. It is immutable; the zero value is invalid.
 type Exact struct {
-	m *gp.Model
+	frame
+	gp *gp.GP
 }
 
-// NewExact wraps a fitted gp.Model.
-func NewExact(m *gp.Model) Exact { return Exact{m: m} }
+// NewExact fits the exact GP to raw observations within [lo, hi]: the frame
+// scales the inputs to the unit cube and standardizes the outputs, and fit
+// fits the GP there — gp.FitHyper to optimize the hyperparameters,
+// gp.Fit to take them as given.
+func NewExact(x [][]float64, y []float64, lo, hi []float64,
+	fit func(xs [][]float64, ys []float64) (*gp.GP, error)) (*Exact, error) {
 
-// Predict implements Surrogate.
-func (e Exact) Predict(x []float64) (mu, sigma float64) { return e.m.Predict(x) }
+	f, xs, ys, err := newFrame(x, y, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	g, err := fit(xs, ys)
+	if err != nil {
+		return nil, err
+	}
+	return &Exact{frame: f, gp: g}, nil
+}
 
-// PredictMean implements Surrogate.
-func (e Exact) PredictMean(x []float64) float64 { return e.m.PredictMean(x) }
+// Hyper returns the fitted kernel hyperparameters (log space, a copy) and
+// log-noise, for warm-starting the next training.
+func (e *Exact) Hyper() (theta []float64, logNoise float64) {
+	return append([]float64(nil), e.gp.Theta...), e.gp.LogNoise
+}
 
 // Predictor implements Surrogate.
-func (e Exact) Predictor() Predictor { return e.m.Predictor() }
+func (e *Exact) Predictor() Predictor { return e.predictor(false) }
 
 // StandardizedPredictor implements Surrogate.
-func (e Exact) StandardizedPredictor() Predictor { return e.m.StandardizedPredictor() }
+func (e *Exact) StandardizedPredictor() Predictor { return e.predictor(true) }
 
-// StandardizeY implements Surrogate.
-func (e Exact) StandardizeY(y float64) float64 { return e.m.StandardizeY(y) }
+func (e *Exact) predictor(standardized bool) *predictor {
+	return &predictor{f: &e.frame, unit: &exactUnit{g: e.gp}, standardized: standardized}
+}
+
+// exactUnit is the exact GP's unitPredictor: the GP's own batch and
+// gradient predictions, on scratch that grows to the training-set size.
+type exactUnit struct {
+	g   *gp.GP
+	buf gp.PredictBuf
+}
+
+func (k *exactUnit) predictBatch(xs [][]float64, mu, sigma []float64, keep func(mu, sigmaMax float64) bool) {
+	k.g.PredictBatchWith(&k.buf, xs, mu, sigma, keep)
+}
+
+func (k *exactUnit) predictGrad(x, dmu, dsigma []float64) (mu, sigma float64) {
+	return k.g.PredictGradWith(&k.buf, x, dmu, dsigma)
+}
 
 // N implements Surrogate.
-func (e Exact) N() int { return e.m.N() }
+func (e *Exact) N() int { return e.gp.N() }
 
-// Extend implements Surrogate via the rank-append factor update.
-func (e Exact) Extend(x [][]float64, y []float64) (Surrogate, error) {
-	m, err := e.m.Extend(x, y)
+// Extend implements Surrogate via the rank-append factor update: O(k·n²)
+// for k new points instead of a full O(n³) refit. The frame stays the one
+// of the last full training; the cadenced hyperparameter refit re-derives it.
+func (e *Exact) Extend(x [][]float64, y []float64) (Surrogate, error) {
+	if len(x) == 0 {
+		return e, nil
+	}
+	xs, ys, err := e.observations(x, y)
 	if err != nil {
 		return nil, err
 	}
-	return Exact{m: m}, nil
-}
-
-// WithPseudo implements Surrogate via the incremental hallucination path.
-func (e Exact) WithPseudo(xp [][]float64) (Surrogate, error) {
-	m, err := e.m.WithPseudo(xp)
+	g, err := e.gp.Extend(xs, ys)
 	if err != nil {
 		return nil, err
 	}
-	return Exact{m: m}, nil
+	return &Exact{frame: e.frame, gp: g}, nil
 }
 
-// SampleRFF implements Sampler.
-func (e Exact) SampleRFF(rng *rand.Rand, m int) (func(x []float64) float64, error) {
-	return e.m.SampleRFF(rng, m)
-}
-
-// ExactOptions tunes an ExactManager. Zero values select the paper's
-// defaults (DefaultRefitEvery, DefaultFitIters, SE-ARD kernel).
-type ExactOptions struct {
-	RefitEvery int       // hyperparameter re-optimization cadence in observations
-	FitIters   int       // Adam iterations per hyperfit
-	Kernel     gp.Kernel // surrogate kernel (nil = SE-ARD)
-}
-
-// ExactManager owns the exact-GP surrogate across a run: it re-optimizes
-// hyperparameters every RefitEvery observations (warm-started from the last
-// fit) and performs cheap fixed-hyperparameter refits in between, caching
-// the fitted model while the dataset is unchanged. Between hyperparameter
-// refits no covariance rebuild or refactorization happens — new points are
-// absorbed through the incremental rank-append update.
-type ExactManager struct {
-	lo, hi     []float64
-	rng        *rand.Rand
-	refitEvery int
-	fitIters   int
-
-	kernel     gp.Kernel
-	lastHyperN int // dataset size at the last hyperparameter optimization
-	theta      []float64
-	logNoise   float64
-	cached     *gp.Model
-	cachedN    int
-}
-
-// NewExactManager builds an exact-GP manager over the design box. The rng
-// drives hyperparameter restarts and must be the run's rng for determinism.
-func NewExactManager(lo, hi []float64, rng *rand.Rand, o ExactOptions) *ExactManager {
-	if o.RefitEvery <= 0 {
-		o.RefitEvery = DefaultRefitEvery
+// WithPseudo implements Surrogate: the busy points are added as
+// pseudo-observations whose targets are the current predictive means,
+// exactly as in paper §III-C. Hyperparameters are shared with the receiver;
+// only the factor grows (rank-append, O(b·n²) for b busy points), so the
+// predictive mean is unchanged and the deviation shrinks around them.
+func (e *Exact) WithPseudo(xp [][]float64) (Surrogate, error) {
+	if len(xp) == 0 {
+		return e, nil
 	}
-	if o.FitIters <= 0 {
-		o.FitIters = DefaultFitIters
+	xs := e.scaleAll(xp)
+	ys := make([]float64, len(xp))
+	for i, x := range xs {
+		ys[i] = e.gp.PredictMean(x)
 	}
-	return &ExactManager{
-		lo: lo, hi: hi, rng: rng,
-		refitEvery: o.RefitEvery,
-		fitIters:   o.FitIters,
-		kernel:     o.Kernel,
-	}
-}
-
-// Fit implements Manager. Observations are append-only across a run, so a
-// cached model is valid while the count is unchanged and can absorb new
-// points through the incremental rank-append update.
-func (mm *ExactManager) Fit(x [][]float64, y []float64) (Surrogate, error) {
-	n := len(y)
-	if mm.cached != nil && n == mm.cachedN {
-		return NewExact(mm.cached), nil
-	}
-	if mm.cached != nil && mm.theta != nil && n-mm.lastHyperN < mm.refitEvery {
-		// Between hyperparameter refits: absorb the new points through the
-		// rank-append update. Failure means the frozen hyperparameters or
-		// standardization became numerically unusable for the grown dataset
-		// (e.g. duplicate points with tiny noise); fall through to a fresh
-		// hyperparameter fit in that case. So does a manager that was just
-		// Restored: it has hyperparameters but no factor to extend.
-		m, err := mm.cached.Extend(x[mm.cachedN:n], y[mm.cachedN:n])
-		if err == nil {
-			mm.cached = m
-			mm.cachedN = n
-			return NewExact(m), nil
-		}
-	}
-	fo := &gp.FitOptions{Iters: mm.fitIters}
-	if mm.theta != nil {
-		// Warm start: fewer iterations, no default or random restarts.
-		fo.InitTheta = mm.theta
-		fo.InitNoise = mm.logNoise
-		fo.WarmOnly = true
-		fo.Iters = mm.fitIters / 2
-		if fo.Iters < 10 {
-			fo.Iters = 10
-		}
-	}
-	m, err := gp.Train(x, y, mm.lo, mm.hi, mm.rng, &gp.TrainOptions{Kernel: mm.kernel, Fit: fo})
+	g, err := e.gp.WithPseudo(xs, ys)
 	if err != nil {
 		return nil, err
 	}
-	mm.theta = m.Theta()
-	mm.logNoise = m.LogNoise()
-	mm.lastHyperN = n
-	mm.cached = m
-	mm.cachedN = n
-	return NewExact(m), nil
+	return &Exact{frame: e.frame, gp: g}, nil
 }
 
-// Hyper implements Manager.
-func (mm *ExactManager) Hyper() (theta []float64, logNoise float64, ok bool) {
-	if mm.theta == nil {
-		return nil, 0, false
+// SampleRFF implements Surrogate: a draw from the feature-space posterior
+// (FeatureModel) on an m-feature basis of the GP's kernel, over the GP's own
+// training set — pseudo-observations included — and frame. Only the SE-ARD
+// kernel has that basis; m < gp.MinRFFFeatures is an error.
+func (e *Exact) SampleRFF(rng *rand.Rand, m int) (func(x []float64) float64, error) {
+	if _, ok := e.gp.Kern.(gp.SEARD); !ok {
+		return nil, errors.New("surrogate: SampleRFF requires the SE-ARD kernel")
 	}
-	return append([]float64(nil), mm.theta...), mm.logNoise, true
+	fm, err := fitFeatures(e.frame, e.gp.X, e.gp.Y, e.gp.Theta, e.gp.LogNoise, rng, m)
+	if err != nil {
+		return nil, err
+	}
+	return fm.SampleRFF(rng, m)
 }
 
-// State implements Manager.
-func (mm *ExactManager) State() ManagerState {
-	return ManagerState{Theta: mm.theta, LogNoise: mm.logNoise, LastHyperN: mm.lastHyperN}
-}
-
-// Restore implements Manager.
-func (mm *ExactManager) Restore(st ManagerState) error {
-	kern := mm.kernel
-	if kern == nil {
-		kern = gp.SEARD{}
+// LeaveOneOut returns the GP's closed-form leave-one-out diagnostics (see
+// gp.GP.LeaveOneOut) with the mean, deviation and RMSE in raw output units.
+func (e *Exact) LeaveOneOut() gp.LOOResult {
+	r := e.gp.LeaveOneOut()
+	for i := range r.Mean {
+		r.Mean[i] = e.unstandardize(r.Mean[i])
+		r.Sigma[i] *= e.ystd
 	}
-	if err := st.validate(kern.NumHyper(len(mm.lo))); err != nil {
-		return err
-	}
-	mm.theta, mm.logNoise, mm.lastHyperN = st.Theta, st.LogNoise, st.LastHyperN
-	mm.cached, mm.cachedN = nil, 0
-	return nil
+	r.RMSE *= e.ystd
+	return r
 }

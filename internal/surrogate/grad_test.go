@@ -34,11 +34,7 @@ func gradModels(t *testing.T, rng *rand.Rand) (map[string]Surrogate, [][]float64
 	x, y, lo, hi := gradFixture(rng, 30)
 	models := map[string]Surrogate{}
 	for name, kern := range map[string]gp.Kernel{"exact/se": gp.SEARD{}, "exact/matern": gp.Matern52{}} {
-		m, err := gp.Train(x, y, lo, hi, rng, &gp.TrainOptions{Kernel: kern, FixedTheta: gradTheta, FixedNoise: fixtureLogNoise})
-		if err != nil {
-			t.Fatal(err)
-		}
-		models[name] = NewExact(m)
+		models[name] = fitExact(t, x, y, lo, hi, kern, gradTheta, fixtureLogNoise)
 	}
 	fm, err := FitFeatures(x, y, lo, hi, gradTheta, fixtureLogNoise, rng, 64)
 	if err != nil {
@@ -135,11 +131,7 @@ func TestPredictGradAtTrainingPoints(t *testing.T) {
 	floor := math.Log(1e-9)
 	models := map[string]Surrogate{}
 	for name, kern := range map[string]gp.Kernel{"exact/se": gp.SEARD{}, "exact/matern": gp.Matern52{}} {
-		m, err := gp.Train(x, y, lo, hi, rng, &gp.TrainOptions{Kernel: kern, FixedTheta: long, FixedNoise: floor})
-		if err != nil {
-			t.Fatal(err)
-		}
-		models[name] = NewExact(m)
+		models[name] = fitExact(t, x, y, lo, hi, kern, long, floor)
 	}
 	fm, err := FitFeatures(x, y, lo, hi, long, floor, rng, 64)
 	if err != nil {

@@ -1,24 +1,22 @@
-// Package surrogate is the model-agnostic surrogate layer of the
-// optimization stack. It unifies the two views the rest of the system has
-// of "the model":
+// Package surrogate is the model layer of the optimization stack: a fitted
+// posterior over the design box that the acquisition functions, proposers
+// and batch selectors predict from, hallucinate busy points into and draw
+// approximate samples from (Surrogate, Predictor).
 //
-//   - the consumer view (acquisition functions, proposers, batch selectors)
-//     — a posterior to predict from, hallucinate busy points into, and draw
-//     approximate samples from;
-//   - the producer view (the surrogate manager owned by every driver, Loop,
-//     and serve session) — something that turns the observation history into
-//     a fitted posterior on a hyperparameter cadence.
+// Two backends implement it. The exact Gaussian process (Exact) is the
+// paper's surrogate and the default: exact posteriors, O(n³) trainings,
+// rank-append O(k·n²) extensions. The feature-space backend (FeatureModel)
+// performs Bayesian linear regression on a random-Fourier-feature basis of
+// the same SE-ARD kernel: O(n·m²) full fits, O(m²) rank-1 extensions and
+// O(m²) predictions — independent of n — so ask/tell sessions with thousands
+// of observations keep a flat per-suggestion cost. Both are fitted in one
+// frame: inputs scaled from the box to the unit cube, outputs standardized
+// over the training set; the frame puts every prediction and gradient back
+// into raw units, or leaves it standardized for the acquisitions.
 //
-// Two backends implement the layer. The exact Gaussian process (Exact /
-// ExactManager) is the paper's surrogate and the default: exact posteriors,
-// O(n³) refits, rank-append O(k·n²) incremental extensions. The
-// feature-space backend (FeatureModel / FeatureManager) performs Bayesian
-// linear regression on a random-Fourier-feature basis of the same SE-ARD
-// kernel: O(n·m²) full fits, O(m²) rank-1 incremental updates and O(m²)
-// predictions — independent of n — so ask/tell sessions with thousands of
-// observations keep a flat per-suggestion cost. core.ModelManager selects
-// between them (and auto-escalates exact → feature-space past an
-// observation threshold).
+// What turns an observation history into a fitted posterior on a
+// hyperparameter cadence — and picks, or escalates between, the backends —
+// is core.ModelManager.
 package surrogate
 
 import (
@@ -57,8 +55,6 @@ type Predictor interface {
 	// deviation is; every other point gets the bits it gets with keep nil.
 	// nil keeps every point.
 	PredictBatch(xs [][]float64, mu, sigma []float64, keep func(mu, sigmaMax float64) bool)
-	// PredictMean returns only the posterior mean (often cheaper).
-	PredictMean(x []float64) float64
 	// PredictGrad returns the posterior mean and deviation at x — the bits
 	// PredictBatch returns there — and writes their gradients in x into dmu
 	// and dsigma (len(x) each). It costs about two predictions: the
@@ -76,10 +72,6 @@ type Predictor interface {
 // WithPseudo return new values and leave the receiver usable, which is what
 // lets one fitted model serve concurrent readers.
 type Surrogate interface {
-	// Predict returns the posterior mean and deviation at x (raw units).
-	Predict(x []float64) (mu, sigma float64)
-	// PredictMean returns only the posterior mean at x (raw units).
-	PredictMean(x []float64) float64
 	// Predictor returns a raw-unit prediction context.
 	Predictor() Predictor
 	// StandardizedPredictor returns a prediction context in standardized
@@ -100,68 +92,11 @@ type Surrogate interface {
 	// (paper §III-C), leaving the predictive mean unchanged and shrinking
 	// the deviation around them.
 	WithPseudo(xp [][]float64) (Surrogate, error)
-}
-
-// Sampler is the optional posterior-draw capability (Thompson-sampling
-// acquisitions). Both built-in backends implement it.
-type Sampler interface {
-	// SampleRFF returns a fixed approximate posterior draw using m random
-	// Fourier features (backends with a native feature basis may use their
-	// own basis size instead of m).
+	// SampleRFF returns a fixed approximate posterior draw in raw units —
+	// what a Thompson-sampling acquisition maximizes — using m random
+	// Fourier features (the feature-space backend draws on its own basis
+	// and ignores m). The returned function is safe for concurrent use.
 	SampleRFF(rng *rand.Rand, m int) (func(x []float64) float64, error)
-}
-
-// Manager is the producer view: it owns surrogate state across a run,
-// refitting hyperparameters on its cadence and extending incrementally in
-// between. A Manager's Fit is the core.Fitter every driver plugs in.
-type Manager interface {
-	// Fit returns a surrogate trained on the observations so far.
-	// Observations are append-only across a run.
-	Fit(x [][]float64, y []float64) (Surrogate, error)
-	// Hyper returns the hyperparameters of the last optimization
-	// (ok=false before the first fit), for reporting and snapshots.
-	Hyper() (theta []float64, logNoise float64, ok bool)
-	// State returns everything a later Fit reads from the manager besides
-	// the observations, the rng and the fitted model itself.
-	State() ManagerState
-	// Restore puts the manager into a recorded State with no fitted model,
-	// so that its next Fit trains from scratch — warm-started from the
-	// recorded hyperparameters, exactly as a Fit that found the cadence due
-	// would. It is how a recovered session resumes at a refit boundary
-	// without replaying the fits before it.
-	Restore(ManagerState) error
-}
-
-// ManagerState is a Manager's carried-over state: the hyperparameters of
-// its last from-scratch training and the observation count it ran at. The
-// fitted model is deliberately not part of it. Between trainings a model is
-// grown incrementally, and a factor rebuilt from these numbers is not
-// guaranteed to equal the grown one bit for bit; a from-scratch training
-// reads only this state, the data and the rng, so that is the one point at
-// which a manager can be put back exactly.
-//
-// LastHyperN changes exactly when Fit trains from scratch, which is how a
-// caller holding the State from before a Fit can tell that it did. Theta
-// aliases the manager's slice, which is replaced, never written, by a
-// training; treat it as read-only.
-type ManagerState struct {
-	Theta      []float64 // nil before the first training
-	LogNoise   float64
-	LastHyperN int
-}
-
-// validate checks a state about to be restored into a manager whose kernel
-// has numHyper hyperparameters.
-func (st ManagerState) validate(numHyper int) error {
-	switch {
-	case st.Theta == nil && st.LastHyperN != 0:
-		return fmt.Errorf("surrogate: manager state trained at n=%d has no hyperparameters", st.LastHyperN)
-	case st.Theta != nil && len(st.Theta) != numHyper:
-		return fmt.Errorf("surrogate: manager state has %d hyperparameters, the kernel takes %d", len(st.Theta), numHyper)
-	case st.LastHyperN < 0:
-		return fmt.Errorf("surrogate: manager state trained at n=%d", st.LastHyperN)
-	}
-	return nil
 }
 
 // Backend names a surrogate implementation, as selected through bo.Config,

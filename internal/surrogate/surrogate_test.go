@@ -33,12 +33,7 @@ const fixtureLogNoise = -3.0 // σn ≈ 0.05
 func TestFeatureAgreesWithExactGP(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x, y, lo, hi := fixture(rng, 60)
-	em, err := gp.Train(x, y, lo, hi, rng,
-		&gp.TrainOptions{FixedTheta: fixtureTheta, FixedNoise: fixtureLogNoise})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := NewExact(em)
+	exact := fitExact(t, x, y, lo, hi, gp.SEARD{}, fixtureTheta, fixtureLogNoise)
 	fm, err := FitFeatures(x, y, lo, hi, fixtureTheta, fixtureLogNoise, rng, 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +44,8 @@ func TestFeatureAgreesWithExactGP(t *testing.T) {
 	for i := 0; i <= 12; i++ {
 		for j := 0; j <= 12; j++ {
 			xq := []float64{float64(i) / 12, float64(j) / 12}
-			muE, sigmaE := exact.Predict(xq)
-			muF, sigmaF := fm.Predict(xq)
+			muE, sigmaE := predict(exact, xq)
+			muF, sigmaF := predict(fm, xq)
 			dMu := math.Abs(muE - muF)
 			dSigma := math.Abs(sigmaE - sigmaF)
 			sumSq += dMu * dMu
@@ -123,7 +118,7 @@ func TestFeatureExtendMatchesBatchFit(t *testing.T) {
 	for i, v := range y[40:] {
 		ys[i] = (v - scratch.ymean) / scratch.ystd
 	}
-	rebuilt, err := scratch.absorb(x[40:], ys)
+	rebuilt, err := scratch.absorb(scratch.scaleAll(x[40:]), ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +126,9 @@ func TestFeatureExtendMatchesBatchFit(t *testing.T) {
 	qrng := rand.New(rand.NewSource(13))
 	for q := 0; q < 30; q++ {
 		xq := []float64{qrng.Float64(), qrng.Float64()}
-		mu1, s1 := inc.Predict(xq)
-		mu2, s2 := oneAtATime.Predict(xq)
-		mu3, s3 := rebuilt.Predict(xq)
+		mu1, s1 := predict(inc, xq)
+		mu2, s2 := predict(oneAtATime, xq)
+		mu3, s3 := predict(rebuilt, xq)
 		if math.Abs(mu1-mu2) > 1e-9*(1+math.Abs(mu1)) || math.Abs(s1-s2) > 1e-9*(1+s1) {
 			t.Fatalf("bulk vs one-at-a-time extend diverge at %v: (%v,%v) vs (%v,%v)", xq, mu1, s1, mu2, s2)
 		}
@@ -157,18 +152,14 @@ func TestFeatureExtendTracksExactPosterior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, err := gp.Train(x, y, lo, hi, rng,
-		&gp.TrainOptions{FixedTheta: fixtureTheta, FixedNoise: fixtureLogNoise})
-	if err != nil {
-		t.Fatal(err)
-	}
+	em := fitExact(t, x, y, lo, hi, gp.SEARD{}, fixtureTheta, fixtureLogNoise)
 	var sumSq float64
 	count := 0
 	for i := 0; i <= 10; i++ {
 		for j := 0; j <= 10; j++ {
 			xq := []float64{float64(i) / 10, float64(j) / 10}
-			muE, _ := em.Predict(xq)
-			muF, _ := incS.Predict(xq)
+			muE, _ := predict(em, xq)
+			muF, _ := predict(incS, xq)
 			d := muE - muF
 			sumSq += d * d
 			count++
@@ -199,15 +190,15 @@ func TestFeatureWithPseudoContract(t *testing.T) {
 	}
 	for q := 0; q < 25; q++ {
 		xq := []float64{rng.Float64(), rng.Float64()}
-		mu0, _ := fm.Predict(xq)
-		mu1, _ := hall.Predict(xq)
+		mu0, _ := predict(fm, xq)
+		mu1, _ := predict(hall, xq)
 		if math.Abs(mu0-mu1) > 1e-8*(1+math.Abs(mu0)) {
 			t.Fatalf("hallucination moved the mean at %v: %v -> %v", xq, mu0, mu1)
 		}
 	}
 	for _, b := range busy {
-		_, s0 := fm.Predict(b)
-		_, s1 := hall.Predict(b)
+		_, s0 := predict(fm, b)
+		_, s1 := predict(hall, b)
 		if !(s1 < s0) {
 			t.Fatalf("deviation did not shrink at busy point %v: %v -> %v", b, s0, s1)
 		}
@@ -219,7 +210,7 @@ func TestFeatureWithPseudoContract(t *testing.T) {
 	}
 }
 
-// TestFeatureSampler exercises the Sampler capability on the feature
+// TestFeatureSampler exercises SampleRFF on the feature
 // backend: independent draws differ, a single draw is a fixed function, and
 // draws stay near the posterior mean where the data pins it down.
 func TestFeatureSampler(t *testing.T) {
@@ -244,7 +235,7 @@ func TestFeatureSampler(t *testing.T) {
 		if s1(xq) != s1(xq) {
 			t.Fatal("draw is not a fixed function")
 		}
-		mu, sigma := fm.Predict(xq)
+		mu, sigma := predict(fm, xq)
 		if math.Abs(s1(xq)-mu) > 6*sigma+0.3 {
 			t.Fatalf("draw strays implausibly far from the posterior at %v: %v vs µ=%v σ=%v", xq, s1(xq), mu, sigma)
 		}
@@ -252,82 +243,6 @@ func TestFeatureSampler(t *testing.T) {
 	if diff < 1e-6 {
 		t.Fatal("independent posterior draws are identical")
 	}
-}
-
-// TestFeatureManagerCadence drives the manager through an append-only
-// history and checks the hyper cadence bookkeeping plus prediction sanity.
-func TestFeatureManagerCadence(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	x, y, lo, hi := fixture(rng, 120)
-	mm := NewFeatureManager(lo, hi, rng, FeatureOptions{
-		Features: 128, HyperEvery: 32, Subsample: 64, FitIters: 20,
-	})
-	if _, _, ok := mm.Hyper(); ok {
-		t.Fatal("Hyper must report not-ok before the first fit")
-	}
-	var last Surrogate
-	for n := 10; n <= 120; n += 10 {
-		s, err := mm.Fit(x[:n], y[:n])
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if s.N() != n {
-			t.Fatalf("n=%d: surrogate reports N=%d", n, s.N())
-		}
-		last = s
-	}
-	if _, _, ok := mm.Hyper(); !ok {
-		t.Fatal("Hyper must report ok after fitting")
-	}
-	// A cached re-fit at the same n returns the same model.
-	again, err := mm.Fit(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != last {
-		t.Fatal("unchanged dataset must return the cached surrogate")
-	}
-	// The fitted posterior interpolates the smooth target reasonably.
-	var sumSq float64
-	for i := 0; i < 120; i++ {
-		mu := last.PredictMean(x[i])
-		d := mu - y[i]
-		sumSq += d * d
-	}
-	if rmse := math.Sqrt(sumSq / 120); rmse > 0.25 {
-		t.Fatalf("training RMSE %v implausibly large", rmse)
-	}
-}
-
-// TestExactManagerMatchesFeatureInterface sanity-checks the Exact wrapper
-// end to end through the Manager interface.
-func TestExactManagerBasics(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	x, y, lo, hi := fixture(rng, 30)
-	mm := NewExactManager(lo, hi, rng, ExactOptions{RefitEvery: 5, FitIters: 15})
-	s, err := mm.Fit(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N() != 30 {
-		t.Fatalf("N = %d, want 30", s.N())
-	}
-	if _, _, ok := mm.Hyper(); !ok {
-		t.Fatal("Hyper must report ok after fitting")
-	}
-	// The wrapper must round-trip hallucination through the interface.
-	h, err := s.WithPseudo([][]float64{{0.5, 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.N() != 31 {
-		t.Fatalf("hallucinated N = %d, want 31", h.N())
-	}
-	// Both backends satisfy the optional Sampler capability.
-	if _, ok := s.(Sampler); !ok {
-		t.Fatal("Exact must implement Sampler")
-	}
-	var _ Sampler = &FeatureModel{}
 }
 
 func TestParseBackend(t *testing.T) {
@@ -341,39 +256,5 @@ func TestParseBackend(t *testing.T) {
 	}
 	if _, err := ParseBackend("gp"); err == nil {
 		t.Fatal("unknown backend must be rejected")
-	}
-}
-
-// TestManagersTrainAfterRestore: a restored manager has hyperparameters but
-// no model, whatever its cadence says about the next fit being incremental
-// (the live manager got here through an Extend that failed). It must train,
-// warm-started, not extend a model it does not have.
-func TestManagersTrainAfterRestore(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	x, y, lo, hi := fixture(rng, 30)
-	for name, mm := range map[string]Manager{
-		"exact":    NewExactManager(lo, hi, rng, ExactOptions{RefitEvery: 5, FitIters: 10}),
-		"features": NewFeatureManager(lo, hi, rng, FeatureOptions{Features: 32, FitIters: 10}),
-	} {
-		if _, err := mm.Fit(x[:20], y[:20]); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		st := mm.State()
-		if st.Theta == nil || st.LastHyperN != 20 {
-			t.Fatalf("%s: state after the first fit: %+v", name, st)
-		}
-		if err := mm.Restore(st); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		s, err := mm.Fit(x[:22], y[:22]) // two new points: inside both cadences
-		if err != nil {
-			t.Fatalf("%s: fit after restore: %v", name, err)
-		}
-		if s.N() != 22 || mm.State().LastHyperN != 22 {
-			t.Fatalf("%s: fit after restore did not train from scratch: N=%d, state %+v", name, s.N(), mm.State())
-		}
-		if err := mm.Restore(ManagerState{Theta: st.Theta[:1], LastHyperN: 20}); err == nil {
-			t.Fatalf("%s: restored hyperparameters of the wrong length", name)
-		}
 	}
 }
