@@ -154,16 +154,19 @@ bench-smoke:
 # of the serving envelope alone (serve-wal: no model, a real WAL, a restart
 # whose status body must match byte for byte) and of the whole serving stack
 # with a restart replay. A run checks that every block walks the same
-# history digest and prints "correct":true only then.
+# history digest and prints "correct":true only then; scripts/benchdigest.sh
+# also holds that digest (and best_y) to the one scripts/bench_digests.txt
+# records for the workload at seed 1, so a change that moves a history
+# without meaning to fails here.
 # benchmark/run.sh is what a performance claim is measured with (30 s per
 # workload; see benchmark/README.md).
 bench-check:
 	cd benchmark && $(GO) test ./...
-	bash benchmark/run.sh --workload de-classe --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
-	bash benchmark/run.sh --workload bo-opamp --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
-	bash benchmark/run.sh --workload bo-opamp --seed 1 --seconds 5 --trace 1 | grep -q '"correct":true'
-	bash benchmark/run.sh --workload serve-wal --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
-	bash benchmark/run.sh --workload serve-model --seed 1 --seconds 5 --trace 0 | grep -q '"correct":true'
+	./scripts/benchdigest.sh de-classe 0
+	./scripts/benchdigest.sh bo-opamp 0
+	./scripts/benchdigest.sh bo-opamp 1
+	./scripts/benchdigest.sh serve-wal 0
+	./scripts/benchdigest.sh serve-model 0
 
 # The paper-fidelity scoreboard (DESIGN.md §15): every table and figure of
 # the paper on -quick budgets at five seeds, as one JSON board, with the

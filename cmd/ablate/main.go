@@ -6,11 +6,13 @@
 //     own EasyBO vs EasyBO-A comparison, reproduced here at a glance);
 //   - the surrogate kernel (SE-ARD, the paper's choice, vs Matérn-5/2);
 //   - the hyperparameter refit cadence (cost/quality trade-off this
-//     implementation introduces).
+//     implementation introduces);
+//   - the acquisition sweep's size (10·d, 20·d — the default — and 60·d
+//     Latin-hypercube candidates before the gradient refinement).
 //
 // Usage:
 //
-//	ablate -runs 5 -evals 100 [-which lambda|penalty|kernel|refit|all] [-json FILE]
+//	ablate -runs 5 -evals 100 [-which lambda|penalty|kernel|refit|sweep|all] [-json FILE]
 //
 // With -json the sweeps are also written as one board document, a table per
 // sweep in cmd/repro's row schema, so `repro -compare` pairs two builds'
@@ -34,7 +36,7 @@ func main() {
 	var (
 		runs  = flag.Int("runs", 5, "repetitions per configuration")
 		evals = flag.Int("evals", 100, "simulations per run")
-		which = flag.String("which", "all", "lambda | penalty | kernel | refit | all")
+		which = flag.String("which", "all", "lambda | penalty | kernel | refit | sweep | all")
 		out   = flag.String("json", "", "also write the sweeps to `FILE` as a board document (see repro -compare)")
 	)
 	flag.Parse()
@@ -52,6 +54,9 @@ func main() {
 	}
 	if *which == "all" || *which == "refit" {
 		a.refit()
+	}
+	if *which == "all" || *which == "sweep" {
+		a.sweepSize()
 	}
 	if *out != "" {
 		if err := a.board.WriteFile(*out); err != nil {
@@ -150,4 +155,17 @@ func (a *ablation) refit() {
 	}
 	fmt.Println("frequent refits cost model time but track the landscape better;")
 	fmt.Println("the harness defaults to 5 (op-amp) / 15 (class-E).")
+}
+
+func (a *ablation) sweepSize() {
+	a.sweep("sweep", "acquisition sweep size (EasyBO-10)")
+	d := len(a.prob.Lo)
+	for _, per := range []int{10, 20, 60} {
+		a.row(fmt.Sprintf("%d·d candidates", per), bo.Config{
+			Algo: bo.AlgoEasyBO, BatchSize: 10,
+			FitIters: 20, RefitEvery: 10, AcqCandidates: per * d,
+		})
+	}
+	fmt.Println("the sweep only seeds the three gradient ascents; 20·d (at least 100)")
+	fmt.Println("is the default, 60·d the size proposer generations 0 and 1 swept.")
 }

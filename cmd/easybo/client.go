@@ -264,9 +264,13 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 		evals    []easybo.Evaluation
 		failed   []easybo.Evaluation
 		firstErr error
-		inflight = map[int]bool{} // proposal ids being evaluated locally
-		asking   int              // local asks sent whose proposal is not claimed yet
-		seen     int              // most observations any tell ack has reported
+		// held is every proposal id a local worker has held, evaluated or
+		// told: an id is never dropped after its tell, because a status an
+		// orphan scan read before that tell landed still lists it as
+		// outstanding, and adopting it again would tell it twice (a 409).
+		held   = map[int]bool{}
+		asking int // local asks sent whose proposal is not claimed yet
+		seen   int // most observations any tell ack has reported
 	)
 	setErr := func(err error) {
 		mu.Lock()
@@ -286,10 +290,10 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 	claim := func(pid int) bool {
 		mu.Lock()
 		defer mu.Unlock()
-		if inflight[pid] {
+		if held[pid] {
 			return false
 		}
-		inflight[pid] = true
+		held[pid] = true
 		return true
 	}
 	// adoptOrphan looks for an outstanding proposal no local worker holds:
@@ -341,7 +345,7 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 				mu.Lock()
 				asking--
 				if err == nil && a.Status == serve.AskOK {
-					inflight[a.ProposalID] = true
+					held[a.ProposalID] = true
 				}
 				mu.Unlock()
 				if err != nil {
@@ -410,7 +414,6 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 					}
 				}
 				mu.Lock()
-				delete(inflight, a.ProposalID)
 				if ack.Observations > seen {
 					seen = ack.Observations
 				}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestVerifyVerdicts runs the offline audit over the two pinned data
+// TestVerifyVerdicts runs the offline audit over the three pinned data
 // directories of internal/serve: a log this build's generation wrote verifies
 // (exit 0); a log an older build wrote is neither a divergence nor a pass —
 // its sessions are reported UNVERIFIABLE with the generation of their asks,
@@ -18,8 +18,10 @@ func TestVerifyVerdicts(t *testing.T) {
 		code int
 		want string
 	}{
-		{"gen1_wal/pin-exact", 0, "pin-exact: ok (38 events, 20 asks re-derived)"},
-		{"gen1_wal/pin-features", 0, "verified 1 session(s), 0 diverged, 0 unverifiable"},
+		{"gen2_wal/pin-exact", 0, "pin-exact: ok (38 events, 20 asks re-derived)"},
+		{"gen2_wal/pin-features", 0, "verified 1 session(s), 0 diverged, 0 unverifiable"},
+		{"gen1_wal/pin-exact", 2, "pin-exact: UNVERIFIABLE (generation 1): 38 events replay, 0 asks re-derived, 14 asks of proposer generation 1"},
+		{"gen1_wal/pin-features", 2, "verified 0 session(s), 0 diverged, 1 unverifiable"},
 		{"parent_wal/pin-exact", 2, "pin-exact: UNVERIFIABLE (generation 0): 38 events replay, 0 asks re-derived, 14 asks of proposer generation 0"},
 		{"parent_wal/pin-features", 2, "verified 0 session(s), 0 diverged, 1 unverifiable"},
 		{"no-such-directory", 1, ""},

@@ -49,9 +49,10 @@
 //     pairwise-distance cache that turns every Gram build of the fit into
 //     one exponential per entry instead of d+1, and in one reused workspace
 //     whose Adam steps allocate nothing.
-//   - The acquisition maximizer sweeps 60·d candidates and refines the best
-//     three by a projected quasi-Newton ascent on the posterior's analytic
-//     gradient (at most 30 value-and-gradient evaluations each), fanned out
+//   - The acquisition maximizer sweeps max(20·d, 100) candidates and
+//     refines the best three by a projected quasi-Newton ascent on the
+//     posterior's analytic gradient (at most 30 value-and-gradient
+//     evaluations each), fanned out
 //     across goroutines, each worker owning an allocation-free predictor;
 //     results are bit-identical for any worker count.
 //

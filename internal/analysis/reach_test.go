@@ -293,8 +293,7 @@ var optionKeep = map[string]string{
 	"easybo/internal/optimize.NelderMeadOptions.Tol":      "the same pins, a case that stops on the tolerance",
 	"easybo/internal/optimize.MaximizeOptions.RefineEval": "TestMaximizeParallelDeterministicAcrossWorkers ends the budget inside a quantum",
 	"easybo/internal/bo.Config.Features":                  "TestDriversRunOnEveryBackend runs the drivers on a 64-feature basis",
-	"easybo/internal/bo.Config.AcqCandidates":             "TestAllAlgorithmsRunAndRespectBudget (fastCfg) shrinks the sweep to stay fast",
-	"easybo/internal/bo.Config.AcqRefine":                 "the same fastCfg, one refinement",
+	"easybo/internal/bo.Config.AcqRefine":                 "TestAllAlgorithmsRunAndRespectBudget (fastCfg) refines one candidate to stay fast",
 	"easybo/internal/bo.Config.DEPop":                     "TestDERunsAndIsSequential runs a population of 20 in 200 evaluations",
 	"easybo/internal/cluster.Config.AttemptTimeout":       "the node_test clusters (TestAnyNodeRouting …) forward under a 2 s attempt timeout",
 	"easybo/internal/cluster.Config.MaxAttempts":          "the same clusters, ten attempts",

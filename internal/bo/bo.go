@@ -69,8 +69,8 @@ type Config struct {
 	Features   int
 
 	// Inner acquisition maximizer.
-	AcqCandidates int // candidate sweep size (default 60·d, min 200)
-	AcqRefine     int // simplex refinements (default 2)
+	AcqCandidates int // candidate sweep size (default 20·d, min 100)
+	AcqRefine     int // best candidates refined by gradient ascent (default 3)
 
 	DEPop int // DE population (default 50)
 

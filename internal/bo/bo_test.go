@@ -14,7 +14,7 @@ import (
 func fastCfg(algo Algorithm, b int, evals int, seed int64) Config {
 	return Config{
 		Algo: algo, BatchSize: b, InitPoints: 10, MaxEvals: evals, Seed: seed,
-		FitIters: 15, RefitEvery: 10, AcqCandidates: 120, AcqRefine: 1,
+		FitIters: 15, RefitEvery: 10, AcqRefine: 1,
 	}
 }
 

@@ -76,10 +76,11 @@ func (p *Proposer) proposeOn(view surrogate.Surrogate, lo, hi []float64, rng *ra
 // generation; whoever records proposals stamps them with it (serve does, on
 // every ask event). Generation 0 refined the sweep's best candidates with
 // Nelder–Mead simplexes of 40·d evaluations; generation 1 refines them with
-// optimize.Ascent on the posterior's analytic gradient. Any change to what
-// an ask computes — the sweep, a constant of the ascent, the operation order
-// of a prediction — is a new generation.
-const ProposerGeneration = 1
+// optimize.Ascent on the posterior's analytic gradient; generation 2 sweeps
+// max(20·d, 100) Latin-hypercube candidates where 0 and 1 swept
+// max(60·d, 200). Any change to what an ask computes — the sweep, a constant
+// of the ascent, the operation order of a prediction — is a new generation.
+const ProposerGeneration = 2
 
 // AcqObjective is the objective every acquisition maximization in the stack
 // hands optimize.MaximizeGrad: acquisition a on the standardized view of m.

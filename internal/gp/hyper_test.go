@@ -1,9 +1,11 @@
 package gp
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"runtime"
 	"sort"
 	"testing"
@@ -413,12 +415,94 @@ func TestRefitAllocationIndependentOfIters(t *testing.T) {
 
 var sinkGP *GP
 
+// Two refits the bo-opamp benchmark workload ran at seed 2, at n = 60, taken
+// as FitHyper received them (unit-cube inputs, standardized targets, the
+// previous refit's hyperparameters as the warm start): one from a
+// generation-1 history, one from a generation-2 history. The second lands
+// where the factor, its inverse and K⁻¹ hold subnormal entries — its warm
+// start has a length-scale on its lower bound — and the first does not.
+const (
+	refitNormal    = "testdata/refit_opamp_normal_n60.json"
+	refitSubnormal = "testdata/refit_opamp_subnormal_n60.json"
+)
+
+// loadRefit reads one of those refits: the training set and the warm-only
+// options the serving loop fitted it with.
+func loadRefit(tb testing.TB, path string) ([][]float64, []float64, *FitOptions) {
+	tb.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var r struct {
+		InitTheta []float64   `json:"init_theta"`
+		InitNoise float64     `json:"init_noise"`
+		X         [][]float64 `json:"x"`
+		Y         []float64   `json:"y"`
+	}
+	if err := json.Unmarshal(raw, &r); err != nil {
+		tb.Fatalf("%s: %v", path, err)
+	}
+	return r.X, r.Y, &FitOptions{Iters: 20, InitTheta: r.InitTheta, InitNoise: r.InitNoise, WarmOnly: true}
+}
+
+// subnormalOperands counts the nonzero entries below 2⁻¹⁰²² in the fitted
+// factor L, in G = L⁻¹ and in the upper triangle of K⁻¹: the operands of the
+// n³ loops of an Adam step, at the hyperparameters the fit ended on.
+func subnormalOperands(g *GP) int {
+	n := g.chol.N
+	kinv, ginv := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+	g.chol.InverseUpperInto(kinv, ginv)
+	count := 0
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			for _, v := range [...]float64{g.chol.L.At(i, j), ginv.At(i, j), kinv.At(j, i)} {
+				if v != 0 && math.Abs(v) < 0x1p-1022 {
+					count++
+				}
+			}
+		}
+	}
+	return count
+}
+
+// TestRefitSubnormalRegime logs the subnormal operands of each recorded
+// refit and holds the two fixtures to the regimes they stand for, so that
+// BenchmarkFitHyper's pair of them compares a refit in that regime with one
+// outside it at equal n (DESIGN.md §17.4).
+func TestRefitSubnormalRegime(t *testing.T) {
+	for _, c := range []struct {
+		path      string
+		subnormal bool
+	}{{refitNormal, false}, {refitSubnormal, true}} {
+		x, y, opts := loadRefit(t, c.path)
+		g, err := FitHyper(SEARD{}, x, y, rand.New(rand.NewSource(1)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := subnormalOperands(g)
+		t.Logf("%s: n=%d, %d subnormal operands in L, L⁻¹ and K⁻¹", c.path, len(x), count)
+		if (count > 0) != c.subnormal {
+			t.Errorf("%s: %d subnormal operands; the fixture stands for a refit in the subnormal regime: %v", c.path, count, c.subnormal)
+		}
+	}
+}
+
 // BenchmarkFitHyper is one hyperparameter refit as the serving loop pays for
 // it: the cadenced warm-only refit (20 iterations from the previous optimum)
 // at two training-set sizes, and the cold fit a recovery or a first model
-// runs (40 iterations from the default start and one random restart).
+// runs (40 iterations from the default start and one random restart); then
+// the two recorded op-amp refits at n = 60, outside and inside the
+// subnormal regime, each reporting its count of subnormal operands.
 func BenchmarkFitHyper(b *testing.B) {
 	const d = 10
+	type fitCase struct {
+		name string
+		x    [][]float64
+		y    []float64
+		opts *FitOptions
+	}
+	var cases []fitCase
 	for _, c := range []struct {
 		name string
 		n    int
@@ -429,15 +513,26 @@ func BenchmarkFitHyper(b *testing.B) {
 		{"cold/n=150", 150, &FitOptions{Iters: 40, Restarts: 1}},
 	} {
 		x, y := trainData(rand.New(rand.NewSource(14)), c.n, d, func(v []float64) float64 { return v[0] + math.Sin(6*v[3]) })
+		cases = append(cases, fitCase{c.name, x, y, c.opts})
+	}
+	for _, c := range []struct{ name, path string }{
+		{"warm/opamp-normal/n=60", refitNormal},
+		{"warm/opamp-subnormal/n=60", refitSubnormal},
+	} {
+		x, y, opts := loadRefit(b, c.path)
+		cases = append(cases, fitCase{c.name, x, y, opts})
+	}
+	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g, err := FitHyper(SEARD{}, x, y, rand.New(rand.NewSource(15)), c.opts)
+				g, err := FitHyper(SEARD{}, c.x, c.y, rand.New(rand.NewSource(15)), c.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
 				sinkGP = g
 			}
+			b.ReportMetric(float64(subnormalOperands(sinkGP)), "subnormals")
 		})
 	}
 }

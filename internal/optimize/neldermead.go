@@ -316,7 +316,7 @@ func NelderMead(f Objective, x0, lo, hi []float64, opts NelderMeadOptions) ([]fl
 
 // MaximizeOptions tunes the global acquisition maximizer.
 type MaximizeOptions struct {
-	Candidates int // space-filling candidates (default 60·d, min 200)
+	Candidates int // space-filling candidates (default 20·d, min 100)
 	Refine     int // top candidates refined by a local search (default 3)
 	RefineEval int // evaluation budget of one Simplex (default 40·d); an Ascent's is the constant ascentEvals
 	// Workers is the number of goroutines evaluating candidates and running
@@ -330,10 +330,7 @@ type MaximizeOptions struct {
 
 func (o *MaximizeOptions) defaults(d int) {
 	if o.Candidates <= 0 {
-		o.Candidates = 60 * d
-		if o.Candidates < 200 {
-			o.Candidates = 200
-		}
+		o.Candidates = max(20*d, 100)
 	}
 	if o.Refine <= 0 {
 		o.Refine = 3

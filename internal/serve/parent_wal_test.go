@@ -16,34 +16,37 @@ import (
 	"easybo/internal/serve/wal"
 )
 
-// Two WAL data directories are pinned under testdata/, each two sessions, one
-// per surrogate backend, stopped mid-run with proposals in flight.
+// Three WAL data directories are pinned under testdata/, each two sessions,
+// one per surrogate backend, stopped mid-run with proposals in flight.
 //
 // testdata/parent_wal was written by the commit before the acquisition
 // maximizer was batched (PR 12, f90de40). Its asks carry no proposer
 // generation — generation 0, the simplex refinement — and through PR 22
 // recovery re-derived every one of them bit for bit, which is how batched
 // prediction, the lockstep simplex and the factorization rewrites proved
-// they changed no result. A generation-1 build cannot derive those points,
-// and must not quarantine them either: it recovers the sessions with the
-// recorded proposals taken as they are, says so, and continues.
+// they changed no result. testdata/gen1_wal was written by the commit that
+// introduced generation 1 (the gradient refinement) and was the bitwise pin
+// until generation 2 (the 20·d sweep). A build of a later generation cannot
+// derive the points of either, and must not quarantine them: it recovers the
+// sessions with the recorded proposals taken as they are, says so, and
+// continues.
 //
-// testdata/gen1_wal was written by the commit that introduced generation 1
-// (the gradient refinement) and is the bitwise pin from there on: recovery
-// re-derives its asks bit for bit, so accepting it is the cross-version
-// proof that a later change under an ask changed no result. Regenerating
-// either fixture at a later commit would only prove that commit agrees with
-// itself.
+// testdata/gen2_wal was written by the commit that introduced generation 2
+// and is the bitwise pin from there on: recovery re-derives its asks bit for
+// bit, so accepting it is the cross-version proof that a later change under
+// an ask changed no result. Regenerating a fixture at a later commit would
+// only prove that commit agrees with itself.
 var (
 	writeParentWAL = flag.Bool("write-parent-wal", false,
 		"rewrite testdata/parent_wal from the current code (meaningful only at the commit the fixture is named for)")
-	writeGen1WAL = flag.Bool("write-gen1-wal", false,
-		"rewrite testdata/gen1_wal from the current code (meaningful only at a generation-1 commit, and only deliberately)")
+	writeGen2WAL = flag.Bool("write-gen2-wal", false,
+		"rewrite testdata/gen2_wal from the current code (meaningful only at a generation-2 commit, and only deliberately)")
 )
 
 const (
 	parentWALDir = "testdata/parent_wal"
 	gen1WALDir   = "testdata/gen1_wal"
+	gen2WALDir   = "testdata/gen2_wal"
 )
 
 // parentSessions are the fixture's sessions. 3-D box, 6 design points, then
@@ -175,37 +178,54 @@ func audit(t *testing.T, dir string) serve.SessionRecovery {
 	return rec
 }
 
-// TestRecoverAcceptsParentCommitWAL: the PR 12 log under a generation-1
-// build. No quarantine; every model-based ask counted as generation 0, on the
-// report, on the daemon's totals and by the offline audit (which therefore
-// does not pass); every acknowledged tell present, bit for bit; and the run
-// the recovered session continues stays in the box and ends on its budget.
+// TestRecoverAcceptsParentCommitWAL: the generation-0 log under a later
+// generation's build, recovered by a full replay (it has no checkpoints).
 func TestRecoverAcceptsParentCommitWAL(t *testing.T) {
 	if *writeParentWAL {
 		writeFixture(t, parentWALDir)
 	}
+	recoverOlderGeneration(t, parentWALDir, 0, serve.RecoverFull)
+}
+
+// TestRecoverGen1WAL: the generation-1 log under a later generation's build,
+// recovered from its checkpoints.
+func TestRecoverGen1WAL(t *testing.T) {
+	recoverOlderGeneration(t, gen1WALDir, 1, serve.RecoverCheckpoint)
+}
+
+// recoverOlderGeneration is the cross-version proof for a log of proposer
+// generation gen, older than this build's. No quarantine; every model-based
+// ask counted as of generation gen by the offline audit (which therefore does
+// not pass) and, in a full replay, on the report and the daemon's totals — a
+// checkpoint replay counts only the asks it puts back after the cut; every
+// acknowledged tell present, bit for bit; and the run the recovered session
+// continues stays in the box and ends on its budget.
+func recoverOlderGeneration(t *testing.T, fixture string, gen int, mode string) {
 	for _, s := range parentSessions {
 		t.Run(s.id, func(t *testing.T) {
 			// Recovery takes the store's lock and may prune; work on a copy.
 			dir := t.TempDir()
-			copyTree(t, dir, filepath.Join(parentWALDir, s.id))
+			copyTree(t, dir, filepath.Join(fixture, s.id))
 			modelAsks := s.tells + inFlight - s.cfg.InitPoints
-			if rec := audit(t, dir); rec.AsksUnverified != modelAsks || rec.UnverifiedGen != 0 {
-				t.Fatalf("audit: %d asks unverifiable (generation %d), the log holds %d model-based asks of generation 0",
-					rec.AsksUnverified, rec.UnverifiedGen, modelAsks)
+			if rec := audit(t, dir); rec.AsksUnverified != modelAsks || rec.UnverifiedGen != gen || rec.AsksRederived != 0 {
+				t.Fatalf("audit: %+v, the log holds %d model-based asks of generation %d", rec, modelAsks, gen)
 			}
 			d := startDaemon(t, dir, s.policy)
 			defer d.stop()
 			if len(d.report.Quarantined) != 0 || !reflect.DeepEqual(d.report.Recovered, []string{s.id}) {
-				t.Fatalf("recovery of the parent commit's log: recovered %v, quarantined %v",
-					d.report.Recovered, d.report.Quarantined)
+				t.Fatalf("recovery of a generation-%d log: recovered %v, quarantined %v",
+					gen, d.report.Recovered, d.report.Quarantined)
 			}
 			rec := d.report.Sessions[0]
-			if rec.Mode != serve.RecoverFull || rec.AsksUnverified != modelAsks || rec.UnverifiedGen != 0 || rec.AsksRederived != 0 {
-				t.Fatalf("recovered as %+v, want a full replay with all %d model-based asks unverified (generation 0)", rec, modelAsks)
+			unverified := rec.AsksUnverified > 0
+			if mode == serve.RecoverFull {
+				unverified = rec.AsksUnverified == modelAsks
 			}
-			if tot := d.sv.RecoveryTotals(); tot.AsksUnverified != int64(modelAsks) {
-				t.Fatalf("recovery totals %+v, want %d asks unverified", tot, modelAsks)
+			if rec.Mode != mode || !unverified || rec.UnverifiedGen != gen || rec.AsksRederived != 0 {
+				t.Fatalf("recovered as %+v, want a %s replay with model-based asks unverified (generation %d) and none re-derived", rec, mode, gen)
+			}
+			if tot := d.sv.RecoveryTotals(); tot.AsksUnverified != int64(rec.AsksUnverified) {
+				t.Fatalf("recovery totals %+v, want %d asks unverified", tot, rec.AsksUnverified)
 			}
 			var mid serve.Status
 			d.call("GET", "/sessions/"+s.id, nil, &mid)
@@ -236,25 +256,25 @@ func TestRecoverAcceptsParentCommitWAL(t *testing.T) {
 	}
 }
 
-// TestRecoverGen1WAL is the bitwise cross-version pin (see the fixtures'
-// comment): the generation-1 log recovers from its checkpoints with every
+// TestRecoverGen2WAL is the bitwise cross-version pin (see the fixtures'
+// comment): the generation-2 log recovers from its checkpoints with every
 // derived ask equal to the record, nothing unverified, the audit passing from
 // the first event, and finishes exactly as a run that never stopped.
-func TestRecoverGen1WAL(t *testing.T) {
-	if *writeGen1WAL {
-		writeFixture(t, gen1WALDir)
+func TestRecoverGen2WAL(t *testing.T) {
+	if *writeGen2WAL {
+		writeFixture(t, gen2WALDir)
 	}
 	for _, s := range parentSessions {
 		t.Run(s.id, func(t *testing.T) {
 			dir := t.TempDir()
-			copyTree(t, dir, filepath.Join(gen1WALDir, s.id))
+			copyTree(t, dir, filepath.Join(gen2WALDir, s.id))
 			if rec := audit(t, dir); rec.AsksUnverified != 0 || rec.AsksRederived != s.tells+inFlight {
 				t.Fatalf("audit: %+v, want all %d asks re-derived", rec, s.tells+inFlight)
 			}
 			d := startDaemon(t, dir, s.policy)
 			defer d.stop()
 			if len(d.report.Quarantined) != 0 || !reflect.DeepEqual(d.report.Recovered, []string{s.id}) {
-				t.Fatalf("recovery of the generation-1 log: recovered %v, quarantined %v",
+				t.Fatalf("recovery of the generation-2 log: recovered %v, quarantined %v",
 					d.report.Recovered, d.report.Quarantined)
 			}
 			if rec := d.report.Sessions[0]; rec.Mode != serve.RecoverCheckpoint || rec.AsksUnverified != 0 || rec.AsksRederived == 0 {

@@ -140,8 +140,8 @@ type SessionConfig struct {
 // (the serve-wal benchmark's 100 000-point design over 4 dimensions, 40 Adam
 // steps a refit, a dozen dimensions) and far below what would exhaust the
 // process or wedge the session: the design — InitPoints × d coordinates —
-// is allocated at create, every model ask sweeps 60·d candidates of d
-// coordinates, and every refit runs FitIters Adam steps on the session's
+// is allocated at create, every model ask sweeps max(20·d, 100) candidates
+// of d coordinates, and every refit runs FitIters Adam steps on the session's
 // actor, again serially when recovery replays it.
 const (
 	maxDesignCoords = 1 << 21 // InitPoints × len(Lo), after MaxEvals caps InitPoints

@@ -116,10 +116,10 @@ const (
 
 // seekLimit bounds how far a replay of n events in d dimensions will wind the
 // random source forward on a recorded position's say-so. What an ask draws is
-// dominated by the acquisition maximizer's Latin-hypercube sweep — 60·d
-// candidates, two values a coordinate — with a feature basis (a few hundred
-// values a dimension) or a subsample permutation (a value an observation)
-// now and then, so a log this code wrote stays well inside 256·d² + 2¹⁶ a
+// dominated by the acquisition maximizer's Latin-hypercube sweep — 20·d
+// candidates, at least 100, two values a coordinate — with a feature basis
+// (a few hundred values a dimension) or a subsample permutation (a value an
+// observation) now and then, so a log this code wrote stays well inside 256·d² + 2¹⁶ a
 // event. A position beyond that is treated like any other checkpoint that
 // does not check out, instead of being spun towards.
 func seekLimit(from uint64, n, d int) uint64 {
