@@ -79,8 +79,9 @@ test: build
 # sweep's floor is per worker, so which candidates skip their solve depends
 # on the schedule of the ranges; that the result does not runs ten more times.
 # The surrogate package spawns nothing, but every goroutine above reads one
-# fitted model through predictors of its own: its test of that contract
-# (TestOneModelServesConcurrentReaders) runs here too.
+# fitted model — or one hallucinated view, whose busy-set state its predictors
+# share — through predictors of its own: its test of that contract
+# (TestOneModelServesConcurrentReaders) runs here too, and ten more times.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/serve/... \
 		./internal/cluster/... ./internal/loadgen/... ./internal/surrogate/... \
@@ -89,6 +90,7 @@ race:
 	$(GO) test -race -count 10 -run 'TestReadsShareHistoryWithActor|TestTellCostIndependentOfHistory' ./internal/serve
 	$(GO) test -race -count 20 -run 'TestRefineIsWorkConserving|TestMaximizeParallelDeterministicAcrossWorkers' ./internal/optimize
 	$(GO) test -race -count 10 -run 'TestSweepFloorChangesNothing' ./internal/core
+	$(GO) test -race -count 10 -run 'TestOneModelServesConcurrentReaders' ./internal/surrogate
 
 # Coverage with a ratchet: scripts/coverage.sh fails if the durability
 # stack (./internal/serve/...) drops below its recorded floor.

@@ -12,6 +12,7 @@ import (
 	"easybo"
 	"easybo/internal/acq"
 	"easybo/internal/bo"
+	"easybo/internal/core"
 	"easybo/internal/gp"
 	"easybo/internal/harness"
 	"easybo/internal/objective"
@@ -220,7 +221,7 @@ func BenchmarkGPFitPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkProposal measures one full EasyBO proposal (hallucinated refit +
+// BenchmarkProposal measures one full EasyBO proposal (hallucinated view +
 // acquisition maximization) at realistic training size.
 func BenchmarkProposal(b *testing.B) {
 	p := testbench.OpAmp()
@@ -457,30 +458,58 @@ func BenchmarkGPExtend(b *testing.B) {
 	}
 }
 
-// BenchmarkHallucinate measures the Suggest-path pseudo-observation refit
-// (paper Eq. 9): 5 busy points against a 200-point surrogate.
+// BenchmarkHallucinate measures the hallucination of paper Eq. 9, the
+// attribution of what an ask pays for its busy set (the serving path has no
+// traced span of its own): WithPseudo on the feature backend at serve-model's
+// shape (d = 6, m = 256, 3 busy), on the exact GP at bo-opamp's (n = 100,
+// 4 busy), and one penalized Propose — the view and the acquisition
+// maximization over it — on the feature model.
 func BenchmarkHallucinate(b *testing.B) {
-	d := 10
-	n := 200
-	x, y := surrogateData(n, d, 2)
-	lo := make([]float64, d)
-	hi := make([]float64, d)
-	for i := range hi {
-		hi[i] = 1
+	unit := func(d int) (lo, hi []float64) {
+		lo, hi = make([]float64, d), make([]float64, d)
+		for i := range hi {
+			hi[i] = 1
+		}
+		return lo, hi
 	}
-	rng := rand.New(rand.NewSource(3))
-	m, err := trainExact(x, y, lo, hi, rng, 10)
+	x6, y6 := surrogateData(120, 6, 2)
+	lo6, hi6 := unit(6)
+	fm, err := surrogate.FitFeatures(x6, y6, lo6, hi6, gp.SEARD{}.DefaultTheta(6), -3,
+		rand.New(rand.NewSource(3)), surrogate.DefaultFeatures)
 	if err != nil {
 		b.Fatal(err)
 	}
-	busy, _ := surrogateData(5, d, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.WithPseudo(busy); err != nil {
-			b.Fatal(err)
+	busy3, _ := surrogateData(3, 6, 4)
+	x10, y10 := surrogateData(100, 10, 5)
+	lo10, hi10 := unit(10)
+	em, err := trainExact(x10, y10, lo10, hi10, rand.New(rand.NewSource(6)), 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	busy4, _ := surrogateData(4, 10, 7)
+
+	withPseudo := func(m surrogate.Surrogate, busy [][]float64) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.WithPseudo(busy); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
+	b.Run("features/d=6/m=256/busy=3", withPseudo(fm, busy3))
+	b.Run("exact/d=10/n=100/busy=4", withPseudo(em, busy4))
+	b.Run("propose/features/busy=3", func(b *testing.B) {
+		p := core.Proposer{Lambda: 6, Penalize: true}
+		rng := rand.New(rand.NewSource(8))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := p.Propose(fm, busy3, lo6, hi6, rng); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkSuggestHotPath measures one full asynchronous suggestion —

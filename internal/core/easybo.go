@@ -33,9 +33,9 @@ import (
 type Proposer struct {
 	// Lambda is the κ upper bound of Eq. (8); the paper uses 6.0.
 	Lambda float64
-	// Penalize enables the hallucination penalization of Eq. (9) (σ̂ from a
-	// surrogate refit with pseudo-observations at the busy points). Without
-	// it the plain posterior deviation is used (EasyBO-S / EasyBO-A).
+	// Penalize enables the hallucination penalization of Eq. (9) (σ̂ of the
+	// posterior conditioned on pseudo-observations at the busy points).
+	// Without it the plain posterior deviation is used (EasyBO-S / EasyBO-A).
 	Penalize bool
 	// MaxOpts tunes the inner acquisition maximizer.
 	MaxOpts optimize.MaximizeOptions
@@ -44,10 +44,10 @@ type Proposer struct {
 // Propose returns the next query point given the fitted surrogate, the busy
 // set (points still under evaluation, raw coordinates), and the design box.
 // It also reports the sampled weight for diagnostics. The hallucinated
-// variant extends the surrogate incrementally (rank-append on the exact GP,
-// rank-1 information updates on the feature backend), and the acquisition
-// maximization fans its multistart out across goroutines, each with its own
-// allocation-free predictor.
+// variant predicts from a view of the surrogate (WithPseudo) that takes the
+// busy points' Schur complement term off σ² and leaves the model itself
+// untouched, and the acquisition maximization fans its multistart out across
+// goroutines, each with its own allocation-free predictor.
 func (p *Proposer) Propose(m surrogate.Surrogate, busy [][]float64, lo, hi []float64, rng *rand.Rand) (x []float64, w float64, err error) {
 	if m == nil {
 		return nil, 0, errors.New("core: nil surrogate")
@@ -56,7 +56,7 @@ func (p *Proposer) Propose(m surrogate.Surrogate, busy [][]float64, lo, hi []flo
 	if p.Penalize && len(busy) > 0 {
 		view, err = m.WithPseudo(busy)
 		if err != nil {
-			return nil, 0, fmt.Errorf("core: hallucinated refit: %w", err)
+			return nil, 0, fmt.Errorf("core: hallucinating the busy set: %w", err)
 		}
 	}
 	return p.proposeOn(view, lo, hi, rng)
@@ -78,9 +78,12 @@ func (p *Proposer) proposeOn(view surrogate.Surrogate, lo, hi []float64, rng *ra
 // Nelder–Mead simplexes of 40·d evaluations; generation 1 refines them with
 // optimize.Ascent on the posterior's analytic gradient; generation 2 sweeps
 // max(20·d, 100) Latin-hypercube candidates where 0 and 1 swept
-// max(60·d, 200). Any change to what an ask computes — the sweep, a constant
-// of the ascent, the operation order of a prediction — is a new generation.
-const ProposerGeneration = 2
+// max(60·d, 200); generation 3 takes a hallucinated σ̂ as the Schur
+// complement of the busy set (surrogate.Surrogate.WithPseudo) where 0–2
+// grew or updated a second factor. Any change to what an ask computes — the
+// sweep, a constant of the ascent, the operation order of a prediction — is
+// a new generation.
+const ProposerGeneration = 3
 
 // AcqObjective is the objective every acquisition maximization in the stack
 // hands optimize.MaximizeGrad: acquisition a on the standardized view of m.
@@ -185,9 +188,10 @@ func (p *posteriorAt) Predict([]float64) (mu, sigma float64) { return p.mu, p.si
 // false, EasyBO-SP when true). With penalization each selected point is
 // immediately hallucinated so that later selections in the same batch are
 // pushed away from it — the in-batch diversity device of §III-C. The
-// hallucinations accumulate on one incrementally extended view (each step
-// appends a single row to the factor), so a batch costs O(b·n²) instead of
-// the O(b·n³) of per-step refits.
+// hallucinations accumulate on one view (each step adds one point to its
+// busy set and refactors the small busy-set matrix; the model is never
+// copied), so a batch costs O(b·n²) instead of the O(b·n³) of per-step
+// refits.
 func (p *Proposer) ProposeBatch(m surrogate.Surrogate, b int, lo, hi []float64, rng *rand.Rand) ([][]float64, error) {
 	if b < 1 {
 		return nil, errors.New("core: batch size must be >= 1")
@@ -206,7 +210,7 @@ func (p *Proposer) ProposeBatch(m surrogate.Surrogate, b int, lo, hi []float64, 
 		if p.Penalize && i+1 < b {
 			view, err = view.WithPseudo(batch[i : i+1])
 			if err != nil {
-				return nil, fmt.Errorf("core: hallucinated refit: %w", err)
+				return nil, fmt.Errorf("core: hallucinating the batch: %w", err)
 			}
 		}
 	}

@@ -110,12 +110,14 @@ func (g *GP) N() int { return len(g.X) }
 func (g *GP) Dim() int { return len(g.X[0]) }
 
 // PredictBuf holds reusable scratch for allocation-free predictions: the
-// kernel vectors of up to linalg.SolveWidth query points. A buf belongs to
-// one goroutine at a time; create one per worker. The zero value is ready
-// and sizes itself to the GP and the batch widths it meets.
+// kernel vectors of up to linalg.SolveWidth query points, and what a busy set's
+// correction needs per point. A buf belongs to one goroutine at a time; create
+// one per worker. The zero value is ready and sizes itself to the GP, the busy
+// set and the batch widths it meets.
 type PredictBuf struct {
 	flat []float64
 	ks   [linalg.SolveWidth][]float64
+	busy []float64 // c, z and ∂k/∂s to the busy points, len(Busy.x) each
 }
 
 // sized returns w kernel vectors of length n.
@@ -129,23 +131,33 @@ func (b *PredictBuf) sized(w, n int) [][]float64 {
 	return b.ks[:w]
 }
 
+// busyScratch returns the c, z and ∂k/∂s vectors for a busy set of nb points.
+func (b *PredictBuf) busyScratch(nb int) (c, z, dk []float64) {
+	if len(b.busy) < 3*nb {
+		b.busy = make([]float64, 3*nb)
+	}
+	return b.busy[:nb:nb], b.busy[nb : 2*nb : 2*nb], b.busy[2*nb : 3*nb : 3*nb]
+}
+
 // PredictBatchWith predicts at every xs[i] into mu[i] and sigma[i] (paper
 // Eq. (2); the deviation is the latent function's, without the observation
-// noise). The deviation needs v = L⁻¹·k(x), a forward substitution whose
-// every row is a floating-point dependency chain; linalg.SolveWidth points
-// go through the factor together and the solve interleaves their chains — a
-// lone point's rows with one another — so no width runs at add latency.
-// Each point's arithmetic is exactly the single-point sequence — kernel
-// vector, mean, solve, variance — so the values are bit-identical to
-// predicting the points one at a time, in any grouping.
+// noise), conditioned on the busy set when it is not nil. The deviation needs
+// v = L⁻¹·k(x), a forward substitution whose every row is a floating-point
+// dependency chain; linalg.SolveWidth points go through the factor together
+// and the solve interleaves their chains — a lone point's rows with one
+// another — so no width runs at add latency. Each point's arithmetic is
+// exactly the single-point sequence — kernel vector, mean, solve, variance,
+// busy correction — so the values are bit-identical to predicting the points
+// one at a time, in any grouping.
 //
 // keep, when not nil, is asked about each point before its solve, with its
 // mean and sigmaMax = √k(x,x). The variance is that same k(x,x) less a sum of
-// squares, which cannot make it larger under rounding either, so σ ≤ sigmaMax
-// holds in floating point with no margin. A point keep rejects skips the
-// solve and gets sigma −1, which no deviation is; the points it keeps fill the
-// solve groups in order, so each gets the bits it gets with keep nil.
-func (g *GP) PredictBatchWith(buf *PredictBuf, xs [][]float64, mu, sigma []float64, keep func(mu, sigmaMax float64) bool) {
+// squares, less another with a busy set, which cannot make it larger under
+// rounding either, so σ ≤ sigmaMax holds in floating point with no margin. A
+// point keep rejects skips the solve and gets sigma −1, which no deviation
+// is; the points it keeps fill the solve groups in order, so each gets the
+// bits it gets with keep nil.
+func (g *GP) PredictBatchWith(buf *PredictBuf, busy *Busy, xs [][]float64, mu, sigma []float64, keep func(mu, sigmaMax float64) bool) {
 	ks := buf.sized(min(len(xs), linalg.SolveWidth), g.N())
 	var at [linalg.SolveWidth]int // the point each pending kernel vector is for
 	var kss [linalg.SolveWidth]float64
@@ -163,21 +175,29 @@ func (g *GP) PredictBatchWith(buf *PredictBuf, xs [][]float64, mu, sigma []float
 		}
 		at[w] = i
 		if w++; w == len(ks) {
-			g.deviations(ks, at[:], kss[:], sigma)
+			g.deviations(buf, busy, xs, ks, at[:], kss[:], sigma)
 			w = 0
 		}
 	}
 	if w > 0 {
-		g.deviations(ks[:w], at[:w], kss[:w], sigma)
+		g.deviations(buf, busy, xs, ks[:w], at[:w], kss[:w], sigma)
 	}
 }
 
 // deviations solves the pending kernel vectors ks in place (v = L⁻¹·k) and
-// writes σ = √(k(x,x) − ‖v‖²) of the point at[j] each is for.
-func (g *GP) deviations(ks [][]float64, at []int, kss []float64, sigma []float64) {
+// writes σ = √(k(x,x) − ‖v‖² − busy.reduction) of the point at[j] each is for.
+func (g *GP) deviations(buf *PredictBuf, busy *Busy, xs, ks [][]float64, at []int, kss []float64, sigma []float64) {
 	g.chol.SolveLowerMulti(ks)
 	for j, v := range ks {
 		s2 := kss[j] - linalg.Dot(v, v)
+		if busy != nil {
+			c, _, _ := buf.busyScratch(len(busy.x))
+			x := xs[at[j]]
+			for i, b := range busy.x {
+				c[i] = g.kernEval(x, b) - linalg.Dot(v, busy.w[i])
+			}
+			s2 -= busy.reduction(c)
+		}
 		if s2 < 0 {
 			s2 = 0
 		}
@@ -190,18 +210,21 @@ func (g *GP) deviations(ks [][]float64, at []int, kss []float64, sigma []float64
 // two rounding errors. It is the floor the acquisitions use (acq.EI).
 const sigmaFloor = 1e-12
 
-// PredictGradWith returns the posterior mean and deviation at x and writes
-// their gradients in x into dmu and dsigma:
+// PredictGradWith returns the posterior mean and deviation at x, conditioned
+// on the busy set when it is not nil, and writes their gradients in x into
+// dmu and dsigma:
 //
 //	∇µ = Σᵢ αᵢ·∇k(x, xᵢ),   ∇σ² = −2 Σᵢ βᵢ·∇k(x, xᵢ),   β = K⁻¹k(x),
 //
-// with ∇k(x, xᵢ) = dk/ds·2(x − xᵢ)/l². The mean and deviation are computed
-// by PredictBatchWith's arithmetic on a batch of one, so they are the same
-// bits; the gradient costs one more triangular solve (β = L⁻ᵀ·L⁻¹k, whose
-// first half the deviation already paid for) and an O(n·d) pass. Where
+// with ∇k(x, xᵢ) = dk/ds·2(x − xᵢ)/l². A busy set adds −2 Σⱼ zⱼ·∇cⱼ to ∇σ²
+// (z = S⁻¹c, see Busy): β loses Σⱼ zⱼγⱼ, and the busy points join the sum
+// with weights zⱼ. The mean and deviation are computed by PredictBatchWith's
+// arithmetic on a batch of one, so they are the same bits; the gradient
+// costs one more triangular solve (β = L⁻ᵀ·L⁻¹k, whose first half the
+// deviation already paid for) and an O((n + |busy|)·d) pass. Where
 // σ ≤ sigmaFloor — at a noise-free training point — dsigma is zero. The
 // scratch is three of buf's kernel vectors.
-func (g *GP) PredictGradWith(buf *PredictBuf, x, dmu, dsigma []float64) (mu, sigma float64) {
+func (g *GP) PredictGradWith(buf *PredictBuf, busy *Busy, x, dmu, dsigma []float64) (mu, sigma float64) {
 	n := g.N()
 	ks := buf.sized(3, n)
 	k, c, beta := ks[0], ks[1], ks[2]
@@ -213,11 +236,30 @@ func (g *GP) PredictGradWith(buf *PredictBuf, x, dmu, dsigma []float64) (mu, sig
 	mu = linalg.Dot(k, g.alpha)
 	g.chol.SolveLowerInto(k, k) // v = L⁻¹k
 	s2 := g.kernEval(x, x) - linalg.Dot(k, k)
+	var cb, z, dkb []float64
+	if busy != nil {
+		cb, z, dkb = buf.busyScratch(len(busy.x))
+		for i, b := range busy.x {
+			s := g.st.scaledSq(x, b)
+			kb := g.Kern.evalScaled(&g.st, s)
+			dkb[i] = g.Kern.dkds(&g.st, s, kb)
+			cb[i] = kb - linalg.Dot(k, busy.w[i])
+		}
+		s2 -= busy.reduction(cb)
+	}
 	if s2 < 0 {
 		s2 = 0
 	}
 	sigma = math.Sqrt(s2)
 	g.chol.SolveUpperTInto(beta, k) // β = L⁻ᵀv
+	if busy != nil {
+		busy.weights(z, cb)
+		for i, gi := range busy.gamma {
+			for t, v := range gi {
+				beta[t] -= z[i] * v
+			}
+		}
+	}
 
 	for j := range dmu {
 		dmu[j], dsigma[j] = 0, 0
@@ -230,7 +272,16 @@ func (g *GP) PredictGradWith(buf *PredictBuf, x, dmu, dsigma []float64) (mu, sig
 			dsigma[j] += ws * r
 		}
 	}
-	// dsigma holds Σ βᵢcᵢ(x − xᵢ): ∇σ² is −4·invl2 times it, ∇σ that over 2σ.
+	if busy != nil {
+		for i, b := range busy.x {
+			ws := z[i] * dkb[i]
+			for j, xj := range x {
+				dsigma[j] += ws * (xj - b[j])
+			}
+		}
+	}
+	// dsigma holds Σ βᵢcᵢ(x − xᵢ) (+ Σ zⱼ·dk/dsⱼ·(x − bⱼ)): ∇σ² is
+	// −4·invl2 times it, ∇σ that over 2σ.
 	toSigma := 0.0
 	if sigma > sigmaFloor {
 		toSigma = -2 / sigma
@@ -240,16 +291,6 @@ func (g *GP) PredictGradWith(buf *PredictBuf, x, dmu, dsigma []float64) (mu, sig
 		dsigma[j] *= toSigma * l
 	}
 	return mu, sigma
-}
-
-// PredictMean returns only the posterior mean (cheaper: skips the
-// triangular solve needed for the variance).
-func (g *GP) PredictMean(x []float64) float64 {
-	var mu float64
-	for i, xi := range g.X {
-		mu += g.kernEval(x, xi) * g.alpha[i]
-	}
-	return mu
 }
 
 // LogMarginalLikelihood returns log p(y | X, θ).
@@ -321,17 +362,4 @@ func (g *GP) Extend(xNew [][]float64, yNew []float64) (*GP, error) {
 		chol: chol, st: g.st}
 	out.alpha = chol.Solve(y)
 	return out, nil
-}
-
-// WithPseudo returns a new GP whose training set is augmented with pseudo
-// observations (the hallucination device of BUCB / EasyBO §III-C). The
-// hyperparameters are reused without refitting — exactly the paper's usage,
-// where the pseudo targets are the current predictive means and must not
-// distort the model fit. Built on Extend, the cost is O(b·n²) for b busy
-// points rather than the O(n³) of a covariance rebuild.
-func (g *GP) WithPseudo(xp [][]float64, yp []float64) (*GP, error) {
-	if len(xp) == 0 {
-		return g, nil
-	}
-	return g.Extend(xp, yp)
 }

@@ -60,8 +60,17 @@ func refAccumGrad(k Kernel, theta, a, b []float64, w float64, grad []float64) {
 func (g *GP) Predict(x []float64) (mu, sigma float64) {
 	var buf PredictBuf
 	var out [2]float64
-	g.PredictBatchWith(&buf, [][]float64{x}, out[:1], out[1:], nil)
+	g.PredictBatchWith(&buf, nil, [][]float64{x}, out[:1], out[1:], nil)
 	return out[0], out[1]
+}
+
+// PredictMean is the posterior mean alone, k(x)ᵀα summed in index order.
+func (g *GP) PredictMean(x []float64) float64 {
+	var mu float64
+	for i, xi := range g.X {
+		mu += g.kernEval(x, xi) * g.alpha[i]
+	}
+	return mu
 }
 
 func trainData(rng *rand.Rand, n, d int, f func([]float64) float64) ([][]float64, []float64) {
@@ -325,48 +334,5 @@ func TestFitErrors(t *testing.T) {
 	}
 	if _, err := Fit(SEARD{}, [][]float64{{1}, {1, 2}}, []float64{1, 2}, SEARD{}.DefaultTheta(1), 0); err == nil {
 		t.Fatal("ragged inputs must fail")
-	}
-}
-
-func TestWithPseudoShrinksSigmaKeepsMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	x, y := trainData(rng, 15, 2, func(v []float64) float64 { return v[0] + v[1] })
-	g, err := Fit(SEARD{}, x, y, SEARD{}.DefaultTheta(2), math.Log(1e-2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	busy := [][]float64{{0.25, 0.75}, {0.8, 0.1}}
-	mus := make([]float64, len(busy))
-	for i, b := range busy {
-		mus[i], _ = g.Predict(b)
-	}
-	g2, err := g.WithPseudo(busy, mus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Property (paper §III-C): predictive mean is unchanged everywhere
-	// (pseudo targets equal the prior predictive mean), deviation shrinks
-	// near the busy points and never grows anywhere.
-	for i := 0; i < 40; i++ {
-		xq := []float64{rng.Float64(), rng.Float64()}
-		mu1, s1 := g.Predict(xq)
-		mu2, s2 := g2.Predict(xq)
-		if math.Abs(mu1-mu2) > 1e-6*(1+math.Abs(mu1)) {
-			t.Fatalf("hallucination changed the mean at %v: %v -> %v", xq, mu1, mu2)
-		}
-		if s2 > s1+1e-8 {
-			t.Fatalf("hallucination grew the deviation at %v: %v -> %v", xq, s1, s2)
-		}
-	}
-	for i, b := range busy {
-		_, s := g2.Predict(b)
-		if s > 1e-2 {
-			t.Fatalf("deviation at busy point %d should collapse, got %v", i, s)
-		}
-	}
-	// Empty pseudo set returns the same GP.
-	g3, err := g.WithPseudo(nil, nil)
-	if err != nil || g3 != g {
-		t.Fatal("empty pseudo set should be a no-op")
 	}
 }

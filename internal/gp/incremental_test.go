@@ -127,72 +127,6 @@ func TestExtendMatchesBatchFitNearSingular(t *testing.T) {
 	checkPosteriorEqual(t, rng, inc, batch, d, 1e-9, "near-singular")
 }
 
-// TestWithPseudoMatchesBatchFit pins the hallucination path (the Suggest hot
-// path) to the from-scratch behaviour it replaced.
-func TestWithPseudoMatchesBatchFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(300))
-	d := 4
-	x, y := trainData(rng, 30, d, func(v []float64) float64 { return v[0]*v[1] - v[2] })
-	g, err := Fit(SEARD{}, x, y, SEARD{}.DefaultTheta(d), math.Log(1e-2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	busy, _ := trainData(rng, 5, d, func(v []float64) float64 { return 0 })
-	mus := make([]float64, len(busy))
-	for i, b := range busy {
-		mus[i], _ = g.Predict(b)
-	}
-	inc, err := g.WithPseudo(busy, mus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xa := append(append([][]float64{}, x...), busy...)
-	ya := append(append([]float64{}, y...), mus...)
-	batch, err := Fit(SEARD{}, xa, ya, SEARD{}.DefaultTheta(d), math.Log(1e-2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPosteriorEqual(t, rng, inc, batch, d, 1e-9, "with-pseudo")
-}
-
-// TestWithPseudoTargetsArePredictedMeans pins what hallucination relies on:
-// PredictMean (no σ, no forward solve), from which surrogate.Exact takes the
-// pseudo-target at each busy point, sums k(x, Xᵢ)·αᵢ in Dot's order, so the
-// target is, bit for bit, the mean Predict reports there — at five busy
-// points, one of them a training point, on a fitted GP and on an already
-// hallucinated one, for both kernels.
-func TestWithPseudoTargetsArePredictedMeans(t *testing.T) {
-	for _, kern := range []Kernel{SEARD{}, Matern52{}} {
-		rng := rand.New(rand.NewSource(301))
-		d, n := 6, 40
-		x, y := trainData(rng, n, d, func(v []float64) float64 { return math.Sin(4*v[0]) + v[1]*v[2] - v[5] })
-		g, err := FitHyper(kern, x, y, rng, &FitOptions{Iters: 15})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 2; round++ { // round 1 hallucinates on a hallucinated GP
-			busy, _ := trainData(rng, 5, d, func([]float64) float64 { return 0 })
-			busy[4] = x[7] // a training point: a mean far from the prior's
-			targets := make([]float64, len(busy))
-			for i, b := range busy {
-				targets[i] = g.PredictMean(b)
-			}
-			h, err := g.WithPseudo(busy, targets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, b := range busy {
-				want, _ := g.Predict(b)
-				if got := h.Y[g.N()+i]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s round %d busy %d: Predict mean %x, pseudo-target %x", kern.Name(), round, i,
-						math.Float64bits(want), math.Float64bits(got))
-				}
-			}
-			g = h
-		}
-	}
-}
-
 // TestPredictWithMatchesPredict pins prediction on reused scratch — one
 // PredictBuf through batches of every width, grown and shrunk — to a fresh
 // buffer per point, and PredictMean to Predict's mean.
@@ -209,7 +143,7 @@ func TestPredictWithMatchesPredict(t *testing.T) {
 		for q := 1; q <= 20; q++ {
 			xs, _ := trainData(rng, 1+q%7, d, func([]float64) float64 { return 0 })
 			mu, sigma := make([]float64, len(xs)), make([]float64, len(xs))
-			g.PredictBatchWith(&buf, xs, mu, sigma, nil)
+			g.PredictBatchWith(&buf, nil, xs, mu, sigma, nil)
 			for i, xq := range xs {
 				mu1, s1 := g.Predict(xq)
 				if mu1 != mu[i] || s1 != sigma[i] {
@@ -273,14 +207,14 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 			}
 			qs[width/2] = g.X[1] // a training point: the variance cancels to ~0
 			mu, sigma := make([]float64, width), make([]float64, width)
-			g.PredictBatchWith(&buf, qs, mu, sigma, nil)
+			g.PredictBatchWith(&buf, nil, qs, mu, sigma, nil)
 			// A keep that takes every third point: the others skip the
 			// solve, and the kept ones, packed into groups of their own,
 			// must still get the reference bits.
 			asked := 0
 			every3rd := func(float64, float64) bool { asked++; return asked%3 == 1 }
 			kmu, ksigma := make([]float64, width), make([]float64, width)
-			g.PredictBatchWith(&buf, qs, kmu, ksigma, every3rd)
+			g.PredictBatchWith(&buf, nil, qs, kmu, ksigma, every3rd)
 			for i, xq := range qs {
 				wantMu, wantSigma := reference(xq)
 				if math.Float64bits(mu[i]) != math.Float64bits(wantMu) ||
@@ -298,7 +232,7 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 						name, width, i, kmu[i], ksigma[i], wantMu, keptSigma)
 				}
 				var one [2]float64
-				g.PredictBatchWith(&buf, [][]float64{xq}, one[:1], one[1:], nil)
+				g.PredictBatchWith(&buf, nil, [][]float64{xq}, one[:1], one[1:], nil)
 				if math.Float64bits(one[0]) != math.Float64bits(wantMu) || math.Float64bits(one[1]) != math.Float64bits(wantSigma) {
 					t.Fatalf("%s: batch of one (%v, %v), serial reference (%v, %v)", name, one[0], one[1], wantMu, wantSigma)
 				}

@@ -2,9 +2,9 @@
 // the EasyBO framework (paper §II-B). It provides the squared-exponential
 // ARD kernel used by the paper (plus a Matérn-5/2 alternative), exact
 // posterior inference via Cholesky factorization, marginal-likelihood
-// hyperparameter fitting with analytic gradients, input/output normalization,
-// and "hallucinated" refits that absorb pseudo-observations at busy points
-// (paper §III-C / Eq. (9)).
+// hyperparameter fitting with analytic gradients, and the "hallucinated"
+// posterior that conditions on pseudo-observations at busy points without
+// refitting or copying the GP (Busy; paper §III-C / Eq. (9)).
 package gp
 
 import (

@@ -170,7 +170,7 @@ func lastCkpt(events []serve.Event) int {
 // later asks, of its own generation, are derived and compared as ever and
 // the run it continues must be the uninterrupted one. (The relabelled points
 // are this build's own, which is what lets the test know the right answer;
-// a log an older build really wrote is testdata/parent_wal.)
+// a log an older build really wrote is testdata/gen2_wal.)
 func TestRecoverAtEveryCutMatchesUninterrupted(t *testing.T) {
 	box := serve.SessionConfig{Lo: []float64{0, 0}, Hi: []float64{1, 1}, InitPoints: 5, FitIters: 8, RefitEvery: 4}
 	with := func(f func(*serve.SessionConfig)) serve.SessionConfig {

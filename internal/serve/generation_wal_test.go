@@ -16,43 +16,34 @@ import (
 	"easybo/internal/serve/wal"
 )
 
-// Three WAL data directories are pinned under testdata/, each two sessions,
+// Two WAL data directories are pinned under testdata/, each two sessions,
 // one per surrogate backend, stopped mid-run with proposals in flight.
 //
-// testdata/parent_wal was written by the commit before the acquisition
-// maximizer was batched (PR 12, f90de40). Its asks carry no proposer
-// generation — generation 0, the simplex refinement — and through PR 22
-// recovery re-derived every one of them bit for bit, which is how batched
-// prediction, the lockstep simplex and the factorization rewrites proved
-// they changed no result. testdata/gen1_wal was written by the commit that
-// introduced generation 1 (the gradient refinement) and was the bitwise pin
-// until generation 2 (the 20·d sweep). A build of a later generation cannot
-// derive the points of either, and must not quarantine them: it recovers the
-// sessions with the recorded proposals taken as they are, says so, and
-// continues.
+// testdata/gen3_wal was written by the commit that introduced proposer
+// generation 3 (the Schur-complement hallucination) and is the bitwise pin
+// from there on: recovery re-derives its asks bit for bit, so accepting it is
+// the cross-version proof that a later change under an ask changed no result.
+// Regenerating it at a later commit would only prove that commit agrees with
+// itself.
 //
 // testdata/gen2_wal was written by the commit that introduced generation 2
-// and is the bitwise pin from there on: recovery re-derives its asks bit for
-// bit, so accepting it is the cross-version proof that a later change under
-// an ask changed no result. Regenerating a fixture at a later commit would
-// only prove that commit agrees with itself.
-var (
-	writeParentWAL = flag.Bool("write-parent-wal", false,
-		"rewrite testdata/parent_wal from the current code (meaningful only at the commit the fixture is named for)")
-	writeGen2WAL = flag.Bool("write-gen2-wal", false,
-		"rewrite testdata/gen2_wal from the current code (meaningful only at a generation-2 commit, and only deliberately)")
-)
+// (the 20·d sweep) and was the bitwise pin until generation 3. A build of a
+// later generation cannot derive its points, and must not quarantine them:
+// it recovers the sessions with the recorded proposals taken as they are,
+// says so, and continues. (The logs of generations 0 and 1 that were pinned
+// the same way are in the history.)
+var writeGen3WAL = flag.Bool("write-gen3-wal", false,
+	"rewrite testdata/gen3_wal from the current code (meaningful only at a generation-3 commit, and only deliberately)")
 
 const (
-	parentWALDir = "testdata/parent_wal"
-	gen1WALDir   = "testdata/gen1_wal"
-	gen2WALDir   = "testdata/gen2_wal"
+	gen2WALDir = "testdata/gen2_wal"
+	gen3WALDir = "testdata/gen3_wal"
 )
 
-// parentSessions are the fixture's sessions. 3-D box, 6 design points, then
+// pinSessions are the fixture's sessions. 3-D box, 6 design points, then
 // model-based asks with three proposals kept outstanding, so every ask past
 // the design hallucinates busy points before it maximizes.
-var parentSessions = []struct {
+var pinSessions = []struct {
 	id     string
 	cfg    serve.SessionConfig
 	tells  int // tells delivered before the daemon stopped
@@ -74,7 +65,7 @@ var parentSessions = []struct {
 // daemon stopped: run keeps three out, and stops on a tell.
 const inFlight = 2
 
-func parentObjective(x []float64) float64 {
+func pinObjective(x []float64) float64 {
 	return -(x[0]-0.3)*(x[0]-0.3) - 0.5*(x[1]+0.2)*(x[1]+0.2) - 0.1*(x[2]-3)*(x[2]-3)
 }
 
@@ -138,7 +129,7 @@ func (d *daemon) run(id string, tells int) serve.Status {
 		a := open[0]
 		open = open[1:]
 		d.call("POST", "/sessions/"+id+"/tell",
-			serve.Tell{ProposalID: &a.ProposalID, Y: parentObjective(a.X)}, nil)
+			serve.Tell{ProposalID: &a.ProposalID, Y: pinObjective(a.X)}, nil)
 		tells--
 	}
 	d.call("GET", "/sessions/"+id, nil, &st)
@@ -152,7 +143,7 @@ func writeFixture(t *testing.T, dir string) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range parentSessions {
+	for _, s := range pinSessions {
 		d := startDaemon(t, filepath.Join(dir, s.id), s.policy)
 		d.call("POST", "/sessions", createRequest{s.id, s.cfg}, nil)
 		d.run(s.id, s.tells)
@@ -178,30 +169,21 @@ func audit(t *testing.T, dir string) serve.SessionRecovery {
 	return rec
 }
 
-// TestRecoverAcceptsParentCommitWAL: the generation-0 log under a later
-// generation's build, recovered by a full replay (it has no checkpoints).
-func TestRecoverAcceptsParentCommitWAL(t *testing.T) {
-	if *writeParentWAL {
-		writeFixture(t, parentWALDir)
-	}
-	recoverOlderGeneration(t, parentWALDir, 0, serve.RecoverFull)
-}
-
-// TestRecoverGen1WAL: the generation-1 log under a later generation's build,
+// TestRecoverGen2WAL: the generation-2 log under a later generation's build,
 // recovered from its checkpoints.
-func TestRecoverGen1WAL(t *testing.T) {
-	recoverOlderGeneration(t, gen1WALDir, 1, serve.RecoverCheckpoint)
+func TestRecoverGen2WAL(t *testing.T) {
+	recoverOlderGeneration(t, gen2WALDir, 2)
 }
 
 // recoverOlderGeneration is the cross-version proof for a log of proposer
 // generation gen, older than this build's. No quarantine; every model-based
 // ask counted as of generation gen by the offline audit (which therefore does
-// not pass) and, in a full replay, on the report and the daemon's totals — a
-// checkpoint replay counts only the asks it puts back after the cut; every
-// acknowledged tell present, bit for bit; and the run the recovered session
-// continues stays in the box and ends on its budget.
-func recoverOlderGeneration(t *testing.T, fixture string, gen int, mode string) {
-	for _, s := range parentSessions {
+// not pass), and the asks the checkpoint replay puts back after the cut on
+// the report and the daemon's totals; every acknowledged tell present, bit
+// for bit; and the run the recovered session continues stays in the box and
+// ends on its budget.
+func recoverOlderGeneration(t *testing.T, fixture string, gen int) {
+	for _, s := range pinSessions {
 		t.Run(s.id, func(t *testing.T) {
 			// Recovery takes the store's lock and may prune; work on a copy.
 			dir := t.TempDir()
@@ -217,12 +199,8 @@ func recoverOlderGeneration(t *testing.T, fixture string, gen int, mode string) 
 					gen, d.report.Recovered, d.report.Quarantined)
 			}
 			rec := d.report.Sessions[0]
-			unverified := rec.AsksUnverified > 0
-			if mode == serve.RecoverFull {
-				unverified = rec.AsksUnverified == modelAsks
-			}
-			if rec.Mode != mode || !unverified || rec.UnverifiedGen != gen || rec.AsksRederived != 0 {
-				t.Fatalf("recovered as %+v, want a %s replay with model-based asks unverified (generation %d) and none re-derived", rec, mode, gen)
+			if rec.Mode != serve.RecoverCheckpoint || rec.AsksUnverified == 0 || rec.UnverifiedGen != gen || rec.AsksRederived != 0 {
+				t.Fatalf("recovered as %+v, want a checkpoint replay with model-based asks unverified (generation %d) and none re-derived", rec, gen)
 			}
 			if tot := d.sv.RecoveryTotals(); tot.AsksUnverified != int64(rec.AsksUnverified) {
 				t.Fatalf("recovery totals %+v, want %d asks unverified", tot, rec.AsksUnverified)
@@ -234,7 +212,7 @@ func recoverOlderGeneration(t *testing.T, fixture string, gen int, mode string) 
 					len(mid.Records), len(mid.Outstanding), s.tells, inFlight)
 			}
 			for i, r := range mid.Records {
-				if r.ID != i || math.Float64bits(r.Y) != math.Float64bits(parentObjective(r.X)) {
+				if r.ID != i || math.Float64bits(r.Y) != math.Float64bits(pinObjective(r.X)) {
 					t.Fatalf("record %d came back as %+v", i, r)
 				}
 			}
@@ -256,25 +234,25 @@ func recoverOlderGeneration(t *testing.T, fixture string, gen int, mode string) 
 	}
 }
 
-// TestRecoverGen2WAL is the bitwise cross-version pin (see the fixtures'
-// comment): the generation-2 log recovers from its checkpoints with every
+// TestRecoverGen3WAL is the bitwise cross-version pin (see the fixtures'
+// comment): the generation-3 log recovers from its checkpoints with every
 // derived ask equal to the record, nothing unverified, the audit passing from
 // the first event, and finishes exactly as a run that never stopped.
-func TestRecoverGen2WAL(t *testing.T) {
-	if *writeGen2WAL {
-		writeFixture(t, gen2WALDir)
+func TestRecoverGen3WAL(t *testing.T) {
+	if *writeGen3WAL {
+		writeFixture(t, gen3WALDir)
 	}
-	for _, s := range parentSessions {
+	for _, s := range pinSessions {
 		t.Run(s.id, func(t *testing.T) {
 			dir := t.TempDir()
-			copyTree(t, dir, filepath.Join(gen2WALDir, s.id))
+			copyTree(t, dir, filepath.Join(gen3WALDir, s.id))
 			if rec := audit(t, dir); rec.AsksUnverified != 0 || rec.AsksRederived != s.tells+inFlight {
 				t.Fatalf("audit: %+v, want all %d asks re-derived", rec, s.tells+inFlight)
 			}
 			d := startDaemon(t, dir, s.policy)
 			defer d.stop()
 			if len(d.report.Quarantined) != 0 || !reflect.DeepEqual(d.report.Recovered, []string{s.id}) {
-				t.Fatalf("recovery of the generation-2 log: recovered %v, quarantined %v",
+				t.Fatalf("recovery of the generation-3 log: recovered %v, quarantined %v",
 					d.report.Recovered, d.report.Quarantined)
 			}
 			if rec := d.report.Sessions[0]; rec.Mode != serve.RecoverCheckpoint || rec.AsksUnverified != 0 || rec.AsksRederived == 0 {

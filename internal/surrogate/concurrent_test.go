@@ -11,12 +11,14 @@ import (
 
 // TestOneModelServesConcurrentReaders is the immutability contract of
 // Surrogate: one fitted model serves concurrent readers. On each backend,
-// goroutines take their own raw and standardized predictors over one model
-// — batches of every width, gradients — while others Extend it and
-// hallucinate into it and predict from what they get, all at once; every
-// result must be, bit for bit, what a serial run of the same work gives.
-// Under -race (make race) it is also the guard against scratch space that
-// leaks into what the readers share: the model, its frame, its factor.
+// and on a hallucinated view of each, goroutines take their own raw and
+// standardized predictors over one model — batches of every width, gradients
+// — while others Extend it (the base) or hallucinate into it and predict from
+// what they get, all at once; every result must be, bit for bit, what a
+// serial run of the same work gives. Under -race (make race) it is also the
+// guard against scratch space that leaks into what the readers share: the
+// model, its frame, its factor, a view's busy-set state (the c and z of the
+// Schur correction belong to each predictor).
 func TestOneModelServesConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	x, y, lo, hi := fixture(rng, 36)
@@ -33,6 +35,13 @@ func TestOneModelServesConcurrentReaders(t *testing.T) {
 		qs[i] = []float64{rng.Float64(), rng.Float64()}
 	}
 	busy := [][]float64{{0.2, 0.7}, {0.9, 0.1}, x[3]}
+	for _, name := range []string{"exact", "features"} {
+		view, err := models[name].WithPseudo([][]float64{{0.6, 0.4}, {0.35, 0.8}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[name+"/view"] = view
+	}
 
 	// read predicts at every query through p, in batches of widths 1…6, and
 	// takes the gradient at every third; it returns every bit it saw.
@@ -59,7 +68,12 @@ func TestOneModelServesConcurrentReaders(t *testing.T) {
 			case 1:
 				return read(m.StandardizedPredictor())
 			case 2:
-				ext, err := m.Extend(x[30:], y[30:])
+				grown := m.Extend
+				if _, isView := m.(*view); isView {
+					// A view does not Extend: hallucinate one point more.
+					grown = func(x [][]float64, _ []float64) (Surrogate, error) { return m.WithPseudo(x[:1]) }
+				}
+				ext, err := grown(x[30:], y[30:])
 				if err != nil {
 					t.Error(err)
 					return nil

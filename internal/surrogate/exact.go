@@ -50,19 +50,38 @@ func (e *Exact) predictor(standardized bool) *predictor {
 }
 
 // exactUnit is the exact GP's unitPredictor: the GP's own batch and
-// gradient predictions, on scratch that grows to the training-set size.
+// gradient predictions, conditioned on a busy set when it is not nil, on
+// scratch that grows to the training-set size.
 type exactUnit struct {
-	g   *gp.GP
-	buf gp.PredictBuf
+	g    *gp.GP
+	busy *gp.Busy
+	buf  gp.PredictBuf
 }
 
 func (k *exactUnit) predictBatch(xs [][]float64, mu, sigma []float64, keep func(mu, sigmaMax float64) bool) {
-	k.g.PredictBatchWith(&k.buf, xs, mu, sigma, keep)
+	k.g.PredictBatchWith(&k.buf, k.busy, xs, mu, sigma, keep)
 }
 
 func (k *exactUnit) predictGrad(x, dmu, dsigma []float64) (mu, sigma float64) {
-	return k.g.PredictGradWith(&k.buf, x, dmu, dsigma)
+	return k.g.PredictGradWith(&k.buf, k.busy, x, dmu, dsigma)
 }
+
+// exactBusy is the exact GP's busySet: gp.Busy over the base GP (nil while
+// empty).
+type exactBusy struct {
+	g    *gp.GP
+	busy *gp.Busy
+}
+
+func (b *exactBusy) with(xs [][]float64) (busySet, error) {
+	busy, err := b.g.Condition(b.busy, xs)
+	if err != nil {
+		return nil, err
+	}
+	return &exactBusy{g: b.g, busy: busy}, nil
+}
+
+func (b *exactBusy) unit() unitPredictor { return &exactUnit{g: b.g, busy: b.busy} }
 
 // N implements Surrogate.
 func (e *Exact) N() int { return e.gp.N() }
@@ -85,30 +104,16 @@ func (e *Exact) Extend(x [][]float64, y []float64) (Surrogate, error) {
 	return &Exact{frame: e.frame, gp: g}, nil
 }
 
-// WithPseudo implements Surrogate: the busy points are added as
-// pseudo-observations whose targets are the current predictive means,
-// exactly as in paper §III-C. Hyperparameters are shared with the receiver;
-// only the factor grows (rank-append, O(b·n²) for b busy points), so the
-// predictive mean is unchanged and the deviation shrinks around them.
+// WithPseudo implements Surrogate: a view of the receiver conditioned on the
+// busy points (gp.Busy), which leaves µ and ∇µ the receiver's bits and takes
+// the Schur complement term of Eq. 9 off σ². The GP is shared, not copied.
 func (e *Exact) WithPseudo(xp [][]float64) (Surrogate, error) {
-	if len(xp) == 0 {
-		return e, nil
-	}
-	xs := e.scaleAll(xp)
-	ys := make([]float64, len(xp))
-	for i, x := range xs {
-		ys[i] = e.gp.PredictMean(x)
-	}
-	g, err := e.gp.WithPseudo(xs, ys)
-	if err != nil {
-		return nil, err
-	}
-	return &Exact{frame: e.frame, gp: g}, nil
+	return hallucinate(e, &e.frame, e.N(), &exactBusy{g: e.gp}, xp)
 }
 
 // SampleRFF implements Surrogate: a draw from the feature-space posterior
 // (FeatureModel) on an m-feature basis of the GP's kernel, over the GP's own
-// training set — pseudo-observations included — and frame. Only the SE-ARD
+// training set and frame. Only the SE-ARD
 // kernel has that basis; m < gp.MinRFFFeatures is an error.
 func (e *Exact) SampleRFF(rng *rand.Rand, m int) (func(x []float64) float64, error) {
 	if _, ok := e.gp.Kern.(gp.SEARD); !ok {

@@ -96,8 +96,7 @@ func TestFrameScalingRoundTrip(t *testing.T) {
 }
 
 // TestExactWithPseudo: a busy point's pseudo-observation shrinks the
-// deviation there and leaves the mean, and its target is, bit for bit, the
-// standardized mean the receiver predicts at it.
+// deviation there and leaves the mean — bit for bit, the receiver's.
 func TestExactWithPseudo(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	lo := []float64{0, 0}
@@ -115,16 +114,11 @@ func TestExactWithPseudo(t *testing.T) {
 	if s2 >= s1 {
 		t.Fatalf("pseudo point did not reduce deviation: %v -> %v", s1, s2)
 	}
-	mu1, _ := predict(m, []float64{3, 3})
-	mu2, _ := predict(h, []float64{3, 3})
-	if math.Abs(mu1-mu2) > 1e-6*(1+math.Abs(mu1)) {
-		t.Fatalf("pseudo point changed the mean: %v -> %v", mu1, mu2)
-	}
-	std := m.StandardizedPredictor()
-	for i, b := range busy {
-		want, _ := std.Predict(b)
-		if got := h.(*Exact).gp.Y[m.N()+i]; math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("busy %d: pseudo-target %v, standardized mean %v", i, got, want)
+	for _, xq := range [][]float64{{3, 3}, busy[0], busy[1], x[2]} {
+		mu1, _ := predict(m, xq)
+		mu2, _ := predict(h, xq)
+		if math.Float64bits(mu1) != math.Float64bits(mu2) {
+			t.Fatalf("pseudo point changed the mean at %v: %v -> %v", xq, mu1, mu2)
 		}
 	}
 	if same, err := m.WithPseudo(nil); err != nil || same.(*Exact) != m {

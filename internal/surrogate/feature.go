@@ -27,7 +27,7 @@ type FeatureModel struct {
 	chol  *linalg.Cholesky // factor of the m×m information matrix A
 	rhs   []float64        // Φᵀy/σn² (standardized outputs)
 	wmean []float64        // A⁻¹·rhs
-	n     int              // observations absorbed (pseudo included)
+	n     int              // observations absorbed
 }
 
 // FitFeatures fits a feature-space surrogate on raw inputs/outputs within
@@ -112,24 +112,68 @@ func (fm *FeatureModel) Extend(x [][]float64, y []float64) (Surrogate, error) {
 	return fm.absorb(xs, ys)
 }
 
-// WithPseudo implements Surrogate: the busy points are absorbed at their
-// current (standardized) predictive means. The information update shrinks
-// σ around them while the identity A'w̄ = rhs' keeps w̄ — and with it the
-// predictive mean — unchanged, exactly the hallucination contract of paper
-// §III-C.
+// WithPseudo implements Surrogate: a view of the receiver conditioned on the
+// busy points (featureBusy), which leaves µ and ∇µ the receiver's bits and
+// takes the Schur complement term of Eq. 9 off σ². The factor is shared, not
+// copied.
 func (fm *FeatureModel) WithPseudo(xp [][]float64) (Surrogate, error) {
-	if len(xp) == 0 {
-		return fm, nil
+	return hallucinate(fm, &fm.frame, fm.n, &featureBusy{fm: fm}, xp)
+}
+
+// featureBusy is the feature backend's busySet. Absorbing the busy points
+// b₁…b_B as observations at their predicted means would leave w̄ and make the
+// information matrix A + Φ_bΦ_bᵀ/σn²; by Woodbury its deviation is
+//
+//	σ̂²(x) = σ²(x) − cᵀS⁻¹c,   cⱼ = uᵀwⱼ,   S = σn²I + WᵀW,
+//
+// with u = L⁻¹φ(x) — the vector σ is the norm of — and wⱼ = L⁻¹φ(bⱼ). The
+// gradient takes γⱼ = A⁻¹φ(bⱼ) = L⁻ᵀwⱼ too: ∇cⱼ = Σᵢ γⱼᵢ·dφᵢ/du.
+type featureBusy struct {
+	fm       *FeatureModel
+	w, gamma [][]float64
+	s        linalg.Cholesky // of S
+}
+
+// with: each point's w and γ depend on that point alone, so b's are kept and
+// S is factored whole — the same bits as building the union at once.
+func (b *featureBusy) with(xs [][]float64) (busySet, error) {
+	fm := b.fm
+	m := fm.basis.Features()
+	out := &featureBusy{fm: fm,
+		w:     append([][]float64(nil), b.w...),
+		gamma: append([][]float64(nil), b.gamma...)}
+	for _, x := range xs {
+		w, gamma := make([]float64, m), make([]float64, m)
+		fm.chol.SolveLowerInto(w, fm.basis.PhiInto(w, x))
+		fm.chol.SolveUpperTInto(gamma, w)
+		out.w, out.gamma = append(out.w, w), append(out.gamma, gamma)
 	}
-	// Targets come from the receiver (the base posterior), matching the
-	// exact backend's WithPseudo.
-	xs := fm.scaleAll(xp)
-	phi := make([]float64, fm.basis.Features())
-	ys := make([]float64, len(xp))
-	for i, x := range xs {
-		ys[i] = linalg.Dot(fm.basis.PhiInto(phi, x), fm.wmean)
+	nb := len(out.w)
+	s := linalg.NewMatrix(nb, nb)
+	for i, wi := range out.w {
+		for j, wj := range out.w[:i+1] {
+			v := linalg.Dot(wi, wj)
+			s.Set(i, j, v)
+			s.Set(j, i, v)
+		}
+		s.Add(i, i, fm.noise2)
 	}
-	return fm.absorb(xs, ys)
+	if err := linalg.NewCholeskyInto(&out.s, s); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func (b *featureBusy) unit() unitPredictor { return &featureUnit{fm: b.fm, busy: b} }
+
+// reduction returns cᵀS⁻¹c = ‖L_S⁻¹c‖², what the busy set takes off σ², with
+// cⱼ = uᵀwⱼ written into c; L_S⁻¹c is left there.
+func (b *featureBusy) reduction(c, u []float64) float64 {
+	for j, w := range b.w {
+		c[j] = linalg.Dot(u, w)
+	}
+	b.s.SolveLowerInto(c, c)
+	return linalg.Dot(c, c)
 }
 
 // absorb clones the posterior state and applies one rank-1 information
@@ -177,11 +221,14 @@ func (fm *FeatureModel) SampleRFF(rng *rand.Rand, _ int) (func(x []float64) floa
 	}, nil
 }
 
-// featureUnit is the feature backend's unitPredictor. One per goroutine.
+// featureUnit is the feature backend's unitPredictor, conditioned on a busy
+// set when it is not nil. One per goroutine.
 type featureUnit struct {
 	fm   *FeatureModel
+	busy *featureBusy
 	flat []float64                    // feature vectors, grown to the widest group seen
 	phi  [linalg.SolveWidth][]float64 // views into flat, m each
+	c, z []float64                    // the busy set's c and z, len(busy.w) each
 }
 
 // features returns w feature-vector buffers.
@@ -236,12 +283,15 @@ func (p *featureUnit) predictBatch(xs [][]float64, mu, sigma []float64, keep fun
 	}
 }
 
-// deviations solves the pending feature vectors in place (L⁻¹φ) and writes
-// σ = ‖L⁻¹φ‖ of the point at[j] each is for.
+// deviations solves the pending feature vectors in place (u = L⁻¹φ) and
+// writes σ = √(‖u‖² − busy.reduction) of the point at[j] each is for.
 func (p *featureUnit) deviations(phi [][]float64, at []int, sigma []float64) {
 	p.fm.chol.SolveLowerMulti(phi)
 	for j, v := range phi {
 		s2 := linalg.Dot(v, v)
+		if p.busy != nil {
+			s2 -= p.busy.reduction(p.busyScratch(), v)
+		}
 		if s2 < 0 {
 			s2 = 0
 		}
@@ -249,12 +299,21 @@ func (p *featureUnit) deviations(phi [][]float64, at []int, sigma []float64) {
 	}
 }
 
+// busyScratch returns c, sized to the busy set; z is sized beside it.
+func (p *featureUnit) busyScratch() []float64 {
+	if nb := len(p.busy.w); len(p.c) != nb {
+		p.c, p.z = make([]float64, nb), make([]float64, nb)
+	}
+	return p.c
+}
+
 // predictGrad: with dφᵢ/du = −s·sin(wᵢ·u+bᵢ)·wᵢ,
 //
 //	∇µ = Σᵢ w̄ᵢ·dφᵢ/du,   ∇σ² = 2 Σᵢ γᵢ·dφᵢ/du,   γ = A⁻¹φ = L⁻ᵀ·L⁻¹φ,
 //
-// one back substitution past what σ costs. The value is predictBatch's
-// arithmetic on a batch of one.
+// one back substitution past what σ costs. A busy set adds −2 Σⱼ zⱼ·∇cⱼ to
+// ∇σ² (z = S⁻¹c), which is γ less Σⱼ zⱼγⱼ in the same projection. The value
+// is predictBatch's arithmetic on a batch of one.
 func (p *featureUnit) predictGrad(x, dmu, dsigma []float64) (mu, sigma float64) {
 	fm := p.fm
 	f := p.features(3)
@@ -263,11 +322,22 @@ func (p *featureUnit) predictGrad(x, dmu, dsigma []float64) (mu, sigma float64) 
 	mu = linalg.Dot(phi, fm.wmean)
 	fm.chol.SolveLowerInto(phi, phi) // L⁻¹φ
 	s2 := linalg.Dot(phi, phi)
+	if p.busy != nil {
+		s2 -= p.busy.reduction(p.busyScratch(), phi)
+	}
 	if s2 < 0 {
 		s2 = 0
 	}
 	sigma = math.Sqrt(s2)
 	fm.chol.SolveUpperTInto(gamma, phi)
+	if p.busy != nil {
+		p.busy.s.SolveUpperTInto(p.z, p.c)
+		for j, gj := range p.busy.gamma {
+			for i, v := range gj {
+				gamma[i] -= p.z[j] * v
+			}
+		}
+	}
 
 	inv := 0.0 // ∇σ = ∇σ²/(2σ) = Σ γᵢ·dφᵢ/du / σ, zero where the posterior is certain
 	if sigma > 1e-12 {

@@ -11,8 +11,9 @@ import (
 // frame maps between a model's raw units — coordinates in the design box,
 // objective values — and the units both backends are fitted in: the unit
 // cube and outputs standardized to zero mean and unit variance over the
-// training set. It is fixed by a full fit; Extend and WithPseudo keep it, so
-// a grown or hallucinated model speaks the units of the model it came from.
+// training set. It is fixed by a full fit; Extend keeps it and a
+// hallucinated view shares it, so both speak the units of the model they
+// came from.
 // A frame is never written after newFrame, which is what lets models share
 // one across goroutines.
 type frame struct {

@@ -1,6 +1,6 @@
 // Package surrogate is the model layer of the optimization stack: a fitted
 // posterior over the design box that the acquisition functions, proposers
-// and batch selectors predict from, hallucinate busy points into and draw
+// and batch selectors predict from, condition on busy points and draw
 // approximate samples from (Surrogate, Predictor).
 //
 // Two backends implement it. The exact Gaussian process (Exact) is the
@@ -12,7 +12,9 @@
 // of observations keep a flat per-suggestion cost. Both are fitted in one
 // frame: inputs scaled from the box to the unit cube, outputs standardized
 // over the training set; the frame puts every prediction and gradient back
-// into raw units, or leaves it standardized for the acquisitions.
+// into raw units, or leaves it standardized for the acquisitions. On either
+// backend a hallucinated view (WithPseudo) is the base model plus the Schur
+// complement of its busy set: σ̂² = σ² − cᵀS⁻¹c, nothing copied or refitted.
 //
 // What turns an observation history into a fitted posterior on a
 // hyperparameter cadence — and picks, or escalates between, the backends —
@@ -81,21 +83,31 @@ type Surrogate interface {
 	// StandardizeY maps a raw objective value into standardized output
 	// units (used to express the incumbent best for EI/PI).
 	StandardizeY(y float64) float64
-	// N returns the training-set size.
+	// N returns the training-set size; a hallucinated view counts its busy
+	// points too.
 	N() int
 	// Extend returns a new surrogate whose training set is augmented with
 	// the given raw observations at unchanged hyperparameters — the
-	// incremental update between hyperparameter refits.
+	// incremental update between hyperparameter refits. A hallucinated view
+	// returns ErrHallucinated.
 	Extend(x [][]float64, y []float64) (Surrogate, error)
-	// WithPseudo returns a hallucinated variant: the busy points xp are
-	// absorbed as pseudo-observations at their current predictive means
-	// (paper §III-C), leaving the predictive mean unchanged and shrinking
-	// the deviation around them.
+	// WithPseudo returns a hallucinated view: the posterior conditioned on
+	// the busy points xp as pseudo-observations at their predictive means
+	// (paper §III-C, Eq. 9). Its µ and ∇µ are the receiver's bits and its
+	// deviation is σ̂² = σ² − cᵀS⁻¹c — c the posterior cross-covariance to
+	// the busy points, S their posterior covariance plus the observation
+	// noise — so σ̂ ≤ σ. The view shares the receiver's model and copies
+	// none of it. On a view, WithPseudo returns one view over the union of
+	// the busy points (bit for bit the receiver's base hallucinating them at
+	// once), and Extend and SampleRFF return ErrHallucinated: a view
+	// predicts and hallucinates, the base model does the rest. An empty xp
+	// returns the receiver; N counts the busy points.
 	WithPseudo(xp [][]float64) (Surrogate, error)
 	// SampleRFF returns a fixed approximate posterior draw in raw units —
 	// what a Thompson-sampling acquisition maximizes — using m random
 	// Fourier features (the feature-space backend draws on its own basis
-	// and ignores m). The returned function is safe for concurrent use.
+	// and ignores m). The returned function is safe for concurrent use. A
+	// hallucinated view returns ErrHallucinated.
 	SampleRFF(rng *rand.Rand, m int) (func(x []float64) float64, error)
 }
 

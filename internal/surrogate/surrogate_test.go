@@ -171,8 +171,8 @@ func TestFeatureExtendTracksExactPosterior(t *testing.T) {
 }
 
 // TestFeatureWithPseudoContract pins the hallucination semantics: the
-// predictive mean is unchanged, the deviation shrinks at the busy points,
-// and the receiver survives untouched.
+// predictive mean is the receiver's, bit for bit, the deviation shrinks at
+// the busy points, and the receiver survives untouched.
 func TestFeatureWithPseudoContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	x, y, lo, hi := fixture(rng, 40)
@@ -192,7 +192,7 @@ func TestFeatureWithPseudoContract(t *testing.T) {
 		xq := []float64{rng.Float64(), rng.Float64()}
 		mu0, _ := predict(fm, xq)
 		mu1, _ := predict(hall, xq)
-		if math.Abs(mu0-mu1) > 1e-8*(1+math.Abs(mu0)) {
+		if math.Float64bits(mu0) != math.Float64bits(mu1) {
 			t.Fatalf("hallucination moved the mean at %v: %v -> %v", xq, mu0, mu1)
 		}
 	}
