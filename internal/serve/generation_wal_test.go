@@ -26,16 +26,17 @@ import (
 // Regenerating it at a later commit would only prove that commit agrees with
 // itself.
 //
-// testdata/gen2_wal was written by the commit that introduced generation 2
-// (the 20·d sweep) and was the bitwise pin until generation 3. A build of a
-// later generation cannot derive its points, and must not quarantine them:
-// it recovers the sessions with the recorded proposals taken as they are,
-// says so, and continues. (The logs of generations 0 and 1 that were pinned
-// the same way are in the history.)
+// testdata/gen2_wal and testdata/gen1_wal were written by the commits that
+// introduced generations 2 (the 20·d sweep) and 1, and each was the bitwise
+// pin until the next generation. A build of a later generation cannot derive
+// their points, and must not quarantine them: it recovers the sessions with
+// the recorded proposals taken as they are, says so, and continues. (The log
+// of generation 0 that was pinned the same way is in the history.)
 var writeGen3WAL = flag.Bool("write-gen3-wal", false,
 	"rewrite testdata/gen3_wal from the current code (meaningful only at a generation-3 commit, and only deliberately)")
 
 const (
+	gen1WALDir = "testdata/gen1_wal"
 	gen2WALDir = "testdata/gen2_wal"
 	gen3WALDir = "testdata/gen3_wal"
 )
@@ -167,6 +168,12 @@ func audit(t *testing.T, dir string) serve.SessionRecovery {
 		t.Fatalf("audit of %s: %v", dir, err)
 	}
 	return rec
+}
+
+// TestRecoverGen1WAL: the generation-1 log under a later generation's build,
+// recovered from its checkpoints.
+func TestRecoverGen1WAL(t *testing.T) {
+	recoverOlderGeneration(t, gen1WALDir, 1)
 }
 
 // TestRecoverGen2WAL: the generation-2 log under a later generation's build,
