@@ -79,9 +79,13 @@ test: build
 # sweep's floor is per worker, so which candidates skip their solve depends
 # on the schedule of the ranges; that the result does not runs ten more times.
 # The surrogate package spawns nothing, but every goroutine above reads one
-# fitted model — or one hallucinated view, whose busy-set state its predictors
-# share — through predictors of its own: its test of that contract
-# (TestOneModelServesConcurrentReaders) runs here too, and ten more times.
+# fitted model through predictors of its own. Predictors and views share one
+# model, and a view's predictors its busy-set state; Extend belongs to the
+# model's owner (the model manager), spends the model it extends and is not a
+# concurrent operation. The test of what readers share
+# (TestOneModelServesConcurrentReaders) runs here too, and ten more times;
+# the pin on what Extend allocates (TestFeatureExtendAllocatesNoFactor) is
+# built without -race, whose runtime allocates on its own account.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/serve/... \
 		./internal/cluster/... ./internal/loadgen/... ./internal/surrogate/... \
@@ -142,7 +146,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'GPExtend|GPRefit|Hallucinate' -benchtime 1x .
 	$(GO) test -run XXX -bench 'SurrogateExtend|SurrogatePredict|PredictBatch|PredictGrad|Refine' -benchtime 1x ./internal/surrogate/
 	$(GO) test -run XXX -bench 'FitHyper' -benchtime 1x ./internal/gp/
-	$(GO) test -run XXX -bench 'SolveLowerMulti|CholeskyInverse' -benchtime 1x ./internal/linalg/
+	$(GO) test -run XXX -bench 'SolveLowerMulti|CholeskyInverse|RankUpdate' -benchtime 1x ./internal/linalg/
 	$(GO) test -run XXX -bench 'NewtonIteration' -benchtime 1x ./internal/circuit/
 	$(GO) test -run XXX -bench 'EvalSparse$$|ACSweepSparse|TranStepSparse' -benchtime 1x ./internal/testbench/
 	$(GO) test -run XXX -bench 'LogAppend|Recover' -benchtime 1x ./internal/serve/...

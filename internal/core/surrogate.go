@@ -115,9 +115,11 @@ func seard(k gp.Kernel) bool {
 
 // Fit returns a surrogate trained on the observations, re-optimizing
 // hyperparameters on the active backend's cadence. Observations are
-// append-only across a run, so the model the last Fit returned is valid
-// while the count is unchanged and absorbs new points incrementally in
-// between trainings.
+// append-only across a run, so the model the last Fit returned is returned
+// again while the count is unchanged and absorbs new points incrementally in
+// between trainings. The model Fit returns is valid until the next Fit: the
+// manager owns it, and extending it spends it (surrogate.Surrogate.Extend),
+// so a caller must not keep it, its predictors or its views past that call.
 func (mm *ModelManager) Fit(x [][]float64, y []float64) (surrogate.Surrogate, error) {
 	n := len(y)
 	if mm.active == surrogate.BackendExact && mm.opts.Backend == surrogate.BackendAuto &&
@@ -139,7 +141,8 @@ func (mm *ModelManager) Fit(x [][]float64, y []float64) (surrogate.Surrogate, er
 		// hyperparameters or frame became numerically unusable for the grown
 		// dataset (e.g. duplicate points with tiny noise); fall through to a
 		// training in that case. So does a manager that was just Restored: it
-		// has hyperparameters but no model to extend.
+		// has hyperparameters but no model to extend. The manager never
+		// touches a model it extended again: a successful Extend spends it.
 		if m, err := mm.cached.Extend(x[mm.cachedN:n], y[mm.cachedN:n]); err == nil {
 			mm.cached, mm.cachedN = m, n
 			return m, nil

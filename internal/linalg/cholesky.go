@@ -168,38 +168,89 @@ func (c *Cholesky) Append(rows [][]float64, diag []float64) (*Cholesky, error) {
 
 // RankUpdate applies the symmetric rank-1 update A → A + v·vᵀ to the
 // factorization in place, in O(n²) (the classic Givens-based cholupdate):
-// each step rotates one entry of v into the corresponding diagonal of L and
-// carries the rotation down the column. v is consumed as scratch and is
-// garbage afterwards. Because v·vᵀ is positive semidefinite, the update
-// cannot lose positive definiteness; the dimension check is the only
-// failure mode.
+// rotation k turns entry k of v into the diagonal L[k][k], and every row
+// below it goes through the rotations of the rows above it in order. v is
+// consumed as scratch and is garbage afterwards; the only other storage is
+// the n cosines. Because v·vᵀ is positive semidefinite, the update cannot
+// lose positive definiteness; the dimension check is the only failure mode.
+//
+// The textbook sweep carries each rotation down its column, a walk of L at a
+// stride of one row. Here row i takes rotations k = 0…i−1 against its own
+// contiguous entries, carrying its entry of v as w, and then makes rotation
+// i from what w has become: each L[i][k] sees (L[i][k] + s·w)/c and w sees
+// c·w − s·L[i][k] in the column sweep's order, so every bit is the column
+// sweep's (refRankUpdate in the tests). Rows i…i+3 take the rotations of the
+// rows above them together, four independent chains, and close the 4×4
+// triangle between them in row order, as SolveLowerInto does.
 func (c *Cholesky) RankUpdate(v []float64) error {
 	n := c.N
 	if len(v) != n {
 		return ErrDimension
 	}
-	for k := 0; k < n; k++ {
-		lkk := c.L.At(k, k)
-		r := math.Hypot(lkk, v[k])
-		cc := r / lkk
-		s := v[k] / lkk
-		c.L.Set(k, k, r)
-		if s == 0 {
-			continue
+	// Rotation k is (cs[k], v[k]): v[k] is not read again once row k has
+	// taken it into w, so it holds the sine from then on.
+	cs, sn := make([]float64, n), v
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		r0, r1, r2, r3 := c.L.Row(i)[:i+4], c.L.Row(i + 1)[:i+4], c.L.Row(i + 2)[:i+4], c.L.Row(i + 3)[:i+4]
+		w0, w1, w2, w3 := v[i], v[i+1], v[i+2], v[i+3]
+		p0, q1, q2, q3 := r0[:i], r1[:i], r2[:i], r3[:i]
+		for k, l0 := range p0 {
+			s := sn[k]
+			if s == 0 {
+				continue
+			}
+			cc := cs[k]
+			l0 = (l0 + s*w0) / cc
+			l1 := (q1[k] + s*w1) / cc
+			l2 := (q2[k] + s*w2) / cc
+			l3 := (q3[k] + s*w3) / cc
+			w0 = cc*w0 - s*l0
+			w1 = cc*w1 - s*l1
+			w2 = cc*w2 - s*l2
+			w3 = cc*w3 - s*l3
+			p0[k], q1[k], q2[k], q3[k] = l0, l1, l2, l3
 		}
-		for i := k + 1; i < n; i++ {
-			lik := (c.L.At(i, k) + s*v[i]) / cc
-			v[i] = cc*v[i] - s*lik
-			c.L.Set(i, k, lik)
+		cs[i], sn[i] = givens(&r0[i], w0)
+		w1 = rotate(&r1[i], w1, cs[i], sn[i])
+		w2 = rotate(&r2[i], w2, cs[i], sn[i])
+		w3 = rotate(&r3[i], w3, cs[i], sn[i])
+		cs[i+1], sn[i+1] = givens(&r1[i+1], w1)
+		w2 = rotate(&r2[i+1], w2, cs[i+1], sn[i+1])
+		w3 = rotate(&r3[i+1], w3, cs[i+1], sn[i+1])
+		cs[i+2], sn[i+2] = givens(&r2[i+2], w2)
+		w3 = rotate(&r3[i+2], w3, cs[i+2], sn[i+2])
+		cs[i+3], sn[i+3] = givens(&r3[i+3], w3)
+	}
+	for ; i < n; i++ {
+		row := c.L.Row(i)[: i+1 : i+1]
+		w := v[i]
+		for k := range row[:i] {
+			w = rotate(&row[k], w, cs[k], sn[k])
 		}
+		cs[i], sn[i] = givens(&row[i], w)
 	}
 	return nil
 }
 
-// Clone returns an independent copy of the factorization (RankUpdate
-// mutates in place; callers that need copy-on-write semantics clone first).
-func (c *Cholesky) Clone() *Cholesky {
-	return &Cholesky{L: c.L.Clone(), N: c.N, Jitter: c.Jitter}
+// givens makes the rotation that turns w into the diagonal entry *l,
+// writes the rotated diagonal there and returns the rotation's c and s.
+func givens(l *float64, w float64) (c, s float64) {
+	lkk := *l
+	r := math.Hypot(lkk, w)
+	*l = r
+	return r / lkk, w / lkk
+}
+
+// rotate applies the rotation (c, s) to the entry *l of a row below its
+// diagonal and to the row's carried w, which it returns; s = 0 leaves both.
+func rotate(l *float64, w, c, s float64) float64 {
+	if s == 0 {
+		return w
+	}
+	lik := (*l + s*w) / c
+	*l = lik
+	return c*w - s*lik
 }
 
 // Solve returns x such that A·x = b, reusing the factorization.

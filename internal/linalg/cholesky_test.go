@@ -372,31 +372,102 @@ func TestCholeskyRankUpdateDimensionMismatch(t *testing.T) {
 	}
 }
 
-func TestCholeskyCloneIsIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	ch, err := NewCholesky(randomSPD(rng, 6))
-	if err != nil {
-		t.Fatal(err)
+// refRankUpdate is RankUpdate as it stood before it went row by row: the
+// textbook cholupdate, each rotation carried down its column through At and
+// Set. RankUpdate must reproduce it bit for bit — the feature backend's every
+// tell, and through it the serve-model history, stands on these bits.
+func refRankUpdate(c *Cholesky, v []float64) {
+	for k := 0; k < c.N; k++ {
+		lkk := c.L.At(k, k)
+		r := math.Hypot(lkk, v[k])
+		cc := r / lkk
+		s := v[k] / lkk
+		c.L.Set(k, k, r)
+		if s == 0 {
+			continue
+		}
+		for i := k + 1; i < c.N; i++ {
+			lik := (c.L.At(i, k) + s*v[i]) / cc
+			v[i] = cc*v[i] - s*lik
+			c.L.Set(i, k, lik)
+		}
 	}
-	cl := ch.Clone()
-	v := make([]float64, 6)
-	v[0] = 1
-	if err := cl.RankUpdate(v); err != nil {
-		t.Fatal(err)
-	}
-	if cl.L.At(0, 0) == ch.L.At(0, 0) {
-		t.Fatal("updating the clone mutated nothing")
-	}
-	// The original must be untouched by the clone's update.
-	orig, err := NewCholesky(randomSPD(rand.New(rand.NewSource(33)), 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		for j := 0; j <= i; j++ {
-			if ch.L.At(i, j) != orig.L.At(i, j) {
-				t.Fatalf("clone update leaked into the original at (%d,%d)", i, j)
+}
+
+// TestRankUpdateBitIdentical pins the row-order rank-1 update to the column
+// sweep it replaced: five successive updates of one factor, L compared bit
+// for bit after each, at every tail length of the four-row kernel and at the
+// feature backend's m = 256. Factors include one off the jitter ladder and
+// one full of exact zeros; the update vectors include one with a zero
+// leading half and the zero vector, whose rotations have s = 0 and are
+// skipped, one scaled to lose low bits, and one with scattered zeros.
+func TestRankUpdateBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 256} {
+		for _, pm := range pinMatrices(rng, n) {
+			got, err := NewCholesky(pm.a)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want, _ := NewCholesky(pm.a)
+			if (pm.name == "jittered") != (got.Jitter > 0) {
+				t.Fatalf("n=%d %s: jitter %v", n, pm.name, got.Jitter)
+			}
+			for rep := 0; rep < 5; rep++ {
+				v := make([]float64, n)
+				for i := range v {
+					switch rep {
+					case 0:
+						v[i] = rng.NormFloat64()
+					case 1:
+						if i >= n/2 {
+							v[i] = rng.NormFloat64()
+						}
+					case 2:
+						v[i] = 1e8 * rng.NormFloat64()
+					case 4:
+						if i%3 != 1 {
+							v[i] = 1e-3 * rng.NormFloat64()
+						}
+					}
+				}
+				if err := got.RankUpdate(append([]float64(nil), v...)); err != nil {
+					t.Fatal(err)
+				}
+				refRankUpdate(want, v)
+				sameBits(t, fmt.Sprintf("n=%d %s update %d", n, pm.name, rep), got.L, want.L, false)
+			}
+		}
+	}
+}
+
+// BenchmarkRankUpdate is one rank-1 update of the feature backend's default
+// m = 256 information factor, what a tell on that backend pays per
+// observation. Iterations cycle through 16 copies of the factor, 8 MB in all,
+// so each update finds its factor out of the core's private caches, as a tell
+// does after the acquisition sweep of an ask.
+func BenchmarkRankUpdate(b *testing.B) {
+	const n, copies = 256, 16
+	rng := rand.New(rand.NewSource(35))
+	a := randomSPD(rng, n)
+	cs := make([]*Cholesky, copies)
+	for i := range cs {
+		c, err := NewCholesky(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cs[i] = c
+	}
+	v0, v := make([]float64, n), make([]float64, n)
+	for i := range v0 {
+		v0[i] = rng.NormFloat64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(v, v0)
+		if err := cs[i%copies].RankUpdate(v); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

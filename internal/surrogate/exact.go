@@ -9,10 +9,11 @@ import (
 
 // Exact is the paper's surrogate: an exact Gaussian process fitted in the
 // frame's units — exact posteriors, O(n³) trainings, rank-append O(k·n²)
-// extensions. It is immutable; the zero value is invalid.
+// extensions. Readers share it; Extend spends it. The zero value is invalid.
 type Exact struct {
 	frame
-	gp *gp.GP
+	gp    *gp.GP
+	spent bool // Extend returned the grown model
 }
 
 // NewExact fits the exact GP to raw observations within [lo, hi]: the frame
@@ -89,7 +90,12 @@ func (e *Exact) N() int { return e.gp.N() }
 // Extend implements Surrogate via the rank-append factor update: O(k·n²)
 // for k new points instead of a full O(n³) refit. The frame stays the one
 // of the last full training; the cadenced hyperparameter refit re-derives it.
+// gp.GP.Extend grows a copy of the factor, so a failed extension leaves the
+// receiver usable; a successful one spends it, as on the feature backend.
 func (e *Exact) Extend(x [][]float64, y []float64) (Surrogate, error) {
+	if e.spent {
+		return nil, ErrSpent
+	}
 	if len(x) == 0 {
 		return e, nil
 	}
@@ -101,6 +107,7 @@ func (e *Exact) Extend(x [][]float64, y []float64) (Surrogate, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.spent = true
 	return &Exact{frame: e.frame, gp: g}, nil
 }
 
@@ -108,6 +115,9 @@ func (e *Exact) Extend(x [][]float64, y []float64) (Surrogate, error) {
 // busy points (gp.Busy), which leaves µ and ∇µ the receiver's bits and takes
 // the Schur complement term of Eq. 9 off σ². The GP is shared, not copied.
 func (e *Exact) WithPseudo(xp [][]float64) (Surrogate, error) {
+	if e.spent {
+		return nil, ErrSpent
+	}
 	return hallucinate(e, &e.frame, e.N(), &exactBusy{g: e.gp}, xp)
 }
 
@@ -116,6 +126,9 @@ func (e *Exact) WithPseudo(xp [][]float64) (Surrogate, error) {
 // training set and frame. Only the SE-ARD
 // kernel has that basis; m < gp.MinRFFFeatures is an error.
 func (e *Exact) SampleRFF(rng *rand.Rand, m int) (func(x []float64) float64, error) {
+	if e.spent {
+		return nil, ErrSpent
+	}
 	if _, ok := e.gp.Kern.(gp.SEARD); !ok {
 		return nil, errors.New("surrogate: SampleRFF requires the SE-ARD kernel")
 	}

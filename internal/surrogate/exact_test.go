@@ -1,6 +1,7 @@
 package surrogate
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -197,6 +198,49 @@ func TestFrameRejectsNonFiniteObservations(t *testing.T) {
 			if m.N() != len(x) {
 				t.Fatalf("%s: a failed Extend changed its receiver", name)
 			}
+		}
+	}
+}
+
+// TestExtendSpendsReceiver is the owner's half of the Surrogate contract on
+// both backends: an Extend of no points returns the receiver, unspent; a
+// successful Extend spends it — Extend, WithPseudo and SampleRFF on it return
+// ErrSpent — and the model it returned takes all three.
+func TestExtendSpendsReceiver(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	x := [][]float64{{0.1}, {0.5}, {0.9}}
+	lo, hi := []float64{0}, []float64{1}
+	for name, m := range frameBackends(t, x, []float64{1, 2, 3}, lo, hi, rng, 5) {
+		if same, err := m.Extend(nil, nil); err != nil || same != m {
+			t.Fatalf("%s: empty Extend returned %v, %v; want the receiver", name, same, err)
+		}
+		grown, err := m.Extend([][]float64{{0.3}}, []float64{2.5})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if grown.N() != len(x)+1 {
+			t.Fatalf("%s: grown model has %d observations, want %d", name, grown.N(), len(x)+1)
+		}
+		if _, err := m.Extend([][]float64{{0.7}}, []float64{1}); !errors.Is(err, ErrSpent) {
+			t.Fatalf("%s: Extend on a spent model: %v, want ErrSpent", name, err)
+		}
+		if _, err := m.Extend(nil, nil); !errors.Is(err, ErrSpent) {
+			t.Fatalf("%s: empty Extend on a spent model: %v, want ErrSpent", name, err)
+		}
+		if _, err := m.WithPseudo([][]float64{{0.7}}); !errors.Is(err, ErrSpent) {
+			t.Fatalf("%s: WithPseudo on a spent model: %v, want ErrSpent", name, err)
+		}
+		if _, err := m.SampleRFF(rng, 64); !errors.Is(err, ErrSpent) {
+			t.Fatalf("%s: SampleRFF on a spent model: %v, want ErrSpent", name, err)
+		}
+		if _, err := grown.WithPseudo([][]float64{{0.7}}); err != nil {
+			t.Fatalf("%s: WithPseudo on the grown model: %v", name, err)
+		}
+		if _, err := grown.SampleRFF(rng, 64); err != nil {
+			t.Fatalf("%s: SampleRFF on the grown model: %v", name, err)
+		}
+		if _, err := grown.Extend([][]float64{{0.7}}, []float64{1}); err != nil {
+			t.Fatalf("%s: Extend on the grown model: %v", name, err)
 		}
 	}
 }

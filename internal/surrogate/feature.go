@@ -28,6 +28,7 @@ type FeatureModel struct {
 	rhs   []float64        // Φᵀy/σn² (standardized outputs)
 	wmean []float64        // A⁻¹·rhs
 	n     int              // observations absorbed
+	spent bool             // Extend handed chol, rhs and wmean to another model
 }
 
 // FitFeatures fits a feature-space surrogate on raw inputs/outputs within
@@ -99,9 +100,13 @@ func (fm *FeatureModel) predictor(standardized bool) *predictor {
 func (fm *FeatureModel) N() int { return fm.n }
 
 // Extend implements Surrogate: each new observation is a rank-1 update of
-// the information factor, O(m²) per point regardless of n. The receiver is
-// unchanged and remains usable.
+// the information factor, O(m²) per point regardless of n, made in the
+// receiver's own factor, right-hand side and mean; the returned model owns
+// them and the receiver is spent.
 func (fm *FeatureModel) Extend(x [][]float64, y []float64) (Surrogate, error) {
+	if fm.spent {
+		return nil, ErrSpent
+	}
 	if len(x) == 0 {
 		return fm, nil
 	}
@@ -117,6 +122,9 @@ func (fm *FeatureModel) Extend(x [][]float64, y []float64) (Surrogate, error) {
 // takes the Schur complement term of Eq. 9 off σ². The factor is shared, not
 // copied.
 func (fm *FeatureModel) WithPseudo(xp [][]float64) (Surrogate, error) {
+	if fm.spent {
+		return nil, ErrSpent
+	}
 	return hallucinate(fm, &fm.frame, fm.n, &featureBusy{fm: fm}, xp)
 }
 
@@ -176,13 +184,14 @@ func (b *featureBusy) reduction(c, u []float64) float64 {
 	return linalg.Dot(c, c)
 }
 
-// absorb clones the posterior state and applies one rank-1 information
-// update per (unit-cube input, standardized target) pair.
+// absorb applies one rank-1 information update per (unit-cube input,
+// standardized target) pair to the receiver's factor, right-hand side and
+// mean, in place, and returns the model that owns them; the receiver is
+// spent. Its scratch is O(m): the m×m factor is never copied.
 func (fm *FeatureModel) absorb(xs [][]float64, ys []float64) (*FeatureModel, error) {
 	m := fm.basis.Features()
 	out := *fm
-	out.chol = fm.chol.Clone()
-	out.rhs = append([]float64(nil), fm.rhs...)
+	fm.spent = true
 	phi := make([]float64, m)
 	v := make([]float64, m)
 	sn := math.Sqrt(fm.noise2)
@@ -196,7 +205,7 @@ func (fm *FeatureModel) absorb(xs [][]float64, ys []float64) (*FeatureModel, err
 			return nil, err
 		}
 	}
-	out.wmean = out.chol.Solve(out.rhs)
+	out.chol.SolveInto(out.wmean, out.rhs)
 	out.n = fm.n + len(xs)
 	return &out, nil
 }
@@ -206,6 +215,9 @@ func (fm *FeatureModel) absorb(xs [][]float64, ys []float64) (*FeatureModel, err
 // through the factor as θ = w̄ + L⁻ᵀz. The returned function is safe for
 // concurrent use.
 func (fm *FeatureModel) SampleRFF(rng *rand.Rand, _ int) (func(x []float64) float64, error) {
+	if fm.spent {
+		return nil, ErrSpent
+	}
 	m := fm.basis.Features()
 	z := make([]float64, m)
 	for i := range z {

@@ -16,12 +16,20 @@
 // backend a hallucinated view (WithPseudo) is the base model plus the Schur
 // complement of its busy set: σ̂² = σ² − cᵀS⁻¹c, nothing copied or refitted.
 //
+// Readers share a model; Extend spends it. Any number of goroutines predict
+// from one model, hallucinate views of it and draw from it at once, each
+// through predictors of its own. Extend is its owner's operation: it hands
+// the model's storage to the model it returns — the feature backend updates
+// its factor in place, copying nothing — and the receiver answers ErrSpent
+// from then on.
+//
 // What turns an observation history into a fitted posterior on a
 // hyperparameter cadence — and picks, or escalates between, the backends —
 // is core.ModelManager.
 package surrogate
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 )
@@ -70,9 +78,11 @@ type Predictor interface {
 
 // Surrogate is a fitted posterior over the design box. Inputs are raw
 // coordinates; predictions are raw output units unless taken through
-// StandardizedPredictor. Implementations are immutable: Extend and
-// WithPseudo return new values and leave the receiver usable, which is what
-// lets one fitted model serve concurrent readers.
+// StandardizedPredictor. Readers share a model: predictors, WithPseudo and
+// SampleRFF change nothing in it, which is what lets one fitted model serve
+// concurrent readers. Extend spends it: the returned model takes over the
+// receiver's storage, so Extend is not a concurrent operation, and the
+// receiver, its predictors and its views are not to be used after it.
 type Surrogate interface {
 	// Predictor returns a raw-unit prediction context.
 	Predictor() Predictor
@@ -86,10 +96,13 @@ type Surrogate interface {
 	// N returns the training-set size; a hallucinated view counts its busy
 	// points too.
 	N() int
-	// Extend returns a new surrogate whose training set is augmented with
-	// the given raw observations at unchanged hyperparameters — the
-	// incremental update between hyperparameter refits. A hallucinated view
-	// returns ErrHallucinated.
+	// Extend returns a surrogate whose training set is augmented with the
+	// given raw observations at unchanged hyperparameters — the incremental
+	// update between hyperparameter refits. It spends the receiver: Extend,
+	// WithPseudo and SampleRFF on it return ErrSpent afterwards. The
+	// observations are validated before anything is written, so a rejected
+	// Extend leaves the receiver usable; no points return the receiver,
+	// unspent. A hallucinated view returns ErrHallucinated.
 	Extend(x [][]float64, y []float64) (Surrogate, error)
 	// WithPseudo returns a hallucinated view: the posterior conditioned on
 	// the busy points xp as pseudo-observations at their predictive means
@@ -110,6 +123,10 @@ type Surrogate interface {
 	// hallucinated view returns ErrHallucinated.
 	SampleRFF(rng *rand.Rand, m int) (func(x []float64) float64, error)
 }
+
+// ErrSpent is what Extend, WithPseudo and SampleRFF return on a model that
+// Extend has spent: its storage belongs to the model Extend returned.
+var ErrSpent = errors.New("surrogate: the model was spent by Extend; use the model Extend returned")
 
 // Backend names a surrogate implementation, as selected through bo.Config,
 // easybo.Options, serve session configs, and the -surrogate CLI flags.

@@ -82,25 +82,27 @@ func TestFeatureExtendMatchesBatchFit(t *testing.T) {
 	x, y, lo, hi := fixture(dataRng, 50)
 	const m = 128
 
-	// Incremental: fit 40 points, rank-1 absorb the last 10.
-	base, err := FitFeatures(x[:40], y[:40], lo, hi, fixtureTheta, fixtureLogNoise, rand.New(rand.NewSource(77)), m)
-	if err != nil {
-		t.Fatal(err)
+	// Incremental: fit 40 points, rank-1 absorb the last 10. Extend spends
+	// its receiver, so each absorption order starts from a base of its own,
+	// fitted from the same seed: the same basis and the same 40-point state.
+	base := func() *FeatureModel {
+		fm, err := FitFeatures(x[:40], y[:40], lo, hi, fixtureTheta, fixtureLogNoise, rand.New(rand.NewSource(77)), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fm
 	}
-	incS, err := base.Extend(x[40:], y[40:])
+	incS, err := base().Extend(x[40:], y[40:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	inc := incS.(*FeatureModel)
-	if base.N() != 40 || inc.N() != 50 {
-		t.Fatalf("Extend mutated the receiver or miscounted: base %d, inc %d", base.N(), inc.N())
+	if inc.N() != 50 {
+		t.Fatalf("Extend miscounted: %d observations, want 50", inc.N())
 	}
 
-	// Batch rebuild on the identical basis (same seed) at base's frozen
-	// standardization constants: absorb all 50 points into the 40-point
-	// model's prior-restoring twin — i.e. refit from the same 40-point
-	// state, then compare one-shot vs one-at-a-time absorption orders too.
-	oneAtATime := base
+	// One-shot vs one-at-a-time absorption orders.
+	oneAtATime := base()
 	for i := 40; i < 50; i++ {
 		s, err := oneAtATime.Extend(x[i:i+1], y[i:i+1])
 		if err != nil {
@@ -110,10 +112,7 @@ func TestFeatureExtendMatchesBatchFit(t *testing.T) {
 	}
 	// From-scratch rebuild: a fresh 50-point fit whose standardization is
 	// forced to base's frozen constants, so only the update algebra differs.
-	scratch, err := FitFeatures(x[:40], y[:40], lo, hi, fixtureTheta, fixtureLogNoise, rand.New(rand.NewSource(77)), m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scratch := base()
 	ys := make([]float64, 10)
 	for i, v := range y[40:] {
 		ys[i] = (v - scratch.ymean) / scratch.ystd

@@ -21,9 +21,10 @@ type busySet interface {
 	unit() unitPredictor
 }
 
-// view is what WithPseudo returns on both backends: the immutable base model
-// and the busy set it is conditioned on. Predictions are the base's µ and ∇µ,
-// bit for bit, and σ̂ ≤ σ.
+// view is what WithPseudo returns on both backends: the base model, which it
+// reads and never writes, and the busy set it is conditioned on. Predictions
+// are the base's µ and ∇µ, bit for bit, and σ̂ ≤ σ. A view is valid while its
+// base is: Extend on the base spends both.
 type view struct {
 	f    *frame
 	n    int // the base model's training-set size plus the busy points
