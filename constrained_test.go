@@ -1,7 +1,12 @@
 package easybo_test
 
 import (
+	"flag"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"easybo"
@@ -135,19 +140,100 @@ func TestOptimizeConstrainedValidation(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/constrained_pins.txt from the current OptimizeConstrained")
+
+// constrainedPinRuns are the runs testdata/constrained_pins.txt holds a hash
+// of: linearUnderDisk at seeds 1–3, one worker and four (InitPoints 8, so the
+// initial design fills the pool), plus a run whose objective returns +Inf once
+// and whose constraint returns NaN once. Every run costs 1 + x₀² simulated
+// seconds per evaluation, so completions interleave and the busy set the
+// proposer sees is not simply the last few launches.
+func constrainedPinRuns() []struct {
+	name string
+	run  func() (*easybo.ConstrainedResult, error)
+} {
+	disk := func() (easybo.Problem, []easybo.Constraint) {
+		p, cons := linearUnderDisk()
+		p.Cost = func(x []float64) float64 { return 1 + x[0]*x[0] }
+		return p, cons
+	}
+	type pinRun = struct {
+		name string
+		run  func() (*easybo.ConstrainedResult, error)
+	}
+	var runs []pinRun
+	for seed := int64(1); seed <= 3; seed++ {
+		for _, o := range []easybo.Options{
+			{Workers: 1, InitPoints: 6, MaxEvals: 16},
+			{Workers: 4, InitPoints: 8, MaxEvals: 24},
+		} {
+			o := o
+			o.Seed, o.FitIters = seed, 10
+			runs = append(runs, pinRun{fmt.Sprintf("seed%d-w%d", seed, o.Workers), func() (*easybo.ConstrainedResult, error) {
+				p, cons := disk()
+				return easybo.OptimizeConstrained(p, cons, o)
+			}})
+		}
+	}
+	runs = append(runs, pinRun{"nonfinite-w2", func() (*easybo.ConstrainedResult, error) {
+		p, cons := disk()
+		obj, c0, calls := p.Objective, cons[0], 0
+		p.Objective = func(x []float64) float64 {
+			if calls++; calls == 3 {
+				return math.Inf(1)
+			}
+			return obj(x)
+		}
+		cons[0] = func(x []float64) float64 {
+			if calls == 9 {
+				return math.NaN()
+			}
+			return c0(x)
+		}
+		return easybo.OptimizeConstrained(p, cons, easybo.Options{Workers: 2, InitPoints: 6, MaxEvals: 16, Seed: 1, FitIters: 10})
+	}})
+	return runs
+}
+
+// constrainedHash digests a whole constrained result: per evaluation X, Y,
+// Constraints, Start, End, Worker, Feasible and the error text, then BestX,
+// BestY, Found and Seconds. Attempts is left out.
+func constrainedHash(r *easybo.ConstrainedResult) string {
+	h := fnv.New64a()
+	for _, e := range r.Evaluations {
+		errText := ""
+		if e.Err != nil {
+			errText = e.Err.Error()
+		}
+		fmt.Fprintf(h, "%x|%x|%x|%x|%x|%d|%t|%q\n", e.X, e.Y, e.Constraints, e.Start, e.End, e.Worker, e.Feasible, errText)
+	}
+	fmt.Fprintf(h, "%x|%x|%t|%x\n", r.BestX, r.BestY, r.Found, r.Seconds)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestOptimizeConstrainedDeterministic holds OptimizeConstrained to the
+// histories recorded in testdata/constrained_pins.txt, bit for bit. Refresh
+// the file with -update only for a change that is meant to move them.
 func TestOptimizeConstrainedDeterministic(t *testing.T) {
-	p, cons := linearUnderDisk()
-	opts := easybo.Options{Workers: 3, MaxEvals: 40, InitPoints: 12, Seed: 7, FitIters: 10}
-	r1, err := easybo.OptimizeConstrained(p, cons, opts)
+	var got strings.Builder
+	for _, run := range constrainedPinRuns() {
+		res, err := run.run()
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		fmt.Fprintf(&got, "%s %s\n", run.name, constrainedHash(res))
+	}
+	if *update {
+		if err := os.WriteFile("testdata/constrained_pins.txt", []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile("testdata/constrained_pins.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := easybo.OptimizeConstrained(p, cons, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.BestY != r2.BestY || r1.Seconds != r2.Seconds {
-		t.Fatal("constrained optimization not deterministic")
+	if got.String() != string(want) {
+		t.Fatalf("constrained histories moved:\n got:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 
