@@ -1,7 +1,9 @@
 package easybo
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -44,11 +46,17 @@ type ConstrainedResult struct {
 // This implements the constrained extension the paper announces as future
 // work (§II-A).
 //
+// It is Algorithm 1 on virtual time, the same ask/tell machine Optimize
+// runs: whenever a worker is idle it gets the next point, so every worker
+// starts, and a pool larger than the initial design fills as soon as the
+// first result is in.
+//
 // Of Options it honours Workers, InitPoints, MaxEvals, Seed, Lambda,
-// FitIters (default 30) and Algorithm (EasyBO or EasyBOA; anything else runs
-// as EasyBO). It runs on virtual time and retrains every surrogate, an exact
-// GP per output, on every completion, so Surrogate, EscalateAt, RefitEvery
-// and Async are not consulted: an evaluation whose objective or any
+// FitIters (default 30), Algorithm (EasyBO or EasyBOA; anything else runs
+// as EasyBO) and Async.Context, which cancels the run between completions.
+// It retrains every surrogate, an exact GP per output, before every
+// model-based point, so Surrogate, EscalateAt and RefitEvery are not
+// consulted, nor is the rest of Async: an evaluation whose objective or any
 // constraint is NaN or ±Inf is a failed evaluation whatever the policy —
 // listed in Evaluations with Err set and Feasible false, never the reported
 // best, never shown to a surrogate — and still spends one of MaxEvals.
@@ -58,6 +66,11 @@ func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*Co
 	}
 	if len(constraints) == 0 {
 		return nil, errors.New("easybo: OptimizeConstrained requires at least one constraint")
+	}
+	for j, c := range constraints {
+		if c == nil {
+			return nil, fmt.Errorf("easybo: constraint %d is nil", j)
+		}
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
@@ -74,23 +87,26 @@ func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*Co
 	if opts.FitIters <= 0 {
 		opts.FitIters = 30
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-
-	// The virtual executor evaluates objective and constraints in one run.
-	type payload struct {
-		y float64
-		c []float64
+	ctx := opts.Async.Context
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	payloads := map[int]payload{} // keyed by launch ID
-	nextID := 0
+	rng := rand.New(rand.NewSource(opts.Seed))
+	init := stats.LatinHypercubeIn(rng, opts.InitPoints, p.Lo, p.Hi)
+
+	// One run yields the objective and every constraint. A non-finite
+	// constraint fails the run the way a non-finite objective does, so the
+	// executor classifies both.
+	var outputs [][]float64 // constraint values by launch ID
 	ex := sched.NewVirtual(opts.Workers, func(x []float64) (float64, float64) {
 		y := p.Objective(x)
 		cs := make([]float64, len(constraints))
 		for j, c := range constraints {
-			cs[j] = c(x)
+			if cs[j] = c(x); sched.ValueErr(cs[j]) != nil {
+				y = math.NaN()
+			}
 		}
-		payloads[nextID] = payload{y, cs}
-		nextID++
+		outputs = append(outputs, cs)
 		cost := 1.0
 		if p.Cost != nil {
 			cost = p.Cost(x)
@@ -98,122 +114,83 @@ func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*Co
 		return y, cost
 	})
 
-	proposer := &core.ConstrainedProposer{Lambda: opts.Lambda, Penalize: opts.Algorithm != EasyBOA}
-
-	init := stats.LatinHypercubeIn(rng, opts.InitPoints, p.Lo, p.Hi)
-
-	res := &ConstrainedResult{BestY: math.Inf(-1)}
-	var obsX [][]float64
-	var obsY []float64
-	obsC := make([][]float64, len(constraints)) // per-constraint columns
-	anyFeasible := false
-	bestViolation := math.Inf(1)
-
 	// The constrained path trains one exact GP per output: constraint
 	// surfaces are usually sharp near their boundary, which is exactly where
 	// the feature expansion is weakest, so backend selection is not offered
-	// here.
-	train := func(y []float64, iters int) (surrogate.Surrogate, error) {
-		m, err := surrogate.NewExact(obsX, y, p.Lo, p.Hi, func(xs [][]float64, ys []float64) (*gp.GP, error) {
+	// here. The objective's model goes to the machine, the constraints'
+	// models to the proposer.
+	obsC := make([][]float64, len(constraints)) // per-constraint columns
+	consM := make([]surrogate.Surrogate, len(constraints))
+	train := func(x [][]float64, y []float64, iters int) (surrogate.Surrogate, error) {
+		return surrogate.NewExact(x, y, p.Lo, p.Hi, func(xs [][]float64, ys []float64) (*gp.GP, error) {
 			return gp.FitHyper(gp.SEARD{}, xs, ys, rng, &gp.FitOptions{Iters: iters, Restarts: 1})
 		})
+	}
+	fit := func(x [][]float64, y []float64) (surrogate.Surrogate, error) {
+		objM, err := train(x, y, opts.FitIters)
 		if err != nil {
 			return nil, err
 		}
-		return m, nil
-	}
-	trainAll := func() (surrogate.Surrogate, []surrogate.Surrogate, error) {
-		objM, err := train(obsY, opts.FitIters)
-		if err != nil {
-			return nil, nil, err
-		}
-		consM := make([]surrogate.Surrogate, len(constraints))
-		for j := range constraints {
-			if consM[j], err = train(obsC[j], opts.FitIters/2); err != nil {
-				return nil, nil, err
+		for j := range consM {
+			if consM[j], err = train(x, obsC[j], opts.FitIters/2); err != nil {
+				return nil, err
 			}
 		}
-		return objM, consM, nil
+		return objM, nil
 	}
 
-	launched, completed := 0, 0
-	for launched < len(init) && launched < opts.MaxEvals && ex.Idle() > 0 {
-		if err := ex.Launch(init[launched]); err != nil {
-			return nil, err
-		}
-		launched++
-	}
-	for completed < opts.MaxEvals {
-		r, ok := ex.Wait()
-		if !ok {
-			return nil, errors.New("easybo: executor drained early")
-		}
-		completed++
-		pl := payloads[r.ID]
-		delete(payloads, r.ID)
-		// The executor has classified the objective; the constraints are
-		// outputs of the same run and fail it the same way.
-		evalErr := r.Err
-		feasible := true
+	res := &ConstrainedResult{BestY: math.Inf(-1)}
+	bestViolation := math.Inf(1)
+	proposer := &core.ConstrainedProposer{Lambda: opts.Lambda, Penalize: opts.Algorithm != EasyBOA}
+	propose := proposerFunc(func(m surrogate.Surrogate, busy [][]float64, lo, hi []float64, rng *rand.Rand) ([]float64, float64, error) {
+		x, err := proposer.ProposeConstrained(m, consM, busy, lo, hi, res.Found, rng)
+		return x, 0, err
+	})
+	observe := func(r sched.Result) {
+		cs := outputs[r.ID]
+		e := ConstrainedEvaluation{Evaluation: evalFromResult(r), Constraints: cs, Feasible: r.Err == nil}
 		worst := math.Inf(-1)
-		for _, cv := range pl.c {
-			if evalErr == nil {
-				evalErr = sched.ValueErr(cv)
-			}
+		for _, cv := range cs {
 			if cv > 0 {
-				feasible = false
+				e.Feasible = false
 			}
 			if cv > worst {
 				worst = cv
 			}
 		}
-		if evalErr != nil {
-			r.Y, feasible = math.NaN(), false
+		res.Evaluations = append(res.Evaluations, e)
+		res.Seconds = max(res.Seconds, r.End)
+		if r.Err != nil {
+			return
 		}
-		res.Evaluations = append(res.Evaluations, ConstrainedEvaluation{
-			Evaluation:  Evaluation{X: r.X, Y: r.Y, Start: r.Start, End: r.End, Worker: r.Worker, Err: evalErr},
-			Constraints: pl.c,
-			Feasible:    feasible,
-		})
-		if r.End > res.Seconds {
-			res.Seconds = r.End
+		for j, cv := range cs {
+			obsC[j] = append(obsC[j], cv)
 		}
-		if evalErr == nil {
-			obsX = append(obsX, r.X)
-			obsY = append(obsY, r.Y)
-			for j := range constraints {
-				obsC[j] = append(obsC[j], pl.c[j])
-			}
-			switch {
-			case feasible && (!res.Found || r.Y > res.BestY):
-				res.BestX, res.BestY, res.Found = r.X, r.Y, true
-				anyFeasible = true
-			case !res.Found && worst < bestViolation:
-				res.BestX = r.X
-				bestViolation = worst
-			}
+		switch {
+		case e.Feasible && (!res.Found || r.Y > res.BestY):
+			res.BestX, res.BestY, res.Found = r.X, r.Y, true
+		case !res.Found && worst < bestViolation:
+			res.BestX, bestViolation = r.X, worst
 		}
+	}
 
-		if launched >= opts.MaxEvals {
-			continue
-		}
-		var next []float64
-		if launched < len(init) {
-			next = init[launched]
-		} else {
-			objM, consM, err := trainAll()
-			if err != nil {
-				return nil, err
-			}
-			next, err = proposer.ProposeConstrained(objM, consM, ex.Busy(), p.Lo, p.Hi, anyFeasible, rng)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := ex.Launch(next); err != nil {
-			return nil, err
-		}
-		launched++
+	at, err := core.NewAskTell(core.AskTellConfig{
+		MaxEvals: opts.MaxEvals, Init: init, Lo: p.Lo, Hi: p.Hi,
+		Fit: fit, Proposer: propose, Rng: rng,
+		Failure: core.FailSkip, OnResult: observe, OnFailure: observe,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := at.Run(ctx, ex, false); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// proposerFunc is a function behind core.PointProposer.
+type proposerFunc func(m surrogate.Surrogate, busy [][]float64, lo, hi []float64, rng *rand.Rand) ([]float64, float64, error)
+
+func (f proposerFunc) Propose(m surrogate.Surrogate, busy [][]float64, lo, hi []float64, rng *rand.Rand) ([]float64, float64, error) {
+	return f(m, busy, lo, hi, rng)
 }

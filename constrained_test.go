@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -61,6 +62,47 @@ func TestOptimizeConstrainedDisk(t *testing.T) {
 		if e.Feasible != (e.Constraints[0] <= 0) {
 			t.Fatal("feasibility flag inconsistent")
 		}
+		if e.Attempts != 1 {
+			t.Fatalf("evaluation reports %d attempts; one objective call is 1", e.Attempts)
+		}
+	}
+}
+
+// Algorithm 1 issues a query whenever a worker is idle, so a design smaller
+// than the pool must not strand the workers it leaves empty: once the first
+// result is in, every idle worker gets a model-based point.
+func TestOptimizeConstrainedStartsEveryWorker(t *testing.T) {
+	p, cons := linearUnderDisk()
+	res, err := easybo.OptimizeConstrained(p, cons, easybo.Options{
+		Workers: 8, InitPoints: 3, MaxEvals: 40, Seed: 1, FitIters: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := map[int]bool{}
+	type event struct {
+		t     float64
+		delta int
+	}
+	var events []event
+	for _, e := range res.Evaluations {
+		slots[e.Worker] = true
+		events = append(events, event{e.Start, 1}, event{e.End, -1})
+	}
+	// An evaluation ending at t frees its worker before one starting at t.
+	sort.Slice(events, func(i, j int) bool {
+		if events[i].t != events[j].t {
+			return events[i].t < events[j].t
+		}
+		return events[i].delta < events[j].delta
+	})
+	running, peak := 0, 0
+	for _, ev := range events {
+		running += ev.delta
+		peak = max(peak, running)
+	}
+	if len(slots) != 8 || peak != 8 {
+		t.Fatalf("%d worker slots used, peak concurrency %d; want 8 and 8", len(slots), peak)
 	}
 }
 
@@ -137,6 +179,10 @@ func TestOptimizeConstrainedValidation(t *testing.T) {
 	if _, err := easybo.OptimizeConstrained(bad, []easybo.Constraint{func([]float64) float64 { return 0 }},
 		easybo.Options{}); err == nil {
 		t.Fatal("bad bounds must fail")
+	}
+	_, err := easybo.OptimizeConstrained(p, []easybo.Constraint{func([]float64) float64 { return 0 }, nil}, easybo.Options{})
+	if err == nil || !strings.Contains(err.Error(), "constraint 1") {
+		t.Fatalf("err = %v, want one naming the nil constraint 1", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package easybo_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -477,7 +478,8 @@ func TestLoopForget(t *testing.T) {
 
 func TestOptimizeHonorsCancelledContext(t *testing.T) {
 	// Options.Async.Context is threaded into every virtual driver — async,
-	// sync, random, and DE: a cancelled context stops the run with an error.
+	// sync, random, DE and the constrained one: a cancelled context stops
+	// the run with an error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, algo := range []easybo.Algorithm{
@@ -490,5 +492,10 @@ func TestOptimizeHonorsCancelledContext(t *testing.T) {
 			!strings.Contains(err.Error(), "cancelled") {
 			t.Fatalf("%s: cancelled context must abort the virtual run, got %v", algo, err)
 		}
+	}
+	p, cons := linearUnderDisk()
+	if _, err := easybo.OptimizeConstrained(p, cons, easybo.Options{Workers: 2, MaxEvals: 10, InitPoints: 4,
+		Async: easybo.AsyncOptions{Context: ctx}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("OptimizeConstrained: err = %v, want one wrapping context.Canceled", err)
 	}
 }

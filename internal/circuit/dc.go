@@ -197,12 +197,11 @@ func (c *Circuit) newtonDense(x0 []float64, maxIter int, gmin, srcScale float64,
 				}
 			}
 		}
-		lu, err := linalg.NewLU(e.A)
+		xNew, err := linalg.SolveLinear(e.A, e.b)
 		if err != nil {
 			return nil, false
 		}
 		stats.Factors++
-		xNew := lu.Solve(e.b)
 		if !linalg.AllFinite(xNew) {
 			return nil, false
 		}

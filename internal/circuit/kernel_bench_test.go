@@ -113,11 +113,11 @@ func BenchmarkNewtonIterationDense(b *testing.B) {
 		for j := 0; j < len(c.names)-1; j++ {
 			e.A.Add(j, j, nodeGmin)
 		}
-		lu, err := linalg.NewLU(e.A)
+		out, err := linalg.SolveLinear(e.A, e.b)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if out := lu.Solve(e.b); len(out) != n {
+		if len(out) != n {
 			b.Fatal("bad solve")
 		}
 	}

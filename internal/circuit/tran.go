@@ -230,12 +230,11 @@ func (c *Circuit) tranNewtonDense(x0 []float64, e *env, stats *NewtonStats) ([]f
 		for i := 0; i < len(c.names)-1; i++ {
 			e.A.Add(i, i, nodeGmin)
 		}
-		lu, err := linalg.NewLU(e.A)
+		xNew, err := linalg.SolveLinear(e.A, e.b)
 		if err != nil {
 			return nil, false
 		}
 		stats.Factors++
-		xNew := lu.Solve(e.b)
 		if !linalg.AllFinite(xNew) {
 			return nil, false
 		}

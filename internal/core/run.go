@@ -42,8 +42,9 @@ func NewMachine(rng *rand.Rand, initPoints int, mo ModelManagerOptions, cfg AskT
 // Run drives the machine on an executor until its budget is consumed: it
 // is Algorithm 1 of the paper. Whenever a worker is idle the next
 // suggestion is launched on it, and every completion — successful or
-// failed — goes straight to ObserveResult, so the machine's pending set
-// mirrors ex.Busy() and failures follow the machine's policy.
+// failed — goes straight to ObserveResult, so the machine's pending set is
+// exactly the points running on ex (the busy set X̂) and failures follow the
+// machine's policy.
 //
 // Two rules shape a fill. It never crosses from the initial design into the
 // acquisition phase: the first model-based proposal waits for a completion

@@ -184,3 +184,41 @@ func TestAsyncLoopCancellation(t *testing.T) {
 		t.Fatalf("loop kept absorbing results after cancel: %d", n)
 	}
 }
+
+// The busy set X̂ is the machine's pending set: driven on an executor, it
+// holds exactly the points running there, in launch order, also after a
+// completion out of that order.
+func TestPendingPointsAreTheBusySet(t *testing.T) {
+	ex := sched.NewVirtual(3, func(x []float64) (float64, float64) { return 0, x[0] })
+	at, err := NewAskTell(AskTellConfig{
+		MaxEvals: 3, Init: [][]float64{{7}, {5}, {9}}, Lo: []float64{0}, Hi: []float64{10},
+		Fit: func([][]float64, []float64) (surrogate.Surrogate, error) {
+			panic("core: a three-point design needs no model")
+		},
+		Proposer: &Proposer{}, Rng: rand.New(rand.NewSource(1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(xs ...float64) {
+		t.Helper()
+		busy := at.PendingPoints()
+		if len(busy) != len(xs) {
+			t.Fatalf("busy set %v, want %v", busy, xs)
+		}
+		for i, x := range xs {
+			if busy[i][0] != x {
+				t.Fatalf("busy set %v, want %v", busy, xs)
+			}
+		}
+	}
+	if err := at.fill(ex, false); err != nil {
+		t.Fatal(err)
+	}
+	want(7, 5, 9)
+	r, _ := ex.Wait() // the cost-5 evaluation
+	if err := at.ObserveResult(r); err != nil {
+		t.Fatal(err)
+	}
+	want(7, 9)
+}

@@ -1,10 +1,5 @@
 package linalg
 
-import (
-	"math"
-	"math/cmplx"
-)
-
 // CMatrix is a dense, row-major complex matrix used by the AC small-signal
 // solver in the circuit simulator.
 type CMatrix struct {
@@ -54,94 +49,4 @@ func (m *CMatrix) MulVec(x []complex128) []complex128 {
 		out[i] = s
 	}
 	return out
-}
-
-// CLU is a complex LU factorization with partial pivoting.
-type CLU struct {
-	lu  *CMatrix
-	piv []int
-}
-
-// NewCLU factors a (copied) with partial pivoting on |.|.
-func NewCLU(a *CMatrix) (*CLU, error) {
-	if a.Rows != a.Cols {
-		return nil, ErrDimension
-	}
-	n := a.Rows
-	lu := a.Clone()
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	for k := 0; k < n; k++ {
-		p := k
-		maxAbs := cmplx.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if a := cmplx.Abs(lu.At(i, k)); a > maxAbs {
-				maxAbs = a
-				p = i
-			}
-		}
-		if maxAbs == 0 || math.IsNaN(maxAbs) {
-			return nil, ErrSingular
-		}
-		if p != k {
-			rk, rp := lu.Row(k), lu.Row(p)
-			for j := 0; j < n; j++ {
-				rk[j], rp[j] = rp[j], rk[j]
-			}
-			piv[k], piv[p] = piv[p], piv[k]
-		}
-		pivot := lu.At(k, k)
-		for i := k + 1; i < n; i++ {
-			m := lu.At(i, k) / pivot
-			lu.Set(i, k, m)
-			if m == 0 {
-				continue
-			}
-			ri, rk := lu.Row(i), lu.Row(k)
-			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
-			}
-		}
-	}
-	return &CLU{lu: lu, piv: piv}, nil
-}
-
-// Solve returns x with A·x = b.
-func (f *CLU) Solve(b []complex128) []complex128 {
-	n := f.lu.Rows
-	if len(b) != n {
-		panic("linalg: CLU.Solve dimension mismatch")
-	}
-	x := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
-	}
-	for i := 1; i < n; i++ {
-		row := f.lu.Row(i)
-		s := x[i]
-		for k := 0; k < i; k++ {
-			s -= row[k] * x[k]
-		}
-		x[i] = s
-	}
-	for i := n - 1; i >= 0; i-- {
-		row := f.lu.Row(i)
-		s := x[i]
-		for k := i + 1; k < n; k++ {
-			s -= row[k] * x[k]
-		}
-		x[i] = s / row[i]
-	}
-	return x
-}
-
-// SolveComplexLinear factors a and solves a single system.
-func SolveComplexLinear(a *CMatrix, b []complex128) ([]complex128, error) {
-	f, err := NewCLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
 }

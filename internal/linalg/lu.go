@@ -3,36 +3,50 @@ package linalg
 import (
 	"errors"
 	"math"
+	"math/cmplx"
 )
 
 // ErrSingular is returned when a factorization encounters an (effectively)
 // singular matrix.
 var ErrSingular = errors.New("linalg: singular matrix")
 
-// LU holds an LU factorization with partial pivoting: P·A = L·U, where L is
-// unit lower triangular and U is upper triangular, stored compactly in lu.
-type LU struct {
-	lu  *Matrix
-	piv []int
+// scalar is the set of value types the dense LU is instantiated for.
+type scalar interface{ float64 | complex128 }
+
+// SolveLinear solves A·x = b by LU factorization with partial pivoting,
+// P·A = L·U, on a copy of a.
+func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
+	return solveLU(a.Rows, a.Cols, a.Clone().Data, b)
 }
 
-// NewLU factors a (copied, not modified) with partial pivoting.
-func NewLU(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
+// SolveComplexLinear is SolveLinear for a complex system, pivoting on the
+// modulus.
+func SolveComplexLinear(a *CMatrix, b []complex128) ([]complex128, error) {
+	return solveLU(a.Rows, a.Cols, a.Clone().Data, b)
+}
+
+// solveLU factors the row-major rows×cols matrix lu in place with partial
+// pivoting — L unit lower triangular and U upper triangular, stored
+// compactly — then solves for b by forward and back substitution.
+func solveLU[T scalar](rows, cols int, lu, b []T) ([]T, error) {
+	if rows != cols {
 		return nil, ErrDimension
 	}
-	n := a.Rows
-	lu := a.Clone()
+	n := rows
+	if len(b) != n {
+		panic("linalg: LU solve dimension mismatch")
+	}
+	row := func(i int) []T { return lu[i*n : (i+1)*n] }
 	piv := make([]int, n)
 	for i := range piv {
 		piv[i] = i
 	}
 	for k := 0; k < n; k++ {
-		// Partial pivot: largest absolute value in column k at or below row k.
+		// Partial pivot: largest magnitude in column k at or below row k.
 		p := k
-		maxAbs := math.Abs(lu.At(k, k))
+		maxAbs := magnitude(lu[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu.At(i, k)); a > maxAbs {
+			if a := magnitude(lu[i*n+k]); a > maxAbs {
 				maxAbs = a
 				p = i
 			}
@@ -41,64 +55,59 @@ func NewLU(a *Matrix) (*LU, error) {
 			return nil, ErrSingular
 		}
 		if p != k {
-			rk, rp := lu.Row(k), lu.Row(p)
+			rk, rp := row(k), row(p)
 			for j := 0; j < n; j++ {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
 		}
-		pivot := lu.At(k, k)
+		pivot := lu[k*n+k]
 		for i := k + 1; i < n; i++ {
-			m := lu.At(i, k) / pivot
-			lu.Set(i, k, m)
+			m := lu[i*n+k] / pivot
+			lu[i*n+k] = m
 			if m == 0 {
 				continue
 			}
-			ri, rk := lu.Row(i), lu.Row(k)
+			ri, rk := row(i), row(k)
 			for j := k + 1; j < n; j++ {
 				ri[j] -= m * rk[j]
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv}, nil
-}
 
-// Solve returns x with A·x = b.
-func (f *LU) Solve(b []float64) []float64 {
-	n := f.lu.Rows
-	if len(b) != n {
-		panic("linalg: LU.Solve dimension mismatch")
-	}
-	x := make([]float64, n)
+	x := make([]T, n)
 	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
+		x[i] = b[piv[i]]
 	}
-	// Forward substitution with unit lower triangle.
+	// Forward substitution with the unit lower triangle.
 	for i := 1; i < n; i++ {
-		row := f.lu.Row(i)
+		r := row(i)
 		s := x[i]
 		for k := 0; k < i; k++ {
-			s -= row[k] * x[k]
+			s -= r[k] * x[k]
 		}
 		x[i] = s
 	}
-	// Back substitution with upper triangle.
+	// Back substitution with the upper triangle.
 	for i := n - 1; i >= 0; i-- {
-		row := f.lu.Row(i)
+		r := row(i)
 		s := x[i]
 		for k := i + 1; k < n; k++ {
-			s -= row[k] * x[k]
+			s -= r[k] * x[k]
 		}
-		x[i] = s / row[i]
+		x[i] = s / r[i]
 	}
-	return x
+	return x, nil
 }
 
-// SolveLinear is a convenience wrapper: factor a and solve a single system.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	f, err := NewLU(a)
-	if err != nil {
-		return nil, err
+// magnitude is what partial pivoting compares: |v|, the modulus for a
+// complex value.
+func magnitude[T scalar](v T) float64 {
+	switch v := any(v).(type) {
+	case float64:
+		return math.Abs(v)
+	case complex128:
+		return cmplx.Abs(v)
 	}
-	return f.Solve(b), nil
+	panic("unreachable")
 }

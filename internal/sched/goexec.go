@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 )
@@ -57,7 +56,6 @@ type GoExecutor struct {
 	mu    sync.Mutex
 	next  int
 	slots *slotPool
-	busy  map[int][]float64 // in-flight points by ID
 }
 
 // NewGo creates a goroutine-backed executor with b workers and default
@@ -120,7 +118,7 @@ func NewGoCtxPerWorker(evals []GoEvalCtx, opts GoOptions) *GoExecutor {
 	return &GoExecutor{
 		evals: evals, opts: opts, ctx: opts.Context, t0: time.Now(),
 		done:  make(chan Result, b),
-		slots: newSlotPool(b), busy: make(map[int][]float64),
+		slots: newSlotPool(b),
 	}
 }
 
@@ -151,11 +149,9 @@ func (g *GoExecutor) Launch(x []float64) error {
 	}
 	id := g.next
 	g.next++
-	xc := append([]float64(nil), x...)
-	g.busy[id] = xc
 	g.mu.Unlock()
 
-	go g.run(id, worker, xc)
+	go g.run(id, worker, append([]float64(nil), x...))
 	return nil
 }
 
@@ -248,24 +244,7 @@ func (g *GoExecutor) Wait() (Result, bool) {
 	g.mu.Unlock()
 	r := <-g.done
 	g.mu.Lock()
-	delete(g.busy, r.ID)
 	g.slots.release(r.Worker)
 	g.mu.Unlock()
 	return r, true
-}
-
-// Busy implements Executor.
-func (g *GoExecutor) Busy() [][]float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	ids := make([]int, 0, len(g.busy))
-	for id := range g.busy {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([][]float64, len(ids))
-	for i, id := range ids {
-		out[i] = g.busy[id]
-	}
-	return out
 }

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sentinel evaluation failures. A Result.Err either is one of these (or
@@ -79,7 +78,10 @@ type Result struct {
 	Attempts int
 }
 
-// Executor evaluates points on a pool of workers.
+// Executor evaluates points on a pool of workers. It tracks which worker
+// slots are taken, not which points are running: the busy set X̂ of paper
+// §III-C is the driving machine's pending set (core.AskTell.PendingPoints),
+// one entry per launched, not yet observed point.
 type Executor interface {
 	// Workers returns the pool size B.
 	Workers() int
@@ -94,9 +96,6 @@ type Executor interface {
 	Wait() (r Result, ok bool)
 	// Now returns the current time in seconds (virtual or wall).
 	Now() float64
-	// Busy returns the points currently under evaluation (the X̂ set of
-	// paper §III-C), in launch order.
-	Busy() [][]float64
 }
 
 // Utilization computes the fraction of the makespan each worker spent busy,
@@ -141,25 +140,20 @@ type VirtualExecutor struct {
 
 	slots   *slotPool
 	running runHeap
-	busySet map[int]*run // keyed by worker slot
 }
 
-type run struct {
-	res    Result
-	worker int
-}
-
-type runHeap []*run
+// runHeap orders the running evaluations by finish time.
+type runHeap []Result
 
 func (h runHeap) Len() int      { return len(h) }
 func (h runHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h runHeap) Less(i, j int) bool {
-	if h[i].res.End != h[j].res.End {
-		return h[i].res.End < h[j].res.End
+	if h[i].End != h[j].End {
+		return h[i].End < h[j].End
 	}
-	return h[i].res.ID < h[j].res.ID // deterministic tie-break
+	return h[i].ID < h[j].ID // deterministic tie-break
 }
-func (h *runHeap) Push(x any) { *h = append(*h, x.(*run)) }
+func (h *runHeap) Push(x any) { *h = append(*h, x.(Result)) }
 func (h *runHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -176,7 +170,7 @@ func NewVirtual(b int, eval VirtualEval) *VirtualExecutor {
 	if eval == nil {
 		panic("sched: nil evaluation function")
 	}
-	return &VirtualExecutor{eval: eval, slots: newSlotPool(b), busySet: make(map[int]*run)}
+	return &VirtualExecutor{eval: eval, slots: newSlotPool(b)}
 }
 
 // Workers implements Executor.
@@ -204,17 +198,12 @@ func (v *VirtualExecutor) Launch(x []float64) error {
 	if err != nil {
 		y = math.NaN()
 	}
-	r := &run{
-		res: Result{
-			ID: v.next, X: xc, Y: y,
-			Start: v.now, End: v.now + cost, Worker: worker,
-			Err: err, Attempts: 1,
-		},
-		worker: worker,
-	}
+	heap.Push(&v.running, Result{
+		ID: v.next, X: xc, Y: y,
+		Start: v.now, End: v.now + cost, Worker: worker,
+		Err: err, Attempts: 1,
+	})
 	v.next++
-	v.busySet[worker] = r
-	heap.Push(&v.running, r)
 	return nil
 }
 
@@ -224,27 +213,10 @@ func (v *VirtualExecutor) Wait() (Result, bool) {
 	if v.running.Len() == 0 {
 		return Result{}, false
 	}
-	r := heap.Pop(&v.running).(*run)
-	if r.res.End > v.now {
-		v.now = r.res.End
+	r := heap.Pop(&v.running).(Result)
+	if r.End > v.now {
+		v.now = r.End
 	}
-	delete(v.busySet, r.worker)
-	v.slots.release(r.worker)
-	return r.res, true
-}
-
-// Busy implements Executor. It iterates the busy set once and sorts by ID
-// (launch order), so the cost is O(b log b) in the pool size rather than
-// O(next·b) in the run length.
-func (v *VirtualExecutor) Busy() [][]float64 {
-	runs := make([]*run, 0, len(v.busySet))
-	for _, r := range v.busySet {
-		runs = append(runs, r)
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].res.ID < runs[j].res.ID })
-	out := make([][]float64, len(runs))
-	for i, r := range runs {
-		out[i] = r.res.X
-	}
-	return out
+	v.slots.release(r.Worker)
+	return r, true
 }

@@ -48,24 +48,6 @@ func TestVirtualBasicLifecycle(t *testing.T) {
 	}
 }
 
-func TestVirtualBusySet(t *testing.T) {
-	ex := NewVirtual(3, func(x []float64) (float64, float64) { return 0, x[0] })
-	for _, c := range []float64{7, 5, 9} {
-		if err := ex.Launch([]float64{c}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	busy := ex.Busy()
-	if len(busy) != 3 || busy[0][0] != 7 || busy[1][0] != 5 || busy[2][0] != 9 {
-		t.Fatalf("busy set %v", busy)
-	}
-	ex.Wait() // completes cost-5 job
-	busy = ex.Busy()
-	if len(busy) != 2 || busy[0][0] != 7 || busy[1][0] != 9 {
-		t.Fatalf("busy set after wait %v", busy)
-	}
-}
-
 // simulateMakespans computes sync and async makespans for the same workload.
 func simulateMakespans(costs []float64, b int) (syncT, asyncT float64) {
 	// Synchronous: batches of b, each takes the max of its batch.
@@ -238,7 +220,7 @@ func TestGoExecutorParallelism(t *testing.T) {
 			t.Fatalf("missing result %d", i*i)
 		}
 	}
-	if ex.Idle() != 4 || len(ex.Busy()) != 0 {
+	if ex.Idle() != 4 {
 		t.Fatal("executor should be drained")
 	}
 	if _, ok := ex.Wait(); ok {
