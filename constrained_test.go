@@ -188,26 +188,24 @@ func TestOptimizeConstrainedValidation(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite testdata/constrained_pins.txt from the current OptimizeConstrained")
 
+type constrainedPinRun struct {
+	name string
+	run  func() (*easybo.ConstrainedResult, error)
+}
+
 // constrainedPinRuns are the runs testdata/constrained_pins.txt holds a hash
 // of: linearUnderDisk at seeds 1–3, one worker and four (InitPoints 8, so the
 // initial design fills the pool), plus a run whose objective returns +Inf once
 // and whose constraint returns NaN once. Every run costs 1 + x₀² simulated
 // seconds per evaluation, so completions interleave and the busy set the
 // proposer sees is not simply the last few launches.
-func constrainedPinRuns() []struct {
-	name string
-	run  func() (*easybo.ConstrainedResult, error)
-} {
+func constrainedPinRuns() []constrainedPinRun {
 	disk := func() (easybo.Problem, []easybo.Constraint) {
 		p, cons := linearUnderDisk()
 		p.Cost = func(x []float64) float64 { return 1 + x[0]*x[0] }
 		return p, cons
 	}
-	type pinRun = struct {
-		name string
-		run  func() (*easybo.ConstrainedResult, error)
-	}
-	var runs []pinRun
+	var runs []constrainedPinRun
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, o := range []easybo.Options{
 			{Workers: 1, InitPoints: 6, MaxEvals: 16},
@@ -215,13 +213,13 @@ func constrainedPinRuns() []struct {
 		} {
 			o := o
 			o.Seed, o.FitIters = seed, 10
-			runs = append(runs, pinRun{fmt.Sprintf("seed%d-w%d", seed, o.Workers), func() (*easybo.ConstrainedResult, error) {
+			runs = append(runs, constrainedPinRun{fmt.Sprintf("seed%d-w%d", seed, o.Workers), func() (*easybo.ConstrainedResult, error) {
 				p, cons := disk()
 				return easybo.OptimizeConstrained(p, cons, o)
 			}})
 		}
 	}
-	runs = append(runs, pinRun{"nonfinite-w2", func() (*easybo.ConstrainedResult, error) {
+	runs = append(runs, constrainedPinRun{"nonfinite-w2", func() (*easybo.ConstrainedResult, error) {
 		p, cons := disk()
 		obj, c0, calls := p.Objective, cons[0], 0
 		p.Objective = func(x []float64) float64 {
