@@ -148,7 +148,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'FitHyper' -benchtime 1x ./internal/gp/
 	$(GO) test -run XXX -bench 'SolveLowerMulti|CholeskyInverse|RankUpdate' -benchtime 1x ./internal/linalg/
 	$(GO) test -run XXX -bench 'NewtonIteration' -benchtime 1x ./internal/circuit/
-	$(GO) test -run XXX -bench 'EvalSparse$$|ACSweepSparse|TranStepSparse' -benchtime 1x ./internal/testbench/
+	$(GO) test -run XXX -bench 'EvalSparse$$|ACSweepSparse|TranStepSparse|EvalDense$$|ACSweepDense|TranStepDense' -benchtime 1x ./internal/testbench/
 	$(GO) test -run XXX -bench 'LogAppend|Recover' -benchtime 1x ./internal/serve/...
 
 # The repo benchmark (BENCHMARK.json) lives in its own module under

@@ -69,8 +69,10 @@
 // and refactors numerically (and partially) with zero allocations per
 // Newton iteration, AC sweeps run in parallel over reusable per-worker
 // workspaces, and Problem.NewObjective hands each optimization worker a
-// private reusable simulator instance. The dense reference solver is kept
-// for golden equivalence (1e-9 on every analysis). See DESIGN.md §2.
+// private reusable simulator instance. The real and complex systems share
+// one stamping context and one compiled plan, and the dense reference is a
+// backend of the same analysis loops, kept for golden equivalence (1e-9 on
+// every analysis). See DESIGN.md §2.
 //
 // # Choosing a surrogate backend
 //

@@ -23,8 +23,7 @@ var reachKeep = map[string]string{
 	"easybo/internal/linalg.NewMatrixFromRows":       "fixture: literal matrices in the Cholesky, LU and GP tests",
 	"easybo/internal/linalg.Identity":                "oracle: the product tests compare against it",
 	"easybo/internal/linalg.Matrix.AddToDiag":        "fixture: randomSPD and the LU round trips make their matrices with it",
-	"easybo/internal/linalg.CMatrix.Set":             "fixture: literal complex matrices in the dense LU tests",
-	"easybo/internal/linalg.CMatrix.MulVec":          "oracle: TestCLUSolveRoundTrip forms b = A·x with it",
+	"easybo/internal/linalg.Matrix.MulVec":           "oracle: the LU and Cholesky round trips form b = A·x with it",
 	"easybo/internal/linalg/sparse.MatrixOf.Zero":    "fixture: the refactor tests restamp one pattern with it",
 	"easybo/internal/gp.GP.LMLGradient":              "oracle: TestFitHyperMatchesReference checks trainWork.gradient against it",
 	"easybo/internal/surrogate.Exact.LeaveOneOut":    "ROADMAP names its consumer: GET /sessions/{id}/diagnostics",

@@ -5,8 +5,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-
-	"easybo/internal/linalg"
 )
 
 // ACResult holds the complex node solutions of a frequency sweep.
@@ -37,11 +35,12 @@ func (c *Circuit) AC(op *Solution, freqs []float64) (*ACResult, error) {
 	return c.ACSweep(op, freqs, ACOptions{})
 }
 
-// ACSweep is AC with explicit sweep options. On the sparse path each
+// ACSweep is AC with explicit sweep options. On the sparse kernel each
 // worker stamps the frequency-independent entries once, then per point
 // copies that snapshot, re-stamps only the reactive devices, and refactors
 // on the frozen pattern (falling back to a full re-pivoting factorization
-// when the frequency has shifted the pivot balance).
+// when the frequency has shifted the pivot balance); on the dense
+// reference each point builds and factors a fresh matrix.
 func (c *Circuit) ACSweep(op *Solution, freqs []float64, aco ACOptions) (*ACResult, error) {
 	if err := c.Compile(); err != nil {
 		return nil, err
@@ -53,12 +52,6 @@ func (c *Circuit) ACSweep(op *Solution, freqs []float64, aco ACOptions) (*ACResu
 		opX = make([]float64, c.unknowns)
 	}
 	res := &ACResult{c: c, Freqs: append([]float64(nil), freqs...), X: make([][]complex128, len(freqs))}
-	if c.dense {
-		if err := c.acDense(opX, freqs, res); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
 	// One flat backing array for every frequency's solution: a single
 	// allocation, and workers write disjoint n-sized windows.
 	flat := make([]complex128, c.unknowns*len(freqs))
@@ -114,44 +107,14 @@ func (c *Circuit) ACSweep(op *Solution, freqs []float64, aco ACOptions) (*ACResu
 // res.X. Safe to run concurrently with other chunks: each frequency index
 // is owned by exactly one worker and the workspace is private.
 func (c *Circuit) acChunk(ws *acWorkspace, opX []float64, freqs []float64, lo, hi int, res *ACResult) error {
-	ws.stampACStatic(opX)
+	ws.e.op = opX
+	ws.stampBase()
 	for k := lo; k < hi; k++ {
-		ws.assembleAC(opX, 2*math.Pi*freqs[k])
-		var err error
-		if ws.lu.Valid() {
-			err = ws.lu.Refactor(ws.A)
-		}
-		if !ws.lu.Valid() {
-			err = ws.lu.Factor(ws.A)
-		}
-		if err != nil {
+		ws.e.omega = 2 * math.Pi * freqs[k]
+		ws.assemble()
+		if err := ws.solve(res.X[k]); err != nil {
 			return fmt.Errorf("circuit %q: AC solve at %g Hz: %w", c.Name, freqs[k], err)
 		}
-		ws.lu.Solve(ws.b, res.X[k])
-	}
-	return nil
-}
-
-// acDense is the original dense per-frequency solve, kept as the golden
-// reference and benchmark baseline.
-func (c *Circuit) acDense(opX []float64, freqs []float64, res *ACResult) error {
-	n := c.unknowns
-	for k, f := range freqs {
-		e := &acEnv{omega: 2 * math.Pi * f, c: c, op: opX,
-			A: linalg.NewCMatrix(n, n), b: make([]complex128, n)}
-		for _, d := range c.devices {
-			if s, ok := d.(acStamper); ok {
-				s.stampAC(e)
-			}
-		}
-		for i := 0; i < len(c.names)-1; i++ {
-			e.A.Add(i, i, complex(nodeGmin, 0))
-		}
-		x, err := linalg.SolveComplexLinear(e.A, e.b)
-		if err != nil {
-			return fmt.Errorf("circuit %q: AC solve at %g Hz: %w", c.Name, f, err)
-		}
-		res.X[k] = x
 	}
 	return nil
 }

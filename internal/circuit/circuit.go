@@ -20,9 +20,11 @@
 // Compile time every device's matrix writes are resolved to flat slot
 // indices into a compressed sparse matrix (the stamp plan), and the LU
 // factorization splits a one-time symbolic analysis from per-iteration
-// numeric refactorization (internal/linalg/sparse). The original dense
-// path is retained behind SetDenseSolver for golden equivalence tests and
-// benchmark baselines.
+// numeric refactorization (internal/linalg/sparse). The real and complex
+// systems share one stamping context and one compiled plan. SetDenseSolver
+// swaps in the dense reference backend (a fresh dense matrix and a dense LU
+// per solve) inside the same analysis loops, for golden equivalence tests
+// and benchmark baselines.
 package circuit
 
 import (
@@ -30,7 +32,6 @@ import (
 	"fmt"
 	"math"
 
-	"easybo/internal/linalg"
 	"easybo/internal/linalg/sparse"
 )
 
@@ -51,22 +52,27 @@ type Circuit struct {
 	unknowns   int // (#nodes-1) + nBranch
 	branchName []string
 
-	// dense selects the reference dense-matrix solver instead of the
-	// compiled sparse kernel; see SetDenseSolver.
+	// dense selects the dense reference backend instead of the compiled
+	// sparse kernel; see SetDenseSolver.
 	dense bool
-	// Compiled stamp-plan workspaces, built lazily per analysis kind and
-	// invalidated whenever the topology recompiles. Device parameter
-	// values may change freely between analyses without invalidating them.
+	// Workspaces, built lazily per analysis kind on the selected backend
+	// and invalidated whenever the topology recompiles or the backend
+	// changes. Device parameter values may change freely between analyses
+	// without invalidating them.
 	wsDC   *realWorkspace
 	wsTran *realWorkspace
 	acPool []*acWorkspace
 }
 
-// SetDenseSolver switches the circuit onto the original dense-matrix solve
-// path (true) or the compiled sparse kernel (false, the default). The two
-// paths agree to tight tolerances on every supported analysis; the dense
-// path exists as the golden reference and benchmark baseline.
-func (c *Circuit) SetDenseSolver(on bool) { c.dense = on }
+// SetDenseSolver switches the circuit onto the dense reference backend
+// (true) or the compiled sparse kernel (false, the default). Both run in
+// the same analysis loops and agree to tight tolerances on every supported
+// analysis; the dense backend exists as the golden reference and benchmark
+// baseline.
+func (c *Circuit) SetDenseSolver(on bool) {
+	c.dense = on
+	c.wsDC, c.wsTran, c.acPool = nil, nil, nil
+}
 
 // New creates an empty circuit.
 func New(name string) *Circuit {
@@ -168,45 +174,108 @@ const (
 	modeTran
 )
 
-// env is the per-Newton-iteration stamping context shared by DC and
-// transient analysis. Matrix writes route through add, which targets one of
-// three backends: a pattern recorder (workspace compilation), the compiled
-// sparse values array (the fast path: plan-indexed writes, zero lookups),
-// or the dense reference matrix. The right-hand side b is always a dense
-// vector.
-type env struct {
-	mode      analysisMode
-	time      float64 // time being solved for (transient); 0 in DC
-	dt        float64 // current step size (transient)
-	trapFlag  bool    // true => trapezoidal companion, false => backward Euler
-	firstIter bool    // first Newton iteration of this solve (resets limiters)
-	x         []float64
-	xprev     []float64      // accepted solution at the previous timepoint
-	A         *linalg.Matrix // dense reference backend (nil on the sparse path)
-	vals      []float64      // sparse values backend
-	rec       *sparse.Builder
-	plan      []int32 // slot per add call: recorded by rec, consumed by vals
-	k         int     // plan cursor on the consume path
-	b         []float64
-	gmin      float64
-	srcScale  float64
-	c         *Circuit
+// stamper is the matrix side of a stamping context, one type for the real
+// (DC, transient) and the complex (AC) system. Matrix writes route through
+// add, which targets one of three backends: a pattern recorder (workspace
+// compilation), the compiled sparse values array (the fast path:
+// plan-indexed writes, zero lookups), or the dense reference matrix. The
+// right-hand side b is always a dense vector.
+type stamper[T sparse.Scalar] struct {
+	rec   *sparse.Builder
+	plan  []int32 // slot per add call: recorded by rec, consumed by vals
+	k     int     // plan cursor on the consume path
+	vals  []T     // compiled sparse values backend
+	dense []T     // dense reference backend, row-major n×n (nil otherwise)
+	b     []T
+	c     *Circuit
 }
 
 // add stamps v at matrix coordinate (i, j) through the active backend.
 // Every device stamp must issue an identical add-call sequence regardless
 // of its operating point — value-dependent positions would desynchronize
 // the compiled plan (stamp zeros at inactive positions instead).
-func (e *env) add(i, j int, v float64) {
+func (s *stamper[T]) add(i, j int, v T) {
 	switch {
-	case e.rec != nil:
-		e.plan = append(e.plan, e.rec.Slot(i, j))
-	case e.A != nil:
-		e.A.Add(i, j, v)
+	case s.rec != nil:
+		s.plan = append(s.plan, s.rec.Slot(i, j))
+	case s.dense != nil:
+		s.dense[i*s.c.unknowns+j] += v
 	default:
-		e.vals[e.plan[e.k]] += v
-		e.k++
+		s.vals[s.plan[s.k]] += v
+		s.k++
 	}
+}
+
+// branchIndex maps a branch number to its position in the unknown vector.
+func (s *stamper[T]) branchIndex(b int) int { return len(s.c.names) - 1 + b }
+
+// addY stamps an admittance y between nodes i and j (node indices, 0=gnd).
+func (s *stamper[T]) addY(i, j int, y T) {
+	if i != 0 {
+		s.add(i-1, i-1, y)
+	}
+	if j != 0 {
+		s.add(j-1, j-1, y)
+	}
+	if i != 0 && j != 0 {
+		s.add(i-1, j-1, -y)
+		s.add(j-1, i-1, -y)
+	}
+}
+
+// addTransY stamps a transadmittance: current y·(V(cp)-V(cm)) flowing from
+// node i to node j (out of i, into j).
+func (s *stamper[T]) addTransY(i, j, cp, cm int, y T) {
+	s.addAt(i, cp, y)
+	s.addAt(i, cm, -y)
+	s.addAt(j, cp, -y)
+	s.addAt(j, cm, y)
+}
+
+// addAt stamps v at node coordinates (row, col), skipping ground.
+func (s *stamper[T]) addAt(row, col int, v T) {
+	if row != 0 && col != 0 {
+		s.add(row-1, col-1, v)
+	}
+}
+
+// addBranch stamps the incidence of branch-current unknown bi, whose
+// current leaves node np and enters node nm through the branch.
+func (s *stamper[T]) addBranch(np, nm, bi int) {
+	if np != 0 {
+		s.add(np-1, bi, 1)
+		s.add(bi, np-1, 1)
+	}
+	if nm != 0 {
+		s.add(nm-1, bi, -1)
+		s.add(bi, nm-1, -1)
+	}
+}
+
+// addCurrent stamps a constant current i flowing from node a out into node b
+// (that is, it leaves a and enters b).
+func (s *stamper[T]) addCurrent(a, b int, i T) {
+	if a != 0 {
+		s.b[a-1] -= i
+	}
+	if b != 0 {
+		s.b[b-1] += i
+	}
+}
+
+// env is the DC and transient stamping context: the real stamper plus the
+// analysis quantities a device's companion model reads.
+type env struct {
+	stamper[float64]
+	mode      analysisMode
+	time      float64 // time being solved for (transient); 0 in DC
+	dt        float64 // current step size (transient)
+	trapFlag  bool    // true => trapezoidal companion, false => backward Euler
+	firstIter bool    // first Newton iteration of this solve (resets limiters)
+	x         []float64
+	xprev     []float64 // accepted solution at the previous timepoint
+	gmin      float64
+	srcScale  float64
 }
 
 // V returns the candidate voltage of node index n (0 = ground).
@@ -225,74 +294,12 @@ func (e *env) Vprev(n int) float64 {
 	return e.xprev[n-1]
 }
 
-// branchIndex maps a branch number to its position in the unknown vector.
-func (e *env) branchIndex(b int) int { return len(e.c.names) - 1 + b }
-
-// addG stamps a conductance g between nodes i and j (node indices, 0=gnd).
-func (e *env) addG(i, j int, g float64) {
-	if i != 0 {
-		e.add(i-1, i-1, g)
-	}
-	if j != 0 {
-		e.add(j-1, j-1, g)
-	}
-	if i != 0 && j != 0 {
-		e.add(i-1, j-1, -g)
-		e.add(j-1, i-1, -g)
-	}
-}
-
-// addTransG stamps a transconductance: current g·(V(cp)-V(cm)) flowing from
-// node i to node j (out of i, into j).
-func (e *env) addTransG(i, j, cp, cm int, g float64) {
-	stampPair := func(row, col int, val float64) {
-		if row != 0 && col != 0 {
-			e.add(row-1, col-1, val)
-		}
-	}
-	stampPair(i, cp, g)
-	stampPair(i, cm, -g)
-	stampPair(j, cp, -g)
-	stampPair(j, cm, g)
-}
-
-// addCurrent stamps a constant current i flowing from node a out into node b
-// (that is, it leaves a and enters b).
-func (e *env) addCurrent(a, b int, i float64) {
-	if a != 0 {
-		e.b[a-1] -= i
-	}
-	if b != 0 {
-		e.b[b-1] += i
-	}
-}
-
-// acEnv is the AC small-signal stamping context, with the same three-way
-// backend split as env (recorder / compiled sparse values / dense
-// reference).
+// acEnv is the AC small-signal stamping context: the complex stamper plus
+// the sweep frequency and the operating point devices linearize at.
 type acEnv struct {
+	stamper[complex128]
 	omega float64
-	A     *linalg.CMatrix // dense reference backend (nil on the sparse path)
-	vals  []complex128    // sparse values backend
-	rec   *sparse.Builder
-	plan  []int32
-	k     int
-	b     []complex128
 	op    []float64 // operating-point solution (unknown vector layout)
-	c     *Circuit
-}
-
-// add stamps v at matrix coordinate (i, j) through the active backend.
-func (e *acEnv) add(i, j int, v complex128) {
-	switch {
-	case e.rec != nil:
-		e.plan = append(e.plan, e.rec.Slot(i, j))
-	case e.A != nil:
-		e.A.Add(i, j, v)
-	default:
-		e.vals[e.plan[e.k]] += v
-		e.k++
-	}
 }
 
 // Vop returns the operating-point voltage of node index n.
@@ -301,33 +308,6 @@ func (e *acEnv) Vop(n int) float64 {
 		return 0
 	}
 	return e.op[n-1]
-}
-
-func (e *acEnv) branchIndex(b int) int { return len(e.c.names) - 1 + b }
-
-func (e *acEnv) addY(i, j int, y complex128) {
-	if i != 0 {
-		e.add(i-1, i-1, y)
-	}
-	if j != 0 {
-		e.add(j-1, j-1, y)
-	}
-	if i != 0 && j != 0 {
-		e.add(i-1, j-1, -y)
-		e.add(j-1, i-1, -y)
-	}
-}
-
-func (e *acEnv) addTransY(i, j, cp, cm int, y complex128) {
-	stampPair := func(row, col int, val complex128) {
-		if row != 0 && col != 0 {
-			e.add(row-1, col-1, val)
-		}
-	}
-	stampPair(i, cp, y)
-	stampPair(i, cm, -y)
-	stampPair(j, cp, -y)
-	stampPair(j, cm, y)
 }
 
 // Solution is the result of a DC operating-point analysis.

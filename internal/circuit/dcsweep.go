@@ -2,7 +2,8 @@ package circuit
 
 import (
 	"fmt"
-	"math"
+
+	"easybo/internal/linalg"
 )
 
 // DCSweepResult holds the node solutions of a swept-source DC analysis.
@@ -82,7 +83,7 @@ func (c *Circuit) DCSweep(srcName string, from, to float64, steps int) (*DCSweep
 			}
 			x = sol.X
 		}
-		if !allFiniteSlice(x) {
+		if !linalg.AllFinite(x) {
 			return nil, fmt.Errorf("circuit: DCSweep produced non-finite solution at %g", v)
 		}
 		res.Values = append(res.Values, v)
@@ -90,13 +91,4 @@ func (c *Circuit) DCSweep(srcName string, from, to float64, steps int) (*DCSweep
 		prev = x
 	}
 	return res, nil
-}
-
-func allFiniteSlice(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }

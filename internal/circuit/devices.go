@@ -35,7 +35,7 @@ func (r *Resistor) init(c *Circuit) error {
 	return nil
 }
 
-func (r *Resistor) stamp(e *env) { e.addG(r.n1, r.n2, 1/r.R) }
+func (r *Resistor) stamp(e *env) { e.addY(r.n1, r.n2, 1/r.R) }
 
 func (r *Resistor) stampRHS(*env) {}
 
@@ -110,7 +110,7 @@ func (d *Capacitor) stamp(e *env) {
 		return // open circuit at DC
 	}
 	geq, ieq := d.companion(e)
-	e.addG(d.n1, d.n2, geq)
+	e.addY(d.n1, d.n2, geq)
 	// Companion current source i = geq*v + ieq; the constant part ieq flows
 	// from n1 to n2.
 	e.addCurrent(d.n1, d.n2, ieq)
@@ -223,11 +223,11 @@ func (d *Inductor) companion(e *env) (geq, ieq float64) {
 func (d *Inductor) stamp(e *env) {
 	if e.mode != modeTran {
 		// DC: pure resistance ESR.
-		e.addG(d.n1, d.n2, 1/d.ESR)
+		e.addY(d.n1, d.n2, 1/d.ESR)
 		return
 	}
 	geq, ieq := d.companion(e)
-	e.addG(d.n1, d.n2, geq)
+	e.addY(d.n1, d.n2, geq)
 	e.addCurrent(d.n1, d.n2, ieq)
 }
 
@@ -300,14 +300,7 @@ func (d *VSource) init(c *Circuit) error {
 
 func (d *VSource) stamp(e *env) {
 	bi := e.branchIndex(d.branch)
-	if d.np != 0 {
-		e.add(d.np-1, bi, 1)
-		e.add(bi, d.np-1, 1)
-	}
-	if d.nm != 0 {
-		e.add(d.nm-1, bi, -1)
-		e.add(bi, d.nm-1, -1)
-	}
+	e.addBranch(d.np, d.nm, bi)
 	e.b[bi] += d.Wave.At(e.time) * e.srcScale
 }
 
@@ -317,14 +310,7 @@ func (d *VSource) stampRHS(e *env) {
 
 func (d *VSource) stampAC(e *acEnv) {
 	bi := e.branchIndex(d.branch)
-	if d.np != 0 {
-		e.add(d.np-1, bi, 1)
-		e.add(bi, d.np-1, 1)
-	}
-	if d.nm != 0 {
-		e.add(d.nm-1, bi, -1)
-		e.add(bi, d.nm-1, -1)
-	}
+	e.addBranch(d.np, d.nm, bi)
 	if d.ACMag != 0 {
 		ph := d.ACPhaseDeg * (math.Pi / 180)
 		s, c := math.Sincos(ph)
@@ -372,14 +358,8 @@ func (d *ISource) stampRHS(e *env) {
 }
 
 func (d *ISource) stampAC(e *acEnv) {
-	if d.ACMag == 0 {
-		return
-	}
-	if d.np != 0 {
-		e.b[d.np-1] -= complex(d.ACMag, 0)
-	}
-	if d.nm != 0 {
-		e.b[d.nm-1] += complex(d.ACMag, 0)
+	if d.ACMag != 0 {
+		e.addCurrent(d.np, d.nm, complex(d.ACMag, 0))
 	}
 }
 
@@ -412,7 +392,7 @@ func (d *VCCS) init(c *Circuit) error {
 	return nil
 }
 
-func (d *VCCS) stamp(e *env) { e.addTransG(d.op, d.om, d.cp, d.cm, d.Gm) }
+func (d *VCCS) stamp(e *env) { e.addTransY(d.op, d.om, d.cp, d.cm, d.Gm) }
 
 func (d *VCCS) stampRHS(*env) {}
 
@@ -449,30 +429,26 @@ func (d *VCVS) init(c *Circuit) error {
 	return nil
 }
 
-func (d *VCVS) stampReal(add func(r, c int, v float64), bi int) {
-	if d.op != 0 {
-		add(d.op-1, bi, 1)
-		add(bi, d.op-1, 1)
-	}
-	if d.om != 0 {
-		add(d.om-1, bi, -1)
-		add(bi, d.om-1, -1)
-	}
+func (d *VCVS) stamp(e *env) {
+	bi := e.branchIndex(d.branch)
+	e.addBranch(d.op, d.om, bi)
 	if d.cp != 0 {
-		add(bi, d.cp-1, -d.Mu)
+		e.add(bi, d.cp-1, -d.Mu)
 	}
 	if d.cm != 0 {
-		add(bi, d.cm-1, d.Mu)
+		e.add(bi, d.cm-1, d.Mu)
 	}
-}
-
-func (d *VCVS) stamp(e *env) {
-	d.stampReal(e.add, e.branchIndex(d.branch))
 }
 
 func (d *VCVS) stampRHS(*env) {}
 
 func (d *VCVS) stampAC(e *acEnv) {
 	bi := e.branchIndex(d.branch)
-	d.stampReal(func(r, c int, v float64) { e.add(r, c, complex(v, 0)) }, bi)
+	e.addBranch(d.op, d.om, bi)
+	if d.cp != 0 {
+		e.add(bi, d.cp-1, complex(-d.Mu, 0))
+	}
+	if d.cm != 0 {
+		e.add(bi, d.cm-1, complex(d.Mu, 0))
+	}
 }

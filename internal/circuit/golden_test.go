@@ -320,3 +320,34 @@ func TestFactorizationSharing(t *testing.T) {
 		t.Fatalf("linear transient performed %d factorizations, want 2 (BE + trapezoidal)", tranFactors)
 	}
 }
+
+// TestDenseBackendIsTheReference pins what the dense backend is: no stamp
+// plan, no sparse factorization (so no partial refactorization), neither
+// of the rank-1 and rhs-only transient paths, and one fresh factorization
+// per Newton iteration — on a circuit where the sparse kernel takes the
+// rank-1 path.
+func TestDenseBackendIsTheReference(t *testing.T) {
+	c := switchTank()
+	c.SetDenseSolver(true)
+	res, err := c.Tran(TranOptions{TStop: 2e-6, TStep: 5e-9, UIC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := c.wsTran
+	if ws.A != nil || ws.lu != nil || ws.planStatic != nil || ws.planDyn != nil || len(ws.staticDevs) != 0 {
+		t.Fatal("dense backend compiled a stamp plan or a sparse factorization")
+	}
+	if ws.rank1OK || ws.canRHSOnly {
+		t.Fatalf("dense backend on a fast path: rank-1 %v, rhs-only %v", ws.rank1OK, ws.canRHSOnly)
+	}
+	if res.Stats.Factors != res.Stats.Iterations {
+		t.Fatalf("dense transient: %d factorizations in %d iterations, want one each", res.Stats.Factors, res.Stats.Iterations)
+	}
+	sparse := switchTank()
+	if _, err := sparse.Tran(TranOptions{TStop: 2e-6, TStep: 5e-9, UIC: true}); err != nil {
+		t.Fatal(err)
+	}
+	if !sparse.wsTran.rank1OK {
+		t.Fatal("the sparse kernel should take the rank-1 path on this circuit")
+	}
+}

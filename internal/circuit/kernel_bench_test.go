@@ -1,9 +1,8 @@
 package circuit
 
 import (
+	"math"
 	"testing"
-
-	"easybo/internal/linalg"
 )
 
 // benchNetlist is a class-E-scale nonlinear mix (13 unknowns: switch,
@@ -25,100 +24,162 @@ func benchNetlist() *Circuit {
 	return c
 }
 
-// sparseIterationHarness prepares a compiled workspace mid-solve so one
-// iteration body (assemble + refactor + solve) can run repeatedly.
-func sparseIterationHarness(tb testing.TB) (*Circuit, *realWorkspace, *env) {
+// iterationHarness prepares a DC workspace on the chosen backend mid-solve
+// so one iteration body (assemble + factor + solve) can run repeatedly.
+func iterationHarness(tb testing.TB, dense bool) *realWorkspace {
 	c := benchNetlist()
+	c.SetDenseSolver(dense)
 	if err := c.Compile(); err != nil {
 		tb.Fatal(err)
 	}
 	ws := c.realWS(modeDC)
-	e := &ws.e
-	*e = env{mode: modeDC, c: c, gmin: 1e-12, srcScale: 1}
-	ws.stampBase(e)
-	e.x = ws.x
+	ws.e.gmin, ws.e.srcScale = 1e-12, 1
+	ws.stampBase()
+	ws.e.x = ws.x
 	// Prime: one full assemble+factor so the pattern and pivots exist.
-	ws.assemble(e)
-	if err := ws.factorFrom(0); err != nil {
+	ws.assemble()
+	if _, err := ws.solve(ws.xNew); err != nil {
 		tb.Fatal(err)
 	}
-	return c, ws, e
+	return ws
+}
+
+// iterate runs iteration i of the harness: perturb the iterate so the
+// nonlinear devices re-linearize and the Jacobian genuinely changes (no
+// factor-skip shortcut), then assemble, factor and solve.
+func iterate(tb testing.TB, ws *realWorkspace, i int) {
+	ws.e.x[0] = 1e-7 * float64(i%13)
+	ws.assemble()
+	if _, err := ws.solve(ws.xNew); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// acPointHarness returns one AC frequency point's body — assemble,
+// refactor, solve — on the mos-amp golden circuit with a load capacitor,
+// cycling through a decade of frequencies.
+func acPointHarness(tb testing.TB) func() {
+	c := goldenCircuits["mos-amp"]()
+	c.AddC("CL", "d", "0", 1e-12)
+	op, _, err := c.OP(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ws := c.acWorkspaces(1)[0]
+	ws.e.op = op.X
+	ws.stampBase()
+	x := make([]complex128, c.unknowns)
+	freqs := LogSpace(1e3, 1e4, 7)
+	k := 0
+	return func() {
+		k++
+		ws.e.omega = 2 * math.Pi * freqs[k%len(freqs)]
+		ws.assemble()
+		if err := ws.solve(x); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// tranStepHarness returns one transient step's body — static pass, Newton
+// to convergence, companion advance — as Tran runs it, from c's operating
+// point at step dt. rank1 states whether c's dynamic writes share one row,
+// so the step runs on the Sherman–Morrison path.
+func tranStepHarness(tb testing.TB, c *Circuit, dt float64, rank1 bool) func() {
+	op, _, err := c.OP(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ws := c.realWS(modeTran)
+	if ws.rank1OK != rank1 {
+		tb.Fatalf("rank-1 path %v, want %v", ws.rank1OK, rank1)
+	}
+	e := &ws.e
+	e.dt, e.xprev = dt, op.X
+	var statefuls []stateful
+	for _, d := range c.devices {
+		if s, ok := d.(stateful); ok {
+			statefuls = append(statefuls, s)
+			s.reset(e)
+		}
+	}
+	cur := append([]float64(nil), op.X...)
+	var stats NewtonStats
+	step := 0
+	return func() {
+		step++
+		e.time = float64(step) * dt
+		e.trapFlag = step > 1
+		e.xprev = cur
+		x, ok := c.tranNewton(ws, cur, &stats)
+		if !ok {
+			tb.Fatalf("step %d did not converge", step)
+		}
+		e.x = x
+		for _, s := range statefuls {
+			s.advance(e)
+		}
+		copy(cur, x)
+	}
+}
+
+// switchTank is a class-E-like switch stage: the switch to ground is its
+// one nonlinear device, so every dynamic write lands in the drain row.
+func switchTank() *Circuit {
+	c := New("switch-tank")
+	c.AddV("VDD", "vdd", "0", DC(2.5))
+	c.AddL("L1", "vdd", "drain", 10e-6)
+	c.AddV("Vg", "gate", "0", Pulse{V1: 0, V2: 1.6, Rise: 1e-9, Fall: 1e-9, Width: 0.5e-6, Period: 1e-6})
+	c.AddSwitch("S1", "drain", "0", "gate", "0", 0.1, 1e6, 1.0, 0.6)
+	c.AddC("C1", "drain", "0", 10e-9)
+	c.AddL("L2", "drain", "out", 1e-6)
+	c.AddR("RL", "out", "0", 5)
+	return c
 }
 
 // TestNewtonIterationZeroAlloc is the hard gate behind the benchmark
-// numbers: the per-iteration body — dynamic re-stamp, numeric
-// refactorization on the frozen pattern, in-place solve — must not touch
-// the heap.
+// numbers: the compiled kernel's hot bodies must not touch the heap — one
+// Newton iteration (dynamic re-stamp, numeric refactorization on the
+// frozen pattern, in-place solve), one AC frequency point, and one
+// transient step on the refactoring and on the rank-1 path.
 func TestNewtonIterationZeroAlloc(t *testing.T) {
-	_, ws, e := sparseIterationHarness(t)
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		// Perturb the iterate so the nonlinear devices re-linearize and the
-		// Jacobian genuinely changes (no factor-skip shortcut).
-		i++
-		e.x[0] = 1e-7 * float64(i%13)
-		ws.assemble(e)
-		if from := ws.dirtyFrom(); from < ws.A.N {
-			if err := ws.factorFrom(from); err != nil {
-				t.Fatal(err)
+	cases := []struct {
+		name string
+		body func(testing.TB) func()
+	}{
+		{"newton-iteration", func(tb testing.TB) func() {
+			ws := iterationHarness(tb, false)
+			i := 0
+			return func() { i++; iterate(tb, ws, i) }
+		}},
+		{"ac-point", acPointHarness},
+		{"tran-step", func(tb testing.TB) func() { return tranStepHarness(tb, benchNetlist(), 1e-9, false) }},
+		{"tran-step-rank1", func(tb testing.TB) func() { return tranStepHarness(tb, switchTank(), 5e-9, true) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if allocs := testing.AllocsPerRun(200, tc.body(t)); allocs != 0 {
+				t.Fatalf("%s allocated %.1f/op, want 0", tc.name, allocs)
 			}
-		}
-		ws.lu.Solve(ws.b, ws.xNew)
-	})
-	if allocs != 0 {
-		t.Fatalf("Newton iteration allocated %.1f/op, want 0", allocs)
+		})
 	}
 }
 
 // BenchmarkNewtonIterationSparse measures one Newton iteration on the
 // compiled sparse kernel: dynamic stamp, pattern-reusing refactorization,
 // in-place solve.
-func BenchmarkNewtonIterationSparse(b *testing.B) {
-	_, ws, e := sparseIterationHarness(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.x[0] = 1e-7 * float64(i%13)
-		ws.assemble(e)
-		if from := ws.dirtyFrom(); from < ws.A.N {
-			if err := ws.factorFrom(from); err != nil {
-				b.Fatal(err)
-			}
-		}
-		ws.lu.Solve(ws.b, ws.xNew)
-	}
-}
+func BenchmarkNewtonIterationSparse(b *testing.B) { benchIteration(b, false) }
 
 // BenchmarkNewtonIterationDense measures the same iteration on the dense
-// reference path (fresh matrix, full LU, allocating solve) — the seed
-// implementation's per-iteration cost.
-func BenchmarkNewtonIterationDense(b *testing.B) {
-	c := benchNetlist()
-	if err := c.Compile(); err != nil {
-		b.Fatal(err)
-	}
-	n := c.unknowns
-	x := make([]float64, n)
-	e := &env{mode: modeDC, c: c, gmin: 1e-12, srcScale: 1}
+// reference backend (fresh matrix, full LU) — the seed implementation's
+// per-iteration cost.
+func BenchmarkNewtonIterationDense(b *testing.B) { benchIteration(b, true) }
+
+func benchIteration(b *testing.B, dense bool) {
+	ws := iterationHarness(b, dense)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x[0] = 1e-7 * float64(i%13)
-		e.A = linalg.NewMatrix(n, n)
-		e.b = make([]float64, n)
-		e.x = x
-		for _, d := range c.devices {
-			d.stamp(e)
-		}
-		for j := 0; j < len(c.names)-1; j++ {
-			e.A.Add(j, j, nodeGmin)
-		}
-		out, err := linalg.SolveLinear(e.A, e.b)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) != n {
-			b.Fatal("bad solve")
-		}
+		iterate(b, ws, i)
 	}
 }

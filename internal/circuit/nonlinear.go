@@ -88,7 +88,7 @@ func (d *Diode) stamp(e *env) {
 	// Linearize about the limited voltage: the companion current keeps the
 	// model exact at vlim while the conductance handles the local slope.
 	ieq := i - g*vlim
-	e.addG(d.np, d.nm, g)
+	e.addY(d.np, d.nm, g)
 	e.addCurrent(d.np, d.nm, ieq)
 }
 
@@ -214,14 +214,14 @@ func (m *MOSFET) stamp(e *env) {
 	if swapped {
 		gmFwd, gmRev = 0.0, gm
 	}
-	e.addG(m.nd, m.ns, gds)
-	e.addTransG(m.nd, m.ns, m.ng, m.ns, gmFwd)
-	e.addTransG(m.ns, m.nd, m.ng, m.nd, gmRev)
+	e.addY(m.nd, m.ns, gds)
+	e.addTransY(m.nd, m.ns, m.ng, m.ns, gmFwd)
+	e.addTransY(m.ns, m.nd, m.ng, m.nd, gmRev)
 	e.addCurrent(d, s, ieq)
 	// gmin from drain and source to ground aids convergence (a zero gmin
 	// stamps zeros, keeping the plan static).
-	e.addG(m.nd, 0, e.gmin)
-	e.addG(m.ns, 0, e.gmin)
+	e.addY(m.nd, 0, e.gmin)
+	e.addY(m.ns, 0, e.gmin)
 }
 
 func (m *MOSFET) stampAC(e *acEnv) {
@@ -315,8 +315,8 @@ func (d *Switch) stamp(e *env) {
 	g, dg := d.conductance(vc)
 	// i = g(vc)·v  →  linearize in both v and vc:
 	// i ≈ g·v + (dg·v)·Δvc  with constant term −dg·v·vc0.
-	e.addG(d.n1, d.n2, g)
-	e.addTransG(d.n1, d.n2, d.cp, d.cm, dg*v)
+	e.addY(d.n1, d.n2, g)
+	e.addTransY(d.n1, d.n2, d.cp, d.cm, dg*v)
 	e.addCurrent(d.n1, d.n2, -dg*v*vc)
 }
 

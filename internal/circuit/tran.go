@@ -22,6 +22,9 @@ const (
 	tranMaxIter = 50   // Newton iterations per step
 	tranAbsTol  = 1e-6 // voltage tolerance, V
 	tranRelTol  = 1e-4 // relative tolerance
+	// maxTranSteps bounds a run's step count, so an absurd TStop/TStep is an
+	// error rather than a waveform allocation that cannot succeed.
+	maxTranSteps = 1 << 24
 )
 
 // TranResult holds the recorded waveforms of a transient run.
@@ -44,9 +47,15 @@ func (r *TranResult) Node(name string) []float64 {
 // Tran runs a fixed-step transient analysis with trapezoidal integration
 // (backward Euler on the first step to damp the trap start-up ringing).
 func (c *Circuit) Tran(opts TranOptions) (*TranResult, error) {
-	if opts.TStop <= 0 || opts.TStep <= 0 {
-		return nil, errors.New("circuit: Tran requires positive TStop and TStep")
+	// The negated comparisons reject NaN too.
+	if !(opts.TStop > 0) || !(opts.TStep > 0) || math.IsInf(opts.TStop, 0) || math.IsInf(opts.TStep, 0) {
+		return nil, errors.New("circuit: Tran requires finite positive TStop and TStep")
 	}
+	steps := math.Ceil(opts.TStop / opts.TStep)
+	if steps > maxTranSteps {
+		return nil, fmt.Errorf("circuit: Tran needs %g steps (TStop/TStep), more than the %d allowed", steps, maxTranSteps)
+	}
+	nSteps := int(steps)
 	if err := c.Compile(); err != nil {
 		return nil, err
 	}
@@ -84,7 +93,6 @@ func (c *Circuit) Tran(opts TranOptions) (*TranResult, error) {
 	}
 	res.V = make([][]float64, len(record))
 
-	nSteps := int(math.Ceil(opts.TStop / opts.TStep))
 	res.T = make([]float64, 0, nSteps+1)
 	for i := range res.V {
 		res.V[i] = make([]float64, 0, nSteps+1)
@@ -100,16 +108,10 @@ func (c *Circuit) Tran(opts TranOptions) (*TranResult, error) {
 		}
 	}
 
-	var ws *realWorkspace
-	var e *env
-	if c.dense {
-		e = &env{}
-	} else {
-		ws = c.realWS(modeTran)
-		ws.baseMatrixValid = false // device params may have changed since the last run
-		e = &ws.e
-	}
-	*e = env{mode: modeTran, c: c, dt: opts.TStep, srcScale: 1, gmin: nodeGmin, xprev: x}
+	ws := c.realWS(modeTran)
+	ws.baseMatrixValid = false // device params may have changed since the last run
+	e := &ws.e
+	e.dt, e.xprev = opts.TStep, x
 	// Reset companion states from the initial solution.
 	var statefuls []stateful
 	for _, d := range c.devices {
@@ -120,10 +122,9 @@ func (c *Circuit) Tran(opts TranOptions) (*TranResult, error) {
 	}
 	appendSample(0, x)
 
-	// cur holds the accepted solution of the previous timepoint; sol
-	// receives each step's converged result (ws buffers on the sparse
-	// path). Waveform samples are copied out, so the buffers can be
-	// reused across all steps.
+	// cur holds the accepted solution of the previous timepoint; each
+	// step's converged result lands in the workspace's buffers. Waveform
+	// samples are copied out, so the buffers can be reused across all steps.
 	cur := append([]float64(nil), x...)
 	t := 0.0
 	for step := 0; step < nSteps; step++ {
@@ -131,13 +132,7 @@ func (c *Circuit) Tran(opts TranOptions) (*TranResult, error) {
 		e.time = tNew
 		e.trapFlag = step > 0 // BE start, then trapezoidal
 		e.xprev = cur
-		var sol []float64
-		var ok bool
-		if c.dense {
-			sol, ok = c.tranNewtonDense(cur, e, &stats)
-		} else {
-			sol, ok = c.tranNewtonSparse(ws, cur, e, &stats)
-		}
+		sol, ok := c.tranNewton(ws, cur, &stats)
 		if !ok {
 			return nil, fmt.Errorf("circuit %q: transient Newton failed at t=%g", c.Name, tNew)
 		}
@@ -154,13 +149,15 @@ func (c *Circuit) Tran(opts TranOptions) (*TranResult, error) {
 	return res, nil
 }
 
-// tranNewtonSparse solves one timestep on the compiled sparse workspace.
-// Per iteration it performs only indexed stamp writes, a pattern-reusing
-// refactorization (skipped entirely when the Jacobian is bitwise unchanged
-// — linear circuits at a fixed step factor exactly once per integration
-// method), and an in-place solve: no allocations.
-func (c *Circuit) tranNewtonSparse(ws *realWorkspace, x0 []float64, e *env, stats *NewtonStats) ([]float64, bool) {
-	ws.stampBaseStep(e)
+// tranNewton solves one timestep. On the sparse kernel an iteration
+// performs only indexed stamp writes, a pattern-reusing refactorization
+// (skipped entirely when the Jacobian is bitwise unchanged — linear
+// circuits at a fixed step factor exactly once per integration method), or
+// a rank-1 correction against the factored static base, and an in-place
+// solve: no allocations. On the dense reference every iteration builds and
+// factors a fresh matrix.
+func (c *Circuit) tranNewton(ws *realWorkspace, x0 []float64, stats *NewtonStats) ([]float64, bool) {
+	ws.stampBaseStep()
 	rank1 := ws.rank1OK
 	if rank1 && (!ws.rank1Primed || ws.baseLUEpoch != ws.baseEpoch) {
 		rank1 = ws.primeRank1()
@@ -168,6 +165,7 @@ func (c *Circuit) tranNewtonSparse(ws *realWorkspace, x0 []float64, e *env, stat
 			stats.Factors++
 		}
 	}
+	e := &ws.e
 	x := ws.x
 	copy(x, x0)
 	xNew := ws.xNew
@@ -178,22 +176,22 @@ func (c *Circuit) tranNewtonSparse(ws *realWorkspace, x0 []float64, e *env, stat
 		e.x = x
 		solved := false
 		if rank1 {
-			ws.assembleDyn(e)
+			ws.assembleDyn()
 			solved = ws.solveRank1(xNew)
 			if !solved {
 				ws.restoreFull()
 			}
 		} else {
-			ws.assemble(e)
+			ws.assemble()
 		}
 		if !solved {
-			if from := ws.dirtyFrom(); from < ws.A.N {
-				if err := ws.factorFrom(from); err != nil {
-					return nil, false
-				}
+			factored, err := ws.solve(xNew)
+			if err != nil {
+				return nil, false
+			}
+			if factored {
 				stats.Factors++
 			}
-			ws.lu.Solve(ws.b, xNew)
 		}
 		if !linalg.AllFinite(xNew) {
 			return nil, false
@@ -206,47 +204,6 @@ func (c *Circuit) tranNewtonSparse(ws *realWorkspace, x0 []float64, e *env, stat
 			}
 		}
 		copy(x, xNew)
-		if converged {
-			return x, true
-		}
-	}
-	return nil, false
-}
-
-// tranNewtonDense is the original dense-matrix timestep solver, kept as
-// the golden reference and benchmark baseline.
-func (c *Circuit) tranNewtonDense(x0 []float64, e *env, stats *NewtonStats) ([]float64, bool) {
-	x := linalg.Clone(x0)
-	n := c.unknowns
-	for iter := 0; iter < tranMaxIter; iter++ {
-		stats.Iterations++
-		e.firstIter = iter == 0
-		e.A = linalg.NewMatrix(n, n)
-		e.b = make([]float64, n)
-		e.x = x
-		for _, d := range c.devices {
-			d.stamp(e)
-		}
-		for i := 0; i < len(c.names)-1; i++ {
-			e.A.Add(i, i, nodeGmin)
-		}
-		xNew, err := linalg.SolveLinear(e.A, e.b)
-		if err != nil {
-			return nil, false
-		}
-		stats.Factors++
-		if !linalg.AllFinite(xNew) {
-			return nil, false
-		}
-		converged := true
-		nv := len(c.names) - 1
-		for i := 0; i < nv; i++ {
-			if math.Abs(xNew[i]-x[i]) > tranAbsTol+tranRelTol*math.Abs(xNew[i]) {
-				converged = false
-				break
-			}
-		}
-		x = xNew
 		if converged {
 			return x, true
 		}

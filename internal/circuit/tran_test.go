@@ -151,14 +151,36 @@ func TestTranSwitchSquareWave(t *testing.T) {
 	}
 }
 
+// TestTranOptionsValidation: a non-positive, NaN or infinite TStop or
+// TStep, a step count past maxTranSteps (TStop/TStep overflowing int among
+// them) or an unknown record node is an error returned before the waveforms
+// are allocated — never a makeslice panic.
 func TestTranOptionsValidation(t *testing.T) {
-	c := New("x")
-	c.AddR("R1", "a", "0", 1)
-	if _, err := c.Tran(TranOptions{TStop: 0, TStep: 1}); err == nil {
-		t.Fatal("TStop=0 must fail")
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name string
+		opts TranOptions
+	}{
+		{"TStop 0", TranOptions{TStop: 0, TStep: 1}},
+		{"NaN TStop", TranOptions{TStop: nan, TStep: 1e-3}},
+		{"+Inf TStop", TranOptions{TStop: inf, TStep: 1e-3}},
+		{"-Inf TStop", TranOptions{TStop: -inf, TStep: 1e-3}},
+		{"NaN TStep", TranOptions{TStop: 1, TStep: nan}},
+		{"+Inf TStep", TranOptions{TStop: 1, TStep: inf}},
+		{"steps overflow int", TranOptions{TStop: 1, TStep: 1e-300}},
+		{"steps past the limit", TranOptions{TStop: 1, TStep: 1 / float64(maxTranSteps+1)}},
+		{"unknown record node", TranOptions{TStop: 1, TStep: 1e-3, Record: []string{"nope"}}},
 	}
-	if _, err := c.Tran(TranOptions{TStop: 1, TStep: 1e-3, Record: []string{"nope"}}); err == nil {
-		t.Fatal("unknown record node must fail")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New("rc")
+			c.AddV("V1", "in", "0", DC(1))
+			c.AddR("R1", "in", "out", 1e3)
+			c.AddC("C1", "out", "0", 1e-6)
+			if _, err := c.Tran(tc.opts); err == nil {
+				t.Fatalf("%+v: no error", tc.opts)
+			}
+		})
 	}
 }
 

@@ -13,28 +13,15 @@ var ErrSingular = errors.New("linalg: singular matrix")
 // scalar is the set of value types the dense LU is instantiated for.
 type scalar interface{ float64 | complex128 }
 
-// SolveLinear solves A·x = b by LU factorization with partial pivoting,
-// P·A = L·U, on a copy of a.
-func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
-	return solveLU(a.Rows, a.Cols, a.Clone().Data, b)
-}
-
-// SolveComplexLinear is SolveLinear for a complex system, pivoting on the
-// modulus.
-func SolveComplexLinear(a *CMatrix, b []complex128) ([]complex128, error) {
-	return solveLU(a.Rows, a.Cols, a.Clone().Data, b)
-}
-
-// solveLU factors the row-major rows×cols matrix lu in place with partial
-// pivoting — L unit lower triangular and U upper triangular, stored
-// compactly — then solves for b by forward and back substitution.
-func solveLU[T scalar](rows, cols int, lu, b []T) ([]T, error) {
-	if rows != cols {
-		return nil, ErrDimension
-	}
-	n := rows
-	if len(b) != n {
-		panic("linalg: LU solve dimension mismatch")
+// SolveLU solves the n×n system A·x = b by LU factorization with partial
+// pivoting, P·A = L·U, pivoting on the modulus for a complex system. lu
+// holds A row-major and is factored in place — L unit lower triangular and
+// U upper triangular, stored compactly. The solution is written into x,
+// which must not alias b.
+func SolveLU[T scalar](lu, b, x []T) error {
+	n := len(b)
+	if len(lu) != n*n || len(x) != n {
+		return ErrDimension
 	}
 	row := func(i int) []T { return lu[i*n : (i+1)*n] }
 	piv := make([]int, n)
@@ -52,7 +39,7 @@ func solveLU[T scalar](rows, cols int, lu, b []T) ([]T, error) {
 			}
 		}
 		if maxAbs == 0 || math.IsNaN(maxAbs) {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			rk, rp := row(k), row(p)
@@ -75,7 +62,6 @@ func solveLU[T scalar](rows, cols int, lu, b []T) ([]T, error) {
 		}
 	}
 
-	x := make([]T, n)
 	for i := 0; i < n; i++ {
 		x[i] = b[piv[i]]
 	}
@@ -97,7 +83,7 @@ func solveLU[T scalar](rows, cols int, lu, b []T) ([]T, error) {
 		}
 		x[i] = s / r[i]
 	}
-	return x, nil
+	return nil
 }
 
 // magnitude is what partial pivoting compares: |v|, the modulus for a

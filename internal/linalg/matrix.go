@@ -58,12 +58,6 @@ func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	// append copies into storage it does not zero first: one pass, not two.
-	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)

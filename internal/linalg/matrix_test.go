@@ -107,12 +107,3 @@ func TestAddMatScaleDiag(t *testing.T) {
 		t.Fatal("MaxAbsDiag wrong")
 	}
 }
-
-func TestCloneIndependence(t *testing.T) {
-	a := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b := a.Clone()
-	b.Set(0, 0, 99)
-	if a.At(0, 0) == 99 {
-		t.Fatal("Clone shares storage")
-	}
-}

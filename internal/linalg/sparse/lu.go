@@ -74,19 +74,12 @@ func (f *LUOf[T]) PreferLast(cols []int32) {
 // meaningful after a successful Factor).
 func (f *LUOf[T]) ColPos(col int32) int32 { return f.qinv[col] }
 
-// LU is the real factorization (DC, transient); CLU the complex one (the
-// AC small-signal sweep).
-type (
-	LU  = LUOf[float64]
-	CLU = LUOf[complex128]
-)
+// LU is the real factorization (DC, transient).
+type LU = LUOf[float64]
 
 // NewLU returns an empty real factorization object; sizing happens on the
 // first Factor call.
 func NewLU() *LU { return &LU{} }
-
-// NewCLU returns an empty complex factorization object.
-func NewCLU() *CLU { return &CLU{} }
 
 // pivotMag is the magnitude Factor's partial pivoting compares: the true
 // modulus, so the pivot sequence is the one a dense reference picks.

@@ -75,23 +75,12 @@ func stamp[T Scalar](m *MatrixOf[T], remap, slots []int32, vals []T) {
 // denseSolve is the oracle: the same system assembled densely and solved by
 // the dense partial-pivoting LU of the parent package.
 func denseSolve[T Scalar](n int, coords [][2]int, vals, rhs []T) ([]T, error) {
-	switch vals := any(vals).(type) {
-	case []float64:
-		d := linalg.NewMatrix(n, n)
-		for k, c := range coords {
-			d.Add(c[0], c[1], vals[k])
-		}
-		x, err := linalg.SolveLinear(d, any(rhs).([]float64))
-		return any(x).([]T), err
-	case []complex128:
-		d := linalg.NewCMatrix(n, n)
-		for k, c := range coords {
-			d.Add(c[0], c[1], vals[k])
-		}
-		x, err := linalg.SolveComplexLinear(d, any(rhs).([]complex128))
-		return any(x).([]T), err
+	d := make([]T, n*n)
+	for k, c := range coords {
+		d[c[0]*n+c[1]] += vals[k]
 	}
-	panic("unreachable")
+	x := make([]T, n)
+	return x, linalg.SolveLU(d, rhs, x)
 }
 
 // wantClose fails unless got[i] is within tol·(1+|want[i]|) of want[i].

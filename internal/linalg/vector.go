@@ -52,13 +52,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Clone returns a copy of v.
-func Clone(v []float64) []float64 {
-	out := make([]float64, len(v))
-	copy(out, v)
-	return out
-}
-
 // AllFinite reports whether every entry of v is finite.
 func AllFinite(v []float64) bool {
 	for _, x := range v {
