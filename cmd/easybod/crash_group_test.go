@@ -25,9 +25,11 @@ type ackedTell struct {
 
 // groupWorker drives one session: rounds of ask→tell, recording each acked
 // tell. With maxRounds < 0 it runs until the daemon dies underneath it
-// (transport error) — the mid-flight phase of the kill test. Errors are
-// reported on errs; acks land in the per-session slice (worker-owned).
-func groupWorker(d *daemon, id string, maxRounds int, acked *[]ackedTell, errs chan<- error) {
+// (transport error) — the mid-flight phase of the kill test — and reports
+// true then; an ask answered done, the right answer once the session has
+// spent its budget, ends it cleanly and reports false. Errors are reported
+// on errs; acks land in the per-session slice (worker-owned).
+func groupWorker(d *daemon, id string, maxRounds int, acked *[]ackedTell, errs chan<- error) (killed bool) {
 	for round := 0; maxRounds < 0 || round < maxRounds; round++ {
 		var a askResp
 		code, err := d.call("POST", "/sessions/"+id+"/ask", map[string]any{}, &a)
@@ -35,15 +37,18 @@ func groupWorker(d *daemon, id string, maxRounds int, acked *[]ackedTell, errs c
 			if maxRounds >= 0 {
 				errs <- fmt.Errorf("%s: ask: %v", id, err)
 			}
-			return
+			return true
 		}
 		if code != http.StatusOK {
 			errs <- fmt.Errorf("%s: ask status %d", id, code)
-			return
+			return false
+		}
+		if a.Status == "done" && maxRounds < 0 {
+			return false
 		}
 		if a.Status != "ok" {
 			errs <- fmt.Errorf("%s: unexpected ask status %q", id, a.Status)
-			return
+			return false
 		}
 		y := sphere(a.X)
 		code, err = d.call("POST", "/sessions/"+id+"/tell",
@@ -52,14 +57,15 @@ func groupWorker(d *daemon, id string, maxRounds int, acked *[]ackedTell, errs c
 			if maxRounds >= 0 {
 				errs <- fmt.Errorf("%s: tell: %v", id, err)
 			}
-			return
+			return true
 		}
 		if code != http.StatusOK {
 			errs <- fmt.Errorf("%s: tell status %d", id, code)
-			return
+			return false
 		}
 		*acked = append(*acked, ackedTell{pid: a.ProposalID, y: y})
 	}
+	return false
 }
 
 // TestGroupCommitKill9MultiSession is the group-commit crash smoke: N
@@ -73,7 +79,9 @@ func TestGroupCommitKill9MultiSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nSessions = 6
+	// A budget no session can spend inside the kill fuse below, so the kill
+	// lands mid-flight; the check after it holds every policy to that.
+	const nSessions, maxEvals = 6, 1024
 	for _, fsync := range []string{"always", "interval", "off"} {
 		fsync := fsync
 		t.Run(fsync, func(t *testing.T) {
@@ -86,7 +94,7 @@ func TestGroupCommitKill9MultiSession(t *testing.T) {
 				ids[i] = fmt.Sprintf("gc-%02d", i)
 				// Distinct seeds: concurrent distinct proposals, like a real
 				// multi-tenant load.
-				spec := sessionSpec(ids[i], 64, 4)
+				spec := sessionSpec(ids[i], maxEvals, 4)
 				spec["seed"] = 100 + i
 				d.mustCall("POST", "/sessions", spec, nil, http.StatusCreated)
 			}
@@ -108,6 +116,7 @@ func TestGroupCommitKill9MultiSession(t *testing.T) {
 
 			// Phase 2: the same workers run open-ended while the killer's
 			// fuse burns; acks recorded right up to the transport error.
+			inFlight := make([]bool, nSessions) // the kill cut the worker off
 			killed := make(chan struct{})
 			go func() {
 				//easybolint:ok walltime test fuse: when the SIGKILL lands never reaches replayed bytes
@@ -120,7 +129,7 @@ func TestGroupCommitKill9MultiSession(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					groupWorker(d, id, -1, &acked[i], errs)
+					inFlight[i] = groupWorker(d, id, -1, &acked[i], errs)
 				}()
 			}
 			wg.Wait()
@@ -128,6 +137,17 @@ func TestGroupCommitKill9MultiSession(t *testing.T) {
 			close(errs)
 			for err := range errs {
 				t.Error(err)
+			}
+			cut, most := 0, 0
+			for i, f := range inFlight {
+				if f {
+					cut++
+				}
+				most = max(most, len(acked[i]))
+			}
+			t.Logf("%d of %d sessions mid-flight at the kill; the longest had %d acked tells", cut, nSessions, most)
+			if cut == 0 {
+				t.Errorf("every session spent its %d evaluations before the kill: nothing was mid-flight", maxEvals)
 			}
 			if t.Failed() {
 				t.FailNow()

@@ -11,7 +11,7 @@ import (
 	"easybo/internal/harness"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/repro_quick.json from the current code")
+var update = flag.Bool("update", false, "rewrite the goldens the tests run (testdata/repro_quick.json, testdata/verdicts.txt) from the current code")
 
 // goldenPath is `repro -all -quick -runs 3 -json`: the whole scoreboard at
 // budgets small enough to regenerate on every test run.

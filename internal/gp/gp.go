@@ -34,7 +34,8 @@ func Fit(kern Kernel, x [][]float64, y []float64, theta []float64, logNoise floa
 		return nil, err
 	}
 	validateTheta(kern, theta, len(x[0]))
-	g := &GP{Kern: kern, X: x, Y: y, Theta: append([]float64(nil), theta...), LogNoise: logNoise,
+	n := len(x)
+	g := &GP{Kern: kern, X: x[:n:n], Y: y[:n:n], Theta: append([]float64(nil), theta...), LogNoise: logNoise,
 		st: prepDist(theta, len(x[0]))}
 	chol, err := linalg.NewCholesky(g.buildCov())
 	if err != nil {
@@ -309,14 +310,20 @@ func (g *GP) LMLGradient() []float64 {
 	return w.gradient(g)
 }
 
-// Extend returns a new GP whose training set is augmented with the given
-// observations at unchanged hyperparameters, extending the existing
+// Extend returns the GP whose training set is the receiver's augmented with
+// the given observations at unchanged hyperparameters, extending the
 // Cholesky factor by rank-append instead of refactoring: O(k·n²) for k new
-// points against the O(n³) of a fresh Fit. The receiver is unchanged and
-// remains usable. The posterior is identical (bitwise, for the built-in
-// kernels) to a from-scratch Fit on the concatenated data; if the appended
-// factorization loses positive definiteness the full refit is performed
-// transparently.
+// points against the O(n³) of a fresh Fit. The posterior is identical
+// (bitwise, for the built-in kernels) to a from-scratch Fit on the
+// concatenated data; if the appended factorization loses positive
+// definiteness the full refit is performed transparently.
+//
+// The receiver is spent: X, Y, α and the factor rows are appended into the
+// storage it holds (linalg.Cholesky.Append), reallocated only when their
+// capacity runs out, and α is overwritten. Beyond that growth Extend
+// allocates O(k·n) — the new rows' covariances — and two headers. A caller
+// must not read, or extend, the receiver again, unless Extend returned an
+// error: that leaves the receiver as it was.
 func (g *GP) Extend(xNew [][]float64, yNew []float64) (*GP, error) {
 	k := len(xNew)
 	if k == 0 {
@@ -332,19 +339,19 @@ func (g *GP) Extend(xNew [][]float64, yNew []float64) (*GP, error) {
 		}
 	}
 	n := g.N()
-	x := make([][]float64, 0, n+k)
-	x = append(x, g.X...)
-	x = append(x, xNew...)
-	y := make([]float64, 0, n+k)
-	y = append(y, g.Y...)
-	y = append(y, yNew...)
+	// Fit and FitHyper cap X and Y at their length, so the first append
+	// moves them out of the caller's slices and into storage the GP owns.
+	x := append(g.X, xNew...)
+	y := append(g.Y, yNew...)
 
 	noise2 := NoiseVar(g.LogNoise)
 	rows := make([][]float64, k)
 	diag := make([]float64, k)
+	flat := make([]float64, k*n+k*(k-1)/2) // rows[i] holds n+i covariances
 	for i := 0; i < k; i++ {
-		row := make([]float64, n+i)
-		for j := 0; j < n+i; j++ {
+		row := flat[: n+i : n+i]
+		flat = flat[n+i:]
+		for j := range row {
 			// Argument order matches buildCov (existing point first) so the
 			// appended factor is bitwise identical to a from-scratch one.
 			row[j] = g.kernEval(x[j], xNew[i])
@@ -358,8 +365,8 @@ func (g *GP) Extend(xNew [][]float64, yNew []float64) (*GP, error) {
 		// one full refactorization, which re-runs the adaptive jitter ladder.
 		return Fit(g.Kern, x, y, g.Theta, g.LogNoise)
 	}
-	out := &GP{Kern: g.Kern, X: x, Y: y, Theta: g.Theta, LogNoise: g.LogNoise,
-		chol: chol, st: g.st}
-	out.alpha = chol.Solve(y)
-	return out, nil
+	alpha := append(g.alpha, make([]float64, k)...)
+	chol.SolveInto(alpha, y)
+	return &GP{Kern: g.Kern, X: x, Y: y, Theta: g.Theta, LogNoise: g.LogNoise,
+		chol: chol, alpha: alpha, st: g.st}, nil
 }

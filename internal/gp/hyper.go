@@ -131,7 +131,7 @@ func newTrainWork(kern Kernel, x [][]float64, y []float64) *trainWork {
 		v:     make([]float64, nh+1),
 	}
 	for i := range w.slot {
-		w.slot[i] = GP{Kern: kern, X: x, Y: y,
+		w.slot[i] = GP{Kern: kern, X: x[:n:n], Y: y[:n:n],
 			Theta: make([]float64, nh),
 			chol:  &linalg.Cholesky{},
 			alpha: make([]float64, n),

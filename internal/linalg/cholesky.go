@@ -3,6 +3,7 @@ package linalg
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // ErrNotPositiveDefinite is returned by Cholesky when the input matrix is not
@@ -12,11 +13,34 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix not positive definite")
 // Cholesky holds the lower-triangular factor L of A = L·Lᵀ, together with the
 // jitter that had to be added to the diagonal to achieve positive
 // definiteness (0 for well-conditioned inputs).
+//
+// L is stored packed by rows: row i is its i+1 entries up to and including
+// the diagonal, and the rows follow one another, so the factor takes
+// n(n+1)/2 values and every kernel below walks contiguous rows. Growing the
+// factor (Append) only adds rows at the end of that storage.
 type Cholesky struct {
-	L      *Matrix
 	N      int
 	Jitter float64
+	tri    []float64 // row i is tri[i(i+1)/2 : (i+1)(i+2)/2]
 }
+
+// Row returns row i of L up to and including its diagonal, L[i][0…i]: a
+// view of the factor, not a copy.
+func (c *Cholesky) Row(i int) []float64 {
+	o := i * (i + 1) / 2
+	return c.tri[o : o+i+1 : o+i+1]
+}
+
+// rows4 returns rows i…i+3 of L, which follow one another in the packed
+// storage, from one offset: what the four-row kernels below take.
+func (c *Cholesky) rows4(i int) (r0, r1, r2, r3 []float64) {
+	o := packedLen(i)
+	r := c.tri[o : o+4*i+10 : o+4*i+10]
+	return r[: i+1 : i+1], r[i+1 : 2*i+3 : 2*i+3], r[2*i+3 : 3*i+6 : 3*i+6], r[3*i+6:]
+}
+
+// packedLen is the storage of an n-row factor.
+func packedLen(n int) int { return n * (n + 1) / 2 }
 
 // NewCholesky factors the symmetric positive definite matrix a.
 // The input is not modified. If the bare factorization fails, an adaptive
@@ -31,18 +55,20 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 	return c, nil
 }
 
-// NewCholeskyInto is NewCholesky into dst's storage: dst.L is reused when it
-// is already n×n (a caller factoring many matrices of one size allocates
-// nothing after the first) and allocated otherwise. Only the lower triangle
-// of dst.L is written, so a reused L must never have been written above its
-// diagonal — true of any L this package produced. On error dst is garbage.
+// NewCholeskyInto is NewCholesky into dst's storage: it is reused when its
+// capacity holds the factor (a caller factoring many matrices of one size
+// allocates nothing after the first) and allocated otherwise. Every entry is
+// written before it is read, so what the storage held does not matter. On
+// error dst is garbage.
 func NewCholeskyInto(dst *Cholesky, a *Matrix) error {
 	if a.Rows != a.Cols {
 		return ErrDimension
 	}
 	n := a.Rows
-	if dst.L == nil || dst.L.Rows != n || dst.L.Cols != n {
-		dst.L = NewMatrix(n, n)
+	if need := packedLen(n); cap(dst.tri) >= need {
+		dst.tri = dst.tri[:need]
+	} else {
+		dst.tri = make([]float64, need)
 	}
 	dst.N = n
 	scale := a.MaxAbsDiag()
@@ -52,7 +78,7 @@ func NewCholeskyInto(dst *Cholesky, a *Matrix) error {
 	const maxTries = 10
 	jitter := 0.0
 	for try := 0; try <= maxTries; try++ {
-		if tryCholesky(dst.L, a, jitter) {
+		if dst.try(a, jitter) {
 			dst.Jitter = jitter
 			return nil
 		}
@@ -65,12 +91,12 @@ func NewCholeskyInto(dst *Cholesky, a *Matrix) error {
 	return ErrNotPositiveDefinite
 }
 
-// tryCholesky writes the factor of a + jitter·I into the lower triangle of
-// L, column by column; it reports false at the first non-positive pivot.
-func tryCholesky(L, a *Matrix, jitter float64) bool {
+// try writes the factor of a + jitter·I into c's rows, column by column; it
+// reports false at the first non-positive pivot.
+func (c *Cholesky) try(a *Matrix, jitter float64) bool {
 	n := a.Rows
 	for j := 0; j < n; j++ {
-		lj := L.Row(j)[: j+1 : j+1]
+		lj := c.Row(j)
 		d := a.Data[j*n+j] + jitter
 		for _, ljk := range lj[:j] {
 			d -= ljk * ljk
@@ -85,8 +111,8 @@ func tryCholesky(L, a *Matrix, jitter float64) bool {
 		// operations in their order (as in SolveLowerMulti).
 		i := j + 1
 		for ; i+4 <= n; i += 4 {
-			l0, l1 := L.Row(i)[:j+1:j+1], L.Row(i + 1)[:j+1:j+1]
-			l2, l3 := L.Row(i + 2)[:j+1:j+1], L.Row(i + 3)[:j+1:j+1]
+			l0, l1, l2, l3 := c.rows4(i)
+			l0, l1, l2, l3 = l0[:j+1:j+1], l1[:j+1:j+1], l2[:j+1:j+1], l3[:j+1:j+1]
 			s0, s1 := a.Data[i*n+j], a.Data[(i+1)*n+j]
 			s2, s3 := a.Data[(i+2)*n+j], a.Data[(i+3)*n+j]
 			for k, ljk := range lj[:j] {
@@ -98,7 +124,7 @@ func tryCholesky(L, a *Matrix, jitter float64) bool {
 			l0[j], l1[j], l2[j], l3[j] = s0/ljj, s1/ljj, s2/ljj, s3/ljj
 		}
 		for ; i < n; i++ {
-			li := L.Row(i)[: j+1 : j+1]
+			li := c.Row(i)[: j+1 : j+1]
 			s := a.Data[i*n+j]
 			for k, ljk := range lj[:j] {
 				s -= li[k] * ljk
@@ -109,17 +135,22 @@ func tryCholesky(L, a *Matrix, jitter float64) bool {
 	return true
 }
 
-// Append returns a new factorization extended by k rows in O(k·n²) instead
-// of the O(n³) a full refactorization would cost. rows[i] holds the
-// covariances of appended point i with the n existing points followed by the
+// Append extends the factorization by k rows in O(k·n²) instead of the
+// O(n³) a full refactorization would cost. rows[i] holds the covariances of
+// appended point i with the n existing points followed by the
 // already-appended points 0..i-1 (length n+i); diag[i] is its own variance
 // (diagonal entry, jitter excluded — the factor's existing Jitter is applied
 // so the result matches what NewCholesky would produce on the full matrix
 // at the same jitter level).
 //
-// The receiver is not modified. If the extended matrix is not positive
-// definite at the current jitter, ErrNotPositiveDefinite is returned and the
-// caller should fall back to a full refactorization.
+// The factor grows in place: the new rows are written after the receiver's,
+// into its spare capacity, and the storage is reallocated (by append, so
+// with headroom for the appends after it) only when that runs out. The
+// receiver is spent on success: the result owns the storage, the
+// receiver's rows are the result's first n rows, and another append to the
+// receiver would write over the result's new ones. If the extended matrix is not positive definite at the current
+// jitter, ErrNotPositiveDefinite is returned, the receiver's rows and N are
+// as they were, and the caller should fall back to a full refactorization.
 func (c *Cholesky) Append(rows [][]float64, diag []float64) (*Cholesky, error) {
 	k := len(rows)
 	if k == 0 {
@@ -135,35 +166,32 @@ func (c *Cholesky) Append(rows [][]float64, diag []float64) (*Cholesky, error) {
 	}
 	n := c.N
 	nk := n + k
-	L := NewMatrix(nk, nk)
-	for i := 0; i < n; i++ {
-		copy(L.Row(i)[:n], c.L.Row(i))
-	}
+	out := &Cholesky{N: nk, Jitter: c.Jitter,
+		tri: slices.Grow(c.tri[:packedLen(n)], packedLen(nk)-packedLen(n))[:packedLen(nk)]}
 	// Each appended row is one more step of the standard Cholesky recurrence,
-	// with the same operation order as tryCholesky so an Append-built factor
-	// is bitwise identical to a from-scratch one at the same jitter.
+	// with the same operation order as try so an Append-built factor is
+	// bitwise identical to a from-scratch one at the same jitter.
 	for i := 0; i < k; i++ {
 		m := n + i
 		row := rows[i]
-		lm := L.Row(m)
-		for j := 0; j < m; j++ {
-			s := row[j]
-			lj := L.Row(j)
-			for t := 0; t < j; t++ {
-				s -= lm[t] * lj[t]
+		lm := out.Row(m)
+		for j, s := range row {
+			lj, lmj := out.Row(j), lm[:j]
+			for t, l := range lj[:j] {
+				s -= lmj[t] * l
 			}
 			lm[j] = s / lj[j]
 		}
 		d := diag[i] + c.Jitter
-		for t := 0; t < m; t++ {
-			d -= lm[t] * lm[t]
+		for _, l := range lm[:m] {
+			d -= l * l
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, ErrNotPositiveDefinite
 		}
 		lm[m] = math.Sqrt(d)
 	}
-	return &Cholesky{L: L, N: nk, Jitter: c.Jitter}, nil
+	return out, nil
 }
 
 // RankUpdate applies the symmetric rank-1 update A → A + v·vᵀ to the
@@ -192,7 +220,7 @@ func (c *Cholesky) RankUpdate(v []float64) error {
 	cs, sn := make([]float64, n), v
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		r0, r1, r2, r3 := c.L.Row(i)[:i+4], c.L.Row(i + 1)[:i+4], c.L.Row(i + 2)[:i+4], c.L.Row(i + 3)[:i+4]
+		r0, r1, r2, r3 := c.rows4(i)
 		w0, w1, w2, w3 := v[i], v[i+1], v[i+2], v[i+3]
 		p0, q1, q2, q3 := r0[:i], r1[:i], r2[:i], r3[:i]
 		for k, l0 := range p0 {
@@ -223,7 +251,7 @@ func (c *Cholesky) RankUpdate(v []float64) error {
 		cs[i+3], sn[i+3] = givens(&r3[i+3], w3)
 	}
 	for ; i < n; i++ {
-		row := c.L.Row(i)[: i+1 : i+1]
+		row := c.Row(i)
 		w := v[i]
 		for k := range row[:i] {
 			w = rotate(&row[k], w, cs[k], sn[k])
@@ -283,7 +311,7 @@ func (c *Cholesky) SolveLowerInto(dst, b []float64) {
 	}
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		r0, r1, r2, r3 := c.L.Row(i)[:n], c.L.Row(i + 1)[:n], c.L.Row(i + 2)[:n], c.L.Row(i + 3)[:n]
+		r0, r1, r2, r3 := c.rows4(i)
 		// b is read before dst is written: the two may be one slice.
 		s0, s1, s2, s3 := b[i], b[i+1], b[i+2], b[i+3]
 		q1, q2, q3 := r1[:i], r2[:i], r3[:i]
@@ -307,7 +335,7 @@ func (c *Cholesky) SolveLowerInto(dst, b []float64) {
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = v0, v1, v2, v3
 	}
 	for ; i < n; i++ {
-		row := c.L.Row(i)
+		row := c.Row(i)
 		s := b[i]
 		for k, l := range row[:i] {
 			s -= l * dst[k]
@@ -360,7 +388,7 @@ func (c *Cholesky) solveLower2(y0, y1 []float64) {
 	n := c.N
 	y0, y1 = y0[:n], y1[:n]
 	for i := 0; i < n; i++ {
-		row := c.L.Row(i)[:n]
+		row := c.Row(i)
 		s0, s1 := y0[i], y1[i]
 		p0, p1 := y0[:i], y1[:i]
 		for k, l := range row[:i] {
@@ -378,7 +406,7 @@ func (c *Cholesky) solveLower3(y0, y1, y2 []float64) {
 	n := c.N
 	y0, y1, y2 = y0[:n], y1[:n], y2[:n]
 	for i := 0; i < n; i++ {
-		row := c.L.Row(i)[:n]
+		row := c.Row(i)
 		s0, s1, s2 := y0[i], y1[i], y2[i]
 		p0, p1, p2 := y0[:i], y1[:i], y2[:i]
 		for k, l := range row[:i] {
@@ -394,7 +422,7 @@ func (c *Cholesky) solveLower4(y0, y1, y2, y3 []float64) {
 	n := c.N
 	y0, y1, y2, y3 = y0[:n], y1[:n], y2[:n], y3[:n]
 	for i := 0; i < n; i++ {
-		row := c.L.Row(i)[:n]
+		row := c.Row(i)
 		s0, s1, s2, s3 := y0[i], y1[i], y2[i], y3[i]
 		p0, p1, p2, p3 := y0[:i], y1[:i], y2[:i], y3[:i]
 		for k, l := range row[:i] {
@@ -433,7 +461,7 @@ func (c *Cholesky) SolveUpperTInto(dst, y []float64) {
 		copy(dst, y)
 	}
 	for i := n - 1; i >= 0; i-- {
-		row := c.L.Row(i)
+		row := c.Row(i)
 		xi := dst[i] / row[i]
 		dst[i] = xi
 		// dst[k] −= row[k]·xi for k < i: the pending entries are independent
@@ -471,7 +499,7 @@ func (c *Cholesky) InverseUpperInto(out, g *Matrix) {
 	// G = L⁻¹: row i solves G[i][:] from the rows above it,
 	//   G[i][j] = (δ_ij − Σ_{k<i} L[i][k]·G[k][j]) / L[i][i].
 	for i := 0; i < n; i++ {
-		lrow := c.L.Row(i)
+		lrow := c.Row(i)
 		grow := g.Row(i)[: i+1 : i+1]
 		clear(grow)
 		grow[i] = 1
@@ -509,7 +537,7 @@ func (c *Cholesky) InverseUpperInto(out, g *Matrix) {
 func (c *Cholesky) LogDet() float64 {
 	var s float64
 	for i := 0; i < c.N; i++ {
-		s += math.Log(c.L.At(i, i))
+		s += math.Log(c.Row(i)[i])
 	}
 	return 2 * s
 }

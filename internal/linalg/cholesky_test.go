@@ -23,9 +23,9 @@ func TestCholeskyKnown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(ch.L.At(0, 0), 2, 1e-14) || !almostEq(ch.L.At(1, 0), 1, 1e-14) ||
-		!almostEq(ch.L.At(1, 1), math.Sqrt2, 1e-14) {
-		t.Fatalf("wrong factor:\n%v", ch.L)
+	if !almostEq(ch.Row(0)[0], 2, 1e-14) || !almostEq(ch.Row(1)[0], 1, 1e-14) ||
+		!almostEq(ch.Row(1)[1], math.Sqrt2, 1e-14) {
+		t.Fatalf("wrong factor:\n%v", lower(ch))
 	}
 	if ch.Jitter != 0 {
 		t.Fatalf("unexpected jitter %v", ch.Jitter)
@@ -72,7 +72,8 @@ func TestCholeskyFactorReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		llt := ch.L.Mul(ch.L.T())
+		L := lower(ch)
+		llt := L.Mul(L.T())
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if !almostEq(llt.At(i, j), a.At(i, j), 1e-10) {
@@ -166,8 +167,8 @@ func TestCholeskyAppendMatchesFromScratch(t *testing.T) {
 			}
 			for i := 0; i < n+k; i++ {
 				for j := 0; j <= i; j++ {
-					if !almostEq(got.L.At(i, j), want.L.At(i, j), 1e-12) {
-						t.Fatalf("n=%d k=%d: L(%d,%d) = %v want %v", n, k, i, j, got.L.At(i, j), want.L.At(i, j))
+					if !almostEq(got.Row(i)[j], want.Row(i)[j], 1e-12) {
+						t.Fatalf("n=%d k=%d: L(%d,%d) = %v want %v", n, k, i, j, got.Row(i)[j], want.Row(i)[j])
 					}
 				}
 			}
@@ -201,13 +202,14 @@ func TestCholeskyAppendJittered(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		for j := 0; j <= i; j++ {
-			if !almostEq(got.L.At(i, j), want.L.At(i, j), 1e-12) {
-				t.Fatalf("L(%d,%d) = %v want %v", i, j, got.L.At(i, j), want.L.At(i, j))
+			if !almostEq(got.Row(i)[j], want.Row(i)[j], 1e-12) {
+				t.Fatalf("L(%d,%d) = %v want %v", i, j, got.Row(i)[j], want.Row(i)[j])
 			}
 		}
 	}
 	// The appended factor must reconstruct the jittered matrix.
-	llt := got.L.Mul(got.L.T())
+	L := lower(got)
+	llt := L.Mul(L.T())
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			wantV := big.At(i, j)
@@ -239,6 +241,146 @@ func TestCholeskyAppendRejectsBadInput(t *testing.T) {
 	// Appending a row that destroys positive definiteness must fail cleanly.
 	if _, err := ch.Append([][]float64{{1e9, 0, 0, 0}}, []float64{1e-12}); err == nil {
 		t.Fatal("indefinite extension must be rejected")
+	}
+}
+
+// factorAt is the from-scratch factor of a + jitter·I at that one jitter,
+// with no ladder: what an Append at that jitter must reproduce bit for bit.
+func factorAt(t *testing.T, a *Matrix, jitter float64) *Cholesky {
+	t.Helper()
+	c := &Cholesky{N: a.Rows, Jitter: jitter, tri: make([]float64, packedLen(a.Rows))}
+	if !c.try(a, jitter) {
+		t.Fatalf("n=%d: not positive definite at jitter %v", a.Rows, jitter)
+	}
+	return c
+}
+
+// appendRows is what Append takes to grow a factor of a's leading n×n block
+// to its leading (n+k)×(n+k) one: the new rows left of the diagonal, and the
+// diagonal.
+func appendRows(a *Matrix, n, k int) (rows [][]float64, diag []float64) {
+	for i := n; i < n+k; i++ {
+		rows = append(rows, append([]float64(nil), a.Row(i)[:i]...))
+		diag = append(diag, a.At(i, i))
+	}
+	return rows, diag
+}
+
+// TestCholeskyAppendInPlaceBitIdentical is the contract the exact GP's every
+// tell stands on: a factor grown by Append, one point at a time or several,
+// is bit for bit the from-scratch factor of the grown matrix at the same
+// jitter, and the last is NewCholesky's of the whole matrix. The inputs are
+// a plain one, a block-zero one and a rank-deficient one, whose chain runs
+// on the rung of the jitter ladder the whole matrix needs. The chains start
+// from half the size and from nothing, so they cross several reallocations; an append that fits in the capacity the
+// last one left must write in place, and none may touch the rows it was
+// given.
+func TestCholeskyAppendInPlaceBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, n := range []int{1, 2, 3, 7, 64, 151} {
+		for _, pm := range pinMatrices(rng, n) {
+			full, err := NewCholesky(pm.a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n0 := range []int{n / 2, 0} {
+				for _, step := range []int{1, 3} {
+					what := fmt.Sprintf("n=%d %s from %d by %d", n, pm.name, n0, step)
+					c, err := NewCholesky(leadingBlock(pm.a, n0))
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					if pm.name == "jittered" {
+						// Its leading blocks need a lower rung or none; the
+						// chain starts on the one the whole matrix needs.
+						c = factorAt(t, leadingBlock(pm.a, n0), full.Jitter)
+					}
+					inPlace, moved := 0, 0
+					for m := n0; m < n; m += step {
+						k := min(step, n-m)
+						before := packed(lower(c), c.Jitter)
+						rows, diag := appendRows(pm.a, m, k)
+						next, err := c.Append(rows, diag)
+						if err != nil {
+							t.Fatalf("%s: append at %d: %v", what, m, err)
+						}
+						sameFactor(t, fmt.Sprintf("%s: receiver after append at %d", what, m), c, before)
+						sameFactor(t, fmt.Sprintf("%s: append at %d", what, m), next,
+							factorAt(t, leadingBlock(pm.a, m+k), c.Jitter))
+						if m > 0 {
+							if &next.tri[0] == &c.tri[0] {
+								inPlace++
+							} else if cap(c.tri) >= packedLen(m+k) {
+								t.Fatalf("%s: append at %d reallocated with capacity to spare", what, m)
+							} else {
+								moved++
+							}
+						}
+						c = next
+					}
+					sameFactor(t, what+": NewCholesky", c, full)
+					if n >= 64 && (inPlace == 0 || moved < 2) {
+						t.Fatalf("%s: %d appends in place, %d reallocations", what, inPlace, moved)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCholeskyAppendFailureLeavesReceiver: an append that loses positive
+// definiteness has written into the receiver's spare capacity, but leaves
+// its rows and N as they were, and the next append from it is still the
+// from-scratch factor's bits.
+func TestCholeskyAppendFailureLeavesReceiver(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	a := randomSPD(rng, 40)
+	c, err := NewCholesky(leadingBlock(a, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, diag := appendRows(a, 20, 1)
+	if c, err = c.Append(rows, diag); err != nil { // leaves spare capacity
+		t.Fatal(err)
+	}
+	before := packed(lower(c), c.Jitter)
+	bad := make([]float64, 21)
+	bad[3] = 1e9
+	rows, diag = appendRows(a, 21, 3)
+	if _, err := c.Append([][]float64{rows[0], append(bad, 0), rows[2]}, []float64{diag[0], 1e-12, diag[2]}); err == nil {
+		t.Fatal("indefinite extension accepted")
+	}
+	sameFactor(t, "receiver after a failed append", c, before)
+	got, err := c.Append(rows, diag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFactor(t, "append after a failed append", got, factorAt(t, leadingBlock(a, 24), 0))
+}
+
+// BenchmarkCholeskyAppend is one point appended to the factor of a 150×150
+// SPD matrix — the exact GP's tell at bo-opamp's final size — with capacity
+// to spare, as a chain of tells leaves it most of the time: B/op is what
+// the append allocates beyond the row it writes. Every iteration appends row
+// 150 to the same factor again, which is allowed only because each result
+// is dropped before the next overwrites its row.
+func BenchmarkCholeskyAppend(b *testing.B) {
+	const n = 150
+	a := randomSPD(rand.New(rand.NewSource(26)), n+1)
+	c, err := NewCholesky(leadingBlock(a, n-1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if c, err = c.Append(appendRows(a, n-1, 1)); err != nil {
+		b.Fatal(err)
+	}
+	rows, diag := appendRows(a, n, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Append(rows, diag); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -274,7 +416,7 @@ func TestCholeskySolveIntoAliasing(t *testing.T) {
 		// SolveLowerInto / SolveUpperTInto round-trip against the factor.
 		y := make([]float64, n)
 		ch.SolveLowerInto(y, b)
-		ly := ch.L.MulVec(y)
+		ly := lower(ch).MulVec(y)
 		for i := range b {
 			if !almostEq(ly[i], b[i], 1e-9) {
 				t.Fatalf("n=%d: L·y != b at %d", n, i)
@@ -282,7 +424,7 @@ func TestCholeskySolveIntoAliasing(t *testing.T) {
 		}
 		x := make([]float64, n)
 		ch.SolveUpperTInto(x, y)
-		ltx := ch.L.T().MulVec(x)
+		ltx := lower(ch).T().MulVec(x)
 		for i := range y {
 			if !almostEq(ltx[i], y[i], 1e-9) {
 				t.Fatalf("n=%d: Lᵀ·x != y at %d", n, i)
@@ -351,9 +493,9 @@ func TestCholeskyRankUpdateMatchesRefactorization(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				for j := 0; j <= i; j++ {
-					if !almostEq(ch.L.At(i, j), want.L.At(i, j), 1e-8) {
+					if !almostEq(ch.Row(i)[j], want.Row(i)[j], 1e-8) {
 						t.Fatalf("n=%d rep=%d: L(%d,%d) = %v, refactorization %v",
-							n, rep, i, j, ch.L.At(i, j), want.L.At(i, j))
+							n, rep, i, j, ch.Row(i)[j], want.Row(i)[j])
 					}
 				}
 			}
@@ -373,23 +515,23 @@ func TestCholeskyRankUpdateDimensionMismatch(t *testing.T) {
 }
 
 // refRankUpdate is RankUpdate as it stood before it went row by row: the
-// textbook cholupdate, each rotation carried down its column through At and
-// Set. RankUpdate must reproduce it bit for bit — the feature backend's every
+// textbook cholupdate, each rotation carried down its column one entry at a
+// time. RankUpdate must reproduce it bit for bit — the feature backend's every
 // tell, and through it the serve-model history, stands on these bits.
 func refRankUpdate(c *Cholesky, v []float64) {
 	for k := 0; k < c.N; k++ {
-		lkk := c.L.At(k, k)
+		lkk := c.Row(k)[k]
 		r := math.Hypot(lkk, v[k])
 		cc := r / lkk
 		s := v[k] / lkk
-		c.L.Set(k, k, r)
+		c.Row(k)[k] = r
 		if s == 0 {
 			continue
 		}
 		for i := k + 1; i < c.N; i++ {
-			lik := (c.L.At(i, k) + s*v[i]) / cc
+			lik := (c.Row(i)[k] + s*v[i]) / cc
 			v[i] = cc*v[i] - s*lik
-			c.L.Set(i, k, lik)
+			c.Row(i)[k] = lik
 		}
 	}
 }
@@ -435,7 +577,7 @@ func TestRankUpdateBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				refRankUpdate(want, v)
-				sameBits(t, fmt.Sprintf("n=%d %s update %d", n, pm.name, rep), got.L, want.L, false)
+				sameFactor(t, fmt.Sprintf("n=%d %s update %d", n, pm.name, rep), got, want)
 			}
 		}
 	}
@@ -473,7 +615,7 @@ func BenchmarkRankUpdate(b *testing.B) {
 }
 
 // refSolveLower is forward substitution one row and one side at a time, every
-// element through At: the loop SolveLowerInto was before it interleaved rows.
+// element on its own: the loop SolveLowerInto was before it interleaved rows.
 // The solves below must reproduce it bit for bit — predictions, and through
 // them every pinned history, stand on these bits.
 func refSolveLower(c *Cholesky, b []float64) []float64 {
@@ -481,9 +623,9 @@ func refSolveLower(c *Cholesky, b []float64) []float64 {
 	for i := range y {
 		s := b[i]
 		for k := 0; k < i; k++ {
-			s -= c.L.At(i, k) * y[k]
+			s -= c.Row(i)[k] * y[k]
 		}
-		y[i] = s / c.L.At(i, i)
+		y[i] = s / c.Row(i)[i]
 	}
 	return y
 }
@@ -494,10 +636,10 @@ func refSolveLower(c *Cholesky, b []float64) []float64 {
 func refSolveUpperT(c *Cholesky, y []float64) []float64 {
 	x := append([]float64(nil), y...)
 	for i := c.N - 1; i >= 0; i-- {
-		xi := x[i] / c.L.At(i, i)
+		xi := x[i] / c.Row(i)[i]
 		x[i] = xi
 		for k := 0; k < i; k++ {
-			x[k] -= c.L.At(i, k) * xi
+			x[k] -= c.Row(i)[k] * xi
 		}
 	}
 	return x
@@ -673,7 +815,7 @@ func refCholesky(a *Matrix) (*Cholesky, error) {
 			return L, true
 		}()
 		if ok {
-			return &Cholesky{L: L, N: n, Jitter: jitter}, nil
+			return packed(L, jitter), nil
 		}
 		if jitter == 0 {
 			jitter = 1e-12 * scale
@@ -690,7 +832,7 @@ func refInverse(c *Cholesky) *Matrix {
 	n := c.N
 	g := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
-		lrow := c.L.Row(i)
+		lrow := c.Row(i)
 		grow := g.Row(i)
 		grow[i] = 1
 		for k := 0; k < i; k++ {
@@ -771,6 +913,41 @@ func sameBits(t *testing.T, what string, got, want *Matrix, upperOnly bool) {
 	}
 }
 
+// lower returns c's factor as a dense n×n matrix, zero above the diagonal.
+func lower(c *Cholesky) *Matrix {
+	L := NewMatrix(c.N, c.N)
+	for i := 0; i < c.N; i++ {
+		copy(L.Row(i), c.Row(i))
+	}
+	return L
+}
+
+// packed is the factor whose rows are the lower triangle of the dense L.
+func packed(L *Matrix, jitter float64) *Cholesky {
+	c := &Cholesky{N: L.Rows, Jitter: jitter, tri: make([]float64, packedLen(L.Rows))}
+	for i := 0; i < c.N; i++ {
+		copy(c.Row(i), L.Row(i)[:i+1])
+	}
+	return c
+}
+
+// sameFactor compares two factors' sizes, jitters and every stored entry,
+// bit for bit.
+func sameFactor(t *testing.T, what string, got, want *Cholesky) {
+	t.Helper()
+	if got.N != want.N || math.Float64bits(got.Jitter) != math.Float64bits(want.Jitter) {
+		t.Fatalf("%s: N=%d jitter=%v, reference N=%d jitter=%v", what, got.N, got.Jitter, want.N, want.Jitter)
+	}
+	for i := 0; i < want.N; i++ {
+		g, w := got.Row(i), want.Row(i)
+		for j := range w {
+			if math.Float64bits(g[j]) != math.Float64bits(w[j]) {
+				t.Fatalf("%s: L(%d,%d) = %x, reference %x", what, i, j, math.Float64bits(g[j]), math.Float64bits(w[j]))
+			}
+		}
+	}
+}
+
 // TestNewCholeskyIntoBitIdentical pins the row-slice factorization — fresh
 // and into a reused, previously-failed-into destination — against the
 // At/Set one it replaced, jitter included, and checks the input survives.
@@ -798,15 +975,12 @@ func TestNewCholeskyIntoBitIdentical(t *testing.T) {
 			}
 			sameBits(t, what+": input", a, before, false)
 			for _, c := range []*Cholesky{got, reused} {
-				if c.N != n || math.Float64bits(c.Jitter) != math.Float64bits(want.Jitter) {
-					t.Fatalf("%s: N=%d jitter=%v, reference N=%d jitter=%v", what, c.N, c.Jitter, n, want.Jitter)
-				}
-				sameBits(t, what+": L", c.L, want.L, false)
+				sameFactor(t, what, c, want)
 			}
 		}
 	}
-	// A failed factorization leaves garbage below the diagonal only; the next
-	// success into the same storage is still the reference factor.
+	// A failed factorization leaves garbage in the rows; the next success into
+	// the same storage is still the reference factor.
 	c := &Cholesky{}
 	if err := NewCholeskyInto(c, NewMatrixFromRows([][]float64{{1, 0}, {0, -5}})); err == nil {
 		t.Fatal("indefinite matrix factored")
@@ -816,7 +990,21 @@ func TestNewCholeskyIntoBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := refCholesky(a)
-	sameBits(t, "after failure", c.L, want.L, false)
+	sameFactor(t, "after failure", c, want)
+	// A smaller factor goes into the storage a larger one left.
+	big, small := randomSPD(rng, 151), randomSPD(rng, 64)
+	if err := NewCholeskyInto(c, big); err != nil {
+		t.Fatal(err)
+	}
+	at := &c.tri[0]
+	if err := NewCholeskyInto(c, small); err != nil {
+		t.Fatal(err)
+	}
+	if &c.tri[0] != at {
+		t.Fatal("NewCholeskyInto reallocated storage that held a larger factor")
+	}
+	want, _ = refCholesky(small)
+	sameFactor(t, "into larger storage", c, want)
 }
 
 // TestInverseUpperIntoBitIdentical pins the unrolled, upper-triangle-only,

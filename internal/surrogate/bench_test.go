@@ -101,10 +101,12 @@ func BenchmarkSurrogateFitFeatures(b *testing.B) {
 }
 
 // BenchmarkSurrogateExtendExact is one observation absorbed by the exact
-// backend's rank-append. Extend spends its receiver, so every iteration
-// extends a fresh fit, made with the timer stopped.
+// backend's rank-append, also at n = 150, bo-opamp's final size. Extend
+// spends its receiver, so every iteration extends a fresh fit, made with the
+// timer stopped: this is the first tell after a training, the one that
+// moves the factor into storage with room for the tells after it.
 func BenchmarkSurrogateExtendExact(b *testing.B) {
-	for _, n := range benchSizes {
+	for _, n := range append([]int{150}, benchSizes...) {
 		x, y, lo, hi := benchData(n + 1)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()

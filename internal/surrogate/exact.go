@@ -90,8 +90,9 @@ func (e *Exact) N() int { return e.gp.N() }
 // Extend implements Surrogate via the rank-append factor update: O(k·n²)
 // for k new points instead of a full O(n³) refit. The frame stays the one
 // of the last full training; the cadenced hyperparameter refit re-derives it.
-// gp.GP.Extend grows a copy of the factor, so a failed extension leaves the
-// receiver usable; a successful one spends it, as on the feature backend.
+// gp.GP.Extend grows the factor, the training set and α in the storage the
+// receiver holds, so a successful extension spends it, as on the feature
+// backend; a failed one leaves it usable.
 func (e *Exact) Extend(x [][]float64, y []float64) (Surrogate, error) {
 	if e.spent {
 		return nil, ErrSpent

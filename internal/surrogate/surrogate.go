@@ -19,9 +19,10 @@
 // Readers share a model; Extend spends it. Any number of goroutines predict
 // from one model, hallucinate views of it and draw from it at once, each
 // through predictors of its own. Extend is its owner's operation: it hands
-// the model's storage to the model it returns — the feature backend updates
-// its factor in place, copying nothing — and the receiver answers ErrSpent
-// from then on.
+// the model's storage to the model it returns — the exact backend appends
+// the new rows to its factor, the feature backend updates its factor in
+// place, and neither copies it — and the receiver answers ErrSpent from
+// then on.
 //
 // What turns an observation history into a fitted posterior on a
 // hyperparameter cadence — and picks, or escalates between, the backends —
