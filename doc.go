@@ -42,13 +42,17 @@
 //     covariance (O(n²·d) kernel evaluations + O(n³)). The incremental
 //     posterior is identical — bitwise, for the built-in kernels — to a
 //     from-scratch refit at the same hyperparameters.
-//   - Hallucinating the b busy points (the σ̂ of Eq. 9) appends b rows to
-//     the factor, O(b·n²) per suggestion.
+//   - Hallucinating the b busy points (the σ̂ of Eq. 9) leaves the factor
+//     as it is: the busy set is a Schur complement on it (gp.Busy), two
+//     triangular solves per busy point, O(b·n²) per suggestion, and then b
+//     kernel evaluations and dot products per prediction.
 //   - Hyperparameter re-optimization still pays for full refits, but only on
 //     the RefitEvery cadence, warm-started from the previous optimum, over a
 //     pairwise-distance cache that turns every Gram build of the fit into
 //     one exponential per entry instead of d+1, and in one reused workspace
-//     whose Adam steps allocate nothing.
+//     whose Adam steps allocate nothing. The gradient's K⁻¹ shares K's
+//     storage: L⁻¹ is built in the covariance matrix's lower triangle, dead
+//     once factored, and K⁻¹ is kept packed, half a matrix.
 //   - The acquisition maximizer sweeps max(20·d, 100) candidates and
 //     refines the best three by a projected quasi-Newton ascent on the
 //     posterior's analytic gradient (at most 30 value-and-gradient

@@ -94,7 +94,13 @@ func FitHyper(kern Kernel, x [][]float64, y []float64, rng *rand.Rand, opts *Fit
 // never change during a hyperparameter fit, so everything an Adam step
 // touches is sized once: the pairwise coordinate differences (computed
 // exactly once for every start and step), the Gram matrix, two factor slots,
-// and the scratch of the K⁻¹ the gradient consumes. A step allocates nothing.
+// and the packed K⁻¹ the gradient consumes. A step allocates nothing.
+//
+// K's lower triangle is spent once factored: the factorization is the last
+// reader of it and of the diagonal, the gradient reads only the strict upper
+// triangle (σf² stands in for the diagonal), and the next step's
+// buildCovInto writes both triangles again. So the inverse builds L⁻¹ in
+// K's lower triangle instead of in a scratch matrix of its own.
 //
 // Ownership: slot[0] and slot[1] are GPs whose Theta, distState, factor and
 // alpha live here and are overwritten in place. best points at the slot
@@ -104,15 +110,15 @@ func FitHyper(kern Kernel, x [][]float64, y []float64, rng *rand.Rand, opts *Fit
 // and is never pooled, so the winner can leave with its slot's buffers.
 type trainWork struct {
 	cache *gramCache
-	k     *linalg.Matrix // K + σn²I of the step being taken; read un-jittered after factoring
+	k     *linalg.Matrix // K + σn²I of the step being taken; upper triangle read un-jittered after factoring
 	slot  [2]GP
 	best  *GP // nil until some step's LML beats −Inf
 	lml   float64
 
-	ginv, kinv *linalg.Matrix // L⁻¹ (lower) and K⁻¹ (upper triangle only)
-	zero       []float64      // a point's coordinate differences with itself
-	grad       []float64
-	p, m, v    []float64 // Adam parameters and moments
+	kinv    []float64 // K⁻¹'s upper triangle, packed by rows
+	zero    []float64 // a point's coordinate differences with itself
+	grad    []float64
+	p, m, v []float64 // Adam parameters and moments
 }
 
 func newTrainWork(kern Kernel, x [][]float64, y []float64) *trainWork {
@@ -122,8 +128,7 @@ func newTrainWork(kern Kernel, x [][]float64, y []float64) *trainWork {
 		cache: newGramCache(x),
 		k:     linalg.NewMatrix(n, n),
 		lml:   math.Inf(-1),
-		ginv:  linalg.NewMatrix(n, n),
-		kinv:  linalg.NewMatrix(n, n),
+		kinv:  make([]float64, n*(n+1)/2),
 		zero:  make([]float64, d),
 		grad:  make([]float64, nh+1),
 		p:     make([]float64, nh+1),
@@ -204,27 +209,30 @@ func (w *trainWork) adam(theta0 []float64, noise0 float64, lo, hi []float64, o F
 // w.grad. The weight matrix W = ααᵀ − K⁻¹ is symmetric and never
 // materialized: only the upper triangle of the inverse is computed and
 // visited — off-diagonal pairs count twice — and each pair's covariance is
-// read back from the Gram matrix rather than exponentiated again. On the
-// diagonal that is σf², since K's diagonal carries the noise.
+// read back from the Gram matrix's upper triangle rather than exponentiated
+// again. On the diagonal that is σf², since K's diagonal carries the noise
+// and, once the inverse is taken, L⁻¹.
 func (w *trainWork) gradient(g *GP) []float64 {
 	n, d := w.cache.n, w.cache.d
 	nh := len(g.Theta)
 	grad := w.grad
 	clear(grad)
-	g.chol.InverseUpperInto(w.kinv, w.ginv)
+	g.chol.InverseUpperInto(w.kinv, w.k)
 	var trW float64
 	off := 0
+	kinvRow := w.kinv
 	for i := 0; i < n; i++ {
 		ai := g.alpha[i]
-		krow, kinvRow := w.k.Row(i), w.kinv.Row(i)
-		wii := ai*ai - kinvRow[i]
+		krow := w.k.Row(i)
+		wii := ai*ai - kinvRow[0]
 		trW += wii
 		g.Kern.accumGradDiff(&g.st, w.zero, g.st.sf2, 0.5*wii, grad[:nh])
 		for j := i + 1; j < n; j++ {
-			wij := ai*g.alpha[j] - kinvRow[j]
+			wij := ai*g.alpha[j] - kinvRow[j-i]
 			g.Kern.accumGradDiff(&g.st, w.cache.sq[off:off+d], krow[j], wij, grad[:nh])
 			off += d
 		}
+		kinvRow = kinvRow[n-i:]
 	}
 	// Noise: ∂K/∂log σn = 2σn² I.
 	noise2 := math.Exp(2 * g.LogNoise)

@@ -462,12 +462,17 @@ func loadRefit(tb testing.TB, path string) ([][]float64, []float64, *FitOptions)
 // n³ loops of an Adam step, at the hyperparameters the fit ended on.
 func subnormalOperands(g *GP) int {
 	n := g.chol.N
-	kinv, ginv := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+	kinv, ginv := make([]float64, n*(n+1)/2), linalg.NewMatrix(n, n)
 	g.chol.InverseUpperInto(kinv, ginv)
 	count := 0
+	for _, v := range kinv {
+		if v != 0 && math.Abs(v) < 0x1p-1022 {
+			count++
+		}
+	}
 	for i := 0; i < n; i++ {
 		for j := 0; j <= i; j++ {
-			for _, v := range [...]float64{g.chol.Row(i)[j], ginv.At(i, j), kinv.At(j, i)} {
+			for _, v := range [...]float64{g.chol.Row(i)[j], ginv.At(i, j)} {
 				if v != 0 && math.Abs(v) < 0x1p-1022 {
 					count++
 				}
@@ -543,6 +548,7 @@ func BenchmarkFitHyper(b *testing.B) {
 				}
 				sinkGP = g
 			}
+			b.StopTimer() // the count's matrices are not the refit's bytes
 			b.ReportMetric(float64(subnormalOperands(sinkGP)), "subnormals")
 		})
 	}

@@ -25,15 +25,16 @@ type LOOResult struct {
 //	µ_i = y_i − α_i / [K⁻¹]_ii,   σ²_i = 1 / [K⁻¹]_ii
 //
 // No refitting is needed; cost is one matrix inverse on the existing factor —
-// its upper triangle, of which only the diagonal is read.
+// its packed upper triangle, of which only the diagonal is read.
 func (g *GP) LeaveOneOut() LOOResult {
 	n := g.N()
-	kinv := linalg.NewMatrix(n, n)
+	kinv := make([]float64, n*(n+1)/2)
 	g.chol.InverseUpperInto(kinv, linalg.NewMatrix(n, n))
 	res := LOOResult{Mean: make([]float64, n), Sigma: make([]float64, n)}
 	var sq float64
 	for i := 0; i < n; i++ {
-		kii := kinv.At(i, i)
+		kii := kinv[0]
+		kinv = kinv[n-i:]
 		if kii <= 0 {
 			kii = 1e-12
 		}

@@ -470,67 +470,149 @@ func (c *Cholesky) SolveUpperTInto(dst, y []float64) {
 	}
 }
 
-// Inverse returns A⁻¹, exactly symmetric: InverseUpperInto plus the mirror.
+// Inverse returns A⁻¹, exactly symmetric: InverseUpperInto, with the
+// result's own lower triangle as the scratch for L⁻¹, plus the mirror.
 // Prefer Solve when only products are needed.
 func (c *Cholesky) Inverse() *Matrix {
 	n := c.N
 	out := NewMatrix(n, n)
-	c.InverseUpperInto(out, NewMatrix(n, n))
+	upper := make([]float64, packedLen(n))
+	c.InverseUpperInto(upper, out)
 	for i := 0; i < n; i++ {
 		orow := out.Row(i)
-		for j := i + 1; j < n; j++ {
-			out.Set(j, i, orow[j])
+		for j, v := range upper[:n-i] {
+			orow[i+j] = v
+			out.Set(i+j, i, v)
 		}
+		upper = upper[n-i:]
 	}
 	return out
 }
 
-// InverseUpperInto writes the upper triangle (diagonal included) of A⁻¹ into
-// out, LAPACK dpotri-style: first G = L⁻¹ into the lower triangle of the
-// scratch g (built row by row with contiguous axpy updates), then A⁻¹ = GᵀG
-// accumulated rank-1 row by row — ~n³/3 streaming work against the n³ of a
-// column-by-column solve. out and g are n×n and distinct; neither's other
-// triangle is read or written, and nothing is allocated.
-func (c *Cholesky) InverseUpperInto(out, g *Matrix) {
+// InverseUpperInto writes the upper triangle (diagonal included) of A⁻¹
+// into out packed by rows — row i is its n−i entries from the diagonal on,
+// starting at i·n − i(i−1)/2, n(n+1)/2 values in all — LAPACK dpotri-style:
+// first G = L⁻¹ into the lower triangle (diagonal included) of the n×n
+// scratch g, row by row, then A⁻¹ = GᵀG accumulated rank-1 row of G by row —
+// ~n³/3 streaming work against the n³ of a column-by-column solve. The
+// strict upper triangle of g is neither read nor written, so it may hold
+// data the caller still needs; nothing is allocated.
+//
+// Both passes take four rows of G at a time (axpy4): each element of the
+// row being written is loaded once, takes the four rows' terms in
+// ascending row order, one rounded add each, and is stored once — the
+// per-row Axpy sweeps with their rows interleaved, every bit the same. A
+// group in which a coefficient is zero goes row by row instead, skipping
+// that row as the plain loop does: the skip decides whether 0·∞ is ever
+// formed, so it is arithmetic, not an optimization.
+func (c *Cholesky) InverseUpperInto(out []float64, g *Matrix) {
 	n := c.N
-	if out.Rows != n || out.Cols != n || g.Rows != n || g.Cols != n {
+	if len(out) != packedLen(n) || g.Rows != n || g.Cols != n {
 		panic("linalg: Cholesky.InverseUpperInto dimension mismatch")
 	}
+	// gRow returns row k of G up to and including its diagonal.
+	gRow := func(k int) []float64 { return g.Data[k*n : k*n+k+1 : k*n+k+1] }
 	// G = L⁻¹: row i solves G[i][:] from the rows above it,
-	//   G[i][j] = (δ_ij − Σ_{k<i} L[i][k]·G[k][j]) / L[i][i].
+	//   G[i][j] = (δ_ij − Σ_{k<i} L[i][k]·G[k][j]) / L[i][i],
+	// the sum running over k ascending; row k reaches column k at most.
 	for i := 0; i < n; i++ {
 		lrow := c.Row(i)
-		grow := g.Row(i)[: i+1 : i+1]
+		grow := gRow(i)
 		clear(grow)
 		grow[i] = 1
-		for k := 0; k < i; k++ {
-			coef := lrow[k]
-			if coef == 0 {
+		k := 0
+		for ; k+4 <= i; k += 4 {
+			// grow[j] −= coef·G[k][j] as the addition of the negation:
+			// x − c·b and x + (−c)·b are the same IEEE operation.
+			a0, a1, a2, a3 := -lrow[k], -lrow[k+1], -lrow[k+2], -lrow[k+3]
+			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
+				axpy4(a0, a1, a2, a3, gRow(k), gRow(k+1), gRow(k+2), gRow(k+3), grow[:k+4])
 				continue
 			}
-			// grow[j] -= coef·G[k][j], as the addition of its negation:
-			// x − c·b and x + (−c)·b are the same IEEE operation.
-			Axpy(-coef, g.Row(k)[:k+1], grow[:k+1])
+			for m := k; m < k+4; m++ {
+				if lrow[m] != 0 {
+					Axpy(-lrow[m], gRow(m), grow[:m+1])
+				}
+			}
+		}
+		for ; k < i; k++ {
+			if lrow[k] != 0 {
+				Axpy(-lrow[k], gRow(k), grow[:k+1])
+			}
 		}
 		inv := 1 / lrow[i]
 		for j := range grow {
 			grow[j] *= inv
 		}
 	}
-	// A⁻¹ = GᵀG: accumulate each row of G as a rank-1 update of the upper
-	// triangle (row k only touches the leading (k+1)×(k+1) block).
-	for i := 0; i < n; i++ {
-		clear(out.Row(i)[i:])
+	// A⁻¹ = GᵀG: each row k of G adds G[k][i]·G[k][i…k] to row i of the
+	// upper triangle, for every i ≤ k, in ascending k.
+	clear(out)
+	// outRow returns packed row i of the upper triangle, columns i…n−1.
+	outRow := func(i int) []float64 {
+		o := i*n - i*(i-1)/2
+		return out[o : o+n-i : o+n-i]
 	}
-	for k := 0; k < n; k++ {
-		gk := g.Row(k)[: k+1 : k+1]
-		for i, gki := range gk {
-			if gki == 0 {
-				continue
-			}
-			Axpy(gki, gk[i:], out.Row(i)[i:k+1])
+	// rowTerm is one row k's term on row i, where G[k][i] is nonzero.
+	rowTerm := func(k, i int) {
+		if gki := gRow(k)[i]; gki != 0 {
+			Axpy(gki, gRow(k)[i:], outRow(i)[:k+1-i])
 		}
 	}
+	k := 0
+	for ; k+4 <= n; k += 4 {
+		g0, g1, g2, g3 := gRow(k), gRow(k+1), gRow(k+2), gRow(k+3)
+		for i := 0; i <= k; i++ {
+			a0, a1, a2, a3 := g0[i], g1[i], g2[i], g3[i]
+			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
+				axpy4(a0, a1, a2, a3, g0[i:], g1[i:], g2[i:], g3[i:], outRow(i)[:k+4-i])
+				continue
+			}
+			for m := k; m < k+4; m++ {
+				rowTerm(m, i)
+			}
+		}
+		// Rows k+1…k+3 of the triangle start inside the group.
+		for i := k + 1; i < k+4; i++ {
+			for m := i; m < k+4; m++ {
+				rowTerm(m, i)
+			}
+		}
+	}
+	for ; k < n; k++ {
+		for i := 0; i <= k; i++ {
+			rowTerm(k, i)
+		}
+	}
+}
+
+// axpy4 is Axpy(a0, x0, y[:len(x0)]) … Axpy(a3, x3, y[:len(x3)]) in one
+// sweep, for rows that each reach one entry further than the one before
+// (len(x1) = len(x0)+1, …, len(y) = len(x3) = len(x0)+3): every y[j] is
+// loaded once, takes its terms in the rows' order, one rounded add each,
+// and is stored once, so every bit is the four Axpys'.
+func axpy4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
+	m := len(x0)
+	x1, x2, x3, y = x1[:m+1], x2[:m+2], x3[:m+3], y[:m+3]
+	p1, p2, p3, q := x1[:m], x2[:m], x3[:m], y[:m]
+	for j, v := range x0 {
+		s := q[j]
+		s += a0 * v
+		s += a1 * p1[j]
+		s += a2 * p2[j]
+		s += a3 * p3[j]
+		q[j] = s
+	}
+	s := y[m]
+	s += a1 * x1[m]
+	s += a2 * x2[m]
+	s += a3 * x3[m]
+	y[m] = s
+	s = y[m+1]
+	s += a2 * x2[m+1]
+	s += a3 * x3[m+1]
+	y[m+1] = s
+	y[m+2] += a3 * x3[m+2]
 }
 
 // LogDet returns log|A| = 2·Σ log L_ii.

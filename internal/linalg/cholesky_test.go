@@ -827,10 +827,11 @@ func refCholesky(a *Matrix) (*Cholesky, error) {
 }
 
 // refInverse is Cholesky.Inverse as it stood before InverseUpperInto: plain
-// element loops, fresh matrices, both triangles.
-func refInverse(c *Cholesky) *Matrix {
+// element loops, fresh matrices, both triangles. It also returns the G = L⁻¹
+// it went through (lower triangle, zero above).
+func refInverse(c *Cholesky) (inv, g *Matrix) {
 	n := c.N
-	g := NewMatrix(n, n)
+	g = NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		lrow := c.Row(i)
 		grow := g.Row(i)
@@ -869,7 +870,7 @@ func refInverse(c *Cholesky) *Matrix {
 			out.Set(j, i, orow[j])
 		}
 	}
-	return out
+	return out, g
 }
 
 // pinMatrices returns, for one size, the inputs the bit-identity pins run
@@ -898,13 +899,10 @@ type pinMatrix struct {
 	a    *Matrix
 }
 
-func sameBits(t *testing.T, what string, got, want *Matrix, upperOnly bool) {
+func sameBits(t *testing.T, what string, got, want *Matrix) {
 	t.Helper()
 	for i := 0; i < want.Rows; i++ {
 		for j := 0; j < want.Cols; j++ {
-			if upperOnly && j < i {
-				continue
-			}
 			if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
 				t.Fatalf("%s: (%d,%d) = %x, reference %x", what, i, j,
 					math.Float64bits(got.At(i, j)), math.Float64bits(want.At(i, j)))
@@ -973,7 +971,7 @@ func TestNewCholeskyIntoBitIdentical(t *testing.T) {
 			if err := NewCholeskyInto(reused, a); err != nil {
 				t.Fatalf("%s: reused: %v", what, err)
 			}
-			sameBits(t, what+": input", a, before, false)
+			sameBits(t, what+": input", a, before)
 			for _, c := range []*Cholesky{got, reused} {
 				sameFactor(t, what, c, want)
 			}
@@ -1007,14 +1005,20 @@ func TestNewCholeskyIntoBitIdentical(t *testing.T) {
 	sameFactor(t, "into larger storage", c, want)
 }
 
-// TestInverseUpperIntoBitIdentical pins the unrolled, upper-triangle-only,
-// scratch-reusing inverse against the element loops it replaced, and Inverse
-// (now that plus the mirror) with it. The destinations start full of NaN so
-// a cell the routine should have cleared, or should not have touched, shows.
+// TestInverseUpperIntoBitIdentical pins the four-rows-at-a-time,
+// packed-output, scratch-reusing inverse against the element loops it
+// replaced — the packed upper triangle of A⁻¹ and the G = L⁻¹ left in the
+// scratch's lower triangle — and Inverse (that plus the mirror) with it.
+// The sizes cover every remainder of the four-row groups; the block matrix
+// puts a zero beside nonzeros inside a group of both passes, so the
+// row-by-row fallback runs. Both destinations start full of NaN, so a cell
+// the routine should have cleared shows, and the scratch's strict upper
+// triangle must come back NaN: a caller keeps data there (gp's training
+// workspace keeps K's upper triangle).
 func TestInverseUpperIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	for _, n := range []int{1, 2, 3, 7, 64, 151} {
-		out, g := NewMatrix(n, n), NewMatrix(n, n)
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 64, 151} {
+		out, g := make([]float64, packedLen(n)), NewMatrix(n, n)
 		for _, pm := range pinMatrices(rng, n) {
 			name, a := pm.name, pm.a
 			what := fmt.Sprintf("n=%d %s", n, name)
@@ -1022,27 +1026,75 @@ func TestInverseUpperIntoBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			want := refInverse(c)
-			for i := range out.Data {
-				out.Data[i], g.Data[i] = math.NaN(), math.NaN()
+			want, wantG := refInverse(c)
+			for i := range out {
+				out[i] = math.NaN()
+			}
+			for i := range g.Data {
+				g.Data[i] = math.NaN()
 			}
 			c.InverseUpperInto(out, g)
-			sameBits(t, what+": upper", out, want, true)
+			off := 0
 			for i := 0; i < n; i++ {
-				for j := 0; j < i; j++ {
-					if !math.IsNaN(out.At(i, j)) || !math.IsNaN(g.At(j, i)) {
-						t.Fatalf("%s: wrote outside its triangle at (%d,%d)", what, i, j)
+				for j := i; j < n; j++ {
+					if got, w := out[off], want.At(i, j); math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("%s: A⁻¹(%d,%d) = %x, reference %x", what, i, j, math.Float64bits(got), math.Float64bits(w))
+					}
+					off++
+				}
+				for j := 0; j < n; j++ {
+					got, w := g.At(i, j), wantG.At(i, j)
+					if j > i {
+						if !math.IsNaN(got) {
+							t.Fatalf("%s: wrote the scratch's upper triangle at (%d,%d)", what, i, j)
+						}
+					} else if math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("%s: G(%d,%d) = %x, reference %x", what, i, j, math.Float64bits(got), math.Float64bits(w))
 					}
 				}
 			}
-			sameBits(t, what+": Inverse", c.Inverse(), want, false)
+			sameBits(t, what+": Inverse", c.Inverse(), want)
+			if name == "blocks" && n >= 8 {
+				first, second := mixedGroups(c, wantG)
+				if !first || !second {
+					t.Fatalf("%s: a zero beside nonzeros in a four-row group: first pass %v, second %v", what, first, second)
+				}
+			}
 		}
 	}
 }
 
-// BenchmarkCholeskyInverse is the upper-triangle inverse into scratch at the
-// training-set sizes a hyperparameter refit meets; it is a third of every
-// Adam step of gp.FitHyper.
+// mixedGroups reports whether some four-row group of InverseUpperInto's
+// first pass (coefficients L[i][k…k+3], k+3 < i) and of its second
+// (G[k…k+3][i], i ≤ k) holds a zero and a nonzero: a group that must go
+// row by row.
+func mixedGroups(c *Cholesky, g *Matrix) (first, second bool) {
+	mixed := func(v [4]float64) bool {
+		zeros := 0
+		for _, x := range v {
+			if x == 0 {
+				zeros++
+			}
+		}
+		return zeros > 0 && zeros < 4
+	}
+	for i := 0; i < c.N; i++ {
+		for k := 0; k+4 <= i; k += 4 {
+			l := c.Row(i)
+			first = first || mixed([4]float64{l[k], l[k+1], l[k+2], l[k+3]})
+		}
+	}
+	for k := 0; k+4 <= c.N; k += 4 {
+		for i := 0; i <= k; i++ {
+			second = second || mixed([4]float64{g.At(k, i), g.At(k+1, i), g.At(k+2, i), g.At(k+3, i)})
+		}
+	}
+	return first, second
+}
+
+// BenchmarkCholeskyInverse is the packed upper-triangle inverse into
+// scratch at the training-set sizes a hyperparameter refit meets; it is
+// about half of every Adam step of gp.FitHyper (DESIGN.md §13.1).
 func BenchmarkCholeskyInverse(b *testing.B) {
 	rng := rand.New(rand.NewSource(46))
 	for _, n := range []int{60, 150} {
@@ -1050,7 +1102,7 @@ func BenchmarkCholeskyInverse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, g := NewMatrix(n, n), NewMatrix(n, n)
+		out, g := make([]float64, packedLen(n)), NewMatrix(n, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
