@@ -1010,8 +1010,10 @@ func TestNewCholeskyIntoBitIdentical(t *testing.T) {
 // replaced — the packed upper triangle of A⁻¹ and the G = L⁻¹ left in the
 // scratch's lower triangle — and Inverse (that plus the mirror) with it.
 // The sizes cover every remainder of the four-row groups; the block matrix
-// puts a zero beside nonzeros inside a group of both passes, so the
-// row-by-row fallback runs. Both destinations start full of NaN, so a cell
+// and the overflowing factor put a zero beside nonzeros inside a group of
+// both passes, so the row-by-row fallback runs, and in the second one the
+// zero meets an infinite G, so a fallback that added 0·∞ instead of
+// skipping shows as NaN. Both destinations start full of NaN, so a cell
 // the routine should have cleared shows, and the scratch's strict upper
 // triangle must come back NaN: a caller keeps data there (gp's training
 // workspace keeps K's upper triangle).
@@ -1019,13 +1021,21 @@ func TestInverseUpperIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 64, 151} {
 		out, g := make([]float64, packedLen(n)), NewMatrix(n, n)
+		type factor struct {
+			name string
+			c    *Cholesky
+		}
+		factors := []factor{{"overflow", overflowFactor(n)}}
 		for _, pm := range pinMatrices(rng, n) {
-			name, a := pm.name, pm.a
-			what := fmt.Sprintf("n=%d %s", n, name)
-			c, err := NewCholesky(a)
+			c, err := NewCholesky(pm.a)
 			if err != nil {
-				t.Fatalf("%s: %v", what, err)
+				t.Fatalf("n=%d %s: %v", n, pm.name, err)
 			}
+			factors = append(factors, factor{pm.name, c})
+		}
+		for _, f := range factors {
+			name, c := f.name, f.c
+			what := fmt.Sprintf("n=%d %s", n, name)
 			want, wantG := refInverse(c)
 			for i := range out {
 				out[i] = math.NaN()
@@ -1054,7 +1064,7 @@ func TestInverseUpperIntoBitIdentical(t *testing.T) {
 				}
 			}
 			sameBits(t, what+": Inverse", c.Inverse(), want)
-			if name == "blocks" && n >= 8 {
+			if (name == "blocks" || name == "overflow") && n >= 8 {
 				first, second := mixedGroups(c, wantG)
 				if !first || !second {
 					t.Fatalf("%s: a zero beside nonzeros in a four-row group: first pass %v, second %v", what, first, second)
@@ -1062,6 +1072,23 @@ func TestInverseUpperIntoBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// overflowFactor is a unit lower-bidiagonal factor in blocks of five rows,
+// −1e200 below the diagonal inside a block and 0 between blocks: G = L⁻¹ is
+// block-diagonal with entries 1e200^(i−j), +Inf two rows below the diagonal
+// and further, and A⁻¹ = GᵀG is finite or +Inf, never NaN, when every zero
+// coefficient is skipped.
+func overflowFactor(n int) *Cholesky {
+	c := &Cholesky{N: n, tri: make([]float64, packedLen(n))}
+	for i := 0; i < n; i++ {
+		row := c.Row(i)
+		row[i] = 1
+		if i%5 != 0 {
+			row[i-1] = -1e200
+		}
+	}
+	return c
 }
 
 // mixedGroups reports whether some four-row group of InverseUpperInto's
