@@ -28,6 +28,7 @@ var reachKeep = map[string]string{
 	"easybo/internal/gp.GP.LMLGradient":              "oracle: TestFitHyperMatchesReference checks trainWork.gradient against it",
 	"easybo/internal/surrogate.Exact.LeaveOneOut":    "ROADMAP names its consumer: GET /sessions/{id}/diagnostics",
 	"easybo/internal/circuit.Circuit.SetDenseSolver": "reference: the dense MNA path every sparse/dense agreement test switches on",
+	"easybo/internal/circuit.ACResult.V":             "observation point: the AC tests read one node at one frequency; BodeInto indexes X directly",
 	"easybo/internal/testbench.ClassESim.SetDense":   "reference: the same switch, for the class-E testbench goldens",
 	"easybo/internal/testbench.OpAmpSim.SetDense":    "reference: the same switch, for the op-amp testbench goldens",
 	"easybo/internal/analysis.RunAnalyzer":           "observation point: the fixture tests run one analyzer on one package",

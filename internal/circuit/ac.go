@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -12,6 +13,7 @@ type ACResult struct {
 	c     *Circuit
 	Freqs []float64      // Hz
 	X     [][]complex128 // one unknown vector per frequency
+	flat  []complex128   // the one backing array X's vectors window
 }
 
 // ACOptions tunes the frequency sweep execution. The zero value evaluates
@@ -35,28 +37,44 @@ func (c *Circuit) AC(op *Solution, freqs []float64) (*ACResult, error) {
 	return c.ACSweep(op, freqs, ACOptions{})
 }
 
-// ACSweep is AC with explicit sweep options. On the sparse kernel each
-// worker stamps the frequency-independent entries once, then per point
-// copies that snapshot, re-stamps only the reactive devices, and refactors
-// on the frozen pattern (falling back to a full re-pivoting factorization
-// when the frequency has shifted the pivot balance); on the dense
-// reference each point builds and factors a fresh matrix.
+// ACSweep is AC with explicit sweep options, into a new result; see
+// ACSweepInto.
 func (c *Circuit) ACSweep(op *Solution, freqs []float64, aco ACOptions) (*ACResult, error) {
-	if err := c.Compile(); err != nil {
+	res := new(ACResult)
+	if err := c.ACSweepInto(res, op, freqs, aco); err != nil {
 		return nil, err
 	}
-	var opX []float64
+	return res, nil
+}
+
+// ACSweepInto runs the sweep of ACSweep and writes it into res, reusing
+// res's frequency grid, solution vectors and their one backing array
+// wherever their capacity suffices: a warm serial sweep allocates nothing.
+// On the sparse kernel each worker stamps the frequency-independent
+// entries once, then per point copies that snapshot, re-stamps only the
+// reactive devices, and refactors on the frozen pattern (falling back to a
+// full re-pivoting factorization when the frequency has shifted the pivot
+// balance); on the dense reference each point builds and factors a fresh
+// matrix. The next call on the same res overwrites it; the slices of an
+// earlier sweep alias the new one. After an error res's contents are
+// unspecified.
+func (c *Circuit) ACSweepInto(res *ACResult, op *Solution, freqs []float64, aco ACOptions) error {
+	if err := c.Compile(); err != nil {
+		return err
+	}
+	var opX []float64 // nil: each workspace's zero operating point
 	if op != nil {
 		opX = op.X
-	} else {
-		opX = make([]float64, c.unknowns)
 	}
-	res := &ACResult{c: c, Freqs: append([]float64(nil), freqs...), X: make([][]complex128, len(freqs))}
-	// One flat backing array for every frequency's solution: a single
-	// allocation, and workers write disjoint n-sized windows.
-	flat := make([]complex128, c.unknowns*len(freqs))
+	n, nf := c.unknowns, len(freqs)
+	res.c = c
+	res.Freqs = append(res.Freqs[:0], freqs...)
+	// One flat backing array for every frequency's solution: workers write
+	// disjoint n-sized windows.
+	res.flat = slices.Grow(res.flat[:0], n*nf)[:n*nf]
+	res.X = slices.Grow(res.X[:0], nf)[:nf]
 	for k := range res.X {
-		res.X[k] = flat[k*c.unknowns : (k+1)*c.unknowns : (k+1)*c.unknowns]
+		res.X[k] = res.flat[k*n : (k+1)*n : (k+1)*n]
 	}
 
 	workers := aco.Workers
@@ -66,54 +84,60 @@ func (c *Circuit) ACSweep(op *Solution, freqs []float64, aco ACOptions) (*ACResu
 			workers = maxACWorkers
 		}
 	}
-	if workers > len(freqs) {
-		workers = len(freqs)
+	if workers > nf {
+		workers = nf
 	}
 	if workers <= 1 {
 		ws := c.acWorkspaces(1)[0]
-		return res, c.acChunk(ws, opX, freqs, 0, len(freqs), res)
+		return c.acChunk(ws, opX, 0, nf, res)
 	}
 	pool := c.acWorkspaces(workers)
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	// Contiguous chunks keep each worker sweeping monotonically in
 	// frequency, which maximizes refactor (vs. re-pivot) hits.
-	per := (len(freqs) + workers - 1) / workers
+	per := (nf + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		lo := w * per
 		hi := lo + per
-		if hi > len(freqs) {
-			hi = len(freqs)
+		if hi > nf {
+			hi = nf
 		}
 		if lo >= hi {
 			break
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		// opX goes by argument: a captured variable that is assigned
+		// twice would live on the heap for the serial sweep as well.
+		go func(w, lo, hi int, opX []float64) {
 			defer wg.Done()
-			errs[w] = c.acChunk(pool[w], opX, freqs, lo, hi, res)
-		}(w, lo, hi)
+			errs[w] = c.acChunk(pool[w], opX, lo, hi, res)
+		}(w, lo, hi, opX)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return res, nil
+	return nil
 }
 
-// acChunk evaluates freqs[lo:hi] on one workspace, writing solutions into
-// res.X. Safe to run concurrently with other chunks: each frequency index
-// is owned by exactly one worker and the workspace is private.
-func (c *Circuit) acChunk(ws *acWorkspace, opX []float64, freqs []float64, lo, hi int, res *ACResult) error {
+// acChunk evaluates res.Freqs[lo:hi] on one workspace, linearized at opX
+// (the workspace's zero vector when nil), writing solutions into res.X.
+// Safe to run concurrently with other chunks: each frequency index is
+// owned by exactly one worker and the workspace is private.
+func (c *Circuit) acChunk(ws *acWorkspace, opX []float64, lo, hi int, res *ACResult) error {
 	ws.e.op = opX
+	if opX == nil {
+		ws.e.op = ws.zeroOP
+	}
 	ws.stampBase()
 	for k := lo; k < hi; k++ {
-		ws.e.omega = 2 * math.Pi * freqs[k]
+		ws.e.omega = 2 * math.Pi * res.Freqs[k]
 		ws.assemble()
 		if err := ws.solve(res.X[k]); err != nil {
-			return fmt.Errorf("circuit %q: AC solve at %g Hz: %w", c.Name, freqs[k], err)
+			return fmt.Errorf("circuit %q: AC solve at %g Hz: %w", c.Name, res.Freqs[k], err)
 		}
 	}
 	return nil

@@ -25,6 +25,12 @@
 // swaps in the dense reference backend (a fresh dense matrix and a dense LU
 // per solve) inside the same analysis loops, for golden equivalence tests
 // and benchmark baselines.
+//
+// A caller that runs one netlist again and again owns its results:
+// TranInto, ACSweepInto and BodeInto write into a result the caller keeps,
+// reusing its storage whenever its capacity suffices, so a warm transient,
+// a warm serial sweep and its Bode extraction allocate nothing. Tran,
+// ACSweep and BodeOf are the same code into a new result.
 package circuit
 
 import (

@@ -3,6 +3,7 @@ package circuit
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 )
 
 // Bode holds a magnitude/phase response extracted from an AC sweep.
@@ -12,24 +13,38 @@ type Bode struct {
 	PhaseDeg []float64 // unwrapped
 }
 
-// BodeOf extracts the Bode response of a node from an AC result, unwrapping
-// the phase.
+// BodeOf extracts the Bode response of a node from an AC result into a new
+// Bode; see BodeInto.
 func BodeOf(r *ACResult, node string) *Bode {
-	b := &Bode{
-		Freq:     append([]float64(nil), r.Freqs...),
-		MagDB:    make([]float64, len(r.Freqs)),
-		PhaseDeg: make([]float64, len(r.Freqs)),
-	}
+	b := new(Bode)
+	BodeInto(b, r, node)
+	return b
+}
+
+// BodeInto extracts the Bode response of a node from an AC result into dst,
+// unwrapping the phase. A node the sweep does not know reads as 0 V at
+// every frequency. It reuses dst's slices wherever their capacity suffices,
+// so a warm caller allocates nothing; the next call on the same dst
+// overwrites it.
+func BodeInto(dst *Bode, r *ACResult, node string) {
+	nf := len(r.Freqs)
+	dst.Freq = append(dst.Freq[:0], r.Freqs...)
+	dst.MagDB = slices.Grow(dst.MagDB[:0], nf)[:nf]
+	dst.PhaseDeg = slices.Grow(dst.PhaseDeg[:0], nf)[:nf]
+	idx := r.c.nodes[node] // 0 (ground) for an unknown name too
 	prev := 0.0
 	for k := range r.Freqs {
-		v := r.V(k, node)
+		var v complex128
+		if idx > 0 {
+			v = r.X[k][idx-1]
+		}
 		// 20·log10(|v|) = 10·log10(re² + im²): skips the hypot call on a
 		// loop that runs once per swept frequency per measured node.
 		mag2 := real(v)*real(v) + imag(v)*imag(v)
 		if mag2 <= 0 {
-			b.MagDB[k] = math.Inf(-1)
+			dst.MagDB[k] = math.Inf(-1)
 		} else {
-			b.MagDB[k] = 10 * math.Log10(mag2)
+			dst.MagDB[k] = 10 * math.Log10(mag2)
 		}
 		ph := cmplx.Phase(v) * 180 / math.Pi
 		if k > 0 { // unwrap
@@ -40,10 +55,9 @@ func BodeOf(r *ACResult, node string) *Bode {
 				ph += 360
 			}
 		}
-		b.PhaseDeg[k] = ph
+		dst.PhaseDeg[k] = ph
 		prev = ph
 	}
-	return b
 }
 
 // DCGainDB returns the gain at the lowest swept frequency.

@@ -212,6 +212,12 @@ type realWorkspace struct {
 	resid     []float64
 	e         env // the stamping context
 
+	// Transient run state, kept so a warm run allocates nothing: the
+	// devices with companion state, and the accepted solution of the
+	// previous timepoint.
+	statefuls []stateful
+	cur       []float64
+
 	// Transient static-matrix cache: within one Tran run the static
 	// devices' matrix entries depend only on the integration method, so
 	// the per-step static pass can be reduced to its rhs half.
@@ -267,6 +273,14 @@ func (c *Circuit) buildRealWS(mode analysisMode) *realWorkspace {
 	ws := &realWorkspace{x: make([]float64, n), xNew: make([]float64, n), resid: make([]float64, n)}
 	ws.e = env{stamper: stamper[float64]{c: c}, mode: mode, gmin: nodeGmin, srcScale: 1}
 	ws.init(&ws.e.stamper, stampReal(&ws.e), c.devices, dynamicReal)
+	if mode == modeTran {
+		for _, d := range c.devices {
+			if s, ok := d.(stateful); ok {
+				ws.statefuls = append(ws.statefuls, s)
+			}
+		}
+		ws.cur = make([]float64, n)
+	}
 	if ws.dense {
 		return ws
 	}
@@ -523,7 +537,8 @@ func (ws *realWorkspace) solveRank1(x []float64) bool {
 // re-stamps only the reactive devices.
 type acWorkspace struct {
 	workspace[complex128]
-	e acEnv // the stamping context
+	e      acEnv     // the stamping context
+	zeroOP []float64 // the operating point of a sweep given none
 }
 
 // stampAC stamps devices, every one an acStamper, into e.
@@ -542,7 +557,7 @@ func (c *Circuit) buildACWS() *acWorkspace {
 			devs = append(devs, d)
 		}
 	}
-	ws := &acWorkspace{e: acEnv{stamper: stamper[complex128]{c: c}}}
+	ws := &acWorkspace{e: acEnv{stamper: stamper[complex128]{c: c}}, zeroOP: make([]float64, c.unknowns)}
 	ws.init(&ws.e.stamper, stampAC(&ws.e), devs, dynamicAC)
 	if !ws.dense {
 		n := c.unknowns

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"easybo/internal/linalg"
 )
@@ -29,11 +30,12 @@ const (
 
 // TranResult holds the recorded waveforms of a transient run.
 type TranResult struct {
-	c     *Circuit
-	T     []float64
-	index map[string]int
-	V     [][]float64 // V[i] is the waveform of recorded node i
-	Stats NewtonStats
+	c      *Circuit
+	T      []float64
+	index  map[string]int
+	recIdx []int       // recorded waveform -> node index
+	V      [][]float64 // V[i] is the waveform of recorded node i
+	Stats  NewtonStats
 }
 
 // Node returns the recorded waveform for a node name (nil if not recorded).
@@ -44,88 +46,104 @@ func (r *TranResult) Node(name string) []float64 {
 	return nil
 }
 
-// Tran runs a fixed-step transient analysis with trapezoidal integration
-// (backward Euler on the first step to damp the trap start-up ringing).
+// sample appends timepoint t with solution x to every recorded waveform.
+func (r *TranResult) sample(t float64, x []float64) {
+	r.T = append(r.T, t)
+	for i, idx := range r.recIdx {
+		v := 0.0
+		if idx > 0 {
+			v = x[idx-1]
+		}
+		r.V[i] = append(r.V[i], v)
+	}
+}
+
+// Tran runs a fixed-step transient analysis into a new result; see TranInto.
 func (c *Circuit) Tran(opts TranOptions) (*TranResult, error) {
+	res := new(TranResult)
+	if err := c.TranInto(res, opts); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// TranInto runs a fixed-step transient analysis with trapezoidal
+// integration (backward Euler on the first step to damp the trap start-up
+// ringing) and writes the waveforms into res. It reuses res's time axis,
+// waveforms and index wherever their capacity suffices and grows them only
+// where it does not, so a warm caller that runs the same netlist again and
+// again allocates nothing. The next call on the same res overwrites it; the
+// slices of an earlier run alias the new one. After an error res's contents
+// are unspecified.
+func (c *Circuit) TranInto(res *TranResult, opts TranOptions) error {
 	// The negated comparisons reject NaN too.
 	if !(opts.TStop > 0) || !(opts.TStep > 0) || math.IsInf(opts.TStop, 0) || math.IsInf(opts.TStep, 0) {
-		return nil, errors.New("circuit: Tran requires finite positive TStop and TStep")
+		return errors.New("circuit: Tran requires finite positive TStop and TStep")
 	}
 	steps := math.Ceil(opts.TStop / opts.TStep)
 	if steps > maxTranSteps {
-		return nil, fmt.Errorf("circuit: Tran needs %g steps (TStop/TStep), more than the %d allowed", steps, maxTranSteps)
+		return fmt.Errorf("circuit: Tran needs %g steps (TStop/TStep), more than the %d allowed", steps, maxTranSteps)
 	}
 	nSteps := int(steps)
 	if err := c.Compile(); err != nil {
-		return nil, err
+		return err
 	}
 
-	// Initial state.
-	var x []float64
+	// Initial state: the operating point, or zero under UIC.
+	var op []float64
 	stats := NewtonStats{}
-	switch {
-	case opts.UIC:
-		x = make([]float64, c.unknowns)
-	default:
+	if !opts.UIC {
 		sol, opStats, err := c.OP(nil)
 		stats.Iterations += opStats.Iterations
 		stats.Factors += opStats.Factors
 		if err != nil {
-			return nil, fmt.Errorf("circuit: transient initial OP: %w", err)
+			return fmt.Errorf("circuit: transient initial OP: %w", err)
 		}
-		x = sol.X
+		op = sol.X
 	}
+	// cur holds the accepted solution of the previous timepoint; each
+	// step's converged result lands in the workspace's buffers, and
+	// waveform samples are copied out, so the buffers are reused across all
+	// steps.
+	ws := c.realWS(modeTran)
+	cur := ws.cur
+	clear(cur)
+	copy(cur, op)
 
-	// Which nodes to record.
+	// Which nodes to record: all of them (ground excluded) by default.
 	record := opts.Record
 	if len(record) == 0 {
-		record = c.NodeNames()
+		record = c.names[1:]
 	}
-	res := &TranResult{c: c, index: map[string]int{}}
-	recIdx := make([]int, len(record))
+	res.c = c
+	if res.index == nil {
+		res.index = make(map[string]int, len(record))
+	}
+	clear(res.index)
+	res.recIdx = slices.Grow(res.recIdx[:0], len(record))[:len(record)]
 	for i, name := range record {
 		idx, ok := c.nodes[name]
 		if !ok {
-			return nil, fmt.Errorf("circuit: record node %q not in netlist", name)
+			return fmt.Errorf("circuit: record node %q not in netlist", name)
 		}
 		res.index[name] = i
-		recIdx[i] = idx
+		res.recIdx[i] = idx
 	}
-	res.V = make([][]float64, len(record))
-
-	res.T = make([]float64, 0, nSteps+1)
+	res.T = slices.Grow(res.T[:0], nSteps+1)
+	res.V = slices.Grow(res.V[:0], len(record))[:len(record)]
 	for i := range res.V {
-		res.V[i] = make([]float64, 0, nSteps+1)
-	}
-	appendSample := func(t float64, xv []float64) {
-		res.T = append(res.T, t)
-		for i, idx := range recIdx {
-			v := 0.0
-			if idx > 0 {
-				v = xv[idx-1]
-			}
-			res.V[i] = append(res.V[i], v)
-		}
+		res.V[i] = slices.Grow(res.V[i][:0], nSteps+1)
 	}
 
-	ws := c.realWS(modeTran)
 	ws.baseMatrixValid = false // device params may have changed since the last run
 	e := &ws.e
-	e.dt, e.xprev = opts.TStep, x
+	e.dt, e.xprev = opts.TStep, cur
 	// Reset companion states from the initial solution.
-	var statefuls []stateful
-	for _, d := range c.devices {
-		if s, ok := d.(stateful); ok {
-			statefuls = append(statefuls, s)
-			s.reset(e)
-		}
+	for _, s := range ws.statefuls {
+		s.reset(e)
 	}
-	appendSample(0, x)
+	res.sample(0, cur)
 
-	// cur holds the accepted solution of the previous timepoint; each
-	// step's converged result lands in the workspace's buffers. Waveform
-	// samples are copied out, so the buffers can be reused across all steps.
-	cur := append([]float64(nil), x...)
 	t := 0.0
 	for step := 0; step < nSteps; step++ {
 		tNew := t + opts.TStep
@@ -134,19 +152,19 @@ func (c *Circuit) Tran(opts TranOptions) (*TranResult, error) {
 		e.xprev = cur
 		sol, ok := c.tranNewton(ws, cur, &stats)
 		if !ok {
-			return nil, fmt.Errorf("circuit %q: transient Newton failed at t=%g", c.Name, tNew)
+			return fmt.Errorf("circuit %q: transient Newton failed at t=%g", c.Name, tNew)
 		}
 		// Advance companion states with the accepted solution.
 		e.x = sol
-		for _, s := range statefuls {
+		for _, s := range ws.statefuls {
 			s.advance(e)
 		}
 		copy(cur, sol)
 		t = tNew
-		appendSample(t, cur)
+		res.sample(t, cur)
 	}
 	res.Stats = stats
-	return res, nil
+	return nil
 }
 
 // tranNewton solves one timestep. On the sparse kernel an iteration

@@ -25,6 +25,7 @@ func BenchmarkClassEEvalSparse(b *testing.B) {
 	lo, hi := ClassEBounds()
 	x := benchMid(lo, hi)
 	s := NewClassESim()
+	s.Eval(x) // warm: the first Eval builds the workspaces and the storage the sim keeps
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -41,6 +42,7 @@ func BenchmarkClassEEvalDense(b *testing.B) {
 	x := benchMid(lo, hi)
 	s := NewClassESim()
 	s.SetDense(true)
+	s.Eval(x) // warm: the first Eval builds the workspaces and the storage the sim keeps
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -92,6 +94,7 @@ func BenchmarkOpAmpEvalSparse(b *testing.B) {
 	lo, hi := OpAmpBounds()
 	x := benchMid(lo, hi)
 	s := NewOpAmpSim()
+	s.Eval(x) // warm: the first Eval builds the workspaces and the storage the sim keeps
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -107,6 +110,7 @@ func BenchmarkOpAmpEvalSparseSerial(b *testing.B) {
 	x := benchMid(lo, hi)
 	s := NewOpAmpSim()
 	s.ACWorkers = 1
+	s.Eval(x) // warm: the first Eval builds the workspaces and the storage the sim keeps
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -120,6 +124,7 @@ func BenchmarkOpAmpEvalDense(b *testing.B) {
 	x := benchMid(lo, hi)
 	s := NewOpAmpSim()
 	s.SetDense(true)
+	s.Eval(x) // warm: the first Eval builds the workspaces and the storage the sim keeps
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,6 +3,7 @@ package testbench
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 	"sync"
 
 	"easybo/internal/circuit"
@@ -24,7 +25,11 @@ const (
 	cgPerMM     = 0.4e-9 // switch gate capacitance per width (F/mm)
 	rdrvPerMM   = 15.0   // driver output resistance × width (Ω·mm)
 	stepsPerPer = 150    // transient resolution
-	measPeriods = 8      // Fourier/power measurement window
+	// measPeriods is the number of periods simulated after the start-up
+	// periods, and the window VdrainPk is taken over. Pout, Pdc and Pdrive
+	// do not use it: FourierCoeff and AveragePower integrate every whole
+	// period of the record from t = 0, start-up transient included.
+	measPeriods = 8
 )
 
 // ClassEVars names the 12 design variables of the class-E problem (§IV-B).
@@ -87,11 +92,16 @@ func classEPeriods(x []float64) int {
 	return int(clampF(math.Round(4*q), 15, 60))
 }
 
+// classERecord lists the nodes a class-E transient records.
+var classERecord = []string{"vdd", "vsw", "drain", "out", "drv", "gd"}
+
 // ClassESim is a reusable class-E evaluator: the switching-PA netlist is
 // built and compiled once (stamp plans, sparse pattern, symbolic
 // factorization), and each Eval only rewrites device parameter values
-// before re-running the transient. Not safe for concurrent use; give each
-// worker its own instance or go through EvalClassE, which pools them.
+// before re-running the transient into the waveforms and current buffers
+// the sim owns, so a warm Eval allocates nothing. Not safe for concurrent
+// use; give each worker its own instance or go through EvalClassE, which
+// pools them.
 type ClassESim struct {
 	c                *circuit.Circuit
 	l1, l2, l3       *circuit.Inductor
@@ -99,7 +109,10 @@ type ClassESim struct {
 	coss, c1, c2, c3 *circuit.Capacitor
 	c0, cg           *circuit.Capacitor
 	rdrv, r1         *circuit.Resistor
-	vg               *circuit.VSource
+	vg               *circuit.DC // the gate bias source's value
+
+	res        circuit.TranResult
+	isup, idrv []float64 // supply and driver currents, one per timepoint
 }
 
 // NewClassESim builds the class-E topology with placeholder values.
@@ -129,7 +142,8 @@ func NewClassESim() *ClassESim {
 	})
 	s.rdrv = c.AddR("Rdrv", "drv", "gd", 1)
 	s.c0 = c.AddC("C0", "gd", "gate", 1)
-	s.vg = c.AddV("VG", "vb", "0", circuit.DC(0))
+	s.vg = new(circuit.DC)
+	c.AddV("VG", "vb", "0", s.vg)
 	s.r1 = c.AddR("R1", "gate", "vb", 1)
 	s.cg = c.AddC("Cg", "gate", "0", 1)
 	s.c = c
@@ -155,24 +169,27 @@ func (s *ClassESim) set(x []float64) {
 	s.l3.L = l3
 	s.rdrv.R = r0 + rdrvPerMM/w2
 	s.c0.C = c0
-	s.vg.Wave = circuit.DC(vg)
+	*s.vg = circuit.DC(vg)
 	s.r1.R = r1
 	s.cg.C = cgPerMM * w1
 }
 
 // Eval runs the transient analysis and extracts Pout, PAE and the
-// waveform diagnostics.
+// waveform diagnostics. Pout, Pdc and Pdrive are averaged over every whole
+// period of the record, from t = 0 and so over the start-up transient too;
+// VdrainPk is the peak over the last measPeriods periods.
 func (s *ClassESim) Eval(x []float64) ClassEPerformance {
 	var perf ClassEPerformance
 	settle := classEPeriods(x)
 	perf.Periods = settle + measPeriods
 	period := 1 / classEF0
 	s.set(x)
-	res, err := s.c.Tran(circuit.TranOptions{
+	res := &s.res
+	err := s.c.TranInto(res, circuit.TranOptions{
 		TStop:  float64(perf.Periods) * period,
 		TStep:  period / stepsPerPer,
 		UIC:    true,
-		Record: []string{"vdd", "vsw", "drain", "out", "drv", "gd"},
+		Record: classERecord,
 	})
 	if err != nil {
 		return perf // Valid=false, zero powers
@@ -188,7 +205,8 @@ func (s *ClassESim) Eval(x []float64) ClassEPerformance {
 	// DC supply power via the sense resistor.
 	vvdd := res.Node("vdd")
 	vvsw := res.Node("vsw")
-	isup := make([]float64, len(t))
+	s.isup = slices.Grow(s.isup[:0], len(t))[:len(t)]
+	isup := s.isup
 	for i := range isup {
 		isup[i] = (vvdd[i] - vvsw[i]) / classERsns
 	}
@@ -197,7 +215,8 @@ func (s *ClassESim) Eval(x []float64) ClassEPerformance {
 	// Drive power delivered by the gate driver.
 	vdrv := res.Node("drv")
 	vgd := res.Node("gd")
-	idrv := make([]float64, len(t))
+	s.idrv = slices.Grow(s.idrv[:0], len(t))[:len(t)]
+	idrv := s.idrv
 	w2 := x[6]
 	rdrv := x[7] + rdrvPerMM/w2
 	for i := range idrv {

@@ -115,3 +115,39 @@ func TestSimReuseMatchesFreshSim(t *testing.T) {
 		}
 	}
 }
+
+// sameClassE reports whether a and b are the same performance, bit for bit.
+func sameClassE(a, b ClassEPerformance) bool {
+	fa := []float64{a.PoutW, a.PAE, a.PdcW, a.PdriveW, a.VdrainPk}
+	fb := []float64{b.PoutW, b.PAE, b.PdcW, b.PdriveW, b.VdrainPk}
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	return a.Periods == b.Periods && a.Valid == b.Valid
+}
+
+// TestClassEStorageRegrowsExactly runs one sim through a long, a short and
+// a long transient again (60, 15 and 60 start-up periods, so 68, 23 and 68
+// simulated), so the waveforms and current buffers it keeps are grown,
+// written short and refilled: every performance is bit-equal to a fresh
+// sim's.
+func TestClassEStorageRegrowsExactly(t *testing.T) {
+	lo, hi := ClassEBounds()
+	long := benchMid(lo, hi)
+	long[2], long[11] = hi[2], hi[11]
+	short := append([]float64(nil), long...)
+	short[2], short[11] = lo[2], lo[11]
+	reused := NewClassESim()
+	for i, x := range [][]float64{long, short, long} {
+		pr := reused.Eval(x)
+		pf := NewClassESim().Eval(x)
+		if want := []int{68, 23, 68}[i]; pr.Periods != want {
+			t.Fatalf("evaluation %d simulated %d periods, want %d", i, pr.Periods, want)
+		}
+		if !sameClassE(pr, pf) {
+			t.Fatalf("evaluation %d: reused sim %+v, fresh sim %+v", i, pr, pf)
+		}
+	}
+}

@@ -147,14 +147,17 @@ var opampFreqs = circuit.LogSpace(10, 10e9, 181)
 // OpAmpSim is a reusable op-amp evaluator: the small-signal netlist is
 // built and compiled once (stamp plans, sparse pattern, symbolic
 // factorization), and each Eval only rewrites device parameter values
-// before re-running the AC sweep. A sim is not safe for concurrent use;
-// give each worker its own instance (see testbench's Problem.NewEval) or
-// go through EvalOpAmp, which draws from a pool.
+// before re-running the AC sweep into the result and Bode response the sim
+// owns, so a warm serial Eval allocates nothing. A sim is not safe for
+// concurrent use; give each worker its own instance (see testbench's
+// Problem.NewEval) or go through EvalOpAmp, which draws from a pool.
 type OpAmpSim struct {
 	c                              *circuit.Circuit
 	ggm1, ggm4, ggm2, ggm6         *circuit.VCCS
 	rna, rn1, rz, rg6, rout        *circuit.Resistor
 	cna, cn1, cc, cgd6, cgs6, cout *circuit.Capacitor
+	ac                             circuit.ACResult
+	bode                           circuit.Bode
 	// ACWorkers bounds the parallel frequency sweep inside one evaluation
 	// (0 = automatic). Set to 1 when many sims already run concurrently.
 	ACWorkers int
@@ -244,12 +247,12 @@ func (s *OpAmpSim) Eval(x []float64) OpAmpPerformance {
 	s.rout.R = 1 / math.Max(gds6+gds7, 1e-9)
 	s.cout.C = opampCL + cdb6 + cdb7 + cgd7
 
-	res, err := s.c.ACSweep(nil, opampFreqs, circuit.ACOptions{Workers: s.ACWorkers})
-	if err != nil {
+	if err := s.c.ACSweepInto(&s.ac, nil, opampFreqs, circuit.ACOptions{Workers: s.ACWorkers}); err != nil {
 		perf.Valid = false
 		return perf
 	}
-	bode := circuit.BodeOf(res, "out")
+	bode := &s.bode
+	circuit.BodeInto(bode, &s.ac, "out")
 	perf.GainDB = bode.DCGainDB()
 	// Usable bandwidth: the unity crossing, capped at the 180°-lag frequency
 	// beyond which a unity-feedback amplifier oscillates. This is what a
