@@ -102,20 +102,22 @@ cover:
 	GO=$(GO) ./scripts/coverage.sh
 
 # Short fuzz legs over the two untrusted parsers — the WAL frame/record
-# decoder plus session scanner, and the netlist parser — so CI keeps
-# probing them beyond the seeded corpora. FUZZTIME=2s makes a quick local
-# run; each target needs its own invocation (go test allows one -fuzz
-# pattern per run).
+# decoder plus session scanner, and the netlist parser — and over the HTTP
+# API (FuzzHTTP, below), so CI keeps probing them beyond the seeded
+# corpora. FUZZTIME=2s makes a quick local run; each target needs its own
+# invocation (go test allows one -fuzz pattern per run).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRecord$$' -fuzztime $(FUZZTIME) ./internal/serve/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzScanSession$$' -fuzztime $(FUZZTIME) ./internal/serve/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzScanSessionWithSnapshot$$' -fuzztime $(FUZZTIME) ./internal/serve/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzParseValue$$' -fuzztime $(FUZZTIME) ./internal/circuit
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNetlist$$' -fuzztime $(FUZZTIME) ./internal/circuit
+	$(GO) test -run '^$$' -fuzz '^FuzzHTTP$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # The HTTP API under arbitrary requests (FuzzHTTP: never a panic, never a 5xx
-# but the documented 503, never a store change behind a 4xx). Its seeds run
-# in every go test; this runs the fuzzer itself, locally — it is not in CI.
+# but the documented 503, never a byte of the WAL changed behind a 4xx). Its
+# seeds run in every go test and fuzz-smoke fuzzes it for FUZZTIME in CI;
+# this is the longer local run.
 fuzz-http:
 	$(GO) test -run '^$$' -fuzz '^FuzzHTTP$$' -fuzztime 30s ./internal/serve
 

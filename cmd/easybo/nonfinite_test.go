@@ -8,6 +8,7 @@ import (
 
 	"easybo"
 	"easybo/internal/serve"
+	"easybo/internal/serve/wal"
 )
 
 // TestRemoteInfIsAToldFailure: an objective that returns ±Inf against a
@@ -16,7 +17,7 @@ import (
 // daemon's abort — instead of the tell dying in the JSON encoder. Either
 // way the client deletes the session it created.
 func TestRemoteInfIsAToldFailure(t *testing.T) {
-	sv := serve.NewServer()
+	sv := serve.NewServerWith(serve.ServerOptions{Store: memStore(t)})
 	if _, err := sv.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,4 +62,13 @@ func TestRemoteInfIsAToldFailure(t *testing.T) {
 			t.Errorf("%d sessions left in the daemon", n-before)
 		}
 	})
+}
+
+// memStore is the daemon's WAL on a fresh in-memory filesystem.
+func memStore(t testing.TB) serve.Store {
+	st, err := wal.OpenMem(wal.NewMemFS(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

@@ -51,7 +51,7 @@ func TestClient429ShedRoundTrip(t *testing.T) {
 		FitIters: 4, RefitEvery: 4,
 	}
 	run := func(throttle bool) *easybo.Result {
-		sv := serve.NewServerWith(serve.ServerOptions{})
+		sv := serve.NewServerWith(serve.ServerOptions{Store: memStore(t)})
 		if _, err := sv.Recover(); err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ import (
 // larger than the client's 1 MiB response cap. The stub answers a bare
 // GET /sessions/{id} as a daemon holding a very long session would.
 func TestClientReadsStatusPastItsOwnHistory(t *testing.T) {
-	sv := serve.NewServerWith(serve.ServerOptions{})
+	sv := serve.NewServerWith(serve.ServerOptions{Store: memStore(t)})
 	if _, err := sv.Recover(); err != nil {
 		t.Fatal(err)
 	}

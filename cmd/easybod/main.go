@@ -127,19 +127,21 @@ func main() {
 		}
 	}
 
-	var store serve.Store
+	opts := wal.Options{
+		Fsync:        policy,
+		Interval:     *fsyncInterval,
+		SegmentBytes: *segmentBytes,
+		CompactEvery: *compactEvery,
+	}
+	var store *wal.Store
 	if *dataDir != "" {
-		ws, err := wal.Open(*dataDir, wal.Options{
-			Fsync:        policy,
-			Interval:     *fsyncInterval,
-			SegmentBytes: *segmentBytes,
-			CompactEvery: *compactEvery,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "easybod:", err)
-			os.Exit(1)
-		}
-		store = ws
+		store, err = wal.Open(*dataDir, opts)
+	} else {
+		store, err = wal.OpenMem(wal.NewMemFS(), opts)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "easybod:", err)
+		os.Exit(1)
 	}
 
 	sv := serve.NewServerWith(serve.ServerOptions{

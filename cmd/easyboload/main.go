@@ -55,7 +55,7 @@ func main() {
 		cacheSize = flag.Int("cache-size", 4096, "in-process daemon: eval cache capacity")
 		maxEvals  = flag.Int("max-inflight-evals", 0, "in-process daemon: shed asks past this many outstanding proposals (0: unlimited)")
 		queueDep  = flag.Int("queue-depth", 0, "in-process daemon: shed asks past this many concurrent ask requests (0: unlimited)")
-		fsyncPol  = flag.String("fsync", "", "in-process daemon: WAL fsync policy (always|interval|off; empty: in-memory store, no WAL)")
+		fsyncPol  = flag.String("fsync", "", "in-process daemon: WAL fsync policy (always|interval|off; empty: the WAL on an in-memory filesystem)")
 		fsyncIvl  = flag.Duration("fsync-interval", 100*time.Millisecond, "in-process daemon: background fsync cadence for -fsync interval")
 		dataDir   = flag.String("data-dir", "", "in-process daemon: WAL directory for -fsync runs (empty: a temp dir, removed at exit)")
 
@@ -75,10 +75,14 @@ func main() {
 		// Hermetic mode: a daemon on a loopback ephemeral port. Real HTTP
 		// (not a stub) so the run measures the full serving path — mux,
 		// admission gate, JSON codec, session actors. -fsync swaps the
-		// in-memory store for a real WAL, making the durable serving path
-		// measurable without a separate easybod process.
-		var store serve.Store
-		if *fsyncPol != "" {
+		// in-memory filesystem under the WAL for a directory on disk, making
+		// the durable serving path measurable without a separate easybod
+		// process.
+		var store *wal.Store
+		var err error
+		if *fsyncPol == "" {
+			store, err = wal.OpenMem(wal.NewMemFS(), wal.Options{})
+		} else {
 			dir := *dataDir
 			if dir == "" {
 				tmp, err := os.MkdirTemp("", "easyboload-wal-*")
@@ -88,14 +92,13 @@ func main() {
 				defer os.RemoveAll(tmp)
 				dir = tmp
 			}
-			ws, err := wal.Open(dir, wal.Options{
+			store, err = wal.Open(dir, wal.Options{
 				Fsync:    wal.Policy(*fsyncPol),
 				Interval: *fsyncIvl,
 			})
-			if err != nil {
-				fatal(err)
-			}
-			store = ws // closed by the server's Close
+		}
+		if err != nil {
+			fatal(err)
 		}
 		sv := serve.NewServerWith(serve.ServerOptions{
 			Store:            store,

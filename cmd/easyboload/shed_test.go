@@ -11,6 +11,7 @@ import (
 
 	"easybo/internal/loadgen"
 	"easybo/internal/serve"
+	"easybo/internal/serve/wal"
 )
 
 // TestShedEquivalence is the harness's correctness half: a daemon driven
@@ -32,6 +33,11 @@ func TestShedEquivalence(t *testing.T) {
 
 	run := func(t *testing.T, opts serve.ServerOptions) (map[string][]serve.Record, int64) {
 		t.Helper()
+		st, err := wal.OpenMem(wal.NewMemFS(), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Store = st
 		sv := serve.NewServerWith(opts)
 		if _, err := sv.Recover(); err != nil {
 			t.Fatalf("recover: %v", err)

@@ -33,6 +33,10 @@ var durabilityVerbs = map[string]bool{
 	"Flush": true, "Truncate": true,
 	"Mkdir": true, "MkdirAll": true,
 	"Quarantine": true, "Snapshot": true,
+	// The same verbs on the WAL's filesystem seam (wal.fsys), and its
+	// whole-file write.
+	"rename": true, "remove": true, "removeAll": true, "truncate": true,
+	"mkdir": true, "mkdirAll": true, "syncDir": true, "writeFileSync": true,
 	// Cluster ownership-transfer verbs: a dropped error here means a
 	// session served from a copy whose fence, transfer, or replay silently
 	// failed — a forked history waiting to happen.

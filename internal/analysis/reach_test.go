@@ -32,7 +32,7 @@ var reachKeep = map[string]string{
 	"easybo/internal/testbench.ClassESim.SetDense":   "reference: the same switch, for the class-E testbench goldens",
 	"easybo/internal/testbench.OpAmpSim.SetDense":    "reference: the same switch, for the op-amp testbench goldens",
 	"easybo/internal/analysis.RunAnalyzer":           "observation point: the fixture tests run one analyzer on one package",
-	"easybo/internal/serve.NewServer":                "observation point: a Server on the in-memory store",
+	"easybo/internal/serve/wal.MemFS.Sum":            "observation point: FuzzHTTP's oracle digests every byte of the store with it",
 	"easybo/internal/serve.Server.Epoch":             "observation point: the fencing and handoff tests read a session's epoch",
 	"easybo/internal/sched.NewGo":                    "observation point: a goroutine executor with default options",
 	"easybo/internal/objective.Sphere":               "observation point: the convex objective the driver tests converge on",

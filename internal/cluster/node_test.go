@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"easybo/internal/serve"
+	"easybo/internal/serve/wal"
 )
 
 // handlerSwap lets the httptest listener exist before the Node it serves
@@ -53,7 +54,7 @@ type testNode struct {
 
 type testCluster struct {
 	t     *testing.T
-	store *serve.MemStore
+	fs    *wal.MemFS // the shared data directory: each node opens its own Store on it
 	table Table
 	nodes map[string]*testNode
 	ring  *Ring
@@ -63,7 +64,7 @@ func newTestCluster(t *testing.T, size int) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		t:     t,
-		store: serve.NewMemStore(),
+		fs:    wal.NewMemFS(),
 		nodes: map[string]*testNode{},
 	}
 	tc.table.Version = 1
@@ -105,7 +106,11 @@ func newTestCluster(t *testing.T, size int) *testCluster {
 func (tc *testCluster) boot(id string) {
 	tc.t.Helper()
 	tn := tc.nodes[id]
-	sv := serve.NewServerWith(serve.ServerOptions{Store: tc.store, NodeID: id})
+	st, err := wal.OpenMem(tc.fs, wal.Options{})
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	sv := serve.NewServerWith(serve.ServerOptions{Store: st, NodeID: id})
 	node, err := New(sv, Config{
 		Self:           id,
 		Table:          tc.table,
@@ -128,9 +133,8 @@ func (tc *testCluster) boot(id string) {
 }
 
 // kill simulates a node death: the listener refuses connections and the
-// server shuts down (every session actor drains and its log handle
-// closes — the shared store itself survives, as a shared filesystem
-// would).
+// server shuts down (every session actor drains, its log handle closes and
+// its lock is released — the shared filesystem survives).
 func (tc *testCluster) kill(id string) {
 	tn := tc.nodes[id]
 	tn.ts.Close()
@@ -482,7 +486,11 @@ func TestFailoverAndHealResumeAtACheckpoint(t *testing.T) {
 	cfg["fit_iters"], cfg["refit_every"] = 8, 3
 
 	// Reference: the same asks and tells against one plain server.
-	ref := serve.NewServer()
+	refStore, err := wal.OpenMem(wal.NewMemFS(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := serve.NewServerWith(serve.ServerOptions{Store: refStore})
 	if _, err := ref.Recover(); err != nil {
 		t.Fatal(err)
 	}

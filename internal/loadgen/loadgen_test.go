@@ -8,6 +8,7 @@ import (
 
 	"easybo/internal/loadgen"
 	"easybo/internal/serve"
+	"easybo/internal/serve/wal"
 )
 
 // TestRunSmoke drives a short load against an in-process daemon: the run
@@ -15,7 +16,11 @@ import (
 // because same-seed session groups propose identical designs — produce
 // repeated-point cache traffic (hits or in-flight joins).
 func TestRunSmoke(t *testing.T) {
-	sv := serve.NewServerWith(serve.ServerOptions{CacheSize: 1024})
+	st, err := wal.OpenMem(wal.NewMemFS(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := serve.NewServerWith(serve.ServerOptions{Store: st, CacheSize: 1024})
 	if _, err := sv.Recover(); err != nil {
 		t.Fatalf("recover: %v", err)
 	}

@@ -62,7 +62,7 @@ func objective2(x []float64) float64 {
 // in-memory daemon and returns its full event log and final status.
 func runReference(t *testing.T, id string, cfg serve.SessionConfig, sc schedule) ([]serve.Event, serve.Status) {
 	t.Helper()
-	sv, _ := ready(t, serve.NewMemStore())
+	sv, _ := ready(t, serve.NewMemDisk(0).Open())
 	defer sv.Close()
 	call(t, sv, "POST", "/sessions", createRequest{id, cfg}, nil)
 	var open []serve.Ask
@@ -158,8 +158,8 @@ func lastCkpt(events []serve.Event) int {
 // uninterrupted one bit for bit: the proposals, the records, and the rng
 // positions, checkpoints and hash chain logged from there on. On the exact
 // GP (a checkpoint every refit_every observations), on the feature-space
-// backend, and on auto across its escalation; through the in-memory store
-// and the WAL; with failed evaluations skipped and resubmitted; and with one
+// backend, and on auto across its escalation; through the WAL in memory
+// and on disk; with failed evaluations skipped and resubmitted; and with one
 // proposal outstanding from before every checkpoint to the end.
 //
 // The mixed cases are logs an upgrade leaves behind: the asks below gen0Below
@@ -179,7 +179,7 @@ func TestRecoverAtEveryCutMatchesUninterrupted(t *testing.T) {
 		return c
 	}
 	stores := map[string]func(t *testing.T) serve.Store{
-		"mem": func(*testing.T) serve.Store { return serve.NewMemStore() },
+		"mem": func(*testing.T) serve.Store { return serve.NewMemDisk(0).Open() },
 		"wal": func(t *testing.T) serve.Store {
 			st, err := wal.Open(t.TempDir(), wal.Options{Fsync: wal.PolicyOff})
 			if err != nil {
@@ -324,8 +324,8 @@ func TestRecoveryRederivesTheTailNotTheLog(t *testing.T) {
 		Lo: []float64{0, 0, 0}, Hi: []float64{1, 1, 1}, InitPoints: 20, Seed: 1, FitIters: 8, Surrogate: "features",
 	}
 	obj := func(x []float64) float64 { return -(x[0]-0.4)*(x[0]-0.4) - x[1]*x[2] }
-	st := serve.NewMemStore()
-	sv, _ := ready(t, st)
+	disk := serve.NewMemDisk(0)
+	sv, _ := ready(t, disk.Open())
 	call(t, sv, "POST", "/sessions", createRequest{"tail", cfg}, nil)
 	var open []serve.Ask
 	told := 0
@@ -344,9 +344,9 @@ func TestRecoveryRederivesTheTailNotTheLog(t *testing.T) {
 		}
 		var before serve.Status
 		call(t, sv, "GET", "/sessions/tail", nil, &before)
-		sv.Close() // the store keeps the log, as a disk would
+		sv.Close() // the disk keeps the log
 		var rep serve.RecoveryReport
-		sv, rep = ready(t, st)
+		sv, rep = ready(t, disk.Open())
 		if len(rep.Sessions) != 1 || rep.Sessions[0].Mode != serve.RecoverCheckpoint {
 			t.Fatalf("at %d observations: recovery report %+v", upTo, rep)
 		}
@@ -416,7 +416,7 @@ func (l tamperedLog) edit(f func(ev []serve.Event)) []serve.Event {
 // recover boots a daemon on a store holding events.
 func (l tamperedLog) recover(t *testing.T, events []serve.Event) (serve.RecoveryReport, *serve.Server) {
 	t.Helper()
-	st := serve.NewMemStore()
+	st := serve.NewMemDisk(0).Open()
 	persist(t, st, "tamper", l.cfg, events)
 	sv, rep := ready(t, st)
 	return rep, sv
@@ -533,7 +533,7 @@ func TestSnapshotHyperparametersAreVerified(t *testing.T) {
 	cfg := serve.SessionConfig{
 		Lo: []float64{0, 0}, Hi: []float64{1, 1}, InitPoints: 5, MaxEvals: 14, Seed: 43, FitIters: 8, Surrogate: "exact",
 	}
-	sv, _ := ready(t, serve.NewMemStore())
+	sv, _ := ready(t, serve.NewMemDisk(0).Open())
 	defer sv.Close()
 	call(t, sv, "POST", "/sessions", createRequest{"hyper", cfg}, nil)
 	for i := 0; i < 9; i++ {
@@ -583,7 +583,7 @@ func BenchmarkRecover(b *testing.B) {
 		Lo: make([]float64, 6), Hi: []float64{1, 1, 1, 1, 1, 1}, InitPoints: 20, Seed: 1, Surrogate: "features",
 	}
 	t := testing.TB(b)
-	sv, _ := ready(t, serve.NewMemStore())
+	sv, _ := ready(t, serve.NewMemDisk(0).Open())
 	call(t, sv, "POST", "/sessions", createRequest{"bench", cfg}, nil)
 	var open []serve.Ask
 	for told := 0; told < 120; told++ {
@@ -605,11 +605,13 @@ func BenchmarkRecover(b *testing.B) {
 	sv.Close()
 	for name, events := range map[string][]serve.Event{"checkpoint": snap.Events, "full": strip(snap.Events)} {
 		b.Run(name, func(b *testing.B) {
-			st := serve.NewMemStore()
+			disk := serve.NewMemDisk(0)
+			st := disk.Open()
 			persist(t, st, "bench", snap.Config, events)
+			st.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sv := serve.NewServerWith(serve.ServerOptions{Store: st})
+				sv := serve.NewServerWith(serve.ServerOptions{Store: disk.Open()})
 				rep, err := sv.Recover()
 				if err != nil || len(rep.Sessions) != 1 || rep.Sessions[0].Mode != name {
 					b.Fatalf("recovery: %v, %+v", err, rep)

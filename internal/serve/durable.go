@@ -3,16 +3,15 @@ package serve
 import (
 	"fmt"
 	"regexp"
-	"sort"
-	"sync"
 )
 
 // Store is the session durability backend. The server writes every session
 // lifecycle event through it — create (Begin), ask/tell/abort (SessionLog
 // appends), delete (Remove) — and enumerates it at boot (List +
-// LoadSession) to recover sessions that outlived the process. Two
-// implementations ship: MemStore, an in-memory map (sessions die with the
-// process), and wal.Store, a per-session write-ahead log on disk.
+// LoadSession) to recover sessions that outlived the process. One
+// implementation ships: wal.Store, a per-session write-ahead log, on disk or
+// on an in-memory filesystem (wal.OpenMem) whose sessions die with the
+// process.
 //
 // All methods must be safe for concurrent use. Append/BeginCompact on a
 // single SessionLog are only ever called from that session's actor
@@ -134,215 +133,5 @@ func ValidateSessionID(id string) error {
 	if !sessionIDPattern.MatchString(id) {
 		return fmt.Errorf("serve: invalid session id %q (want 1-128 of [A-Za-z0-9._-], starting alphanumeric)", id)
 	}
-	return nil
-}
-
-// ---------------------------------------------------------------- MemStore
-
-// MemStore is the in-memory Store: one mutex-guarded map. Nothing survives
-// the process — List after a restart is empty — but recovery, compaction,
-// and shutdown-ordering logic can all be exercised against it in-process.
-type MemStore struct {
-	mu sync.Mutex
-	m  map[string]*memSess
-	q  map[string]string // quarantined id -> reason
-	// compactEvery, when > 0, makes logs request a snapshot compaction
-	// every that many events (mirrors wal.Options.CompactEvery; used to
-	// test the compaction path without disk).
-	compactEvery int
-}
-
-// NewMemStore builds an empty in-memory store.
-func NewMemStore() *MemStore { return NewMemStoreCompacting(0) }
-
-// NewMemStoreCompacting is NewMemStore with a compaction cadence: logs
-// report CompactionDue every compactEvery events (0 disables).
-func NewMemStoreCompacting(compactEvery int) *MemStore {
-	return &MemStore{m: make(map[string]*memSess), q: make(map[string]string), compactEvery: compactEvery}
-}
-
-func (st *MemStore) Begin(id string, cfg SessionConfig) (SessionLog, error) {
-	if err := ValidateSessionID(id); err != nil {
-		return nil, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, ok := st.m[id]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrDuplicateSession, id)
-	}
-	if _, ok := st.q[id]; ok {
-		return nil, fmt.Errorf("%w: %q (quarantined)", ErrDuplicateSession, id)
-	}
-	s := &memSess{cfg: cfg}
-	st.m[id] = s
-	return &memLog{st: st, id: id, s: s}, nil
-}
-
-// List implements Store.
-func (st *MemStore) List() ([]string, error) {
-	st.mu.Lock()
-	ids := make([]string, 0, len(st.m))
-	for id := range st.m {
-		ids = append(ids, id)
-	}
-	st.mu.Unlock()
-	sort.Strings(ids)
-	return ids, nil
-}
-
-// LoadSession implements Store. The returned Log is a fresh handle onto
-// the shared session state — mirroring a new file descriptor onto the same
-// WAL — so closing one loader's handle never severs a concurrent holder's.
-func (st *MemStore) LoadSession(id string) (PersistedSession, error) {
-	st.mu.Lock()
-	s, ok := st.m[id]
-	st.mu.Unlock()
-	if !ok {
-		return PersistedSession{}, fmt.Errorf("%w: %q", ErrUnknownSession, id)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ps := PersistedSession{
-		ID:     id,
-		Config: s.cfg,
-		Log:    &memLog{st: st, id: id, s: s},
-		Epoch:  s.epoch,
-		Owner:  s.owner,
-	}
-	if ps.Epoch == 0 {
-		ps.Epoch = 1
-	}
-	if s.snap != nil {
-		snap := *s.snap
-		ps.Snapshot = &snap
-		if ps.Owner == "" {
-			ps.Owner = snap.Owner
-		}
-		if snap.Epoch > ps.Epoch {
-			ps.Epoch = snap.Epoch
-		}
-	}
-	ps.Events = append([]Event(nil), s.events...)
-	return ps, nil
-}
-
-func (st *MemStore) Quarantine(id, reason string) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, ok := st.m[id]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownSession, id)
-	}
-	delete(st.m, id)
-	st.q[id] = reason
-	return nil
-}
-
-func (st *MemStore) Remove(id string) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	delete(st.m, id)
-	delete(st.q, id)
-	return nil
-}
-
-func (st *MemStore) Close() error { return nil }
-
-// memSess is one session's shared persisted state (the "file"); memLog is
-// a handle onto it (the "file descriptor"). The split matters to the
-// cluster: a loader inspecting a session and closing its handle must not
-// sever the holder's.
-type memSess struct {
-	mu      sync.Mutex
-	cfg     SessionConfig
-	snap    *Snapshot
-	events  []Event
-	nextSeq uint64 // next append ticket (memory is instantly "durable")
-	epoch   uint64 // last fenced ownership epoch (0 = never fenced = 1)
-	owner   string // node named by the last fence ("" = never moved)
-}
-
-type memLog struct {
-	st *MemStore
-	id string
-	s  *memSess
-
-	mu     sync.Mutex
-	closed bool
-}
-
-func (l *memLog) live() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("serve: mem log %q closed", l.id)
-	}
-	return nil
-}
-
-func (l *memLog) Append(ev Event) (uint64, error) {
-	if err := l.live(); err != nil {
-		return 0, err
-	}
-	l.s.mu.Lock()
-	defer l.s.mu.Unlock()
-	seq := l.s.nextSeq
-	l.s.nextSeq++
-	l.s.events = append(l.s.events, ev.clone())
-	return seq, nil
-}
-
-// WaitDurable implements SessionLog: memory is durable the instant Append
-// returns, so every ticket is already covered.
-func (l *memLog) WaitDurable(uint64) error { return nil }
-
-func (l *memLog) CompactionDue() bool {
-	l.s.mu.Lock()
-	defer l.s.mu.Unlock()
-	return l.st.compactEvery > 0 && len(l.s.events) >= l.st.compactEvery
-}
-
-// BeginCompact implements SessionLog: the seal records how many events the
-// snapshot will cover, so appends racing the off-actor commit survive the
-// trim.
-func (l *memLog) BeginCompact() (func(Snapshot) error, error) {
-	if err := l.live(); err != nil {
-		return nil, err
-	}
-	l.s.mu.Lock()
-	cut := len(l.s.events)
-	l.s.mu.Unlock()
-	return func(snap Snapshot) error { return l.commit(cut, snap) }, nil
-}
-
-func (l *memLog) commit(cut int, snap Snapshot) error {
-	if err := l.live(); err != nil {
-		return err
-	}
-	l.s.mu.Lock()
-	defer l.s.mu.Unlock()
-	// Retained as handed over: snap.Events is a read-only prefix of the
-	// session's append-only event array (session.snapshot).
-	l.s.snap = &snap
-	l.s.events = append([]Event(nil), l.s.events[cut:]...)
-	return nil
-}
-
-func (l *memLog) Fence(epoch uint64, owner string) error {
-	if err := l.live(); err != nil {
-		return err
-	}
-	l.s.mu.Lock()
-	defer l.s.mu.Unlock()
-	l.s.epoch = epoch
-	l.s.owner = owner
-	return nil
-}
-
-func (l *memLog) Sync() error { return nil }
-
-func (l *memLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.closed = true
 	return nil
 }

@@ -233,7 +233,8 @@ func TestStatusSinceCursor(t *testing.T) {
 // is appending to, beside tells that grow records, failed and events, and
 // compactions that encode the event prefix on a goroutine of their own.
 func TestReadsShareHistoryWithActor(t *testing.T) {
-	c, sv, stop := newTestServerWith(t, ServerOptions{Store: NewMemStoreCompacting(16)})
+	disk := NewMemDisk(16)
+	c, sv, stop := newTestServerWith(t, ServerOptions{Store: disk.Open()})
 	defer stop()
 	if code := c.post("/sessions", lookupOnly("shared"), &createResponse{}); code != http.StatusCreated {
 		t.Fatalf("create: %d", code)
@@ -299,13 +300,6 @@ func TestReadsShareHistoryWithActor(t *testing.T) {
 	close(done)
 	wg.Wait()
 
-	ps, err := sv.store.LoadSession("shared")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Snapshot == nil {
-		t.Fatal("no compaction ran beside the reads")
-	}
 	// A prefix handed out can never be appended into.
 	s, err := sv.reg.get("shared")
 	if err != nil {
@@ -320,10 +314,21 @@ func TestReadsShareHistoryWithActor(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// The live server holds the session's lock; a restart reads its log.
+	stop()
+	st := disk.Open()
+	defer st.Close()
+	ps, err := st.LoadSession("shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.Snapshot == nil {
+		t.Fatal("no compaction ran beside the reads")
+	}
 }
 
 // TestTellCostIndependentOfHistory pins what keeps a long session servable:
-// a tell through the handler — decode, actor, in-memory log, ack encode —
+// a tell through the handler — decode, actor, WAL append, ack encode —
 // and the actor's share of a status read (which every tell queued behind it
 // waits for) allocate the same at history 5000 as at 100. Cost is counted
 // in heap bytes and allocations, not read off a clock, so the verdict does
@@ -349,7 +354,7 @@ func TestTellCostIndependentOfHistory(t *testing.T) {
 	}
 	type cost struct{ tellBytes, tellAllocs, statusBytes, statusAllocs float64 }
 	at := func(n int) (c cost) {
-		sv := NewServer()
+		sv := NewServerWith(ServerOptions{Store: memStore()})
 		if _, err := sv.Recover(); err != nil {
 			t.Fatal(err)
 		}

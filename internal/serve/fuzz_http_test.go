@@ -11,16 +11,16 @@ import (
 	"testing"
 )
 
-// FuzzHTTP drives one arbitrary request through Server.ServeHTTP on a
-// MemStore holding a session that is part way through: two design points
+// FuzzHTTP drives one arbitrary request through Server.ServeHTTP on a WAL
+// in memory holding a session that is part way through: two design points
 // asked, one told, one still outstanding (proposal 1), so the next ask fits
 // a model. The oracle:
 //
 //   - the server never panics;
 //   - it never answers 5xx, except 503 — the documented "not ready / draining"
 //     refusal;
-//   - a request it answers 4xx leaves the store as it found it: the same
-//     sessions, events, snapshots and quarantines.
+//   - a request it answers 4xx leaves the store as it found it, byte for
+//     byte: every path and every byte of the log's files.
 //
 // The seeds are the requests of TestHTTPRoutingEdgeCases (all but the
 // oversized bodies, which would make every mutation 8 MiB) plus NaN, ±Inf and
@@ -107,15 +107,15 @@ func FuzzHTTP(f *testing.F) {
 		if err != nil || req.URL.Path == "" || req.URL.Path[0] != '/' {
 			return // not a request a client could send
 		}
-		store := NewMemStore()
-		sv := NewServerWith(ServerOptions{Store: store})
+		disk := NewMemDisk(0)
+		sv := NewServerWith(ServerOptions{Store: disk.Open()})
 		defer func() { sv.Close() }()
 		if _, err := sv.Recover(); err != nil {
 			t.Fatal(err)
 		}
 		midway(t, sv)
 
-		before := storeState(store)
+		before := disk.Sum()
 		rec := httptest.NewRecorder()
 		sv.ServeHTTP(rec, req)
 		code := rec.Code
@@ -123,14 +123,14 @@ func FuzzHTTP(f *testing.F) {
 			t.Fatalf("%s %s %q: %d %s", method, path, body, code, rec.Body.Bytes())
 		}
 		if code >= 400 && code < 500 {
-			if after := storeState(store); after != before {
+			if after := disk.Sum(); after != before {
 				t.Fatalf("%s %s %q answered %d but changed the store: %s → %s", method, path, body, code, before, after)
 			}
 		}
 		if code < 400 {
 			live := replayed(t, sv)
 			sv.Close()
-			sv = NewServerWith(ServerOptions{Store: store})
+			sv = NewServerWith(ServerOptions{Store: disk.Open()})
 			if _, err := sv.Recover(); err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +211,7 @@ func midway(tb testing.TB, sv *Server) {
 // snapshot: the told value, both coordinates of the told and of the asked
 // point, a proposal id, a bound and λ of the config, and a count.
 func restoreSeeds(f *testing.F) []string {
-	sv := NewServerWith(ServerOptions{})
+	sv := NewServerWith(ServerOptions{Store: memStore()})
 	defer sv.Close()
 	if _, err := sv.Recover(); err != nil {
 		f.Fatal(err)
@@ -263,7 +263,7 @@ func restoreSeeds(f *testing.F) []string {
 // escalation — and have two model asks outstanding, so that what the replay
 // oracle compares includes hyperparameters and the active backend.
 func fittedSeeds(f *testing.F) []string {
-	sv := NewServerWith(ServerOptions{})
+	sv := NewServerWith(ServerOptions{Store: memStore()})
 	defer sv.Close()
 	if _, err := sv.Recover(); err != nil {
 		f.Fatal(err)
@@ -305,25 +305,4 @@ func fittedSeeds(f *testing.F) []string {
 		out = append(out, string(b))
 	}
 	return out
-}
-
-// storeState summarizes everything a request could have written to a
-// MemStore: sessions, events per session, snapshots, quarantines.
-func storeState(st *MemStore) string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var b bytes.Buffer
-	ids := make([]string, 0, len(st.m))
-	for id := range st.m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		s := st.m[id]
-		s.mu.Lock()
-		fmt.Fprintf(&b, "%s:%d/%v ", id, len(s.events), s.snap != nil)
-		s.mu.Unlock()
-	}
-	fmt.Fprintf(&b, "quarantined:%d", len(st.q))
-	return b.String()
 }

@@ -7,9 +7,10 @@ import "fmt"
 // A session's owner changes in exactly two ways, and both fence first:
 //
 //   - Handoff (source alive): the source runs BeginHandoff — one actor job
-//     that durably fences the log at epoch+1 naming the target and renders
-//     the snapshot. Because the actor mailbox is serial, any ask/tell
-//     queued behind that job finds the session fenced and fails with
+//     that durably fences the log at epoch+1 naming the target, renders
+//     the snapshot and lets go of the log (and with it the session's
+//     lock). Because the actor mailbox is serial, any ask/tell queued
+//     behind that job finds the session fenced and fails with
 //     ErrStaleEpoch: nothing the source accepts after the snapshot can
 //     diverge from the new owner. The target installs the snapshot (or
 //     adopts the shared store's copy) and the source CompleteHandoffs.
@@ -47,9 +48,11 @@ func (sv *Server) Epoch(id string) (uint64, error) {
 // BeginHandoff fences the session for transfer to node `to` and returns
 // the snapshot the target must adopt. Fence-and-snapshot is a single actor
 // job: requests queued behind it are rejected with ErrStaleEpoch, so the
-// snapshot is the last word this node speaks for the session. The caller
-// finishes with CompleteHandoff once the target acknowledged adoption, or
-// AbortHandoff to resume serving here.
+// snapshot is the last word this node speaks for the session. The job
+// closes the log too: on a shared store the target's Adopt must take the
+// session's lock, which this node would otherwise hold until
+// CompleteHandoff. The caller finishes with CompleteHandoff once the
+// target acknowledged adoption, or AbortHandoff to resume serving here.
 func (sv *Server) BeginHandoff(id, to string) (Snapshot, error) {
 	s, err := sv.lookup(id)
 	if err != nil {
@@ -79,6 +82,9 @@ func (sv *Server) BeginHandoff(id, to string) (Snapshot, error) {
 		s.owner = to
 		s.fenced = true
 		snap = s.snapshot()
+		if s.log != nil {
+			_ = s.log.Close() // the fence above was flushed and synced; nothing is appended after it
+		}
 	})
 	if err != nil {
 		return Snapshot{}, err
@@ -87,9 +93,10 @@ func (sv *Server) BeginHandoff(id, to string) (Snapshot, error) {
 }
 
 // AbortHandoff resumes serving a session whose transfer failed before the
-// target adopted it. Ownership is durably fenced back to this node at a
-// fresh epoch, so the aborted target's copy (if it half-installed) is the
-// stale one.
+// target adopted it. The log BeginHandoff closed is loaded from the store
+// again — which fails if another node holds it or fenced it since — and
+// ownership is durably fenced back to this node at a fresh epoch, so the
+// aborted target's copy (if it half-installed) is the stale one.
 func (sv *Server) AbortHandoff(id, self string) error {
 	s, err := sv.lookup(id)
 	if err != nil {
@@ -101,10 +108,21 @@ func (sv *Server) AbortHandoff(id, self string) error {
 			return // nothing to abort
 		}
 		if s.log != nil {
-			if err := s.log.Fence(s.epoch+1, self); err != nil {
+			ps, err := sv.store.LoadSession(id)
+			if err == nil && (ps.Corrupt != nil || ps.Epoch != s.epoch) {
+				err = fmt.Errorf("the store holds it at epoch %d, this copy is at %d", ps.Epoch, s.epoch)
+			}
+			if err == nil {
+				err = ps.Log.Fence(s.epoch+1, self)
+			}
+			if err != nil {
+				if ps.Log != nil {
+					_ = ps.Log.Close() // the load or fence error is the one reported
+				}
 				abortErr = fmt.Errorf("serve: re-fencing session %q after aborted handoff: %w", id, err)
 				return
 			}
+			s.log = ps.Log
 		}
 		s.epoch++
 		s.owner = self

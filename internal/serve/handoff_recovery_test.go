@@ -105,10 +105,10 @@ func requireSameRecords(t *testing.T, want, got []Record) {
 // compacts every few events so the snapshot-base + log-tail replay arm runs
 // too (not just config + full log).
 func TestRecoverResumesFromSurvivingStore(t *testing.T) {
-	st := NewMemStoreCompacting(6)
+	disk := NewMemDisk(6)
 	const id = "rec-1"
 
-	c1, _, done1 := newTestServerWith(t, ServerOptions{Store: st})
+	c1, _, done1 := newTestServerWith(t, ServerOptions{Store: disk.Open()})
 	var created createResponse
 	if code := c1.post("/sessions", hoSpec(id, 7), &created); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
@@ -116,9 +116,9 @@ func TestRecoverResumesFromSurvivingStore(t *testing.T) {
 	askTellN(c1, id, 6)
 	var before Status
 	c1.get("/sessions/"+id, &before)
-	done1() // process "dies"; the MemStore survives like a data dir would
+	done1() // process "dies"; its data directory survives
 
-	sv2 := NewServerWith(ServerOptions{Store: st})
+	sv2 := NewServerWith(ServerOptions{Store: disk.Open()})
 	defer sv2.Close()
 	ts2 := httptest.NewServer(sv2)
 	defer ts2.Close()
@@ -157,79 +157,6 @@ func TestRecoverResumesFromSurvivingStore(t *testing.T) {
 	final := finishSession(c2, id)
 	if !final.Done || len(final.Records) != 10 {
 		t.Fatalf("recovered session did not finish: done=%v records=%d", final.Done, len(final.Records))
-	}
-}
-
-// TestRecoverQuarantinesTamperedLog corrupts one recorded ask in the store
-// and requires recovery to quarantine the session — replay verification
-// must refuse to resurrect a history that no longer matches what the RNG
-// rederives — while HTTP traffic to it answers 409.
-func TestRecoverQuarantinesTamperedLog(t *testing.T) {
-	st := NewMemStore()
-	const id = "quar-1"
-
-	c1, _, done1 := newTestServerWith(t, ServerOptions{Store: st})
-	var created createResponse
-	if code := c1.post("/sessions", hoSpec(id, 11), &created); code != http.StatusCreated {
-		t.Fatalf("create: status %d", code)
-	}
-	askTellN(c1, id, 4)
-	done1()
-
-	// The store must see the session before it is tampered with.
-	ps, err := st.LoadSession(id)
-	if err != nil || ps.ID != id {
-		t.Fatalf("store load: %v %+v", err, ps)
-	}
-	_ = ps.Log.Close()
-
-	// Flip one coordinate of a recorded proposal in place.
-	st.mu.Lock()
-	ms := st.m[id]
-	st.mu.Unlock()
-	ms.mu.Lock()
-	tampered := false
-	for i := range ms.events {
-		if ms.events[i].Kind == "ask" && len(ms.events[i].X) > 0 {
-			ms.events[i].X[0] += 0.25
-			tampered = true
-			break
-		}
-	}
-	ms.mu.Unlock()
-	if !tampered {
-		t.Fatal("no ask event found to tamper with")
-	}
-
-	sv2 := NewServerWith(ServerOptions{Store: st})
-	defer sv2.Close()
-	rep, err := sv2.Recover()
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if len(rep.Recovered) != 0 {
-		t.Fatalf("tampered session recovered: %v", rep.Recovered)
-	}
-	if reason, ok := rep.Quarantined[id]; !ok || reason == "" {
-		t.Fatalf("expected %s quarantined, got %+v", id, rep.Quarantined)
-	}
-	if sv2.Has(id) {
-		t.Fatal("quarantined session is live")
-	}
-	if p := sv2.Progress(); p.Quarantined != 1 || p.Replayed != 0 {
-		t.Fatalf("progress %+v", p)
-	}
-
-	ts2 := httptest.NewServer(sv2)
-	defer ts2.Close()
-	c2 := &client{t: t, base: ts2.URL, hc: ts2.Client()}
-	if code := c2.get("/sessions/"+id, nil); code != http.StatusConflict {
-		t.Fatalf("quarantined session status code %d, want 409", code)
-	}
-
-	// Failover adoption must refuse it for the same reason.
-	if _, err := sv2.Adopt(id, "node-x", nil); !errors.Is(err, ErrSessionQuarantined) {
-		t.Fatalf("adopt of quarantined session: %v", err)
 	}
 }
 
@@ -377,13 +304,15 @@ func TestHandoffAcrossGenerations(t *testing.T) {
 // TestAdoptFailoverFromSharedStore covers the owner-died path: a second
 // node adopts the dead node's session from the shared store (replay +
 // fence), a third node's adoption attempt is refused by the ownership
-// guard, and the revived original owner's recovery leaves the moved
-// session alone (HeldElsewhere).
+// guard, the revived original owner's recovery leaves the moved session
+// alone (HeldElsewhere), and a handoff moves it home. Each node opens its
+// own WAL on one directory, so the session's lock is contended as between
+// processes.
 func TestAdoptFailoverFromSharedStore(t *testing.T) {
-	shared := NewMemStore()
+	shared := NewMemDisk(0)
 	const id = "fo-1"
 
-	cA, _, doneA := newTestServerWith(t, ServerOptions{Store: shared, NodeID: "node-a"})
+	cA, _, doneA := newTestServerWith(t, ServerOptions{Store: shared.Open(), NodeID: "node-a"})
 	var created createResponse
 	if code := cA.post("/sessions", hoSpec(id, 31), &created); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
@@ -393,7 +322,7 @@ func TestAdoptFailoverFromSharedStore(t *testing.T) {
 	cA.get("/sessions/"+id, &before)
 	doneA() // node-a dies; the shared store keeps the session
 
-	svB := NewServerWith(ServerOptions{Store: shared, NodeID: "node-b"})
+	svB := NewServerWith(ServerOptions{Store: shared.Open(), NodeID: "node-b"})
 	defer svB.Close()
 	// node-b owns nothing by the ring: boot recovery skips everything.
 	rep, err := svB.RecoverOwned(func(string) bool { return false })
@@ -418,7 +347,7 @@ func TestAdoptFailoverFromSharedStore(t *testing.T) {
 
 	// A third node consults the guard: node-b's fence holds the session,
 	// node-b is alive, so adoption is refused naming the holder.
-	svC := NewServerWith(ServerOptions{Store: shared, NodeID: "node-c"})
+	svC := NewServerWith(ServerOptions{Store: shared.Open(), NodeID: "node-c"})
 	defer svC.Close()
 	var held *HeldElsewhereError
 	_, err = svC.Adopt(id, "node-c", func(owner string) bool { return false })
@@ -427,7 +356,7 @@ func TestAdoptFailoverFromSharedStore(t *testing.T) {
 	}
 
 	// The revived original owner must not fork the moved session.
-	svA2 := NewServerWith(ServerOptions{Store: shared, NodeID: "node-a"})
+	svA2 := NewServerWith(ServerOptions{Store: shared.Open(), NodeID: "node-a"})
 	defer svA2.Close()
 	rep2, err := svA2.Recover()
 	if err != nil {
@@ -440,13 +369,23 @@ func TestAdoptFailoverFromSharedStore(t *testing.T) {
 		t.Fatal("revived owner resurrected a moved session")
 	}
 
-	// The adopter serves it to completion.
-	tsB := httptest.NewServer(svB)
-	defer tsB.Close()
-	cB := &client{t: t, base: tsB.URL, hc: tsB.Client()}
-	final := finishSession(cB, id)
+	// The heal hands it home over the shared store: node-b's fence lets go
+	// of the session's lock, so node-a's adoption of the store's copy can
+	// take it. Then node-a serves it to completion.
+	if _, err := svB.BeginHandoff(id, "node-a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svA2.Adopt(id, "node-a", nil); err != nil {
+		t.Fatalf("adopting a handed-off session: %v", err)
+	}
+	if err := svB.CompleteHandoff(id, false); err != nil {
+		t.Fatal(err)
+	}
+	tsA := httptest.NewServer(svA2)
+	defer tsA.Close()
+	final := finishSession(&client{t: t, base: tsA.URL, hc: tsA.Client()}, id)
 	if !final.Done || len(final.Records) != 10 {
-		t.Fatalf("adopted session did not finish: done=%v records=%d", final.Done, len(final.Records))
+		t.Fatalf("handed-off session did not finish: done=%v records=%d", final.Done, len(final.Records))
 	}
 }
 
@@ -454,7 +393,7 @@ func TestAdoptFailoverFromSharedStore(t *testing.T) {
 // and cmd/easybod poll: readiness, session enumeration, epochs on unknown
 // sessions, the exported admission gate, and the shed response shape.
 func TestServerIntrospectionGetters(t *testing.T) {
-	sv := NewServer()
+	sv := NewServerWith(ServerOptions{Store: memStore()})
 	defer sv.Close()
 	if sv.Ready() {
 		t.Fatal("ready before Recover")
@@ -501,7 +440,7 @@ func TestServerIntrospectionGetters(t *testing.T) {
 
 	// A queue depth of 1 sheds the second concurrent ask; release opens
 	// the slot again.
-	svQ := NewServerWith(ServerOptions{QueueDepth: 1})
+	svQ := NewServerWith(ServerOptions{Store: memStore(), QueueDepth: 1})
 	defer svQ.Close()
 	rel1, ok := svQ.AdmitAsk()
 	if !ok {

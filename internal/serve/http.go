@@ -70,8 +70,8 @@ type ServerOptions struct {
 	// snapshots are never rewritten — replay must run on the recorded
 	// backend.
 	DefaultSurrogate string
-	// Store is the session durability backend; nil uses an in-memory
-	// MemStore (sessions die with the process).
+	// Store is the session durability backend (required): a wal.Store on
+	// disk, or on a wal.MemFS for sessions that die with the process.
 	Store Store
 	// NodeID is this process's cluster node name ("" outside a cluster).
 	// Recovery uses it to leave sessions alone whose last durable fence
@@ -92,15 +92,13 @@ type ServerOptions struct {
 	QueueDepth int
 }
 
-// NewServer builds a Server over a fresh in-memory store.
-func NewServer() *Server { return NewServerWith(ServerOptions{}) }
-
-// NewServerWith is NewServer with daemon-wide defaults. The returned server
-// is not ready until Recover is called (even on an empty store): session
-// routes answer 503 so workers cannot race a recovery replay.
+// NewServerWith builds a Server over o.Store with daemon-wide defaults. The
+// returned server is not ready until Recover is called (even on an empty
+// store): session routes answer 503 so workers cannot race a recovery
+// replay.
 func NewServerWith(o ServerOptions) *Server {
 	if o.Store == nil {
-		o.Store = NewMemStore()
+		panic("serve: ServerOptions.Store is required")
 	}
 	sv := &Server{
 		reg:         newRegistry(),
@@ -163,8 +161,8 @@ type Statz struct {
 	Sessions  int             `json:"sessions"`
 	Cache     *EvalCacheStats `json:"cache,omitempty"`
 	Admission AdmissionStats  `json:"admission"`
-	// WAL reports the durable store's group-commit amortization (absent for
-	// stores without one, e.g. the in-memory store).
+	// WAL reports the store's group-commit amortization (a wal.Store's,
+	// in-memory ones too; absent for a store without one).
 	WAL *WALStats `json:"wal,omitempty"`
 	RecoveryTotals
 }

@@ -148,7 +148,7 @@ func ceilingBodies() map[string]string {
 // session on, whatever a 60-byte body asked for. At the ceilings, and at the
 // serve-wal benchmark's 100 000-point design, it is a 201.
 func TestCreateCeilings(t *testing.T) {
-	store := NewMemStore()
+	store := memStore()
 	sv := NewServerWith(ServerOptions{Store: store})
 	defer sv.Close()
 	if _, err := sv.Recover(); err != nil {

@@ -30,6 +30,9 @@ func newTestServer(t *testing.T) (*client, *Server, func()) {
 // (recovery already run, like cmd/easybod does at boot).
 func newTestServerWith(t *testing.T, opts ServerOptions) (*client, *Server, func()) {
 	t.Helper()
+	if opts.Store == nil {
+		opts.Store = memStore()
+	}
 	sv := NewServerWith(opts)
 	if _, err := sv.Recover(); err != nil {
 		t.Fatalf("recover: %v", err)

@@ -139,13 +139,6 @@ func chainHex(h uint64) string { return fmt.Sprintf("%016x", h) }
 // chainSeed is the chain before the first event (the FNV-1a offset basis).
 const chainSeed uint64 = 14695981039346656037
 
-// clone deep-copies the event so stores can retain it safely.
-func (ev Event) clone() Event {
-	c := ev
-	c.X = append([]float64(nil), ev.X...)
-	return c
-}
-
 // Record is one told evaluation, kept for status reporting and tests.
 type Record struct {
 	ID  int       `json:"id"` // proposal id, -1 for unsolicited observations

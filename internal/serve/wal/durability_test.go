@@ -7,6 +7,7 @@ package wal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -248,8 +249,8 @@ func TestGracefulShutdownNeverLosesAcceptedTell(t *testing.T) {
 
 // TestRecoveryQuarantinesTamperedLog rewrites a logged ask with a valid
 // checksum, so only the replay's bit-for-bit re-derivation can catch it.
-// The session must be quarantined — 409 on access, id burned — never
-// silently resurrected with altered history.
+// The session must be quarantined — 409 on access, id burned, failover
+// adoption refused — never silently resurrected with altered history.
 func TestRecoveryQuarantinesTamperedLog(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Fsync: PolicyAlways, CompactEvery: -1}
@@ -315,6 +316,12 @@ func TestRecoveryQuarantinesTamperedLog(t *testing.T) {
 	}
 	if _, ok := listing.Quarantined["victim"]; !ok {
 		t.Fatalf("quarantined session missing from listing: %+v", listing)
+	}
+	if p := sv2.Progress(); p.Quarantined != 1 || p.Replayed != 0 || sv2.Has("victim") {
+		t.Fatalf("progress %+v", p)
+	}
+	if _, err := sv2.Adopt("victim", "node-x", nil); !errors.Is(err, serve.ErrSessionQuarantined) {
+		t.Fatalf("adopt of quarantined session: %v", err)
 	}
 }
 

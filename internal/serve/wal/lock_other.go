@@ -2,19 +2,10 @@
 
 package wal
 
-import (
-	"fmt"
-	"os"
-)
+import "os"
 
-// acquireDirLock on platforms without flock opens the LOCK file but
-// provides no cross-process exclusion: single-writer discipline falls back
-// to the durable fence protocol alone. The shared-store cluster deployment
-// is documented unix-only for exactly this reason.
-func acquireDirLock(dir string) (*os.File, error) {
-	f, err := os.OpenFile(lockPath(dir), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: opening lock file: %w", err)
-	}
-	return f, nil
-}
+// flock on platforms without it provides no cross-process exclusion:
+// single-writer discipline falls back to the durable fence protocol alone.
+// The shared-store cluster deployment is documented unix-only for exactly
+// this reason.
+func flock(*os.File) error { return nil }

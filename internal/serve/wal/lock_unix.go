@@ -3,31 +3,16 @@
 package wal
 
 import (
-	"fmt"
 	"os"
 	"syscall"
 )
 
-// acquireDirLock takes the session directory's exclusive advisory lock
-// (flock on a LOCK file). The lock is the cross-process single-writer
-// guarantee for the WAL: fences make ownership transfers durable, but only
-// the kernel can tell a live writer from a dead one. A process that dies —
-// kill -9 included — releases the lock instantly, so failover adoption
-// proceeds; a process that is merely slow (a failure-detector flap) still
-// holds it, so a second writer can never interleave records into its
-// segments. errLockHeld reports a live holder.
-func acquireDirLock(dir string) (*os.File, error) {
-	f, err := os.OpenFile(lockPath(dir), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: opening lock file: %w", err)
+// flock takes f's exclusive advisory lock without blocking; errLockHeld
+// reports a live holder.
+func flock(f *os.File) error {
+	err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
+	if err == syscall.EWOULDBLOCK {
+		return errLockHeld
 	}
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
-		//easybolint:ok errdrop the flock error is the one reported; nothing was written through this handle
-		_ = f.Close()
-		if err == syscall.EWOULDBLOCK {
-			return nil, errLockHeld
-		}
-		return nil, fmt.Errorf("wal: locking session dir: %w", err)
-	}
-	return f, nil
+	return err
 }

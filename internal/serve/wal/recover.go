@@ -6,7 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
+	"io"
+	"io/fs"
 	"path/filepath"
 	"strconv"
 
@@ -22,18 +23,18 @@ var errEmptySession = errors.New("wal: no durable records")
 
 // List implements serve.Store: the persisted session ids, sorted, without
 // opening or validating anything.
-func (st *Store) List() ([]string, error) { return listSessions(st.root) }
+func (st *Store) List() ([]string, error) { return listSessions(st.fs, st.root) }
 
 // listSessions names the session directories under a store root.
-func listSessions(root string) ([]string, error) {
-	entries, err := os.ReadDir(filepath.Join(root, sessionsDirName))
+func listSessions(fsys fsys, root string) ([]string, error) {
+	entries, err := fsys.readDir(filepath.Join(root, sessionsDirName))
 	if err != nil {
 		return nil, fmt.Errorf("wal: listing sessions: %w", err)
 	}
 	var ids []string
 	for _, e := range entries {
-		if e.IsDir() {
-			ids = append(ids, e.Name())
+		if e.dir {
+			ids = append(ids, e.name)
 		}
 	}
 	// ReadDir already sorts by name.
@@ -63,10 +64,10 @@ func (st *Store) LoadSession(id string) (serve.PersistedSession, error) {
 		return ps, fmt.Errorf("%w: %q", serve.ErrUnknownSession, id)
 	}
 	dir := st.sessionDir(id)
-	if _, err := os.Stat(dir); err != nil {
+	if err := st.fs.stat(dir); err != nil {
 		return ps, fmt.Errorf("%w: %q", serve.ErrUnknownSession, id)
 	}
-	lf, err := acquireDirLock(dir)
+	lf, err := st.lockDir(dir)
 	if errors.Is(err, errLockHeld) {
 		return ps, &serve.HeldElsewhereError{ID: id, Owner: st.peekOwner(id)}
 	}
@@ -80,7 +81,7 @@ func (st *Store) LoadSession(id string) (serve.PersistedSession, error) {
 	sc, err := st.scanSession(id)
 	if errors.Is(err, errEmptySession) {
 		//easybolint:ok errdrop best-effort: an empty dir that survives is re-freed on the next boot
-		_ = os.RemoveAll(dir)
+		_ = st.fs.removeAll(dir)
 		release()
 		return ps, fmt.Errorf("%w: %q (no durable records)", serve.ErrUnknownSession, id)
 	}
@@ -115,18 +116,18 @@ func (st *Store) LoadSession(id string) (serve.PersistedSession, error) {
 func (st *Store) peekOwner(id string) string {
 	dir := st.sessionDir(id)
 	owner := ""
-	if raw, err := os.ReadFile(filepath.Join(dir, snapshotFileName)); err == nil {
+	if raw, err := st.fs.readFile(filepath.Join(dir, snapshotFileName)); err == nil {
 		var doc snapshotDoc
 		if json.Unmarshal(raw, &doc) == nil {
 			owner = doc.Snapshot.Owner
 		}
 	}
-	segs, err := listSegments(dir)
+	segs, err := listSegments(st.fs, dir)
 	if err != nil {
 		return owner
 	}
 	for _, seg := range segs {
-		data, err := os.ReadFile(filepath.Join(dir, seg.path))
+		data, err := st.fs.readFile(filepath.Join(dir, seg.path))
 		if err != nil {
 			continue
 		}
@@ -168,14 +169,14 @@ type scanResult struct {
 // look. A session that fails the scan comes back with Corrupt set; the
 // sessions are in id order.
 func ReadAll(root string) ([]serve.PersistedSession, error) {
-	ids, err := listSessions(root)
+	ids, err := listSessions(osFS{}, root)
 	if err != nil {
 		return nil, err
 	}
 	var out []serve.PersistedSession
 	for _, id := range ids {
 		ps := serve.PersistedSession{ID: id}
-		sc, err := scanDir(filepath.Join(root, sessionsDirName, id), id, false)
+		sc, err := scanDir(osFS{}, filepath.Join(root, sessionsDirName, id), id, false)
 		switch {
 		case errors.Is(err, errEmptySession):
 			continue // never durably existed; recovery frees it
@@ -193,25 +194,25 @@ func ReadAll(root string) ([]serve.PersistedSession, error) {
 // scanSession reads and validates one session directory, repairing what a
 // crash left behind.
 func (st *Store) scanSession(id string) (*scanResult, error) {
-	return scanDir(st.sessionDir(id), id, true)
+	return scanDir(st.fs, st.sessionDir(id), id, true)
 }
 
 // scanDir reads and validates one session directory. With repair it also
 // finishes what a crash interrupted — removes a stale snapshot tmp, truncates
 // a torn final line, prunes segments a snapshot covers — which only the
 // directory's lock holder may do; without, it writes nothing.
-func scanDir(dir, id string, repair bool) (*scanResult, error) {
+func scanDir(fsys fsys, dir, id string, repair bool) (*scanResult, error) {
 	if repair {
 		// A crash between writing snapshot.json.tmp and renaming it leaves a
 		// stale tmp; the renamed document is the only one that counts.
 		//easybolint:ok errdrop best-effort: a stale tmp that survives is removed again on the next boot
-		_ = os.Remove(filepath.Join(dir, snapshotFileName+".tmp"))
+		_ = fsys.remove(filepath.Join(dir, snapshotFileName+".tmp"))
 	}
 
 	sc := &scanResult{}
 	haveCreate := false
 	var snapSeq uint64 // records below this are covered by the snapshot
-	if raw, err := os.ReadFile(filepath.Join(dir, snapshotFileName)); err == nil {
+	if raw, err := fsys.readFile(filepath.Join(dir, snapshotFileName)); err == nil {
 		var doc snapshotDoc
 		if err := json.Unmarshal(raw, &doc); err != nil {
 			return nil, fmt.Errorf("undecodable snapshot document: %w", err)
@@ -227,11 +228,11 @@ func scanDir(dir, id string, repair bool) (*scanResult, error) {
 		sc.nextSeq = doc.NextSeq
 		snapSeq = doc.NextSeq
 		haveCreate = true // the snapshot subsumes the create record
-	} else if !os.IsNotExist(err) {
+	} else if !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("reading snapshot document: %w", err)
 	}
 
-	segs, err := listSegments(dir)
+	segs, err := listSegments(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +242,7 @@ func scanDir(dir, id string, repair bool) (*scanResult, error) {
 	var stale []string // segments fully covered by the snapshot
 	for i, seg := range segs {
 		path := filepath.Join(dir, seg.path)
-		data, err := os.ReadFile(path)
+		data, err := fsys.readFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("reading segment %s: %w", seg.path, err)
 		}
@@ -283,7 +284,7 @@ func scanDir(dir, id string, repair bool) (*scanResult, error) {
 				// line in the middle of history: quarantine.
 				if last && nl < 0 {
 					if repair {
-						if err := os.Truncate(path, int64(lineStart)); err != nil {
+						if err := fsys.truncate(path, int64(lineStart)); err != nil {
 							return nil, fmt.Errorf("truncating torn tail of %s: %w", seg.path, err)
 						}
 					}
@@ -343,7 +344,7 @@ func scanDir(dir, id string, repair bool) (*scanResult, error) {
 	for _, path := range stale {
 		if repair {
 			//easybolint:ok errdrop best-effort, as documented above: a leftover segment is skipped again next boot
-			_ = os.Remove(path)
+			_ = fsys.remove(path)
 		}
 	}
 	return sc, nil
@@ -372,7 +373,7 @@ func parseRecord(line []byte) (*record, error) {
 // reopen builds the live append handle for a scanned session: the last
 // segment is opened for append (any torn tail already truncated), and the
 // sequence counter resumes where the scan ended.
-func (st *Store) reopen(id string, sc *scanResult, lock *os.File) (*Log, error) {
+func (st *Store) reopen(id string, sc *scanResult, lock io.Closer) (*Log, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {

@@ -1,5 +1,7 @@
 // Package wal is the durable serve.Store: a per-session write-ahead log on
 // local disk, built so a kill -9'd easybod loses nothing it acknowledged.
+// The same log runs on MemFS, an in-memory filesystem, for sessions that
+// die with the process.
 //
 // # Layout
 //
@@ -62,7 +64,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
+	"io"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -128,9 +131,10 @@ func (o *Options) normalize() error {
 	return nil
 }
 
-// Store is the on-disk serve.Store. One Store owns one directory tree; the
-// daemon opens it once at boot.
+// Store is the serve.Store: one directory tree, on disk (Open) or on a MemFS
+// (OpenMem); the daemon opens it once at boot.
 type Store struct {
+	fs   fsys
 	root string
 	opts Options
 
@@ -160,16 +164,19 @@ type Store struct {
 var _ serve.Store = (*Store)(nil)
 
 // Open creates or reopens a WAL store rooted at dir.
-func Open(dir string, opts Options) (*Store, error) {
+func Open(dir string, opts Options) (*Store, error) { return open(osFS{}, dir, opts) }
+
+func open(fsys fsys, dir string, opts Options) (*Store, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
 	for _, sub := range []string{sessionsDirName, quarantineDirName} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+		if err := fsys.mkdirAll(filepath.Join(dir, sub)); err != nil {
 			return nil, fmt.Errorf("wal: preparing %s: %w", sub, err)
 		}
 	}
 	st := &Store{
+		fs:   fsys,
 		root: dir,
 		opts: opts,
 		logs: map[string]*Log{},
@@ -209,8 +216,15 @@ const (
 // so the cluster routes to the holder instead of forking the session.
 var errLockHeld = errors.New("wal: session locked by a live process")
 
-// lockPath is the session directory's advisory lock file.
-func lockPath(dir string) string { return filepath.Join(dir, lockFileName) }
+// lockDir takes the session directory's exclusive advisory lock (a LOCK
+// file; see osFS.lock), which makes its holder the session's single writer.
+func (st *Store) lockDir(dir string) (io.Closer, error) {
+	lf, err := st.fs.lock(filepath.Join(dir, lockFileName))
+	if err != nil && !errors.Is(err, errLockHeld) {
+		return nil, fmt.Errorf("wal: locking session dir: %w", err)
+	}
+	return lf, err
+}
 
 func (st *Store) sessionDir(id string) string {
 	return filepath.Join(st.root, sessionsDirName, id)
@@ -253,12 +267,12 @@ func (st *Store) Begin(id string, cfg serve.SessionConfig) (serve.SessionLog, er
 	if _, ok := st.logs[id]; ok {
 		return nil, fmt.Errorf("%w: %q", serve.ErrDuplicateSession, id)
 	}
-	if _, err := os.Stat(filepath.Join(st.root, quarantineDirName, id)); err == nil {
+	if err := st.fs.stat(filepath.Join(st.root, quarantineDirName, id)); err == nil {
 		return nil, fmt.Errorf("%w: %q (quarantined on disk)", serve.ErrDuplicateSession, id)
 	}
 	dir := st.sessionDir(id)
-	if err := os.Mkdir(dir, 0o755); err != nil {
-		if os.IsExist(err) {
+	if err := st.fs.mkdir(dir); err != nil {
+		if errors.Is(err, fs.ErrExist) {
 			return nil, fmt.Errorf("%w: %q (directory exists)", serve.ErrDuplicateSession, id)
 		}
 		return nil, fmt.Errorf("wal: creating session dir: %w", err)
@@ -266,7 +280,7 @@ func (st *Store) Begin(id string, cfg serve.SessionConfig) (serve.SessionLog, er
 	// The dir is freshly ours (Mkdir arbitrated), so the lock cannot be
 	// held; taking it now makes this process the single writer for the
 	// session's whole life here.
-	lf, err := acquireDirLock(dir)
+	lf, err := st.lockDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -314,13 +328,13 @@ func (st *Store) Quarantine(id, reason string) error {
 	// A session may be re-quarantined across restarts if the operator
 	// copied it back; keep the newest forensics.
 	//easybolint:ok errdrop best-effort: a leftover stale dst makes the rename fail, which is reported
-	_ = os.RemoveAll(dst)
-	if err := os.Rename(src, dst); err != nil {
+	_ = st.fs.removeAll(dst)
+	if err := st.fs.rename(src, dst); err != nil {
 		return fmt.Errorf("wal: quarantining %q: %w", id, err)
 	}
 	//easybolint:ok errdrop REASON is forensics, not state; quarantine holds without it
-	_ = os.WriteFile(filepath.Join(dst, "REASON"), []byte(reason+"\n"), 0o644)
-	return syncDir(filepath.Join(st.root, quarantineDirName))
+	_ = writeFileSync(st.fs, filepath.Join(dst, "REASON"), []byte(reason+"\n"), false)
+	return st.syncDir(filepath.Join(st.root, quarantineDirName))
 }
 
 // Remove implements serve.Store.
@@ -333,10 +347,10 @@ func (st *Store) Remove(id string) error {
 		//easybolint:ok errdrop the session is being deleted; a failed final flush has nothing left to protect
 		_ = l.Close()
 	}
-	if err := os.RemoveAll(st.sessionDir(id)); err != nil {
+	if err := st.fs.removeAll(st.sessionDir(id)); err != nil {
 		return fmt.Errorf("wal: removing %q: %w", id, err)
 	}
-	return syncDir(filepath.Join(st.root, sessionsDirName))
+	return st.syncDir(filepath.Join(st.root, sessionsDirName))
 }
 
 // Close implements serve.Store: flush and close every open log.
@@ -464,8 +478,8 @@ type Log struct {
 	dir string
 
 	mu       sync.Mutex
-	f        *os.File
-	lock     *os.File // exclusive dir lock: the cross-process single-writer guard
+	f        file
+	lock     io.Closer // exclusive dir lock: the cross-process single-writer guard
 	w        *bufio.Writer
 	seg      uint64 // current segment index
 	segBytes int64  // bytes written to the current segment
@@ -508,18 +522,12 @@ func newLog(st *Store, id, dir string) *Log {
 // openSegment opens (creating or appending) the current segment.
 func (l *Log) openSegment() error {
 	path := filepath.Join(l.dir, segmentName(l.seg))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, size, err := l.st.fs.openFile(path, false)
 	if err != nil {
-		return fmt.Errorf("wal: opening segment: %w", err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		//easybolint:ok errdrop nothing was written; the stat error is the one reported
-		f.Close()
 		return fmt.Errorf("wal: opening segment: %w", err)
 	}
 	l.f = f
-	l.segBytes = fi.Size()
+	l.segBytes = size
 	l.w = bufio.NewWriterSize(f, 1<<16)
 	return nil
 }
@@ -778,7 +786,7 @@ func (l *Log) commitSnapshot(cutSeq, cutSeg uint64, cutSince int, snap serve.Sna
 
 	fsync := l.st.opts.Fsync != PolicyOff
 	tmp := filepath.Join(l.dir, snapshotFileName+".tmp")
-	err = writeFileSync(tmp, doc, fsync)
+	err = writeFileSync(l.st.fs, tmp, doc, fsync)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -791,14 +799,14 @@ func (l *Log) commitSnapshot(cutSeq, cutSeg uint64, cutSince int, snap serve.Sna
 		// A failed rotation closed the log under the commit; this writer
 		// still holds the dir lock, so the tmp file is its own garbage.
 		//easybolint:ok errdrop quiet abort: the sealed segments remain authoritative
-		_ = os.Remove(tmp)
+		_ = l.st.fs.remove(tmp)
 		return nil
 	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, snapshotFileName)); err != nil {
+	if err := l.st.fs.rename(tmp, filepath.Join(l.dir, snapshotFileName)); err != nil {
 		return fmt.Errorf("wal: installing snapshot: %w", err)
 	}
 	if fsync {
-		if err := syncDir(l.dir); err != nil {
+		if err := l.st.syncDir(l.dir); err != nil {
 			return err
 		}
 	}
@@ -808,7 +816,7 @@ func (l *Log) commitSnapshot(cutSeq, cutSeg uint64, cutSince int, snap serve.Sna
 	// A failed prune does not poison the log: recovery skips records the
 	// snapshot covers and finishes the prune itself, and the next
 	// compaction retries it.
-	segs, err := listSegments(l.dir)
+	segs, err := listSegments(l.st.fs, l.dir)
 	if err != nil {
 		return err
 	}
@@ -816,7 +824,7 @@ func (l *Log) commitSnapshot(cutSeq, cutSeg uint64, cutSince int, snap serve.Sna
 		if seg.n > cutSeg {
 			continue
 		}
-		if err := os.Remove(filepath.Join(l.dir, seg.path)); err != nil {
+		if err := l.st.fs.remove(filepath.Join(l.dir, seg.path)); err != nil {
 			return fmt.Errorf("wal: pruning segment: %w", err)
 		}
 	}
@@ -923,8 +931,8 @@ func (l *Log) rotateLocked() error {
 // ---------------------------------------------------------------- helpers
 
 // writeFileSync writes data to path and optionally fsyncs it.
-func writeFileSync(path string, data []byte, fsync bool) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+func writeFileSync(fsys fsys, path string, data []byte, fsync bool) error {
+	f, _, err := fsys.openFile(path, true)
 	if err != nil {
 		return fmt.Errorf("wal: writing %s: %w", filepath.Base(path), err)
 	}
@@ -944,14 +952,8 @@ func writeFileSync(path string, data []byte, fsync bool) error {
 }
 
 // syncDir fsyncs a directory so renames and removals inside it are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: opening dir for sync: %w", err)
-	}
-	//easybolint:ok errdrop read-only directory handle; Sync below is the durability point
-	defer d.Close()
-	if err := d.Sync(); err != nil {
+func (st *Store) syncDir(dir string) error {
+	if err := st.fs.syncDir(dir); err != nil {
 		return fmt.Errorf("wal: dir fsync: %w", err)
 	}
 	return nil
@@ -963,14 +965,14 @@ type segmentRef struct {
 }
 
 // listSegments returns the session's segments sorted by index.
-func listSegments(dir string) ([]segmentRef, error) {
-	entries, err := os.ReadDir(dir)
+func listSegments(fsys fsys, dir string) ([]segmentRef, error) {
+	entries, err := fsys.readDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: listing segments: %w", err)
 	}
 	var segs []segmentRef
 	for _, e := range entries {
-		name := e.Name()
+		name := e.name
 		var n uint64
 		if _, err := fmt.Sscanf(name, segmentPrefix+"%08d"+segmentSuffix, &n); err == nil &&
 			name == segmentName(n) {

@@ -164,7 +164,7 @@ func TestWALSegmentRotation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, err := listSegments(st.sessionDir("rot"))
+	segs, err := listSegments(st.fs, st.sessionDir("rot"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestWALCrashBetweenSnapshotAndPruneRecovers(t *testing.T) {
 	}
 	// The prune got partway: one covered segment is already gone, leaving a
 	// gap in the covered region.
-	segs, err := listSegments(sdir)
+	segs, err := listSegments(st.fs, sdir)
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("need >=3 segments to prune a middle one, got %d (err %v)", len(segs), err)
 	}
@@ -300,7 +300,7 @@ func TestWALCrashBetweenSnapshotAndPruneRecovers(t *testing.T) {
 		t.Fatalf("config did not come back from the snapshot: %+v", ps.Config)
 	}
 	// Recovery finished the prune: no covered segment remains.
-	left, err := listSegments(sdir)
+	left, err := listSegments(st.fs, sdir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	st.Close()
 
 	// Simulate a crash mid-append: garbage half-record at the tail.
-	segs, _ := listSegments(st.sessionDir("torn"))
+	segs, _ := listSegments(st.fs, st.sessionDir("torn"))
 	last := filepath.Join(st.sessionDir("torn"), segs[len(segs)-1].path)
 	f, err := os.OpenFile(last, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
@@ -395,7 +395,7 @@ func TestWALCompleteBadTailQuarantines(t *testing.T) {
 	st.Close()
 
 	// Flip a payload byte of the final record, keeping its newline intact.
-	segs, _ := listSegments(st.sessionDir("rot13"))
+	segs, _ := listSegments(st.fs, st.sessionDir("rot13"))
 	path := filepath.Join(st.sessionDir("rot13"), segs[len(segs)-1].path)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -522,7 +522,7 @@ func TestWALMidFileCorruptionQuarantines(t *testing.T) {
 	st.Close()
 
 	// Flip a byte in the middle of the first record.
-	segs, _ := listSegments(st.sessionDir("bad"))
+	segs, _ := listSegments(st.fs, st.sessionDir("bad"))
 	path := filepath.Join(st.sessionDir("bad"), segs[0].path)
 	data, _ := os.ReadFile(path)
 	i := strings.IndexByte(string(data), '{')
@@ -568,7 +568,7 @@ func TestWALSequenceGapQuarantines(t *testing.T) {
 		}
 	}
 	st.Close()
-	segs, _ := listSegments(st.sessionDir("gap"))
+	segs, _ := listSegments(st.fs, st.sessionDir("gap"))
 	if len(segs) < 3 {
 		t.Fatalf("need >=3 segments to delete a middle one, got %d", len(segs))
 	}

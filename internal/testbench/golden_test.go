@@ -82,6 +82,29 @@ func TestGoldenClassESparseVsDense(t *testing.T) {
 	}
 }
 
+// TestOpAmpFOMIndependentOfACWorkers pins the figure of merit bit for bit
+// across the AC sweep's worker counts. The sweep itself is not bitwise
+// independent of them (circuit's TestGoldenACSerialMatchesParallel); the
+// FOM is, and it is what the optimizer sees: OpAmp's Eval sweeps on
+// GOMAXPROCS workers, its NewEval on one, and the benchmark digests must
+// not depend on the box.
+func TestOpAmpFOMIndependentOfACWorkers(t *testing.T) {
+	lo, hi := OpAmpBounds()
+	sims := map[int]*OpAmpSim{}
+	for _, w := range []int{1, 2, 3, 4, 8} {
+		sims[w] = NewOpAmpSim()
+		sims[w].ACWorkers = w
+	}
+	for i, x := range goldenPoints(lo, hi, 200, 7) {
+		want := OpAmpFOM(sims[1].Eval(x))
+		for _, w := range []int{2, 3, 4, 8} {
+			if got := OpAmpFOM(sims[w].Eval(x)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("point %d: FOM %v on %d AC workers, %v on one", i, got, w, want)
+			}
+		}
+	}
+}
+
 // TestSimReuseMatchesFreshSim guards the parameter-update path: a sim that
 // has evaluated other points must reproduce a fresh sim's result exactly.
 func TestSimReuseMatchesFreshSim(t *testing.T) {
