@@ -68,7 +68,8 @@ test: build
 # detector: the executor slot pool, the ask/tell machine, the session-actor
 # service and its WAL syncLoop, the cluster peer layer (heartbeats, forward
 # retries, handoffs), parallel AC sweeps (circuit), the multistart
-# optimizer's worker pool, the experiment harness, the client retrier
+# optimizer's worker pool, the hyperparameter fit's concurrent starts (gp),
+# the experiment harness, the client retrier
 # (cmd/easybo), and the daemon's serve/shutdown paths (cmd/easybod). The
 # session's read routes hand other goroutines prefixes of the arrays its
 # actor appends to; the test of that contract is schedule-dependent, so it
@@ -78,6 +79,8 @@ test: build
 # on any schedule, for simplexes and for gradient ascents): twenty. The
 # sweep's floor is per worker, so which candidates skip their solve depends
 # on the schedule of the ranges; that the result does not runs ten more times.
+# Which workspace runs which hyperparameter start depends on the schedule too;
+# that the fit does not (TestFitHyperScheduleIndependent) runs ten more times.
 # The surrogate package spawns nothing, but every goroutine above reads one
 # fitted model through predictors of its own. Predictors and views share one
 # model, and a view's predictors its busy-set state; Extend belongs to the
@@ -88,13 +91,14 @@ test: build
 # built without -race, whose runtime allocates on its own account.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/serve/... \
-		./internal/cluster/... ./internal/loadgen/... ./internal/surrogate/... \
+		./internal/cluster/... ./internal/loadgen/... ./internal/surrogate/... ./internal/gp/... \
 		./internal/circuit/... ./internal/optimize/... ./internal/harness/... \
 		./cmd/easybo/... ./cmd/easybod/... ./cmd/easyboload/...
 	$(GO) test -race -count 10 -run 'TestReadsShareHistoryWithActor|TestTellCostIndependentOfHistory' ./internal/serve
 	$(GO) test -race -count 20 -run 'TestRefineIsWorkConserving|TestMaximizeParallelDeterministicAcrossWorkers' ./internal/optimize
 	$(GO) test -race -count 10 -run 'TestSweepFloorChangesNothing' ./internal/core
 	$(GO) test -race -count 10 -run 'TestOneModelServesConcurrentReaders' ./internal/surrogate
+	$(GO) test -race -count 10 -run 'TestFitHyperScheduleIndependent' ./internal/gp
 
 # Coverage with a ratchet: scripts/coverage.sh fails if the durability
 # stack (./internal/serve/...) drops below its recorded floor.
@@ -146,7 +150,7 @@ load-smoke:
 # repository that turns time into a verdict (DESIGN.md §8.3).
 bench-smoke:
 	$(GO) test -run XXX -bench 'GPExtend|GPRefit|Hallucinate' -benchtime 1x .
-	$(GO) test -run XXX -bench 'SurrogateExtend|SurrogatePredict|PredictBatch|PredictGrad|Refine' -benchtime 1x ./internal/surrogate/
+	$(GO) test -run XXX -bench 'SurrogateFit|SurrogateExtend|SurrogatePredict|PredictBatch|PredictGrad|Refine' -benchtime 1x ./internal/surrogate/
 	$(GO) test -run XXX -bench 'FitHyper' -benchtime 1x ./internal/gp/
 	$(GO) test -run XXX -bench 'SolveLowerMulti|CholeskyInverse|RankUpdate|CholeskyAppend' -benchtime 1x ./internal/linalg/
 	$(GO) test -run XXX -bench 'NewtonIteration' -benchtime 1x ./internal/circuit/

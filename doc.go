@@ -52,7 +52,12 @@
 //     one exponential per entry instead of d+1, and in one reused workspace
 //     whose Adam steps allocate nothing. The gradient's K⁻¹ shares K's
 //     storage: L⁻¹ is built in the covariance matrix's lower triangle, dead
-//     once factored, and K⁻¹ is kept packed, half a matrix.
+//     once factored, and K⁻¹ is kept packed, half a matrix. A cold fit —
+//     a session's first model, a recovery, the hand-off to the feature
+//     backend — runs its independent starts side by side on up to
+//     GOMAXPROCS goroutines, a workspace each, with the bits of running
+//     them in turn; the cadenced refit has one start and stays on the
+//     caller.
 //   - The acquisition maximizer sweeps max(20·d, 100) candidates and
 //     refines the best three by a projected quasi-Newton ascent on the
 //     posterior's analytic gradient (at most 30 value-and-gradient
@@ -92,7 +97,9 @@
 //     predictions. Right for runs within the paper's budgets (≲ a few
 //     hundred evaluations) and required for non-SE-ARD kernels.
 //   - SurrogateFeatures performs Bayesian linear regression on a random-
-//     Fourier-feature basis of the SE-ARD kernel: O(n·m²) full fits and —
+//     Fourier-feature basis of the SE-ARD kernel: O(n·m²) full fits (the
+//     n·m(m+1)/2 multiply-adds of the information matrix's lower triangle,
+//     the half its factorization reads) and —
 //     decisive for long sessions — O(m²) rank-1 incremental updates and
 //     predictions that do not grow with the observation count (m defaults
 //     to 256). Hyperparameters are re-estimated periodically on a bounded

@@ -34,9 +34,13 @@ var durabilityVerbs = map[string]bool{
 	"Mkdir": true, "MkdirAll": true,
 	"Quarantine": true, "Snapshot": true,
 	// The same verbs on the WAL's filesystem seam (wal.fsys), and its
-	// whole-file write.
+	// whole-file write; the seam's open (which may create or empty the
+	// file) and its session lock (a dropped error is a second writer).
+	// TestErrDropCoversTheWALSeam fails on a seam method with an error
+	// result that is neither here nor in its read-only list.
 	"rename": true, "remove": true, "removeAll": true, "truncate": true,
 	"mkdir": true, "mkdirAll": true, "syncDir": true, "writeFileSync": true,
+	"openFile": true, "lock": true,
 	// Cluster ownership-transfer verbs: a dropped error here means a
 	// session served from a copy whose fence, transfer, or replay silently
 	// failed — a forked history waiting to happen.

@@ -305,7 +305,7 @@ func (g *GP) LogMarginalLikelihood() float64 {
 // ∂LML/∂θ = ½·tr((ααᵀ − K⁻¹)·∂K/∂θ). It is the hyperparameter optimizer's
 // gradient (trainWork.gradient) on a one-off workspace.
 func (g *GP) LMLGradient() []float64 {
-	w := newTrainWork(g.Kern, g.X, g.Y)
+	w := newTrainWork(g.Kern, newGramCache(g.X), g.X, g.Y)
 	w.cache.buildCovInto(w.k, g.Kern, &g.st, g.LogNoise)
 	return w.gradient(g)
 }

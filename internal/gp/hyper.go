@@ -3,6 +3,9 @@ package gp
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"easybo/internal/linalg"
 )
@@ -40,8 +43,15 @@ func (o *FitOptions) defaults() {
 // FitHyper fits GP hyperparameters by maximizing the log marginal likelihood
 // with Adam on the analytic gradient, projected to the kernel bounds, over
 // one default start, an optional warm start, and Restarts random starts.
-// It returns the best fitted GP found. rng drives the random restarts and
-// must not be nil.
+// It returns the best fitted GP found: the first start, in start order,
+// whose best LML is the largest. rng drives the random restarts, all drawn
+// before any start runs, and must not be nil.
+//
+// With more than one start and GOMAXPROCS above 1, the starts run side by
+// side on up to GOMAXPROCS goroutines, each in a training workspace of its
+// own over one shared distance cache; the result is the serial loop's, bit
+// for bit, on any schedule. A single start (the warm-only refit) or
+// GOMAXPROCS 1 runs in one workspace on the calling goroutine.
 func FitHyper(kern Kernel, x [][]float64, y []float64, rng *rand.Rand, opts *FitOptions) (*GP, error) {
 	var o FitOptions
 	if opts != nil {
@@ -54,29 +64,35 @@ func FitHyper(kern Kernel, x [][]float64, y []float64, rng *rand.Rand, opts *Fit
 	d := len(x[0])
 	lo, hi := kern.Bounds(d)
 
-	type start struct {
-		theta []float64
-		noise float64
-	}
-	var starts []start
+	var starts []hyperStart
 	if o.InitTheta != nil {
 		validateTheta(kern, o.InitTheta, d)
-		starts = append(starts, start{o.InitTheta, o.InitNoise})
+		starts = append(starts, hyperStart{o.InitTheta, o.InitNoise})
 	}
 	if o.InitTheta == nil || !o.WarmOnly {
-		starts = append(starts, start{kern.DefaultTheta(d), math.Log(1e-2)})
+		starts = append(starts, hyperStart{kern.DefaultTheta(d), math.Log(1e-2)})
 		for r := 0; r < o.Restarts; r++ {
 			th := make([]float64, kern.NumHyper(d))
 			for i := range th {
 				th[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
 			}
-			starts = append(starts, start{th, o.NoiseLo + rng.Float64()*(o.NoiseHi-o.NoiseLo)})
+			starts = append(starts, hyperStart{th, o.NoiseLo + rng.Float64()*(o.NoiseHi-o.NoiseLo)})
 		}
 	}
 
-	w := newTrainWork(kern, x, y)
-	for _, st := range starts {
-		w.adam(st.theta, st.noise, lo, hi, o)
+	cache := newGramCache(x)
+	var w *trainWork
+	if workers := min(runtime.GOMAXPROCS(0), len(starts)); workers <= 1 {
+		w = newTrainWork(kern, cache, x, y)
+		for _, st := range starts {
+			w.adam(st.theta, st.noise, lo, hi, o)
+		}
+	} else {
+		ws := make([]*trainWork, workers)
+		for i := range ws {
+			ws[i] = newTrainWork(kern, cache, x, y)
+		}
+		w = adamStarts(ws, starts, lo, hi, o)
 	}
 	if w.best == nil {
 		// Last resort: plain fit at the default hyperparameters with a large
@@ -90,10 +106,63 @@ func FitHyper(kern Kernel, x [][]float64, y []float64, rng *rand.Rand, opts *Fit
 	return &g, nil
 }
 
-// trainWork is the storage one FitHyper call works in. The training inputs
-// never change during a hyperparameter fit, so everything an Adam step
-// touches is sized once: the pairwise coordinate differences (computed
-// exactly once for every start and step), the Gram matrix, two factor slots,
+// hyperStart is where one start of the optimizer begins: the kernel
+// hyperparameters and log σn.
+type hyperStart struct {
+	theta []float64
+	noise float64
+}
+
+// adamStarts runs the starts on one goroutine per workspace, all reading
+// one distance cache, and returns the workspace holding the fit the serial
+// loop would have kept. A goroutine claims the lowest start nobody has
+// claimed, so the starts one workspace runs are in increasing order and,
+// within it, strict > keeps the earliest of equals as the serial loop does;
+// across workspaces, winner keeps the larger LML and, of equals, the earlier
+// start. No start reads anything another writes, so each start's values are
+// those of the serial loop on any schedule.
+func adamStarts(ws []*trainWork, starts []hyperStart, lo, hi []float64, o FitOptions) *trainWork {
+	from := make([]int, len(ws)) // the start each workspace's best came from
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for i := range ws {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			w := ws[i]
+			for s := int(next.Add(1) - 1); s < len(starts); s = int(next.Add(1) - 1) {
+				lml := w.lml
+				w.adam(starts[s].theta, starts[s].noise, lo, hi, o)
+				if w.lml > lml {
+					from[i] = s
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	return winner(ws, from)
+}
+
+// winner returns the workspace whose best fit has the largest LML and, of
+// equal ones, came from the earliest start. A workspace's lml is −Inf until
+// some step's LML beats it and never NaN, so one without a fit wins only
+// when none has one.
+func winner(ws []*trainWork, from []int) *trainWork {
+	win := 0
+	for i, w := range ws {
+		//easybolint:ok floateq a tie is exact equality, broken by start order as the serial loop's strict > breaks it; lml is never NaN
+		if w.lml > ws[win].lml || w.lml == ws[win].lml && from[i] < from[win] {
+			win = i
+		}
+	}
+	return ws[win]
+}
+
+// trainWork is the storage one goroutine of a FitHyper call works in. The
+// training inputs never change during a hyperparameter fit, so everything an
+// Adam step touches is sized once: the pairwise coordinate differences
+// (computed exactly once for every start and step, and only read, so every
+// workspace of the call shares them), the Gram matrix, two factor slots,
 // and the packed K⁻¹ the gradient consumes. A step allocates nothing.
 //
 // K's lower triangle is spent once factored: the factorization is the last
@@ -104,10 +173,11 @@ func FitHyper(kern Kernel, x [][]float64, y []float64, rng *rand.Rand, opts *Fit
 //
 // Ownership: slot[0] and slot[1] are GPs whose Theta, distState, factor and
 // alpha live here and are overwritten in place. best points at the slot
-// holding the best fit visited so far (over all starts); each step fits into
-// the other one, and takes over best — handing its predecessor's slot back
-// for reuse — only by beating it. The workspace lives for one FitHyper call
-// and is never pooled, so the winner can leave with its slot's buffers.
+// holding the best fit visited so far (over all the starts this workspace
+// ran); each step fits into the other one, and takes over best — handing
+// its predecessor's slot back for reuse — only by beating it. The workspace
+// lives for one FitHyper call and is never pooled, so the winner can leave
+// with its slot's buffers.
 type trainWork struct {
 	cache *gramCache
 	k     *linalg.Matrix // K + σn²I of the step being taken; upper triangle read un-jittered after factoring
@@ -121,11 +191,11 @@ type trainWork struct {
 	p, m, v []float64 // Adam parameters and moments
 }
 
-func newTrainWork(kern Kernel, x [][]float64, y []float64) *trainWork {
+func newTrainWork(kern Kernel, cache *gramCache, x [][]float64, y []float64) *trainWork {
 	n, d := len(x), len(x[0])
 	nh := kern.NumHyper(d)
 	w := &trainWork{
-		cache: newGramCache(x),
+		cache: cache,
 		k:     linalg.NewMatrix(n, n),
 		lml:   math.Inf(-1),
 		kinv:  make([]float64, n*(n+1)/2),

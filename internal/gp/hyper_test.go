@@ -244,6 +244,14 @@ func warmOptions(kern Kernel, d, iters int) *FitOptions {
 	return &FitOptions{Iters: iters, InitTheta: th, InitNoise: math.Log(3e-2), WarmOnly: true}
 }
 
+// coldWarmOptions is the auto-escalation hand-off's fit: the warm start,
+// then the default start and one random restart.
+func coldWarmOptions(kern Kernel, d, iters int) *FitOptions {
+	o := warmOptions(kern, d, iters)
+	o.WarmOnly = false
+	return o
+}
+
 // TestFitHyperMatchesReference pins FitHyper on the reused workspace to the
 // allocate-per-step optimizer it replaced: same rng draws, same Adam path,
 // same winner, every bit of it.
@@ -315,7 +323,7 @@ func TestFitHyperMatchesReferenceOnHazards(t *testing.T) {
 		if want == nil || !sawJitter {
 			t.Fatalf("%s: the duplicate-point set never needed the jitter ladder", kern.Name())
 		}
-		w := newTrainWork(kern, x, y)
+		w := newTrainWork(kern, newGramCache(x), x, y)
 		w.adam(theta0, math.Log(1e-9), lo, hi, o)
 		if w.best == nil {
 			t.Fatalf("%s: duplicates: no fit succeeded", kern.Name())
@@ -343,6 +351,103 @@ func TestFitHyperMatchesReferenceOnHazards(t *testing.T) {
 		if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
 			t.Fatalf("%s: NaN input: error %v, reference %v", kern.Name(), gotErr, wantErr)
 		}
+	}
+}
+
+// TestFitHyperScheduleIndependent pins the concurrent starts to the serial
+// reference at GOMAXPROCS 1 (the serial path), 2 and 4 (one workspace per
+// start up to the proc count), several times each so that the starts claim
+// their workspaces in different orders: two starts and three, a tie that
+// only the start order breaks, a start whose first factorization fails, and
+// a training set on which every start and the last-resort fit fail.
+func TestFitHyperScheduleIndependent(t *testing.T) {
+	f := func(v []float64) float64 { return math.Sin(4*v[0]) + v[1]*v[2] }
+	x, y := trainData(rand.New(rand.NewSource(16)), 40, 3, f)
+	// The tie: the second coordinate is one value for every point, so a
+	// lengthscale on it changes no covariance and has a zero gradient. The
+	// warm start is the default start but for that lengthscale; both climb
+	// the same LML to the last bit and only the start order picks the
+	// winner's Theta[1].
+	tx, ty := trainData(rand.New(rand.NewSource(17)), 30, 3, f)
+	for _, xi := range tx {
+		xi[1] = 0.5
+	}
+	tie := SEARD{}.DefaultTheta(3)
+	tie[1] += 1
+	// A NaN coordinate fails every start and the last-resort fit.
+	nx, ny := trainData(rand.New(rand.NewSource(18)), 20, 3, f)
+	nx[5][2] = math.NaN()
+
+	cases := []struct {
+		name string
+		x    [][]float64
+		y    []float64
+		opts *FitOptions
+	}{
+		{"two starts", x, y, &FitOptions{Iters: 12, Restarts: 1}},
+		{"three starts", x, y, &FitOptions{Iters: 12, Restarts: 2}},
+		{"warm, default and random", x, y, coldWarmOptions(SEARD{}, 3, 12)},
+		{"tie", tx, ty, &FitOptions{Iters: 12, InitTheta: tie, InitNoise: math.Log(1e-2)}},
+		{"failed first start", x, y, &FitOptions{Iters: 12, InitTheta: []float64{0, math.NaN(), 0, 0}, InitNoise: -3}},
+		{"every start fails", nx, ny, &FitOptions{Iters: 12}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range cases {
+		want, _, wantErr := refFitHyper(SEARD{}, c.x, c.y, rand.New(rand.NewSource(19)), c.opts)
+		if c.name == "tie" {
+			o := *c.opts
+			o.defaults()
+			lo, hi := SEARD{}.Bounds(3)
+			_, warm, _ := refAdamFit(SEARD{}, tx, ty, tie, o.InitNoise, lo, hi, o)
+			_, def, _ := refAdamFit(SEARD{}, tx, ty, SEARD{}.DefaultTheta(3), math.Log(1e-2), lo, hi, o)
+			if wantErr != nil || warm != def || want.Theta[1] != tie[1] {
+				t.Fatalf("tie: LML %v and %v, winner's Theta[1] %v (err %v); the case pins nothing", warm, def, want.Theta[1], wantErr)
+			}
+		}
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for rep := 0; rep < 3; rep++ {
+				what := fmt.Sprintf("%s, GOMAXPROCS %d, run %d", c.name, procs, rep)
+				got, err := FitHyper(SEARD{}, c.x, c.y, rand.New(rand.NewSource(19)), c.opts)
+				if wantErr != nil {
+					if err == nil || err.Error() != wantErr.Error() {
+						t.Fatalf("%s: error %v, reference %v", what, err, wantErr)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				sameFit(t, what, got, want)
+			}
+		}
+	}
+}
+
+// TestWinnerIsTheSerialPick holds the merge of the workspaces to the serial
+// loop's rule on hand-built outcomes: the largest LML, of equals the one
+// from the earliest start wherever its workspace sits, and a workspace with
+// no fit never.
+func TestWinnerIsTheSerialPick(t *testing.T) {
+	fit := func(lml float64) *trainWork { return &trainWork{best: &GP{}, lml: lml} }
+	none := func() *trainWork { return &trainWork{lml: math.Inf(-1)} }
+	for _, c := range []struct {
+		name string
+		ws   []*trainWork
+		from []int
+		want int
+	}{
+		{"larger wins", []*trainWork{fit(1), fit(2)}, []int{0, 1}, 1},
+		{"tie to the earlier start", []*trainWork{fit(2), fit(2)}, []int{1, 0}, 1},
+		{"tie to the earlier start, three", []*trainWork{fit(2), fit(2), fit(2)}, []int{2, 1, 3}, 1},
+		{"no fit loses", []*trainWork{none(), fit(-1e300)}, []int{0, 1}, 1},
+	} {
+		if got := winner(c.ws, c.from); got != c.ws[c.want] {
+			t.Errorf("%s: picked a workspace other than %d", c.name, c.want)
+		}
+	}
+	if winner([]*trainWork{none(), none()}, []int{1, 0}).best != nil {
+		t.Error("no fit anywhere: picked a fit")
 	}
 }
 
@@ -507,8 +612,9 @@ func TestRefitSubnormalRegime(t *testing.T) {
 // BenchmarkFitHyper is one hyperparameter refit as the serving loop pays for
 // it: the cadenced warm-only refit (20 iterations from the previous optimum)
 // at two training-set sizes, and the cold fit a recovery or a first model
-// runs (40 iterations from the default start and one random restart); then
-// the two recorded op-amp refits at n = 60, outside and inside the
+// runs (40 iterations from the default start and one random restart), and
+// the auto-escalation hand-off's three (the warm start as well); then the
+// two recorded op-amp refits at n = 60, outside and inside the
 // subnormal regime, each reporting its count of subnormal operands.
 func BenchmarkFitHyper(b *testing.B) {
 	const d = 10
@@ -527,6 +633,7 @@ func BenchmarkFitHyper(b *testing.B) {
 		{"warm/n=60", 60, warmOptions(SEARD{}, d, 20)},
 		{"warm/n=150", 150, warmOptions(SEARD{}, d, 20)},
 		{"cold/n=150", 150, &FitOptions{Iters: 40, Restarts: 1}},
+		{"cold3/n=150", 150, coldWarmOptions(SEARD{}, d, 40)},
 	} {
 		x, y := trainData(rand.New(rand.NewSource(14)), c.n, d, func(v []float64) float64 { return v[0] + math.Sin(6*v[3]) })
 		cases = append(cases, fitCase{c.name, x, y, c.opts})

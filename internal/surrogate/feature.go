@@ -16,9 +16,11 @@ import (
 //
 // which approximates the exact GP posterior with cost governed by the
 // feature count m instead of the observation count n: a full fit is
-// O(n·m²), absorbing one observation is a rank-1 O(m²) update of the
-// information factor, and a prediction is O(m²) — flat no matter how long
-// the session runs. Like Exact it is fitted in its frame's units.
+// O(n·m²) (n·m(m+1)/2 multiply-adds to assemble A's lower triangle, the
+// half its factorization reads, then an m³/6 factorization), absorbing one
+// observation is a rank-1 O(m²) update of the information factor, and a
+// prediction is O(m²) — flat no matter how long the session runs. Like
+// Exact it is fitted in its frame's units.
 type FeatureModel struct {
 	frame
 	noise2 float64 // floored observation-noise variance σn²
@@ -55,7 +57,9 @@ func fitFeatures(f frame, xs [][]float64, ys []float64,
 	}
 	fm := &FeatureModel{frame: f, noise2: gp.NoiseVar(logNoise), basis: basis}
 
-	// Assemble A = I + ΦᵀΦ/σn² and rhs = Φᵀy/σn² in one pass.
+	// Assemble A = I + ΦᵀΦ/σn² and rhs = Φᵀy/σn² in one pass. Only the
+	// lower triangle and the diagonal of A are summed: they are all the
+	// factorization reads.
 	a := linalg.NewMatrix(m, m)
 	for i := 0; i < m; i++ {
 		a.Add(i, i, 1)
@@ -71,10 +75,7 @@ func fitFeatures(f frame, xs [][]float64, ys []float64,
 			if pki == 0 {
 				continue
 			}
-			row := a.Row(i)
-			for j := 0; j < m; j++ {
-				row[j] += pki * phi[j]
-			}
+			linalg.Axpy(pki, phi[:i+1], a.Row(i)[:i+1])
 		}
 	}
 	fm.chol, err = linalg.NewCholesky(a)

@@ -9,8 +9,12 @@
 #      sessions from the shared store and replay their write-ahead logs)
 #   5. restarts the dead node and lets the heal handoff move sessions home
 #
-# At the end every session must have completed with the full observation
-# budget. With fsync=always or interval no tell acknowledged by any node may
+# Before the kill it records which node holds each session (every node's
+# GET /cluster/holds `live` list; creation routes to the ring owner, so the
+# holder is the owner) and kills the holder of a random session. After the
+# restart every session must be live on that same node and on no other
+# within HEAL_WAIT seconds, and every session must have completed with the
+# full observation budget. With fsync=always or interval no tell acknowledged by any node may
 # be lost to the kill; with fsync=off the no-fsync contract allows the
 # buffered tail (even a whole young session) to be lost, and the loop
 # re-creates and re-derives it — the budget must still be met. Requires
@@ -23,6 +27,7 @@ BASE_PORT=${BASE_PORT:-7841}
 FSYNC=${FSYNC:-always}
 SESSIONS=${SESSIONS:-6}
 EVALS=${EVALS:-8}
+HEAL_WAIT=${HEAL_WAIT:-30}
 
 work=$(mktemp -d)
 data="$work/data"
@@ -99,6 +104,25 @@ cluster_curl() {
 	exit 1
 }
 
+# holders ID: the nodes whose /cluster/holds lists session ID as live, as
+# "n0 n2"; a node that does not answer counts as "n1?", so a check against
+# it cannot pass.
+holders() {
+	local out="" body live
+	for i in 0 1 2; do
+		[ -n "${pids[$i]}" ] || continue
+		if ! body=$(curl -fsS --max-time 5 "http://127.0.0.1:${ports[$i]}/cluster/holds" 2>/dev/null); then
+			out+="n$i? "
+			continue
+		fi
+		live=$(sed -n 's/.*"live":\[\([^]]*\)\].*/\1/p' <<<"$body")
+		if grep -q "\"$1\"" <<<"$live"; then
+			out+="n$i "
+		fi
+	done
+	echo "${out% }"
+}
+
 field() {
 	sed -n "s/.*\"$1\":\([0-9eE.+-]*\).*/\1/p" <<<"$2"
 }
@@ -161,8 +185,22 @@ for s in $(seq 1 "$SESSIONS"); do
 	drive_one "load-$s" >/dev/null
 done
 
-victim=$((RANDOM % 3))
-echo "== kill -9 node n$victim mid-traffic"
+echo "== recording each session's holder"
+declare -a owner
+for s in $(seq 1 "$SESSIONS"); do
+	owner[$s]=$(holders "load-$s")
+	case "${owner[$s]}" in
+	n[012]) ;;
+	*)
+		echo "clusterloop: FAIL — before the kill load-$s is live on '${owner[$s]}', want exactly one node"
+		exit 1
+		;;
+	esac
+done
+victim=${owner[$((RANDOM % SESSIONS + 1))]#n}
+echo "== kill -9 node n$victim mid-traffic (it holds$(for s in $(seq 1 "$SESSIONS"); do
+	[ "${owner[$s]}" = "n$victim" ] && printf ' load-%s' "$s"
+done))"
 kill -9 "${pids[$victim]}"
 wait "${pids[$victim]}" 2>/dev/null || true
 pids[$victim]=""
@@ -183,9 +221,31 @@ for s in $(seq 1 "$SESSIONS"); do
 	done
 done
 
+for s in $(seq 1 "$SESSIONS"); do
+	[ "${owner[$s]}" = "n$victim" ] || continue
+	now=$(holders "load-$s")
+	case "$now" in
+	n[012]) echo "   load-$s failed over to $now" ;;
+	*)
+		echo "clusterloop: FAIL — with n$victim dead, load-$s is live on '$now', want exactly one survivor"
+		exit 1
+		;;
+	esac
+done
+
 echo "== reviving n$victim and letting the cluster heal"
 start_node "$victim"
-sleep 1
+deadline=$((SECONDS + HEAL_WAIT))
+for s in $(seq 1 "$SESSIONS"); do
+	while now=$(holders "load-$s"); [ "$now" != "${owner[$s]}" ]; do
+		if [ "$SECONDS" -ge "$deadline" ]; then
+			echo "clusterloop: FAIL — ${HEAL_WAIT}s after n$victim returned, load-$s is live on '$now', want ${owner[$s]} alone"
+			exit 1
+		fi
+		sleep 0.25
+	done
+done
+echo "   every session is live on its holder from before the kill, and on no other node"
 
 for s in $(seq 1 "$SESSIONS"); do
 	st=$(cluster_curl "/sessions/load-$s")
@@ -196,4 +256,4 @@ for s in $(seq 1 "$SESSIONS"); do
 		exit 1
 	fi
 done
-echo "clusterloop: ok — $SESSIONS sessions x $EVALS observations survived a kill -9 of n$victim (fsync=$FSYNC)"
+echo "clusterloop: ok — $SESSIONS sessions x $EVALS observations survived a kill -9 of n$victim and went home (fsync=$FSYNC)"
