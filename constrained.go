@@ -55,11 +55,13 @@ type ConstrainedResult struct {
 // FitIters (default 30), Algorithm (EasyBO or EasyBOA; anything else runs
 // as EasyBO) and Async.Context, which cancels the run between completions.
 // It retrains every surrogate, an exact GP per output, before every
-// model-based point, so Surrogate, EscalateAt and RefitEvery are not
-// consulted, nor is the rest of Async: an evaluation whose objective or any
-// constraint is NaN or ±Inf is a failed evaluation whatever the policy —
-// listed in Evaluations with Err set and Feasible false, never the reported
-// best, never shown to a surrogate — and still spends one of MaxEvals.
+// model-based point, each from the default start and one random restart,
+// run side by side on up to GOMAXPROCS goroutines; so Surrogate,
+// EscalateAt and RefitEvery are not consulted, nor is the rest of Async:
+// an evaluation whose objective or any constraint is NaN or ±Inf is a
+// failed evaluation whatever the policy — listed in Evaluations with Err
+// set and Feasible false, never the reported best, never shown to a
+// surrogate — and still spends one of MaxEvals.
 func OptimizeConstrained(p Problem, constraints []Constraint, opts Options) (*ConstrainedResult, error) {
 	if _, err := p.toInternal(); err != nil {
 		return nil, err

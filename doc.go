@@ -52,12 +52,13 @@
 //     one exponential per entry instead of d+1, and in one reused workspace
 //     whose Adam steps allocate nothing. The gradient's K⁻¹ shares K's
 //     storage: L⁻¹ is built in the covariance matrix's lower triangle, dead
-//     once factored, and K⁻¹ is kept packed, half a matrix. A cold fit —
-//     a session's first model, a recovery, the hand-off to the feature
-//     backend — runs its independent starts side by side on up to
-//     GOMAXPROCS goroutines, a workspace each, with the bits of running
-//     them in turn; the cadenced refit has one start and stays on the
-//     caller.
+//     once factored, and K⁻¹ is kept packed, half a matrix. A fit with
+//     more than one start — a session's first model, a recovery, the
+//     hand-off to the feature backend, and every fit OptimizeConstrained
+//     runs before a model-based point — runs its independent starts side
+//     by side on up to GOMAXPROCS goroutines, a workspace each, with the
+//     bits of running them in turn; the cadenced warm-only refit has one
+//     start and stays on the caller.
 //   - The acquisition maximizer sweeps max(20·d, 100) candidates and
 //     refines the best three by a projected quasi-Newton ascent on the
 //     posterior's analytic gradient (at most 30 value-and-gradient
