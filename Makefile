@@ -80,7 +80,9 @@ test: build
 # sweep's floor is per worker, so which candidates skip their solve depends
 # on the schedule of the ranges; that the result does not runs ten more times.
 # Which workspace runs which hyperparameter start depends on the schedule too;
-# that the fit does not (TestFitHyperScheduleIndependent) runs ten more times.
+# that the fit does not (TestFitHyperScheduleIndependent) runs ten more times,
+# and so does the pin on fits that trade distance caches through their pool
+# while others run (TestConcurrentFitsShareThePool).
 # The surrogate package spawns nothing, but every goroutine above reads one
 # fitted model through predictors of its own. Predictors and views share one
 # model, and a view's predictors its busy-set state; Extend belongs to the
@@ -98,7 +100,7 @@ race:
 	$(GO) test -race -count 20 -run 'TestRefineIsWorkConserving|TestMaximizeParallelDeterministicAcrossWorkers' ./internal/optimize
 	$(GO) test -race -count 10 -run 'TestSweepFloorChangesNothing' ./internal/core
 	$(GO) test -race -count 10 -run 'TestOneModelServesConcurrentReaders' ./internal/surrogate
-	$(GO) test -race -count 10 -run 'TestFitHyperScheduleIndependent' ./internal/gp
+	$(GO) test -race -count 10 -run 'TestFitHyperScheduleIndependent|TestConcurrentFitsShareThePool' ./internal/gp
 
 # Coverage with a ratchet: scripts/coverage.sh fails if the durability
 # stack (./internal/serve/...) drops below its recorded floor.

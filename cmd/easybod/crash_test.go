@@ -23,12 +23,27 @@ import (
 	"time"
 )
 
+// binDir is the directory buildEasybod compiled the daemon into, if any;
+// TestMain removes it once every test has run.
+var binDir string
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		if err := os.RemoveAll(binDir); err != nil {
+			fmt.Fprintln(os.Stderr, "removing the daemon build:", err)
+		}
+	}
+	os.Exit(code)
+}
+
 // buildEasybod compiles the daemon once per test binary invocation.
 var buildEasybod = sync.OnceValues(func() (string, error) {
 	dir, err := os.MkdirTemp("", "easybod-bin")
 	if err != nil {
 		return "", err
 	}
+	binDir = dir
 	bin := filepath.Join(dir, "easybod")
 	cmd := exec.Command("go", "build", "-o", bin, ".")
 	out, err := cmd.CombinedOutput()

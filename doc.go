@@ -58,7 +58,11 @@
 //     runs before a model-based point — runs its independent starts side
 //     by side on up to GOMAXPROCS goroutines, a workspace each, with the
 //     bits of running them in turn; the cadenced warm-only refit has one
-//     start and stays on the caller.
+//     start and stays on the caller. The distance cache, the largest
+//     buffer a fit needs (n(n−1)/2·d floats), is drawn from a pool that
+//     every fit in the process shares and handed back when the fit's last
+//     start is done: a refit allocates its Gram matrix, K⁻¹ and factor
+//     slots, and a session between refits holds no cache.
 //   - The acquisition maximizer sweeps max(20·d, 100) candidates and
 //     refines the best three by a projected quasi-Newton ascent on the
 //     posterior's analytic gradient (at most 30 value-and-gradient

@@ -307,7 +307,9 @@ func (g *GP) LogMarginalLikelihood() float64 {
 func (g *GP) LMLGradient() []float64 {
 	w := newTrainWork(g.Kern, newGramCache(g.X), g.X, g.Y)
 	w.cache.buildCovInto(w.k, g.Kern, &g.st, g.LogNoise)
-	return w.gradient(g)
+	grad := w.gradient(g)
+	gramPool.Put(w.cache)
+	return grad
 }
 
 // Extend returns the GP whose training set is the receiver's augmented with

@@ -51,7 +51,9 @@ func (o *FitOptions) defaults() {
 // side on up to GOMAXPROCS goroutines, each in a training workspace of its
 // own over one shared distance cache; the result is the serial loop's, bit
 // for bit, on any schedule. A single start (the warm-only refit) or
-// GOMAXPROCS 1 runs in one workspace on the calling goroutine.
+// GOMAXPROCS 1 runs in one workspace on the calling goroutine. The distance
+// cache's storage comes from a pool shared by every FitHyper in the process
+// and goes back to it once the last start has finished.
 func FitHyper(kern Kernel, x [][]float64, y []float64, rng *rand.Rand, opts *FitOptions) (*GP, error) {
 	var o FitOptions
 	if opts != nil {
@@ -94,6 +96,7 @@ func FitHyper(kern Kernel, x [][]float64, y []float64, rng *rand.Rand, opts *Fit
 		}
 		w = adamStarts(ws, starts, lo, hi, o)
 	}
+	gramPool.Put(cache) // every start has finished; the winner's slot holds nothing of it
 	if w.best == nil {
 		// Last resort: plain fit at the default hyperparameters with a large
 		// noise floor, which is always positive definite.
@@ -177,7 +180,8 @@ func winner(ws []*trainWork, from []int) *trainWork {
 // ran); each step fits into the other one, and takes over best — handing
 // its predecessor's slot back for reuse — only by beating it. The workspace
 // lives for one FitHyper call and is never pooled, so the winner can leave
-// with its slot's buffers.
+// with its slot's buffers. Only the distance cache outlives it, in gramPool:
+// no slot references it.
 type trainWork struct {
 	cache *gramCache
 	k     *linalg.Matrix // K + σn²I of the step being taken; upper triangle read un-jittered after factoring

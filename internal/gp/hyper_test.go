@@ -615,7 +615,9 @@ func TestRefitSubnormalRegime(t *testing.T) {
 // runs (40 iterations from the default start and one random restart), and
 // the auto-escalation hand-off's three (the warm start as well); then the
 // two recorded op-amp refits at n = 60, outside and inside the
-// subnormal regime, each reporting its count of subnormal operands.
+// subnormal regime, each reporting its count of subnormal operands; and the
+// cadence one bo-opamp block pays, warm refits at n = 25, 30, …, 150 in
+// order, reporting bytes per refit.
 func BenchmarkFitHyper(b *testing.B) {
 	const d = 10
 	type fitCase struct {
@@ -659,4 +661,25 @@ func BenchmarkFitHyper(b *testing.B) {
 			b.ReportMetric(float64(subnormalOperands(sinkGP)), "subnormals")
 		})
 	}
+	b.Run("cadence", func(b *testing.B) {
+		x, y := trainData(rand.New(rand.NewSource(14)), 150, d, func(v []float64) float64 { return v[0] + math.Sin(6*v[3]) })
+		opts := warmOptions(SEARD{}, d, 20)
+		refits := 0
+		var before, after runtime.MemStats
+		b.ReportAllocs()
+		b.ResetTimer()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < b.N; i++ {
+			for n := 25; n <= len(x); n += 5 {
+				g, err := FitHyper(SEARD{}, x[:n], y[:n], rand.New(rand.NewSource(15)), opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkGP = g
+				refits++
+			}
+		}
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(refits), "B/refit")
+	})
 }
