@@ -351,20 +351,6 @@ func BenchmarkConstrainedOpt(b *testing.B) {
 	}
 }
 
-// BenchmarkThompsonSampling measures the RFF-based parallel TS driver.
-func BenchmarkThompsonSampling(b *testing.B) {
-	prob := testbench.OpAmp()
-	for i := 0; i < b.N; i++ {
-		_, err := bo.Run(prob, bo.Config{
-			Algo: bo.AlgoTS, BatchSize: 5, MaxEvals: 35, InitPoints: 10,
-			Seed: int64(i), FitIters: 12, RefitEvery: 10,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCircuitTransient measures the raw MNA transient engine on the
 // class-E netlist (the substrate's hot loop).
 func BenchmarkCircuitTransient(b *testing.B) {

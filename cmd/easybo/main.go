@@ -56,7 +56,7 @@ func main() {
 	)
 	var (
 		problem = flag.String("problem", "branin", "problem: opamp | classe | branin | hartmann6 | ackley | rosenbrock")
-		algo    = flag.String("algo", "easybo", "algorithm: easybo | easybo-a | easybo-sp | easybo-s | pbo | phcbo | ei | lcb | ts | hedge | de | random")
+		algo    = flag.String("algo", "easybo", "algorithm: easybo | easybo-a | easybo-sp | easybo-s | pbo | phcbo | ei | lcb | de | random")
 		workers = flag.Int("workers", 5, "parallel workers (batch size B)")
 		evals   = flag.Int("evals", 150, "total evaluations including the initial design")
 		initN   = flag.Int("init", 20, "initial design size")

@@ -51,8 +51,6 @@ const (
 	LCB          Algorithm = "lcb"       // sequential confidence bound
 	DE           Algorithm = "de"        // differential evolution
 	RandomSearch Algorithm = "random"    // uniform random sampling
-	TS           Algorithm = "ts"        // (parallel) Thompson sampling via RFF posterior draws
-	GPHedge      Algorithm = "hedge"     // portfolio of EI/PI/UCB with hedge weights
 )
 
 // SurrogateBackend selects the surrogate model implementation behind an
@@ -254,10 +252,6 @@ func (o Options) algorithm() (bo.Algorithm, error) {
 		return bo.AlgoDE, nil
 	case RandomSearch:
 		return bo.AlgoRandom, nil
-	case TS:
-		return bo.AlgoTS, nil
-	case GPHedge:
-		return bo.AlgoPortfolio, nil
 	default:
 		return "", fmt.Errorf("easybo: unknown algorithm %q", o.Algorithm)
 	}

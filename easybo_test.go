@@ -69,9 +69,13 @@ func TestOptimizeAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestOptimizeUnknownAlgorithm also holds the retired "ts" and "hedge" to an
+// error: a caller still naming them must not get another algorithm instead.
 func TestOptimizeUnknownAlgorithm(t *testing.T) {
-	if _, err := easybo.Optimize(circuits.Branin(), easybo.Options{Algorithm: "nope"}); err == nil {
-		t.Fatal("unknown algorithm must fail")
+	for _, algo := range []easybo.Algorithm{"nope", "ts", "hedge"} {
+		if _, err := easybo.Optimize(circuits.Branin(), easybo.Options{Algorithm: algo}); err == nil {
+			t.Fatalf("unknown algorithm %q must fail", algo)
+		}
 	}
 }
 
@@ -233,21 +237,6 @@ func TestCircuitProblemsExposed(t *testing.T) {
 	}
 	if circuits.Hartmann6().Objective(make([]float64, 6)) < 0 {
 		t.Fatal("Hartmann6 must be positive somewhere near origin corner")
-	}
-}
-
-func TestOptimizeNewAlgorithms(t *testing.T) {
-	p := circuits.Branin()
-	for _, algo := range []easybo.Algorithm{easybo.TS, easybo.GPHedge} {
-		opts := easybo.Options{Algorithm: algo, Workers: 2, MaxEvals: 25, Seed: 6}
-		brainFast(&opts)
-		res, err := easybo.Optimize(p, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
-		if len(res.Evaluations) != 25 {
-			t.Fatalf("%s: evaluations = %d", algo, len(res.Evaluations))
-		}
 	}
 }
 

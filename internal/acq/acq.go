@@ -1,5 +1,5 @@
 // Package acq implements the acquisition functions compared in the EasyBO
-// paper: UCB/LCB (Eq. 3), EI, PI, the weighted pBO acquisition (Eq. 4/7),
+// paper: LCB (Eq. 3), EI, the weighted pBO acquisition (Eq. 4/7),
 // the pHCBO high-coverage penalty (Eq. 5–6), and EasyBO's randomized-weight
 // acquisition with hallucinated uncertainty (Eq. 8–9).
 //
@@ -32,24 +32,9 @@ type Func interface {
 	Name() string
 }
 
-// UCB is the upper confidence bound µ + κσ (paper Eq. 3).
-type UCB struct{ Kappa float64 }
-
-// Name implements Func.
-func (UCB) Name() string { return "UCB" }
-
-// Value implements Func.
-func (u UCB) Value(s Surrogate, x []float64) float64 {
-	mu, sigma := s.Predict(x)
-	return mu + u.Kappa*sigma
-}
-
-// Partials implements Func.
-func (u UCB) Partials(_, _ float64) (dMu, dSigma float64) { return 1, u.Kappa }
-
-// LCB is the optimistic lower-confidence-bound strategy from the paper's
-// baseline list. For a maximization problem the optimistic rule coincides
-// with UCB; the type exists so experiment tables can name it faithfully.
+// LCB is the paper's confidence-bound baseline (Eq. 3), written for
+// maximization like every acquisition here: the optimistic bound µ + κσ,
+// which is the lower confidence bound µ − κσ of the negated objective.
 type LCB struct{ Kappa float64 }
 
 // Name implements Func.
@@ -57,7 +42,8 @@ func (LCB) Name() string { return "LCB" }
 
 // Value implements Func.
 func (l LCB) Value(s Surrogate, x []float64) float64 {
-	return UCB{Kappa: l.Kappa}.Value(s, x)
+	mu, sigma := s.Predict(x)
+	return mu + l.Kappa*sigma
 }
 
 // Partials implements Func.
@@ -108,39 +94,6 @@ func (e EI) Partials(mu, sigma float64) (dMu, dSigma float64) {
 		return 0, 0
 	}
 	return cdf, pdf
-}
-
-// PI is the probability of improvement over Best by at least Xi.
-type PI struct {
-	Best float64
-	Xi   float64
-}
-
-// Name implements Func.
-func (PI) Name() string { return "PI" }
-
-// Value implements Func.
-func (p PI) Value(s Surrogate, x []float64) float64 {
-	mu, sigma := s.Predict(x)
-	if sigma <= 1e-12 {
-		if mu-p.Best-p.Xi > 0 {
-			return 1
-		}
-		return 0
-	}
-	return stats.NormCDF((mu - p.Best - p.Xi) / sigma)
-}
-
-// Partials implements Func: with z = (µ − Best − Xi)/σ, ∂PI/∂µ = φ(z)/σ and
-// ∂PI/∂σ = −z·φ(z)/σ; PI is a step on the certain posterior, flat on both
-// sides.
-func (p PI) Partials(mu, sigma float64) (dMu, dSigma float64) {
-	if sigma <= 1e-12 {
-		return 0, 0
-	}
-	z := (mu - p.Best - p.Xi) / sigma
-	pdf := stats.NormPDF(z)
-	return pdf / sigma, -z * pdf / sigma
 }
 
 // Weighted is the pBO/EasyBO weighted acquisition (paper Eq. 4, 7, 8, 9):

@@ -20,21 +20,18 @@ type fieldSurrogate struct {
 
 func (s fieldSurrogate) Predict(x []float64) (float64, float64) { return s.mu(x), s.sigma(x) }
 
-func TestUCBMonotoneInKappa(t *testing.T) {
+func TestLCBMonotoneInKappa(t *testing.T) {
 	s := stubSurrogate{mu: 1, sigma: 0.5}
 	prev := math.Inf(-1)
 	for _, k := range []float64{0, 0.5, 1, 2, 4} {
-		v := UCB{Kappa: k}.Value(s, nil)
+		v := LCB{Kappa: k}.Value(s, nil)
 		if v <= prev {
-			t.Fatalf("UCB not increasing in kappa at %v", k)
+			t.Fatalf("LCB not increasing in kappa at %v", k)
 		}
 		prev = v
 	}
-	if got := (UCB{Kappa: 2}).Value(s, nil); got != 2 {
-		t.Fatalf("UCB = %v, want 2", got)
-	}
-	if (LCB{Kappa: 2}).Value(s, nil) != (UCB{Kappa: 2}).Value(s, nil) {
-		t.Fatal("LCB must alias UCB for maximization")
+	if got := (LCB{Kappa: 2}).Value(s, nil); got != 2 {
+		t.Fatalf("LCB = %v, want 2", got)
 	}
 }
 
@@ -59,24 +56,6 @@ func TestEIProperties(t *testing.T) {
 	highS := EI{Best: 0}.Value(stubSurrogate{0, 1.0}, nil)
 	if highS <= lowS {
 		t.Fatal("EI must grow with sigma at the incumbent mean")
-	}
-}
-
-func TestPIProperties(t *testing.T) {
-	if v := (PI{Best: 0}).Value(stubSurrogate{0, 1}, nil); math.Abs(v-0.5) > 1e-12 {
-		t.Fatalf("PI at the incumbent mean = %v, want 0.5", v)
-	}
-	if v := (PI{Best: 0}).Value(stubSurrogate{10, 1}, nil); v < 0.999 {
-		t.Fatalf("PI far above best = %v", v)
-	}
-	if v := (PI{Best: 0}).Value(stubSurrogate{-10, 1}, nil); v > 1e-3 {
-		t.Fatalf("PI far below best = %v", v)
-	}
-	if v := (PI{Best: 0}).Value(stubSurrogate{1, 0}, nil); v != 1 {
-		t.Fatalf("deterministic improvement PI = %v, want 1", v)
-	}
-	if v := (PI{Best: 2}).Value(stubSurrogate{1, 0}, nil); v != 0 {
-		t.Fatalf("deterministic non-improvement PI = %v, want 0", v)
 	}
 }
 
@@ -208,20 +187,18 @@ func TestAcquisitionsOnFieldSurrogate(t *testing.T) {
 	if x := argmax(Weighted{W: 1}); math.Abs(x-0.3) > 0.01 {
 		t.Fatalf("exploration argmax = %v", x)
 	}
-	if n := (UCB{}).Name() + (EI{}).Name() + (PI{}).Name() + (Weighted{}).Name() + (LCB{}).Name(); n == "" {
+	if n := (EI{}).Name() + (Weighted{}).Name() + (LCB{}).Name(); n == "" {
 		t.Fatal("names must be non-empty")
 	}
 }
 
 // TestPartialsMatchDifferences checks ∂α/∂µ and ∂α/∂σ of every acquisition
 // against central differences of Value over a grid of posteriors, and pins
-// the certain posterior (σ ≤ 1e-12), where EI is the hinge max(µ−Best−Xi, 0)
-// and PI a step: their partials there are the hinge's and the step's, finite
-// and free of 0/0.
+// the certain posterior (σ ≤ 1e-12), where EI is the hinge max(µ−Best−Xi, 0):
+// its partials there are the hinge's, finite and free of 0/0.
 func TestPartialsMatchDifferences(t *testing.T) {
 	funcs := []Func{
-		Weighted{W: 0.7}, Weighted{W: 0}, UCB{Kappa: 2}, LCB{Kappa: 1.5},
-		EI{Best: 0.3, Xi: 0.01}, PI{Best: 0.3, Xi: 0.01},
+		Weighted{W: 0.7}, Weighted{W: 0}, LCB{Kappa: 1.5}, EI{Best: 0.3, Xi: 0.01},
 	}
 	const h = 1e-6
 	for _, a := range funcs {
@@ -245,8 +222,6 @@ func TestPartialsMatchDifferences(t *testing.T) {
 		}{
 			{EI{Best: 0.3, Xi: 0.01}, 0.5, 1, 0},
 			{EI{Best: 0.3, Xi: 0.01}, 0.2, 0, 0},
-			{PI{Best: 0.3, Xi: 0.01}, 0.5, 0, 0},
-			{PI{Best: 0.3, Xi: 0.01}, 0.2, 0, 0},
 		} {
 			if dMu, dSigma := c.a.Partials(c.mu, sigma); dMu != c.dMu || dSigma != c.dSigma {
 				t.Errorf("%s at µ=%v σ=%v: partials (%v, %v), want (%v, %v)", c.a.Name(), c.mu, sigma, dMu, dSigma, c.dMu, c.dSigma)

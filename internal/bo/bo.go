@@ -37,11 +37,6 @@ const (
 	AlgoEasyBOSP  Algorithm = "EasyBO-SP"  // sync batch + hallucination penalization
 	AlgoEasyBOA   Algorithm = "EasyBO-A"   // async batch, no penalization
 	AlgoEasyBO    Algorithm = "EasyBO"     // async batch + penalization (the paper's method)
-	AlgoTS        Algorithm = "TS"         // Thompson sampling via random Fourier features
-	AlgoPortfolio Algorithm = "GP-Hedge"   // portfolio of EI/PI/UCB with hedge weights [31]
-	// (sequential at B=1; independent posterior draws per batch slot at B>1,
-	// i.e. classic parallel Thompson sampling — an extra baseline beyond the
-	// paper, cited in its §II-B acquisition survey)
 )
 
 // Config selects and tunes an optimization run.
@@ -161,7 +156,7 @@ func (h *History) CurveVsTime(ts []float64) []float64 {
 // IsBatch reports whether the algorithm uses parallel workers.
 func (a Algorithm) IsBatch() bool {
 	switch a {
-	case AlgoPBO, AlgoPHCBO, AlgoEasyBOS, AlgoEasyBOSP, AlgoEasyBOA, AlgoEasyBO, AlgoTS:
+	case AlgoPBO, AlgoPHCBO, AlgoEasyBOS, AlgoEasyBOSP, AlgoEasyBOA, AlgoEasyBO:
 		return true
 	}
 	return false

@@ -266,67 +266,6 @@ func TestEasyBOPenalizationDiversifiesBatch(t *testing.T) {
 	}
 }
 
-func TestThompsonSamplingDriver(t *testing.T) {
-	p := objective.Branin()
-	// Sequential TS.
-	h1, err := Run(p, fastCfg(AlgoTS, 1, 30, 21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h1.Records) != 30 {
-		t.Fatalf("TS records = %d", len(h1.Records))
-	}
-	// Parallel TS: independent draws per slot.
-	h4, err := Run(p, fastCfg(AlgoTS, 4, 30, 21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h4.Records) != 30 {
-		t.Fatalf("parallel TS records = %d", len(h4.Records))
-	}
-	// TS on a smooth 2-D problem with 30 evals should beat -20 comfortably.
-	if h1.BestY < -20 || h4.BestY < -20 {
-		t.Fatalf("TS best too poor: %v / %v", h1.BestY, h4.BestY)
-	}
-	// Batches must not collapse to one point: check within-batch diversity.
-	recs := h4.Records[10:]
-	dup := 0
-	for i := 0; i+4 <= len(recs); i += 4 {
-		for a := i; a < i+4; a++ {
-			for b := a + 1; b < i+4; b++ {
-				if recs[a].X[0] == recs[b].X[0] && recs[a].X[1] == recs[b].X[1] {
-					dup++
-				}
-			}
-		}
-	}
-	if dup > len(recs)/4 {
-		t.Fatalf("parallel TS collapsed: %d duplicate pairs", dup)
-	}
-}
-
-func TestPortfolioDriver(t *testing.T) {
-	p := objective.Branin()
-	h, err := Run(p, fastCfg(AlgoPortfolio, 1, 35, 13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Records) != 35 {
-		t.Fatalf("records = %d", len(h.Records))
-	}
-	if h.BestY < -20 {
-		t.Fatalf("GP-Hedge best too poor: %v", h.BestY)
-	}
-	// Portfolio is forced sequential even if a batch size is requested.
-	h2, err := Run(p, fastCfg(AlgoPortfolio, 8, 25, 13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.BatchSize != 1 {
-		t.Fatalf("portfolio must run sequentially, got B=%d", h2.BatchSize)
-	}
-}
-
 func TestNaNObjectiveFailsFast(t *testing.T) {
 	// An objective that returns NaN must produce a clear error, not a panic
 	// or a silently corrupted surrogate.
@@ -450,8 +389,7 @@ func TestDriversRunOnEveryBackend(t *testing.T) {
 		a Algorithm
 		b int
 	}{
-		{AlgoEI, 1}, {AlgoEasyBOSeq, 1}, {AlgoPBO, 3}, {AlgoTS, 3},
-		{AlgoPortfolio, 1}, {AlgoEasyBOA, 3}, {AlgoEasyBO, 3},
+		{AlgoEI, 1}, {AlgoEasyBOSeq, 1}, {AlgoPBO, 3}, {AlgoEasyBOA, 3}, {AlgoEasyBO, 3},
 	}
 	backends := []struct {
 		name string

@@ -50,7 +50,7 @@ func Run(p *objective.Problem, cfg Config) (*History, error) {
 			Penalize: cfg.Algo == AlgoEasyBO,
 			MaxOpts:  cfg.acqOpts(),
 		}})
-	case AlgoEI, AlgoLCB, AlgoEasyBOSeq, AlgoPortfolio:
+	case AlgoEI, AlgoLCB, AlgoEasyBOSeq:
 		cfg.BatchSize = 1
 	}
 	sel, err := cfg.selectorFor()
@@ -150,10 +150,6 @@ func (c Config) selectorFor() (batchSelector, error) {
 		return easySelector{&core.Proposer{Lambda: c.Lambda, Penalize: false, MaxOpts: opts}}, nil
 	case AlgoEasyBOSP:
 		return easySelector{&core.Proposer{Lambda: c.Lambda, Penalize: true, MaxOpts: opts}}, nil
-	case AlgoTS:
-		return tsSelector{opts: opts}, nil
-	case AlgoPortfolio:
-		return newPortfolioSelector(opts), nil
 	default:
 		return nil, fmt.Errorf("bo: unknown algorithm %q", c.Algo)
 	}

@@ -27,8 +27,8 @@ func maximizeAcq(a acq.Func, m surrogate.Surrogate, lo, hi []float64, rng *rand.
 
 // The baselines' tuning, fixed at the values every table was run with.
 const (
-	kappaLCB = 2.0  // LCB/UCB κ
-	xiEI     = 0.01 // EI/PI exploration margin, standardized units
+	kappaLCB = 2.0  // LCB κ
+	xiEI     = 0.01 // EI exploration margin, standardized units
 )
 
 // eiSelector is sequential expected improvement.
@@ -149,64 +149,4 @@ type easySelector struct {
 
 func (s easySelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64, _ float64, rng *rand.Rand) ([][]float64, error) {
 	return s.proposer.ProposeBatch(m, b, lo, hi, rng)
-}
-
-// tsSelector is (parallel) Thompson sampling: each batch slot maximizes an
-// independent random-Fourier-feature draw from the posterior, which keeps
-// batches diverse without any explicit penalty.
-type tsSelector struct {
-	opts optimize.MaximizeOptions
-}
-
-// tsFeatures is the random-Fourier basis size of one posterior draw.
-const tsFeatures = 400
-
-func (s tsSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64, _ float64, rng *rand.Rand) ([][]float64, error) {
-	out := make([][]float64, 0, b)
-	for i := 0; i < b; i++ {
-		sample, err := m.SampleRFF(rng, tsFeatures)
-		if err != nil {
-			return nil, err
-		}
-		// The RFF draw is a pure function of fixed weights, so all workers
-		// may share it.
-		x, _ := optimize.MaximizeParallel(func() optimize.BatchObjective { return optimize.Each(sample) },
-			lo, hi, rng, s.opts)
-		out = append(out, x)
-	}
-	return out, nil
-}
-
-// portfolioSelector is sequential GP-Hedge over {EI, PI, UCB}: every round
-// each strategy nominates a point, the hedge samples one nomination in
-// proportion to exponential weights, and all strategies are rewarded by the
-// refreshed posterior mean at their past nominations.
-type portfolioSelector struct {
-	hedge *acq.Portfolio
-	opts  optimize.MaximizeOptions
-}
-
-func newPortfolioSelector(opts optimize.MaximizeOptions) *portfolioSelector {
-	return &portfolioSelector{hedge: acq.NewPortfolio(3, 1.0), opts: opts}
-}
-
-func (s *portfolioSelector) SelectBatch(m surrogate.Surrogate, b int, lo, hi []float64, bestRaw float64, rng *rand.Rand) ([][]float64, error) {
-	std := m.StandardizedPredictor()
-	s.hedge.Update(std) // reward last round's nominations under the new posterior
-	best := m.StandardizeY(bestRaw)
-	strategies := []acq.Func{
-		acq.EI{Best: best, Xi: xiEI},
-		acq.PI{Best: best, Xi: xiEI},
-		acq.UCB{Kappa: kappaLCB},
-	}
-	choices := make([][]float64, len(strategies))
-	for i, a := range strategies {
-		choices[i] = maximizeAcq(a, m, lo, hi, rng, s.opts)
-	}
-	s.hedge.RecordChoices(choices)
-	out := make([][]float64, 0, b)
-	for i := 0; i < b; i++ {
-		out = append(out, choices[s.hedge.Pick(rng)])
-	}
-	return out, nil
 }

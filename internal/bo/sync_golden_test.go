@@ -17,9 +17,11 @@ import (
 // synchronous-batch and random-search algorithms — every float as a hex
 // literal, failed evaluations included. It was first written by the
 // hand-written runSync/runRandom loops, before those became core.AskTell.Run
-// with a barrier (PR 13), and rewritten once, with -update, by the commit
-// that moved the proposer to generation 1 (see TestAsyncHistoriesMatchGolden;
-// the TS and Random rows, which refine no posterior, did not move). -update rewrites both
+// with a barrier, and rewritten with -update by the commits that moved the
+// proposer to a new generation (see TestAsyncHistoriesMatchGolden; the Random
+// rows, which refine no posterior, never moved). A removed algorithm has its
+// blocks deleted by hand, not by -update: the lines left staying byte for
+// byte is the proof that no other algorithm moved. -update rewrites both
 // golden files from the current code, so only do that deliberately.
 var update = flag.Bool("update", false, "rewrite testdata/{async,sync}_golden.txt from the current drivers")
 
@@ -47,8 +49,8 @@ func pinProblem(failing, flaky bool) *objective.Problem {
 
 func TestSyncHistoriesMatchGolden(t *testing.T) {
 	algos := []Algorithm{
-		AlgoEI, AlgoLCB, AlgoEasyBOSeq, AlgoPortfolio,
-		AlgoPBO, AlgoPHCBO, AlgoEasyBOS, AlgoEasyBOSP, AlgoTS, AlgoRandom,
+		AlgoEI, AlgoLCB, AlgoEasyBOSeq,
+		AlgoPBO, AlgoPHCBO, AlgoEasyBOS, AlgoEasyBOSP, AlgoRandom,
 	}
 	modes := []struct {
 		name    string

@@ -164,14 +164,12 @@ func (w *acqWorker) grad(x, grad []float64) float64 {
 // at an upper bound of its deviation and drop it unsolved. (1−w)·µ + w·σ and
 // µ + κ·σ have it for w, κ ≥ 0: rounding is monotone, so a product with a
 // non-negative constant and a sum with a fixed term cannot turn a larger σ
-// into a smaller value. EI and PI go through NormCDF/NormPDF, whose rounding
-// is not shown monotone, so they are scored in full; so is anything else.
+// into a smaller value. EI goes through NormCDF/NormPDF, whose rounding is
+// not shown monotone, so it is scored in full; so is anything else.
 func boundedBySigma(a acq.Func) bool {
 	switch a := a.(type) {
 	case acq.Weighted:
 		return a.W >= 0
-	case acq.UCB:
-		return a.Kappa >= 0
 	case acq.LCB:
 		return a.Kappa >= 0
 	}

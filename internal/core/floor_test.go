@@ -91,7 +91,7 @@ func TestSweepFloorChangesNothing(t *testing.T) {
 		view, lo, hi := floorPosterior(t, rng, seed)
 		var a acq.Func = acq.Weighted{W: rng.Float64()}
 		if seed%5 == 0 {
-			a = acq.UCB{Kappa: 3 * rng.Float64()}
+			a = acq.LCB{Kappa: 3 * rng.Float64()}
 		}
 		newF := AcqObjective(a, view)
 		everything := func() (optimize.BatchObjective, optimize.GradObjective) {

@@ -18,8 +18,8 @@ const MinRFFFeatures = 8
 // SE-ARD kernel: m features φ_i(x) = s·cos(w_i·x + b_i) whose inner product
 // φ(a)·φ(b) approximates k(a, b). The spectral sample is drawn once at
 // construction and immutable afterwards, so one basis can be shared by many
-// readers; it is the basis of the feature-space surrogate backend and of the
-// posterior draws both backends take (internal/surrogate).
+// readers; it is the basis of the feature-space surrogate backend
+// (internal/surrogate).
 type RFF struct {
 	w     [][]float64 // spectral frequencies, m rows of dimension d
 	b     []float64   // phase offsets, U[0, 2π)
@@ -56,14 +56,9 @@ func NewRFF(rng *rand.Rand, theta []float64, d, m int) (*RFF, error) {
 // Features returns the feature count m.
 func (r *RFF) Features() int { return len(r.w) }
 
-// Phi returns the feature vector φ(x) for an input in the basis's
-// (normalized) coordinate system.
-func (r *RFF) Phi(x []float64) []float64 {
-	return r.PhiInto(make([]float64, len(r.w)), x)
-}
-
-// PhiInto computes φ(x) into dst (len m) without allocating. dst is
-// returned for convenience.
+// PhiInto computes φ(x), for an input in the basis's (normalized)
+// coordinate system, into dst (len m) without allocating. dst is returned
+// for convenience.
 func (r *RFF) PhiInto(dst, x []float64) []float64 {
 	for i, wi := range r.w {
 		dst[i] = r.scale * math.Cos(linalg.Dot(wi, x)+r.b[i])

@@ -435,20 +435,12 @@ func (c *Cholesky) solveLower4(y0, y1, y2, y3 []float64) {
 	}
 }
 
-// SolveUpperT returns x solving Lᵀ·x = y (back substitution). Because
-// A⁻¹ = L⁻ᵀL⁻¹, this is also the map z ↦ L⁻ᵀz used to draw samples with
-// covariance A⁻¹.
-func (c *Cholesky) SolveUpperT(y []float64) []float64 {
-	x := make([]float64, c.N)
-	c.SolveUpperTInto(x, y)
-	return x
-}
-
-// SolveUpperTInto solves Lᵀ·x = y into dst without allocating. dst may
-// alias y. Instead of the textbook inner product over a column of L (a
-// strided, cache-hostile walk of the row-major factor), it sweeps rows of L:
-// as each x[i] is resolved, its contribution L[i][k]·x[i] is subtracted from
-// the still-pending entries k < i, so every memory access is contiguous.
+// SolveUpperTInto solves Lᵀ·x = y (back substitution) into dst without
+// allocating. dst may alias y. Instead of the textbook inner product over a
+// column of L (a strided, cache-hostile walk of the row-major factor), it
+// sweeps rows of L: as each x[i] is resolved, its contribution L[i][k]·x[i]
+// is subtracted from the still-pending entries k < i, so every memory
+// access is contiguous.
 func (c *Cholesky) SolveUpperTInto(dst, y []float64) {
 	n := c.N
 	if len(y) != n || len(dst) != n {

@@ -713,8 +713,9 @@ func TestSolveLowerMultiBitIdentical(t *testing.T) {
 					ch.SolveLowerInto(dst, dst)
 					sameVecBits(t, side+": SolveLowerInto in place", dst, want[j])
 
-					full := ch.SolveUpperT(want[j])
-					sameVecBits(t, side+": SolveUpperT", full, refSolveUpperT(ch, want[j]))
+					full := nanVec(n)
+					ch.SolveUpperTInto(full, want[j])
+					sameVecBits(t, side+": SolveUpperTInto", full, refSolveUpperT(ch, want[j]))
 					dst = nanVec(n)
 					ch.SolveInto(dst, b)
 					sameVecBits(t, side+": SolveInto", dst, full)

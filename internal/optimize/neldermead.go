@@ -3,8 +3,8 @@
 // refinement of the best of them), its two local searches — a box-constrained
 // quasi-Newton ascent for objectives that have a gradient to give (Ascent;
 // every posterior acquisition does) and a box-constrained Nelder–Mead simplex
-// for those that do not (Simplex: Thompson draws, a constrained score) — and
-// the differential-evolution global optimizer that serves as the paper's DE
+// for those that do not (Simplex: a constrained score) — and the
+// differential-evolution global optimizer that serves as the paper's DE
 // baseline [13].
 //
 // Both local searches are ask/tell state machines: Next names the point

@@ -1,11 +1,6 @@
 package surrogate
 
-import (
-	"errors"
-	"math/rand"
-
-	"easybo/internal/gp"
-)
+import "easybo/internal/gp"
 
 // Exact is the paper's surrogate: an exact Gaussian process fitted in the
 // frame's units — exact posteriors, O(n³) trainings, rank-append O(k·n²)
@@ -120,24 +115,6 @@ func (e *Exact) WithPseudo(xp [][]float64) (Surrogate, error) {
 		return nil, ErrSpent
 	}
 	return hallucinate(e, &e.frame, e.N(), &exactBusy{g: e.gp}, xp)
-}
-
-// SampleRFF implements Surrogate: a draw from the feature-space posterior
-// (FeatureModel) on an m-feature basis of the GP's kernel, over the GP's own
-// training set and frame. Only the SE-ARD
-// kernel has that basis; m < gp.MinRFFFeatures is an error.
-func (e *Exact) SampleRFF(rng *rand.Rand, m int) (func(x []float64) float64, error) {
-	if e.spent {
-		return nil, ErrSpent
-	}
-	if _, ok := e.gp.Kern.(gp.SEARD); !ok {
-		return nil, errors.New("surrogate: SampleRFF requires the SE-ARD kernel")
-	}
-	fm, err := fitFeatures(e.frame, e.gp.X, e.gp.Y, e.gp.Theta, e.gp.LogNoise, rng, m)
-	if err != nil {
-		return nil, err
-	}
-	return fm.SampleRFF(rng, m)
 }
 
 // LeaveOneOut returns the GP's closed-form leave-one-out diagnostics (see

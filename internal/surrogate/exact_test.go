@@ -204,8 +204,8 @@ func TestFrameRejectsNonFiniteObservations(t *testing.T) {
 
 // TestExtendSpendsReceiver is the owner's half of the Surrogate contract on
 // both backends: an Extend of no points returns the receiver, unspent; a
-// successful Extend spends it — Extend, WithPseudo and SampleRFF on it return
-// ErrSpent — and the model it returned takes all three.
+// successful Extend spends it — Extend and WithPseudo on it return ErrSpent —
+// and the model it returned takes both.
 func TestExtendSpendsReceiver(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	x := [][]float64{{0.1}, {0.5}, {0.9}}
@@ -230,14 +230,8 @@ func TestExtendSpendsReceiver(t *testing.T) {
 		if _, err := m.WithPseudo([][]float64{{0.7}}); !errors.Is(err, ErrSpent) {
 			t.Fatalf("%s: WithPseudo on a spent model: %v, want ErrSpent", name, err)
 		}
-		if _, err := m.SampleRFF(rng, 64); !errors.Is(err, ErrSpent) {
-			t.Fatalf("%s: SampleRFF on a spent model: %v, want ErrSpent", name, err)
-		}
 		if _, err := grown.WithPseudo([][]float64{{0.7}}); err != nil {
 			t.Fatalf("%s: WithPseudo on the grown model: %v", name, err)
-		}
-		if _, err := grown.SampleRFF(rng, 64); err != nil {
-			t.Fatalf("%s: SampleRFF on the grown model: %v", name, err)
 		}
 		if _, err := grown.Extend([][]float64{{0.7}}, []float64{1}); err != nil {
 			t.Fatalf("%s: Extend on the grown model: %v", name, err)
@@ -315,119 +309,5 @@ func TestExactLeaveOneOutRawUnits(t *testing.T) {
 	// Sanity: a good fit's LOO means should track the observations loosely.
 	if raw.RMSE > 10 {
 		t.Fatalf("LOO RMSE %v implausibly large for a smooth target", raw.RMSE)
-	}
-}
-
-func TestSampleRFFApproximatesPosterior(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	// Smooth 1-D target on [0, 10].
-	f := func(x float64) float64 { return math.Sin(x) + 0.3*x }
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 25; i++ {
-		x := rng.Float64() * 10
-		xs = append(xs, []float64{x})
-		ys = append(ys, f(x))
-	}
-	m := trainExact(t, xs, ys, []float64{0}, []float64{10}, gp.SEARD{}, rng, &gp.FitOptions{Iters: 50})
-	// Average of many posterior samples should track the posterior mean, and
-	// the spread of samples should be larger away from data.
-	const nSamples = 60
-	samples := make([]func([]float64) float64, nSamples)
-	for i := range samples {
-		s, err := m.SampleRFF(rng, 300)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samples[i] = s
-	}
-	for i := 0; i <= 20; i++ {
-		xq := []float64{float64(i) / 2}
-		mu, sigma := predict(m, xq)
-		var avg float64
-		for _, s := range samples {
-			avg += s(xq)
-		}
-		avg /= nSamples
-		// Monte-Carlo error scales with σ/√n, plus RFF approximation error.
-		tol := 4*sigma/math.Sqrt(nSamples) + 0.15*(1+math.Abs(mu))
-		if e := math.Abs(avg - mu); e > tol {
-			t.Fatalf("sample mean %v deviates from posterior mean %v (σ=%v) at %v",
-				avg, mu, sigma, xq)
-		}
-	}
-}
-
-func TestSampleRFFSamplesDiffer(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	xs := [][]float64{{0.2}, {0.8}}
-	ys := []float64{1, -1}
-	m := trainExact(t, xs, ys, []float64{0}, []float64{1}, gp.SEARD{}, rng, &gp.FitOptions{Iters: 20})
-	s1, err := m.SampleRFF(rng, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := m.SampleRFF(rng, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two draws must differ somewhere (they are independent functions).
-	var diff float64
-	for i := 0; i <= 10; i++ {
-		x := []float64{float64(i) / 10}
-		diff += math.Abs(s1(x) - s2(x))
-	}
-	if diff < 1e-6 {
-		t.Fatal("independent posterior draws are identical")
-	}
-	// A single draw must be deterministic once created.
-	x := []float64{0.37}
-	if s1(x) != s1(x) {
-		t.Fatal("draw is not a fixed function")
-	}
-}
-
-func TestSampleRFFInterpolatesTightData(t *testing.T) {
-	// With tiny noise, every posterior draw must pass near the observations.
-	rng := rand.New(rand.NewSource(3))
-	xs := [][]float64{{0.1}, {0.5}, {0.9}}
-	ys := []float64{2, -1, 3}
-	m := fitExact(t, xs, ys, []float64{0}, []float64{1}, gp.SEARD{}, []float64{math.Log(0.2), 0}, math.Log(1e-3))
-	for trial := 0; trial < 10; trial++ {
-		s, err := m.SampleRFF(rng, 500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range xs {
-			if e := math.Abs(s(x) - ys[i]); e > 0.5 {
-				t.Fatalf("trial %d: draw misses observation %d by %v", trial, i, e)
-			}
-		}
-	}
-}
-
-func TestSampleRFFRejectsNonSEKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	xs := [][]float64{{0.1}, {0.9}}
-	ys := []float64{0, 1}
-	m := trainExact(t, xs, ys, []float64{0}, []float64{1}, gp.Matern52{}, rng, &gp.FitOptions{Iters: 5})
-	if _, err := m.SampleRFF(rng, 100); err == nil {
-		t.Fatal("Matern kernel must be rejected")
-	}
-}
-
-func TestSampleRFFRejectsTinyFeatureCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	xs := [][]float64{{0.1}, {0.9}}
-	ys := []float64{0, 1}
-	m := trainExact(t, xs, ys, []float64{0}, []float64{1}, gp.SEARD{}, rng, &gp.FitOptions{Iters: 5})
-	// Below MinRFFFeatures the request is an error, never a silent clamp.
-	for _, n := range []int{0, 1, gp.MinRFFFeatures - 1} {
-		if _, err := m.SampleRFF(rng, n); err == nil {
-			t.Fatalf("m=%d must be rejected (minimum %d)", n, gp.MinRFFFeatures)
-		}
-	}
-	if _, err := m.SampleRFF(rng, gp.MinRFFFeatures); err != nil {
-		t.Fatalf("m=%d (the documented minimum) must be accepted: %v", gp.MinRFFFeatures, err)
 	}
 }

@@ -211,29 +211,6 @@ func (fm *FeatureModel) absorb(xs [][]float64, ys []float64) (*FeatureModel, err
 	return &out, nil
 }
 
-// SampleRFF implements Surrogate. The model already owns a feature basis, so
-// the draw reuses it (the m argument is ignored): θ ~ N(w̄, A⁻¹), sampled
-// through the factor as θ = w̄ + L⁻ᵀz. The returned function is safe for
-// concurrent use.
-func (fm *FeatureModel) SampleRFF(rng *rand.Rand, _ int) (func(x []float64) float64, error) {
-	if fm.spent {
-		return nil, ErrSpent
-	}
-	m := fm.basis.Features()
-	z := make([]float64, m)
-	for i := range z {
-		z[i] = rng.NormFloat64()
-	}
-	theta := fm.chol.SolveUpperT(z)
-	for i := range theta {
-		theta[i] += fm.wmean[i]
-	}
-	return func(x []float64) float64 {
-		xs := make([]float64, len(fm.lo))
-		return fm.unstandardize(linalg.Dot(fm.basis.Phi(fm.scaleInto(xs, x)), theta))
-	}, nil
-}
-
 // featureUnit is the feature backend's unitPredictor, conditioned on a busy
 // set when it is not nil. One per goroutine.
 type featureUnit struct {

@@ -83,7 +83,7 @@ func (f *frame) scaleAll(x [][]float64) [][]float64 {
 }
 
 // StandardizeY maps a raw objective value into standardized output units
-// (used to express the incumbent best for EI/PI).
+// (used to express the incumbent best for EI).
 func (f *frame) StandardizeY(y float64) float64 { return (y - f.ymean) / f.ystd }
 
 // unstandardize maps a standardized output value back into raw units; a

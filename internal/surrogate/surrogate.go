@@ -32,7 +32,6 @@ package surrogate
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 )
 
 // Predictor is a reusable prediction context over a surrogate posterior: it
@@ -79,11 +78,11 @@ type Predictor interface {
 
 // Surrogate is a fitted posterior over the design box. Inputs are raw
 // coordinates; predictions are raw output units unless taken through
-// StandardizedPredictor. Readers share a model: predictors, WithPseudo and
-// SampleRFF change nothing in it, which is what lets one fitted model serve
-// concurrent readers. Extend spends it: the returned model takes over the
-// receiver's storage, so Extend is not a concurrent operation, and the
-// receiver, its predictors and its views are not to be used after it.
+// StandardizedPredictor. Readers share a model: predictors and WithPseudo
+// change nothing in it, which is what lets one fitted model serve concurrent
+// readers. Extend spends it: the returned model takes over the receiver's
+// storage, so Extend is not a concurrent operation, and the receiver, its
+// predictors and its views are not to be used after it.
 type Surrogate interface {
 	// Predictor returns a raw-unit prediction context.
 	Predictor() Predictor
@@ -92,18 +91,18 @@ type Surrogate interface {
 	// view acquisition functions that mix µ and σ must consume.
 	StandardizedPredictor() Predictor
 	// StandardizeY maps a raw objective value into standardized output
-	// units (used to express the incumbent best for EI/PI).
+	// units (used to express the incumbent best for EI).
 	StandardizeY(y float64) float64
 	// N returns the training-set size; a hallucinated view counts its busy
 	// points too.
 	N() int
 	// Extend returns a surrogate whose training set is augmented with the
 	// given raw observations at unchanged hyperparameters — the incremental
-	// update between hyperparameter refits. It spends the receiver: Extend,
-	// WithPseudo and SampleRFF on it return ErrSpent afterwards. The
-	// observations are validated before anything is written, so a rejected
-	// Extend leaves the receiver usable; no points return the receiver,
-	// unspent. A hallucinated view returns ErrHallucinated.
+	// update between hyperparameter refits. It spends the receiver: Extend
+	// and WithPseudo on it return ErrSpent afterwards. The observations are
+	// validated before anything is written, so a rejected Extend leaves the
+	// receiver usable; no points return the receiver, unspent. A
+	// hallucinated view returns ErrHallucinated.
 	Extend(x [][]float64, y []float64) (Surrogate, error)
 	// WithPseudo returns a hallucinated view: the posterior conditioned on
 	// the busy points xp as pseudo-observations at their predictive means
@@ -113,20 +112,14 @@ type Surrogate interface {
 	// noise — so σ̂ ≤ σ. The view shares the receiver's model and copies
 	// none of it. On a view, WithPseudo returns one view over the union of
 	// the busy points (bit for bit the receiver's base hallucinating them at
-	// once), and Extend and SampleRFF return ErrHallucinated: a view
-	// predicts and hallucinates, the base model does the rest. An empty xp
-	// returns the receiver; N counts the busy points.
+	// once), and Extend returns ErrHallucinated: a view predicts and
+	// hallucinates, the base model does the rest. An empty xp returns the
+	// receiver; N counts the busy points.
 	WithPseudo(xp [][]float64) (Surrogate, error)
-	// SampleRFF returns a fixed approximate posterior draw in raw units —
-	// what a Thompson-sampling acquisition maximizes — using m random
-	// Fourier features (the feature-space backend draws on its own basis
-	// and ignores m). The returned function is safe for concurrent use. A
-	// hallucinated view returns ErrHallucinated.
-	SampleRFF(rng *rand.Rand, m int) (func(x []float64) float64, error)
 }
 
-// ErrSpent is what Extend, WithPseudo and SampleRFF return on a model that
-// Extend has spent: its storage belongs to the model Extend returned.
+// ErrSpent is what Extend and WithPseudo return on a model that Extend has
+// spent: its storage belongs to the model Extend returned.
 var ErrSpent = errors.New("surrogate: the model was spent by Extend; use the model Extend returned")
 
 // Backend names a surrogate implementation, as selected through bo.Config,

@@ -209,41 +209,6 @@ func TestFeatureWithPseudoContract(t *testing.T) {
 	}
 }
 
-// TestFeatureSampler exercises SampleRFF on the feature
-// backend: independent draws differ, a single draw is a fixed function, and
-// draws stay near the posterior mean where the data pins it down.
-func TestFeatureSampler(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	x, y, lo, hi := fixture(rng, 50)
-	fm, err := FitFeatures(x, y, lo, hi, fixtureTheta, fixtureLogNoise, rng, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := fm.SampleRFF(rng, 0) // basis size is the model's own
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := fm.SampleRFF(rng, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var diff float64
-	for i := 0; i <= 10; i++ {
-		xq := []float64{float64(i) / 10, 0.5}
-		diff += math.Abs(s1(xq) - s2(xq))
-		if s1(xq) != s1(xq) {
-			t.Fatal("draw is not a fixed function")
-		}
-		mu, sigma := predict(fm, xq)
-		if math.Abs(s1(xq)-mu) > 6*sigma+0.3 {
-			t.Fatalf("draw strays implausibly far from the posterior at %v: %v vs µ=%v σ=%v", xq, s1(xq), mu, sigma)
-		}
-	}
-	if diff < 1e-6 {
-		t.Fatal("independent posterior draws are identical")
-	}
-}
-
 func TestParseBackend(t *testing.T) {
 	for in, want := range map[string]Backend{
 		"": BackendAuto, "auto": BackendAuto, "exact": BackendExact, "features": BackendFeatures,

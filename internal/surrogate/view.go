@@ -1,15 +1,12 @@
 package surrogate
 
-import (
-	"errors"
-	"math/rand"
-)
+import "errors"
 
-// ErrHallucinated is what Extend and SampleRFF return on a hallucinated view:
-// the view conditions the deviation on its busy points without making them
-// observations, so there is no training set to grow or to draw from. Both
-// belong on the base model.
-var ErrHallucinated = errors.New("surrogate: a hallucinated view only predicts and hallucinates; Extend and SampleRFF take the base model")
+// ErrHallucinated is what Extend returns on a hallucinated view: the view
+// conditions the deviation on its busy points without making them
+// observations, so there is no training set to grow. That belongs on the
+// base model.
+var ErrHallucinated = errors.New("surrogate: a hallucinated view only predicts and hallucinates; Extend takes the base model")
 
 // busySet is a backend's busy-set state over one base model: what its unit
 // predictor subtracts from σ² (Eq. 9 as a Schur complement), and how the set
@@ -67,8 +64,3 @@ func (v *view) WithPseudo(xp [][]float64) (Surrogate, error) {
 
 // Extend implements Surrogate: ErrHallucinated.
 func (v *view) Extend([][]float64, []float64) (Surrogate, error) { return nil, ErrHallucinated }
-
-// SampleRFF implements Surrogate: ErrHallucinated.
-func (v *view) SampleRFF(*rand.Rand, int) (func(x []float64) float64, error) {
-	return nil, ErrHallucinated
-}

@@ -42,8 +42,8 @@ func viewRead(m Surrogate, qs [][]float64) []float64 {
 // TestViewContract is what a hallucinated view promises beyond its numbers,
 // on both backends: a view of a view is, bit for bit, the view of the union
 // of their busy points; an empty busy set returns the receiver, base or view;
-// N counts the busy points; StandardizeY is the base's; and Extend and
-// SampleRFF answer ErrHallucinated.
+// N counts the busy points; StandardizeY is the base's; and Extend answers
+// ErrHallucinated.
 func TestViewContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	x, y, lo, hi := fixture(rng, 40)
@@ -83,9 +83,6 @@ func TestViewContract(t *testing.T) {
 		}
 		if _, err := union.Extend(x[:1], y[:1]); !errors.Is(err, ErrHallucinated) {
 			t.Fatalf("%s: Extend on a view: %v, want ErrHallucinated", name, err)
-		}
-		if _, err := union.SampleRFF(rng, 64); !errors.Is(err, ErrHallucinated) {
-			t.Fatalf("%s: SampleRFF on a view: %v, want ErrHallucinated", name, err)
 		}
 	}
 }

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Go line counts per top-level package, non-test and test apart, so the
 # delta of a change is one command: run it at both commits and diff. Counts
-# tracked files only (plain `wc -l`, comments and blanks included);
-# *_test.go and anything under a testdata/ directory count as test.
+# tracked files that exist in the working tree (plain `wc -l`, comments and
+# blanks included), so a deletion counts before it is staged; *_test.go and
+# anything under a testdata/ directory count as test.
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
-git ls-files -z '*.go' | xargs -0 wc -l | awk '
+git ls-files -z '*.go' | while IFS= read -r -d '' f; do
+	if [ -e "$f" ]; then printf '%s\0' "$f"; fi
+done | xargs -0 -r wc -l | awk '
 	$2 == "total" { next }
 	{
 		n = split($2, part, "/")
