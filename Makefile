@@ -154,7 +154,7 @@ bench-smoke:
 	$(GO) test -run XXX -bench 'GPExtend|GPRefit|Hallucinate' -benchtime 1x .
 	$(GO) test -run XXX -bench 'SurrogateFit|SurrogateExtend|SurrogatePredict|PredictBatch|PredictGrad|Refine' -benchtime 1x ./internal/surrogate/
 	$(GO) test -run XXX -bench 'FitHyper' -benchtime 1x ./internal/gp/
-	$(GO) test -run XXX -bench 'SolveLowerMulti|CholeskyInverse|RankUpdate|CholeskyAppend' -benchtime 1x ./internal/linalg/
+	$(GO) test -run XXX -bench 'SolveLowerMulti|SolveUpperT|CholeskyInverse|RankUpdate|CholeskyAppend' -benchtime 1x ./internal/linalg/
 	$(GO) test -run XXX -bench 'NewtonIteration' -benchtime 1x ./internal/circuit/
 	$(GO) test -run XXX -bench 'EvalSparse$$|EvalSparseSerial$$|ACSweepSparse|TranStepSparse|EvalDense$$|ACSweepDense|TranStepDense' -benchtime 1x ./internal/testbench/
 	$(GO) test -run XXX -bench 'LogAppend|Recover' -benchtime 1x ./internal/serve/...

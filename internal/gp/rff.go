@@ -77,13 +77,19 @@ func (r *RFF) PhiGradInto(phi, dphi, x []float64) {
 	}
 }
 
-// Project writes Σᵢ c[i]·wᵢ into dst: with c = a∘dphi it is the gradient in
-// x of a·φ(x).
-func (r *RFF) Project(dst, c []float64) {
-	for j := range dst {
-		dst[j] = 0
-	}
+// Project writes Σᵢ a[i]·wᵢ into da and Σᵢ b[i]·wᵢ into db in one sweep over
+// the basis: with a = w̄∘dphi it is the gradient in x of w̄·φ(x). Each entry
+// starts at zero and takes its terms in feature order, one rounded add each,
+// as a sum of its own would.
+func (r *RFF) Project(da, db, a, b []float64) {
+	clear(da)
+	clear(db)
+	da, db = da[:r.dim], db[:r.dim]
 	for i, wi := range r.w {
-		linalg.Axpy(c[i], wi, dst)
+		ai, bi := a[i], b[i]
+		for j, w := range wi[:len(da)] {
+			da[j] += ai * w
+			db[j] += bi * w
+		}
 	}
 }

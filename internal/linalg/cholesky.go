@@ -441,6 +441,12 @@ func (c *Cholesky) solveLower4(y0, y1, y2, y3 []float64) {
 // sweeps rows of L: as each x[i] is resolved, its contribution L[i][k]·x[i]
 // is subtracted from the still-pending entries k < i, so every memory
 // access is contiguous.
+//
+// After the n mod 4 last rows, rows i+3…i of each aligned block are resolved
+// together (their 4×4 triangle in descending row order) and swept over the
+// pending dst[:i] at once: one load and one store of dst[k] per four
+// subtractions, taken in the plain loop's order, row i+3 first
+// (refSolveUpperT in the tests), every bit the same.
 func (c *Cholesky) SolveUpperTInto(dst, y []float64) {
 	n := c.N
 	if len(y) != n || len(dst) != n {
@@ -452,13 +458,38 @@ func (c *Cholesky) SolveUpperTInto(dst, y []float64) {
 	if &dst[0] != &y[0] {
 		copy(dst, y)
 	}
-	for i := n - 1; i >= 0; i-- {
+	i := n
+	for i&3 != 0 {
+		i--
 		row := c.Row(i)
 		xi := dst[i] / row[i]
 		dst[i] = xi
-		// dst[k] −= row[k]·xi for k < i: the pending entries are independent
-		// of one another, so the four-wide Axpy changes no bit of them.
-		Axpy(-xi, row[:i], dst[:i])
+		for k, l := range row[:i] {
+			dst[k] -= l * xi
+		}
+	}
+	for i -= 4; i >= 0; i -= 4 {
+		r0, r1, r2, r3 := c.rows4(i)
+		x3 := dst[i+3] / r3[i+3]
+		s2 := dst[i+2] - r3[i+2]*x3
+		x2 := s2 / r2[i+2]
+		s1 := dst[i+1] - r3[i+1]*x3
+		s1 -= r2[i+1] * x2
+		x1 := s1 / r1[i+1]
+		s0 := dst[i] - r3[i]*x3
+		s0 -= r2[i] * x2
+		s0 -= r1[i] * x1
+		x0 := s0 / r0[i]
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = x0, x1, x2, x3
+		p, q1, q2, q3 := dst[:i], r1[:i], r2[:i], r3[:i]
+		for k, l := range r0[:i] {
+			s := p[k]
+			s -= q3[k] * x3
+			s -= q2[k] * x2
+			s -= q1[k] * x1
+			s -= l * x0
+			p[k] = s
+		}
 	}
 }
 

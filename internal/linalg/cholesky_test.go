@@ -630,9 +630,10 @@ func refSolveLower(c *Cholesky, b []float64) []float64 {
 	return y
 }
 
-// refSolveUpperT is back substitution as SolveUpperTInto was before its inner
-// update went through Axpy: rows swept from the last, each resolved entry's
-// multiple subtracted from the pending ones, one element at a time.
+// refSolveUpperT is back substitution one row at a time: rows swept from the
+// last, each resolved entry's multiple subtracted from the pending ones, one
+// element at a time. SolveUpperTInto interleaves four rows and must
+// reproduce it bit for bit.
 func refSolveUpperT(c *Cholesky, y []float64) []float64 {
 	x := append([]float64(nil), y...)
 	for i := c.N - 1; i >= 0; i-- {
@@ -665,8 +666,9 @@ func nanVec(n int) []float64 {
 // TestSolveLowerMultiBitIdentical is the contract the batched predictors stand on:
 // however a forward substitution is interleaved — four rows of one side, one
 // row of two, three or four sides, full groups of four and every remainder —
-// each side comes out with exactly the bits of the plain loop. Sizes cover
-// every tail length of the four-row kernel;
+// each side comes out with exactly the bits of the plain loop, and so does
+// the four-row back substitution, apart from y and in place. Sizes cover
+// every tail length of the four-row kernels;
 // factors include one off the jitter ladder and one full of exact zeros;
 // right-hand sides include one scaled to lose low bits, one sharing another
 // slot's values and a zero vector, so a reassociated, reordered or fused sum
@@ -716,6 +718,9 @@ func TestSolveLowerMultiBitIdentical(t *testing.T) {
 					full := nanVec(n)
 					ch.SolveUpperTInto(full, want[j])
 					sameVecBits(t, side+": SolveUpperTInto", full, refSolveUpperT(ch, want[j]))
+					copy(dst, want[j])
+					ch.SolveUpperTInto(dst, dst)
+					sameVecBits(t, side+": SolveUpperTInto in place", dst, full)
 					dst = nanVec(n)
 					ch.SolveInto(dst, b)
 					sameVecBits(t, side+": SolveInto", dst, full)
@@ -778,6 +783,29 @@ func BenchmarkSolveLowerMulti(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(width), "ns/side")
 			})
 		}
+	}
+}
+
+// BenchmarkSolveUpperT is the back substitution at the sizes of
+// BenchmarkSolveLowerMulti: the second solve of every feature-backend
+// gradient (n = 256) and of an exact-GP gradient or busy-set condition at
+// n = 150.
+func BenchmarkSolveUpperT(b *testing.B) {
+	rng := rand.New(rand.NewSource(44))
+	for _, n := range []int{150, 256} {
+		ch, err := NewCholesky(randomSPD(rng, n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		y, x := make([]float64, n), make([]float64, n)
+		for i := range y {
+			y[i] = rng.NormFloat64()
+		}
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ch.SolveUpperTInto(x, y)
+			}
+		})
 	}
 }
 

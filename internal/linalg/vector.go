@@ -5,8 +5,10 @@
 // partial pivoting for general real and complex systems.
 //
 // Sizes in this project are small (GP trains on at most a few hundred points;
-// circuit matrices have a few dozen nodes), so the implementations favour
-// clarity and numerical robustness over blocking or SIMD.
+// circuit matrices have a few dozen nodes) and recorded histories stand on
+// the exact bits of the solves, so the kernels are scalar Go under one rule:
+// independent chains (rows, right-hand sides) interleave, but no sum is
+// split, reassociated or fused.
 package linalg
 
 import (

@@ -243,17 +243,31 @@ func BenchmarkPredictBatchFeatures(b *testing.B) {
 }
 
 // benchPredictGrad measures one value-and-gradient evaluation, the unit the
-// gradient refinement is budgeted in, beside PredictBatch's w=1 row.
-func benchPredictGrad(b *testing.B, p surrogate.Predictor) {
+// gradient refinement is budgeted in, beside PredictBatch's w=1 row: on the
+// model itself and on a view of it with four busy points (serve-model's
+// batch), whose correction adds a busy-set solve to every evaluation.
+func benchPredictGrad(b *testing.B, m surrogate.Surrogate) {
 	b.Helper()
-	qs := benchQueries(64)
-	dmu, dsigma := make([]float64, len(qs[0])), make([]float64, len(qs[0]))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.PredictGrad(qs[i%len(qs)], dmu, dsigma)
+	qs := benchQueries(68)
+	view, err := m.WithPseudo(qs[64:])
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/point")
+	qs = qs[:64]
+	dmu, dsigma := make([]float64, len(qs[0])), make([]float64, len(qs[0]))
+	for _, c := range []struct {
+		name string
+		m    surrogate.Surrogate
+	}{{"busy=0", m}, {"busy=4", view}} {
+		p := c.m.StandardizedPredictor()
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.PredictGrad(qs[i%len(qs)], dmu, dsigma)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/point")
+		})
+	}
 }
 
 func BenchmarkPredictGradExact(b *testing.B) {
@@ -262,7 +276,7 @@ func BenchmarkPredictGradExact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchPredictGrad(b, m.StandardizedPredictor())
+	benchPredictGrad(b, m)
 }
 
 func BenchmarkPredictGradFeatures(b *testing.B) {
@@ -272,7 +286,7 @@ func BenchmarkPredictGradFeatures(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchPredictGrad(b, fm.StandardizedPredictor())
+	benchPredictGrad(b, fm)
 }
 
 // solveCounter wraps a surrogate so that a benchmark can count, of the

@@ -337,7 +337,6 @@ func (p *featureUnit) predictGrad(x, dmu, dsigma []float64) (mu, sigma float64) 
 		gamma[i] *= dp * inv
 		dphi[i] = dp * fm.wmean[i]
 	}
-	fm.basis.Project(dmu, dphi)
-	fm.basis.Project(dsigma, gamma)
+	fm.basis.Project(dmu, dsigma, dphi, gamma)
 	return mu, sigma
 }
