@@ -129,27 +129,25 @@ fuzz-http:
 
 # Serving-path throughput smoke: first the shed-equivalence test (admission
 # control loses no tells, history bitwise-identical to unthrottled), then a
-# real easyboload run against an in-process daemon asserting zero errors,
-# nonzero cache traffic on its repeated-point workload, a p99 ceiling, and
-# that no tell response outgrew a constant-size ack (1 KB),
+# real easyboload run against an in-process daemon asserting zero errors, a
+# p99 ceiling, and that no tell response outgrew a constant-size ack (1 KB),
 # then the same harness against a real fsync=always WAL so the group-commit
-# serving path is smoke-gated too (distinct seeds, cache off: every tell
-# rides the committer).
+# serving path is smoke-gated too.
 load-smoke:
 	$(GO) test -race -run TestShedEquivalence -v ./cmd/easyboload
 	$(GO) run ./cmd/easyboload -sessions $(LOADSESSIONS) -workers $(LOADWORKERS) \
 		-duration $(LOADTIME) \
-		-assert-max-errors 0 -assert-min-cache-hits 1 -assert-min-asks 1 \
+		-assert-max-errors 0 -assert-min-asks 1 \
 		-assert-max-p99 $(LOADP99) -assert-max-tell-bytes 1024
 	$(GO) run ./cmd/easyboload -sessions $(LOADSESSIONS) -workers $(LOADWORKERS) \
 		-duration $(LOADTIME) -fsync always \
-		-seed-groups $(LOADSESSIONS) -testbench "" -init-points 4096 \
+		-init-points 4096 \
 		-assert-max-errors 0 -assert-min-asks 1 -assert-max-tell-bytes 1024
 
 # Run each hot-path go-test benchmark once, so a panic or a compile error in
 # a bench file fails CI loudly. These are a developer's microscope: no number
 # they print is committed or compared — benchmark/ is the only thing in the
-# repository that turns time into a verdict (DESIGN.md §8.3).
+# repository that turns time into a verdict (DESIGN.md §8.2).
 bench-smoke:
 	$(GO) test -run XXX -bench 'GPExtend|GPRefit|Hallucinate' -benchtime 1x .
 	$(GO) test -run XXX -bench 'SurrogateFit|SurrogateExtend|SurrogatePredict|PredictBatch|PredictGrad|Refine' -benchtime 1x ./internal/surrogate/

@@ -367,31 +367,15 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 					}
 					a = orphan
 				}
-				if a.Eval == serve.EvalInflight {
-					// Another session's worker is evaluating this exact point;
-					// the daemon tells this proposal itself when it lands. The
-					// pid stays claimed so this client does not re-adopt it as
-					// an orphan and race the daemon's delivery.
-					continue
-				}
 				start := time.Since(t0).Seconds()
-				var y float64
-				var evalErr string
-				attempts := 0
-				if a.Eval == serve.EvalCached && a.Y != nil {
-					// Prior result for an identical evaluation: skip the
-					// simulation and report the recorded value back.
-					y = *a.Y
-				} else {
-					// Same contract as -parallel: a failing objective gets
-					// Retries extra attempts on its worker before the failure
-					// is told to the daemon and its policy applies.
+				// Same contract as -parallel: a failing objective gets
+				// Retries extra attempts on its worker before the failure
+				// is told to the daemon and its policy applies.
+				y, evalErr := safeEval(p.Objective, a.X)
+				attempts := 1
+				for evalErr != "" && attempts <= opts.Async.Retries {
+					attempts++
 					y, evalErr = safeEval(p.Objective, a.X)
-					attempts = 1
-					for evalErr != "" && attempts <= opts.Async.Retries {
-						attempts++
-						y, evalErr = safeEval(p.Objective, a.X)
-					}
 				}
 				end := time.Since(t0).Seconds()
 				t := serve.Tell{ProposalID: &a.ProposalID, Y: y}

@@ -83,7 +83,6 @@ func main() {
 		segmentBytes  = flag.Int64("segment-bytes", 1<<20, "rotate write-ahead log segments past this size")
 		compactEvery  = flag.Int("compact-every", 256, "minimum events between snapshot compactions; grows with snapshot size (<0 disables)")
 
-		cacheSize       = flag.Int("cache-size", 4096, "cross-session evaluation cache capacity in completed results (<=0 disables; sessions opt in by declaring a testbench)")
 		maxInflightEval = flag.Int("max-inflight-evals", 0, "shed asks with 429 while this many proposals are outstanding daemon-wide (0: unlimited)")
 		queueDepth      = flag.Int("queue-depth", 0, "shed asks with 429 past this many concurrent ask requests (0: unlimited)")
 
@@ -148,7 +147,6 @@ func main() {
 		DefaultSurrogate: *surrogate,
 		Store:            store,
 		NodeID:           *nodeID,
-		CacheSize:        *cacheSize,
 		MaxInflightEvals: *maxInflightEval,
 		QueueDepth:       *queueDepth,
 	})
@@ -213,9 +211,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "easybod: serving ask/tell optimization sessions on %s\n", *addr)
 		fmt.Fprintf(os.Stderr, "easybod: http timeouts: read-header=%s read=%s idle=%s\n",
 			*readHeaderTimeout, *readTimeout, *idleTimeout)
-		if *cacheSize > 0 {
-			fmt.Fprintf(os.Stderr, "easybod: eval cache: %d entries (sessions opt in via testbench); stats on /statz\n", *cacheSize)
-		}
 		if *maxInflightEval > 0 || *queueDepth > 0 {
 			fmt.Fprintf(os.Stderr, "easybod: admission control: max-inflight-evals=%d queue-depth=%d (0 = unlimited)\n",
 				*maxInflightEval, *queueDepth)

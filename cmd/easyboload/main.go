@@ -1,7 +1,7 @@
 // Command easyboload is the throughput harness for the easybod serving
 // path: it drives N concurrent sessions of ask/tell round trips for a
 // fixed duration and reports asks/sec, tells/sec, latency quantiles, shed
-// counts, evaluation-cache traffic, and the size of the tell responses
+// and wait counts, and the size of the tell responses
 // (flat in session length) as a human summary on stderr. It is a load
 // tool, not a performance gate: what a number means for a change is
 // decided by the repo benchmark (benchmark/README.md).
@@ -13,10 +13,8 @@
 //	easyboload -sessions 16 -duration 30s
 //	easyboload -serve http://127.0.0.1:7823 -sessions 64 -workers 2
 //
-// Same-seed session groups (-seed-groups) propose bitwise-identical
-// designs, making repeated-point traffic that exercises the eval cache and
-// its singleflight path; -max-inflight-evals/-queue-depth throttle the
-// in-process daemon so shed/backpressure behavior is measured too. -fsync
+// Each session takes its own seed. -max-inflight-evals/-queue-depth throttle
+// the in-process daemon so shed/backpressure behavior is measured too. -fsync
 // gives the in-process daemon a real write-ahead log, making the durable
 // serving path (group commit included) measurable without a separate
 // easybod process.
@@ -45,24 +43,20 @@ func main() {
 		sessions  = flag.Int("sessions", 8, "concurrent sessions")
 		workers   = flag.Int("workers", 1, "worker goroutines per session")
 		duration  = flag.Duration("duration", 10*time.Second, "run length")
-		seedGrps  = flag.Int("seed-groups", 2, "sessions per seed group share a seed (identical designs drive the eval cache)")
 		dim       = flag.Int("dim", 4, "design-space dimensionality")
 		initPts   = flag.Int("init-points", 32, "Latin-hypercube design size per session")
-		evalDelay = flag.Duration("eval-delay", 0, "simulated per-evaluation cost on fresh (uncached) points")
-		testbench = flag.String("testbench", "loadgen-tb", "testbench label keying the eval cache (empty: caching off)")
+		evalDelay = flag.Duration("eval-delay", 0, "simulated per-evaluation cost")
 		prefix    = flag.String("session-prefix", "loadgen", "session id prefix (namespace concurrent runs)")
 
-		cacheSize = flag.Int("cache-size", 4096, "in-process daemon: eval cache capacity")
-		maxEvals  = flag.Int("max-inflight-evals", 0, "in-process daemon: shed asks past this many outstanding proposals (0: unlimited)")
-		queueDep  = flag.Int("queue-depth", 0, "in-process daemon: shed asks past this many concurrent ask requests (0: unlimited)")
-		fsyncPol  = flag.String("fsync", "", "in-process daemon: WAL fsync policy (always|interval|off; empty: the WAL on an in-memory filesystem)")
-		fsyncIvl  = flag.Duration("fsync-interval", 100*time.Millisecond, "in-process daemon: background fsync cadence for -fsync interval")
-		dataDir   = flag.String("data-dir", "", "in-process daemon: WAL directory for -fsync runs (empty: a temp dir, removed at exit)")
+		maxEvals = flag.Int("max-inflight-evals", 0, "in-process daemon: shed asks past this many outstanding proposals (0: unlimited)")
+		queueDep = flag.Int("queue-depth", 0, "in-process daemon: shed asks past this many concurrent ask requests (0: unlimited)")
+		fsyncPol = flag.String("fsync", "", "in-process daemon: WAL fsync policy (always|interval|off; empty: the WAL on an in-memory filesystem)")
+		fsyncIvl = flag.Duration("fsync-interval", 100*time.Millisecond, "in-process daemon: background fsync cadence for -fsync interval")
+		dataDir  = flag.String("data-dir", "", "in-process daemon: WAL directory for -fsync runs (empty: a temp dir, removed at exit)")
 
 		quiet = flag.Bool("quiet", false, "suppress the human summary on stderr")
 
 		maxErrors   = flag.Int64("assert-max-errors", -1, "fail when errors exceed this (-1: off)")
-		minHits     = flag.Int64("assert-min-cache-hits", -1, "fail when cache hits fall below this (-1: off)")
 		maxP99      = flag.Duration("assert-max-p99", 0, "fail when ask p99 exceeds this (0: off)")
 		minAsks     = flag.Int64("assert-min-asks", -1, "fail when successful asks fall below this (-1: off)")
 		assertSheds = flag.Bool("assert-sheds", false, "fail unless the run absorbed at least one 429 shed")
@@ -102,7 +96,6 @@ func main() {
 		}
 		sv := serve.NewServerWith(serve.ServerOptions{
 			Store:            store,
-			CacheSize:        *cacheSize,
 			MaxInflightEvals: *maxEvals,
 			QueueDepth:       *queueDep,
 		})
@@ -127,8 +120,8 @@ func main() {
 			if *fsyncPol != "" {
 				durability = "fsync=" + *fsyncPol
 			}
-			fmt.Fprintf(os.Stderr, "easyboload: in-process daemon on %s (%s cache=%d max-inflight-evals=%d queue-depth=%d)\n",
-				base, durability, *cacheSize, *maxEvals, *queueDep)
+			fmt.Fprintf(os.Stderr, "easyboload: in-process daemon on %s (%s max-inflight-evals=%d queue-depth=%d)\n",
+				base, durability, *maxEvals, *queueDep)
 		}
 	}
 
@@ -137,11 +130,9 @@ func main() {
 		Sessions:          *sessions,
 		WorkersPerSession: *workers,
 		Duration:          *duration,
-		SeedGroups:        *seedGrps,
 		Dim:               *dim,
 		InitPoints:        *initPts,
 		EvalDelay:         *evalDelay,
-		Testbench:         *testbench,
 		SessionPrefix:     *prefix,
 	})
 	if err != nil {
@@ -150,10 +141,8 @@ func main() {
 
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "easyboload: %d sessions x %d workers for %s\n", sum.Sessions, sum.Workers/sum.Sessions, duration)
-		fmt.Fprintf(os.Stderr, "easyboload: asks %d (%.1f/s)  tells %d (%.1f/s)  errors %d  shed %d\n",
-			sum.Asks, sum.AsksPerSec, sum.Tells, sum.TellsPerSec, sum.Errors, sum.Shed)
-		fmt.Fprintf(os.Stderr, "easyboload: cache hits %d  inflight joins %d  waits %d\n",
-			sum.CachedHits, sum.Joins, sum.Waits)
+		fmt.Fprintf(os.Stderr, "easyboload: asks %d (%.1f/s)  tells %d (%.1f/s)  errors %d  shed %d  waits %d\n",
+			sum.Asks, sum.AsksPerSec, sum.Tells, sum.TellsPerSec, sum.Errors, sum.Shed, sum.Waits)
 		fmt.Fprintf(os.Stderr, "easyboload: ask latency p50 %s  p95 %s  p99 %s  max %s\n",
 			time.Duration(sum.AskLatency.P50), time.Duration(sum.AskLatency.P95),
 			time.Duration(sum.AskLatency.P99), time.Duration(sum.AskLatency.Max))
@@ -171,7 +160,6 @@ func main() {
 		}
 	}
 	check(*maxErrors >= 0 && sum.Errors > *maxErrors, "errors %d > %d", sum.Errors, *maxErrors)
-	check(*minHits >= 0 && sum.CachedHits < *minHits, "cache hits %d < %d", sum.CachedHits, *minHits)
 	check(*maxP99 > 0 && sum.AskLatency.P99 > int64(*maxP99), "ask p99 %s > %s", time.Duration(sum.AskLatency.P99), *maxP99)
 	check(*minAsks >= 0 && sum.Asks < *minAsks, "asks %d < %d", sum.Asks, *minAsks)
 	check(*assertSheds && sum.Shed == 0, "expected at least one 429 shed, saw none")

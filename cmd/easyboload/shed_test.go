@@ -21,8 +21,7 @@ import (
 // InitPoints == MaxEvals, so every proposal comes from the seeded
 // Latin-hypercube design and the set of evaluated points is independent of
 // the order concurrent workers get through the admission gate (records are
-// compared sorted by proposal id). No testbench: the eval cache stays out,
-// isolating admission control.
+// compared sorted by proposal id).
 func TestShedEquivalence(t *testing.T) {
 	const (
 		nSessions = 2

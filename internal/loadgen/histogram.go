@@ -1,6 +1,6 @@
 // Package loadgen drives synthetic ask/tell load against an easybod
-// daemon and summarizes throughput, latency quantiles, shed counts and
-// cache traffic. cmd/easyboload is the CLI; the shed-equivalence test
+// daemon and summarizes throughput, latency quantiles, shed and wait
+// counts. cmd/easyboload is the CLI; the shed-equivalence test
 // under cmd/easyboload is the correctness side of the same harness. Its
 // Client is also the HTTP client the repo benchmark drives the daemon with.
 //

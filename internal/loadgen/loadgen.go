@@ -25,24 +25,15 @@ type Options struct {
 	WorkersPerSession int
 	// Duration bounds the run (default 10s).
 	Duration time.Duration
-	// SeedGroups partitions sessions into groups sharing a seed (default
-	// 2). Same-seed sessions propose bitwise-identical Latin-hypercube
-	// designs, so every group beyond the first is a repeated-point
-	// workload — the evaluation cache's natural traffic.
-	SeedGroups int
 	// Dim is the design-space dimensionality (default 4).
 	Dim int
 	// InitPoints is each session's Latin-hypercube design size (default
 	// 32). Sessions run with an unbounded eval budget so the run is
 	// time-bounded, not budget-bounded.
 	InitPoints int
-	// EvalDelay simulates per-evaluation simulator cost on fresh (uncached)
-	// evaluations (default 0: the daemon itself is the bottleneck under
-	// test).
+	// EvalDelay simulates per-evaluation simulator cost (default 0: the
+	// daemon itself is the bottleneck under test).
 	EvalDelay time.Duration
-	// Testbench labels the synthetic objective for the evaluation cache;
-	// empty opts the run out of caching entirely.
-	Testbench string
 	// SessionPrefix namespaces session ids (default "loadgen"), letting
 	// concurrent runs share a daemon.
 	SessionPrefix string
@@ -65,12 +56,6 @@ func (o *Options) normalize() error {
 	}
 	if o.Duration <= 0 {
 		o.Duration = 10 * time.Second
-	}
-	if o.SeedGroups <= 0 {
-		o.SeedGroups = 2
-	}
-	if o.SeedGroups > o.Sessions {
-		o.SeedGroups = o.Sessions
 	}
 	if o.Dim <= 0 {
 		o.Dim = 4
@@ -119,9 +104,7 @@ type Summary struct {
 	Asks        int64         `json:"asks"`  // successful ask round trips
 	Tells       int64         `json:"tells"` // successful tell round trips
 	Errors      int64         `json:"errors"`
-	Shed        int64         `json:"shed"` // 429 responses absorbed (retried, not errors)
-	CachedHits  int64         `json:"cache_hits"`
-	Joins       int64         `json:"inflight_joins"`
+	Shed        int64         `json:"shed"`  // 429 responses absorbed (retried, not errors)
 	Waits       int64         `json:"waits"` // ask returned "wait"
 	AsksPerSec  float64       `json:"asks_per_sec"`
 	TellsPerSec float64       `json:"tells_per_sec"`
@@ -217,9 +200,8 @@ func (c *Client) call(ctx context.Context, method, path string, body, out any) (
 	}
 }
 
-// objective is the synthetic simulator: a cheap deterministic quadratic,
-// so identical points produce identical values and the run measures the
-// daemon, not the objective.
+// objective is the synthetic simulator: a cheap deterministic quadratic, so
+// the run measures the daemon, not the objective.
 func objective(x []float64) float64 {
 	var s float64
 	for _, v := range x {
@@ -231,10 +213,9 @@ func objective(x []float64) float64 {
 // worker accumulates its own counters and histograms; merged after the run
 // so the measurement path shares nothing.
 type workerStats struct {
-	asks, tells, errors, shed int64
-	cached, joins, waits      int64
-	askLat, tellLat           histogram
-	tellBytes, tellBytesMax   int64 // tell response bodies: total and largest
+	asks, tells, errors, shed, waits int64
+	askLat, tellLat                  histogram
+	tellBytes, tellBytesMax          int64 // tell response bodies: total and largest
 }
 
 // Run drives the load: Sessions sessions × WorkersPerSession workers of
@@ -262,12 +243,11 @@ func Run(ctx context.Context, o Options) (*Summary, error) {
 		}{ids[i], serve.SessionConfig{
 			Lo: lo, Hi: hi,
 			InitPoints: o.InitPoints,
-			Seed:       int64(i % o.SeedGroups),
+			Seed:       int64(i),
 			// Flat per-suggest cost, so throughput does not decay over a
 			// long run.
 			Surrogate: string(surrogate.BackendFeatures),
 			FitIters:  8, RefitEvery: 8,
-			Testbench: o.Testbench,
 		}}
 		if _, _, err := cl.Call(ctx, http.MethodPost, "/sessions", body, nil); err != nil {
 			return nil, fmt.Errorf("loadgen: creating session %s: %w", ids[i], err)
@@ -310,8 +290,6 @@ func Run(ctx context.Context, o Options) (*Summary, error) {
 		sum.Tells += st.tells
 		sum.Errors += st.errors
 		sum.Shed += st.shed
-		sum.CachedHits += st.cached
-		sum.Joins += st.joins
 		sum.Waits += st.waits
 		tellBytes += st.tellBytes
 		if st.tellBytesMax > sum.TellRespBytesMax {
@@ -333,10 +311,9 @@ func Run(ctx context.Context, o Options) (*Summary, error) {
 	return sum, nil
 }
 
-// drive is one worker's loop: ask, act on the cache hint, tell. The
-// context deadline ends the run; in-flight round trips finish (their
-// context is the run context, so a straggler is cut off, counted as
-// neither success nor error).
+// drive is one worker's loop: ask, evaluate, tell. The context deadline
+// ends the run; in-flight round trips finish (their context is the run
+// context, so a straggler is cut off, counted as neither success nor error).
 func drive(ctx context.Context, cl *Client, session string, evalDelay time.Duration, st *workerStats) {
 	base := "/sessions/" + session
 	for {
@@ -368,26 +345,12 @@ func drive(ctx context.Context, cl *Client, session string, evalDelay time.Durat
 		default: // "done" — unbounded sessions never finish, but be safe
 			return
 		}
-		var y float64
-		switch a.Eval {
-		case serve.EvalCached:
-			st.cached++
-			if a.Y != nil {
-				y = *a.Y
-			}
-		case serve.EvalInflight:
-			// The daemon delivers this proposal itself when the in-flight
-			// evaluation lands; this worker moves straight to its next ask.
-			st.joins++
-			continue
-		default:
-			y = objective(a.X)
-			if evalDelay > 0 {
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(evalDelay):
-				}
+		y := objective(a.X)
+		if evalDelay > 0 {
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(evalDelay):
 			}
 		}
 		tell := serve.Tell{ProposalID: &a.ProposalID, Y: y}

@@ -12,15 +12,13 @@ import (
 )
 
 // TestRunSmoke drives a short load against an in-process daemon: the run
-// must complete clean (zero errors), make progress on every axis, and —
-// because same-seed session groups propose identical designs — produce
-// repeated-point cache traffic (hits or in-flight joins).
+// must complete clean (zero errors) and make progress on every axis.
 func TestRunSmoke(t *testing.T) {
 	st, err := wal.OpenMem(wal.NewMemFS(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv := serve.NewServerWith(serve.ServerOptions{Store: st, CacheSize: 1024})
+	sv := serve.NewServerWith(serve.ServerOptions{Store: st})
 	if _, err := sv.Recover(); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -32,10 +30,8 @@ func TestRunSmoke(t *testing.T) {
 		BaseURL:       ts.URL,
 		Sessions:      4,
 		Duration:      1500 * time.Millisecond,
-		SeedGroups:    2,
 		Dim:           3,
 		InitPoints:    16,
-		Testbench:     "smoke-tb",
 		SessionPrefix: "runsmoke",
 		Client:        ts.Client(),
 	})
@@ -48,9 +44,6 @@ func TestRunSmoke(t *testing.T) {
 	if sum.Asks == 0 || sum.Tells == 0 {
 		t.Fatalf("no progress: asks=%d tells=%d", sum.Asks, sum.Tells)
 	}
-	if sum.CachedHits+sum.Joins == 0 {
-		t.Fatal("same-seed groups produced no cache traffic (hits or joins)")
-	}
 	if sum.AsksPerSec <= 0 {
 		t.Fatalf("asks_per_sec = %v, want > 0", sum.AsksPerSec)
 	}
@@ -60,13 +53,5 @@ func TestRunSmoke(t *testing.T) {
 	}
 	if sum.AskLatency.P99 <= 0 || sum.AskLatency.P99 < sum.AskLatency.P50 {
 		t.Fatalf("ask latency quantiles inconsistent: %+v", sum.AskLatency)
-	}
-	// The daemon's own /statz agrees that cache traffic happened.
-	stz := sv.Stats()
-	if stz.Cache == nil {
-		t.Fatal("daemon /statz reports no cache despite CacheSize > 0")
-	}
-	if stz.Cache.Hits+stz.Cache.Joins == 0 {
-		t.Fatal("daemon cache saw no hits or joins")
 	}
 }

@@ -120,7 +120,7 @@ func pinnedSession(c *client) {
 	c.t.Helper()
 	req := createRequest{ID: "pinned", SessionConfig: SessionConfig{
 		Name: "pinned", Lo: []float64{-1, 0}, Hi: []float64{1, 2},
-		InitPoints: 8, MaxEvals: 12, Seed: 7, Failure: "skip", Testbench: "tb", Fidelity: "fast",
+		InitPoints: 8, MaxEvals: 12, Seed: 7, Failure: "skip",
 	}}
 	if code := c.post("/sessions", req, &createResponse{}); code != http.StatusCreated {
 		c.t.Fatalf("create: %d", code)
@@ -151,7 +151,7 @@ func pinnedSession(c *client) {
 // commit. Clients adopt orphans from this body and the repo benchmark
 // compares it across a restart.
 func TestBareGetBodyPinned(t *testing.T) {
-	c, _, stop := newTestServerWith(t, ServerOptions{CacheSize: 16})
+	c, _, stop := newTestServer(t)
 	defer stop()
 	pinnedSession(c)
 	code, got := c.raw(http.MethodGet, "/sessions/pinned", "")

@@ -251,35 +251,67 @@ func TestRecoverGen3WAL(t *testing.T) {
 	}
 	for _, s := range pinSessions {
 		t.Run(s.id, func(t *testing.T) {
-			dir := t.TempDir()
-			copyTree(t, dir, filepath.Join(gen3WALDir, s.id))
-			if rec := audit(t, dir); rec.AsksUnverified != 0 || rec.AsksRederived != s.tells+inFlight {
-				t.Fatalf("audit: %+v, want all %d asks re-derived", rec, s.tells+inFlight)
-			}
-			d := startDaemon(t, dir, s.policy)
-			defer d.stop()
-			if len(d.report.Quarantined) != 0 || !reflect.DeepEqual(d.report.Recovered, []string{s.id}) {
-				t.Fatalf("recovery of the generation-3 log: recovered %v, quarantined %v",
-					d.report.Recovered, d.report.Quarantined)
-			}
-			if rec := d.report.Sessions[0]; rec.Mode != serve.RecoverCheckpoint || rec.AsksUnverified != 0 || rec.AsksRederived == 0 {
-				t.Fatalf("recovered as %+v, want a checkpoint replay with asks re-derived and none unverified", rec)
-			}
-			got := d.run(s.id, -1)
-
-			// The recovered session must also finish exactly as one that
-			// never stopped.
-			ref := startDaemon(t, t.TempDir(), s.policy)
-			defer ref.stop()
-			ref.call("POST", "/sessions", createRequest{s.id, s.cfg}, nil)
-			want := ref.run(s.id, -1)
-			if !got.Done || len(got.Records) != s.cfg.MaxEvals {
-				t.Fatalf("recovered session stopped at %d records, done=%v", len(got.Records), got.Done)
-			}
-			if !reflect.DeepEqual(got.Records, want.Records) {
-				t.Fatalf("recovered run diverged from an uninterrupted one:\n got  %+v\n want %+v", got.Records, want.Records)
-			}
+			recoverBitwise(t, filepath.Join(gen3WALDir, s.id), s.id, s.cfg, s.policy, s.tells)
 		})
+	}
+}
+
+// labelledWALDir holds one session, "lab", written by a build whose session
+// config still carried the evaluation cache's "testbench" and "fidelity"
+// labels ("tb", "fine"), in its snapshot's config: four design points, then
+// model-based asks, stopped after six tells with two proposals in flight. A
+// create naming the labels is now a 400, but a log that carries them must
+// recover as it was: they never touched session state, and the log's
+// decoder ignores fields it does not know.
+const labelledWALDir = "testdata/labelled_wal"
+
+// TestRecoverLabelledWAL: the labelled log recovers and finishes exactly as
+// a session created without the labels that never stopped.
+func TestRecoverLabelledWAL(t *testing.T) {
+	recoverBitwise(t, labelledWALDir, "lab", serve.SessionConfig{
+		Lo: []float64{0, -1, 2}, Hi: []float64{1, 1, 5},
+		InitPoints: 4, MaxEvals: 12, Seed: 9, FitIters: 10, RefitEvery: 4,
+		Surrogate: "exact",
+	}, wal.Options{Fsync: wal.PolicyAlways, CompactEvery: 4}, 6)
+}
+
+// recoverBitwise holds the log of session id in fixture, stopped after tells
+// tells with inFlight proposals outstanding, to this build: the audit
+// re-derives every ask, recovery from its checkpoints quarantines nothing and
+// brings every acknowledged tell back, and the continued run ends bit for bit
+// as an uninterrupted one of cfg.
+func recoverBitwise(t *testing.T, fixture, id string, cfg serve.SessionConfig, policy wal.Options, tells int) {
+	t.Helper()
+	dir := t.TempDir()
+	copyTree(t, dir, fixture)
+	if rec := audit(t, dir); rec.AsksUnverified != 0 || rec.AsksRederived != tells+inFlight {
+		t.Fatalf("audit: %+v, want all %d asks re-derived", rec, tells+inFlight)
+	}
+	d := startDaemon(t, dir, policy)
+	defer d.stop()
+	if len(d.report.Quarantined) != 0 || !reflect.DeepEqual(d.report.Recovered, []string{id}) {
+		t.Fatalf("recovery of %s: recovered %v, quarantined %v", fixture, d.report.Recovered, d.report.Quarantined)
+	}
+	if rec := d.report.Sessions[0]; rec.Mode != serve.RecoverCheckpoint || rec.AsksUnverified != 0 || rec.AsksRederived == 0 {
+		t.Fatalf("recovered as %+v, want a checkpoint replay with asks re-derived and none unverified", rec)
+	}
+	var mid serve.Status
+	d.call("GET", "/sessions/"+id, nil, &mid)
+	if len(mid.Records) != tells || len(mid.Outstanding) != inFlight {
+		t.Fatalf("recovered with %d records and %d proposals in flight, the log acknowledged %d tells with %d in flight",
+			len(mid.Records), len(mid.Outstanding), tells, inFlight)
+	}
+	got := d.run(id, -1)
+
+	ref := startDaemon(t, t.TempDir(), policy)
+	defer ref.stop()
+	ref.call("POST", "/sessions", createRequest{id, cfg}, nil)
+	want := ref.run(id, -1)
+	if !got.Done || len(got.Records) != cfg.MaxEvals {
+		t.Fatalf("recovered session stopped at %d records, done=%v", len(got.Records), got.Done)
+	}
+	if !reflect.DeepEqual(got.Records, want.Records) || !reflect.DeepEqual(got.Config, want.Config) {
+		t.Fatalf("recovered run diverged from an uninterrupted one:\n got  %+v\n want %+v", got, want)
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 //	GET    /sessions/{id}/snapshot   restart-safe session snapshot
 //	GET    /healthz                  liveness probe (alive during recovery)
 //	GET    /readyz                   readiness probe (503 until Recover ran)
-//	GET    /statz                    throughput stats: eval cache + admission
+//	GET    /statz                    throughput stats: admission, WAL, recovery
 //
 // Routing is hand-rolled on the URL path because the module's go directive
 // selects ServeMux semantics — method and wildcard patterns need go >= 1.22
@@ -40,11 +40,9 @@ type Server struct {
 	opts  ServerOptions
 	ready atomic.Bool
 
-	// cache is the cross-session evaluation cache (nil = disabled); adm is
-	// the ask-path admission gate. Both are daemon-wide: sessions share
-	// them through bind().
-	cache *EvalCache
-	adm   admission
+	// adm is the daemon-wide ask-path admission gate; sessions share it
+	// through bind().
+	adm admission
 
 	// Recovery progress, reported by /readyz while the boot replay runs.
 	recTotal atomic.Int64
@@ -78,11 +76,6 @@ type ServerOptions struct {
 	// names a different node (they moved while this node was down), and
 	// new sessions record it as their owner.
 	NodeID string
-	// CacheSize bounds the cross-session evaluation cache to that many
-	// completed results; <= 0 disables caching entirely (the zero value
-	// preserves pre-cache behavior). Sessions opt in by declaring a
-	// testbench in their config.
-	CacheSize int
 	// MaxInflightEvals bounds outstanding proposals daemon-wide: asks past
 	// the bound are shed with 429 + Retry-After until tells retire work.
 	// 0 = unlimited.
@@ -106,61 +99,26 @@ func NewServerWith(o ServerOptions) *Server {
 		opts:        o,
 		quarantined: map[string]string{},
 	}
-	if o.CacheSize > 0 {
-		sv.cache = newEvalCache(o.CacheSize)
-	}
 	sv.adm.maxEvals = int64(o.MaxInflightEvals)
 	sv.adm.queueDepth = int64(o.QueueDepth)
 	return sv
 }
 
-// bind attaches the daemon-wide throughput machinery to a session before
-// its actor starts: the admission gauge always (recovered sessions bring
-// their outstanding proposals back as in-flight work), the evaluation
-// cache only when enabled and the session declares a testbench. Called at
-// every install point — create, restore, boot recovery, failover adoption.
+// bind attaches the daemon-wide admission gauge to a session before its
+// actor starts (recovered sessions bring their outstanding proposals back as
+// in-flight work). Called at every install point — create, restore, boot
+// recovery, failover adoption.
 func (sv *Server) bind(s *session) {
 	s.evalGauge = &sv.adm.evals
 	s.evalGauge.Add(int64(len(s.ledger)))
-	if sv.cache != nil && s.cfg.Testbench != "" {
-		s.cache = sv.cache
-		s.deliver = sv.deliverCached
-	}
 }
 
-// deliverCached fans one resolved evaluation out to the proposals that
-// joined it in flight. Each delivery is a daemon-issued tell through the
-// waiter session's normal actor/WAL path — durably logged, idempotent with
-// a late worker tell for the same proposal (the second one consumes
-// nothing and errors as unknown-proposal, which is dropped here). Runs
-// asynchronously: it is triggered from inside the resolving session's
-// actor job, and a waiter may be that same session.
-func (sv *Server) deliverCached(ws []cacheWaiter, y float64) {
-	for _, cw := range ws {
-		cw := cw
-		go func() {
-			s, err := sv.reg.get(cw.session)
-			if err != nil {
-				return // session deleted or moved; its proposal moved with it
-			}
-			pid := cw.proposal
-			// Best effort by design: if the session is fenced, aborted, or
-			// the proposal was already told by an adopting worker, the tell
-			// simply fails and the proposal's fate stays with its session.
-			// No durability wait: nothing is acked to an external party, so
-			// a crash before the sync just leaves the proposal outstanding.
-			_ = s.do(func() { _, _, _ = s.tell(Tell{ProposalID: &pid, Y: y}) })
-		}()
-	}
-}
-
-// Statz reports daemon-wide throughput state: cache effectiveness and the
-// admission gate. Cache is nil when caching is disabled.
+// Statz reports daemon-wide throughput state: the admission gate, the
+// store's group commit and how sessions were rebuilt.
 type Statz struct {
-	Ready     bool            `json:"ready"`
-	Sessions  int             `json:"sessions"`
-	Cache     *EvalCacheStats `json:"cache,omitempty"`
-	Admission AdmissionStats  `json:"admission"`
+	Ready     bool           `json:"ready"`
+	Sessions  int            `json:"sessions"`
+	Admission AdmissionStats `json:"admission"`
 	// WAL reports the store's group-commit amortization (a wal.Store's,
 	// in-memory ones too; absent for a store without one).
 	WAL *WALStats `json:"wal,omitempty"`
@@ -184,10 +142,6 @@ func (sv *Server) Stats() Statz {
 		Admission: sv.adm.stats(),
 
 		RecoveryTotals: sv.RecoveryTotals(),
-	}
-	if sv.cache != nil {
-		cs := sv.cache.Stats()
-		st.Cache = &cs
 	}
 	if ss, ok := sv.store.(interface{ SyncStats() (uint64, uint64) }); ok {
 		syncs, records := ss.SyncStats()
@@ -404,8 +358,8 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			"ready": true, "sessions": sv.reg.Len(), "recovery": sv.Progress(),
 		})
 	case len(parts) == 1 && parts[0] == "statz":
-		// Throughput observability: eval-cache hit rates and the admission
-		// gate's live gauges. Served during recovery too — shed counters
+		// Throughput observability: the admission gate's live gauges, group
+		// commit and recovery totals. Served during recovery too — shed counters
 		// are interesting exactly when the daemon is struggling.
 		WriteJSON(w, http.StatusOK, sv.Stats())
 	case len(parts) >= 1 && parts[0] == "sessions":

@@ -78,6 +78,9 @@ func TestHTTPRoutingEdgeCases(t *testing.T) {
 		{"tell trailing value", http.MethodPost, "/sessions/edge/tell", []byte(`{"x":[0.5,0.5],"y":2}{}`), http.StatusBadRequest},
 		{"tell trailing brace", http.MethodPost, "/sessions/edge/tell", []byte(`{"x":[0.5,0.5],"y":2}}`), http.StatusBadRequest},
 		{"create trailing garbage", http.MethodPost, "/sessions", []byte(`{"id":"tail","lo":[0],"hi":[1]} x`), http.StatusBadRequest},
+		// The config has no testbench or fidelity label (the evaluation
+		// cache that read them is gone): like any unknown field, a 400.
+		{"create with testbench label", http.MethodPost, "/sessions", []byte(`{"id":"lab","lo":[0],"hi":[1],"testbench":"tb"}`), http.StatusBadRequest},
 		// A snapshot whose config no create would accept is the sender's
 		// error (FuzzHTTP found it answering 500).
 		{"restore degenerate bounds", http.MethodPost, "/sessions/restore",

@@ -120,19 +120,6 @@ type SessionConfig struct {
 	// core.FailureHandler, the same bookkeeping the in-process drivers use.
 	Failure     string `json:"failure,omitempty"`
 	MaxFailures int    `json:"max_failures,omitempty"` // bound on tolerated failures (0 = policy default)
-
-	// Testbench is the opaque identity of the simulation this session's
-	// workers run. Sessions declaring the same testbench participate in the
-	// cross-session evaluation cache: an ask for a point another session
-	// already evaluated (or is evaluating) under the same testbench and
-	// fidelity carries the shared result instead of a fresh simulation.
-	// Empty opts the session out of the cache entirely — the daemon cannot
-	// know two unlabeled objectives are the same function.
-	Testbench string `json:"testbench,omitempty"`
-	// Fidelity distinguishes evaluation tiers of one testbench (tolerance,
-	// corner set, post-layout vs schematic). Results never dedupe across
-	// fidelities: a coarse sim is not a substitute for a fine one.
-	Fidelity string `json:"fidelity,omitempty"`
 }
 
 // Ceilings on what one session config may ask of the daemon, far above
@@ -207,13 +194,6 @@ func (c *SessionConfig) normalize() error {
 	}
 	if c.MaxFailures < 0 {
 		c.MaxFailures = 0
-	}
-	const maxLabel = 200
-	if len(c.Testbench) > maxLabel {
-		return fmt.Errorf("serve: testbench label exceeds %d bytes", maxLabel)
-	}
-	if len(c.Fidelity) > maxLabel {
-		return fmt.Errorf("serve: fidelity label exceeds %d bytes", maxLabel)
 	}
 	return nil
 }

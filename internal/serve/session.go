@@ -166,21 +166,6 @@ const (
 	AskDone AskStatus = "done"
 )
 
-// Eval hints on an Ask tell the worker whether the proposal still needs a
-// real simulation. They are hints about work, never about state: the
-// session records only tells, so replay is identical whatever path the Y
-// took (see EvalCache's determinism contract).
-const (
-	// EvalCached: the point was already evaluated under this session's
-	// (testbench, fidelity); Y carries the result. The worker should skip
-	// the simulation and tell Y straight back.
-	EvalCached = "cached"
-	// EvalInflight: another worker is evaluating this exact point right
-	// now. The daemon will tell this proposal itself when that result
-	// lands; the worker should move on to its next ask.
-	EvalInflight = "inflight"
-)
-
 // Ask is the response to one ask: a proposal to evaluate, or a terminal
 // status.
 type Ask struct {
@@ -189,11 +174,6 @@ type Ask struct {
 	// still serialize a proposal_id field for external workers.
 	ProposalID int       `json:"proposal_id"`
 	X          []float64 `json:"x,omitempty"`
-	// Eval is the evaluation-cache hint: "" (simulate), EvalCached, or
-	// EvalInflight. Only ever set on AskOK responses.
-	Eval string `json:"eval,omitempty"`
-	// Y is the cached objective value accompanying EvalCached.
-	Y *float64 `json:"y,omitempty"`
 }
 
 // Proposal is one outstanding ask, reported in Status so workers can adopt
@@ -271,12 +251,6 @@ type Status struct {
 	// ?since=N only Records[N:], with Observations the next cursor.
 	Records []Record `json:"records,omitempty"`
 	Failed  []Record `json:"failed,omitempty"`
-	// Evaluation-cache counters for this session's asks. Process-lifetime
-	// observability, not session state: they reset on recovery/restore
-	// (replay never consults the cache) and are excluded from snapshots.
-	CacheHits  int64 `json:"cache_hits,omitempty"`
-	CacheMiss  int64 `json:"cache_misses,omitempty"`
-	CacheJoins int64 `json:"cache_inflight_joins,omitempty"`
 }
 
 // session is one optimization run hosted by the service. All fields below
@@ -336,20 +310,11 @@ type session struct {
 	ikAsks  map[string]Ask
 	ikTells map[string]bool
 
-	// Evaluation-cache attachment, bound by the server before start() (nil
-	// when the cache is disabled or the session declares no testbench).
-	// These touch only live ask/tell handling — replay never reaches them —
-	// so they carry observability and work-routing, not session state.
-	cache   *EvalCache
-	deliver func(waiters []cacheWaiter, y float64) // fan a resolved value out to joined proposals
 	// evalGauge counts live outstanding proposals daemon-wide for admission
 	// control; incremented on each issued ask, decremented when the ledger
-	// entry is consumed, reconciled on close.
+	// entry is consumed, reconciled on close. Bound by the server before
+	// start(); it touches only live ask/tell handling, never replay.
 	evalGauge *atomic.Int64
-	// Per-session cache counters (actor-owned, surfaced in Status).
-	cacheHits  int64
-	cacheMiss  int64
-	cacheJoins int64
 }
 
 // newMachine builds the deterministic ask/tell machine a config describes:
@@ -479,12 +444,8 @@ func (s *session) close() {
 		_ = s.log.Close()
 	}
 	// The actor is drained, so the ledger is stable: retire this session's
-	// outstanding proposals from the admission gauge and drop any in-flight
-	// cache evaluations it was leading.
+	// outstanding proposals from the admission gauge.
 	s.gaugeDone(len(s.ledger))
-	if s.cache != nil {
-		s.cache.releaseSession(s.id)
-	}
 }
 
 // --------------------------------------------------------------- requests
@@ -614,26 +575,6 @@ func (s *session) ask(ik string) (Ask, commitTicket, error) {
 		s.evalGauge.Add(1)
 	}
 	a := Ask{Status: AskOK, ProposalID: p.ID, X: p.X}
-	// Consult the evaluation cache only after the ask is durably logged:
-	// the hint routes worker effort, the log owns the history. A hit hands
-	// the worker the prior Y to tell straight back; an in-flight match
-	// registers this proposal for daemon-side delivery when the one real
-	// evaluation lands; a miss makes this proposal the in-flight leader.
-	if s.cache != nil {
-		if k, cacheable := evalKeyFor(s.cfg.Testbench, s.cfg.Fidelity, p.X); cacheable {
-			switch y, out := s.cache.lookup(k, s.id, p.ID); out {
-			case cacheHit:
-				yv := y
-				a.Eval, a.Y = EvalCached, &yv
-				s.cacheHits++
-			case cacheInflight:
-				a.Eval = EvalInflight
-				s.cacheJoins++
-			case cacheMiss:
-				s.cacheMiss++
-			}
-		}
-	}
 	if ik != "" {
 		s.ikAsks[ik] = a
 	}
@@ -746,22 +687,6 @@ func (s *session) tell(t Tell) (TellAck, commitTicket, error) {
 	}
 	wasDead := s.at.Err() != nil
 	obsErr := s.absorbTell(ev)
-	// Cache bookkeeping, strictly after the event is durable and applied:
-	// a successful tell publishes its value (and releases any proposals
-	// that joined the in-flight evaluation — the daemon tells them itself,
-	// through this same durable path); a failed one abandons the in-flight
-	// registration it led so the next identical ask triggers a real retry.
-	if s.cache != nil {
-		if k, cacheable := evalKeyFor(s.cfg.Testbench, s.cfg.Fidelity, x); cacheable {
-			if ev.Err != "" {
-				s.cache.abandon(k, s.id, id)
-			} else {
-				if ws := s.cache.resolve(k, ev.Y); len(ws) > 0 && s.deliver != nil {
-					s.deliver(ws, ev.Y)
-				}
-			}
-		}
-	}
 	if !wasDead && s.at.Err() != nil {
 		// This tell killed the machine: record the abort durably so
 		// recovery can verify the dead state instead of deriving it.
@@ -847,9 +772,6 @@ func (s *session) status() Status {
 		BestY:           a.BestY,
 		Records:         s.recs[:len(s.recs):len(s.recs)],
 		Failed:          s.failed[:len(s.failed):len(s.failed)],
-		CacheHits:       s.cacheHits,
-		CacheMiss:       s.cacheMiss,
-		CacheJoins:      s.cacheJoins,
 	}
 	for _, e := range s.ledger {
 		st.Outstanding = append(st.Outstanding, Proposal{ProposalID: e.id, X: append([]float64(nil), e.x...)})
