@@ -9,12 +9,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"os/exec"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -286,6 +290,39 @@ func TestClusterRoutesAcrossNodes(t *testing.T) {
 	}
 	if !st.Done || len(st.Records) != 6 {
 		t.Fatalf("session state wrong after cross-node driving: done=%v records=%d", st.Done, len(st.Records))
+	}
+}
+
+// TestClusterNeedsDataDir: failover and handoff both replay a session's log
+// from the data directory the cluster shares, so -peers without -data-dir is
+// a startup error (exit 2, naming the flag) that comes before anything binds:
+// the daemon's address is held here, and binding it would fail differently.
+func TestClusterNeedsDataDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test is not -short friendly")
+	}
+	bin, err := buildEasybod()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	addr := l.Addr().String()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin, "-addr", addr, "-node-id", "n0", "-peers", "n0=http://"+addr)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("-peers without -data-dir: %v, want exit status 2; stderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "-data-dir") {
+		t.Fatalf("the refusal does not name -data-dir: %q", stderr.String())
 	}
 }
 

@@ -39,11 +39,12 @@
 // actor, then flush and close the write-ahead logs — so a tell accepted
 // before the signal is on stable storage before the process exits.
 //
-// With -peers, several daemons form one fault-tolerant cluster: every
-// session lives on the node a consistent-hash ring assigns it, any node
-// accepts any request and transparently proxies to the owner, and when the
-// peers share -data-dir (a shared filesystem) the loss of a node is healed
-// by a survivor replaying its sessions' write-ahead logs. See DESIGN.md §7.
+// With -peers, several daemons form one fault-tolerant cluster over one
+// shared -data-dir (a shared filesystem; -peers without -data-dir exits 2):
+// every session lives on the node a consistent-hash ring assigns it, any
+// node accepts any request and transparently proxies to the owner, the loss
+// of a node is healed by a survivor replaying its sessions' write-ahead
+// logs, and a returning owner gets them back the same way. See DESIGN.md §7.
 //
 //	easybod -addr :7823 -node-id a -peers a=http://h1:7823,b=http://h2:7823,c=http://h3:7823 -data-dir /mnt/shared/easybod
 package main
@@ -76,7 +77,7 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress the startup banner")
 		surrogate = flag.String("surrogate", "", "default surrogate backend for sessions that omit one: auto | exact | features")
 
-		dataDir       = flag.String("data-dir", "", "durable session store directory (empty: sessions are in-memory and die with the process)")
+		dataDir       = flag.String("data-dir", "", "durable session store directory (empty: sessions are in-memory and die with the process); required with -peers, where every node of the cluster opens the same shared directory")
 		verifyDir     = flag.String("verify", "", "audit this data directory offline and exit: replay every session from its first event, re-derive every ask, recompute every checkpoint; read-only; exit 1 on any divergence, 2 when nothing diverged but an older build's asks could only be taken as recorded")
 		fsyncPolicy   = flag.String("fsync", "interval", "write-ahead log fsync policy: always | interval | off")
 		fsyncInterval = flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync cadence for -fsync interval")
@@ -119,6 +120,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "easybod: -peers requires -node-id")
 			os.Exit(2)
 		}
+		// Failover and handoff both move a session by replaying its log
+		// from the one data directory the cluster shares; an in-memory
+		// node can do neither.
+		if *dataDir == "" {
+			fmt.Fprintln(os.Stderr, "easybod: -peers requires -data-dir (the data directory every node of the cluster shares)")
+			os.Exit(2)
+		}
 		table, err = cluster.ParsePeers(*peers, *ringVersion)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "easybod:", err)
@@ -158,10 +166,6 @@ func main() {
 			Table:        table,
 			Heartbeat:    *heartbeat,
 			SuspectAfter: *suspectAfter,
-			// A durable data directory is the shared-store contract: every
-			// node opens the same WAL tree (shared filesystem), so a dead
-			// peer's sessions fail over by replay-in-place.
-			SharedStore: *dataDir != "",
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "easybod:", err)
@@ -222,8 +226,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "easybod: in-memory store: sessions will NOT survive a restart (set -data-dir)")
 		}
 		if node != nil {
-			fmt.Fprintf(os.Stderr, "easybod: cluster node %s of %d (ring v%d, heartbeat=%s, suspect-after=%d, shared-store=%v)\n",
-				*nodeID, len(table.Members), table.Version, *heartbeat, *suspectAfter, *dataDir != "")
+			fmt.Fprintf(os.Stderr, "easybod: cluster node %s of %d (ring v%d, heartbeat=%s, suspect-after=%d)\n",
+				*nodeID, len(table.Members), table.Version, *heartbeat, *suspectAfter)
 		}
 	}
 

@@ -15,7 +15,9 @@ import (
 	"easybo/internal/serve"
 )
 
-// Config declares one cluster node.
+// Config declares one cluster node. Every node of a cluster opens the same
+// WAL tree (a shared filesystem): failover and handoff alike move a session
+// by replaying its log in place.
 type Config struct {
 	// Self is this node's member id; it must appear in Table.
 	Self string
@@ -26,12 +28,6 @@ type Config struct {
 	// SuspectAfter is how many consecutive failed contacts mark a peer
 	// dead for routing (default 3).
 	SuspectAfter int
-	// SharedStore declares that every node opens the same WAL tree (a
-	// shared filesystem): failover then adopts a dead owner's sessions by
-	// replaying their logs in place. Without it, only planned snapshot
-	// handoffs move sessions, and a dead node's sessions are unavailable
-	// until it returns.
-	SharedStore bool
 	// AttemptTimeout bounds each forwarded attempt (default 5s).
 	AttemptTimeout time.Duration
 	// MaxAttempts bounds forwarding retries across re-routes (default 8).
@@ -204,7 +200,7 @@ func (n *Node) route(id string) (target Member, local bool, ok bool) {
 }
 
 // tryAdopt takes over a session the routing decision landed here when the
-// shared store holds it but the live registry does not: the failover path.
+// store holds it but the live registry does not: the failover path.
 // Adoption replays the dead owner's WAL and durably fences the session to
 // this node before a single request touches it. It reports false only when
 // the store's fence names an alive holder — the session is not ours, route
@@ -212,9 +208,6 @@ func (n *Node) route(id string) (target Member, local bool, ok bool) {
 // does not hold will 404 or create locally, a quarantined one answers
 // through the serve layer; its response is authoritative either way.
 func (n *Node) tryAdopt(id string, dead map[string]bool) bool {
-	if !n.cfg.SharedStore {
-		return true
-	}
 	n.adoptMu.Lock()
 	defer n.adoptMu.Unlock()
 	if n.sv.Has(id) {
@@ -454,127 +447,110 @@ func restoreBody(r *http.Request, body []byte) *http.Request {
 	return r2
 }
 
-// adoptRequest is the handoff wire document: the session being
-// transferred and (for separate-store clusters) the snapshot to install.
+// adoptRequest is the handoff wire document: the id of the session being
+// transferred, which the target loads from the store.
 type adoptRequest struct {
-	ID       string          `json:"id"`
-	Snapshot *serve.Snapshot `json:"snapshot,omitempty"`
+	ID string `json:"id"`
 }
 
 type adoptResponse struct {
 	ID      string `json:"id"`
-	Adopted string `json:"adopted"` // "store" | "snapshot" | "already"
+	Adopted string `json:"adopted"` // "store" | "already"
+}
+
+// decodeIDRequest reads the {"id"} body of an adopt or release request.
+func decodeIDRequest(r *http.Request, verb string) (string, error) {
+	var req adoptRequest
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+		return "", fmt.Errorf("cluster: decoding %s request: %w", verb, err)
+	}
+	return req.ID, nil
 }
 
 // handleAdopt is the receiving half of a handoff (and of heal-on-return):
-// take ownership of a session another node fenced over to us. Shared
-// store first — replay the log in place — falling back to installing the
-// shipped snapshot.
+// take ownership of a session another node fenced over to us by replaying
+// its log from the store.
 func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
-	var req adoptRequest
-	// Node to node: a long session's shipped snapshot may outgrow what
-	// serve accepts from a client, hence the headroom.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4*serve.MaxBodyBytes)).Decode(&req); err != nil {
-		writeJSONError(w, bodyErrorStatus(err), fmt.Errorf("cluster: decoding adopt request: %w", err))
+	id, err := decodeIDRequest(r, "adopt")
+	if err != nil {
+		writeJSONError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.ID == "" {
+	if id == "" {
 		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("cluster: adopt request has no session id"))
 		return
 	}
 	n.adoptMu.Lock()
 	defer n.adoptMu.Unlock()
-	if n.sv.Has(req.ID) {
-		serve.WriteJSON(w, http.StatusOK, adoptResponse{ID: req.ID, Adopted: "already"})
+	if n.sv.Has(id) {
+		serve.WriteJSON(w, http.StatusOK, adoptResponse{ID: id, Adopted: "already"})
 		return
 	}
-	if n.cfg.SharedStore {
-		// The sender fenced the session to us before shipping, so the
-		// recorded owner is normally self; any other alive holder means a
-		// stale or misdirected transfer, which the guard refuses.
-		_, err := n.sv.Adopt(req.ID, n.cfg.Self, func(owner string) bool { return !n.health.alive(owner) })
-		if err == nil {
-			n.forgetHeld(req.ID)
-			serve.WriteJSON(w, http.StatusOK, adoptResponse{ID: req.ID, Adopted: "store"})
-			return
-		}
-		if !errors.Is(err, serve.ErrUnknownSession) {
-			writeJSONError(w, http.StatusConflict, err)
-			return
-		}
-	}
-	if req.Snapshot == nil {
-		writeJSONError(w, http.StatusNotFound,
-			fmt.Errorf("cluster: session %q not in this node's store and no snapshot shipped", req.ID))
-		return
-	}
-	if _, err := n.sv.InstallSnapshot(*req.Snapshot); err != nil {
+	// The sender fenced the session to us before asking, so the recorded
+	// owner is normally self; any other alive holder means a stale or
+	// misdirected transfer, which the guard refuses.
+	_, err = n.sv.Adopt(id, n.cfg.Self, func(owner string) bool { return !n.health.alive(owner) })
+	switch {
+	case err == nil:
+		n.forgetHeld(id)
+		serve.WriteJSON(w, http.StatusOK, adoptResponse{ID: id, Adopted: "store"})
+	case errors.Is(err, serve.ErrUnknownSession):
+		writeJSONError(w, http.StatusNotFound, err)
+	default:
 		writeJSONError(w, http.StatusConflict, err)
-		return
 	}
-	n.forgetHeld(req.ID)
-	serve.WriteJSON(w, http.StatusOK, adoptResponse{ID: req.ID, Adopted: "snapshot"})
 }
 
 // handleRelease hands a session this node holds back to its ring owner —
 // the healing step, also exposed for operators and tests.
 func (n *Node) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("cluster: decoding release request: %w", err))
+	id, err := decodeIDRequest(r, "release")
+	if err != nil {
+		writeJSONError(w, http.StatusBadRequest, err)
 		return
 	}
-	if !n.sv.Has(req.ID) {
-		writeJSONError(w, http.StatusNotFound, fmt.Errorf("%w: %q", serve.ErrUnknownSession, req.ID))
+	if !n.sv.Has(id) {
+		writeJSONError(w, http.StatusNotFound, fmt.Errorf("%w: %q", serve.ErrUnknownSession, id))
 		return
 	}
-	owner := n.ring.Owner(req.ID)
+	owner := n.ring.Owner(id)
 	if owner.ID == n.cfg.Self {
-		serve.WriteJSON(w, http.StatusOK, map[string]any{"id": req.ID, "released": false, "reason": "already at ring owner"})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "released": false, "reason": "already at ring owner"})
 		return
 	}
-	if err := n.handoff(r.Context(), req.ID, owner); err != nil {
+	if err := n.handoff(r.Context(), id, owner); err != nil {
 		writeJSONError(w, http.StatusBadGateway, err)
 		return
 	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{"id": req.ID, "released": true, "to": owner.ID})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"id": id, "released": true, "to": owner.ID})
 }
 
-// handoff moves one session to a target node: fence + snapshot here, adopt
-// there, retire the local copy. Any failure before the target acknowledges
-// aborts the transfer and resumes serving locally at a fresh epoch.
+// handoff moves one session to a target node: fence here, adopt there from
+// the store, retire the local copy. Any failure before the target
+// acknowledges aborts the transfer and resumes serving locally at a fresh
+// epoch.
 func (n *Node) handoff(ctx context.Context, id string, target Member) error {
-	snap, err := n.sv.BeginHandoff(id, target.ID)
-	if err != nil {
+	if err := n.sv.BeginHandoff(id, target.ID); err != nil {
 		return fmt.Errorf("cluster: beginning handoff of %q: %w", id, err)
 	}
-	payload, err := json.Marshal(adoptRequest{ID: id, Snapshot: &snap})
-	if err != nil {
-		if aerr := n.sv.AbortHandoff(id, n.cfg.Self); aerr != nil {
-			return fmt.Errorf("cluster: encoding handoff of %q failed (%v) and abort failed too: %w", id, err, aerr)
-		}
-		return fmt.Errorf("cluster: encoding handoff of %q: %w", id, err)
-	}
+	payload, _ := json.Marshal(adoptRequest{ID: id}) // a struct of one string always encodes
 	hdr := http.Header{}
 	hdr.Set("Content-Type", "application/json")
 	res, err := n.forwardOnce(ctx, target, http.MethodPost, "/cluster/adopt", payload, hdr)
-	if err != nil || res.status != http.StatusOK {
-		if err == nil {
-			err = fmt.Errorf("target answered %d: %s", res.status, strings.TrimSpace(string(res.body)))
-		}
+	if err != nil {
+		// Transport failure: the target may be down. An answer, even a
+		// refusal, is a live target and counts no strike.
 		n.health.fail(target.ID)
+	} else if res.status != http.StatusOK {
+		err = fmt.Errorf("target answered %d: %s", res.status, strings.TrimSpace(string(res.body)))
+	}
+	if err != nil {
 		if aerr := n.sv.AbortHandoff(id, n.cfg.Self); aerr != nil {
 			return fmt.Errorf("cluster: handoff of %q to %s failed (%v) and abort failed too: %w", id, target.ID, err, aerr)
 		}
 		return fmt.Errorf("cluster: handing off %q to %s: %w", id, target.ID, err)
 	}
-	var ack adoptResponse
-	// An undecodable ack still acknowledged with 200; default to keeping
-	// shared data, the safe side.
-	_ = json.Unmarshal(res.body, &ack)
-	if err := n.sv.CompleteHandoff(id, ack.Adopted == "snapshot"); err != nil {
+	if err := n.sv.CompleteHandoff(id); err != nil {
 		return fmt.Errorf("cluster: completing handoff of %q: %w", id, err)
 	}
 	return nil

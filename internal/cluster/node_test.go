@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -50,6 +52,9 @@ type testNode struct {
 	ts   *httptest.Server
 	sv   *serve.Server
 	node *Node
+	// wrap, when set, wraps every Node booted for this member before it
+	// goes live, so a test can watch what the member is sent.
+	wrap func(http.Handler) http.Handler
 }
 
 type testCluster struct {
@@ -116,7 +121,6 @@ func (tc *testCluster) boot(id string) {
 		Table:          tc.table,
 		Heartbeat:      50 * time.Millisecond,
 		SuspectAfter:   2,
-		SharedStore:    true,
 		AttemptTimeout: 2 * time.Second,
 		MaxAttempts:    10,
 	})
@@ -129,7 +133,11 @@ func (tc *testCluster) boot(id string) {
 	}
 	node.Start(rep)
 	tn.sv, tn.node = sv, node
-	tn.swap.set(node)
+	var h http.Handler = node
+	if tn.wrap != nil {
+		h = tn.wrap(node)
+	}
+	tn.swap.set(h)
 }
 
 // kill simulates a node death: the listener refuses connections and the
@@ -346,7 +354,7 @@ func TestStaleOwnerIsFenced(t *testing.T) {
 		t.Fatalf("ask: %d", code)
 	}
 	sv0 := tc.nodes["node0"].sv
-	if _, err := sv0.BeginHandoff(id, "node1"); err != nil {
+	if err := sv0.BeginHandoff(id, "node1"); err != nil {
 		t.Fatal(err)
 	}
 	// The old owner's copy is fenced: an in-flight tell against it must be
@@ -372,7 +380,7 @@ func TestStaleOwnerIsFenced(t *testing.T) {
 	if ack.Adopted != "store" {
 		t.Fatalf("adopted %q, want store", ack.Adopted)
 	}
-	if err := sv0.CompleteHandoff(id, false); err != nil {
+	if err := sv0.CompleteHandoff(id); err != nil {
 		t.Fatal(err)
 	}
 	var st serve.TellAck
@@ -565,5 +573,119 @@ func TestFailoverAndHealResumeAtACheckpoint(t *testing.T) {
 	}
 	if len(got.Records) != 3*perLeg || !reflect.DeepEqual(got.Records, want.Records) {
 		t.Fatalf("history after failover and heal differs from the single-node run:\n got  %+v\n want %+v", got.Records, want.Records)
+	}
+}
+
+// TestHealAdoptCarriesOnlyTheID: the heal's POST /cluster/adopt names the
+// session and nothing else — the target replays the log from the store — so
+// its body does not grow with the history, and no history is long enough
+// to push it past the adopt route's body limit.
+func TestHealAdoptCarriesOnlyTheID(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	id := tc.idOwnedBy("node0", "small")
+	tc.kill("node0")
+	cfg := sessionConfig(id)
+	cfg["init_points"] = 64 // design points only: a long history without a model fit
+	if code := call(t, http.MethodPost, tc.url("node1")+"/sessions", cfg, nil); code != http.StatusCreated {
+		t.Fatalf("create via node1: status %d", code)
+	}
+	for i := 0; i < 60; i++ {
+		drive(t, tc.url("node1"), id)
+	}
+	var snap serve.Snapshot
+	call(t, http.MethodGet, tc.url("node1")+"/sessions/"+id+"/snapshot", nil, &snap)
+	if data, _ := json.Marshal(snap); len(data) < 8<<10 {
+		t.Fatalf("the session's snapshot is %d bytes; drive longer so a shipped snapshot would show", len(data))
+	}
+
+	var mu sync.Mutex
+	var sizes []int
+	tc.nodes["node0"].wrap = func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/cluster/adopt" {
+				body, _ := io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				mu.Lock()
+				sizes = append(sizes, len(body))
+				mu.Unlock()
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	tc.revive("node0")
+	deadline := time.Now().Add(10 * time.Second)
+	for !tc.nodes["node0"].sv.Has(id) {
+		if time.Now().After(deadline) {
+			t.Fatal("session never healed back to its ring owner")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sizes) == 0 {
+		t.Fatal("the heal sent no adopt request")
+	}
+	for i, n := range sizes {
+		if n >= 1<<10 {
+			t.Errorf("adopt request %d carried %d bytes, want < 1 KB", i+1, n)
+		}
+	}
+}
+
+// TestHandoffRefusalIsNoStrike: a target that answers a handoff — here with
+// 409, as it does for a session quarantined there or held elsewhere — is
+// alive. SuspectAfter such refusals in one heal pass must not mark it
+// suspect; only a transport failure counts against a peer.
+func TestHandoffRefusalIsNoStrike(t *testing.T) {
+	var adopts atomic.Int64
+	target := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/cluster/adopt" {
+			adopts.Add(1)
+		}
+		writeJSONError(w, http.StatusConflict, fmt.Errorf("refused"))
+	}))
+	defer target.Close()
+	st, err := wal.OpenMem(wal.NewMemFS(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := serve.NewServerWith(serve.ServerOptions{Store: st, NodeID: "a"})
+	defer sv.Close()
+	if _, err := sv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	const suspectAfter = 2
+	n, err := New(sv, Config{
+		Self:         "a",
+		Table:        Table{Version: 1, Members: []Member{{ID: "a", URL: "http://a.invalid"}, {ID: "b", URL: target.URL}}},
+		SuspectAfter: suspectAfter,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(sv)
+	defer ts.Close()
+	var held []string
+	for i := 0; len(held) < suspectAfter; i++ {
+		id := fmt.Sprintf("refused-%d", i)
+		if n.ring.Owner(id).ID != "b" {
+			continue
+		}
+		if code := call(t, http.MethodPost, ts.URL+"/sessions", sessionConfig(id), nil); code != http.StatusCreated {
+			t.Fatalf("create %s: status %d", id, code)
+		}
+		held = append(held, id)
+	}
+	n.healHeldSessions(context.Background())
+	if got := adopts.Load(); got != suspectAfter {
+		t.Fatalf("the heal pass sent %d adopt requests, want %d", got, suspectAfter)
+	}
+	if !n.health.alive("b") {
+		t.Fatal("a target that answered every handoff is suspected dead")
+	}
+	for _, id := range held {
+		if !sv.Has(id) {
+			t.Fatalf("aborted handoff of %s left it serving nowhere", id)
+		}
 	}
 }

@@ -3,10 +3,11 @@
 // chosen by consistent hashing over a versioned membership table — but any
 // node accepts any request and transparently proxies it to the owner, so
 // clients need no routing knowledge. Ownership moves in two ways, both
-// fenced by a durable epoch (see internal/serve handoff hooks): a planned
-// handoff ships the session's snapshot to the new owner, and node loss is
-// healed by the surviving next-in-ring node adopting the session from the
-// shared store and replaying its write-ahead log.
+// fenced by a durable epoch (see internal/serve handoff hooks) and both
+// over the one store every node opens: a planned handoff fences the session
+// to the new owner, which adopts it from the store, and node loss is healed
+// by the surviving next-in-ring node adopting the session from the store
+// and replaying its write-ahead log.
 package cluster
 
 import (

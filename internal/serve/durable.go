@@ -83,7 +83,7 @@ type SessionLog interface {
 
 	// Fence durably records an ownership-epoch fence naming the node the
 	// session now belongs to. Epochs are minted by the cluster layer:
-	// every ownership transfer (snapshot handoff or failover adoption)
+	// every ownership transfer (handoff or failover adoption)
 	// bumps the session's epoch and fences the log before the new owner
 	// serves a single request, so a stale owner's copy is recognizably
 	// behind — and a rebooted previous owner sees at recovery that the

@@ -4,21 +4,21 @@ import "fmt"
 
 // Cluster hooks: the ownership-transfer protocol internal/cluster drives.
 //
-// A session's owner changes in exactly two ways, and both fence first:
+// A session's owner changes in exactly two ways, both over the one store
+// every node of the cluster opens, and both fence first:
 //
 //   - Handoff (source alive): the source runs BeginHandoff — one actor job
-//     that durably fences the log at epoch+1 naming the target, renders
-//     the snapshot and lets go of the log (and with it the session's
-//     lock). Because the actor mailbox is serial, any ask/tell queued
-//     behind that job finds the session fenced and fails with
-//     ErrStaleEpoch: nothing the source accepts after the snapshot can
-//     diverge from the new owner. The target installs the snapshot (or
-//     adopts the shared store's copy) and the source CompleteHandoffs.
+//     that durably fences the log at epoch+1 naming the target and lets go
+//     of the log (and with it the session's lock). Because the actor
+//     mailbox is serial, any ask/tell queued behind that job finds the
+//     session fenced and fails with ErrStaleEpoch: nothing the source
+//     accepts after the fence can diverge from the new owner. The target
+//     Adopts the store's copy and the source CompleteHandoffs.
 //
 //   - Failover adoption (owner dead): the adopter loads the session from
-//     the shared store, replays it, and fences at epoch+1 naming itself
-//     before serving a single request. If the dead owner comes back it
-//     finds the fence at recovery and leaves the session alone
+//     the store, replays it, and fences at epoch+1 naming itself before
+//     serving a single request. If the dead owner comes back it finds the
+//     fence at recovery and leaves the session alone
 //     (RecoveryReport.HeldElsewhere).
 //
 // Epochs only ever grow; they prove ordering of ownership, not liveness.
@@ -45,20 +45,19 @@ func (sv *Server) Epoch(id string) (uint64, error) {
 	return epoch, nil
 }
 
-// BeginHandoff fences the session for transfer to node `to` and returns
-// the snapshot the target must adopt. Fence-and-snapshot is a single actor
-// job: requests queued behind it are rejected with ErrStaleEpoch, so the
-// snapshot is the last word this node speaks for the session. The job
-// closes the log too: on a shared store the target's Adopt must take the
-// session's lock, which this node would otherwise hold until
-// CompleteHandoff. The caller finishes with CompleteHandoff once the
-// target acknowledged adoption, or AbortHandoff to resume serving here.
-func (sv *Server) BeginHandoff(id, to string) (Snapshot, error) {
+// BeginHandoff fences the session for transfer to node `to`: one actor
+// job that durably fences the log at epoch+1 naming the target and closes
+// it. Requests queued behind the job are rejected with ErrStaleEpoch, so
+// the fence is the last word this node speaks for the session; closing the
+// log releases the session's lock for the target's Adopt, which this node
+// would otherwise hold until CompleteHandoff. The caller finishes with
+// CompleteHandoff once the target acknowledged adoption, or AbortHandoff
+// to resume serving here.
+func (sv *Server) BeginHandoff(id, to string) error {
 	s, err := sv.lookup(id)
 	if err != nil {
-		return Snapshot{}, err
+		return err
 	}
-	var snap Snapshot
 	var hoErr error
 	err = s.do(func() {
 		if s.fenced {
@@ -69,27 +68,22 @@ func (sv *Server) BeginHandoff(id, to string) (Snapshot, error) {
 			hoErr = s.logErr
 			return
 		}
-		// Durably fence before rendering: a crash between the two leaves a
-		// fenced log and no new owner, which recovery treats as owned by
-		// `to` — the conservative side (no split brain, heal by adoption).
-		if s.log != nil {
-			if err := s.log.Fence(s.epoch+1, to); err != nil {
-				hoErr = fmt.Errorf("serve: fencing session %q for handoff: %w", id, err)
-				return
-			}
+		// A crash after the fence leaves a fenced log and no new owner,
+		// which recovery treats as owned by `to` — the conservative side
+		// (no split brain, heal by adoption).
+		if err := s.log.Fence(s.epoch+1, to); err != nil {
+			hoErr = fmt.Errorf("serve: fencing session %q for handoff: %w", id, err)
+			return
 		}
 		s.epoch++
 		s.owner = to
 		s.fenced = true
-		snap = s.snapshot()
-		if s.log != nil {
-			_ = s.log.Close() // the fence above was flushed and synced; nothing is appended after it
-		}
+		_ = s.log.Close() // the fence above was flushed and synced; nothing is appended after it
 	})
 	if err != nil {
-		return Snapshot{}, err
+		return err
 	}
-	return snap, hoErr
+	return hoErr
 }
 
 // AbortHandoff resumes serving a session whose transfer failed before the
@@ -107,23 +101,21 @@ func (sv *Server) AbortHandoff(id, self string) error {
 		if !s.fenced {
 			return // nothing to abort
 		}
-		if s.log != nil {
-			ps, err := sv.store.LoadSession(id)
-			if err == nil && (ps.Corrupt != nil || ps.Epoch != s.epoch) {
-				err = fmt.Errorf("the store holds it at epoch %d, this copy is at %d", ps.Epoch, s.epoch)
-			}
-			if err == nil {
-				err = ps.Log.Fence(s.epoch+1, self)
-			}
-			if err != nil {
-				if ps.Log != nil {
-					_ = ps.Log.Close() // the load or fence error is the one reported
-				}
-				abortErr = fmt.Errorf("serve: re-fencing session %q after aborted handoff: %w", id, err)
-				return
-			}
-			s.log = ps.Log
+		ps, err := sv.store.LoadSession(id)
+		if err == nil && (ps.Corrupt != nil || ps.Epoch != s.epoch) {
+			err = fmt.Errorf("the store holds it at epoch %d, this copy is at %d", ps.Epoch, s.epoch)
 		}
+		if err == nil {
+			err = ps.Log.Fence(s.epoch+1, self)
+		}
+		if err != nil {
+			if ps.Log != nil {
+				_ = ps.Log.Close() // the load or fence error is the one reported
+			}
+			abortErr = fmt.Errorf("serve: re-fencing session %q after aborted handoff: %w", id, err)
+			return
+		}
+		s.log = ps.Log
 		s.epoch++
 		s.owner = self
 		s.fenced = false
@@ -135,25 +127,17 @@ func (sv *Server) AbortHandoff(id, self string) error {
 }
 
 // CompleteHandoff retires the local copy of a session whose target
-// acknowledged adoption: the actor drains, the log closes. removeData
-// additionally deletes the persisted state — only correct when the stores
-// are separate (the target installed the shipped snapshot); on a shared
-// store the data IS the target's copy and must stay.
-func (sv *Server) CompleteHandoff(id string, removeData bool) error {
-	if err := sv.reg.remove(id); err != nil {
-		return err
-	}
-	if removeData {
-		return sv.store.Remove(id)
-	}
-	return nil
+// acknowledged adoption: the actor drains, the log closes. The persisted
+// data stays: on the one store the cluster shares it is the target's copy.
+func (sv *Server) CompleteHandoff(id string) error {
+	return sv.reg.remove(id)
 }
 
-// Adopt loads a session from the (shared) store, replays it, and durably
+// Adopt loads a session from the shared store, replays it, and durably
 // fences it to this node at a fresh epoch before it serves anything. It is
 // the failover path — the ring owner died and this node takes over its
-// persisted sessions — and the shared-store arm of a handoff. A corrupt
-// log quarantines exactly like boot recovery would.
+// persisted sessions — and the receiving half of a handoff. A corrupt log
+// quarantines exactly like boot recovery would.
 //
 // mayTakeFrom guards against ownership theft: when the session's last
 // durable fence names a node other than self, adoption proceeds only if
@@ -209,11 +193,9 @@ func (sv *Server) Adopt(id, self string, mayTakeFrom func(owner string) bool) (S
 	return st, nil
 }
 
-// InstallSnapshot is the restore route and the separate-store arm of a
-// handoff: the target verifies the shipped snapshot by replay (from its last
-// checkpoint, like any recovery) and persists it as its durable base. A handed-off snapshot already carries
-// the epoch and owner the source fenced at, so the installed copy is
-// provably the newer one.
+// InstallSnapshot is the restore route: the server verifies the snapshot by
+// replay (from its last checkpoint, like any recovery) and persists it as
+// the session's durable base.
 func (sv *Server) InstallSnapshot(snap Snapshot) (Status, error) {
 	if err := ValidateSessionID(snap.ID); err != nil {
 		return Status{}, badRequest(err)

@@ -13,9 +13,9 @@ import (
 // These tests exercise the recovery and ownership-transfer surface from
 // inside the package, driving the same entry points internal/cluster and
 // cmd/easybod use: boot recovery over a surviving store, quarantine of a
-// tampered log, the BeginHandoff/InstallSnapshot/CompleteHandoff protocol
-// across separate stores, failover adoption over a shared store, and the
-// introspection getters the cluster layer polls.
+// tampered log, the BeginHandoff/Adopt/CompleteHandoff protocol over one
+// store, failover adoption from it, a snapshot restored across proposer
+// generations, and the introspection getters the cluster layer polls.
 
 func hoSpec(id string, seed int64) createRequest {
 	return createRequest{
@@ -160,14 +160,15 @@ func TestRecoverResumesFromSurvivingStore(t *testing.T) {
 	}
 }
 
-// TestHandoffAcrossSeparateStores walks the full separate-store transfer:
-// fence + snapshot on the source (which immediately sheds its own traffic
-// with 412), install-by-replay on the target, retirement of the source
-// copy, and an aborted transfer resuming at a fresh epoch.
-func TestHandoffAcrossSeparateStores(t *testing.T) {
-	cA, svA, doneA := newTestServer(t)
+// TestHandoffOverOneStore walks the whole transfer between two servers over
+// one store: the source's fence (after which it sheds its own traffic with
+// 412), adoption by replay on the target, retirement of the source copy,
+// and an aborted transfer resuming at a fresh epoch.
+func TestHandoffOverOneStore(t *testing.T) {
+	shared := NewMemDisk(0)
+	cA, svA, doneA := newTestServerWith(t, ServerOptions{Store: shared.Open(), NodeID: "node-a"})
 	defer doneA()
-	cB, svB, doneB := newTestServer(t)
+	cB, svB, doneB := newTestServerWith(t, ServerOptions{Store: shared.Open(), NodeID: "node-b"})
 	defer doneB()
 
 	const id = "ho-1"
@@ -179,34 +180,37 @@ func TestHandoffAcrossSeparateStores(t *testing.T) {
 	var before Status
 	cA.get("/sessions/"+id, &before)
 
-	snap, err := svA.BeginHandoff(id, "node-b")
-	if err != nil {
+	if err := svA.BeginHandoff(id, "node-b"); err != nil {
 		t.Fatalf("begin handoff: %v", err)
 	}
-	if snap.ID != id || snap.Epoch != 2 || snap.Owner != "node-b" {
-		t.Fatalf("snapshot id=%q epoch=%d owner=%q", snap.ID, snap.Epoch, snap.Owner)
+	var fenced Snapshot
+	cA.get("/sessions/"+id+"/snapshot", &fenced)
+	if fenced.ID != id || fenced.Epoch != 2 || fenced.Owner != "node-b" {
+		t.Fatalf("fenced source: id=%q epoch=%d owner=%q", fenced.ID, fenced.Epoch, fenced.Owner)
 	}
 	// The fence is the last word the source speaks: asks now fail 412.
 	if code := cA.post("/sessions/"+id+"/ask", map[string]any{}, nil); code != http.StatusPreconditionFailed {
 		t.Fatalf("ask on fenced session: status %d, want 412", code)
 	}
 	// A second transfer of an already-fenced session is refused.
-	if _, err := svA.BeginHandoff(id, "node-c"); !errors.Is(err, ErrStaleEpoch) {
+	if err := svA.BeginHandoff(id, "node-c"); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("double handoff: %v", err)
 	}
 
-	stB, err := svB.InstallSnapshot(snap)
+	stB, err := svB.Adopt(id, "node-b", nil)
 	if err != nil {
-		t.Fatalf("install snapshot: %v", err)
+		t.Fatalf("adopt: %v", err)
 	}
 	requireSameRecords(t, before.Records, stB.Records)
 	if !svB.Has(id) {
 		t.Fatal("target does not hold the session")
 	}
-	if ep, err := svB.Epoch(id); err != nil || ep != 2 {
-		t.Fatalf("target epoch %d (%v), want 2", ep, err)
+	// The source's fence is epoch 2; adopting fences once more, as every
+	// Adopt does.
+	if ep, err := svB.Epoch(id); err != nil || ep != 3 {
+		t.Fatalf("target epoch %d (%v), want 3", ep, err)
 	}
-	if err := svA.CompleteHandoff(id, true); err != nil {
+	if err := svA.CompleteHandoff(id); err != nil {
 		t.Fatalf("complete handoff: %v", err)
 	}
 	if svA.Has(id) {
@@ -228,7 +232,7 @@ func TestHandoffAcrossSeparateStores(t *testing.T) {
 		t.Fatalf("create %s: status %d", id2, code)
 	}
 	askTellN(cA, id2, 2)
-	if _, err := svA.BeginHandoff(id2, "node-b"); err != nil {
+	if err := svA.BeginHandoff(id2, "node-b"); err != nil {
 		t.Fatalf("begin handoff %s: %v", id2, err)
 	}
 	if err := svA.AbortHandoff(id2, "node-a"); err != nil {
@@ -244,26 +248,26 @@ func TestHandoffAcrossSeparateStores(t *testing.T) {
 	askTellN(cA, id2, 1) // serving resumed
 }
 
-// TestHandoffAcrossGenerations ships one snapshot to two targets: as this
+// TestHandoffAcrossGenerations restores one snapshot on two targets: as this
 // build wrote it, and with the proposer generation struck from every ask, the
 // way a node still running the previous build would have written it (a
-// rolling upgrade hands sessions from old nodes to new ones). Both installs
+// snapshot taken before an upgrade, restored after it). Both installs
 // must succeed in the same recovery mode — from the snapshot's last
 // checkpoint — the second with its tail asks counted unverified where the
 // first re-derived them; and because the struck points are in truth this
 // build's, the two targets must then continue to the same history, which
 // shows the reissued asks left surrogate and rng where derivation does.
 func TestHandoffAcrossGenerations(t *testing.T) {
-	cA, svA, doneA := newTestServer(t)
+	cA, _, doneA := newTestServer(t)
 	defer doneA()
 	const id = "ho-gen"
 	if code := cA.post("/sessions", hoSpec(id, 23), nil); code != http.StatusCreated {
 		t.Fatalf("create: status %d", code)
 	}
 	askTellN(cA, id, 7) // four design points, then model-based asks past a checkpoint
-	snap, err := svA.BeginHandoff(id, "node-b")
-	if err != nil {
-		t.Fatalf("begin handoff: %v", err)
+	var snap Snapshot
+	if code := cA.get("/sessions/"+id+"/snapshot", &snap); code != http.StatusOK {
+		t.Fatalf("snapshot: status %d", code)
 	}
 	older := snap
 	older.Events = make([]Event, len(snap.Events))
@@ -372,13 +376,13 @@ func TestAdoptFailoverFromSharedStore(t *testing.T) {
 	// The heal hands it home over the shared store: node-b's fence lets go
 	// of the session's lock, so node-a's adoption of the store's copy can
 	// take it. Then node-a serves it to completion.
-	if _, err := svB.BeginHandoff(id, "node-a"); err != nil {
+	if err := svB.BeginHandoff(id, "node-a"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svA2.Adopt(id, "node-a", nil); err != nil {
 		t.Fatalf("adopting a handed-off session: %v", err)
 	}
-	if err := svB.CompleteHandoff(id, false); err != nil {
+	if err := svB.CompleteHandoff(id); err != nil {
 		t.Fatal(err)
 	}
 	tsA := httptest.NewServer(svA2)

@@ -15,7 +15,7 @@
 //
 // What the actor does per request is O(1) in the session's history. A tell
 // is acknowledged with a TellAck, not the history. The routes that do carry
-// history — status, snapshot, handoff, compaction — take a capacity-capped
+// history — status, snapshot, compaction — take a capacity-capped
 // prefix of the session's append-only record and event arrays on the actor
 // and encode it on their own goroutine; the arrays' elements are never
 // written after they are appended, which is what makes that sharing safe.

@@ -272,7 +272,7 @@ type session struct {
 	// position between requests is well defined; asks record it.
 	src    *stats.CountingSource
 	chain  uint64     // chainSum over events
-	log    SessionLog // durable write-ahead log; nil = not persisted
+	log    SessionLog // durable write-ahead log
 	logErr error      // poisoned: a durable append or compaction failed
 	// events, recs and failed are append-only and an appended element is
 	// never written again — its X slice included. status() and snapshot()
@@ -457,9 +457,6 @@ func (s *session) close() {
 // durability is the contract, so rather than silently diverging from its
 // log the session refuses further work.
 func (s *session) logAppend(ev Event) error {
-	if s.log == nil {
-		return nil
-	}
 	seq, err := s.log.Append(ev)
 	if err != nil {
 		s.logErr = fmt.Errorf("serve: write-ahead log append failed, session poisoned: %w", err)
@@ -491,9 +488,6 @@ func (t commitTicket) wait() error {
 
 // ticket snapshots the session's current durability obligation (actor side).
 func (s *session) ticket() commitTicket {
-	if s.log == nil {
-		return commitTicket{}
-	}
 	return commitTicket{log: s.log, seq: s.lastSeq}
 }
 
@@ -506,7 +500,7 @@ func (s *session) ticket() commitTicket {
 // race-free. A commit failure poisons the session through the mailbox,
 // exactly like a failed append.
 func (s *session) maybeCompact() {
-	if s.log == nil || s.logErr != nil || s.compacting || !s.log.CompactionDue() {
+	if s.logErr != nil || s.compacting || !s.log.CompactionDue() {
 		return
 	}
 	commit, err := s.log.BeginCompact()
@@ -692,7 +686,7 @@ func (s *session) tell(t Tell) (TellAck, commitTicket, error) {
 		// recovery can verify the dead state instead of deriving it.
 		abortEv := Event{Kind: "abort", ID: -1, Err: s.at.Err().Error()}
 		if s.logAppend(abortEv) == nil {
-			s.events = append(s.events, abortEv)
+			s.record(abortEv)
 		}
 	}
 	s.maybeCompact()

@@ -31,8 +31,7 @@ type Snapshot struct {
 	Config  SessionConfig `json:"config"`
 	Events  []Event       `json:"events"`
 	// Epoch is the ownership epoch at snapshot time (0 decodes as 1 for
-	// pre-cluster snapshots). A handoff ships the snapshot together with
-	// the epoch the receiver must fence at.
+	// pre-cluster snapshots).
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Owner names the cluster node that held the session at snapshot time
 	// ("" = the hash-ring owner). Carrying it in the snapshot keeps the
@@ -51,8 +50,8 @@ type Snapshot struct {
 
 // snapshot renders the actor-side state as a Snapshot document. Events is a
 // capacity-capped prefix of the session's append-only event array, not a
-// copy (see session.status): the HTTP handler, the handoff sender and the
-// compaction goroutine encode it off the actor.
+// copy (see session.status): the HTTP handler and the compaction goroutine
+// encode it off the actor.
 func (s *session) snapshot() Snapshot {
 	snap := Snapshot{
 		Version:      SnapshotVersion,

@@ -394,3 +394,59 @@ func TestSessionConfigRejectsUnknownSurrogate(t *testing.T) {
 		t.Fatalf("unknown surrogate accepted: status %d (%+v)", code, e)
 	}
 }
+
+// TestAbortFoldsIntoTheChain: the abort event a dying tell appends is folded
+// into the live hash chain the way replay folds it, so a session that dies
+// on a failed tell and the same session rebuilt from its own log agree on
+// the chain, as they agree on every other piece of state.
+func TestAbortFoldsIntoTheChain(t *testing.T) {
+	disk := NewMemDisk(0)
+	c, sv, done := newTestServerWith(t, ServerOptions{Store: disk.Open()})
+	const id = "ab-chain"
+	spec := hoSpec(id, 9)
+	spec.Failure = "abort"
+	if code := c.post("/sessions", spec, nil); code != http.StatusCreated {
+		done()
+		t.Fatalf("create: status %d", code)
+	}
+	askTellN(c, id, 2)
+	var a Ask
+	if code := c.post("/sessions/"+id+"/ask", map[string]any{}, &a); code != http.StatusOK || a.Status != AskOK {
+		done()
+		t.Fatalf("ask: status %d, disposition %q", code, a.Status)
+	}
+	var ack TellAck
+	c.post("/sessions/"+id+"/tell", Tell{ProposalID: &a.ProposalID, Error: "simulator crashed"}, &ack)
+	if ack.Aborted == "" {
+		done()
+		t.Fatal("the failed tell did not abort the session")
+	}
+	s, err := sv.lookup(id)
+	if err != nil {
+		done()
+		t.Fatal(err)
+	}
+	var live uint64
+	var events int
+	if err := s.do(func() { live, events = s.chain, len(s.events) }); err != nil {
+		done()
+		t.Fatal(err)
+	}
+	done() // closes the log, releasing the session for the store below
+
+	ps, err := disk.Open().LoadSession(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Log.Close()
+	rebuilt, _, err := rebuildPersisted(ps)
+	if err != nil {
+		t.Fatalf("rebuilding from the log: %v", err)
+	}
+	if last := rebuilt.events[len(rebuilt.events)-1]; last.Kind != "abort" || len(rebuilt.events) != events {
+		t.Fatalf("log replays %d events ending in %q, the live session had %d ending in an abort", len(rebuilt.events), last.Kind, events)
+	}
+	if rebuilt.chain != live {
+		t.Fatalf("live chain %s, replayed chain %s", chainHex(live), chainHex(rebuilt.chain))
+	}
+}
