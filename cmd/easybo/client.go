@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"easybo"
@@ -130,17 +131,16 @@ func failover(err error) bool {
 
 // call is callJSON plus the retry/failover loop; path is endpoint-relative
 // ("/sessions/x/ask"). ik, when non-empty, rides every attempt as the
-// idempotency header so a re-sent mutation is recognized and applied once.
-// resent reports whether the request was re-sent after a transport error —
-// i.e. the daemon may have applied an earlier attempt whose response was
-// lost, so a 409 on a resent tell means "already applied", not a bug.
-func (r *retrier) call(method, path string, body, out any, ik string) (resent bool, err error) {
+// idempotency header, so a mutation re-sent after its response was lost is
+// answered as its first delivery was, never applied twice.
+func (r *retrier) call(method, path string, body, out any, ik string) error {
 	ctx := context.Background()
 	if r.budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.budget)
 		defer cancel()
 	}
+	var err error
 	for retry := 0; ; retry++ {
 		base := r.base()
 		err = callJSON(ctx, r.hc, method, base+path, body, out, ik)
@@ -150,14 +150,9 @@ func (r *retrier) call(method, path string, body, out any, ik string) (resent bo
 		if failover(err) {
 			r.demote(base)
 		}
-		var he *httpError
-		if !errors.As(err, &he) {
-			// A transport error means the request may have reached the
-			// daemon even though the response never came back.
-			resent = true
-		}
 		d := r.backoff(retry)
-		if he != nil && he.retryAfter > d {
+		var he *httpError
+		if errors.As(err, &he) && he.retryAfter > d {
 			// The daemon asked for a longer pause than the backoff schedule
 			// would take; honor it.
 			d = he.retryAfter
@@ -173,16 +168,7 @@ func (r *retrier) call(method, path string, body, out any, ik string) (resent bo
 	if err != nil && ctx.Err() != nil && !strings.Contains(err.Error(), "retry budget") {
 		err = fmt.Errorf("retry budget %s exhausted: %w", r.budget, err)
 	}
-	return resent, err
-}
-
-// newIK mints a client-side idempotency key for one logical mutation.
-func newIK() string {
-	var b [12]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		return "" // no key: the retry falls back to the 409 heuristic
-	}
-	return "cli-" + hex.EncodeToString(b[:])
+	return err
 }
 
 // runRemote drives a remote easybod daemon: it creates one optimization
@@ -190,6 +176,13 @@ func newIK() string {
 // ask → evaluate the built-in testbench → tell. The daemon owns the
 // surrogate and the suggestion sequence; this process is nothing but
 // simulator capacity, exactly how a farm of HSPICE hosts would attach.
+//
+// The run's one retry contract is the daemon's idempotency: the session is
+// named by an id this client mints, and every ask and tell carries a key
+// that each attempt of the call re-sends, so a request whose response was
+// lost — to a dropped connection, a daemon restart or a cluster failover —
+// is answered again as it was the first time. No proposal is orphaned, so
+// the client never reads the session status.
 //
 // serveURL may list several comma-separated endpoints — the nodes of an
 // easybod cluster. Any of them serves any session, so the client fails
@@ -226,12 +219,24 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 	if policy == "retry" {
 		policy = "resubmit" // the daemon's name for the same policy
 	}
+	// 96 random bits name the session and prefix every idempotency key of
+	// the run: no other client can produce them.
+	var rb [12]byte
+	if _, err := crand.Read(rb[:]); err != nil {
+		return nil, fmt.Errorf("easybo: minting the session id: %w", err)
+	}
+	id := "cli-" + hex.EncodeToString(rb[:])
+	var seq atomic.Uint64
+	newIK := func() string { return fmt.Sprintf("%s-%d", id, seq.Add(1)) }
 	hc := &http.Client{Timeout: 30 * time.Second}
 	rt := newRetrier(hc, bases, maxRetries, retryBudget)
 
 	// Requests and responses are the daemon's own wire types, so a renamed
 	// field there is a compile error here.
-	cfg := serve.SessionConfig{
+	create := struct {
+		ID string `json:"id"`
+		serve.SessionConfig
+	}{id, serve.SessionConfig{
 		Name:        p.Name,
 		Lo:          p.Lo,
 		Hi:          p.Hi,
@@ -246,31 +251,32 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 		EscalateAt:  opts.EscalateAt,
 		Failure:     policy,
 		MaxFailures: opts.Async.MaxFailures,
-	}
-	var created serve.Status
-	if _, err := rt.call(http.MethodPost, "/sessions", cfg, &created, newIK()); err != nil {
-		return nil, fmt.Errorf("easybo: creating session: %w", err)
-	}
-	// This client created the session, so it owns the lifecycle: delete it
-	// on every way out — a failed run included — so repeated CLI runs don't
-	// accumulate actors and event logs in a long-lived daemon. Best effort:
-	// whatever the run produced is already local.
+	}}
+	// This client names the session, so it owns the lifecycle: delete it
+	// on every way out — a failed run and a failed create included, whose
+	// first attempt may have landed — so repeated CLI runs don't accumulate
+	// actors and event logs in a long-lived daemon. Best effort: whatever
+	// the run produced is already local.
 	defer func() {
-		_ = callJSON(context.Background(), hc, http.MethodDelete, rt.base()+"/sessions/"+created.ID, nil, nil, "")
+		_ = callJSON(context.Background(), hc, http.MethodDelete, rt.base()+"/sessions/"+id, nil, nil, "")
 	}()
+	// A 409 names this run's own earlier attempt, applied though its
+	// response was lost: the session exists.
+	if err := rt.call(http.MethodPost, "/sessions", create, nil, ""); err != nil {
+		var he *httpError
+		if !errors.As(err, &he) || he.status != http.StatusConflict {
+			return nil, fmt.Errorf("easybo: creating session: %w", err)
+		}
+	}
 
 	var (
 		mu       sync.Mutex
 		evals    []easybo.Evaluation
 		failed   []easybo.Evaluation
 		firstErr error
-		// held is every proposal id a local worker has held, evaluated or
-		// told: an id is never dropped after its tell, because a status an
-		// orphan scan read before that tell landed still lists it as
-		// outstanding, and adopting it again would tell it twice (a 409).
-		held   = map[int]bool{}
-		asking int // local asks sent whose proposal is not claimed yet
-		seen   int // most observations any tell ack has reported
+		// best is the ack with the most observations: the incumbent moves
+		// only when an observation is added, so it holds the final one.
+		best serve.TellAck
 	)
 	setErr := func(err error) {
 		mu.Lock()
@@ -278,47 +284,6 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 			firstErr = err
 		}
 		mu.Unlock()
-	}
-	// statusPath is the status read past the history this client already
-	// told: ?since=seen leaves the records out, so a poll costs O(pending)
-	// and the document stays small however long the session has run.
-	statusPath := func() string {
-		mu.Lock()
-		defer mu.Unlock()
-		return fmt.Sprintf("/sessions/%s?since=%d", created.ID, seen)
-	}
-	claim := func(pid int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if held[pid] {
-			return false
-		}
-		held[pid] = true
-		return true
-	}
-	// adoptOrphan looks for an outstanding proposal no local worker holds:
-	// work orphaned when an ask was applied by the daemon but its response
-	// was lost to a retried transport failure. Without adoption such a
-	// proposal would pin the session's budget open forever.
-	adoptOrphan := func() (serve.Ask, bool, error) {
-		var st serve.Status
-		if _, err := rt.call(http.MethodGet, statusPath(), nil, &st, ""); err != nil {
-			return serve.Ask{}, false, err
-		}
-		// An outstanding proposal may be the answer to a sibling worker's
-		// ask that it has not claimed yet, not an orphan: wait those out.
-		mu.Lock()
-		pending := asking
-		mu.Unlock()
-		if pending > 0 {
-			return serve.Ask{}, false, nil
-		}
-		for _, p := range st.Outstanding {
-			if claim(p.ProposalID) {
-				return serve.Ask{Status: serve.AskOK, ProposalID: p.ProposalID, X: p.X}, true, nil
-			}
-		}
-		return serve.Ask{}, false, nil
 	}
 	t0 := time.Now()
 	var wg sync.WaitGroup
@@ -334,38 +299,16 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 					return
 				}
 				var a serve.Ask
-				// One key per logical ask: if the response is lost and the
-				// call re-sent, the daemon returns the same proposal instead
-				// of minting a second one (orphan adoption is the backstop
-				// for pre-cluster daemons).
-				mu.Lock()
-				asking++
-				mu.Unlock()
-				_, err := rt.call(http.MethodPost, "/sessions/"+created.ID+"/ask", map[string]any{}, &a, newIK())
-				mu.Lock()
-				asking--
-				if err == nil && a.Status == serve.AskOK {
-					held[a.ProposalID] = true
-				}
-				mu.Unlock()
-				if err != nil {
+				if err := rt.call(http.MethodPost, "/sessions/"+id+"/ask", map[string]any{}, &a, newIK()); err != nil {
 					setErr(fmt.Errorf("easybo: ask: %w", err))
 					return
 				}
-				switch a.Status {
-				case serve.AskDone:
+				// The daemon answers wait only once the budget is spent: what
+				// is still running belongs to other workers. A failed tell that
+				// re-queues its point (resubmit) reopens the budget, and the
+				// worker that sent it asks again right after.
+				if a.Status != serve.AskOK {
 					return
-				case serve.AskWait:
-					orphan, ok, err := adoptOrphan()
-					if err != nil {
-						setErr(fmt.Errorf("easybo: scanning for orphaned proposals: %w", err))
-						return
-					}
-					if !ok {
-						time.Sleep(20 * time.Millisecond)
-						continue
-					}
-					a = orphan
 				}
 				start := time.Since(t0).Seconds()
 				// Same contract as -parallel: a failing objective gets
@@ -386,20 +329,13 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 					ev.Err = fmt.Errorf("%s", evalErr)
 				}
 				var ack serve.TellAck
-				resent, err := rt.call(http.MethodPost, "/sessions/"+created.ID+"/tell", t, &ack, newIK())
-				if err != nil {
-					// A 409 on a resent tell means the daemon durably applied
-					// an earlier attempt and already consumed the proposal —
-					// the observation is in, only the response was lost.
-					var he *httpError
-					if !(resent && errors.As(err, &he) && he.status == http.StatusConflict) {
-						setErr(fmt.Errorf("easybo: tell: %w", err))
-						return
-					}
+				if err := rt.call(http.MethodPost, "/sessions/"+id+"/tell", t, &ack, newIK()); err != nil {
+					setErr(fmt.Errorf("easybo: tell: %w", err))
+					return
 				}
 				mu.Lock()
-				if ack.Observations > seen {
-					seen = ack.Observations
+				if ack.Observations > best.Observations {
+					best = ack
 				}
 				if evalErr != "" {
 					failed = append(failed, ev)
@@ -419,19 +355,15 @@ func runRemote(serveURL string, p easybo.Problem, opts easybo.Options, policy st
 		return nil, firstErr
 	}
 
-	var status serve.Status
-	if _, err := rt.call(http.MethodGet, statusPath(), nil, &status, ""); err != nil {
-		return nil, fmt.Errorf("easybo: reading final status: %w", err)
-	}
 	res := &easybo.Result{
-		BestX:       status.BestX,
+		BestX:       best.BestX,
 		Evaluations: evals,
 		Failed:      failed,
 		Workers:     opts.Workers,
 		BestY:       math.Inf(-1),
 	}
-	if status.BestY != nil {
-		res.BestY = *status.BestY
+	if best.BestY != nil {
+		res.BestY = *best.BestY
 	}
 	for _, set := range [][]easybo.Evaluation{evals, failed} {
 		for _, e := range set {

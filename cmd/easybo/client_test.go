@@ -5,9 +5,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"easybo/internal/serve"
 )
 
 // TestRetrierRecoversFrom5xx: a daemon answering 503 while its recovery
@@ -28,32 +31,39 @@ func TestRetrierRecoversFrom5xx(t *testing.T) {
 	var out struct {
 		Ready bool `json:"ready"`
 	}
-	resent, err := rt.call(http.MethodGet, "", nil, &out, "")
+	err := rt.call(http.MethodGet, "", nil, &out, "")
 	if err != nil || !out.Ready {
 		t.Fatalf("call = %v, ready=%v; want success after retries", err, out.Ready)
-	}
-	if resent {
-		t.Fatal("5xx retries must not be flagged as possibly-applied resends")
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("server saw %d calls, want 3", got)
 	}
 }
 
-// TestRetrierFlagsTransportResend: when the connection dies mid-request the
-// daemon may have applied the write, so the retry must come back with
-// resent=true (the signal that lets a tell treat a 409 as already-applied).
-func TestRetrierFlagsTransportResend(t *testing.T) {
-	var calls atomic.Int32
+// TestRetrierResendsUnderOneKey: when the connection dies mid-request the
+// daemon may have applied the write, so every attempt of the call must carry
+// the same idempotency key — the daemon's only way to answer the resend as
+// it answered the first delivery.
+func TestRetrierResendsUnderOneKey(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		keys []string
+	)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
+		mu.Lock()
+		keys = append(keys, r.Header.Get(serve.IdempotencyHeader))
+		first := len(keys) == 1
+		mu.Unlock()
+		if first {
 			hj, ok := w.(http.Hijacker)
 			if !ok {
-				t.Fatal("test server not hijackable")
+				t.Error("test server not hijackable")
+				return
 			}
 			conn, _, err := hj.Hijack()
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
+				return
 			}
 			conn.Close() // response lost; request may have been applied
 			return
@@ -63,12 +73,18 @@ func TestRetrierFlagsTransportResend(t *testing.T) {
 	defer ts.Close()
 
 	rt := newRetrier(ts.Client(), []string{ts.URL}, 4, 0)
-	resent, err := rt.call(http.MethodPost, "", map[string]any{}, nil, "")
-	if err != nil {
+	if err := rt.call(http.MethodPost, "", map[string]any{}, nil, "cli-key"); err != nil {
 		t.Fatalf("call after dropped connection: %v", err)
 	}
-	if !resent {
-		t.Fatal("retried transport failure not flagged as a resend")
+	mu.Lock()
+	defer mu.Unlock()
+	if len(keys) != 2 {
+		t.Fatalf("server saw %d attempts, want the dropped one and its resend", len(keys))
+	}
+	for i, k := range keys {
+		if k != "cli-key" {
+			t.Fatalf("attempt %d carried key %q, want every attempt under %q", i, k, "cli-key")
+		}
 	}
 }
 
@@ -83,7 +99,7 @@ func TestRetrierStopsOn4xx(t *testing.T) {
 	defer ts.Close()
 
 	rt := newRetrier(ts.Client(), []string{ts.URL}, 4, 0)
-	_, err := rt.call(http.MethodPost, "", map[string]any{}, nil, "")
+	err := rt.call(http.MethodPost, "", map[string]any{}, nil, "")
 	var he *httpError
 	if !errors.As(err, &he) || he.status != http.StatusConflict {
 		t.Fatalf("err = %v, want typed 409", err)
@@ -131,13 +147,13 @@ func TestRetrierFailsOverToNextEndpoint(t *testing.T) {
 	var out struct {
 		Ready bool `json:"ready"`
 	}
-	if _, err := rt.call(http.MethodGet, "", nil, &out, ""); err != nil || !out.Ready {
+	if err := rt.call(http.MethodGet, "", nil, &out, ""); err != nil || !out.Ready {
 		t.Fatalf("call with one dead endpoint = %v, ready=%v", err, out.Ready)
 	}
 	if rt.base() != alive.URL {
 		t.Fatalf("preferred endpoint %q after failover, want the survivor %q", rt.base(), alive.URL)
 	}
-	if _, err := rt.call(http.MethodGet, "", nil, &out, ""); err != nil {
+	if err := rt.call(http.MethodGet, "", nil, &out, ""); err != nil {
 		t.Fatalf("second call: %v", err)
 	}
 	if hits.Load() != 2 {
@@ -156,7 +172,7 @@ func TestRetrierBudgetBoundsTotalWallClock(t *testing.T) {
 
 	start := time.Now()
 	rt := newRetrier(ts.Client(), []string{ts.URL}, 100, 250*time.Millisecond)
-	_, err := rt.call(http.MethodGet, "", nil, nil, "")
+	err := rt.call(http.MethodGet, "", nil, nil, "")
 	if err == nil {
 		t.Fatal("call against a permanently down daemon succeeded")
 	}
@@ -183,7 +199,7 @@ func TestRetrier412IsRetriedButNotFailedOver(t *testing.T) {
 	defer ts.Close()
 
 	rt := newRetrier(ts.Client(), []string{ts.URL, "http://127.0.0.1:1"}, 4, 0)
-	if _, err := rt.call(http.MethodPost, "", map[string]any{}, nil, "cli-test"); err != nil {
+	if err := rt.call(http.MethodPost, "", map[string]any{}, nil, "cli-test"); err != nil {
 		t.Fatalf("call through a mid-handoff 412: %v", err)
 	}
 	if rt.base() != ts.URL {
@@ -216,12 +232,9 @@ func TestRetrier429IsBackpressureNotFailure(t *testing.T) {
 	var out struct {
 		Status string `json:"status"`
 	}
-	resent, err := rt.call(http.MethodPost, "", map[string]any{}, &out, "cli-shed")
+	err := rt.call(http.MethodPost, "", map[string]any{}, &out, "cli-shed")
 	if err != nil || out.Status != "ok" {
 		t.Fatalf("call through shedding daemon = %v, status %q; want admitted", err, out.Status)
-	}
-	if resent {
-		t.Fatal("429 retries must not be flagged as possibly-applied resends")
 	}
 	if rt.base() != ts.URL {
 		t.Fatal("429 demoted the endpoint; shedding is backpressure, not node failure")
@@ -258,7 +271,7 @@ func TestRetryAfterParsing(t *testing.T) {
 			http.Error(w, `{"error":"overloaded"}`, http.StatusTooManyRequests)
 		}))
 		rt := newRetrier(ts.Client(), []string{ts.URL}, 0, 0) // no retries: inspect the error
-		_, err := rt.call(http.MethodGet, "", nil, nil, "")
+		err := rt.call(http.MethodGet, "", nil, nil, "")
 		var he *httpError
 		if !errors.As(err, &he) {
 			t.Fatalf("header %q: error %v, want *httpError", tc.header, err)

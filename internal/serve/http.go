@@ -181,8 +181,11 @@ func (sv *Server) Close() {
 }
 
 // MaxBodyBytes bounds request bodies; snapshots of long sessions are the
-// largest legitimate payload. Exported so a cluster node refuses an
-// oversized request at the same size instead of buffering and proxying it.
+// largest legitimate payload, and POST /sessions/restore refuses one past
+// it with 413 — about 6,000 evaluations at d = 32. A -data-dir daemon does
+// not need the snapshot to survive a restart: it replays each session from
+// its log. Exported so a cluster node refuses an oversized request at the
+// same size instead of buffering and proxying it.
 const MaxBodyBytes = 8 << 20
 
 // IdempotencyHeader carries a request's idempotency key when it is not in

@@ -176,9 +176,12 @@ type Ask struct {
 	X          []float64 `json:"x,omitempty"`
 }
 
-// Proposal is one outstanding ask, reported in Status so workers can adopt
-// orphaned proposals after a daemon crash (the ask was durably logged but
-// the response may never have reached its worker).
+// Proposal is one outstanding ask, reported in Status so a worker that
+// did not key its asks (a raw HTTP worker, the crash harnesses) can adopt
+// orphaned proposals after a daemon crash: the ask was durably logged but
+// the response may never have reached its worker. A worker that keys every
+// ask, as easybo -serve does, re-sends the ask under its key instead and
+// gets the same proposal back.
 type Proposal struct {
 	ProposalID int       `json:"proposal_id"`
 	X          []float64 `json:"x"`

@@ -55,10 +55,17 @@ echo "$out" | grep -q "best FOM" || {
 	echo "smoke: FAIL — no best FOM in the round-trip report"
 	exit 1
 }
-# The client deletes the session it created, log and all. Leave one behind —
-# eight ask/tell round trips by curl, model-based past the third — so the
-# offline audit below has a log with checkpoints to re-derive.
+# The client deletes the session it created, log and all: the daemon must
+# list no session after the run.
 base="http://127.0.0.1:$PORT"
+left=$(curl -fsS "$base/sessions")
+echo "$left" | grep -Eq '"sessions":(\[\]|null)' || {
+	echo "smoke: FAIL — the client left a session on the daemon: $left"
+	exit 1
+}
+# Leave one behind — eight ask/tell round trips by curl, model-based past
+# the third — so the offline audit below has a log with checkpoints to
+# re-derive.
 curl -fsS -X POST "$base/sessions" \
 	-d '{"id":"audit","lo":[0,0],"hi":[1,1],"init_points":3,"max_evals":8,"seed":3,"fit_iters":8}' >/dev/null
 for _ in $(seq 1 8); do
