@@ -85,12 +85,16 @@ test: build
 # while others run (TestConcurrentFitsShareThePool).
 # The surrogate package spawns nothing, but every goroutine above reads one
 # fitted model through predictors of its own. Predictors and views share one
-# model, and a view's predictors its busy-set state; Extend belongs to the
+# model, and a view's predictors its busy-set state; every feature-backend
+# prediction call borrows its feature vectors from one process-wide pool, so
+# which buffer a call gets depends on the schedule. Extend belongs to the
 # model's owner (the model manager), spends the model it extends and is not a
 # concurrent operation. The test of what readers share
-# (TestOneModelServesConcurrentReaders) runs here too, and ten more times;
-# the pin on what Extend allocates (TestFeatureExtendAllocatesNoFactor) is
-# built without -race, whose runtime allocates on its own account.
+# (TestOneModelServesConcurrentReaders: both backends, two basis sizes
+# trading pooled buffers, batches and gradients interleaved) runs here too,
+# and twenty more times; the pins on what a fit, an Extend and a warm
+# prediction allocate (alloc_test.go) are built without -race, whose runtime
+# allocates on its own account and drops pooled buffers at random.
 race:
 	$(GO) test -race ./internal/sched/... ./internal/core/... ./internal/serve/... \
 		./internal/cluster/... ./internal/loadgen/... ./internal/surrogate/... ./internal/gp/... \
@@ -99,7 +103,7 @@ race:
 	$(GO) test -race -count 10 -run 'TestReadsShareHistoryWithActor|TestTellCostIndependentOfHistory' ./internal/serve
 	$(GO) test -race -count 20 -run 'TestRefineIsWorkConserving|TestMaximizeParallelDeterministicAcrossWorkers' ./internal/optimize
 	$(GO) test -race -count 10 -run 'TestSweepFloorChangesNothing' ./internal/core
-	$(GO) test -race -count 10 -run 'TestOneModelServesConcurrentReaders' ./internal/surrogate
+	$(GO) test -race -count 20 -run 'TestOneModelServesConcurrentReaders' ./internal/surrogate
 	$(GO) test -race -count 10 -run 'TestFitHyperScheduleIndependent|TestConcurrentFitsShareThePool' ./internal/gp
 
 # Coverage with a ratchet: scripts/coverage.sh fails if the durability

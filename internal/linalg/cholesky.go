@@ -57,9 +57,10 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 
 // NewCholeskyInto is NewCholesky into dst's storage: it is reused when its
 // capacity holds the factor (a caller factoring many matrices of one size
-// allocates nothing after the first) and allocated otherwise. Every entry is
-// written before it is read, so what the storage held does not matter. On
-// error dst is garbage.
+// allocates nothing after the first) and allocated otherwise. Each try packs
+// a's lower triangle, with that try's jitter on the diagonal, into dst's rows
+// and factors it there (factor), so what the storage held does not matter.
+// On error dst is garbage.
 func NewCholeskyInto(dst *Cholesky, a *Matrix) error {
 	if a.Rows != a.Cols {
 		return ErrDimension
@@ -78,7 +79,12 @@ func NewCholeskyInto(dst *Cholesky, a *Matrix) error {
 	const maxTries = 10
 	jitter := 0.0
 	for try := 0; try <= maxTries; try++ {
-		if dst.try(a, jitter) {
+		for i := 0; i < n; i++ {
+			row := dst.Row(i)
+			copy(row, a.Data[i*n:i*n+i+1])
+			row[i] += jitter
+		}
+		if dst.factor() {
 			dst.Jitter = jitter
 			return nil
 		}
@@ -91,13 +97,34 @@ func NewCholeskyInto(dst *Cholesky, a *Matrix) error {
 	return ErrNotPositiveDefinite
 }
 
-// try writes the factor of a + jitter·I into c's rows, column by column; it
-// reports false at the first non-positive pivot.
-func (c *Cholesky) try(a *Matrix, jitter float64) bool {
-	n := a.Rows
+// NewCholeskyPacked factors in place, at zero jitter, the n×n symmetric
+// matrix A whose lower triangle tri holds in the factor's own layout: row i
+// is A[i][0…i] at tri[i(i+1)/2:], n(n+1)/2 values in all. The factor it
+// returns owns tri; nothing is allocated but its header. At a non-positive
+// pivot it returns ErrNotPositiveDefinite and tri is garbage: a caller that
+// wants the jitter ladder assembles A again and calls NewCholesky, whose
+// zero-jitter try is this factorization, bit for bit.
+func NewCholeskyPacked(n int, tri []float64) (*Cholesky, error) {
+	if len(tri) != packedLen(n) {
+		return nil, ErrDimension
+	}
+	c := &Cholesky{N: n, tri: tri}
+	if !c.factor() {
+		return nil, ErrNotPositiveDefinite
+	}
+	return c, nil
+}
+
+// factor overwrites the lower triangle of A held in c's rows (jitter
+// included on the diagonal) with its factor L, column by column; it reports
+// false at the first non-positive pivot. Column j reads row j's and the
+// rows below's entries 0…j−1, which are L's by then, and their entry j,
+// which is still A's.
+func (c *Cholesky) factor() bool {
+	n := c.N
 	for j := 0; j < n; j++ {
 		lj := c.Row(j)
-		d := a.Data[j*n+j] + jitter
+		d := lj[j]
 		for _, ljk := range lj[:j] {
 			d -= ljk * ljk
 		}
@@ -113,8 +140,7 @@ func (c *Cholesky) try(a *Matrix, jitter float64) bool {
 		for ; i+4 <= n; i += 4 {
 			l0, l1, l2, l3 := c.rows4(i)
 			l0, l1, l2, l3 = l0[:j+1:j+1], l1[:j+1:j+1], l2[:j+1:j+1], l3[:j+1:j+1]
-			s0, s1 := a.Data[i*n+j], a.Data[(i+1)*n+j]
-			s2, s3 := a.Data[(i+2)*n+j], a.Data[(i+3)*n+j]
+			s0, s1, s2, s3 := l0[j], l1[j], l2[j], l3[j]
 			for k, ljk := range lj[:j] {
 				s0 -= l0[k] * ljk
 				s1 -= l1[k] * ljk
@@ -125,7 +151,7 @@ func (c *Cholesky) try(a *Matrix, jitter float64) bool {
 		}
 		for ; i < n; i++ {
 			li := c.Row(i)[: j+1 : j+1]
-			s := a.Data[i*n+j]
+			s := li[j]
 			for k, ljk := range lj[:j] {
 				s -= li[k] * ljk
 			}
@@ -169,7 +195,7 @@ func (c *Cholesky) Append(rows [][]float64, diag []float64) (*Cholesky, error) {
 	out := &Cholesky{N: nk, Jitter: c.Jitter,
 		tri: slices.Grow(c.tri[:packedLen(n)], packedLen(nk)-packedLen(n))[:packedLen(nk)]}
 	// Each appended row is one more step of the standard Cholesky recurrence,
-	// with the same operation order as try so an Append-built factor is
+	// with the same operation order as factor so an Append-built factor is
 	// bitwise identical to a from-scratch one at the same jitter.
 	for i := 0; i < k; i++ {
 		m := n + i
@@ -198,8 +224,10 @@ func (c *Cholesky) Append(rows [][]float64, diag []float64) (*Cholesky, error) {
 // factorization in place, in O(n²) (the classic Givens-based cholupdate):
 // rotation k turns entry k of v into the diagonal L[k][k], and every row
 // below it goes through the rotations of the rows above it in order. v is
-// consumed as scratch and is garbage afterwards; the only other storage is
-// the n cosines. Because v·vᵀ is positive semidefinite, the update cannot
+// consumed as scratch and is garbage afterwards, and cs, n floats of the
+// caller's, holds the rotations' cosines: the update allocates nothing, so a
+// caller that keeps the two buffers (the feature backend's tell) updates
+// with no garbage. Because v·vᵀ is positive semidefinite, the update cannot
 // lose positive definiteness; the dimension check is the only failure mode.
 //
 // The textbook sweep carries each rotation down its column, a walk of L at a
@@ -210,14 +238,15 @@ func (c *Cholesky) Append(rows [][]float64, diag []float64) (*Cholesky, error) {
 // sweep's (refRankUpdate in the tests). Rows i…i+3 take the rotations of the
 // rows above them together, four independent chains, and close the 4×4
 // triangle between them in row order, as SolveLowerInto does.
-func (c *Cholesky) RankUpdate(v []float64) error {
+func (c *Cholesky) RankUpdate(v, cs []float64) error {
 	n := c.N
-	if len(v) != n {
+	if len(v) != n || len(cs) != n {
 		return ErrDimension
 	}
 	// Rotation k is (cs[k], v[k]): v[k] is not read again once row k has
-	// taken it into w, so it holds the sine from then on.
-	cs, sn := make([]float64, n), v
+	// taken it into w, so it holds the sine from then on. cs[k] is written
+	// when row k makes its rotation, before any row reads it.
+	sn := v
 	i := 0
 	for ; i+4 <= n; i += 4 {
 		r0, r1, r2, r3 := c.rows4(i)

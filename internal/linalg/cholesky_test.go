@@ -244,12 +244,23 @@ func TestCholeskyAppendRejectsBadInput(t *testing.T) {
 	}
 }
 
+// packLower is a's lower triangle packed by rows with jitter added to the
+// diagonal: what the in-place factorization takes.
+func packLower(a *Matrix, jitter float64) []float64 {
+	tri := make([]float64, 0, packedLen(a.Rows))
+	for i := 0; i < a.Rows; i++ {
+		tri = append(tri, a.Row(i)[:i+1]...)
+		tri[len(tri)-1] += jitter
+	}
+	return tri
+}
+
 // factorAt is the from-scratch factor of a + jitter·I at that one jitter,
 // with no ladder: what an Append at that jitter must reproduce bit for bit.
 func factorAt(t *testing.T, a *Matrix, jitter float64) *Cholesky {
 	t.Helper()
-	c := &Cholesky{N: a.Rows, Jitter: jitter, tri: make([]float64, packedLen(a.Rows))}
-	if !c.try(a, jitter) {
+	c := &Cholesky{N: a.Rows, Jitter: jitter, tri: packLower(a, jitter)}
+	if !c.factor() {
 		t.Fatalf("n=%d: not positive definite at jitter %v", a.Rows, jitter)
 	}
 	return c
@@ -484,7 +495,7 @@ func TestCholeskyRankUpdateMatchesRefactorization(t *testing.T) {
 					a.Add(i, j, v[i]*v[j])
 				}
 			}
-			if err := ch.RankUpdate(append([]float64(nil), v...)); err != nil {
+			if err := ch.RankUpdate(append([]float64(nil), v...), make([]float64, n)); err != nil {
 				t.Fatal(err)
 			}
 			want, err := NewCholesky(a)
@@ -509,8 +520,11 @@ func TestCholeskyRankUpdateDimensionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ch.RankUpdate(make([]float64, 3)); err == nil {
+	if err := ch.RankUpdate(make([]float64, 3), make([]float64, 4)); err == nil {
 		t.Fatal("short update vector must be rejected")
+	}
+	if err := ch.RankUpdate(make([]float64, 4), make([]float64, 3)); err == nil {
+		t.Fatal("short cosine scratch must be rejected")
 	}
 }
 
@@ -542,7 +556,9 @@ func refRankUpdate(c *Cholesky, v []float64) {
 // feature backend's m = 256. Factors include one off the jitter ladder and
 // one full of exact zeros; the update vectors include one with a zero
 // leading half and the zero vector, whose rotations have s = 0 and are
-// skipped, one scaled to lose low bits, and one with scattered zeros.
+// skipped, one scaled to lose low bits, and one with scattered zeros. The
+// cosine scratch is one buffer across the updates and starts full of NaN,
+// so a cosine read before it is written shows.
 func TestRankUpdateBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 256} {
@@ -554,6 +570,10 @@ func TestRankUpdateBitIdentical(t *testing.T) {
 			want, _ := NewCholesky(pm.a)
 			if (pm.name == "jittered") != (got.Jitter > 0) {
 				t.Fatalf("n=%d %s: jitter %v", n, pm.name, got.Jitter)
+			}
+			cs := make([]float64, n)
+			for i := range cs {
+				cs[i] = math.NaN()
 			}
 			for rep := 0; rep < 5; rep++ {
 				v := make([]float64, n)
@@ -573,7 +593,7 @@ func TestRankUpdateBitIdentical(t *testing.T) {
 						}
 					}
 				}
-				if err := got.RankUpdate(append([]float64(nil), v...)); err != nil {
+				if err := got.RankUpdate(append([]float64(nil), v...), cs); err != nil {
 					t.Fatal(err)
 				}
 				refRankUpdate(want, v)
@@ -600,7 +620,7 @@ func BenchmarkRankUpdate(b *testing.B) {
 		}
 		cs[i] = c
 	}
-	v0, v := make([]float64, n), make([]float64, n)
+	v0, v, cos := make([]float64, n), make([]float64, n), make([]float64, n)
 	for i := range v0 {
 		v0[i] = rng.NormFloat64()
 	}
@@ -608,7 +628,7 @@ func BenchmarkRankUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(v, v0)
-		if err := cs[i%copies].RankUpdate(v); err != nil {
+		if err := cs[i%copies].RankUpdate(v, cos); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -811,40 +831,19 @@ func BenchmarkSolveUpperT(b *testing.B) {
 
 // refCholesky is NewCholesky as it stood before NewCholeskyInto: a fresh L
 // per jitter try, every element through At/Set. The row-slice factorization
-// must reproduce it bit for bit — GP histories are pinned on these bits.
-func refCholesky(a *Matrix) (*Cholesky, error) {
-	n := a.Rows
+// must reproduce it bit for bit — GP histories are pinned on these bits. It
+// also returns every jitter it tried, the last the one that factored.
+func refCholesky(a *Matrix) (*Cholesky, []float64, error) {
 	scale := a.MaxAbsDiag()
 	if scale == 0 {
 		scale = 1
 	}
+	var tried []float64
 	jitter := 0.0
 	for try := 0; try <= 10; try++ {
-		L, ok := func() (*Matrix, bool) {
-			L := NewMatrix(n, n)
-			for j := 0; j < n; j++ {
-				d := a.At(j, j) + jitter
-				for k := 0; k < j; k++ {
-					ljk := L.At(j, k)
-					d -= ljk * ljk
-				}
-				if d <= 0 || math.IsNaN(d) {
-					return nil, false
-				}
-				ljj := math.Sqrt(d)
-				L.Set(j, j, ljj)
-				for i := j + 1; i < n; i++ {
-					s := a.At(i, j)
-					for k := 0; k < j; k++ {
-						s -= L.At(i, k) * L.At(j, k)
-					}
-					L.Set(i, j, s/ljj)
-				}
-			}
-			return L, true
-		}()
-		if ok {
-			return packed(L, jitter), nil
+		tried = append(tried, jitter)
+		if c := refFactorAt(a, jitter); c != nil {
+			return c, tried, nil
 		}
 		if jitter == 0 {
 			jitter = 1e-12 * scale
@@ -852,7 +851,34 @@ func refCholesky(a *Matrix) (*Cholesky, error) {
 			jitter *= 10
 		}
 	}
-	return nil, ErrNotPositiveDefinite
+	return nil, tried, ErrNotPositiveDefinite
+}
+
+// refFactorAt is one try of refCholesky: the factor of a + jitter·I, nil at
+// a non-positive pivot.
+func refFactorAt(a *Matrix, jitter float64) *Cholesky {
+	n := a.Rows
+	L := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		d := a.At(j, j) + jitter
+		for k := 0; k < j; k++ {
+			ljk := L.At(j, k)
+			d -= ljk * ljk
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return nil
+		}
+		ljj := math.Sqrt(d)
+		L.Set(j, j, ljj)
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= L.At(i, k) * L.At(j, k)
+			}
+			L.Set(i, j, s/ljj)
+		}
+	}
+	return packed(L, jitter)
 }
 
 // refInverse is Cholesky.Inverse as it stood before InverseUpperInto: plain
@@ -975,22 +1001,43 @@ func sameFactor(t *testing.T, what string, got, want *Cholesky) {
 	}
 }
 
-// TestNewCholeskyIntoBitIdentical pins the row-slice factorization — fresh
-// and into a reused, previously-failed-into destination — against the
-// At/Set one it replaced, jitter included, and checks the input survives.
+// TestNewCholeskyIntoBitIdentical pins both entries to the one in-place
+// kernel — NewCholeskyInto, which packs a dense matrix's lower triangle, and
+// NewCholeskyPacked, which factors a triangle its caller assembled packed —
+// against the At/Set factorization they replaced, bit for bit. The dense
+// entry runs the whole jitter ladder, fresh and into a reused,
+// previously-failed-into destination, and leaves its input as it was. The
+// packed entry runs at every rung the reference tried, the input packed with
+// that rung's jitter: each rung the reference failed fails, the one it
+// stopped at gives its factor. Besides the pin matrices, "escalated" is a
+// singular Gram matrix shifted down by 10⁻⁹ of its scale, which only
+// factors several rungs up the ladder.
 func TestNewCholeskyIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	for _, n := range []int{1, 2, 3, 7, 64, 151} {
+	for _, n := range []int{1, 2, 3, 5, 7, 8, 61, 64, 151} {
 		reused := &Cholesky{}
-		for _, pm := range pinMatrices(rng, n) {
+		pms := pinMatrices(rng, n)
+		if n > 1 {
+			low := randomMatrix(rng, n, n/2)
+			esc := low.Mul(low.T())
+			shift := 1e-9 * esc.MaxAbsDiag()
+			for i := 0; i < n; i++ {
+				esc.Add(i, i, -shift)
+			}
+			pms = append(pms, pinMatrix{"escalated", esc})
+		}
+		for _, pm := range pms {
 			name, a := pm.name, pm.a
 			what := fmt.Sprintf("n=%d %s", n, name)
-			want, err := refCholesky(a)
+			want, tried, err := refCholesky(a)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			if (name == "jittered") != (want.Jitter > 0) {
+			switch {
+			case (name == "jittered" || name == "escalated") != (want.Jitter > 0):
 				t.Fatalf("%s: jitter %v", what, want.Jitter)
+			case name == "escalated" && len(tried) < 4:
+				t.Fatalf("%s: factored at rung %d of the ladder, want a climb of three or more", what, len(tried)-1)
 			}
 			before := &Matrix{Rows: a.Rows, Cols: a.Cols, Data: append([]float64(nil), a.Data...)}
 			got, err := NewCholesky(a)
@@ -1004,7 +1051,24 @@ func TestNewCholeskyIntoBitIdentical(t *testing.T) {
 			for _, c := range []*Cholesky{got, reused} {
 				sameFactor(t, what, c, want)
 			}
+			for rung, jitter := range tried {
+				c, err := NewCholeskyPacked(n, packLower(a, jitter))
+				if last := rung == len(tried)-1; !last {
+					if err != ErrNotPositiveDefinite {
+						t.Fatalf("%s: packed at rung %d (jitter %v): %v, the reference failed there", what, rung, jitter, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: packed at rung %d (jitter %v): %v", what, rung, jitter, err)
+				}
+				c.Jitter = jitter
+				sameFactor(t, what+" packed", c, want)
+			}
 		}
+	}
+	if _, err := NewCholeskyPacked(3, make([]float64, 5)); err != ErrDimension {
+		t.Fatalf("packed triangle of the wrong length: %v", err)
 	}
 	// A failed factorization leaves garbage in the rows; the next success into
 	// the same storage is still the reference factor.
@@ -1016,7 +1080,7 @@ func TestNewCholeskyIntoBitIdentical(t *testing.T) {
 	if err := NewCholeskyInto(c, a); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := refCholesky(a)
+	want, _, _ := refCholesky(a)
 	sameFactor(t, "after failure", c, want)
 	// A smaller factor goes into the storage a larger one left.
 	big, small := randomSPD(rng, 151), randomSPD(rng, 64)
@@ -1030,7 +1094,7 @@ func TestNewCholeskyIntoBitIdentical(t *testing.T) {
 	if &c.tri[0] != at {
 		t.Fatal("NewCholeskyInto reallocated storage that held a larger factor")
 	}
-	want, _ = refCholesky(small)
+	want, _, _ = refCholesky(small)
 	sameFactor(t, "into larger storage", c, want)
 }
 
@@ -1163,6 +1227,25 @@ func BenchmarkCholeskyInverse(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c.InverseUpperInto(out, g)
+			}
+		})
+	}
+}
+
+// BenchmarkNewCholeskyInto is one factorization into reused storage at the
+// sizes the exact GP's fits run at (n = 60, 150) and at the feature
+// backend's m = 256: the pack of A's lower triangle and the in-place kernel.
+func BenchmarkNewCholeskyInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(47))
+	for _, n := range []int{60, 150, 256} {
+		a := randomSPD(rng, n)
+		c := &Cholesky{}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := NewCholeskyInto(c, a); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

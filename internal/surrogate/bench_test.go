@@ -245,7 +245,10 @@ func BenchmarkPredictBatchFeatures(b *testing.B) {
 // benchPredictGrad measures one value-and-gradient evaluation, the unit the
 // gradient refinement is budgeted in, beside PredictBatch's w=1 row: on the
 // model itself and on a view of it with four busy points (serve-model's
-// batch), whose correction adds a busy-set solve to every evaluation.
+// batch), whose correction adds a busy-set solve to every evaluation. The
+// fresh row takes a new predictor of the view for every evaluation, as each
+// ask's maximizer does for its workers: its B/op is what a predictor's first
+// call allocates.
 func benchPredictGrad(b *testing.B, m surrogate.Surrogate) {
 	b.Helper()
 	qs := benchQueries(68)
@@ -268,6 +271,12 @@ func benchPredictGrad(b *testing.B, m surrogate.Surrogate) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/point")
 		})
 	}
+	b.Run("busy=4/fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			view.StandardizedPredictor().PredictGrad(qs[i%len(qs)], dmu, dsigma)
+		}
+	})
 }
 
 func BenchmarkPredictGradExact(b *testing.B) {

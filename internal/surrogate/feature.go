@@ -3,6 +3,7 @@ package surrogate
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"easybo/internal/gp"
 	"easybo/internal/linalg"
@@ -29,8 +30,9 @@ type FeatureModel struct {
 	chol  *linalg.Cholesky // factor of the m×m information matrix A
 	rhs   []float64        // Φᵀy/σn² (standardized outputs)
 	wmean []float64        // A⁻¹·rhs
+	tell  []float64        // absorb's scratch, 2m, allocated by the first tell
 	n     int              // observations absorbed
-	spent bool             // Extend handed chol, rhs and wmean to another model
+	spent bool             // Extend handed chol, rhs, wmean and tell to another model
 }
 
 // FitFeatures fits a feature-space surrogate on raw inputs/outputs within
@@ -56,35 +58,52 @@ func fitFeatures(f frame, xs [][]float64, ys []float64,
 		return nil, err
 	}
 	fm := &FeatureModel{frame: f, noise2: gp.NoiseVar(logNoise), basis: basis}
-
-	// Assemble A = I + ΦᵀΦ/σn² and rhs = Φᵀy/σn² in one pass. Only the
-	// lower triangle and the diagonal of A are summed: they are all the
-	// factorization reads.
-	a := linalg.NewMatrix(m, m)
-	for i := 0; i < m; i++ {
-		a.Add(i, i, 1)
-	}
 	fm.rhs = make([]float64, m)
-	phi := make([]float64, m)
-	for k, xk := range xs {
-		basis.PhiInto(phi, xk)
-		yk := ys[k] / fm.noise2
+	tri := make([]float64, m*(m+1)/2)
+	fm.assemble(tri, xs, ys)
+	if fm.chol, err = linalg.NewCholeskyPacked(m, tri); err != nil {
+		// A needs the jitter ladder: assemble it again, dense, for
+		// NewCholesky, whose first try is the one that just failed.
+		clear(tri)
+		clear(fm.rhs)
+		fm.assemble(tri, xs, ys)
+		a := linalg.NewMatrix(m, m)
 		for i := 0; i < m; i++ {
-			pki := phi[i] / fm.noise2
-			fm.rhs[i] += phi[i] * yk
-			if pki == 0 {
-				continue
-			}
-			linalg.Axpy(pki, phi[:i+1], a.Row(i)[:i+1])
+			copy(a.Row(i), tri[i*(i+1)/2:(i+1)*(i+2)/2])
 		}
-	}
-	fm.chol, err = linalg.NewCholesky(a)
-	if err != nil {
-		return nil, err
+		if fm.chol, err = linalg.NewCholesky(a); err != nil {
+			return nil, err
+		}
 	}
 	fm.wmean = fm.chol.Solve(fm.rhs)
 	fm.n = len(xs)
 	return fm, nil
+}
+
+// assemble sums A = I + ΦᵀΦ/σn² into tri, zero on entry, and Φᵀy/σn² into
+// fm.rhs, zero on entry, in one pass over the training set. tri is A's lower
+// triangle, diagonal included, packed by rows as the factor keeps it (row i
+// at i(i+1)/2): it is all the factorization reads, and it is factored where
+// it is summed.
+func (fm *FeatureModel) assemble(tri []float64, xs [][]float64, ys []float64) {
+	m := len(fm.rhs)
+	for i := 0; i < m; i++ {
+		tri[i*(i+3)/2] = 1
+	}
+	phi := make([]float64, m)
+	for k, xk := range xs {
+		fm.basis.PhiInto(phi, xk)
+		yk := ys[k] / fm.noise2
+		row := tri
+		for i := 0; i < m; i++ {
+			pki := phi[i] / fm.noise2
+			fm.rhs[i] += phi[i] * yk
+			if pki != 0 {
+				linalg.Axpy(pki, phi[:i+1], row[:i+1])
+			}
+			row = row[i+1:]
+		}
+	}
 }
 
 // Predictor implements Surrogate.
@@ -188,21 +207,27 @@ func (b *featureBusy) reduction(c, u []float64) float64 {
 // absorb applies one rank-1 information update per (unit-cube input,
 // standardized target) pair to the receiver's factor, right-hand side and
 // mean, in place, and returns the model that owns them; the receiver is
-// spent. Its scratch is O(m): the m×m factor is never copied.
+// spent. Its scratch is the 2m floats of tell — each point's feature vector,
+// scaled in place into the update vector, and RankUpdate's cosines — which
+// the first tell of a fit allocates and every later one inherits with the
+// factor: the m×m factor is never copied, and a tell allocates nothing that
+// grows with m.
 func (fm *FeatureModel) absorb(xs [][]float64, ys []float64) (*FeatureModel, error) {
 	m := fm.basis.Features()
 	out := *fm
 	fm.spent = true
-	phi := make([]float64, m)
-	v := make([]float64, m)
+	if out.tell == nil {
+		out.tell = make([]float64, 2*m)
+	}
+	v, cs := out.tell[:m:m], out.tell[m:]
 	sn := math.Sqrt(fm.noise2)
 	for i, xi := range xs {
-		fm.basis.PhiInto(phi, xi)
-		for j := 0; j < m; j++ {
-			v[j] = phi[j] / sn
-			out.rhs[j] += phi[j] * ys[i] / fm.noise2
+		fm.basis.PhiInto(v, xi)
+		for j, p := range v {
+			out.rhs[j] += p * ys[i] / fm.noise2
+			v[j] = p / sn
 		}
-		if err := out.chol.RankUpdate(v); err != nil {
+		if err := out.chol.RankUpdate(v, cs); err != nil {
 			return nil, err
 		}
 	}
@@ -216,21 +241,31 @@ func (fm *FeatureModel) absorb(xs [][]float64, ys []float64) (*FeatureModel, err
 type featureUnit struct {
 	fm   *FeatureModel
 	busy *featureBusy
-	flat []float64                    // feature vectors, grown to the widest group seen
-	phi  [linalg.SolveWidth][]float64 // views into flat, m each
-	c, z []float64                    // the busy set's c and z, len(busy.w) each
+	c, z []float64 // the busy set's c and z, len(busy.w) each
 }
 
-// features returns w feature-vector buffers.
-func (p *featureUnit) features(w int) [][]float64 {
-	m := p.fm.basis.Features()
-	if len(p.flat) < w*m {
-		p.flat = make([]float64, w*m)
+// featureScratch is linalg.SolveWidth feature vectors of m floats, what one
+// prediction call works in. A call borrows one from featurePool and puts it
+// back before it returns, so the buffers a process keeps are one per
+// prediction running at once, not one per predictor.
+type featureScratch struct {
+	flat []float64
+	phi  [linalg.SolveWidth][]float64 // views into flat, m each
+}
+
+var featurePool = sync.Pool{New: func() any { return new(featureScratch) }}
+
+// borrowFeatures takes a scratch from the pool with w ≤ linalg.SolveWidth
+// feature vectors of m floats ready; the caller puts it back.
+func borrowFeatures(m, w int) (*featureScratch, [][]float64) {
+	fs := featurePool.Get().(*featureScratch)
+	if len(fs.flat) < linalg.SolveWidth*m {
+		fs.flat = make([]float64, linalg.SolveWidth*m)
 	}
 	for j := 0; j < w; j++ {
-		p.phi[j] = p.flat[j*m : (j+1)*m : (j+1)*m]
+		fs.phi[j] = fs.flat[j*m : (j+1)*m : (j+1)*m]
 	}
-	return p.phi[:w]
+	return fs, fs.phi[:w]
 }
 
 // sigmaMargin widens the feature backend's deviation bound ‖φ‖ by enough to
@@ -251,7 +286,8 @@ const sigmaMargin = 1 + 0x1p-20
 // product; a point it rejects skips the solve and gets sigma −1.
 func (p *featureUnit) predictBatch(xs [][]float64, mu, sigma []float64, keep func(mu, sigmaMax float64) bool) {
 	fm := p.fm
-	phi := p.features(min(len(xs), linalg.SolveWidth))
+	fs, phi := borrowFeatures(fm.basis.Features(), min(len(xs), linalg.SolveWidth))
+	defer featurePool.Put(fs)
 	var at [linalg.SolveWidth]int // the point each pending feature vector is for
 	w := 0
 	for i, x := range xs {
@@ -306,7 +342,8 @@ func (p *featureUnit) busyScratch() []float64 {
 // is predictBatch's arithmetic on a batch of one.
 func (p *featureUnit) predictGrad(x, dmu, dsigma []float64) (mu, sigma float64) {
 	fm := p.fm
-	f := p.features(3)
+	fs, f := borrowFeatures(fm.basis.Features(), 3)
+	defer featurePool.Put(fs)
 	phi, dphi, gamma := f[0], f[1], f[2]
 	fm.basis.PhiGradInto(phi, dphi, x)
 	mu = linalg.Dot(phi, fm.wmean)

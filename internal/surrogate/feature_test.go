@@ -65,10 +65,30 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestFitFeaturesMatchesFullAssembly pins the feature fit, which sums only
-// the lower triangle of A, to the full-square assembly it replaced: every
-// row of the factor, its jitter, the right-hand side and the mean weights,
-// bit for bit, from one observation to more observations than features.
+// the lower triangle of A, packed where it is factored, to the dense
+// full-square assembly it replaced: every row of the factor, its jitter, the
+// right-hand side and the mean weights, bit for bit, from one observation to
+// more observations than features. Those fits factor at zero jitter; the
+// last case is the fixture TestPredictGradAtTrainingPoints fits its feature
+// model on (noise on its floor under a signal variance of 10⁸), whose A
+// fails the zero-jitter try, so the fit must climb the jitter ladder on the
+// dense path and still give the reference's bits.
 func TestFitFeaturesMatchesFullAssembly(t *testing.T) {
+	same := func(what string, got, want *FeatureModel) {
+		t.Helper()
+		m := want.chol.N
+		if got.chol.N != m || math.Float64bits(got.chol.Jitter) != math.Float64bits(want.chol.Jitter) {
+			t.Fatalf("%s: factor N=%d jitter=%v, reference jitter=%v", what, got.chol.N, got.chol.Jitter, want.chol.Jitter)
+		}
+		for i := 0; i < m; i++ {
+			if !sameBits(got.chol.Row(i), want.chol.Row(i)) {
+				t.Fatalf("%s: factor row %d differs from the reference", what, i)
+			}
+		}
+		if !sameBits(got.rhs, want.rhs) || !sameBits(got.wmean, want.wmean) || got.n != want.n {
+			t.Fatalf("%s: rhs, mean weights or count differ from the reference", what)
+		}
+	}
 	for _, n := range []int{1, 20, 300} {
 		for _, m := range []int{16, 256} {
 			what := fmt.Sprintf("n=%d m=%d", n, m)
@@ -85,17 +105,35 @@ func TestFitFeaturesMatchesFullAssembly(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: reference: %v", what, err)
 			}
-			if got.chol.N != m || math.Float64bits(got.chol.Jitter) != math.Float64bits(want.chol.Jitter) {
-				t.Fatalf("%s: factor N=%d jitter=%v, reference jitter=%v", what, got.chol.N, got.chol.Jitter, want.chol.Jitter)
-			}
-			for i := 0; i < m; i++ {
-				if !sameBits(got.chol.Row(i), want.chol.Row(i)) {
-					t.Fatalf("%s: factor row %d differs from the reference", what, i)
-				}
-			}
-			if !sameBits(got.rhs, want.rhs) || !sameBits(got.wmean, want.wmean) || got.n != want.n {
-				t.Fatalf("%s: rhs, mean weights or count differ from the reference", what)
-			}
+			same(what, got, want)
 		}
 	}
+
+	// The stiff fixture, built as TestPredictGradAtTrainingPoints builds it:
+	// the basis is drawn from the rng the training set was drawn from.
+	stiff := func() (frame, [][]float64, []float64, *rand.Rand) {
+		rng := rand.New(rand.NewSource(11))
+		x, y, lo, hi := gradFixture(rng, 40)
+		f, xs, ys, err := newFrame(x, y, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f, xs, ys, rng
+	}
+	long := []float64{math.Log(3), math.Log(3), math.Log(3), math.Log(1e4)}
+	floor := math.Log(1e-9)
+	f, xs, ys, rng := stiff()
+	got, err := fitFeatures(f, xs, ys, long, floor, rng, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, xs, ys, rng = stiff()
+	want, err := refFitFeatures(f, xs, ys, long, floor, rng, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.chol.Jitter <= 0 {
+		t.Fatalf("stiff fixture factored at jitter %v: the dense fallback went untested", got.chol.Jitter)
+	}
+	same("stiff fixture", got, want)
 }
